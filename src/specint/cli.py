@@ -20,7 +20,8 @@ import numpy as np
 
 from . import competitive, oracles, reforms
 from .errors import ConfigError, HypothesisError, ModelError, OracleError
-from .production import productive_optimum
+from .politics import group_knowledge
+from .production import output_of, productive_optimum
 from .scenario import Scenario, load_scenario
 from .welfare import WelfareReport, total_welfare
 
@@ -143,9 +144,6 @@ def _sweep_b(scn: Scenario) -> tuple[list[str], list[list]]:
     rows = []
     for b in scn.b_grid:
         alloc = fam.allocation(float(b))
-        from .politics import group_knowledge
-        from .production import output_of
-
         B_S, B_M = group_knowledge(alloc, econ)
         B_soc = (1.0 - alloc.m) * B_S + alloc.m * B_M
         Y = output_of(alloc, econ)

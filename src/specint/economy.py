@@ -17,9 +17,8 @@ from .politics import GovernanceTech
 class Economy:
     """Everything a scenario pins down: learning technology, productive and
     civic profiles, breadth penalty, integration cost, gross productivity,
-    income tax, and the governance technology. tau is the income-side tax
-    wedge; the resource map carries its own tau (the same object in the
-    model, both set from the one config key)."""
+    and the governance technology, whose tax rate tau is also the
+    income-side wedge."""
 
     tech: LearningTech
     q: np.ndarray
@@ -27,7 +26,6 @@ class Economy:
     p: float
     theta: float
     V: float
-    tau: float
     gov: GovernanceTech
 
     def __post_init__(self):
@@ -41,12 +39,14 @@ class Economy:
             raise ConfigError("economy.theta must be positive")
         if not self.V > 0.0:
             raise ConfigError("economy.v must be positive")
-        if not 0.0 <= self.tau < 1.0:
-            raise ConfigError("tax rate must lie in [0,1)")
 
     @property
     def K(self) -> int:
         return self.q.size
+
+    @property
+    def tau(self) -> float:
+        return self.gov.tau
 
     @cached_property
     def constants(self) -> LearningConstants:
@@ -65,6 +65,3 @@ class Economy:
 
     def with_u(self, u) -> "Economy":
         return replace(self, u=np.asarray(u, dtype=float))
-
-    def with_tau(self, tau: float) -> "Economy":
-        return replace(self, tau=tau)

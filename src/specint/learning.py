@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 
 DOMAIN_SLACK = 1e-12
 BISECT_RESIDUAL = 1e-12
@@ -109,12 +109,8 @@ class LearningTech:
                 hi = mid
         s = 0.5 * (lo + hi)
         if abs(self._ell_raw(s) - y) > BISECT_RESIDUAL:
-            raise ConvergenceFailure(f"ell_inverse residual too large at y={y}")
+            raise ConvergenceError(f"ell_inverse residual too large at y={y}")
         return s
-
-
-class ConvergenceFailure(RuntimeError):
-    """Internal: a bisection failed to meet its residual bound (bug)."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ def max_scale(tech: LearningTech, pi: np.ndarray) -> float:
             lo = mid
     h = min(0.5 * (lo + hi), 1.0)
     if abs(float(tech._ell_raw(h * p).sum()) - 1.0) > BISECT_RESIDUAL:
-        raise ConvergenceFailure("frontier bisection residual too large")
+        raise ConvergenceError("frontier bisection residual too large")
     return h
 
 

@@ -13,10 +13,17 @@ The unique equilibrium sets e to the maximizer of
 B_soc*log G(e,Y) - 4*Lambda0*c(e), splits services t_g proportionally to
 B_g, and targets z = m*B_M/B_soc.
 
-The shipped resource map is G(e,Y) = tau*Y*e**eta with cost
-c(e) = c0*e**2/2, which admits e* = sqrt(eta*B/(4*Lambda0*c0)) as a
-solver cross-check; both pieces sit behind the GovernanceTech surface so
-other forms satisfying the same curvature conditions can be plugged in.
+The resource map is G(e,Y) = tau*Y*e**eta with cost c(e) = c0*e**2/2, so
+the governance problem is solved in closed form:
+
+    e* = sqrt(eta*B/(4*Lambda0*c0)),  R = tau*Y*(e*)**eta,
+    R_Y = R/Y,  R_B = (eta/2)*R/B.
+
+Two checks certify these without using the formulas: kkt_residuals
+evaluates the first-order condition B*eta/e - 4*Lambda0*c0*e at e*, and
+best_response_fixed_point reaches e* by golden-section best responses
+(the `political-equilibrium` oracle). The `decomposition-residual`
+oracle checks R_Y/R and R_B/R against finite differences of welfare.
 """
 
 from __future__ import annotations
@@ -35,8 +42,6 @@ from .production import (
 
 if TYPE_CHECKING:
     from .economy import Economy
-
-KKT_RESIDUAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,112 +69,22 @@ class GovernanceTech:
     def resources(self, e: float, Y: float) -> float:
         return self.tau * Y * e**self.eta
 
-    def resources_dY(self, e: float, Y: float) -> float:
-        return self.tau * e**self.eta
-
-    def resources_de(self, e: float, Y: float) -> float:
-        return self.tau * Y * self.eta * e ** (self.eta - 1.0)
-
-    def dlog_de(self, e: float, Y: float) -> float:
-        return self.eta / e
-
-    def d2log_de2(self, e: float, Y: float) -> float:
-        return -self.eta / e**2
-
-    def d2log_dedY(self, e: float, Y: float) -> float:
-        return 0.0
-
     def cost(self, e: float) -> float:
         return 0.5 * self.c0 * e**2
 
-    def cost_prime(self, e: float) -> float:
-        return self.c0 * e
-
-    def cost_second(self, e: float) -> float:
-        return self.c0
-
-    def e_star_closed(self, Y: float, B: float) -> float:
-        """Closed-form maximizer of B*log G - 4*Lambda0*c for this family."""
-        return math.sqrt(self.eta * B / (4.0 * self.lambda0 * self.c0))
-
 
 def governance_star(gov: GovernanceTech, Y: float, B: float) -> float:
-    """Unique maximizer of B*log G(e,Y) - 4*Lambda0*c(e).
-
-    Safeguarded Newton on the first-order condition
-    B * dlogG/de = 4*Lambda0*c'(e), residual <= 1e-12, cross-checked
-    against the family closed form when one is available.
-    """
+    """Unique maximizer e* = sqrt(eta*B/(4*Lambda0*c0)) of
+    B*log G(e,Y) - 4*Lambda0*c(e)."""
     if not (Y > 0.0 and B > 0.0):
         raise DomainError("governance problem needs Y > 0 and B > 0")
-
-    lam4 = 4.0 * gov.lambda0
-
-    def foc(e):
-        return B * gov.dlog_de(e, Y) - lam4 * gov.cost_prime(e)
-
-    lo, hi = 1e-12, 1.0
-    while foc(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceError("governance FOC has no sign change")
-    e = 0.5 * (lo + hi)
-    for _ in range(200):
-        r = foc(e)
-        if abs(r) <= KKT_RESIDUAL:
-            break
-        if r > 0.0:
-            lo = e
-        else:
-            hi = e
-        slope = B * gov.d2log_de2(e, Y) - lam4 * gov.cost_second(e)
-        step = e - r / slope if slope < 0.0 else None
-        e = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    else:
-        raise ConvergenceError("governance Newton did not meet the residual bound")
-
-    closed = getattr(gov, "e_star_closed", None)
-    if closed is not None:
-        ref = closed(Y, B)
-        if abs(e - ref) > 1e-8 * (1.0 + ref):
-            raise ConvergenceError(
-                f"governance solver disagrees with the closed form: {e} vs {ref}"
-            )
-    return e
+    return math.sqrt(gov.eta * B / (4.0 * gov.lambda0 * gov.c0))
 
 
-def effective_resources(gov: GovernanceTech, Y: float, B: float) -> float:
-    """R(Y,B) = G(e*(Y,B), Y)."""
-    return gov.resources(governance_star(gov, Y, B), Y)
-
-
-def resource_sensitivities(
-    gov: GovernanceTech, Y: float, B: float, fd: bool = False, step: float = 1e-6
-):
-    """(R, dR/dY, dR/dB) at the governed optimum.
-
-    Analytic via the implicit-function theorem on the governance FOC by
-    default; fd=True switches to central differences (the fallback for a
-    plugged-in form without derivative methods).
-    """
-    e = governance_star(gov, Y, B)
-    R = gov.resources(e, Y)
-    if fd:
-        rY = (
-            effective_resources(gov, Y * (1 + step), B)
-            - effective_resources(gov, Y * (1 - step), B)
-        ) / (2 * step * Y)
-        rB = (
-            effective_resources(gov, Y, B * (1 + step))
-            - effective_resources(gov, Y, B * (1 - step))
-        ) / (2 * step * B)
-        return R, rY, rB
-    lam4 = 4.0 * gov.lambda0
-    F_e = B * gov.d2log_de2(e, Y) - lam4 * gov.cost_second(e)
-    e_B = -gov.dlog_de(e, Y) / F_e
-    e_Y = -(B * gov.d2log_dedY(e, Y)) / F_e
-    G_e = gov.resources_de(e, Y)
-    return R, gov.resources_dY(e, Y) + G_e * e_Y, G_e * e_B
+def resource_sensitivities(gov: GovernanceTech, Y: float, B: float):
+    """(R, dR/dY, dR/dB) at the governed optimum: (R, R/Y, eta*R/(2B))."""
+    R = gov.resources(governance_star(gov, Y, B), Y)
+    return R, R / Y, gov.eta * R / (2.0 * B)
 
 
 def vote_share(t: float, t_bar: float, beta: float) -> float:
@@ -250,20 +165,19 @@ def political_equilibrium(econ: Economy, alloc: Allocation) -> PoliticalOutcome:
     return equilibrium_from_groups(econ, Y, alloc.m, B_S, B_M)
 
 
-def kkt_residuals(econ: Economy, alloc: Allocation, out: PoliticalOutcome):
+def kkt_residuals(econ: Economy, out: PoliticalOutcome):
     """Residuals of the equilibrium first-order system.
 
     Returns |Psi'_S(t_S;t_S) - B_soc/(4*Lambda0*R)|, the same for M, and
-    |B_soc * dlogG/de - 4*Lambda0*c'(e)|.
+    the governance residual |B_soc*eta/e - 4*Lambda0*c0*e|, written from
+    the primitives rather than from the closed form for e*.
     """
     gov = econ.gov
     mu = out.B_soc / (4.0 * gov.lambda0 * out.R)
     res_S = abs(vote_share_slope(out.t_S, out.t_S, out.B_S / gov.lambda0) - mu)
     res_M = abs(vote_share_slope(out.t_M, out.t_M, out.B_M / gov.lambda0) - mu)
-    Y = output_of(alloc, econ)
-    res_e = abs(
-        out.B_soc * gov.dlog_de(out.e_pol, Y) - 4.0 * gov.lambda0 * gov.cost_prime(out.e_pol)
-    )
+    e = out.e_pol
+    res_e = abs(out.B_soc * gov.eta / e - 4.0 * gov.lambda0 * gov.c0 * e)
     return res_S, res_M, res_e
 
 
@@ -367,13 +281,13 @@ def best_response(
 
     # Golden section resolves e only down to the comparison noise floor of
     # the flat objective; polish on the envelope first-order condition
-    # mu(e)*G_e(e,Y) = c'(e), where mu(e) is the common multiplier of the
-    # inner split, which is computable to machine precision.
+    # mu(e)*G_e(e,Y) = c'(e), i.e. mu(e)*eta*R/e = c0*e, where mu(e) is the
+    # common multiplier of the inner split, computable to machine precision.
     def foc(e_val):
         R_val = gov.resources(e_val, Y)
         t_s, _ = _split_budget(R_val, m, beta_S, beta_M, tbar_S, tbar_M)
         mu = vote_share_slope(t_s, tbar_S, beta_S)
-        return mu * gov.resources_de(e_val, Y) - gov.cost_prime(e_val)
+        return mu * gov.eta * R_val / e_val - gov.c0 * e_val
 
     pad = 1e-4 * (1.0 + e)
     a2, b2 = max(1e-12, e - pad), e + pad

@@ -122,7 +122,6 @@ class Allocation:
     m: float
     design: SpecialistDesign
     integrator_profile: np.ndarray
-    broadening: float = 0.0
     scale_override: np.ndarray | None = None
 
     def __post_init__(self):

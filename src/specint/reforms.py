@@ -26,8 +26,11 @@ allocation. Specialist knowledge falls at rate
 [ (sum q^2)^2 - sum q^3 ] / D(q) <= 0 and integrator knowledge rises at
 rate H(h*)**p * [1 - C(h*,q)] >= 0, both strict unless q is uniform.
 
-Integration-cost statics: along theta, the optimum has m rising, output
-falling, and civic capacity rising; welfare carries no sign assertion.
+Integration-cost statics: along theta, the optimum has m rising and output
+falling. Group knowledge B_S and B_M does not depend on theta there, so
+dB_soc/dtheta = m'(theta)*(B_M - B_S): civic capacity rises when
+integrators know more and falls when they know less. Welfare carries no
+sign assertion.
 
 Thresholds quoted "for small theta" are located by bisection per scenario
 over the (always well-defined) family constructions, and flagged when the
@@ -46,13 +49,14 @@ from .economy import Economy
 from .errors import DomainError, OracleError
 from .knowledge import coverage, fragmentation, system_knowledge
 from .learning import max_scale
-from .politics import group_knowledge
+from .politics import group_knowledge, resource_sensitivities
 from .production import (
     Allocation,
     SpecialistDesign,
     corner_design,
     gap_profile_star,
     minimal_allocation,
+    productive_optimum,
     single_atom,
 )
 from .welfare import Decomposition, Family, decompose_along, total_welfare
@@ -72,13 +76,7 @@ def broadening_allocation(b: float, econ: Economy) -> Allocation:
         raw = np.concatenate([(1.0 - b) * q, [b * Hq]])
         dirs = np.vstack([np.eye(q.size), q])
         design = SpecialistDesign(directions=dirs, weights=raw / raw.sum())
-    alloc = minimal_allocation(design, econ)
-    return Allocation(
-        m=alloc.m,
-        design=alloc.design,
-        integrator_profile=alloc.integrator_profile,
-        broadening=b,
-    )
+    return minimal_allocation(design, econ)
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,6 @@ def excess_specialization_check(
     W = np.array([total_welfare(*fam(b)).welfare for b in b_grid])
     slope = decompose_along(fam, 0.0)
 
-    from .politics import resource_sensitivities
-
     econ0, alloc0 = fam(0.0)
     rep0 = total_welfare(econ0, alloc0)
     R, R_Y, R_B = resource_sensitivities(econ.gov, rep0.Y, rep0.outcome.B_soc)
@@ -334,8 +330,6 @@ def interface_statics(
         # Semi-analytic slopes: output is fixed along alpha, so
         # dW = (R_B/R)*dB_soc - dD with everything in closed form except
         # the governed resource level.
-        from .politics import resource_sensitivities
-
         bs_slope, bm_slope = interface_closed_slopes(econ)
         h_star = gap_profile_star(econ.q)
         H = max_scale(econ.tech, h_star)
@@ -435,13 +429,13 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
     """Productive optimum and welfare across a theta grid in (0, theta_bar).
 
     Verifies the monotonicity pattern (integrator share rising, output
-    falling, civic capacity rising) and raises if the pattern fails;
-    welfare is reported without any sign assertion.
+    falling, civic capacity moving strictly in the direction of B_M - B_S)
+    and raises if the pattern fails; welfare is reported without any sign
+    assertion.
     """
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(grid >= econ.theta_bar):
         raise DomainError("theta grid must lie strictly inside (0, theta_bar)")
-    from .production import productive_optimum
 
     m_vals, Y_vals, B_vals, W_vals, dm_vals = [], [], [], [], []
     h_star = gap_profile_star(econ.q)
@@ -462,8 +456,12 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
     W_arr = np.array(W_vals)
     if not (np.all(np.diff(m_arr) > 0.0) and np.all(np.diff(Y_arr) < 0.0)):
         raise OracleError("integration-cost monotonicity violated (bug)")
-    if not np.all(np.diff(B_arr) > 0.0):
-        raise OracleError("civic capacity not rising in integration cost (bug)")
+    # B_S and B_M do not depend on theta, so any grid point gives the sign
+    direction = np.sign(rep.outcome.B_M - rep.outcome.B_S)
+    if not np.all(direction * np.diff(B_arr) > 0.0):
+        raise OracleError(
+            "civic capacity not moving with sign(B_M - B_S) in integration cost (bug)"
+        )
     w_diff = np.diff(W_arr)
     monotone = bool(np.all(w_diff > 0.0) or np.all(w_diff < 0.0))
     return ThetaStaticsReport(

@@ -182,7 +182,6 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
         p=_float(merged, "economy.p"),
         theta=_float(merged, "economy.theta"),
         V=_float(merged, "economy.v"),
-        tau=gov.tau,
         gov=gov,
     )
     b_grid = _grid(merged, "sweep.b")

@@ -48,7 +48,6 @@ def make_economy(
         p=p,
         theta=theta,
         V=V,
-        tau=tau,
         gov=gov,
     )
 

@@ -106,7 +106,7 @@ def test_criterion_04_theorem_formulas(econ):
         tech = LearningTech(family=family, param=float(rng.uniform(0.6, 3.0)))
         cand = Economy(
             tech=tech, q=interior_simplex(rng, K), u=np.full(K, 1.0 / K),
-            p=econ.p, theta=1.0 / (2 * 34.0), V=econ.V, tau=econ.tau, gov=econ.gov,
+            p=econ.p, theta=1.0 / (2 * 34.0), V=econ.V, gov=econ.gov,
         )
         cand = cand.with_theta(float(rng.uniform(0.05, 0.95)) * cand.theta_bar)
         opt, alloc = productive_optimum(cand)
@@ -161,7 +161,7 @@ def test_criterion_06_civic_advantage(econ):
         u = interior_simplex(rng, K)
         cand = Economy(
             tech=tech, q=q, u=u, p=float(rng.uniform(0.05, 0.9)),
-            theta=1e-3, V=econ.V, tau=econ.tau, gov=econ.gov,
+            theta=1e-3, V=econ.V, gov=econ.gov,
         )
         if not check_diffuse(cand.civ, cand.tech).ok:
             continue
@@ -176,7 +176,7 @@ def test_criterion_06_civic_advantage(econ):
 def test_criterion_07_political_equilibrium(econ):
     _, alloc = productive_optimum(econ)
     out = political_equilibrium(econ, alloc)
-    kkt = max(kkt_residuals(econ, alloc, out))
+    kkt = max(kkt_residuals(econ, out))
     rng = np.random.default_rng(107)
     gap = 0.0
     for _ in range(10):
@@ -194,7 +194,7 @@ def test_criterion_07_political_equilibrium(econ):
         u = u / u.sum()
         cand = Economy(
             tech=econ.tech, q=q, u=u, p=float(rng.uniform(0.1, 0.9)),
-            theta=1e-3, V=econ.V, tau=econ.tau, gov=econ.gov,
+            theta=1e-3, V=econ.V, gov=econ.gov,
         )
         cand = cand.with_theta(float(rng.uniform(0.1, 0.9)) * cand.theta_bar)
         _, alloc_c = productive_optimum(cand)

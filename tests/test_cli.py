@@ -106,6 +106,20 @@ def test_sweep_theta_monotone_columns(tmp_path):
     assert all(np.diff(B) > 0)
 
 
+def test_sweep_theta_capacity_falls_when_integrators_know_less(tmp_path):
+    # concentrated civic profile with B_S = 0.475 > B_M = 0.387
+    cfg = write_cfg(
+        tmp_path / "s.cfg",
+        {**SMALL_BUDGETS, "economy.u": "0.9,0.05,0.05", "economy.p": "0.52"},
+    )
+    out = tmp_path / "theta.csv"
+    assert main(["sweep", "--axis", "theta", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    header, data = rows[0], rows[1:]
+    B = [float(r[header.index("B_soc")]) for r in data]
+    assert all(np.diff(B) < 0)
+
+
 def test_sweep_b_capacity_rises_near_zero(tmp_path):
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
     out = tmp_path / "b.csv"

@@ -1,0 +1,48 @@
+import numpy as np
+
+from specint import oracles
+from specint.scenario import DEFAULTS, scenario_from_entries
+
+
+def run_check(check, scn):
+    """Run one check with the generator `specint verify` gives it."""
+    rng = np.random.default_rng([scn.seed, oracles.CHECKS.index(check)])
+    return check(scn, rng, 1.0)
+
+
+def test_welfare_representation_near_equal_groups():
+    # this seed draws B_S=0.892674, B_M=0.892709, m=0.106: a gap of 3.5e-5
+    # whose dispersion, second order in the gap, is only 7.2e-11
+    scn = scenario_from_entries(dict(DEFAULTS)).with_seed(2029167940)
+    result = run_check(oracles.check_welfare_representation, scn)
+    assert result.status == "pass", result
+
+
+def test_design_oracle_accepts_off_grid_winner():
+    # with two atoms at resolution 4 the winning mix (0.8125, 0.125, 0.0625)
+    # is off the grid, so no corner design can reproduce it
+    scn = scenario_from_entries({
+        **DEFAULTS,
+        "learning.param": "0.8963875849667817",
+        "economy.q": "0.8343250657325624,0.09480424878249549,0.07087068548494216",
+        "economy.u": "0.3063940704913236,0.35809957245788615,0.3355063570507902",
+        "economy.p": "0.2582491902257278",
+        "economy.theta": "0.0015167988585667932",
+        "economy.v": "11.119243826416827",
+        "gov.eta": "0.3958993583617832",
+        "gov.tau": "0.4221832477430756",
+        "oracle.resolution": "4",
+        "oracle.atoms": "2",
+    })
+    result = run_check(oracles.check_design_oracle, scn)
+    assert result.status == "pass", result
+
+
+def test_theta_statics_when_integrators_know_less():
+    # concentrated civic profile: B_S = 0.475 > B_M = 0.387, so civic
+    # capacity falls as integration cost raises the integrator share
+    scn = scenario_from_entries(
+        {**DEFAULTS, "economy.u": "0.9,0.05,0.05", "economy.p": "0.52"}
+    )
+    result = run_check(oracles.check_theta_statics, scn)
+    assert result.status == "pass", result

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,14 +89,19 @@ def test_total_welfare_composition(econ):
     assert len(rep.csv_row()) == len(WelfareReport.CSV_COLUMNS)
 
 
-def test_income_tax_moves_only_income_term(econ):
-    # same resource-map parameters, different income wedge
+def test_one_tax_rate_drives_income_wedge_and_resources(econ):
+    # gov.tau is both the income wedge (1-tau)*Y and the scale of R
     _, alloc = productive_optimum(econ)
     base = total_welfare(econ, alloc)
-    shifted = total_welfare(econ.with_tau(0.5), alloc)
-    assert shifted.service_welfare == pytest.approx(base.service_welfare, abs=1e-12)
+    shifted_econ = replace(econ, gov=replace(econ.gov, tau=0.5))
+    assert shifted_econ.tau == 0.5
+    shifted = total_welfare(shifted_econ, alloc)
+    assert shifted.outcome.R == pytest.approx(base.outcome.R * 0.5 / 0.3, rel=1e-12)
+    assert shifted.service_welfare - base.service_welfare == pytest.approx(
+        math.log(0.5 / 0.3), abs=1e-12
+    )
     assert shifted.welfare - base.welfare == pytest.approx(
-        (0.3 - 0.5) * base.Y, abs=1e-10
+        (0.3 - 0.5) * base.Y + math.log(0.5 / 0.3), abs=1e-10
     )
 
 
