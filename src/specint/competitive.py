@@ -26,13 +26,11 @@ deviation on a design grid) rather than searching for one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import learning
 from .economy import Economy
 from .errors import (
     DeviationFoundError,
@@ -41,18 +39,12 @@ from .errors import (
     ZeroCoverageError,
 )
 from .knowledge import coverage, fragmentation
-from .learning import gamma_index, gamma_index_batch
+from .learning import gamma_index
 from .politics import group_knowledge
-from .production import (
-    SpecialistDesign,
-    _compositions,
-    design_space_size,
-    productive_optimum,
-    simplex_grid,
-)
-from .errors import BudgetExceededError
+from .production import SpecialistDesign, grid_designs, productive_optimum
 
 RESIDUAL_TOL = 1e-10
+MARGIN_TOL = 1e-9  # round-off allowance before a cheaper grid design counts
 
 
 @dataclass(frozen=True)
@@ -167,64 +159,32 @@ def no_deviation_check(
     resolution: int = 8,
     max_atoms: int = 3,
     max_designs: int = 8_000_000,
-    batch_size: int = 200_000,
-    margin_tol: float = 1e-9,
 ) -> NoDeviationReport:
-    """Scan grid designs for unit costs below the aligned corner design.
+    """Scan grid_designs for unit costs below the aligned corner design.
 
     When the uniqueness cutoffs hold, any violation is raised as an
     error; outside them violations are reported in the margin only.
     """
-    K = econ.q.size
-    total = design_space_size(K, resolution, max_atoms)
-    if total > max_designs:
-        raise BudgetExceededError(
-            f"{total} candidate designs exceed the budget of {max_designs}; "
-            "lower the resolution or atom count"
-        )
     r = wages.w_M / wages.w_S
     cost_q = (1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))) / 1.0
-
-    dirs = simplex_grid(K, resolution)
-    lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
-    theta, q = econ.theta, econ.q
-
     worst = np.inf
-    worst_meta = None
-    n_seen = 0
-    for a in range(1, max_atoms + 1):
-        combos = np.array(list(itertools.combinations(range(dirs.shape[0]), a)))
-        weight_rows = [
-            np.array(c, dtype=float) / resolution
-            for c in _compositions(resolution, a, minimum=1)
-        ]
-        for start in range(0, combos.shape[0], batch_size):
-            idx = combos[start : start + batch_size]
-            atom_dirs = dirs[idx]
-            atom_lam = lam[idx]
-            for w in weight_rows:
-                X = np.tensordot(atom_dirs, w, axes=([1], [0]))
-                E_lam = atom_lam @ w
-                Z = np.zeros_like(X)
-                for j in range(a):
-                    Z += w[j] * np.clip(X - atom_dirs[:, j, :], 0.0, None)
-                gam = gamma_index_batch(econ.tech, Z)
-                cov = np.minimum(X, q[None, :]).sum(axis=1)
-                ok = cov > 0.0
-                n_seen += X.shape[0]
-                if not np.any(ok):
-                    continue
-                cost = (E_lam[ok] + theta * r * gam[ok]) / cov[ok]
-                k = int(np.argmin(cost))
-                if cost[k] < worst:
-                    worst = float(cost[k])
-                    sel = np.flatnonzero(ok)[k]
-                    worst_meta = (idx[sel].copy(), w.copy())
-    worst_margin = worst - cost_q
     worst_design = None
-    if worst_meta is not None:
-        worst_design = SpecialistDesign(directions=dirs[worst_meta[0]], weights=worst_meta[1])
-    passed = worst_margin >= -margin_tol
+    n_seen = 0
+    designs = grid_designs(econ, resolution, max_atoms, max_designs)
+    for atom_dirs, w, X, E_lam, gam, cov in designs:
+        n_seen += X.shape[0]
+        ok = cov > 0.0
+        cost = (E_lam[ok] + econ.theta * r * gam[ok]) / cov[ok]
+        del X, E_lam  # free this batch before grid_designs builds the next
+        if cost.size == 0:
+            continue
+        k = int(np.argmin(cost))
+        if cost[k] < worst:
+            worst = float(cost[k])
+            sel = np.flatnonzero(ok)[k]
+            worst_design = SpecialistDesign(directions=atom_dirs[sel], weights=w)
+    worst_margin = worst - cost_q
+    passed = worst_margin >= -MARGIN_TOL
     if not passed and ratio_bound(econ).unique_ok:
         raise DeviationFoundError(
             f"profitable deviation with margin {worst_margin:.3e} found although "

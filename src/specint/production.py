@@ -42,6 +42,7 @@ if TYPE_CHECKING:
     from .economy import Economy
 
 FEAS_TOL = 1e-10
+ENUM_BATCH = 200_000  # atom sets per grid_designs batch
 
 
 @dataclass(frozen=True)
@@ -347,6 +348,45 @@ def design_space_size(K: int, resolution: int, max_atoms: int) -> int:
     )
 
 
+def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: int):
+    """Every minimal-integrator design on the 1/resolution simplex grid.
+
+    Atom directions and mastery weights both live on the grid; designs use
+    up to max_atoms atoms. Yields batches of at most ENUM_BATCH atom sets
+    sharing one weight split w, as (atom_dirs (C,a,K), w, X, E_lam, Gamma,
+    C(X,q)). Cost grows as sum_a C(P,a)*C(n-1,a-1); a space larger than
+    max_designs raises BudgetExceededError on the first batch request.
+    """
+    K = econ.q.size
+    total = design_space_size(K, resolution, max_atoms)
+    if total > max_designs:
+        raise BudgetExceededError(
+            f"{total} candidate designs exceed the budget of {max_designs}; "
+            "lower the resolution or atom count"
+        )
+    dirs = simplex_grid(K, resolution)
+    lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
+    for a in range(1, max_atoms + 1):
+        combos = np.array(list(itertools.combinations(range(dirs.shape[0]), a)))
+        weight_rows = [
+            np.array(c, dtype=float) / resolution
+            for c in _compositions(resolution, a, minimum=1)
+        ]
+        for start in range(0, combos.shape[0], ENUM_BATCH):
+            idx = combos[start : start + ENUM_BATCH]
+            atom_dirs = dirs[idx]  # (C, a, K)
+            atom_lam = lam[idx]  # (C, a)
+            for w in weight_rows:
+                X = np.tensordot(atom_dirs, w, axes=([1], [0]))
+                E_lam = atom_lam @ w
+                Z = np.zeros_like(X)
+                for j in range(a):
+                    Z += w[j] * np.clip(X - atom_dirs[:, j, :], 0.0, None)
+                gam = gamma_index_batch(econ.tech, Z)
+                cov = np.minimum(X, econ.q[None, :]).sum(axis=1)
+                yield atom_dirs, w, X, E_lam, gam, cov
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     """Winner of the exhaustive minimal-integrator design search."""
@@ -358,76 +398,33 @@ class BruteForceResult:
     allocation: Allocation = field(repr=False)
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for ai, bi in zip(a, b):
-        if ai != bi:
-            return ai < bi
-    return False
-
-
 def brute_force_design(
     econ: Economy,
     resolution: int = 8,
     max_atoms: int = 3,
     max_designs: int = 8_000_000,
-    batch_size: int = 200_000,
 ) -> BruteForceResult:
     """Exhaustively evaluate minimal-integrator designs on a simplex grid.
 
-    Atom directions and mastery weights both live on the 1/resolution
-    grid; designs use up to max_atoms atoms. Returns the argmax of output,
-    breaking exact ties toward the lexicographically smallest mix. Cost
-    grows as sum_a C(P,a)*C(n-1,a-1); the max_designs guard refuses runs
-    beyond it.
+    Returns the argmax of output over grid_designs, breaking exact ties
+    toward the lexicographically smallest mix.
     """
-    K = econ.q.size
-    total = design_space_size(K, resolution, max_atoms)
-    if total > max_designs:
-        raise BudgetExceededError(
-            f"{total} candidate designs exceed the budget of {max_designs}; "
-            "lower the resolution or atom count"
-        )
-    dirs = simplex_grid(K, resolution)
-    lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
-    theta, V, q = econ.theta, econ.V, econ.q
-
-    best_Y = -np.inf
-    best_x = None
-    best_meta = None
+    best_key = (np.inf, ())  # (-Y, mix) of the incumbent
     n_seen = 0
-
-    for a in range(1, max_atoms + 1):
-        combos = np.array(list(itertools.combinations(range(dirs.shape[0]), a)))
-        weight_rows = [
-            np.array(c, dtype=float) / resolution
-            for c in _compositions(resolution, a, minimum=1)
-        ]
-        for start in range(0, combos.shape[0], batch_size):
-            idx = combos[start : start + batch_size]
-            atom_dirs = dirs[idx]  # (C, a, K)
-            atom_lam = lam[idx]  # (C, a)
-            for w in weight_rows:
-                X = np.tensordot(atom_dirs, w, axes=([1], [0]))
-                E_lam = atom_lam @ w
-                Z = np.zeros_like(X)
-                for j in range(a):
-                    Z += w[j] * np.clip(X - atom_dirs[:, j, :], 0.0, None)
-                gam = gamma_index_batch(econ.tech, Z)
-                cov = np.minimum(X, q[None, :]).sum(axis=1)
-                Y = V * cov / (E_lam + theta * gam)
-                n_seen += Y.size
-                k = int(np.argmax(Y))
-                ties = np.flatnonzero(Y == Y[k])
-                if ties.size > 1:
-                    k = int(min(ties, key=lambda i: tuple(X[i])))
-                if Y[k] > best_Y or (
-                    Y[k] == best_Y and best_x is not None and _lex_less(X[k], best_x)
-                ):
-                    best_Y = float(Y[k])
-                    best_x = X[k].copy()
-                    best_meta = (idx[k].copy(), w.copy())
-    atom_idx, w = best_meta
-    design = SpecialistDesign(directions=dirs[atom_idx], weights=w)
+    designs = grid_designs(econ, resolution, max_atoms, max_designs)
+    for atom_dirs, w, X, E_lam, gam, cov in designs:
+        Y = econ.V * cov / (E_lam + econ.theta * gam)
+        n_seen += Y.size
+        k = int(np.argmax(Y))
+        ties = np.flatnonzero(Y == Y[k])
+        if ties.size > 1:
+            k = int(min(ties, key=lambda i: tuple(X[i])))
+        key = (-Y[k], tuple(X[k]))
+        if key < best_key:
+            best_key = key
+            best_Y, best_x = float(Y[k]), X[k].copy()
+            design = SpecialistDesign(directions=atom_dirs[k], weights=w)
+        del X, E_lam  # free this batch before grid_designs builds the next
     return BruteForceResult(
         design=design,
         x=best_x,

@@ -8,6 +8,7 @@ of the coordination cutoff so they stay valid across learning families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +45,17 @@ OPTIONAL_KEYS = (
     "oracle.frontier_samples",
     "oracle.economies",
 )
+
+# Smallest oracle budgets that give every check something to test.
+ORACLE_MINIMUMS = {
+    "oracle.resolution": 1,
+    "oracle.atoms": 1,
+    "oracle.max_designs": 1,
+    "oracle.br_starts": 1,
+    "oracle.pairs": 1,
+    "oracle.frontier_samples": 3,
+    "oracle.economies": 1,
+}
 
 DEFAULTS = {
     "learning.family": "rational",
@@ -115,11 +127,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _float(entries: dict[str, str], key: str) -> float:
+def _number(key: str, token: str) -> float:
     try:
-        return float(entries[key])
+        value = float(token)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {entries[key]!r}") from exc
+        raise ConfigError(f"{key} must be a number, got {token!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {token!r}")
+    return value
+
+
+def _float(entries: dict[str, str], key: str) -> float:
+    return _number(key, entries[key])
 
 
 def _int(entries: dict[str, str], key: str) -> int:
@@ -130,10 +149,7 @@ def _int(entries: dict[str, str], key: str) -> int:
 
 
 def _float_list(entries: dict[str, str], key: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in entries[key].split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be comma-separated floats") from exc
+    return np.array([_number(key, tok) for tok in entries[key].split(",")])
 
 
 def _grid(entries: dict[str, str], key: str) -> np.ndarray:
@@ -142,8 +158,9 @@ def _grid(entries: dict[str, str], key: str) -> np.ndarray:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{key}: grid syntax is lo:hi:count, got {spec!r}")
+        lo, hi = _number(key, parts[0]), _number(key, parts[1])
         try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            n = int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"{key}: bad grid spec {spec!r}") from exc
         if n < 2 or hi <= lo:
@@ -193,19 +210,19 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
         raise ConfigError("sweep.alpha must lie within [0,1]")
     if np.any(theta_frac <= 0.0) or np.any(theta_frac >= 1.0):
         raise ConfigError("sweep.theta_frac must lie strictly inside (0,1)")
+    budgets = {}
+    for key, low in ORACLE_MINIMUMS.items():
+        value = _int(merged, key)
+        if value < low:
+            raise ConfigError(f"{key} must be at least {low}, got {value}")
+        budgets[key.removeprefix("oracle.")] = value
     return Scenario(
         econ=econ,
         b_grid=b_grid,
         alpha_grid=alpha_grid,
         theta_frac_grid=theta_frac,
         seed=_int(merged, "oracle.seed"),
-        resolution=_int(merged, "oracle.resolution"),
-        atoms=_int(merged, "oracle.atoms"),
-        max_designs=_int(merged, "oracle.max_designs"),
-        br_starts=_int(merged, "oracle.br_starts"),
-        pairs=_int(merged, "oracle.pairs"),
-        frontier_samples=_int(merged, "oracle.frontier_samples"),
-        economies=_int(merged, "oracle.economies"),
+        **budgets,
     )
 
 

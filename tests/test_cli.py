@@ -92,6 +92,29 @@ def test_missing_key_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("verify", "oracle.resolution", "0"),
+        ("verify", "oracle.resolution", "-2"),
+        ("verify", "oracle.atoms", "0"),
+        ("verify", "oracle.atoms", "-1"),
+        ("verify", "oracle.frontier_samples", "2"),
+        ("verify", "oracle.br_starts", "0"),
+        ("verify", "oracle.pairs", "0"),
+        ("verify", "oracle.economies", "0"),
+        ("verify", "oracle.max_designs", "0"),
+        ("solve", "economy.v", "inf"),
+        ("verify", "gov.c0", "inf"),
+    ],
+)
+def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):
+    cfg = write_cfg(tmp_path / "hostile.cfg", {key: value})
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+
+
 def test_sweep_theta_monotone_columns(tmp_path):
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
     out = tmp_path / "theta.csv"

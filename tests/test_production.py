@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from specint import production
+from specint.competitive import no_deviation_check, support_wages
 from specint.errors import (
     BudgetExceededError,
     CutoffError,
@@ -239,8 +241,40 @@ def test_simplex_grid_counts():
 
 
 def test_brute_force_budget_guard(econ):
-    with pytest.raises(BudgetExceededError):
-        brute_force_design(econ, resolution=12, max_atoms=3, max_designs=1000)
+    wages = support_wages(econ)
+    for search in (
+        lambda: brute_force_design(econ, resolution=12, max_atoms=3, max_designs=1000),
+        lambda: no_deviation_check(wages, econ, resolution=12, max_atoms=3, max_designs=1000),
+    ):
+        with pytest.raises(BudgetExceededError):
+            search()
+
+
+def _grid_searches(econ):
+    found = brute_force_design(econ, resolution=4, max_atoms=3)
+    report = no_deviation_check(support_wages(econ), econ, resolution=4, max_atoms=3)
+    return found, report
+
+
+def test_grid_designs_batching_keeps_results(monkeypatch):
+    # uniform q ties the permutations of (1/2, 1/4, 1/4) in output, so the
+    # winner rests on the lexicographic tie-break across batches
+    econ = make_economy(q=(1 / 3, 1 / 3, 1 / 3))
+    found, report = _grid_searches(econ)
+    monkeypatch.setattr(production, "ENUM_BATCH", 7)
+    small_found, small_report = _grid_searches(econ)
+    assert found.x.tolist() == [0.25, 0.25, 0.5]
+    assert (small_found.Y, small_found.x.tolist()) == (found.Y, found.x.tolist())
+    for a, b in (
+        (small_found.design, found.design),
+        (small_report.worst_design, report.worst_design),
+    ):
+        assert np.array_equal(a.directions, b.directions)
+        assert np.array_equal(a.weights, b.weights)
+    assert small_report.worst_margin == report.worst_margin
+    expected = design_space_size(3, 4, 3)
+    counts = {found.n_designs, report.n_designs, small_found.n_designs, small_report.n_designs}
+    assert counts == {expected}
 
 
 def test_brute_force_zero_theta_pure_coverage():
