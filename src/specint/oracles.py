@@ -141,6 +141,20 @@ def check_coverage_properties(scn: Scenario, rng, tol_scale) -> CheckResult:
     return _result("coverage-and-knowledge-properties", worst, 1e-12 * tol_scale)
 
 
+def frontier_bisection(tech: learning.LearningTech, P: np.ndarray) -> np.ndarray:
+    """Reference frontier H() of each row of P: 90 bisection steps on
+    [1/ell_bar - 1e-9, 1 + 1e-9], independent of the Newton solver."""
+    lo = np.full(P.shape[0], 1.0 / tech.ell_bar - 1e-9)
+    hi = np.full(P.shape[0], 1.0 + 1e-9)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        over = tech._ell_raw(mid[:, None] * P).sum(axis=1) > 1.0
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    h = np.minimum(0.5 * (lo + hi), 1.0)
+    return np.where(P.max(axis=1) > 1.0 - 1e-12, 1.0, h)
+
+
 def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     bar = tech.ell_bar
@@ -150,6 +164,7 @@ def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
         P = rng.dirichlet(np.ones(K), size=n)
         H = max_scale_batch(tech, P)
         worst = max(worst, float((1.0 / bar - H).max()), float((H - 1.0).max()))
+        worst = max(worst, float(np.abs(H - frontier_bisection(tech, P)).max()))
         interior = P.max(axis=1) <= 1.0 - 1e-9
         if np.any(H[interior] >= 1.0):
             worst = max(worst, 1.0)

@@ -355,8 +355,11 @@ def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: in
     up to max_atoms atoms. Yields batches of at most ENUM_BATCH atom sets
     sharing one weight split w, as (atom_dirs (C,a,K), w, X, E_lam, Gamma,
     C(X,q)). Cost grows as sum_a C(P,a)*C(n-1,a-1); a space larger than
-    max_designs raises BudgetExceededError on the first batch request.
+    max_designs raises BudgetExceededError on the first batch request, and
+    an empty grid (resolution or max_atoms below 1) raises DomainError.
     """
+    if resolution < 1 or max_atoms < 1:
+        raise DomainError("grid designs need resolution >= 1 and max_atoms >= 1")
     K = econ.q.size
     total = design_space_size(K, resolution, max_atoms)
     if total > max_designs:
@@ -367,7 +370,11 @@ def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: in
     dirs = simplex_grid(K, resolution)
     lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
     for a in range(1, max_atoms + 1):
-        combos = np.array(list(itertools.combinations(range(dirs.shape[0]), a)))
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(dirs.shape[0]), a)),
+            dtype=np.intp,
+            count=math.comb(dirs.shape[0], a) * a,
+        ).reshape(-1, a)
         weight_rows = [
             np.array(c, dtype=float) / resolution
             for c in _compositions(resolution, a, minimum=1)

@@ -115,6 +115,17 @@ def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):
     assert err.startswith(f"config error: {key}") and err.count("\n") == 1
 
 
+def test_near_linear_exponential_cost_runs(tmp_path):
+    # 1-exp(-c*s) cancels at c = 1e-4; the expm1 form keeps the frontier certified
+    cfg = write_cfg(
+        tmp_path / "expo.cfg",
+        {"learning.family": "exponential", "learning.param": "0.0001",
+         "economy.theta": "0.000000001"},
+    )
+    assert main(["solve", "--config", cfg]) == 0
+    assert main(["sweep", "--axis", "b", "--config", cfg]) == 0
+
+
 def test_sweep_theta_monotone_columns(tmp_path):
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
     out = tmp_path / "theta.csv"

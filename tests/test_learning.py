@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specint.errors import ConfigError, DomainError
+from specint import learning
+from specint.errors import ConfigError, ConvergenceError, DomainError
 from specint.learning import (
     LearningTech,
     constants,
@@ -12,6 +13,7 @@ from specint.learning import (
     max_scale,
     max_scale_batch,
 )
+from specint.oracles import frontier_bisection
 
 simplex3 = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=3
@@ -55,7 +57,7 @@ def test_inverse_endpoints_and_midpoint(rational):
 
 
 def test_inverse_roundtrip(rational, exponential):
-    for tech in (rational, exponential):
+    for tech in (rational, exponential, LearningTech(family="exponential", param=1e-6)):
         for y in np.linspace(0.01, 0.99, 17):
             s = tech.ell_inverse(float(y))
             assert abs(tech.ell(s) - y) <= 1e-12
@@ -84,12 +86,46 @@ def test_frontier_residual_and_bounds(rational, exponential):
             assert abs(tech._ell_raw(H * pi).sum() - 1.0) <= 1e-12
 
 
-def test_frontier_batch_matches_scalar(rational):
+def _near_corner_rows(K, deltas):
+    rows = np.empty((len(deltas), K))
+    for row, d in zip(rows, deltas):
+        row[:] = d / (K - 1)
+        row[0] = 1.0 - d
+    return rows
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+@pytest.mark.parametrize("param", [1e-4, 0.01, 1.0, 50.0, 1e3])
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_frontier_matches_reference_bisection(family, param, K):
+    tech = LearningTech(family=family, param=param)
     rng = np.random.default_rng(3)
-    P = rng.dirichlet(np.ones(4), size=50)
-    batch = max_scale_batch(rational, P)
-    for row, h in zip(P, batch):
-        assert abs(max_scale(rational, row) - h) <= 1e-12
+    # rows within 1e-13 of a corner snap to exactly 1.0 in both solvers
+    P = np.vstack([
+        rng.dirichlet(np.ones(K), size=200),
+        _near_corner_rows(K, [1e-3, 1e-6, 1e-13]),
+        np.eye(K),
+    ])
+    H = max_scale_batch(tech, P)
+    assert np.abs(H - frontier_bisection(tech, P)).max() <= 1e-12
+    # Closer to a corner a steep exponential cost makes f'(H) ~ param*delta
+    # tiny, so H is ill-conditioned and only the residual is certified.
+    P = np.vstack([P, _near_corner_rows(K, [1e-9, 1e-11])])
+    H = max_scale_batch(tech, P)
+    interior = P.max(axis=1) <= 1.0 - 1e-12
+    residual = np.abs(tech._ell_raw(H[:, None] * P).sum(axis=1) - 1.0)
+    assert residual[interior].max() <= 1e-12
+
+
+def test_frontier_solver_raises_past_cap_or_certificate(rational, monkeypatch):
+    P = np.random.default_rng(4).dirichlet(np.ones(3), size=20)
+    monkeypatch.setattr(learning, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        max_scale_batch(rational, P)
+    monkeypatch.undo()
+    monkeypatch.setattr(learning, "FRONTIER_RESIDUAL", 0.0)
+    with pytest.raises(ConvergenceError):
+        max_scale_batch(rational, P)
 
 
 @settings(max_examples=200, deadline=None)

@@ -250,6 +250,17 @@ def test_brute_force_budget_guard(econ):
             search()
 
 
+def test_empty_design_grid_raises_domain_error(econ):
+    wages = support_wages(econ)
+    for kwargs in ({"resolution": 4, "max_atoms": 0}, {"resolution": 0, "max_atoms": 2}):
+        for search in (
+            lambda: brute_force_design(econ, **kwargs),
+            lambda: no_deviation_check(wages, econ, **kwargs),
+        ):
+            with pytest.raises(DomainError):
+                search()
+
+
 def _grid_searches(econ):
     found = brute_force_design(econ, resolution=4, max_atoms=3)
     report = no_deviation_check(support_wages(econ), econ, resolution=4, max_atoms=3)
