@@ -20,8 +20,7 @@ import numpy as np
 
 from . import competitive, oracles, reforms
 from .errors import ConfigError, HypothesisError, ModelError, OracleError
-from .politics import group_knowledge
-from .production import output_of, productive_optimum
+from .production import accounts, productive_optimum
 from .scenario import Scenario, load_scenario
 from .welfare import WelfareReport, total_welfare
 
@@ -144,18 +143,15 @@ def _sweep_b(scn: Scenario) -> tuple[list[str], list[list]]:
     rows = []
     for b in scn.b_grid:
         alloc = fam.allocation(float(b))
-        B_S, B_M = group_knowledge(alloc, econ)
-        B_soc = (1.0 - alloc.m) * B_S + alloc.m * B_M
-        Y = output_of(alloc, econ)
-        row = [b, alloc.m, Y, B_S, B_M, B_soc]
         if 0.0 < alloc.m < 1.0:
             rep = total_welfare(econ, alloc)
             o = rep.outcome
-            row += [o.e_pol, o.z_pol, o.t_S, o.t_M, o.R,
-                    rep.service_welfare, rep.dispersion, rep.welfare]
-        else:
-            row += [None] * 8
-        rows.append(row)
+            rows.append([b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, o.e_pol, o.z_pol,
+                         o.t_S, o.t_M, o.R, rep.service_welfare, rep.dispersion, rep.welfare])
+        else:  # no integrators, so no voting game
+            acc = accounts(alloc, econ)
+            B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
+            rows.append([b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc] + [None] * 8)
     return header, rows
 
 

@@ -198,6 +198,24 @@ def gamma_index_batch(tech: LearningTech, Z: np.ndarray) -> np.ndarray:
     return mass / max_scale_batch(tech, Z)
 
 
+def lipschitz_gamma(tech: LearningTech) -> float:
+    """L_Gamma = ell_bar + 2*ell_bar**3/ell_under; ConfigError naming
+    learning.param when a steep cost (exponential past ~700, rational past
+    ~1e77) takes it out of the float range, where theta_bar would be 0."""
+    with np.errstate(over="ignore"):  # rational (1+c)**2 at s=1 may overflow
+        ell_bar, ell_under = tech.ell_bar, tech.ell_under
+    try:
+        L = ell_bar + 2.0 * ell_bar**3 / ell_under
+    except (OverflowError, ZeroDivisionError):  # ell_under may underflow to 0
+        L = math.inf
+    if not L < math.inf:
+        raise ConfigError(
+            f"learning.param={tech.param:g} is too steep for the {tech.family} "
+            f"family: L_Gamma is not finite (ell_under={ell_under:.3g})"
+        )
+    return L
+
+
 def constants(tech: LearningTech, grid_size: int = 10_000) -> LearningConstants:
     """Assemble the regularity constants by grid minimization.
 
@@ -207,6 +225,7 @@ def constants(tech: LearningTech, grid_size: int = 10_000) -> LearningConstants:
     """
     if grid_size < 1_000:
         raise ConfigError("constants() needs grid_size >= 1000")
+    L = lipschitz_gamma(tech)
     ell_bar = tech.ell_bar
     ell_under = tech.ell_under
     s = np.linspace(0.0, 1.0, grid_size + 1)[1:-1]
@@ -217,7 +236,6 @@ def constants(tech: LearningTech, grid_size: int = 10_000) -> LearningConstants:
             "nonpositive concavity gap: the configured learning family is "
             "not strictly concave on [0,1]"
         )
-    L = ell_bar + 2.0 * ell_bar**3 / ell_under
     theta_bar = min(c_ell / L, 1.0 / (2.0 * L))
     return LearningConstants(
         ell_bar=ell_bar,

@@ -30,12 +30,11 @@ from .politics import (
 )
 from .production import (
     SpecialistDesign,
-    aggregate_gaps,
+    accounts,
     brute_force_design,
     corner_design,
     cornerized,
     minimal_allocation,
-    output_of,
     productive_optimum,
     simplex_grid,
 )
@@ -236,16 +235,16 @@ def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
     for _ in range(50):
         econ = _random_economy(rng, scn.econ, K=int(rng.integers(2, 6)))
         opt, alloc = productive_optimum(econ)
+        acc = accounts(alloc, econ)
         D = fragmentation(econ.q)
         worst = max(
             worst,
             float(np.abs(opt.h_star - econ.q * (1.0 - econ.q) / D).max()),
             abs(opt.m_star - econ.theta * D / (opt.H_hstar + econ.theta * D)),
             abs(opt.Y_star - econ.V * opt.H_hstar / (opt.H_hstar + econ.theta * D)),
-            abs(output_of(alloc, econ) - opt.Y_star),
+            abs(acc.Y - opt.Y_star),
+            abs(alloc.m * opt.H_hstar - econ.theta * acc.gaps.g),
         )
-        gaps = aggregate_gaps(alloc, econ.tech)
-        worst = max(worst, abs(alloc.m * opt.H_hstar - econ.theta * gaps.g))
         if opt.m_star >= 1.0 / 3.0:
             worst = max(worst, 1.0)
     return _result("productive-optimum-identities", worst, 1e-10 * tol_scale)
@@ -262,7 +261,7 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
         alloc = minimal_allocation(corner_design(x), tmp)
-        gaps = aggregate_gaps(alloc, econ.tech)
+        gaps = accounts(alloc, tmp).gaps
         worst = max(
             worst,
             float(np.abs(gaps.G - (1.0 - alloc.m) * x * (1.0 - x)).max()),

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, ConvergenceError, DegenerateGroupError, DomainError
-from .knowledge import system_knowledge
-from .production import (
-    Allocation,
-    _specialist_profiles,
-    output_of,
-)
+from .production import Allocation, accounts
 
 if TYPE_CHECKING:
     from .economy import Economy
@@ -112,17 +107,16 @@ def vote_share_slope(t: float, t_bar: float, beta: float) -> float:
 
 def group_knowledge(alloc: Allocation, econ: Economy) -> tuple[float, float]:
     """Average system knowledge of specialists and of integrators."""
-    profiles, mu = _specialist_profiles(alloc, econ.tech)
-    civ = econ.civ
-    B_S = float(sum(w * system_knowledge(row, civ) for w, row in zip(mu, profiles)))
-    B_M = system_knowledge(alloc.integrator_profile, civ)
-    return B_S, B_M
+    acc = accounts(alloc, econ)
+    return acc.B_S, acc.B_M
 
 
 @dataclass(frozen=True)
 class PoliticalOutcome:
-    """Equilibrium platform, services, resources, and knowledge aggregates."""
+    """Equilibrium platform, services, resources, and knowledge aggregates,
+    solved at output Y."""
 
+    Y: float
     e_pol: float
     z_pol: float
     t_S: float
@@ -146,6 +140,7 @@ def equilibrium_from_groups(
     e = governance_star(econ.gov, Y, B_soc)
     R = econ.gov.resources(e, Y)
     return PoliticalOutcome(
+        Y=Y,
         e_pol=e,
         z_pol=m * B_M / B_soc,
         t_S=B_S / B_soc * R,
@@ -160,9 +155,8 @@ def equilibrium_from_groups(
 
 def political_equilibrium(econ: Economy, alloc: Allocation) -> PoliticalOutcome:
     """Unique platform equilibrium induced by an allocation."""
-    B_S, B_M = group_knowledge(alloc, econ)
-    Y = output_of(alloc, econ)
-    return equilibrium_from_groups(econ, Y, alloc.m, B_S, B_M)
+    acc = accounts(alloc, econ)
+    return equilibrium_from_groups(econ, acc.Y, alloc.m, acc.B_S, acc.B_M)
 
 
 def kkt_residuals(econ: Economy, out: PoliticalOutcome):
@@ -228,8 +222,8 @@ def best_response(
     both to tolerance 1e-10.
     """
     gov = econ.gov
-    B_S, B_M = group_knowledge(alloc, econ)
-    Y = output_of(alloc, econ)
+    acc = accounts(alloc, econ)
+    B_S, B_M, Y = acc.B_S, acc.B_M, acc.Y
     m = alloc.m
     if not 0.0 < m < 1.0:
         raise DegenerateGroupError("voting game needs both groups populated")

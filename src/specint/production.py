@@ -7,7 +7,8 @@ the mastery-weighted direction distribution of the specialist layer. The
 population share of an atom is proportional to weight * lambda(direction),
 since broader directions need more heads per unit of mastery. Specialists
 run at full scale H(pi)*pi unless a test allocation deflates them through
-scale_override.
+scale_override. accounts() evaluates an allocation from one frontier solve
+over the design's atoms: gaps, feasibility, output and group knowledge.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -35,7 +36,7 @@ from .errors import (
     DomainError,
     InfeasibleAllocationError,
 )
-from .knowledge import as_simplex, coverage, fragmentation
+from .knowledge import as_simplex, coverage, fragmentation, system_knowledge
 from .learning import LearningTech, gamma_index, gamma_index_batch, max_scale
 
 if TYPE_CHECKING:
@@ -82,18 +83,9 @@ class SpecialistDesign:
         """Gap per unit mastery against target mix x: E_nu[(x - pi)^+]."""
         return self.weights @ np.clip(x[None, :] - self.directions, 0.0, None)
 
-    def mastery_scales(self, tech: LearningTech) -> np.ndarray:
-        """Frontier scale H(pi) of each atom direction."""
-        return learning.max_scale_batch(tech, self.directions)
-
-    def population_weights(self, tech: LearningTech) -> np.ndarray:
-        """Head-count shares, proportional to weight / H(direction)."""
-        mu = self.weights / self.mastery_scales(tech)
-        return mu / mu.sum()
-
     def mean_inefficiency(self, tech: LearningTech) -> float:
         """E_nu[lambda] = sum_j w_j / H(pi_j)."""
-        return float((self.weights / self.mastery_scales(tech)).sum())
+        return float((self.weights / learning.max_scale_batch(tech, self.directions)).sum())
 
 
 def corner_design(mix: np.ndarray) -> SpecialistDesign:
@@ -159,39 +151,6 @@ def gap_vector(s, mix) -> np.ndarray:
     return np.clip(sv.sum() * mv - sv, 0.0, None)
 
 
-def _specialist_profiles(alloc: Allocation, tech: LearningTech):
-    """Per-atom profiles and head-count shares of the specialist layer."""
-    design = alloc.design
-    H = design.mastery_scales(tech)
-    f = alloc.scale_override if alloc.scale_override is not None else np.ones(H.size)
-    mu = design.population_weights(tech)
-    profiles = (f * H)[:, None] * design.directions
-    return profiles, mu
-
-
-def aggregate_specialist_knowledge(alloc: Allocation, tech: LearningTech) -> np.ndarray:
-    """Total specialist knowledge bundle S (population mass 1-m)."""
-    profiles, mu = _specialist_profiles(alloc, tech)
-    return (1.0 - alloc.m) * (mu @ profiles)
-
-
-def aggregate_gaps(alloc: Allocation, tech: LearningTech) -> GapSummary:
-    """Integrate per-specialist gaps against the realized aggregate mix."""
-    profiles, mu = _specialist_profiles(alloc, tech)
-    S = (1.0 - alloc.m) * (mu @ profiles)
-    total = float(S.sum())
-    if total <= 0.0:
-        K = alloc.design.directions.shape[1]
-        return GapSummary(G=np.zeros(K), g=0.0, h=None)
-    mix = S / total
-    gaps = np.clip(profiles.sum(axis=1, keepdims=True) * mix[None, :] - profiles, 0.0, None)
-    G = (1.0 - alloc.m) * (mu @ gaps)
-    g = float(G.sum())
-    if g <= 1e-15:
-        return GapSummary(G=G, g=0.0, h=None)
-    return GapSummary(G=G, g=g, h=G / g)
-
-
 def integrator_capacity(s, h) -> float:
     """Bundles of gap profile h embedded in profile s: min s_k/h_k over h_k>0."""
     sv = np.clip(np.asarray(s, dtype=float), 0.0, None)
@@ -202,27 +161,64 @@ def integrator_capacity(s, h) -> float:
     return float(np.min(sv[mask] / hv[mask]))
 
 
-def check_feasible(alloc: Allocation, econ: Economy) -> None:
-    """Raise unless the learning and integration constraints hold."""
+@dataclass(frozen=True)
+class Accounts:
+    """What an allocation's specialist layer, at its frontier scales, adds up
+    to: gap summary, output Y, and the group system knowledge of
+    specialists (B_S) and integrators (B_M)."""
+
+    gaps: GapSummary
+    Y: float
+    B_S: float
+    B_M: float
+
+
+def accounts(alloc: Allocation, econ: Economy) -> Accounts:
+    """Evaluate a feasible allocation with one frontier solve over its atoms.
+
+    Atom j holds head-count share proportional to w_j/H(pi_j) and profile
+    f_j*H(pi_j)*pi_j; gaps are taken against the realized aggregate mix.
+    Raises InfeasibleAllocationError unless the integrator profile fits the
+    learning budget and integrators cover theta times the gap mass.
+    """
     tech = econ.tech
     if float(tech._ell_raw(np.clip(alloc.integrator_profile, 0.0, 1.0)).sum()) > 1.0 + 1e-10:
         raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
-    summary = aggregate_gaps(alloc, tech)
-    if summary.g == 0.0:
-        return
-    J = alloc.m * integrator_capacity(alloc.integrator_profile, summary.h)
-    if J < econ.theta * summary.g - FEAS_TOL:
-        raise InfeasibleAllocationError(
-            f"integration capacity {J:.6e} below requirement "
-            f"{econ.theta * summary.g:.6e}"
-        )
+    design = alloc.design
+    H = learning.max_scale_batch(tech, design.directions)
+    f = alloc.scale_override if alloc.scale_override is not None else np.ones(H.size)
+    mu = design.weights / H
+    mu = mu / mu.sum()
+    profiles = (f * H)[:, None] * design.directions
+    S = (1.0 - alloc.m) * (mu @ profiles)
+    total = float(S.sum())
+    if total <= 0.0:
+        gaps = GapSummary(G=np.zeros(S.size), g=0.0, h=None)
+    else:
+        mix = S / total
+        shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[None, :] - profiles, 0.0, None)
+        G = (1.0 - alloc.m) * (mu @ shortfall)
+        g = float(G.sum())
+        gaps = GapSummary(G=G, g=0.0, h=None) if g <= 1e-15 else GapSummary(G=G, g=g, h=G / g)
+    if gaps.g != 0.0:
+        J = alloc.m * integrator_capacity(alloc.integrator_profile, gaps.h)
+        if J < econ.theta * gaps.g - FEAS_TOL:
+            raise InfeasibleAllocationError(
+                f"integration capacity {J:.6e} below requirement "
+                f"{econ.theta * gaps.g:.6e}"
+            )
+    civ = econ.civ
+    return Accounts(
+        gaps=gaps,
+        Y=econ.V * coverage(S, total * econ.q),
+        B_S=float(sum(w * system_knowledge(row, civ) for w, row in zip(mu, profiles))),
+        B_M=system_knowledge(alloc.integrator_profile, civ),
+    )
 
 
 def output_of(alloc: Allocation, econ: Economy) -> float:
     """Output V * C(S, ||S||_1 * q) of a feasible allocation."""
-    check_feasible(alloc, econ)
-    S = aggregate_specialist_knowledge(alloc, econ.tech)
-    return econ.V * coverage(S, float(S.sum()) * econ.q)
+    return accounts(alloc, econ).Y
 
 
 @dataclass(frozen=True)
@@ -311,12 +307,14 @@ def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
     x = design.mean()
     z = design.gap_bundle(x)
     e_lam = design.mean_inefficiency(econ.tech)
-    gam = gamma_index(econ.tech, z)
-    if gam == 0.0:
+    mass = float(z.sum())
+    if mass == 0.0:
         return Allocation(m=0.0, design=design, integrator_profile=np.zeros(x.size))
+    h = z / mass
+    H_h = max_scale(econ.tech, h)
+    gam = mass * (1.0 / H_h)  # gamma_index(z), from the one frontier solve
     m = econ.theta * gam / (e_lam + econ.theta * gam)
-    h = z / z.sum()
-    return Allocation(m=m, design=design, integrator_profile=max_scale(econ.tech, h) * h)
+    return Allocation(m=m, design=design, integrator_profile=H_h * h)
 
 
 def simplex_grid(K: int, resolution: int) -> np.ndarray:

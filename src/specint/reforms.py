@@ -280,12 +280,6 @@ def interface_closed_slopes(econ: Economy) -> tuple[float, float]:
     return B_S_slope, B_M_slope
 
 
-def _interface_curves(econ: Economy, alpha_grid: np.ndarray):
-    fam = InterfaceFamily(econ).family()
-    reports = [total_welfare(*fam(a)) for a in alpha_grid]
-    return fam, reports
-
-
 def dispersion_slope(B_S, B_M, dB_S, dB_M, m) -> float:
     """Closed-form d D / d alpha for linear group-knowledge paths."""
     B_soc = (1.0 - m) * B_S + m * B_M
@@ -308,7 +302,9 @@ def interface_statics(
     if alpha_grid is None:
         alpha_grid = np.linspace(0.0, 1.0, 21)
     B_S_slope, B_M_slope = interface_closed_slopes(econ)
-    fam, reports = _interface_curves(econ, alpha_grid)
+    iface = InterfaceFamily(econ)
+    fam = iface.family()
+    reports = [total_welfare(*fam(a)) for a in alpha_grid]
     B_S = np.array([r.outcome.B_S for r in reports])
     B_M = np.array([r.outcome.B_M for r in reports])
     B_soc = np.array([r.outcome.B_soc for r in reports])
@@ -326,75 +322,61 @@ def interface_statics(
         ]
     )
 
+    # theta-free pieces of the corner organization at mix q
+    h_star = gap_profile_star(econ.q)
+    H = max_scale(econ.tech, h_star)
+    D_q = fragmentation(econ.q)
+    Hp = H**econ.p
+
     def all_negative(theta: float) -> bool:
         # Semi-analytic slopes: output is fixed along alpha, so
         # dW = (R_B/R)*dB_soc - dD with everything in closed form except
         # the governed resource level.
-        bs_slope, bm_slope = interface_closed_slopes(econ)
-        h_star = gap_profile_star(econ.q)
-        H = max_scale(econ.tech, h_star)
-        D = fragmentation(econ.q)
-        m_t = theta * D / (H + theta * D)
-        Y_t = econ.V * H / (H + theta * D)
-        d_bsoc = (1.0 - m_t) * bs_slope + m_t * bm_slope
+        m_t = theta * D_q / (H + theta * D_q)
+        Y_t = econ.V * H / (H + theta * D_q)
+        d_bsoc = (1.0 - m_t) * B_S_slope + m_t * B_M_slope
         if d_bsoc >= 0.0:
             return False
-        fam_obj = InterfaceFamily(econ)
-        Hp = H**econ.p
         for a in alpha_grid:
-            u_a = fam_obj.u_alpha(float(a))
+            u_a = iface.u_alpha(float(a))
             B_S_a = float(econ.q @ u_a)
             B_M_a = Hp * coverage(h_star, u_a)
             B_soc_a = (1.0 - m_t) * B_S_a + m_t * B_M_a
             R, _, R_B = resource_sensitivities(econ.gov, Y_t, B_soc_a)
             d_w = (R_B / R) * d_bsoc - dispersion_slope(
-                B_S_a, B_M_a, bs_slope, bm_slope, m_t
+                B_S_a, B_M_a, B_S_slope, B_M_slope, m_t
             )
             if d_w >= 0.0:
                 return False
         return True
 
+    capped = False
     if B_S_slope > -1e-14:
         # uniform requirement profile: the gap profile coincides with q,
         # curves are flat, and no negative-slope region exists to bisect
-        return InterfaceStaticsReport(
-            alpha_grid=alpha_grid,
-            B_S=B_S,
-            B_M=B_M,
-            B_soc=B_soc,
-            welfare=W,
-            dispersion=D,
-            B_S_slope=B_S_slope,
-            B_M_slope=B_M_slope,
-            B_soc_slope=dB_soc,
-            dW=dW,
-            dD=dD,
-            theta_small=0.0,
-            theta_small_capped=False,
-        )
-
-    if not all_negative(1e-9 * econ.theta_bar + 1e-12):
-        raise OracleError("interface statics not negative at tiny theta")
-    lo = 1e-9 * econ.theta_bar
-    hi = econ.theta_bar
-    capped = False
-    while all_negative(hi):
-        hi *= 4.0
-        if hi > theta_cap_factor * econ.theta_bar:
-            capped = True
-            break
-    if capped:
-        theta_small = hi
+        theta_small = 0.0
     else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if all_negative(mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-6 * max(1.0, lo):
+        if not all_negative(1e-9 * econ.theta_bar + 1e-12):
+            raise OracleError("interface statics not negative at tiny theta")
+        lo = 1e-9 * econ.theta_bar
+        hi = econ.theta_bar
+        while all_negative(hi):
+            hi *= 4.0
+            if hi > theta_cap_factor * econ.theta_bar:
+                capped = True
                 break
-        theta_small = lo
+        if capped:
+            theta_small = hi
+        else:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if all_negative(mid):
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < 1e-6 * max(1.0, lo):
+                    break
+            theta_small = lo
     return InterfaceStaticsReport(
         alpha_grid=alpha_grid,
         B_S=B_S,

@@ -1,9 +1,10 @@
 """Scenario loading: flat key=value config files with dotted namespaces.
 
 Lists are comma-separated floats; grids may also be written lo:hi:n for
-n evenly spaced points. Profiles are renormalized onto the simplex (with
-a warning beyond 1e-9 drift). theta sweep grids are given as fractions
-of the coordination cutoff so they stay valid across learning families.
+n evenly spaced points. Profiles q and u must be strictly interior (every
+entry > 0) and are renormalized onto the simplex (with a warning beyond
+1e-9 drift). theta sweep grids are given as fractions of the coordination
+cutoff so they stay valid across learning families.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .economy import Economy
 from .errors import ConfigError
-from .learning import LearningTech
+from .learning import LearningTech, lipschitz_gamma
 from .politics import GovernanceTech
 
 REQUIRED_KEYS = (
@@ -152,6 +153,13 @@ def _float_list(entries: dict[str, str], key: str) -> np.ndarray:
     return np.array([_number(key, tok) for tok in entries[key].split(",")])
 
 
+def _interior_profile(entries: dict[str, str], key: str) -> np.ndarray:
+    values = _float_list(entries, key)
+    if not min(values) > 0.0:
+        raise ConfigError(f"{key} must be strictly interior, got {entries[key]!r}")
+    return values
+
+
 def _grid(entries: dict[str, str], key: str) -> np.ndarray:
     spec = entries[key]
     if ":" in spec:
@@ -186,6 +194,7 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
     tech = LearningTech(
         family=merged["learning.family"], param=_float(merged, "learning.param")
     )
+    lipschitz_gamma(tech)  # reject a too-steep cost at load, whatever the command
     gov = GovernanceTech(
         eta=_float(merged, "gov.eta"),
         c0=_float(merged, "gov.c0"),
@@ -194,8 +203,8 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
     )
     econ = Economy(
         tech=tech,
-        q=_float_list(merged, "economy.q"),
-        u=_float_list(merged, "economy.u"),
+        q=_interior_profile(merged, "economy.q"),
+        u=_interior_profile(merged, "economy.u"),
         p=_float(merged, "economy.p"),
         theta=_float(merged, "economy.theta"),
         V=_float(merged, "economy.v"),

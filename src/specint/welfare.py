@@ -30,7 +30,7 @@ from .errors import NonpositiveServiceError
 from .knowledge import CivicParams, coverage
 from .learning import LearningTech, max_scale, max_scale_batch
 from .politics import PoliticalOutcome, political_equilibrium, resource_sensitivities
-from .production import Allocation, output_of, simplex_grid
+from .production import Allocation, simplex_grid
 
 _DISPERSION_ROUNDOFF = 1e-12
 
@@ -109,13 +109,12 @@ class WelfareReport:
 def total_welfare(econ: Economy, alloc: Allocation) -> WelfareReport:
     """Compose output, the political equilibrium, and the welfare accounts."""
     outcome = political_equilibrium(econ, alloc)
-    Y = output_of(alloc, econ)
     V_serv = service_welfare(outcome, alloc.m)
     return WelfareReport(
-        Y=Y,
+        Y=outcome.Y,
         service_welfare=V_serv,
         dispersion=dispersion(outcome.B_S, outcome.B_M, alloc.m),
-        welfare=(1.0 - econ.tau) * Y + V_serv,
+        welfare=(1.0 - econ.tau) * outcome.Y + V_serv,
         outcome=outcome,
     )
 

@@ -20,7 +20,7 @@ from specint.politics import (
     political_equilibrium,
 )
 from specint.production import (
-    aggregate_gaps,
+    accounts,
     brute_force_design,
     integrator_capacity,
     output_of,
@@ -117,7 +117,7 @@ def test_criterion_04_theorem_formulas(econ):
             abs(opt.m_star - cand.theta * D / (opt.H_hstar + cand.theta * D)),
             abs(opt.Y_star - cand.V * opt.H_hstar / (opt.H_hstar + cand.theta * D)),
             abs(output_of(alloc, cand) - opt.Y_star),
-            abs(alloc.m * opt.H_hstar - cand.theta * aggregate_gaps(alloc, tech).g),
+            abs(alloc.m * opt.H_hstar - cand.theta * accounts(alloc, cand).gaps.g),
         )
         shares_ok &= opt.m_star < 1 / 3
     ok = worst <= 1e-10 and shares_ok

@@ -106,13 +106,32 @@ def test_missing_key_exits_one(tmp_path, capsys):
         ("verify", "oracle.max_designs", "0"),
         ("solve", "economy.v", "inf"),
         ("verify", "gov.c0", "inf"),
+        ("solve", "learning.param", "1e200"),
+        ("sweep --axis b", "learning.param", "1e200"),
+        ("solve", "economy.q", "0.6,0.4,0.0"),
+        ("sweep --axis b", "economy.q", "0.6,0.4,0.0"),
+        ("sweep --axis alpha", "economy.q", "0.6,0.4,0.0"),
+        ("solve", "economy.u", "0.6,0.4,0.0"),
+        ("sweep --axis alpha", "economy.u", "0.6,0.4,0.0"),
     ],
 )
 def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):
     cfg = write_cfg(tmp_path / "hostile.cfg", {key: value})
-    assert main([command, "--config", cfg]) == 1
+    assert main([*command.split(), "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep --axis b", "verify"])
+@pytest.mark.parametrize("param", ["1000", "1e200"])
+def test_steep_exponential_cost_exits_one(tmp_path, capsys, param, command):
+    # ell'(1) underflows to 0 at 1000; ell'(0)**3 overflows at 1e200
+    cfg = write_cfg(
+        tmp_path / "steep.cfg", {"learning.family": "exponential", "learning.param": param}
+    )
+    assert main([*command.split(), "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: learning.param") and err.count("\n") == 1
 
 
 def test_near_linear_exponential_cost_runs(tmp_path):

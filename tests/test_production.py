@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specint import production
+from specint import learning, production
 from specint.competitive import no_deviation_check, support_wages
 from specint.errors import (
     BudgetExceededError,
@@ -11,10 +11,11 @@ from specint.errors import (
 )
 from specint.knowledge import coverage, fragmentation
 from specint.learning import gamma_index, max_scale
+from specint.politics import political_equilibrium
 from specint.production import (
     Allocation,
     SpecialistDesign,
-    aggregate_gaps,
+    accounts,
     brute_force_design,
     corner_design,
     cornerized,
@@ -28,6 +29,7 @@ from specint.production import (
     simplex_grid,
     single_atom,
 )
+from specint.welfare import total_welfare
 
 from conftest import interior_simplex, make_economy
 
@@ -57,7 +59,7 @@ def test_gap_mass_identity():
 
 def test_aggregate_gaps_corner_design(econ):
     _, alloc = productive_optimum(econ)
-    gaps = aggregate_gaps(alloc, econ.tech)
+    gaps = accounts(alloc, econ).gaps
     q, m = econ.q, alloc.m
     assert gaps.G == pytest.approx((1 - m) * q * (1 - q), abs=1e-12)
     assert gaps.g == pytest.approx((1 - m) * fragmentation(q), abs=1e-12)
@@ -65,7 +67,7 @@ def test_aggregate_gaps_corner_design(econ):
 
 def test_aggregate_gaps_single_atom(econ):
     alloc = minimal_allocation(single_atom(econ.q), econ)
-    gaps = aggregate_gaps(alloc, econ.tech)
+    gaps = accounts(alloc, econ).gaps
     assert gaps.g == 0.0
     assert gaps.h is None
     assert alloc.m == 0.0
@@ -161,7 +163,7 @@ def test_optimum_share_below_third():
         econ = econ.with_theta(float(rng.uniform(0.05, 0.95)) * econ.theta_bar)
         opt, alloc = productive_optimum(econ)
         assert opt.m_star < 1 / 3
-        gaps = aggregate_gaps(alloc, econ.tech)
+        gaps = accounts(alloc, econ).gaps
         assert abs(alloc.m * opt.H_hstar - econ.theta * gaps.g) <= 1e-10
 
 
@@ -179,6 +181,28 @@ def test_output_no_specialists_is_zero(econ):
     )
     # nearly no specialist knowledge; output collapses toward zero
     assert output_of(alloc, econ) <= 1e-9 * econ.V
+
+
+def test_allocation_evaluated_once(econ, monkeypatch):
+    # output, the political equilibrium and welfare each solve the design's
+    # frontier in one max_scale_batch call
+    _, alloc = productive_optimum(econ)
+    calls = []
+    solve = learning.max_scale_batch
+
+    def counted(tech, directions):
+        calls.append(directions.shape[0])
+        return solve(tech, directions)
+
+    monkeypatch.setattr(learning, "max_scale_batch", counted)
+    for name, evaluate in (
+        ("output_of", lambda: output_of(alloc, econ)),
+        ("political_equilibrium", lambda: political_equilibrium(econ, alloc)),
+        ("total_welfare", lambda: total_welfare(econ, alloc)),
+    ):
+        calls.clear()
+        evaluate()
+        assert calls == [econ.K], name
 
 
 def test_positive_output_benchmark(econ):

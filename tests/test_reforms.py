@@ -6,7 +6,7 @@ from specint.knowledge import coverage, fragmentation
 from specint.learning import max_scale
 from specint.politics import group_knowledge
 from specint.production import (
-    aggregate_gaps,
+    accounts,
     corner_design,
     gap_profile_star,
     minimal_allocation,
@@ -40,7 +40,7 @@ def test_broadening_anchor_at_zero(econ):
 def test_broadening_full_kills_gaps(econ):
     a1 = broadening_allocation(1.0, econ)
     assert a1.m == 0.0
-    assert aggregate_gaps(a1, econ.tech).g == 0.0
+    assert accounts(a1, econ).gaps.g == 0.0
 
 
 def test_broadening_mix_stays_q(econ):

@@ -62,7 +62,7 @@ def test_service_welfare_log_shift(econ):
     out = equilibrium_from_groups(econ, Y=10.0, m=0.3, B_S=0.3, B_M=0.5)
     scaled = type(out)(
         e_pol=out.e_pol, z_pol=out.z_pol, t_S=2.0 * out.t_S, t_M=2.0 * out.t_M,
-        R=2.0 * out.R, B_S=out.B_S, B_M=out.B_M, B_soc=out.B_soc, m=out.m,
+        R=2.0 * out.R, B_S=out.B_S, B_M=out.B_M, B_soc=out.B_soc, m=out.m, Y=out.Y,
     )
     assert service_welfare(scaled, 0.3) == pytest.approx(
         service_welfare(out, 0.3) + math.log(2.0), abs=1e-12
@@ -73,7 +73,7 @@ def test_service_welfare_rejects_zero_service(econ):
     out = equilibrium_from_groups(econ, Y=10.0, m=0.3, B_S=0.3, B_M=0.5)
     broken = type(out)(
         e_pol=out.e_pol, z_pol=out.z_pol, t_S=0.0, t_M=out.t_M,
-        R=out.R, B_S=out.B_S, B_M=out.B_M, B_soc=out.B_soc, m=out.m,
+        R=out.R, B_S=out.B_S, B_M=out.B_M, B_soc=out.B_soc, m=out.m, Y=out.Y,
     )
     with pytest.raises(NonpositiveServiceError):
         service_welfare(broken, 0.3)
