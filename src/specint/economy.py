@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .knowledge import CivicParams, as_simplex
-from .learning import LearningConstants, LearningTech, constants
+from .learning import LearningConstants, LearningTech
 from .politics import GovernanceTech
 
 
@@ -48,9 +48,9 @@ class Economy:
     def tau(self) -> float:
         return self.gov.tau
 
-    @cached_property
+    @property
     def constants(self) -> LearningConstants:
-        return constants(self.tech)
+        return self.tech.constants
 
     @property
     def theta_bar(self) -> float:

@@ -18,6 +18,7 @@ from .learning import LearningTech
 
 SIMPLEX_TOL = 1e-12
 RENORM_WARN = 1e-9
+BUDGET_SLACK = 1e-10  # learning-budget round-off allowance
 
 
 def as_simplex(values, *, what: str = "profile") -> np.ndarray:
@@ -54,12 +55,12 @@ def fragmentation(pi) -> float:
     return float(1.0 - p @ p)
 
 
-def feasible_bundle(s, tech: LearningTech, slack: float = 1e-10) -> bool:
+def feasible_bundle(s, tech: LearningTech) -> bool:
     """Whether a knowledge bundle fits inside the unit learning budget."""
     v = np.clip(np.asarray(s, dtype=float), 0.0, None)
-    if np.any(v > 1.0 + slack):
+    if np.any(v > 1.0 + BUDGET_SLACK):
         return False
-    return float(tech._ell_raw(np.clip(v, 0.0, 1.0)).sum()) <= 1.0 + slack
+    return float(tech._ell_raw(np.clip(v, 0.0, 1.0)).sum()) <= 1.0 + BUDGET_SLACK
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ FRONTIER_RESIDUAL = 1e-12
 # Rows hugging a corner of a steep exponential cost take about ln(1/eps)
 # ~ 36 near-linear Newton steps; 38 was the most seen for params 1e-8..1e6.
 NEWTON_MAX_ITER = 60
+CONCAVITY_GRID = 10_000  # uniform interior points behind c_ell
 _CORNER_SNAP = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -85,6 +87,11 @@ class LearningTech:
         else:
             out = c * np.exp(-c * arr) / -math.expm1(-c)
         return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+
+    @cached_property
+    def constants(self) -> LearningConstants:
+        """Regularity constants, computed once per technology."""
+        return constants(self)
 
     @property
     def ell_bar(self) -> float:
@@ -216,19 +223,18 @@ def lipschitz_gamma(tech: LearningTech) -> float:
     return L
 
 
-def constants(tech: LearningTech, grid_size: int = 10_000) -> LearningConstants:
+def constants(tech: LearningTech) -> LearningConstants:
     """Assemble the regularity constants by grid minimization.
 
     The concavity-gap function phi(s) = (ell(s)-s)/(s(1-s)) is minimized
-    over grid_size uniform interior points plus its analytic endpoint
-    limits phi(0) = ell'(0)-1 and phi(1) = 1-ell'(1).
+    over CONCAVITY_GRID uniform interior points plus its analytic endpoint
+    limits phi(0) = ell'(0)-1 and phi(1) = 1-ell'(1). LearningTech.constants
+    caches the result.
     """
-    if grid_size < 1_000:
-        raise ConfigError("constants() needs grid_size >= 1000")
     L = lipschitz_gamma(tech)
     ell_bar = tech.ell_bar
     ell_under = tech.ell_under
-    s = np.linspace(0.0, 1.0, grid_size + 1)[1:-1]
+    s = np.linspace(0.0, 1.0, CONCAVITY_GRID + 1)[1:-1]
     phi = (tech._ell_raw(s) - s) / (s * (1.0 - s))
     c_ell = min(float(phi.min()), ell_bar - 1.0, 1.0 - ell_under)
     if c_ell <= 0.0:

@@ -86,14 +86,15 @@ def _random_economy(rng, base: Economy, K: int | None = None, diffuse_only=False
             tech=tech, q=q, u=u, p=p,
             theta=1.0, V=base.V, gov=base.gov,
         )
-        econ = econ.with_theta(float(rng.uniform(0.05, 0.9)) * econ.theta_bar)
+        theta_frac = float(rng.uniform(0.05, 0.9))
         if diffuse_only:
+            # rejected draws never need the technology's constants
             try:
                 if not check_diffuse(econ.civ, econ.tech).ok:
                     continue
             except HypothesisError:
                 continue
-        return econ
+        return econ.with_theta(theta_frac * econ.theta_bar)
     raise OracleError("random economy sampler exhausted its draw budget")
 
 

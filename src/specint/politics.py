@@ -186,6 +186,9 @@ class Platform:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BR_TOL = 1e-10  # golden-section bracket width on the governance level
+FIXED_POINT_TOL = 1e-9  # change in (e, z) that ends best-response iteration
+FIXED_POINT_MAX_ITER = 80
 
 
 def _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M):
@@ -208,18 +211,13 @@ def _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M):
     return t_S, (R - (1.0 - m) * t_S) / m
 
 
-def best_response(
-    platform: Platform | tuple[float, float],
-    econ: Economy,
-    alloc: Allocation,
-    tol: float = 1e-10,
-) -> Platform:
+def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platform:
     """Exact best response to an opponent platform.
 
     Nested solver: for each governance level, the service budget is split
     by equalizing the two marginal vote-share multipliers (bisection);
-    the governance level itself is then found by golden-section search,
-    both to tolerance 1e-10.
+    the governance level itself is then found by golden-section search
+    to bracket width BR_TOL.
     """
     gov = econ.gov
     acc = accounts(alloc, econ)
@@ -230,10 +228,7 @@ def best_response(
     beta_S = B_S / gov.lambda0
     beta_M = B_M / gov.lambda0
 
-    if isinstance(platform, Platform):
-        e_bar, z_bar = platform.e, platform.z
-    else:
-        e_bar, z_bar = platform
+    e_bar, z_bar = platform.e, platform.z
     R_bar = gov.resources(e_bar, Y)
     tbar_S = (1.0 - z_bar) * R_bar / (1.0 - m)
     tbar_M = z_bar * R_bar / m
@@ -259,7 +254,7 @@ def best_response(
     b = lo + _GOLDEN * (hi - lo)
     fa, fb = value(a), value(b)
     for _ in range(300):
-        if hi - lo <= tol:
+        if hi - lo <= BR_TOL:
             break
         if fa < fb:
             lo, a, fa = a, b, fb
@@ -302,14 +297,12 @@ def best_response_fixed_point(
     start: Platform | tuple[float, float],
     econ: Economy,
     alloc: Allocation,
-    tol: float = 1e-9,
-    max_iter: int = 80,
 ) -> Platform:
     """Iterate best responses from a starting platform to a fixed point."""
     current = start if isinstance(start, Platform) else Platform(start[0], start[1], 0.0, 0.0)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         nxt = best_response(current, econ, alloc)
-        if abs(nxt.e - current.e) <= tol and abs(nxt.z - current.z) <= tol:
+        if max(abs(nxt.e - current.e), abs(nxt.z - current.z)) <= FIXED_POINT_TOL:
             return nxt
         current = nxt
     raise ConvergenceError("best-response iteration did not converge")

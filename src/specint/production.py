@@ -1,6 +1,5 @@
 """Organization of production: specialist designs, coordination gaps,
-the reduced-form output map, the productive optimum, and the exhaustive
-design oracle.
+the productive optimum, and the exhaustive design oracle.
 
 A specialist design is a finite list of atoms (direction, mastery weight):
 the mastery-weighted direction distribution of the specialist layer. The
@@ -23,8 +22,7 @@ from __future__ import annotations
 
 import math
 import itertools
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,8 +34,8 @@ from .errors import (
     DomainError,
     InfeasibleAllocationError,
 )
-from .knowledge import as_simplex, coverage, fragmentation, system_knowledge
-from .learning import LearningTech, gamma_index, gamma_index_batch, max_scale
+from .knowledge import as_simplex, coverage, feasible_bundle, fragmentation, system_knowledge
+from .learning import LearningTech, gamma_index_batch, max_scale
 
 if TYPE_CHECKING:
     from .economy import Economy
@@ -142,15 +140,6 @@ class GapSummary:
     h: np.ndarray | None
 
 
-def gap_vector(s, mix) -> np.ndarray:
-    """External coordination requirement (||s||_1 * mix - s)^+."""
-    sv = np.clip(np.asarray(s, dtype=float), 0.0, None)
-    mv = np.asarray(mix, dtype=float)
-    if sv.shape != mv.shape:
-        raise DomainError("profile and mix dimensions differ")
-    return np.clip(sv.sum() * mv - sv, 0.0, None)
-
-
 def integrator_capacity(s, h) -> float:
     """Bundles of gap profile h embedded in profile s: min s_k/h_k over h_k>0."""
     sv = np.clip(np.asarray(s, dtype=float), 0.0, None)
@@ -181,11 +170,10 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     Raises InfeasibleAllocationError unless the integrator profile fits the
     learning budget and integrators cover theta times the gap mass.
     """
-    tech = econ.tech
-    if float(tech._ell_raw(np.clip(alloc.integrator_profile, 0.0, 1.0)).sum()) > 1.0 + 1e-10:
+    if not feasible_bundle(alloc.integrator_profile, econ.tech):
         raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
     design = alloc.design
-    H = learning.max_scale_batch(tech, design.directions)
+    H = learning.max_scale_batch(econ.tech, design.directions)
     f = alloc.scale_override if alloc.scale_override is not None else np.ones(H.size)
     mu = design.weights / H
     mu = mu / mu.sum()
@@ -214,44 +202,6 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
         B_S=float(sum(w * system_knowledge(row, civ) for w, row in zip(mu, profiles))),
         B_M=system_knowledge(alloc.integrator_profile, civ),
     )
-
-
-def output_of(alloc: Allocation, econ: Economy) -> float:
-    """Output V * C(S, ||S||_1 * q) of a feasible allocation."""
-    return accounts(alloc, econ).Y
-
-
-@dataclass(frozen=True)
-class ReducedForm:
-    """Minimal-integrator organization conditional on a corner mix x."""
-
-    Y: float
-    m: float
-    h: np.ndarray | None  # None flags a cornered mix with no interfaces
-    G: np.ndarray
-
-    @property
-    def has_interface(self) -> bool:
-        return self.h is not None
-
-
-def reduced_form(x, econ: Economy) -> ReducedForm:
-    """Output, integrator share, and gap objects for corner specialists at mix x."""
-    xv = as_simplex(x, what="aggregate mix")
-    if econ.theta >= econ.theta_bar:
-        warnings.warn(
-            "integration cost at or above the coordination cutoff; reduced-form "
-            "formulas describe the minimal-integrator corner organization, not "
-            "a certified optimum",
-            stacklevel=2,
-        )
-    z = xv * (1.0 - xv)
-    gam = gamma_index(econ.tech, z)
-    m = econ.theta * gam / (1.0 + econ.theta * gam)
-    Y = econ.V * coverage(xv, econ.q) / (1.0 + econ.theta * gam)
-    D = fragmentation(xv)
-    h = z / D if D > 1e-15 else None
-    return ReducedForm(Y=Y, m=m, h=h, G=(1.0 - m) * z)
 
 
 @dataclass(frozen=True)
@@ -400,7 +350,6 @@ class BruteForceResult:
     x: np.ndarray
     Y: float
     n_designs: int
-    allocation: Allocation = field(repr=False)
 
 
 def brute_force_design(
@@ -435,5 +384,4 @@ def brute_force_design(
         x=best_x,
         Y=best_Y,
         n_designs=n_seen,
-        allocation=minimal_allocation(design, econ),
     )

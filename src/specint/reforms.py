@@ -61,6 +61,10 @@ from .production import (
 )
 from .welfare import Decomposition, Family, decompose_along, total_welfare
 
+CUTOFF_FD_STEP = 1e-5  # b step of the slope behind bisect_broadening_cutoff
+CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
+THETA_CAP_FACTOR = 1e6  # interface_statics stops its search at this * theta_bar
+
 
 def broadening_allocation(b: float, econ: Economy) -> Allocation:
     """Mixed corner/broad specialist organization at broadening share b."""
@@ -98,17 +102,6 @@ class BroadeningFamily:
         H = max_scale(econ.tech, gap_profile_star(econ.q))
         return econ.theta * (1.0 - b) * D / (H + econ.theta * (1.0 - b) * D)
 
-    def civic_capacity(self, b: float) -> float:
-        """Closed-form B_soc(b); the assembled-allocation path must agree."""
-        econ = self.econ
-        h_star = gap_profile_star(econ.q)
-        Hq = max_scale(econ.tech, econ.q)
-        B_broad = Hq**econ.p * coverage(econ.q, econ.u)
-        B_M = system_knowledge(max_scale(econ.tech, h_star) * h_star, econ.civ)
-        m = self.integrator_share(b)
-        B_spec = (1.0 - b) * float(econ.q @ econ.u) + b * B_broad
-        return (1.0 - m) * B_spec + m * B_M
-
 
 @dataclass(frozen=True)
 class BroadeningSlope:
@@ -141,18 +134,17 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
     return BroadeningSlope(value, cutoff, "cutoff", cutoff > econ.theta_bar)
 
 
-def bisect_broadening_cutoff(
-    econ: Economy, step: float = 1e-5, tol: float = 1e-7
-) -> float:
+def bisect_broadening_cutoff(econ: Economy) -> float:
     """Locate the theta where the finite-difference slope of B_soc at b=0
-    flips sign, independent of the closed form."""
+    flips sign, independent of the closed form: one-sided differences of
+    step CUTOFF_FD_STEP in b, bisected to width CUTOFF_TOL in theta."""
 
     def slope(theta: float) -> float:
         fam = BroadeningFamily(econ.with_theta(theta))
         b0 = _family_b_soc(fam, 0.0)
-        b1 = _family_b_soc(fam, step)
-        b2 = _family_b_soc(fam, 2.0 * step)
-        return (-3.0 * b0 + 4.0 * b1 - b2) / (2.0 * step)
+        b1 = _family_b_soc(fam, CUTOFF_FD_STEP)
+        b2 = _family_b_soc(fam, 2.0 * CUTOFF_FD_STEP)
+        return (-3.0 * b0 + 4.0 * b1 - b2) / (2.0 * CUTOFF_FD_STEP)
 
     lo = 1e-9
     if slope(lo) <= 0.0:
@@ -168,7 +160,7 @@ def bisect_broadening_cutoff(
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * 0.5:
+        if hi - lo < CUTOFF_TOL * 0.5:
             break
     return 0.5 * (lo + hi)
 
@@ -264,7 +256,6 @@ class InterfaceStaticsReport:
     B_M_slope: float
     B_soc_slope: float
     dW: np.ndarray
-    dD: np.ndarray
     theta_small: float
     theta_small_capped: bool
 
@@ -288,19 +279,13 @@ def dispersion_slope(B_S, B_M, dB_S, dB_M, m) -> float:
     )
 
 
-def interface_statics(
-    econ: Economy,
-    alpha_grid: np.ndarray | None = None,
-    theta_cap_factor: float = 1e6,
-) -> InterfaceStaticsReport:
+def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStaticsReport:
     """Evaluate the interface-intensity comparative statics.
 
     theta_small is the bisected threshold below which both dB_soc/dalpha
     and dW/dalpha are negative across the alpha grid (capped when no flip
-    is found within theta_cap_factor times the primitive cutoff).
+    is found within THETA_CAP_FACTOR times the primitive cutoff).
     """
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.0, 1.0, 21)
     B_S_slope, B_M_slope = interface_closed_slopes(econ)
     iface = InterfaceFamily(econ)
     fam = iface.family()
@@ -312,9 +297,6 @@ def interface_statics(
     D = np.array([r.dispersion for r in reports])
     m = reports[0].outcome.m
     dB_soc = (1.0 - m) * B_S_slope + m * B_M_slope
-    dD = np.array(
-        [dispersion_slope(bs, bm, B_S_slope, B_M_slope, m) for bs, bm in zip(B_S, B_M)]
-    )
     dW = np.array(
         [
             decompose_along(fam, a, lo=float(alpha_grid[0]), hi=float(alpha_grid[-1])).fd_total
@@ -362,7 +344,7 @@ def interface_statics(
         hi = econ.theta_bar
         while all_negative(hi):
             hi *= 4.0
-            if hi > theta_cap_factor * econ.theta_bar:
+            if hi > THETA_CAP_FACTOR * econ.theta_bar:
                 capped = True
                 break
         if capped:
@@ -388,7 +370,6 @@ def interface_statics(
         B_M_slope=B_M_slope,
         B_soc_slope=dB_soc,
         dW=dW,
-        dD=dD,
         theta_small=theta_small,
         theta_small_capped=capped,
     )

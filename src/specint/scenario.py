@@ -47,8 +47,10 @@ OPTIONAL_KEYS = (
     "oracle.economies",
 )
 
-# Smallest oracle budgets that give every check something to test.
+# Smallest accepted oracle values: a seed must be nonnegative, and each
+# budget is the smallest that gives every check something to test.
 ORACLE_MINIMUMS = {
+    "oracle.seed": 0,
     "oracle.resolution": 1,
     "oracle.atoms": 1,
     "oracle.max_designs": 1,
@@ -106,7 +108,7 @@ class Scenario:
         return self.theta_frac_grid * self.econ.theta_bar
 
     def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
+        return replace(self, seed=_at_least("oracle.seed", seed))
 
     def with_strict(self, strict: bool) -> "Scenario":
         return replace(self, strict=strict)
@@ -149,12 +151,21 @@ def _int(entries: dict[str, str], key: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {entries[key]!r}") from exc
 
 
+def _at_least(key: str, value: int) -> int:
+    low = ORACLE_MINIMUMS[key]
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
+    return value
+
+
 def _float_list(entries: dict[str, str], key: str) -> np.ndarray:
     return np.array([_number(key, tok) for tok in entries[key].split(",")])
 
 
 def _interior_profile(entries: dict[str, str], key: str) -> np.ndarray:
     values = _float_list(entries, key)
+    if values.size < 2:
+        raise ConfigError(f"{key} needs at least two domains, got {entries[key]!r}")
     if not min(values) > 0.0:
         raise ConfigError(f"{key} must be strictly interior, got {entries[key]!r}")
     return values
@@ -219,19 +230,16 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
         raise ConfigError("sweep.alpha must lie within [0,1]")
     if np.any(theta_frac <= 0.0) or np.any(theta_frac >= 1.0):
         raise ConfigError("sweep.theta_frac must lie strictly inside (0,1)")
-    budgets = {}
-    for key, low in ORACLE_MINIMUMS.items():
-        value = _int(merged, key)
-        if value < low:
-            raise ConfigError(f"{key} must be at least {low}, got {value}")
-        budgets[key.removeprefix("oracle.")] = value
+    oracle = {
+        key.removeprefix("oracle."): _at_least(key, _int(merged, key))
+        for key in ORACLE_MINIMUMS
+    }
     return Scenario(
         econ=econ,
         b_grid=b_grid,
         alpha_grid=alpha_grid,
         theta_frac_grid=theta_frac,
-        seed=_int(merged, "oracle.seed"),
-        **budgets,
+        **oracle,
     )
 
 

@@ -1,6 +1,5 @@
 """Welfare accounting: service welfare, the dispersion penalty, total
-welfare, the three-term slope decomposition along allocation families,
-and the civic benchmark.
+welfare, and the three-term slope decomposition along allocation families.
 
 Total welfare is W = (1-tau)*Y + V_serv with
 V_serv = (1-m)*log t_S + m*log t_M = log R - D, where the dispersion
@@ -23,16 +22,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .economy import Economy
 from .errors import NonpositiveServiceError
-from .knowledge import CivicParams, coverage
-from .learning import LearningTech, max_scale, max_scale_batch
 from .politics import PoliticalOutcome, political_equilibrium, resource_sensitivities
-from .production import Allocation, simplex_grid
+from .production import Allocation
 
 _DISPERSION_ROUNDOFF = 1e-12
+DECOMPOSITION_RESIDUAL = 1e-4  # decompose_along warns above this residual
 
 
 def service_welfare(outcome: PoliticalOutcome, m: float) -> float:
@@ -137,10 +133,6 @@ class Decomposition:
     fd_total: float
     residual: float
 
-    @property
-    def total(self) -> float:
-        return self.productive_term + self.governance_term + self.targeting_term
-
 
 def _stencil(kind: int, values, h: float) -> float:
     """Second-order first derivative on a 3-point stencil.
@@ -157,18 +149,14 @@ def _stencil(kind: int, values, h: float) -> float:
 
 
 def decompose_along(
-    family: Family,
-    b: float,
-    step: float = 1e-5,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    residual_tol: float = 1e-4,
+    family: Family, b: float, step: float = 1e-5, lo: float = 0.0, hi: float = 1.0
 ) -> Decomposition:
     """Three-term welfare slope at parameter b of an allocation family.
 
     Uses central differences inside (lo, hi) and one-sided second-order
     stencils at the boundaries; warns when the recomposition residual
-    exceeds residual_tol (step too large for the family's curvature).
+    exceeds DECOMPOSITION_RESIDUAL (step too large for the family's
+    curvature).
     """
     if b - step >= lo and b + step <= hi:
         offsets, kind = (b - step, b, b + step), 0
@@ -194,9 +182,9 @@ def decompose_along(
     governance = (R_B / R) * dB
     targeting = -dD
     residual = abs(productive + governance + targeting - dW)
-    if residual > residual_tol:
+    if residual > DECOMPOSITION_RESIDUAL:
         warnings.warn(
-            f"decomposition residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"decomposition residual {residual:.3e} exceeds {DECOMPOSITION_RESIDUAL:.1e}; "
             "the step may be too large for this family",
             stacklevel=2,
         )
@@ -210,62 +198,3 @@ def decompose_along(
         fd_total=dW,
         residual=residual,
     )
-
-
-def civic_benchmark(civ: CivicParams, tech: LearningTech, resolution: int = 24) -> float:
-    """Highest system knowledge a single learner can reach: max over
-    directions of H(pi)**p * C(pi, u), by simplex grid search plus
-    coordinate-pair refinement."""
-    grid = simplex_grid(civ.u.size, resolution)
-    H = max_scale_batch(tech, grid)
-    cov = np.minimum(grid, civ.u[None, :]).sum(axis=1)
-    values = H**civ.p * cov
-    best = int(np.argmax(values))
-    pi = grid[best].copy()
-    best_val = float(values[best])
-
-    def objective(vec):
-        return max_scale(tech, vec) ** civ.p * coverage(vec, civ.u)
-
-    K = pi.size
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        improved = False
-        for i in range(K):
-            for j in range(K):
-                if i == j:
-                    continue
-                lo_t, hi_t = -pi[i], pi[j]
-                a = hi_t - phi * (hi_t - lo_t)
-                c = lo_t + phi * (hi_t - lo_t)
-
-                def moved(t):
-                    vec = pi.copy()
-                    vec[i] += t
-                    vec[j] -= t
-                    return objective(np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum())
-
-                fa, fc = moved(a), moved(c)
-                for _ in range(60):
-                    if hi_t - lo_t < 1e-12:
-                        break
-                    if fa < fc:
-                        lo_t, a, fa = a, c, fc
-                        c = lo_t + phi * (hi_t - lo_t)
-                        fc = moved(c)
-                    else:
-                        hi_t, c, fc = c, a, fa
-                        a = hi_t - phi * (hi_t - lo_t)
-                        fa = moved(a)
-                t = 0.5 * (lo_t + hi_t)
-                cand = pi.copy()
-                cand[i] += t
-                cand[j] -= t
-                cand = np.clip(cand, 0.0, None)
-                cand /= cand.sum()
-                val = objective(cand)
-                if val > best_val + 1e-14:
-                    pi, best_val, improved = cand, val, True
-        if not improved:
-            break
-    return best_val

@@ -23,7 +23,6 @@ from specint.production import (
     accounts,
     brute_force_design,
     integrator_capacity,
-    output_of,
     productive_optimum,
     simplex_grid,
 )
@@ -110,14 +109,15 @@ def test_criterion_04_theorem_formulas(econ):
         )
         cand = cand.with_theta(float(rng.uniform(0.05, 0.95)) * cand.theta_bar)
         opt, alloc = productive_optimum(cand)
+        acc = accounts(alloc, cand)
         D = fragmentation(cand.q)
         worst = max(
             worst,
             float(np.abs(opt.h_star - cand.q * (1 - cand.q) / D).max()),
             abs(opt.m_star - cand.theta * D / (opt.H_hstar + cand.theta * D)),
             abs(opt.Y_star - cand.V * opt.H_hstar / (opt.H_hstar + cand.theta * D)),
-            abs(output_of(alloc, cand) - opt.Y_star),
-            abs(alloc.m * opt.H_hstar - cand.theta * accounts(alloc, cand).gaps.g),
+            abs(acc.Y - opt.Y_star),
+            abs(alloc.m * opt.H_hstar - cand.theta * acc.gaps.g),
         )
         shares_ok &= opt.m_star < 1 / 3
     ok = worst <= 1e-10 and shares_ok

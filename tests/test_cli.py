@@ -113,6 +113,10 @@ def test_missing_key_exits_one(tmp_path, capsys):
         ("sweep --axis alpha", "economy.q", "0.6,0.4,0.0"),
         ("solve", "economy.u", "0.6,0.4,0.0"),
         ("sweep --axis alpha", "economy.u", "0.6,0.4,0.0"),
+        ("verify", "oracle.seed", "-5"),
+        ("verify --seed -3", "oracle.seed", "20260808"),
+        ("solve", "economy.q", "1"),
+        ("solve", "economy.u", "1"),
     ],
 )
 def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):

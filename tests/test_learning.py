@@ -15,6 +15,8 @@ from specint.learning import (
 )
 from specint.oracles import frontier_bisection
 
+from conftest import make_economy
+
 simplex3 = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=3
 ).map(lambda v: np.array(v) / np.sum(v))
@@ -83,7 +85,7 @@ def test_frontier_residual_and_bounds(rational, exponential):
             pi = rng.dirichlet(np.ones(K))
             H = max_scale(tech, pi)
             assert 1.0 / bar - 1e-12 <= H <= 1.0
-            assert abs(tech._ell_raw(H * pi).sum() - 1.0) <= 1e-12
+            assert abs(tech.ell(H * pi).sum() - 1.0) <= 1e-12
 
 
 def _near_corner_rows(K, deltas):
@@ -113,7 +115,7 @@ def test_frontier_matches_reference_bisection(family, param, K):
     P = np.vstack([P, _near_corner_rows(K, [1e-9, 1e-11])])
     H = max_scale_batch(tech, P)
     interior = P.max(axis=1) <= 1.0 - 1e-12
-    residual = np.abs(tech._ell_raw(H[:, None] * P).sum(axis=1) - 1.0)
+    residual = np.abs(tech.ell(H[:, None] * P).sum(axis=1) - 1.0)
     assert residual[interior].max() <= 1e-12
 
 
@@ -189,9 +191,21 @@ def test_constants_positive_for_both_families(exponential):
     assert cs.ell_under <= cs.ell_bar
 
 
-def test_constants_grid_floor(rational):
-    with pytest.raises(ConfigError):
-        constants(rational, grid_size=100)
+def test_constants_computed_once_per_tech(monkeypatch):
+    # Economy copies share their LearningTech, and with it its constants
+    calls = []
+    assemble = learning.constants
+
+    def counted(tech):
+        calls.append(tech)
+        return assemble(tech)
+
+    monkeypatch.setattr(learning, "constants", counted)
+    econ = make_economy(param=1.25)
+    hot = econ.with_theta(0.5 * econ.theta_bar)
+    for copy in (hot, econ.with_u((0.2, 0.3, 0.5)), hot.with_u((0.3, 0.3, 0.4))):
+        assert copy.constants is econ.constants
+    assert len(calls) == 1
 
 
 def test_bad_family_rejected():

@@ -20,12 +20,9 @@ from specint.production import (
     corner_design,
     cornerized,
     design_space_size,
-    gap_vector,
     integrator_capacity,
     minimal_allocation,
-    output_of,
     productive_optimum,
-    reduced_form,
     simplex_grid,
     single_atom,
 )
@@ -34,14 +31,18 @@ from specint.welfare import total_welfare
 from conftest import interior_simplex, make_economy
 
 
+# The external coordination requirement of a profile s = scale*pi against a
+# mix is (||s||_1 * mix - s)^+ = scale * single_atom(pi).gap_bundle(mix).
+
+
 def test_gap_vector_proportional_is_zero():
     mix = np.array([0.5, 0.3, 0.2])
-    assert np.all(gap_vector(0.7 * mix, mix) == 0.0)
+    assert np.all(0.7 * single_atom(mix).gap_bundle(mix) == 0.0)
 
 
 def test_gap_vector_corner():
     x = np.array([0.5, 0.3, 0.2])
-    gamma = gap_vector(np.eye(3)[0], x)
+    gamma = single_atom(np.eye(3)[0]).gap_bundle(x)
     assert gamma == pytest.approx([0.0, 0.3, 0.2], abs=1e-15)
 
 
@@ -53,7 +54,7 @@ def test_gap_mass_identity():
         pi = rng.dirichlet(np.ones(K))
         mix = rng.dirichlet(np.ones(K))
         scale = float(rng.uniform(0.1, 1.0))
-        gamma = gap_vector(scale * pi, mix)
+        gamma = scale * single_atom(pi).gap_bundle(mix)
         assert gamma.sum() == pytest.approx(scale * (1 - coverage(pi, mix)), abs=1e-12)
 
 
@@ -90,26 +91,25 @@ def test_integrator_capacity_upper_bound(rational):
         assert integrator_capacity(s, h) <= max_scale(rational, h) + 1e-10
 
 
+def _corner_organization(x, econ):
+    """Minimal-integrator corner organization at mix x: (allocation, accounts)."""
+    alloc = minimal_allocation(corner_design(x), econ)
+    return alloc, accounts(alloc, econ)
+
+
 def test_reduced_form_at_q_matches_optimum(econ):
     opt, _ = productive_optimum(econ)
-    rf = reduced_form(econ.q, econ)
-    assert rf.Y == pytest.approx(opt.Y_star, abs=1e-12)
-    assert rf.m == pytest.approx(opt.m_star, abs=1e-14)
-    assert rf.h == pytest.approx(opt.h_star, abs=1e-12)
+    alloc, acc = _corner_organization(econ.q, econ)
+    assert acc.Y == pytest.approx(opt.Y_star, abs=1e-12)
+    assert alloc.m == pytest.approx(opt.m_star, abs=1e-14)
+    assert acc.gaps.h == pytest.approx(opt.h_star, abs=1e-12)
 
 
 def test_reduced_form_corner(econ):
-    rf = reduced_form(np.eye(3)[0], econ)
-    assert rf.m == 0.0
-    assert rf.Y == pytest.approx(econ.V * econ.q[0], abs=1e-12)
-    assert rf.h is None
-    assert not rf.has_interface
-
-
-def test_reduced_form_warns_above_cutoff(econ):
-    hot = econ.with_theta(2 * econ.theta_bar)
-    with pytest.warns(UserWarning):
-        reduced_form(hot.q, hot)
+    alloc, acc = _corner_organization(np.eye(3)[0], econ)
+    assert alloc.m == 0.0
+    assert acc.Y == pytest.approx(econ.V * econ.q[0], abs=1e-12)
+    assert acc.gaps.h is None
 
 
 def test_reduced_form_gamma_lipschitz(econ):
@@ -126,12 +126,12 @@ def test_reduced_form_gamma_lipschitz(econ):
 def test_alignment_dominates_on_grid(econ):
     # below 1/(2*L_Gamma) the aligned mix beats every other grid mix,
     # strictly when coverage is incomplete
-    base = reduced_form(econ.q, econ).Y
+    base = _corner_organization(econ.q, econ)[1].Y
     for x in simplex_grid(3, 6):
-        rf = reduced_form(x, econ)
-        assert rf.Y <= base + 1e-12
+        Y = _corner_organization(x, econ)[1].Y
+        assert Y <= base + 1e-12
         if coverage(x, econ.q) < 1.0 - 1e-12:
-            assert rf.Y < base
+            assert Y < base
 
 
 def test_productive_optimum_two_domains():
@@ -169,7 +169,7 @@ def test_optimum_share_below_third():
 
 def test_output_of_optimum_matches_closed_form(econ):
     opt, alloc = productive_optimum(econ)
-    assert output_of(alloc, econ) == pytest.approx(opt.Y_star, abs=1e-12)
+    assert accounts(alloc, econ).Y == pytest.approx(opt.Y_star, abs=1e-12)
 
 
 def test_output_no_specialists_is_zero(econ):
@@ -180,7 +180,7 @@ def test_output_no_specialists_is_zero(econ):
         scale_override=np.full(3, 1e-12),
     )
     # nearly no specialist knowledge; output collapses toward zero
-    assert output_of(alloc, econ) <= 1e-9 * econ.V
+    assert accounts(alloc, econ).Y <= 1e-9 * econ.V
 
 
 def test_allocation_evaluated_once(econ, monkeypatch):
@@ -196,7 +196,7 @@ def test_allocation_evaluated_once(econ, monkeypatch):
 
     monkeypatch.setattr(learning, "max_scale_batch", counted)
     for name, evaluate in (
-        ("output_of", lambda: output_of(alloc, econ)),
+        ("accounts", lambda: accounts(alloc, econ)),
         ("political_equilibrium", lambda: political_equilibrium(econ, alloc)),
         ("total_welfare", lambda: total_welfare(econ, alloc)),
     ):
@@ -207,7 +207,7 @@ def test_allocation_evaluated_once(econ, monkeypatch):
 
 def test_positive_output_benchmark(econ):
     _, alloc = productive_optimum(econ)
-    assert output_of(alloc, econ) > 0.0
+    assert accounts(alloc, econ).Y > 0.0
 
 
 def test_output_infeasible_raises(econ):
@@ -219,7 +219,7 @@ def test_output_infeasible_raises(econ):
         integrator_profile=alloc.integrator_profile,
     )
     with pytest.raises(InfeasibleAllocationError):
-        output_of(broken, econ)
+        accounts(broken, econ)
 
 
 def test_overfed_learning_budget_raises(econ):
@@ -230,7 +230,7 @@ def test_overfed_learning_budget_raises(econ):
         integrator_profile=np.full(3, 0.9),
     )
     with pytest.raises(InfeasibleAllocationError):
-        output_of(greedy, econ)
+        accounts(greedy, econ)
 
 
 def test_design_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specint.errors import DomainError
-from specint.knowledge import coverage, fragmentation
+from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import max_scale
 from specint.politics import group_knowledge
 from specint.production import (
@@ -67,9 +67,16 @@ def test_broadening_domain(econ):
 
 
 def test_broadening_closed_form_tracks_pipeline(econ):
+    # B_soc(b) = (1-m(b)) * [(1-b)*(q.u) + b*H(q)**p*C(q,u)] + m(b)*B_M
     fam = BroadeningFamily(econ)
+    q = econ.q
+    h_star = gap_profile_star(q)
+    B_broad = max_scale(econ.tech, q) ** econ.p * coverage(q, econ.u)
+    B_M = system_knowledge(max_scale(econ.tech, h_star) * h_star, econ.civ)
     for b in (0.0, 0.15, 0.5, 0.95):
-        assert fam.civic_capacity(b) == pytest.approx(_family_b_soc(fam, b), abs=1e-12)
+        m = fam.integrator_share(b)
+        closed = (1 - m) * ((1 - b) * float(q @ econ.u) + b * B_broad) + m * B_M
+        assert closed == pytest.approx(_family_b_soc(fam, b), abs=1e-12)
 
 
 def test_broadening_derivative_matches_fd(econ):

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from specint.errors import NonpositiveServiceError
-from specint.knowledge import CivicParams
-from specint.politics import equilibrium_from_groups, group_knowledge
+from specint.politics import equilibrium_from_groups
 from specint.production import productive_optimum
 from specint.reforms import BroadeningFamily, InterfaceFamily
 from specint.welfare import (
     WelfareReport,
-    civic_benchmark,
     decompose_along,
     dispersion,
     service_welfare,
@@ -138,29 +136,3 @@ def test_decompose_boundary_uses_one_sided(econ):
     d0 = decompose_along(bfam, 0.0)
     d_in = decompose_along(bfam, 1e-5)
     assert d0.fd_total == pytest.approx(d_in.fd_total, rel=1e-3, abs=1e-4)
-
-
-def test_civic_benchmark_bounds(econ):
-    b_max = civic_benchmark(econ.civ, econ.tech, resolution=16)
-    assert b_max < 1.0
-    _, alloc = productive_optimum(econ)
-    B_S, B_M = group_knowledge(alloc, econ)
-    assert b_max >= max(B_S, B_M) - 1e-12
-
-
-def test_civic_benchmark_small_p_limit(rational):
-    civ = CivicParams(u=np.array([0.4, 0.35, 0.25]), p=1e-9)
-    b_max = civic_benchmark(civ, rational, resolution=16)
-    # with no breadth penalty the learner matches the civic profile itself
-    assert 0.999 < b_max < 1.0
-
-
-def test_civic_benchmark_beats_grid(econ):
-    # refinement can only improve on the raw grid maximum
-    from specint.production import simplex_grid
-    from specint.learning import max_scale_batch
-
-    grid = simplex_grid(3, 12)
-    H = max_scale_batch(econ.tech, grid)
-    raw = float(np.max(H**econ.p * np.minimum(grid, econ.u).sum(axis=1)))
-    assert civic_benchmark(econ.civ, econ.tech, resolution=12) >= raw - 1e-12
