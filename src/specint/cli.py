@@ -4,7 +4,8 @@ specint solve  [--config F] [--out CSV]
 specint sweep  --axis {b,alpha,theta} [--config F] [--out CSV]
 specint verify [--config F] [--out CSV] [--seed N] [--strict]
 
-Exit codes: 0 ok, 1 config error, 2 hypothesis violation, 3 oracle failure.
+Exit codes: 0 ok, 1 config error, 2 hypothesis violation, 3 oracle failure
+or a non-finite result.
 CSV output is RFC-4180 style with a header row, '.' decimal, and
 deterministic shortest-round-trip floats, so identical scenarios and
 seeds produce byte-identical files.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -37,12 +39,23 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _format_rows(header: list[str], rows: list[list]) -> list[list[str]]:
+    """Format every cell; raise OracleError naming the column of the first
+    non-finite number, before anything is printed or written."""
+    cells = []
+    for row in rows:
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OracleError(f"column {name} holds a non-finite result ({_fmt(value)})")
+        cells.append([_fmt(v) for v in row])
+    return cells
+
+
+def _write_csv(path: str, header: list[str], cells: list[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(cells)
 
 
 def _scenario_columns(scn: Scenario) -> tuple[list[str], list]:
@@ -80,6 +93,26 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
         wages = None
         wage_note = str(exc)
 
+    header, row = _scenario_columns(scn)
+    for i in range(econ.K):
+        header.append(f"h_star_{i + 1}")
+        row.append(opt.h_star[i])
+    header += ["H_hstar", "m_star", "Y_star"]
+    row += [opt.H_hstar, opt.m_star, opt.Y_star]
+    header += list(WelfareReport.CSV_COLUMNS)
+    row += report.csv_row()
+    header += ["delta_q", "V_tilde", "beta", "r_bar", "uniqueness_cutoff", "w_S", "w_M"]
+    row += [
+        wages.delta_q if wages else None,
+        (1.0 - econ.tau) * econ.V,
+        wages.beta if wages else None,
+        bound.r_bar,
+        bound.uniqueness_cutoff,
+        wages.w_S if wages else None,
+        wages.w_M if wages else None,
+    ]
+    cells = _format_rows(header, [row])
+
     print("== productive optimum ==")
     print(f"  h_star        {np.array2string(opt.h_star, precision=10)}")
     print(f"  m_star        {opt.m_star:.12g}")
@@ -112,25 +145,7 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     )
 
     if out_path:
-        header, row = _scenario_columns(scn)
-        for i in range(econ.K):
-            header.append(f"h_star_{i + 1}")
-            row.append(opt.h_star[i])
-        header += ["H_hstar", "m_star", "Y_star"]
-        row += [opt.H_hstar, opt.m_star, opt.Y_star]
-        header += list(WelfareReport.CSV_COLUMNS)
-        row += report.csv_row()
-        header += ["delta_q", "V_tilde", "beta", "r_bar", "uniqueness_cutoff", "w_S", "w_M"]
-        row += [
-            wages.delta_q if wages else None,
-            (1.0 - econ.tau) * econ.V,
-            wages.beta if wages else None,
-            bound.r_bar,
-            bound.uniqueness_cutoff,
-            wages.w_S if wages else None,
-            wages.w_M if wages else None,
-        ]
-        _write_csv(out_path, header, [row])
+        _write_csv(out_path, header, cells)
         print(f"wrote {out_path}")
     return 0
 
@@ -190,18 +205,22 @@ def cmd_sweep(scn: Scenario, axis: str, out_path: str | None) -> int:
         header, rows = _sweep_theta(scn)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose b, alpha, or theta")
+    cells = _format_rows(header, rows)
     if out_path:
-        _write_csv(out_path, header, rows)
-        print(f"wrote {out_path} ({len(rows)} rows)")
+        _write_csv(out_path, header, cells)
+        print(f"wrote {out_path} ({len(cells)} rows)")
     else:
         print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        for row in cells:
+            print(",".join(row))
     return 0
 
 
 def cmd_verify(scn: Scenario, out_path: str | None) -> int:
     results = oracles.run_all(scn)
+    header = ["check", "status", "metric", "tolerance", "note"]
+    rows = [[r.name, r.status, r.metric, r.tolerance, r.note] for r in results]
+    cells = _format_rows(header, rows)
     width = max(len(r.name) for r in results) + 2
     failures = 0
     for r in results:
@@ -215,9 +234,7 @@ def cmd_verify(scn: Scenario, out_path: str | None) -> int:
     skipped = sum(1 for r in results if r.status == "skipped")
     print(f"-- {passed} passed, {failures} failed, {skipped} skipped --")
     if out_path:
-        header = ["check", "status", "metric", "tolerance", "note"]
-        rows = [[r.name, r.status, r.metric, r.tolerance, r.note] for r in results]
-        _write_csv(out_path, header, rows)
+        _write_csv(out_path, header, cells)
         print(f"wrote {out_path}")
     return 0 if failures == 0 else 3
 

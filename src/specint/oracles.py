@@ -19,7 +19,7 @@ from . import competitive, learning, production, reforms
 from .economy import Economy
 from .errors import HypothesisError, OracleError
 from .knowledge import check_diffuse, coverage, fragmentation, system_knowledge
-from .learning import gamma_index, lambda_index, max_scale, max_scale_batch
+from .learning import gamma_index, max_scale, max_scale_batch
 from .politics import (
     best_response_fixed_point,
     equilibrium_from_groups,
@@ -98,6 +98,24 @@ def _random_economy(rng, base: Economy, K: int | None = None, diffuse_only=False
     raise OracleError("random economy sampler exhausted its draw budget")
 
 
+def _by_size(batch, tech: learning.LearningTech, rows: list[np.ndarray]) -> list[float]:
+    """batch(tech, rows) for rows of mixed length K, in row order.
+
+    One batch call per K. A row's frontier Newton solve does not depend on
+    the other rows of its batch, so each value is the one a one-row call
+    returns.
+    """
+    out = [0.0] * len(rows)
+    by_size: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_size.setdefault(row.size, []).append(i)
+    for index in by_size.values():
+        values = batch(tech, np.vstack([rows[i] for i in index]))
+        for i, v in zip(index, values.tolist()):
+            out[i] = v
+    return out
+
+
 def _random_design(rng, K: int, n_atoms: int) -> SpecialistDesign:
     dirs = np.vstack([_interior_simplex(rng, K) for _ in range(n_atoms)])
     w = rng.dirichlet(np.ones(n_atoms))
@@ -132,9 +150,8 @@ def check_coverage_properties(scn: Scenario, rng, tol_scale) -> CheckResult:
         worst = max(worst, max(0.0, coverage(a, b) - cap))
         worst = max(worst, max(0.0, coverage(a, b) - coverage(a + 0.1, b)))
     # scale monotonicity of system knowledge along a fixed direction
-    for _ in range(100):
-        pi = _interior_simplex(rng, civ.u.size)
-        scale = max_scale(tech, pi)
+    directions = [_interior_simplex(rng, civ.u.size) for _ in range(100)]
+    for pi, scale in zip(directions, _by_size(learning.max_scale_batch, tech, directions)):
         ts = np.linspace(0.1, 1.0, 7)
         vals = [system_knowledge(t * scale * pi, civ) for t in ts]
         worst = max(worst, max(0.0, -min(np.diff(vals))))
@@ -175,55 +192,62 @@ def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_frontier_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     mod = tech.ell_bar / tech.ell_under
-    worst = 0.0
+    rows = []
     for _ in range(scn.pairs):
         K = int(rng.integers(2, 6))
-        a = rng.dirichlet(np.ones(K))
-        b = rng.dirichlet(np.ones(K))
-        gap = abs(max_scale(tech, a) - max_scale(tech, b))
-        worst = max(worst, gap - mod * np.abs(a - b).sum())
+        rows += [rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))]
+    H = _by_size(learning.max_scale_batch, tech, rows)
+    worst = 0.0
+    for i in range(0, len(rows), 2):
+        gap = abs(H[i] - H[i + 1])
+        worst = max(worst, gap - mod * np.abs(rows[i] - rows[i + 1]).sum())
     return _result("frontier-lipschitz", worst, 1e-10 * tol_scale)
 
 
 def check_concavity_gap(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     c_ell = scn.econ.constants.c_ell
+    rows = [rng.dirichlet(np.ones(int(rng.integers(2, 6)))) for _ in range(1000)]
     worst = 0.0
-    for _ in range(1000):
-        K = int(rng.integers(2, 6))
-        pi = rng.dirichlet(np.ones(K))
-        worst = max(
-            worst,
-            c_ell * fragmentation(pi) - (lambda_index(tech, pi) - 1.0),
-        )
+    for pi, H in zip(rows, _by_size(learning.max_scale_batch, tech, rows)):
+        worst = max(worst, c_ell * fragmentation(pi) - (1.0 / H - 1.0))
     return _result("concavity-gap", worst, 1e-10 * tol_scale)
 
 
 def check_gamma_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     L = scn.econ.constants.L_Gamma
-    worst = 0.0
+    rows = []
     for _ in range(scn.pairs):
         K = int(rng.integers(2, 6))
         z1 = rng.uniform(0.0, 1.0, K)
         z2 = rng.uniform(0.0, 1.0, K) if rng.random() < 0.9 else np.zeros(K)
-        gap = abs(gamma_index(tech, z1) - gamma_index(tech, z2))
-        worst = max(worst, gap - L * np.abs(z1 - z2).sum())
+        rows += [z1, z2]
+    G = _by_size(learning.gamma_index_batch, tech, rows)
+    worst = 0.0
+    for i in range(0, len(rows), 2):
+        gap = abs(G[i] - G[i + 1])
+        worst = max(worst, gap - L * np.abs(rows[i] - rows[i + 1]).sum())
     return _result("gamma-lipschitz", worst, 1e-10 * tol_scale)
 
 
 def check_integrator_capacity(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
-    worst = 0.0
+    draws = []
     for i in range(scn.pairs):
         K = int(rng.integers(2, 6))
         h = _interior_simplex(rng, K)
-        Hh = max_scale(tech, h)
         if i % 5 == 0:
-            s = Hh * h
+            draws.append((h, None, 0.0))
         else:
             pi = _interior_simplex(rng, K)
-            s = float(rng.uniform(0.2, 1.0)) * max_scale(tech, pi) * pi
+            draws.append((h, pi, float(rng.uniform(0.2, 1.0))))
+    rows = [v for h, pi, _ in draws for v in (h, pi) if v is not None]
+    H = iter(_by_size(learning.max_scale_batch, tech, rows))
+    worst = 0.0
+    for h, pi, frac in draws:
+        Hh = next(H)
+        s = Hh * h if pi is None else frac * next(H) * pi
         J = production.integrator_capacity(s, h)
         worst = max(worst, J - Hh)
         if abs(J - Hh) <= 1e-8 and np.abs(s - Hh * h).max() > 1e-6:

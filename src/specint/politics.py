@@ -197,18 +197,33 @@ def _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M):
     Bisection on t_S, along which the specialist-side multiplier
     Psi'_S(t_S; tbar_S) falls monotonically while the integrator-side
     multiplier rises, so the balance point is unique.
+
+    The loop stops once the midpoint is no longer strictly inside
+    (lo, hi): it then equals an end, no later step can move it, and the
+    result is the one all 100 steps return. The slopes are
+    vote_share_slope written out with the same operations in the same
+    order; their loop-invariant factors are computed once.
     """
+    mass_S = 1.0 - m
     lo = 1e-14 * R
-    hi = R / (1.0 - m) * (1.0 - 1e-14)
+    hi = R / mass_S * (1.0 - 1e-14)
+    b_S = tbar_S**beta_S
+    b_M = tbar_M**beta_M
+    k_S, k_M = beta_S * b_S, beta_M * b_M
+    x_S, x_M = beta_S - 1.0, beta_M - 1.0
     for _ in range(100):
         t_S = 0.5 * (lo + hi)
-        t_M = (R - (1.0 - m) * t_S) / m
-        if vote_share_slope(t_S, tbar_S, beta_S) > vote_share_slope(t_M, tbar_M, beta_M):
+        if not lo < t_S < hi:
+            break
+        t_M = (R - mass_S * t_S) / m
+        slope_S = k_S * t_S**x_S / (t_S**beta_S + b_S) ** 2
+        slope_M = k_M * t_M**x_M / (t_M**beta_M + b_M) ** 2
+        if slope_S > slope_M:
             lo = t_S
         else:
             hi = t_S
     t_S = 0.5 * (lo + hi)
-    return t_S, (R - (1.0 - m) * t_S) / m
+    return t_S, (R - mass_S * t_S) / m
 
 
 def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platform:
@@ -272,6 +287,7 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     # the flat objective; polish on the envelope first-order condition
     # mu(e)*G_e(e,Y) = c'(e), i.e. mu(e)*eta*R/e = c0*e, where mu(e) is the
     # common multiplier of the inner split, computable to machine precision.
+    # Like the split, the bisection stops once its midpoint reaches an end.
     def foc(e_val):
         R_val = gov.resources(e_val, Y)
         t_s, _ = _split_budget(R_val, m, beta_S, beta_M, tbar_S, tbar_M)
@@ -283,6 +299,8 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     if foc(a2) > 0.0 > foc(b2):
         for _ in range(80):
             mid = 0.5 * (a2 + b2)
+            if not a2 < mid < b2:
+                break
             if foc(mid) > 0.0:
                 a2 = mid
             else:

@@ -212,10 +212,17 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
         tau=_float(merged, "gov.tau"),
         lambda0=_float(merged, "gov.lambda0"),
     )
+    q = _interior_profile(merged, "economy.q")
+    u = _interior_profile(merged, "economy.u")
+    if q.size != u.size:
+        raise ConfigError(
+            f"economy.q has {q.size} entries but economy.u has {u.size}; "
+            "both profiles must cover the same K domains"
+        )
     econ = Economy(
         tech=tech,
-        q=_interior_profile(merged, "economy.q"),
-        u=_interior_profile(merged, "economy.u"),
+        q=q,
+        u=u,
         p=_float(merged, "economy.p"),
         theta=_float(merged, "economy.theta"),
         V=_float(merged, "economy.v"),

@@ -117,6 +117,8 @@ def test_missing_key_exits_one(tmp_path, capsys):
         ("verify --seed -3", "oracle.seed", "20260808"),
         ("solve", "economy.q", "1"),
         ("solve", "economy.u", "1"),
+        ("solve", "economy.q", "0.5,0.5"),
+        ("verify", "economy.q", "0.5,0.5"),
     ],
 )
 def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):
@@ -124,6 +126,26 @@ def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):
     assert main([*command.split(), "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+
+
+def test_profile_length_mismatch_names_both_keys(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "k.cfg", {"economy.q": "0.5,0.5"})
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "economy.q has 2" in err and "economy.u has 3" in err
+
+
+def test_non_finite_result_never_exits_zero(tmp_path, capsys):
+    # at V = 1e308 the welfare slope dW/dalpha overflows to nan on the
+    # end rows of the alpha sweep, and the decomposition step warns
+    cfg = write_cfg(tmp_path / "huge.cfg", {"economy.v": "1e308"})
+    out = tmp_path / "alpha.csv"
+    with pytest.warns(UserWarning):
+        code = main(["sweep", "--axis", "alpha", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("oracle failure: column dW_dalpha") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep --axis b", "verify"])

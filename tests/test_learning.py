@@ -119,6 +119,26 @@ def test_frontier_matches_reference_bisection(family, param, K):
     assert residual[interior].max() <= 1e-12
 
 
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("param", [1e-4, 1.0, 50.0])
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_frontier_row_independent_of_batch(family, param, K):
+    # the batched oracle checks take each row's H from a batch of mixed rows
+    tech = LearningTech(family=family, param=param)
+    rng = np.random.default_rng(8)
+    P = np.vstack([
+        rng.dirichlet(np.ones(K), size=200),
+        _near_corner_rows(K, [1e-6, 1e-13]),
+    ])
+    H = max_scale_batch(tech, P)
+    order = rng.permutation(P.shape[0])
+    shuffled = np.empty_like(H)
+    shuffled[order] = max_scale_batch(tech, P[order])
+    for i, row in enumerate(P):
+        one = max_scale_batch(tech, row[None, :])[0]
+        assert H[i] == shuffled[i] == one, (i, H[i], shuffled[i], one)
+
+
 def test_frontier_solver_raises_past_cap_or_certificate(rational, monkeypatch):
     P = np.random.default_rng(4).dirichlet(np.ones(3), size=20)
     monkeypatch.setattr(learning, "NEWTON_MAX_ITER", 1)

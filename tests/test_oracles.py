@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
-from specint import oracles
+from specint import learning, oracles
 from specint.scenario import DEFAULTS, scenario_from_entries
+
+from test_cli import SMALL_BUDGETS
 
 
 def run_check(check, scn):
@@ -46,3 +49,25 @@ def test_theta_statics_when_integrators_know_less():
     )
     result = run_check(oracles.check_theta_statics, scn)
     assert result.status == "pass", result
+
+
+@pytest.mark.parametrize("check", [
+    oracles.check_frontier_lipschitz,
+    oracles.check_concavity_gap,
+    oracles.check_gamma_lipschitz,
+    oracles.check_integrator_capacity,
+])
+def test_batched_checks_solve_frontier_once_per_size(check, monkeypatch):
+    # each check draws all its directions first, then solves them in one
+    # max_scale_batch call per simplex dimension K (K is drawn from 2..5)
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    sizes = []
+    solve = learning.max_scale_batch
+
+    def counted(tech, directions):
+        sizes.append(directions.shape[1])
+        return solve(tech, directions)
+
+    monkeypatch.setattr(learning, "max_scale_batch", counted)
+    assert run_check(check, scn).status == "pass"
+    assert all(sizes.count(K) <= 2 for K in set(sizes)), sizes

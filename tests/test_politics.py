@@ -9,6 +9,7 @@ from specint.errors import ConfigError, DegenerateGroupError, DomainError
 from specint.politics import (
     GovernanceTech,
     Platform,
+    _split_budget,
     best_response,
     best_response_fixed_point,
     equilibrium_from_groups,
@@ -200,3 +201,34 @@ def test_tilt_direction_both_ways():
         saw_up |= out.B_M > out.B_S
         saw_down |= out.B_M < out.B_S
     assert saw_up and saw_down
+
+
+def _split_budget_fixed_steps(R, m, beta_S, beta_M, tbar_S, tbar_M):
+    # the split as it ran before its early stop: always 100 bisection steps
+    lo = 1e-14 * R
+    hi = R / (1.0 - m) * (1.0 - 1e-14)
+    for _ in range(100):
+        t_S = 0.5 * (lo + hi)
+        t_M = (R - (1.0 - m) * t_S) / m
+        if vote_share_slope(t_S, tbar_S, beta_S) > vote_share_slope(t_M, tbar_M, beta_M):
+            lo = t_S
+        else:
+            hi = t_S
+    t_S = 0.5 * (lo + hi)
+    return t_S, (R - (1.0 - m) * t_S) / m
+
+
+def test_split_budget_matches_fixed_step_reference():
+    rng = np.random.default_rng(21)
+    # (m, beta_S, beta_M) at both ends of the documented ranges
+    ends = ((0.01, 0.05, 0.95), (0.99, 0.95, 0.05))
+    for i in range(500):
+        R = float(rng.uniform(0.01, 20.0))
+        tbar_S, tbar_M = (float(t) for t in rng.uniform(0.01, 10.0, 2))
+        if i % 5 == 0:
+            m, beta_S, beta_M = (v + float(rng.uniform(-1e-3, 1e-3)) for v in ends[i // 5 % 2])
+        else:
+            m = float(rng.uniform(0.01, 0.99))
+            beta_S, beta_M = (float(b) for b in rng.uniform(0.05, 0.95, 2))
+        args = (R, m, beta_S, beta_M, tbar_S, tbar_M)
+        assert _split_budget(*args) == _split_budget_fixed_steps(*args), args
