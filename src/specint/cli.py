@@ -154,10 +154,9 @@ def _sweep_b(scn: Scenario) -> tuple[list[str], list[list]]:
     econ = scn.econ
     header = ["b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M",
               "R", "service_welfare", "dispersion", "welfare"]
-    fam = reforms.BroadeningFamily(econ)
     rows = []
     for b in scn.b_grid:
-        alloc = fam.allocation(float(b))
+        alloc = reforms.broadening_allocation(float(b), econ)
         if 0.0 < alloc.m < 1.0:
             rep = total_welfare(econ, alloc)
             o = rep.outcome

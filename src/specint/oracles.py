@@ -433,10 +433,10 @@ def check_welfare_representation(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     worst = 0.0
-    bfam = reforms.BroadeningFamily(econ).family()
+    bfam = reforms.broadening_family(econ)
     for b in (0.0, 0.3, 0.7):
         worst = max(worst, decompose_along(bfam, b).residual)
-    ifam = reforms.InterfaceFamily(econ).family()
+    ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
         worst = max(worst, decompose_along(ifam, a).residual)
     return _result("decomposition-residual", worst, 1e-4)
@@ -445,14 +445,7 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     slope = reforms.broadening_derivative(econ)
-    fam = reforms.BroadeningFamily(econ)
-    h = 1e-5
-    fd = (
-        -3.0 * reforms._family_b_soc(fam, 0.0)
-        + 4.0 * reforms._family_b_soc(fam, h)
-        - reforms._family_b_soc(fam, 2.0 * h)
-    ) / (2.0 * h)
-    worst = abs(fd - slope.value) / 1e-6
+    worst = abs(reforms.broadening_fd_slope(econ) - slope.value) / 1e-6
     note = f"regime={slope.regime}"
     if slope.regime == "cutoff":
         located = reforms.bisect_broadening_cutoff(econ)
@@ -460,39 +453,38 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
         note += f"; cutoff={slope.cutoff:.6g} located={located:.6g}"
         if slope.cutoff_above_theta_bar:
             note += " (above the primitive cutoff)"
-    anchor0 = fam.allocation(0.0)
+    anchor0 = reforms.broadening_allocation(0.0, econ)
     _, opt_alloc = productive_optimum(econ)
     anchor_gap = max(
         abs(anchor0.m - opt_alloc.m),
         float(np.abs(anchor0.design.mean() - econ.q).max()),
     )
     worst = max(worst, anchor_gap / 1e-10)
-    worst = max(worst, abs(fam.allocation(1.0).m) / 1e-12)
+    worst = max(worst, abs(reforms.broadening_allocation(1.0, econ).m) / 1e-12)
     return _result("broadening-slope-and-cutoff", worst, 1.0, note)
 
 
 def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
-    report = reforms.interface_statics(econ, scn.alpha_grid)
+    B_S_slope, B_M_slope = reforms.interface_closed_slopes(econ)
+    fam = reforms.interface_family(econ)
     h = 1e-6
-    fam = reforms.InterfaceFamily(econ)
-    alloc = minimal_allocation(corner_design(econ.q), econ)
     worst = 0.0
     for a in (0.25, 0.75):
-        bs = [group_knowledge(alloc, econ.with_u(fam.u_alpha(a + s)))[0] for s in (-h, h)]
-        bm = [group_knowledge(alloc, econ.with_u(fam.u_alpha(a + s)))[1] for s in (-h, h)]
+        (bs0, bm0), (bs1, bm1) = [
+            group_knowledge(alloc, econ_a) for econ_a, alloc in (fam(a - h), fam(a + h))
+        ]
         worst = max(
             worst,
-            abs((bs[1] - bs[0]) / (2 * h) - report.B_S_slope) / 1e-8,
-            abs((bm[1] - bm[0]) / (2 * h) - report.B_M_slope) / 1e-8,
+            abs((bs1 - bs0) / (2 * h) - B_S_slope) / 1e-8,
+            abs((bm1 - bm0) / (2 * h) - B_M_slope) / 1e-8,
         )
-    if report.B_S_slope > 0.0 or report.B_M_slope < 0.0:
+    if B_S_slope > 0.0 or B_M_slope < 0.0:
         worst = max(worst, 2.0)
-    if not report.theta_small > 0.0:
+    theta_small, capped = reforms.interface_threshold(econ, scn.alpha_grid)
+    if not theta_small > 0.0:
         worst = max(worst, 2.0)
-    note = f"theta_small={report.theta_small:.6g}" + (
-        " (capped)" if report.theta_small_capped else ""
-    )
+    note = f"theta_small={theta_small:.6g}" + (" (capped)" if capped else "")
     return _result("interface-statics", worst, 1.0, note)
 
 
@@ -509,13 +501,15 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     )
     worst = 0.0 if strictness > 1e-12 else 2.0
     h = 1e-6 * econ.theta_bar
+    D = fragmentation(econ.q)
+    H = max_scale(econ.tech, production.gap_profile_star(econ.q))
     for theta in report.theta_grid[1:-1:7]:
+        if theta + h >= econ.theta_bar:
+            continue  # the optimum, and so m_star, ends at the cutoff
         fd = (
-            reforms.BroadeningFamily(econ.with_theta(theta + h)).integrator_share(0.0)
-            - reforms.BroadeningFamily(econ.with_theta(theta - h)).integrator_share(0.0)
+            productive_optimum(econ.with_theta(theta + h))[0].m_star
+            - productive_optimum(econ.with_theta(theta - h))[0].m_star
         ) / (2.0 * h)
-        D = fragmentation(econ.q)
-        H = max_scale(econ.tech, production.gap_profile_star(econ.q))
         closed = D * H / (H + theta * D) ** 2
         worst = max(worst, abs(fd - closed) / 1e-8)
     note = "welfare monotone on grid" if report.welfare_monotone else "welfare non-monotone on grid"
@@ -529,17 +523,16 @@ def check_dispersion_order(scn: Scenario, rng, tol_scale) -> CheckResult:
     for theta in thetas:
         econ_t = econ.with_theta(float(theta))
         bs_slope, bm_slope = reforms.interface_closed_slopes(econ_t)
-        fam = reforms.InterfaceFamily(econ_t)
-        alloc = minimal_allocation(corner_design(econ_t.q), econ_t)
-        m = alloc.m
+        fam = reforms.interface_family(econ_t)
         worst_d = 0.0
         for a in np.linspace(0.0, 1.0, 9):
-            B_S, B_M = group_knowledge(alloc, econ_t.with_u(fam.u_alpha(float(a))))
+            econ_a, alloc = fam(float(a))
+            B_S, B_M = group_knowledge(alloc, econ_a)
             worst_d = max(
                 worst_d,
-                abs(reforms.dispersion_slope(B_S, B_M, bs_slope, bm_slope, m)),
+                abs(reforms.dispersion_slope(B_S, B_M, bs_slope, bm_slope, alloc.m)),
             )
-        ratios.append(worst_d / m)
+        ratios.append(worst_d / alloc.m)
     ratios = np.array(ratios)
     fitted = 1.5 * float(ratios[5:].max())
     worst = float(ratios[:5].max()) - fitted

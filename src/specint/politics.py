@@ -312,12 +312,12 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
 
 
 def best_response_fixed_point(
-    start: Platform | tuple[float, float],
+    start: tuple[float, float],
     econ: Economy,
     alloc: Allocation,
 ) -> Platform:
-    """Iterate best responses from a starting platform to a fixed point."""
-    current = start if isinstance(start, Platform) else Platform(start[0], start[1], 0.0, 0.0)
+    """Iterate best responses from a starting (e, z) to a fixed point."""
+    current = Platform(start[0], start[1], 0.0, 0.0)
     for _ in range(FIXED_POINT_MAX_ITER):
         nxt = best_response(current, econ, alloc)
         if max(abs(nxt.e - current.e), abs(nxt.z - current.z)) <= FIXED_POINT_TOL:

@@ -5,9 +5,9 @@ A specialist design is a finite list of atoms (direction, mastery weight):
 the mastery-weighted direction distribution of the specialist layer. The
 population share of an atom is proportional to weight * lambda(direction),
 since broader directions need more heads per unit of mastery. Specialists
-run at full scale H(pi)*pi unless a test allocation deflates them through
-scale_override. accounts() evaluates an allocation from one frontier solve
-over the design's atoms: gaps, feasibility, output and group knowledge.
+run at full scale H(pi)*pi. accounts() evaluates an allocation from one
+frontier solve over the design's atoms: gaps, feasibility, output and group
+knowledge.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -66,10 +66,6 @@ class SpecialistDesign:
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "weights", w / total)
 
-    @property
-    def n_atoms(self) -> int:
-        return self.weights.size
-
     def mean(self) -> np.ndarray:
         """Aggregate specialist mix implied by the atoms."""
         return self.weights @ self.directions
@@ -106,14 +102,11 @@ def cornerized(design: SpecialistDesign) -> SpecialistDesign:
 @dataclass(frozen=True)
 class Allocation:
     """Occupational structure: integrator mass, specialist design, and the
-    integrator knowledge profile. scale_override deflates atom j's
-    specialists to fraction f_j of their frontier scale (testing hook for
-    deliberately slack or infeasible organizations)."""
+    integrator knowledge profile."""
 
     m: float
     design: SpecialistDesign
     integrator_profile: np.ndarray
-    scale_override: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.m < 1.0 + 1e-12):
@@ -122,13 +115,6 @@ class Allocation:
         if np.any(prof < -1e-12):
             raise DomainError("integrator profile must be nonnegative")
         object.__setattr__(self, "integrator_profile", np.clip(prof, 0.0, None))
-        if self.scale_override is not None:
-            f = np.asarray(self.scale_override, dtype=float).ravel()
-            if f.size != self.design.n_atoms:
-                raise DomainError("one scale factor per design atom required")
-            if np.any(f <= 0.0) or np.any(f > 1.0 + 1e-12):
-                raise DomainError("scale factors must lie in (0,1]")
-            object.__setattr__(self, "scale_override", f)
 
 
 @dataclass(frozen=True)
@@ -166,7 +152,7 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     """Evaluate a feasible allocation with one frontier solve over its atoms.
 
     Atom j holds head-count share proportional to w_j/H(pi_j) and profile
-    f_j*H(pi_j)*pi_j; gaps are taken against the realized aggregate mix.
+    H(pi_j)*pi_j; gaps are taken against the realized aggregate mix.
     Raises InfeasibleAllocationError unless the integrator profile fits the
     learning budget and integrators cover theta times the gap mass.
     """
@@ -174,10 +160,9 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
         raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
     design = alloc.design
     H = learning.max_scale_batch(econ.tech, design.directions)
-    f = alloc.scale_override if alloc.scale_override is not None else np.ones(H.size)
     mu = design.weights / H
     mu = mu / mu.sum()
-    profiles = (f * H)[:, None] * design.directions
+    profiles = H[:, None] * design.directions
     S = (1.0 - alloc.m) * (mu @ profiles)
     total = float(S.sum())
     if total <= 0.0:

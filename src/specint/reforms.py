@@ -21,7 +21,7 @@ whenever q.u < H(q)**p*C(q,u) < B_M (always/never positive outside that
 band).
 
 Interface intensity: the civic profile is tilted from q toward the gap
-profile, u_alpha = (1-alpha)*q + alpha*h*(q), at the fixed productive
+profile, u(alpha) = (1-alpha)*q + alpha*h*(q), at the fixed productive
 allocation. Specialist knowledge falls at rate
 [ (sum q^2)^2 - sum q^3 ] / D(q) <= 0 and integrator knowledge rises at
 rate H(h*)**p * [1 - C(h*,q)] >= 0, both strict unless q is uniform.
@@ -59,11 +59,11 @@ from .production import (
     productive_optimum,
     single_atom,
 )
-from .welfare import Decomposition, Family, decompose_along, total_welfare
+from .welfare import Decomposition, Family, decompose_along, stencil, total_welfare
 
-CUTOFF_FD_STEP = 1e-5  # b step of the slope behind bisect_broadening_cutoff
+CUTOFF_FD_STEP = 1e-5  # b step of broadening_fd_slope
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
-THETA_CAP_FACTOR = 1e6  # interface_statics stops its search at this * theta_bar
+THETA_CAP_FACTOR = 1e6  # interface_threshold stops its search at this * theta_bar
 
 
 def broadening_allocation(b: float, econ: Economy) -> Allocation:
@@ -83,24 +83,23 @@ def broadening_allocation(b: float, econ: Economy) -> Allocation:
     return minimal_allocation(design, econ)
 
 
-@dataclass(frozen=True)
-class BroadeningFamily:
-    """The broadening reform path of one economy, with its closed forms."""
+def broadening_family(econ: Economy) -> Family:
+    """The broadening reform path of one economy."""
+    return lambda b: (econ, broadening_allocation(b, econ))
 
-    econ: Economy
 
-    def allocation(self, b: float) -> Allocation:
-        return broadening_allocation(b, self.econ)
+def broadening_b_soc(econ: Economy, b: float) -> float:
+    """Civic capacity B_soc at broadening share b, from the allocation."""
+    alloc = broadening_allocation(b, econ)
+    B_S, B_M = group_knowledge(alloc, econ)
+    return (1.0 - alloc.m) * B_S + alloc.m * B_M
 
-    def family(self) -> Family:
-        econ = self.econ
-        return lambda b: (econ, broadening_allocation(b, econ))
 
-    def integrator_share(self, b: float) -> float:
-        econ = self.econ
-        D = fragmentation(econ.q)
-        H = max_scale(econ.tech, gap_profile_star(econ.q))
-        return econ.theta * (1.0 - b) * D / (H + econ.theta * (1.0 - b) * D)
+def broadening_fd_slope(econ: Economy) -> float:
+    """dB_soc/db at b=0 by the one-sided second-order stencil of step
+    CUTOFF_FD_STEP, independent of the closed form."""
+    h = CUTOFF_FD_STEP
+    return stencil(1, [broadening_b_soc(econ, b) for b in (0.0, h, 2.0 * h)], h)
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,11 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
 
 
 def bisect_broadening_cutoff(econ: Economy) -> float:
-    """Locate the theta where the finite-difference slope of B_soc at b=0
-    flips sign, independent of the closed form: one-sided differences of
-    step CUTOFF_FD_STEP in b, bisected to width CUTOFF_TOL in theta."""
+    """Locate the theta where broadening_fd_slope flips sign, bisected to
+    width CUTOFF_TOL in theta."""
 
     def slope(theta: float) -> float:
-        fam = BroadeningFamily(econ.with_theta(theta))
-        b0 = _family_b_soc(fam, 0.0)
-        b1 = _family_b_soc(fam, CUTOFF_FD_STEP)
-        b2 = _family_b_soc(fam, 2.0 * CUTOFF_FD_STEP)
-        return (-3.0 * b0 + 4.0 * b1 - b2) / (2.0 * CUTOFF_FD_STEP)
+        return broadening_fd_slope(econ.with_theta(theta))
 
     lo = 1e-9
     if slope(lo) <= 0.0:
@@ -163,12 +157,6 @@ def bisect_broadening_cutoff(econ: Economy) -> float:
         if hi - lo < CUTOFF_TOL * 0.5:
             break
     return 0.5 * (lo + hi)
-
-
-def _family_b_soc(fam: BroadeningFamily, b: float) -> float:
-    alloc = fam.allocation(b)
-    B_S, B_M = group_knowledge(alloc, fam.econ)
-    return (1.0 - alloc.m) * B_S + alloc.m * B_M
 
 
 @dataclass(frozen=True)
@@ -199,7 +187,7 @@ def excess_specialization_check(
 
     if b_grid is None:
         b_grid = np.linspace(0.0, 0.95, 20)
-    fam = BroadeningFamily(econ).family()
+    fam = broadening_family(econ)
     W = np.array([total_welfare(*fam(b)).welfare for b in b_grid])
     slope = decompose_along(fam, 0.0)
 
@@ -223,23 +211,18 @@ def excess_specialization_check(
     )
 
 
-@dataclass(frozen=True)
-class InterfaceFamily:
-    """Civic profiles tilted from q toward the gap profile h*(q)."""
+def interface_profile(q: np.ndarray, alpha: float) -> np.ndarray:
+    """Civic profile tilted from q toward the gap profile h*(q)."""
+    return (1.0 - alpha) * q + alpha * gap_profile_star(q)
 
-    econ: Economy
 
-    def u_alpha(self, alpha: float) -> np.ndarray:
-        q = self.econ.q
-        return (1.0 - alpha) * q + alpha * gap_profile_star(q)
-
-    def family(self) -> Family:
-        econ = self.econ
-        # The corner organization at mix q with minimal integrators: equals
-        # the certified optimum below the cutoff, and stays a well-defined
-        # feasible construction above it (used by threshold bisections).
-        alloc = minimal_allocation(corner_design(econ.q), econ)
-        return lambda alpha: (econ.with_u(self.u_alpha(alpha)), alloc)
+def interface_family(econ: Economy) -> Family:
+    """The interface-intensity path: the civic profile moves, the allocation
+    stays the corner organization at mix q with minimal integrators. That
+    equals the certified optimum below the cutoff and stays a well-defined
+    feasible construction above it."""
+    alloc = minimal_allocation(corner_design(econ.q), econ)
+    return lambda alpha: (econ.with_u(interface_profile(econ.q, alpha)), alloc)
 
 
 @dataclass(frozen=True)
@@ -256,8 +239,6 @@ class InterfaceStaticsReport:
     B_M_slope: float
     B_soc_slope: float
     dW: np.ndarray
-    theta_small: float
-    theta_small_capped: bool
 
 
 def interface_closed_slopes(econ: Economy) -> tuple[float, float]:
@@ -280,15 +261,9 @@ def dispersion_slope(B_S, B_M, dB_S, dB_M, m) -> float:
 
 
 def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStaticsReport:
-    """Evaluate the interface-intensity comparative statics.
-
-    theta_small is the bisected threshold below which both dB_soc/dalpha
-    and dW/dalpha are negative across the alpha grid (capped when no flip
-    is found within THETA_CAP_FACTOR times the primitive cutoff).
-    """
+    """Evaluate the interface-intensity comparative statics."""
     B_S_slope, B_M_slope = interface_closed_slopes(econ)
-    iface = InterfaceFamily(econ)
-    fam = iface.family()
+    fam = interface_family(econ)
     reports = [total_welfare(*fam(a)) for a in alpha_grid]
     B_S = np.array([r.outcome.B_S for r in reports])
     B_M = np.array([r.outcome.B_M for r in reports])
@@ -303,7 +278,30 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
             for a in alpha_grid
         ]
     )
+    return InterfaceStaticsReport(
+        alpha_grid=alpha_grid,
+        B_S=B_S,
+        B_M=B_M,
+        B_soc=B_soc,
+        welfare=W,
+        dispersion=D,
+        B_S_slope=B_S_slope,
+        B_M_slope=B_M_slope,
+        B_soc_slope=dB_soc,
+        dW=dW,
+    )
 
+
+def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> tuple[float, bool]:
+    """(theta_small, capped): the bisected threshold below which both
+    dB_soc/dalpha and dW/dalpha are negative across the alpha grid, capped
+    when no flip is found within THETA_CAP_FACTOR times the primitive
+    cutoff."""
+    B_S_slope, B_M_slope = interface_closed_slopes(econ)
+    if B_S_slope > -1e-14:
+        # uniform requirement profile: the gap profile coincides with q,
+        # curves are flat, and no negative-slope region exists to bisect
+        return 0.0, False
     # theta-free pieces of the corner organization at mix q
     h_star = gap_profile_star(econ.q)
     H = max_scale(econ.tech, h_star)
@@ -320,7 +318,7 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
         if d_bsoc >= 0.0:
             return False
         for a in alpha_grid:
-            u_a = iface.u_alpha(float(a))
+            u_a = interface_profile(econ.q, float(a))
             B_S_a = float(econ.q @ u_a)
             B_M_a = Hp * coverage(h_star, u_a)
             B_soc_a = (1.0 - m_t) * B_S_a + m_t * B_M_a
@@ -332,47 +330,23 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
                 return False
         return True
 
-    capped = False
-    if B_S_slope > -1e-14:
-        # uniform requirement profile: the gap profile coincides with q,
-        # curves are flat, and no negative-slope region exists to bisect
-        theta_small = 0.0
-    else:
-        if not all_negative(1e-9 * econ.theta_bar + 1e-12):
-            raise OracleError("interface statics not negative at tiny theta")
-        lo = 1e-9 * econ.theta_bar
-        hi = econ.theta_bar
-        while all_negative(hi):
-            hi *= 4.0
-            if hi > THETA_CAP_FACTOR * econ.theta_bar:
-                capped = True
-                break
-        if capped:
-            theta_small = hi
+    if not all_negative(1e-9 * econ.theta_bar + 1e-12):
+        raise OracleError("interface statics not negative at tiny theta")
+    lo = 1e-9 * econ.theta_bar
+    hi = econ.theta_bar
+    while all_negative(hi):
+        hi *= 4.0
+        if hi > THETA_CAP_FACTOR * econ.theta_bar:
+            return hi, True
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if all_negative(mid):
+            lo = mid
         else:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if all_negative(mid):
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-6 * max(1.0, lo):
-                    break
-            theta_small = lo
-    return InterfaceStaticsReport(
-        alpha_grid=alpha_grid,
-        B_S=B_S,
-        B_M=B_M,
-        B_soc=B_soc,
-        welfare=W,
-        dispersion=D,
-        B_S_slope=B_S_slope,
-        B_M_slope=B_M_slope,
-        B_soc_slope=dB_soc,
-        dW=dW,
-        theta_small=theta_small,
-        theta_small_capped=capped,
-    )
+            hi = mid
+        if hi - lo < 1e-6 * max(1.0, lo):
+            break
+    return lo, False
 
 
 @dataclass(frozen=True)
@@ -401,8 +375,6 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
         raise DomainError("theta grid must lie strictly inside (0, theta_bar)")
 
     m_vals, Y_vals, B_vals, W_vals, dm_vals = [], [], [], [], []
-    h_star = gap_profile_star(econ.q)
-    H = max_scale(econ.tech, h_star)
     D = fragmentation(econ.q)
     for theta in grid:
         econ_t = econ.with_theta(float(theta))
@@ -412,6 +384,7 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
         Y_vals.append(opt.Y_star)
         B_vals.append(rep.outcome.B_soc)
         W_vals.append(rep.welfare)
+        H = opt.H_hstar
         dm_vals.append(D * H / (H + theta * D) ** 2)
     m_arr = np.array(m_vals)
     Y_arr = np.array(Y_vals)

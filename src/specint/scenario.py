@@ -33,20 +33,6 @@ REQUIRED_KEYS = (
     "gov.lambda0",
 )
 
-OPTIONAL_KEYS = (
-    "sweep.b",
-    "sweep.alpha",
-    "sweep.theta_frac",
-    "oracle.seed",
-    "oracle.resolution",
-    "oracle.atoms",
-    "oracle.max_designs",
-    "oracle.br_starts",
-    "oracle.pairs",
-    "oracle.frontier_samples",
-    "oracle.economies",
-)
-
 # Smallest accepted oracle values: a seed must be nonnegative, and each
 # budget is the smallest that gives every check something to test.
 ORACLE_MINIMUMS = {
@@ -190,7 +176,7 @@ def _grid(entries: dict[str, str], key: str) -> np.ndarray:
 
 def scenario_from_entries(entries: dict[str, str]) -> Scenario:
     """Build and validate a Scenario from raw config entries."""
-    known = set(REQUIRED_KEYS) | set(OPTIONAL_KEYS)
+    known = set(DEFAULTS)
     for key in entries:
         if key not in known:
             raise ConfigError(

@@ -134,7 +134,7 @@ class Decomposition:
     residual: float
 
 
-def _stencil(kind: int, values, h: float) -> float:
+def stencil(kind: int, values, h: float) -> float:
     """Second-order first derivative on a 3-point stencil.
 
     kind 0: values at (b-h, b, b+h); kind +1: (b, b+h, b+2h);
@@ -169,10 +169,10 @@ def decompose_along(
     for point in offsets:
         econ_b, alloc_b = family(point)
         reports.append((total_welfare(econ_b, alloc_b), econ_b))
-    dY = _stencil(kind, [r.Y for r, _ in reports], step)
-    dB = _stencil(kind, [r.outcome.B_soc for r, _ in reports], step)
-    dD = _stencil(kind, [r.dispersion for r, _ in reports], step)
-    dW = _stencil(kind, [r.welfare for r, _ in reports], step)
+    dY = stencil(kind, [r.Y for r, _ in reports], step)
+    dB = stencil(kind, [r.outcome.B_soc for r, _ in reports], step)
+    dD = stencil(kind, [r.dispersion for r, _ in reports], step)
+    dW = stencil(kind, [r.welfare for r, _ in reports], step)
 
     center_report, center_econ = reports[1] if kind == 0 else reports[0]
     R, R_Y, R_B = resource_sensitivities(

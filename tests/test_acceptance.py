@@ -233,10 +233,10 @@ def test_criterion_08_welfare_representation(econ):
 
 def test_criterion_09_decomposition(econ):
     worst = 0.0
-    bfam = reforms.BroadeningFamily(econ).family()
+    bfam = reforms.broadening_family(econ)
     for b in (0.0, 0.25, 0.5, 0.75):
         worst = max(worst, decompose_along(bfam, b, step=1e-5).residual)
-    ifam = reforms.InterfaceFamily(econ).family()
+    ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
         worst = max(worst, decompose_along(ifam, a, step=1e-5).residual)
     report(9, "welfare-decomposition", worst <= 1e-4, f"max residual {worst:.3e} <= 1e-4")
@@ -244,12 +244,11 @@ def test_criterion_09_decomposition(econ):
 
 def test_criterion_10_broadening(econ):
     slope = reforms.broadening_derivative(econ)
-    fam = reforms.BroadeningFamily(econ)
     h = 1e-5
     fd = (
-        -3 * reforms._family_b_soc(fam, 0.0)
-        + 4 * reforms._family_b_soc(fam, h)
-        - reforms._family_b_soc(fam, 2 * h)
+        -3 * reforms.broadening_b_soc(econ, 0.0)
+        + 4 * reforms.broadening_b_soc(econ, h)
+        - reforms.broadening_b_soc(econ, 2 * h)
     ) / (2 * h)
     fd_gap = abs(fd - slope.value)
     located = reforms.bisect_broadening_cutoff(econ)
@@ -263,24 +262,24 @@ def test_criterion_10_broadening(econ):
 
 def test_criterion_11_interface_statics(econ):
     rep = reforms.interface_statics(econ, np.linspace(0.0, 1.0, 11))
-    fam = reforms.InterfaceFamily(econ)
+    theta_small, _ = reforms.interface_threshold(econ, np.linspace(0.0, 1.0, 11))
     alloc = production.minimal_allocation(production.corner_design(econ.q), econ)
     h = 1e-6
     fd_gap = 0.0
     for a in (0.3, 0.7):
-        lo = group_knowledge(alloc, econ.with_u(fam.u_alpha(a - h)))
-        hi = group_knowledge(alloc, econ.with_u(fam.u_alpha(a + h)))
+        lo = group_knowledge(alloc, econ.with_u(reforms.interface_profile(econ.q, a - h)))
+        hi = group_knowledge(alloc, econ.with_u(reforms.interface_profile(econ.q, a + h)))
         fd_gap = max(
             fd_gap,
             abs((hi[0] - lo[0]) / (2 * h) - rep.B_S_slope),
             abs((hi[1] - lo[1]) / (2 * h) - rep.B_M_slope),
         )
     signs_ok = rep.B_S_slope <= 0.0 <= rep.B_M_slope
-    below_ok = rep.theta_small > 0.0 and np.all(rep.dW < 0.0) and rep.B_soc_slope < 0.0
+    below_ok = theta_small > 0.0 and np.all(rep.dW < 0.0) and rep.B_soc_slope < 0.0
     ok = fd_gap <= 1e-8 and signs_ok and below_ok
     report(
         11, "interface-statics", ok,
-        f"slope FD gap {fd_gap:.3e} <= 1e-8, theta_small {rep.theta_small:.4g} > 0",
+        f"slope FD gap {fd_gap:.3e} <= 1e-8, theta_small {theta_small:.4g} > 0",
     )
 
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from specint import reforms
 from specint.cli import main
 from specint.scenario import (
     DEFAULTS,
@@ -53,6 +54,23 @@ def test_unknown_key_rejected():
     entries["economy.zeta"] = "1"
     with pytest.raises(ConfigError):
         scenario_from_entries(entries)
+
+
+def test_unknown_oracle_key_exits_one_and_lists_known_keys(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "unknown.cfg", {"oracle.foo": "1"})
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config key 'oracle.foo'")
+    assert "oracle.seed" in err and "sweep.b" in err and err.count("\n") == 1
+
+
+def test_sweep_alpha_does_not_locate_theta_small(tmp_path, monkeypatch):
+    # the alpha sweep prints no theta_small column, so it never bisects for it
+    calls = []
+    monkeypatch.setattr(reforms, "interface_threshold", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
+    assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
+    assert calls == []
 
 
 def test_default_scenario_file_matches_builtin(tmp_path):

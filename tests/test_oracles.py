@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specint import learning, oracles
+from specint import learning, oracles, reforms, welfare
 from specint.scenario import DEFAULTS, scenario_from_entries
 
 from test_cli import SMALL_BUDGETS
@@ -51,6 +51,16 @@ def test_theta_statics_when_integrators_know_less():
     assert result.status == "pass", result
 
 
+def test_theta_statics_grid_point_next_to_cutoff():
+    # the inner grid point lies within the finite-difference step of
+    # theta_bar, where productive_optimum is not defined on the upper side
+    scn = scenario_from_entries(
+        {**DEFAULTS, "sweep.theta_frac": "0.5,0.9999995,0.9999999"}
+    )
+    result = run_check(oracles.check_theta_statics, scn)
+    assert result.status == "pass", result
+
+
 @pytest.mark.parametrize("check", [
     oracles.check_frontier_lipschitz,
     oracles.check_concavity_gap,
@@ -71,3 +81,20 @@ def test_batched_checks_solve_frontier_once_per_size(check, monkeypatch):
     monkeypatch.setattr(learning, "max_scale_batch", counted)
     assert run_check(check, scn).status == "pass"
     assert all(sizes.count(K) <= 2 for K in set(sizes)), sizes
+
+
+def test_interface_statics_check_runs_no_welfare(monkeypatch):
+    # the check compares closed-form slopes and locates theta_small; it has
+    # no use for the welfare curves of the alpha sweep
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    calls = []
+    evaluate = welfare.total_welfare
+
+    def counted(econ, alloc):
+        calls.append(alloc)
+        return evaluate(econ, alloc)
+
+    for module in (welfare, reforms):
+        monkeypatch.setattr(module, "total_welfare", counted)
+    assert run_check(oracles.check_interface_statics, scn).status == "pass"
+    assert calls == []

@@ -173,11 +173,11 @@ def test_output_of_optimum_matches_closed_form(econ):
 
 
 def test_output_no_specialists_is_zero(econ):
+    opt, _ = productive_optimum(econ)
     alloc = Allocation(
         m=0.999999999999,
         design=corner_design(econ.q),
-        integrator_profile=np.zeros(3),
-        scale_override=np.full(3, 1e-12),
+        integrator_profile=opt.H_hstar * opt.h_star,
     )
     # nearly no specialist knowledge; output collapses toward zero
     assert accounts(alloc, econ).Y <= 1e-9 * econ.V

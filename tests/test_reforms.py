@@ -13,16 +13,19 @@ from specint.production import (
     productive_optimum,
 )
 from specint.reforms import (
-    BroadeningFamily,
-    InterfaceFamily,
-    _family_b_soc,
     bisect_broadening_cutoff,
     broadening_allocation,
+    broadening_b_soc,
     broadening_derivative,
+    broadening_family,
+    broadening_fd_slope,
     dispersion_slope,
     excess_specialization_check,
     interface_closed_slopes,
+    interface_family,
+    interface_profile,
     interface_statics,
+    interface_threshold,
     theta_statics,
 )
 
@@ -50,13 +53,11 @@ def test_broadening_mix_stays_q(econ):
 
 
 def test_broadening_share_formula(econ):
-    fam = BroadeningFamily(econ)
     D = fragmentation(econ.q)
     H = max_scale(econ.tech, gap_profile_star(econ.q))
     for b in (0.0, 0.3, 0.7):
         want = econ.theta * (1 - b) * D / (H + econ.theta * (1 - b) * D)
         assert broadening_allocation(b, econ).m == pytest.approx(want, abs=1e-14)
-        assert fam.integrator_share(b) == pytest.approx(want, abs=1e-14)
 
 
 def test_broadening_domain(econ):
@@ -68,25 +69,28 @@ def test_broadening_domain(econ):
 
 def test_broadening_closed_form_tracks_pipeline(econ):
     # B_soc(b) = (1-m(b)) * [(1-b)*(q.u) + b*H(q)**p*C(q,u)] + m(b)*B_M
-    fam = BroadeningFamily(econ)
     q = econ.q
     h_star = gap_profile_star(q)
+    H = max_scale(econ.tech, h_star)
+    D = fragmentation(q)
     B_broad = max_scale(econ.tech, q) ** econ.p * coverage(q, econ.u)
-    B_M = system_knowledge(max_scale(econ.tech, h_star) * h_star, econ.civ)
+    B_M = system_knowledge(H * h_star, econ.civ)
     for b in (0.0, 0.15, 0.5, 0.95):
-        m = fam.integrator_share(b)
+        m = econ.theta * (1 - b) * D / (H + econ.theta * (1 - b) * D)
         closed = (1 - m) * ((1 - b) * float(q @ econ.u) + b * B_broad) + m * B_M
-        assert closed == pytest.approx(_family_b_soc(fam, b), abs=1e-12)
+        assert closed == pytest.approx(broadening_b_soc(econ, b), abs=1e-12)
 
 
 def test_broadening_derivative_matches_fd(econ):
     slope = broadening_derivative(econ)
-    fam = BroadeningFamily(econ)
     h = 1e-5
     fd = (
-        -3 * _family_b_soc(fam, 0.0) + 4 * _family_b_soc(fam, h) - _family_b_soc(fam, 2 * h)
+        -3 * broadening_b_soc(econ, 0.0)
+        + 4 * broadening_b_soc(econ, h)
+        - broadening_b_soc(econ, 2 * h)
     ) / (2 * h)
     assert abs(fd - slope.value) <= 1e-6
+    assert broadening_fd_slope(econ) == fd
 
 
 def test_broadening_cutoff_regimes():
@@ -154,9 +158,17 @@ def test_excess_specialization_precondition_flag():
 
 
 def test_interface_family_anchors(econ):
-    fam = InterfaceFamily(econ)
-    assert fam.u_alpha(0.0) == pytest.approx(econ.q, abs=1e-15)
-    assert fam.u_alpha(1.0) == pytest.approx(gap_profile_star(econ.q), abs=1e-15)
+    assert interface_profile(econ.q, 0.0) == pytest.approx(econ.q, abs=1e-15)
+    assert interface_profile(econ.q, 1.0) == pytest.approx(gap_profile_star(econ.q), abs=1e-15)
+
+
+def test_interface_family_shares_one_allocation(econ):
+    # only the civic profile moves along the family; the allocation is built once
+    fam = interface_family(econ)
+    points = [fam(a) for a in (0.0, 0.5, 1.0)]
+    assert all(alloc is points[0][1] for _, alloc in points)
+    for a, (econ_a, _) in zip((0.0, 0.5, 1.0), points):
+        assert econ_a.u == pytest.approx(interface_profile(econ.q, a), abs=1e-15)
 
 
 def test_broadening_governance_term_positive_at_zero(econ):
@@ -164,7 +176,7 @@ def test_broadening_governance_term_positive_at_zero(econ):
     # welfare slope is strictly positive
     from specint.welfare import decompose_along
 
-    d = decompose_along(BroadeningFamily(econ).family(), 0.0)
+    d = decompose_along(broadening_family(econ), 0.0)
     assert d.dB_soc > 0.0
     assert d.governance_term > 0.0
 
@@ -179,21 +191,19 @@ def test_interface_uniform_q_flat():
 def test_interface_slopes_signs_and_fd(econ):
     bs, bm = interface_closed_slopes(econ)
     assert bs < 0.0 and bm > 0.0
-    fam = InterfaceFamily(econ)
     alloc = minimal_allocation(corner_design(econ.q), econ)
     h = 1e-6
     for a in (0.3, 0.8):
-        lo = group_knowledge(alloc, econ.with_u(fam.u_alpha(a - h)))
-        hi = group_knowledge(alloc, econ.with_u(fam.u_alpha(a + h)))
+        lo = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a - h)))
+        hi = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a + h)))
         assert abs((hi[0] - lo[0]) / (2 * h) - bs) <= 1e-8
         assert abs((hi[1] - lo[1]) / (2 * h) - bm) <= 1e-8
 
 
 def test_interface_coverage_affine(econ):
     h_star = gap_profile_star(econ.q)
-    fam = InterfaceFamily(econ)
     alphas = np.linspace(0.0, 1.0, 11)
-    covs = np.array([coverage(h_star, fam.u_alpha(a)) for a in alphas])
+    covs = np.array([coverage(h_star, interface_profile(econ.q, a)) for a in alphas])
     slopes = np.diff(covs) / np.diff(alphas)
     assert np.allclose(slopes, slopes[0], atol=1e-12)
     assert slopes[0] == pytest.approx(1.0 - coverage(h_star, econ.q), abs=1e-12)
@@ -203,17 +213,17 @@ def test_interface_statics_report(econ, scenario):
     rep = interface_statics(econ, np.linspace(0, 1, 9))
     assert rep.B_soc_slope < 0.0
     assert np.all(rep.dW < 0.0)
-    assert rep.theta_small > 0.0
-    assert not rep.theta_small_capped
+    theta_small, capped = interface_threshold(econ, np.linspace(0, 1, 9))
+    assert theta_small > 0.0
+    assert not capped
     # below the threshold both slopes stay negative; above it one flips
-    lo_econ = econ.with_theta(min(0.5 * rep.theta_small, 0.9 * econ.theta_bar))
+    lo_econ = econ.with_theta(min(0.5 * theta_small, 0.9 * econ.theta_bar))
     bs, bm = interface_closed_slopes(lo_econ)
     m_lo = minimal_allocation(corner_design(lo_econ.q), lo_econ).m
     assert (1 - m_lo) * bs + m_lo * bm < 0.0
 
 
 def test_interface_dispersion_slope_closed_form(econ):
-    fam = InterfaceFamily(econ)
     alloc = minimal_allocation(corner_design(econ.q), econ)
     bs, bm = interface_closed_slopes(econ)
     m = alloc.m
@@ -221,12 +231,12 @@ def test_interface_dispersion_slope_closed_form(econ):
     for a in (0.25, 0.7):
         vals = []
         for s in (-h, h):
-            B_S, B_M = group_knowledge(alloc, econ.with_u(fam.u_alpha(a + s)))
+            B_S, B_M = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a + s)))
             from specint.welfare import dispersion
 
             vals.append(dispersion(B_S, B_M, m))
         fd = (vals[1] - vals[0]) / (2 * h)
-        B_S, B_M = group_knowledge(alloc, econ.with_u(fam.u_alpha(a)))
+        B_S, B_M = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a)))
         assert abs(dispersion_slope(B_S, B_M, bs, bm, m) - fd) <= 1e-8
 
 
@@ -237,11 +247,11 @@ def test_interface_dispersion_slope_vanishes_with_theta(econ):
         econ_t = econ.with_theta(frac * econ.theta_bar)
         alloc = minimal_allocation(corner_design(econ_t.q), econ_t)
         bs, bm = interface_closed_slopes(econ_t)
-        fam = InterfaceFamily(econ_t)
         worst = max(
             abs(
                 dispersion_slope(
-                    *group_knowledge(alloc, econ_t.with_u(fam.u_alpha(a))), bs, bm, alloc.m
+                    *group_knowledge(alloc, econ_t.with_u(interface_profile(econ_t.q, a))),
+                    bs, bm, alloc.m,
                 )
             )
             for a in np.linspace(0, 1, 7)

@@ -7,7 +7,7 @@ import pytest
 from specint.errors import NonpositiveServiceError
 from specint.politics import equilibrium_from_groups
 from specint.production import productive_optimum
-from specint.reforms import BroadeningFamily, InterfaceFamily
+from specint.reforms import broadening_family, interface_family
 from specint.welfare import (
     WelfareReport,
     decompose_along,
@@ -123,16 +123,16 @@ def test_decompose_constant_family_is_zero(econ):
 
 
 def test_decompose_residual_small_on_both_families(econ):
-    bfam = BroadeningFamily(econ).family()
+    bfam = broadening_family(econ)
     for b in (0.0, 0.25, 0.6, 1.0 - 1e-3):
         assert decompose_along(bfam, b).residual <= 1e-4
-    ifam = InterfaceFamily(econ).family()
+    ifam = interface_family(econ)
     for a in (0.0, 0.5, 1.0):
         assert decompose_along(ifam, a, lo=0.0, hi=1.0).residual <= 1e-4
 
 
 def test_decompose_boundary_uses_one_sided(econ):
-    bfam = BroadeningFamily(econ).family()
+    bfam = broadening_family(econ)
     d0 = decompose_along(bfam, 0.0)
     d_in = decompose_along(bfam, 1e-5)
     assert d0.fd_total == pytest.approx(d_in.fd_total, rel=1e-3, abs=1e-4)
