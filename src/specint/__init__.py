@@ -4,7 +4,6 @@ that knowledge structure induces, and the welfare accounting on top,
 with brute-force oracles verifying every closed form."""
 
 from .economy import Economy
-from .knowledge import CivicParams
 from .learning import LearningConstants, LearningTech
 from .politics import GovernanceTech, PoliticalOutcome
 from .production import Allocation, ProductiveOptimum, SpecialistDesign
@@ -13,7 +12,6 @@ from .welfare import WelfareReport
 
 __all__ = [
     "Allocation",
-    "CivicParams",
     "Economy",
     "GovernanceTech",
     "LearningConstants",

@@ -4,8 +4,8 @@ specint solve  [--config F] [--out CSV]
 specint sweep  --axis {b,alpha,theta} [--config F] [--out CSV]
 specint verify [--config F] [--out CSV] [--seed N] [--strict]
 
-Exit codes: 0 ok, 1 config error, 2 hypothesis violation, 3 oracle failure
-or a non-finite result.
+Exit codes: 0 ok, 1 config or usage error, 2 hypothesis violation, 3 oracle
+failure or a non-finite result.
 CSV output is RFC-4180 style with a header row, '.' decimal, and
 deterministic shortest-round-trip floats, so identical scenarios and
 seeds produce byte-identical files.
@@ -238,8 +238,15 @@ def cmd_verify(scn: Scenario, out_path: str | None) -> int:
     return 0 if failures == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specint",
         description="Specialist/integrator economy engine: solve, sweep, verify.",
     )
@@ -252,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="scenario file (key=value)")
         cmd.add_argument("--out", default=None, help="CSV output path")
-        cmd.add_argument("--seed", type=int, default=None, help="override oracle.seed")
-        cmd.add_argument("--strict", action="store_true", help="tighten round-off tolerances")
-        if name == "sweep":
+        if name == "verify":
+            cmd.add_argument("--seed", type=int, default=None, help="override oracle.seed")
+            cmd.add_argument("--strict", action="store_true", help="tighten round-off tolerances")
+        elif name == "sweep":
             cmd.add_argument(
                 "--axis", required=True, choices=("b", "alpha", "theta"),
                 help="sweep parameter",
@@ -263,18 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         scn = load_scenario(args.config)
-        if args.seed is not None:
-            scn = scn.with_seed(args.seed)
-        if args.strict:
-            scn = scn.with_strict(True)
         if args.command == "solve":
             return cmd_solve(scn, args.out)
         if args.command == "sweep":
             return cmd_sweep(scn, args.axis, args.out)
-        return cmd_verify(scn, args.out)
+        if args.seed is not None:
+            scn = scn.with_seed(args.seed)
+        return cmd_verify(scn.with_strict(args.strict), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .knowledge import CivicParams, as_simplex
+from .knowledge import RENORM_WARN, SIMPLEX_TOL
 from .learning import LearningConstants, LearningTech
 from .politics import GovernanceTech
 
@@ -29,8 +28,11 @@ class Economy:
     gov: GovernanceTech
 
     def __post_init__(self):
-        object.__setattr__(self, "q", as_simplex(self.q, what="productive profile"))
-        object.__setattr__(self, "u", as_simplex(self.u, what="civic profile"))
+        for key, v in (("economy.q", self.q), ("economy.u", self.u)):
+            if not (v.size >= 2 and v.min() >= -SIMPLEX_TOL and abs(v.sum() - 1.0) <= RENORM_WARN):
+                raise ConfigError(f"{key} needs two or more nonnegative entries summing to 1")
+        if not float(self.u.min()) > 0.0:
+            raise ConfigError("economy.u must be strictly interior")
         if self.q.size != self.u.size:
             raise ConfigError("productive and civic profiles must share K")
         if not self.p > 0.0:
@@ -55,10 +57,6 @@ class Economy:
     @property
     def theta_bar(self) -> float:
         return self.constants.theta_bar
-
-    @cached_property
-    def civ(self) -> CivicParams:
-        return CivicParams(u=self.u, p=self.p)
 
     def with_theta(self, theta: float) -> "Economy":
         return replace(self, theta=theta)

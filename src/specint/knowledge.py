@@ -63,22 +63,7 @@ def feasible_bundle(s, tech: LearningTech) -> bool:
     return float(tech._ell_raw(np.clip(v, 0.0, 1.0)).sum()) <= 1.0 + BUDGET_SLACK
 
 
-@dataclass(frozen=True)
-class CivicParams:
-    """Civic profile u (strictly interior) and breadth penalty p > 0."""
-
-    u: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", as_simplex(self.u, what="civic profile"))
-        if float(self.u.min()) <= 0.0:
-            raise DomainError("civic profile must be strictly interior")
-        if not self.p > 0.0:
-            raise DomainError("breadth penalty p must be positive")
-
-
-def system_knowledge(s, civ: CivicParams) -> float:
+def system_knowledge(s, u: np.ndarray, p: float) -> float:
     """System knowledge ||s||_1**p * C(direction, u); 0 for the zero profile."""
     v = np.asarray(s, dtype=float)
     if np.any(v < -SIMPLEX_TOL):
@@ -87,7 +72,7 @@ def system_knowledge(s, civ: CivicParams) -> float:
     mass = float(v.sum())
     if mass == 0.0:
         return 0.0
-    return mass**civ.p * coverage(v / mass, civ.u)
+    return mass**p * coverage(v / mass, u)
 
 
 @dataclass(frozen=True)
@@ -96,10 +81,9 @@ class DiffuseCheck:
 
     ok: bool
     bound: float
-    p: float
 
 
-def check_diffuse(civ: CivicParams, tech: LearningTech) -> DiffuseCheck:
+def check_diffuse(u: np.ndarray, p: float, tech: LearningTech) -> DiffuseCheck:
     """Test 0 < p < log((u_(1)+u_(2))/u_(K)) / (-log(K * ell^{-1}(1/K))).
 
     u_(1) <= ... <= u_(K) are the sorted civic weights. Holds the civic
@@ -108,11 +92,11 @@ def check_diffuse(civ: CivicParams, tech: LearningTech) -> DiffuseCheck:
     distinct error: the interface profile is degenerate there and the
     bound does not apply.
     """
-    K = civ.u.size
+    K = u.size
     if K == 2:
         raise TwoDomainError("diffuseness bound is only defined for K >= 3")
-    u_sorted = np.sort(civ.u)
+    u_sorted = np.sort(u)
     ratio = (u_sorted[0] + u_sorted[1]) / u_sorted[-1]
     denom = -np.log(K * tech.ell_inverse(1.0 / K))
     bound = float(np.log(ratio) / denom)
-    return DiffuseCheck(ok=bool(0.0 < civ.p < bound), bound=bound, p=civ.p)
+    return DiffuseCheck(ok=bool(0.0 < p < bound), bound=bound)

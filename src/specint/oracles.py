@@ -90,7 +90,7 @@ def _random_economy(rng, base: Economy, K: int | None = None, diffuse_only=False
         if diffuse_only:
             # rejected draws never need the technology's constants
             try:
-                if not check_diffuse(econ.civ, econ.tech).ok:
+                if not check_diffuse(econ.u, econ.p, econ.tech).ok:
                     continue
             except HypothesisError:
                 continue
@@ -139,8 +139,7 @@ def check_coverage_identity(scn: Scenario, rng, tol_scale) -> CheckResult:
 
 def check_coverage_properties(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = 0.0
-    civ = scn.econ.civ
-    tech = scn.econ.tech
+    econ = scn.econ
     for _ in range(200):
         K = int(rng.integers(2, 7))
         a = rng.uniform(0.0, 1.0, K)
@@ -150,10 +149,10 @@ def check_coverage_properties(scn: Scenario, rng, tol_scale) -> CheckResult:
         worst = max(worst, max(0.0, coverage(a, b) - cap))
         worst = max(worst, max(0.0, coverage(a, b) - coverage(a + 0.1, b)))
     # scale monotonicity of system knowledge along a fixed direction
-    directions = [_interior_simplex(rng, civ.u.size) for _ in range(100)]
-    for pi, scale in zip(directions, _by_size(learning.max_scale_batch, tech, directions)):
+    directions = [_interior_simplex(rng, econ.K) for _ in range(100)]
+    for pi, scale in zip(directions, _by_size(learning.max_scale_batch, econ.tech, directions)):
         ts = np.linspace(0.1, 1.0, 7)
-        vals = [system_knowledge(t * scale * pi, civ) for t in ts]
+        vals = [system_knowledge(t * scale * pi, econ.u, econ.p) for t in ts]
         worst = max(worst, max(0.0, -min(np.diff(vals))))
     return _result("coverage-and-knowledge-properties", worst, 1e-12 * tol_scale)
 
@@ -352,7 +351,7 @@ def check_design_oracle(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_civic_advantage(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     try:
-        own = check_diffuse(econ.civ, econ.tech)
+        own = check_diffuse(econ.u, econ.p, econ.tech)
     except HypothesisError:
         own = None
     if own is None or not own.ok:

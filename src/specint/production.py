@@ -34,7 +34,8 @@ from .errors import (
     DomainError,
     InfeasibleAllocationError,
 )
-from .knowledge import as_simplex, coverage, feasible_bundle, fragmentation, system_knowledge
+from .knowledge import RENORM_WARN, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
+from .knowledge import system_knowledge
 from .learning import LearningTech, gamma_index_batch, max_scale
 
 if TYPE_CHECKING:
@@ -52,19 +53,16 @@ class SpecialistDesign:
     weights: np.ndarray  # (n_atoms,), nonnegative, sums to 1
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
+        dirs, w = self.directions, self.weights
         if dirs.shape[0] != w.size:
             raise DomainError("one weight per direction atom required")
-        if np.any(w < -1e-12):
+        if np.any(w < -SIMPLEX_TOL):
             raise DomainError("mastery weights must be nonnegative")
-        w = np.clip(w, 0.0, None)
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
+        if abs(float(w.sum()) - 1.0) > RENORM_WARN:
             raise DomainError("mastery weights must sum to one")
-        dirs = np.vstack([as_simplex(row, what="atom direction") for row in dirs])
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "weights", w / total)
+        off = np.abs(dirs.sum(axis=1) - 1.0) > RENORM_WARN
+        if dirs.shape[1] < 2 or np.any(dirs < -SIMPLEX_TOL) or np.any(off):
+            raise DomainError("atom directions must lie on the simplex")
 
     def mean(self) -> np.ndarray:
         """Aggregate specialist mix implied by the atoms."""
@@ -84,14 +82,12 @@ class SpecialistDesign:
 
 def corner_design(mix: np.ndarray) -> SpecialistDesign:
     """All-corner design whose mastery weights reproduce the given mix."""
-    x = as_simplex(mix, what="aggregate mix")
-    return SpecialistDesign(directions=np.eye(x.size), weights=x)
+    return SpecialistDesign(directions=np.eye(mix.size), weights=mix)
 
 
 def single_atom(direction: np.ndarray) -> SpecialistDesign:
     """Design with every specialist on one shared direction."""
-    d = as_simplex(direction, what="atom direction")
-    return SpecialistDesign(directions=d[None, :], weights=np.ones(1))
+    return SpecialistDesign(directions=direction[None, :], weights=np.ones(1))
 
 
 def cornerized(design: SpecialistDesign) -> SpecialistDesign:
@@ -180,12 +176,12 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
                 f"integration capacity {J:.6e} below requirement "
                 f"{econ.theta * gaps.g:.6e}"
             )
-    civ = econ.civ
+    u, p = econ.u, econ.p
     return Accounts(
         gaps=gaps,
         Y=econ.V * coverage(S, total * econ.q),
-        B_S=float(sum(w * system_knowledge(row, civ) for w, row in zip(mu, profiles))),
-        B_M=system_knowledge(alloc.integrator_profile, civ),
+        B_S=float(sum(w * system_knowledge(row, u, p) for w, row in zip(mu, profiles))),
+        B_M=system_knowledge(alloc.integrator_profile, u, p),
     )
 
 

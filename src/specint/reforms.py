@@ -119,7 +119,7 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
     H_h = max_scale(econ.tech, h_star)
     Hq = max_scale(econ.tech, q)
     B_broad = Hq**econ.p * coverage(q, u)
-    B_M = system_knowledge(H_h * h_star, econ.civ)
+    B_M = system_knowledge(H_h * h_star, u, econ.p)
     qu = float(q @ u)
     D = fragmentation(q)
     m0 = econ.theta * D / (H_h + econ.theta * D)

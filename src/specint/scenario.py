@@ -3,7 +3,7 @@
 Lists are comma-separated floats; grids may also be written lo:hi:n for
 n evenly spaced points. Profiles q and u must be strictly interior (every
 entry > 0) and are renormalized onto the simplex (with a warning beyond
-1e-9 drift). theta sweep grids are given as fractions of the coordination
+1e-9 drift); this is the one place a profile is normalized. theta sweep grids are given as fractions of the coordination
 cutoff so they stay valid across learning families.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .economy import Economy
 from .errors import ConfigError
+from .knowledge import as_simplex
 from .learning import LearningTech, lipschitz_gamma
 from .politics import GovernanceTech
 
@@ -154,7 +155,7 @@ def _interior_profile(entries: dict[str, str], key: str) -> np.ndarray:
         raise ConfigError(f"{key} needs at least two domains, got {entries[key]!r}")
     if not min(values) > 0.0:
         raise ConfigError(f"{key} must be strictly interior, got {entries[key]!r}")
-    return values
+    return as_simplex(values, what=key)
 
 
 def _grid(entries: dict[str, str], key: str) -> np.ndarray:

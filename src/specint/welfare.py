@@ -28,6 +28,7 @@ from .politics import PoliticalOutcome, political_equilibrium, resource_sensitiv
 from .production import Allocation
 
 _DISPERSION_ROUNDOFF = 1e-12
+DECOMPOSITION_STEP = 1e-5  # finite-difference step of decompose_along
 DECOMPOSITION_RESIDUAL = 1e-4  # decompose_along warns above this residual
 
 
@@ -148,16 +149,15 @@ def stencil(kind: int, values, h: float) -> float:
     return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
 
 
-def decompose_along(
-    family: Family, b: float, step: float = 1e-5, lo: float = 0.0, hi: float = 1.0
-) -> Decomposition:
+def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) -> Decomposition:
     """Three-term welfare slope at parameter b of an allocation family.
 
-    Uses central differences inside (lo, hi) and one-sided second-order
-    stencils at the boundaries; warns when the recomposition residual
-    exceeds DECOMPOSITION_RESIDUAL (step too large for the family's
-    curvature).
+    Uses central differences of step DECOMPOSITION_STEP inside (lo, hi)
+    and one-sided second-order stencils at the boundaries; warns when the
+    recomposition residual exceeds DECOMPOSITION_RESIDUAL (step too large
+    for the family's curvature).
     """
+    step = DECOMPOSITION_STEP
     if b - step >= lo and b + step <= hi:
         offsets, kind = (b - step, b, b + step), 0
     elif b - step < lo:

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,33 @@ def test_sweep_alpha_does_not_locate_theta_small(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
     assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep"], ["sweep", "--axis", "z"], ["solve", "--strict"], ["solve", "--seed", "4"]]
+)
+def test_usage_error_exits_one(capsys, argv):
+    # --seed and --strict belong to verify; argparse errors are config errors
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # runs the interpreter entry point, which calls console_main
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "specint.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert run("solve", "--config", str(root / "scenarios" / "default.cfg")).returncode == 0
+    hot = run("solve", "--config", write_cfg(tmp_path / "hot.cfg", {"economy.theta": "0.02"}))
+    assert hot.returncode == 2 and hot.stderr.startswith("hypothesis violation:")
+    assert run("verify", "--help").returncode == 0
 
 
 def test_default_scenario_file_matches_builtin(tmp_path):

@@ -21,22 +21,22 @@ GOLDEN = {
     ("default", "solve"):
         "b7af85233b99baa64f8346b3371df9161e81e0c91a5861aadeb9a98785aaefd1",
     ("default", "sweep --axis b"):
-        "abcbab3996bd5ce55819cce2816bc956a355abf26bcf698a617f2bd24b870ff5",
+        "3305a3cb2077f5a75bf5b0a2ffca6040612c25a0fcccc2cb5db348066a591671",
     ("default", "sweep --axis alpha"):
-        "56c11bac9af1c7f751bcb0a935222ea5d3db40e52c4fcdb90fc99e113fc42ff5",
+        "8b7552a460bf911bf1afd0b695d0bc10b5aa0bf6197119c12806c589d3b3dfb9",
     ("default", "sweep --axis theta"):
         "e25033f4b12ff83784737d232bdbfb95a45fcde5df4d8683e1412ec7a054866d",
     ("governance_heavy", "solve"):
         "e9c503c0b9e834af4309baf17ad8dd39ed652da63d5da0637f08678195b767a1",
     ("governance_heavy", "sweep --axis b"):
-        "af7c8320d2fda9c5fe7fa9a7edbc08c3c8b7e73172b37a2385691c6207c9ba2c",
+        "19e5f5cbc9fa1b18192001e805d0f1bbbbd89c670a48497b299317a43214684f",
     ("governance_heavy", "sweep --axis alpha"):
-        "fdee473c889f699c44ecd63fc3d5268002ed0e91494b192ae343e4496c6110a7",
+        "59491622f687b70bdc75224579b85a9ba098b8b5b876e849cc988a74357340bc",
     ("governance_heavy", "sweep --axis theta"):
         "127e968d1ba8cf3a3212c928b1e5605d6e1c33f148e73147150f2b3222eacdb4",
 }
 
-VERIFY_SMALL_BUDGETS = "1c0ab546bbd2d09cab2841ed4fcace61452b54c567a31b33c3e516e7e0669f65"
+VERIFY_SMALL_BUDGETS = "665f58ab8e2167d9928acab22a584df3d7a228a01180765c85d2593f7ad5b364"
 
 
 def _digest(path) -> str:

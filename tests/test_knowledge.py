@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specint.errors import DomainError, TwoDomainError
+from specint.errors import ConfigError, DomainError, TwoDomainError
 from specint.knowledge import (
-    CivicParams,
     as_simplex,
     check_diffuse,
     coverage,
@@ -15,6 +14,9 @@ from specint.knowledge import (
 )
 from specint.learning import max_scale
 
+from conftest import make_economy
+
+U = np.array([0.4, 0.35, 0.25])
 vec3 = st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=3, max_size=3).map(np.array)
 
 
@@ -58,25 +60,22 @@ def test_fragmentation_examples():
 
 
 def test_system_knowledge_zero_and_corner():
-    civ = CivicParams(u=np.array([0.4, 0.35, 0.25]), p=0.25)
-    assert system_knowledge(np.zeros(3), civ) == 0.0
-    assert system_knowledge(np.eye(3)[1], civ) == pytest.approx(0.35, abs=1e-15)
+    assert system_knowledge(np.zeros(3), U, 0.25) == 0.0
+    assert system_knowledge(np.eye(3)[1], U, 0.25) == pytest.approx(0.35, abs=1e-15)
 
 
 def test_system_knowledge_below_one_for_feasible(rational):
-    civ = CivicParams(u=np.array([0.4, 0.35, 0.25]), p=0.25)
     rng = np.random.default_rng(2)
     for _ in range(300):
         pi = rng.dirichlet(np.ones(3))
         s = max_scale(rational, pi) * pi
-        assert system_knowledge(s, civ) < 1.0
+        assert system_knowledge(s, U, 0.25) < 1.0
 
 
 def test_system_knowledge_scale_monotone(rational):
-    civ = CivicParams(u=np.array([0.4, 0.35, 0.25]), p=0.6)
     pi = np.array([0.2, 0.5, 0.3])
     scale = max_scale(rational, pi)
-    vals = [system_knowledge(t * scale * pi, civ) for t in np.linspace(0.05, 1.0, 9)]
+    vals = [system_knowledge(t * scale * pi, U, 0.6) for t in np.linspace(0.05, 1.0, 9)]
     assert np.all(np.diff(vals) > 0.0)
 
 
@@ -105,16 +104,27 @@ def test_feasible_bundle(rational):
 
 
 def test_civic_params_validation():
-    with pytest.raises(DomainError):
-        CivicParams(u=np.array([0.5, 0.5, 0.0]), p=0.2)
-    with pytest.raises(DomainError):
-        CivicParams(u=np.array([0.4, 0.35, 0.25]), p=0.0)
+    with pytest.raises(ConfigError, match="economy.u"):
+        make_economy(u=(0.5, 0.5, 0.0), p=0.2)
+    with pytest.raises(ConfigError, match="economy.p"):
+        make_economy(u=(0.4, 0.35, 0.25), p=0.0)
+
+
+def test_economy_checks_profiles_without_rewriting():
+    # profiles are normalized once, at load; Economy only checks them
+    with pytest.raises(ConfigError, match="economy.q"):
+        make_economy(q=(0.6, 0.3, 0.2))
+    with pytest.raises(ConfigError, match="economy.u"):
+        make_economy(u=(0.4, 0.35, 0.35))
+    with pytest.raises(ConfigError, match="economy.q"):
+        make_economy(q=(0.7, 0.4, -0.1))
+    q = np.array([0.5, 0.3, 0.2 + 1e-12])  # within the 1e-9 simplex slack
+    assert make_economy(q=q).q.tobytes() == q.tobytes()
 
 
 def test_check_diffuse_uniform(rational):
     K = 3
-    civ = CivicParams(u=np.full(K, 1.0 / K), p=0.1)
-    res = check_diffuse(civ, rational)
+    res = check_diffuse(np.full(K, 1.0 / K), 0.1, rational)
     # bound = log 2 / (-log(K * ell_inverse(1/K))); ell_inverse(1/3) = 0.2
     expected = np.log(2.0) / (-np.log(3 * 0.2))
     assert res.bound == pytest.approx(expected, abs=1e-12)
@@ -123,20 +133,16 @@ def test_check_diffuse_uniform(rational):
 
 def test_check_diffuse_concentrated_always_false(rational):
     # u_(1) + u_(2) <= u_(K) makes the bound nonpositive
-    civ = CivicParams(u=np.array([0.7, 0.2, 0.1]), p=0.05)
-    res = check_diffuse(civ, rational)
+    res = check_diffuse(np.array([0.7, 0.2, 0.1]), 0.05, rational)
     assert res.bound <= 0.0
     assert not res.ok
 
 
 def test_check_diffuse_p_above_bound(rational):
-    civ_lo = CivicParams(u=np.array([0.4, 0.35, 0.25]), p=0.25)
-    bound = check_diffuse(civ_lo, rational).bound
-    civ_hi = CivicParams(u=np.array([0.4, 0.35, 0.25]), p=bound * 1.0001)
-    assert not check_diffuse(civ_hi, rational).ok
+    bound = check_diffuse(U, 0.25, rational).bound
+    assert not check_diffuse(U, bound * 1.0001, rational).ok
 
 
 def test_check_diffuse_rejects_two_domains(rational):
-    civ = CivicParams(u=np.array([0.6, 0.4]), p=0.2)
     with pytest.raises(TwoDomainError):
-        check_diffuse(civ, rational)
+        check_diffuse(np.array([0.6, 0.4]), 0.2, rational)

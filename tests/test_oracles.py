@@ -13,6 +13,17 @@ def run_check(check, scn):
     return check(scn, rng, 1.0)
 
 
+def test_economy_copies_keep_profile_bits():
+    # with_theta/with_u copies validate q and u and never renormalize them
+    rng = np.random.default_rng(12345)
+    base = scenario_from_entries(dict(DEFAULTS)).econ
+    for _ in range(300):
+        econ = oracles._random_economy(rng, base)
+        copy = econ.with_theta(econ.theta)
+        assert np.array_equal(copy.q, econ.q) and np.array_equal(copy.u, econ.u)
+        assert np.array_equal(econ.with_u(econ.u).u, econ.u)
+
+
 def test_welfare_representation_near_equal_groups():
     # this seed draws B_S=0.892674, B_M=0.892709, m=0.106: a gap of 3.5e-5
     # whose dispersion, second order in the gap, is only 7.2e-11

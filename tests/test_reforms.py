@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,11 @@ from specint.reforms import (
     interface_threshold,
     theta_statics,
 )
+from specint.scenario import load_scenario
 
 from conftest import make_economy
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_broadening_anchor_at_zero(econ):
@@ -74,7 +79,7 @@ def test_broadening_closed_form_tracks_pipeline(econ):
     H = max_scale(econ.tech, h_star)
     D = fragmentation(q)
     B_broad = max_scale(econ.tech, q) ** econ.p * coverage(q, econ.u)
-    B_M = system_knowledge(H * h_star, econ.civ)
+    B_M = system_knowledge(H * h_star, econ.u, econ.p)
     for b in (0.0, 0.15, 0.5, 0.95):
         m = econ.theta * (1 - b) * D / (H + econ.theta * (1 - b) * D)
         closed = (1 - m) * ((1 - b) * float(q @ econ.u) + b * B_broad) + m * B_M
@@ -169,6 +174,16 @@ def test_interface_family_shares_one_allocation(econ):
     assert all(alloc is points[0][1] for _, alloc in points)
     for a, (econ_a, _) in zip((0.0, 0.5, 1.0), points):
         assert econ_a.u == pytest.approx(interface_profile(econ.q, a), abs=1e-15)
+
+
+def test_interface_family_profile_is_exactly_the_affine_path():
+    # the family's economy keeps the tilted profile's bits, so the path the
+    # finite-difference checks step along is exactly affine in alpha
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    fam = interface_family(scn.econ)
+    assert scn.alpha_grid.size == 21
+    for a in scn.alpha_grid:
+        assert np.array_equal(fam(float(a))[0].u, interface_profile(scn.econ.q, float(a)))
 
 
 def test_broadening_governance_term_positive_at_zero(econ):
