@@ -39,7 +39,7 @@ from .errors import (
     ZeroCoverageError,
 )
 from .knowledge import coverage, fragmentation
-from .learning import gamma_index
+from .learning import gamma_index, max_scale_batch
 from .politics import group_knowledge
 from .production import SpecialistDesign, grid_designs, productive_optimum
 
@@ -136,7 +136,7 @@ def unit_cost(x, design: SpecialistDesign, r: float, econ: Economy) -> float:
     cov = coverage(xv, econ.q)
     if cov <= 0.0:
         raise ZeroCoverageError("zero productive coverage: unit cost undefined")
-    e_lam = design.mean_inefficiency(econ.tech)
+    e_lam = float((design.weights / max_scale_batch(econ.tech, design.directions)).sum())
     gam = gamma_index(econ.tech, design.gap_bundle(xv))
     return (e_lam + econ.theta * r * gam) / cov
 

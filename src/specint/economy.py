@@ -29,6 +29,8 @@ class Economy:
 
     def __post_init__(self):
         for key, v in (("economy.q", self.q), ("economy.u", self.u)):
+            if not isinstance(v, np.ndarray):
+                raise ConfigError(f"{key} must be a numpy array")
             if not (v.size >= 2 and v.min() >= -SIMPLEX_TOL and abs(v.sum() - 1.0) <= RENORM_WARN):
                 raise ConfigError(f"{key} needs two or more nonnegative entries summing to 1")
         if not float(self.u.min()) > 0.0:

@@ -5,9 +5,9 @@ A specialist design is a finite list of atoms (direction, mastery weight):
 the mastery-weighted direction distribution of the specialist layer. The
 population share of an atom is proportional to weight * lambda(direction),
 since broader directions need more heads per unit of mastery. Specialists
-run at full scale H(pi)*pi. accounts() evaluates an allocation from one
-frontier solve over the design's atoms: gaps, feasibility, output and group
-knowledge.
+run at full scale H(pi)*pi, so an allocation stores its atoms' scales H(pi_j),
+solved once by the function that builds it; accounts() reads them to
+evaluate gaps, feasibility, output and group knowledge.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .knowledge import RENORM_WARN, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
 from .knowledge import system_knowledge
-from .learning import LearningTech, gamma_index_batch, max_scale
+from .learning import gamma_index_batch, max_scale
 
 if TYPE_CHECKING:
     from .economy import Economy
@@ -54,6 +54,8 @@ class SpecialistDesign:
 
     def __post_init__(self):
         dirs, w = self.directions, self.weights
+        if not (isinstance(dirs, np.ndarray) and isinstance(w, np.ndarray)):
+            raise DomainError("design directions and weights must be numpy arrays")
         if dirs.shape[0] != w.size:
             raise DomainError("one weight per direction atom required")
         if np.any(w < -SIMPLEX_TOL):
@@ -75,10 +77,6 @@ class SpecialistDesign:
         """Gap per unit mastery against target mix x: E_nu[(x - pi)^+]."""
         return self.weights @ np.clip(x[None, :] - self.directions, 0.0, None)
 
-    def mean_inefficiency(self, tech: LearningTech) -> float:
-        """E_nu[lambda] = sum_j w_j / H(pi_j)."""
-        return float((self.weights / learning.max_scale_batch(tech, self.directions)).sum())
-
 
 def corner_design(mix: np.ndarray) -> SpecialistDesign:
     """All-corner design whose mastery weights reproduce the given mix."""
@@ -97,20 +95,24 @@ def cornerized(design: SpecialistDesign) -> SpecialistDesign:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Occupational structure: integrator mass, specialist design, and the
-    integrator knowledge profile."""
+    """Occupational structure: integrator mass, specialist design, the
+    integrator knowledge profile, and the atoms' frontier scales H(pi_j)."""
 
     m: float
     design: SpecialistDesign
     integrator_profile: np.ndarray
+    scales: np.ndarray
 
     def __post_init__(self):
         if not (0.0 <= self.m < 1.0 + 1e-12):
             raise DomainError("integrator mass must lie in [0,1)")
-        prof = np.asarray(self.integrator_profile, dtype=float)
+        prof, scales = self.integrator_profile, self.scales
+        if not (isinstance(prof, np.ndarray) and isinstance(scales, np.ndarray)):
+            raise DomainError("integrator profile and atom scales must be numpy arrays")
         if np.any(prof < -1e-12):
             raise DomainError("integrator profile must be nonnegative")
-        object.__setattr__(self, "integrator_profile", np.clip(prof, 0.0, None))
+        if scales.shape != self.design.weights.shape:
+            raise DomainError("one frontier scale per design atom required")
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class Accounts:
 
 
 def accounts(alloc: Allocation, econ: Economy) -> Accounts:
-    """Evaluate a feasible allocation with one frontier solve over its atoms.
+    """Evaluate a feasible allocation at its atoms' stored frontier scales.
 
     Atom j holds head-count share proportional to w_j/H(pi_j) and profile
     H(pi_j)*pi_j; gaps are taken against the realized aggregate mix.
@@ -155,7 +157,7 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     if not feasible_bundle(alloc.integrator_profile, econ.tech):
         raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
     design = alloc.design
-    H = learning.max_scale_batch(econ.tech, design.directions)
+    H = alloc.scales
     mu = design.weights / H
     mu = mu / mu.sum()
     profiles = H[:, None] * design.directions
@@ -229,6 +231,7 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
         m=m_star,
         design=corner_design(econ.q),
         integrator_profile=H * h_star,
+        scales=np.ones(econ.K),  # corner atoms: H = 1 exactly
     )
     return opt, alloc
 
@@ -237,15 +240,16 @@ def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
     """Allocation with the smallest integrator layer that supports a design."""
     x = design.mean()
     z = design.gap_bundle(x)
-    e_lam = design.mean_inefficiency(econ.tech)
+    scales = learning.max_scale_batch(econ.tech, design.directions)
+    e_lam = float((design.weights / scales).sum())
     mass = float(z.sum())
     if mass == 0.0:
-        return Allocation(m=0.0, design=design, integrator_profile=np.zeros(x.size))
+        return Allocation(m=0.0, design=design, integrator_profile=np.zeros(x.size), scales=scales)
     h = z / mass
     H_h = max_scale(econ.tech, h)
     gam = mass * (1.0 / H_h)  # gamma_index(z), from the one frontier solve
     m = econ.theta * gam / (e_lam + econ.theta * gam)
-    return Allocation(m=m, design=design, integrator_profile=H_h * h)
+    return Allocation(m=m, design=design, integrator_profile=H_h * h, scales=scales)
 
 
 def simplex_grid(K: int, resolution: int) -> np.ndarray:

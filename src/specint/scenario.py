@@ -193,6 +193,11 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
         family=merged["learning.family"], param=_float(merged, "learning.param")
     )
     lipschitz_gamma(tech)  # reject a too-steep cost at load, whatever the command
+    if not min(tech.ell_bar - 1.0, 1.0 - tech.ell_under) > 0.0:
+        raise ConfigError(
+            f"learning.param={tech.param:g} leaves the {tech.family} cost no concavity "
+            "gap: ell'(0) - 1 and 1 - ell'(1) must both be positive"
+        )
     gov = GovernanceTech(
         eta=_float(merged, "gov.eta"),
         c0=_float(merged, "gov.c0"),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specint import reforms
+from specint import learning, reforms
 from specint.cli import main
 from specint.scenario import (
     DEFAULTS,
@@ -207,6 +207,38 @@ def test_steep_exponential_cost_exits_one(tmp_path, capsys, param, command):
     assert main([*command.split(), "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: learning.param") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta"]
+)
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_cost_without_concavity_gap_exits_one(tmp_path, capsys, family, command):
+    # at param 1e-300 both slopes round to 1, so ell'(0) - 1 is exactly 0
+    cfg = write_cfg(tmp_path / "flat.cfg", {"learning.family": family, "learning.param": "1e-300"})
+    assert main([*command.split(), "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: learning.param") and err.count("\n") == 1
+
+
+def test_sweep_alpha_frontier_solves_do_not_grow_with_grid(tmp_path, monkeypatch):
+    # the interface family holds its allocation fixed, so the atoms' frontier
+    # is solved when the allocation is built, not again at each alpha
+    calls = []
+    solve = learning.max_scale_batch
+
+    def counted(tech, directions):
+        calls.append(directions.shape[0])
+        return solve(tech, directions)
+
+    monkeypatch.setattr(learning, "max_scale_batch", counted)
+    counts = []
+    for grid in ("0.0:1.0:5", "0.0:1.0:21"):
+        calls.clear()
+        cfg = write_cfg(tmp_path / "alpha.cfg", {"sweep.alpha": grid})
+        assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_near_linear_exponential_cost_runs(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from specint import learning, production
 from specint.competitive import no_deviation_check, support_wages
 from specint.errors import (
     BudgetExceededError,
+    ConfigError,
     CutoffError,
     DomainError,
     InfeasibleAllocationError,
@@ -13,7 +16,6 @@ from specint.knowledge import coverage, fragmentation
 from specint.learning import gamma_index, max_scale
 from specint.politics import political_equilibrium
 from specint.production import (
-    Allocation,
     SpecialistDesign,
     accounts,
     brute_force_design,
@@ -173,20 +175,19 @@ def test_output_of_optimum_matches_closed_form(econ):
 
 
 def test_output_no_specialists_is_zero(econ):
-    opt, _ = productive_optimum(econ)
-    alloc = Allocation(
-        m=0.999999999999,
-        design=corner_design(econ.q),
-        integrator_profile=opt.H_hstar * opt.h_star,
-    )
+    alloc = replace(productive_optimum(econ)[1], m=0.999999999999)
     # nearly no specialist knowledge; output collapses toward zero
     assert accounts(alloc, econ).Y <= 1e-9 * econ.V
 
 
 def test_allocation_evaluated_once(econ, monkeypatch):
-    # output, the political equilibrium and welfare each solve the design's
-    # frontier in one max_scale_batch call
-    _, alloc = productive_optimum(econ)
+    # the builder solves the atoms' frontier; output, the political
+    # equilibrium and welfare read the stored scales and solve nothing
+    design = SpecialistDesign(
+        directions=np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]]),
+        weights=np.array([0.5, 0.5]),
+    )
+    built = (productive_optimum(econ)[1], minimal_allocation(design, econ))
     calls = []
     solve = learning.max_scale_batch
 
@@ -195,14 +196,15 @@ def test_allocation_evaluated_once(econ, monkeypatch):
         return solve(tech, directions)
 
     monkeypatch.setattr(learning, "max_scale_batch", counted)
-    for name, evaluate in (
-        ("accounts", lambda: accounts(alloc, econ)),
-        ("political_equilibrium", lambda: political_equilibrium(econ, alloc)),
-        ("total_welfare", lambda: total_welfare(econ, alloc)),
-    ):
-        calls.clear()
-        evaluate()
-        assert calls == [econ.K], name
+    for alloc in built:
+        for name, evaluate in (
+            ("accounts", lambda: accounts(alloc, econ)),
+            ("political_equilibrium", lambda: political_equilibrium(econ, alloc)),
+            ("total_welfare", lambda: total_welfare(econ, alloc)),
+        ):
+            calls.clear()
+            evaluate()
+            assert calls == [], name
 
 
 def test_positive_output_benchmark(econ):
@@ -213,22 +215,14 @@ def test_positive_output_benchmark(econ):
 def test_output_infeasible_raises(econ):
     # strip the integrator layer below requirement
     _, alloc = productive_optimum(econ)
-    broken = Allocation(
-        m=alloc.m / 4.0,
-        design=alloc.design,
-        integrator_profile=alloc.integrator_profile,
-    )
+    broken = replace(alloc, m=alloc.m / 4.0)
     with pytest.raises(InfeasibleAllocationError):
         accounts(broken, econ)
 
 
 def test_overfed_learning_budget_raises(econ):
     _, alloc = productive_optimum(econ)
-    greedy = Allocation(
-        m=alloc.m,
-        design=alloc.design,
-        integrator_profile=np.full(3, 0.9),
-    )
+    greedy = replace(alloc, integrator_profile=np.full(3, 0.9))
     with pytest.raises(InfeasibleAllocationError):
         accounts(greedy, econ)
 
@@ -238,6 +232,23 @@ def test_design_validation():
         SpecialistDesign(directions=np.eye(3), weights=np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         SpecialistDesign(directions=np.eye(2), weights=np.array([0.7, 0.7]))
+
+
+def test_list_inputs_raise_documented_errors(econ):
+    # array fields are checked, not coerced: a list is a caller error
+    with pytest.raises(ConfigError, match="economy.q"):
+        replace(econ, q=[0.5, 0.3, 0.2])
+    with pytest.raises(DomainError):
+        SpecialistDesign(directions=[[1.0, 0.0]], weights=[1.0])
+    _, alloc = productive_optimum(econ)
+    with pytest.raises(DomainError):
+        replace(alloc, scales=[1.0, 1.0, 1.0])
+
+
+def test_allocation_scales_match_design(econ):
+    _, alloc = productive_optimum(econ)
+    with pytest.raises(DomainError):
+        replace(alloc, scales=np.ones(econ.K + 1))
 
 
 def test_cornerized_mean_preserved():
