@@ -17,12 +17,11 @@ Derived objects, for a direction pi on the simplex:
     lambda    1/H(pi), the relative inefficiency of a broad direction
     Gamma(z)  ||z||_1 * lambda(z/||z||_1), integrator labor per gap bundle
 
-Constants: ell_bar = ell'(0), ell_under = ell'(1), the concavity-gap
-bound c_ell = min over [0,1] of (ell(s)-s)/(s(1-s)), the Gamma Lipschitz
-constant L_Gamma = ell_bar + 2*ell_bar**3/ell_under, and the coordination
-cutoff theta_bar = min(c_ell/L_Gamma, 1/(2*L_Gamma)). c_ell is a certified
-lower bound for the concavity-gap infimum over directions, not the infimum
-itself; it is what theta_bar needs.
+Constants: ell_bar = ell'(0), ell_under = ell'(1), the concavity gap
+c_ell = inf over (0,1) of (ell(s)-s)/(s(1-s)), which is 1 - ell_under in
+closed form (proved in `constants`), the Gamma Lipschitz constant
+L_Gamma = ell_bar + 2*ell_bar**3/ell_under, and the coordination cutoff
+theta_bar = min(c_ell/L_Gamma, 1/(2*L_Gamma)).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ FRONTIER_RESIDUAL = 1e-12
 # Rows hugging a corner of a steep exponential cost take about ln(1/eps)
 # ~ 36 near-linear Newton steps; 38 was the most seen for params 1e-8..1e6.
 NEWTON_MAX_ITER = 60
-CONCAVITY_GRID = 10_000  # uniform interior points behind c_ell
 _CORNER_SNAP = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -119,9 +117,8 @@ class LearningTech:
 class LearningConstants:
     """Regularity constants of a learning technology.
 
-    c_ell is the certified lower bound for the direction-level concavity
-    gap (the true infimum is at least c_ell); theta_bar is built from
-    c_ell and is therefore conservative.
+    c_ell is the infimum of the concavity gap (ell(s)-s)/(s(1-s)) over
+    (0,1), in closed form; theta_bar is built from it.
     """
 
     ell_bar: float
@@ -205,10 +202,21 @@ def gamma_index_batch(tech: LearningTech, Z: np.ndarray) -> np.ndarray:
     return mass / max_scale_batch(tech, Z)
 
 
-def lipschitz_gamma(tech: LearningTech) -> float:
-    """L_Gamma = ell_bar + 2*ell_bar**3/ell_under; ConfigError naming
-    learning.param when a steep cost (exponential past ~700, rational past
-    ~1e77) takes it out of the float range, where theta_bar would be 0."""
+def constants(tech: LearningTech) -> LearningConstants:
+    """Regularity constants in closed form, or ConfigError naming
+    learning.param.
+
+    c_ell is the infimum of phi(s) = (ell(s)-s)/(s(1-s)) over (0,1). As
+    ell(0) = 0 and ell(1) = 1, phi(s) = -ell[0,s,1], a second divided
+    difference, so phi'(s) = -ell[0,s,s,1] = -ell'''(xi)/6 for some xi in
+    (0,1). Both families have ell''' > 0: rational 6c^2(1+c)/(1+cs)^4,
+    exponential c^3 e^{-cs}/(1-e^{-c}). So phi decreases from ell'(0) - 1
+    to 1 - ell'(1), and c_ell = min(ell_bar - 1, 1 - ell_under); the min
+    guards round-off. A cost with c_ell not positive is rejected, and so
+    is a steep cost (exponential past ~700, rational past ~1e77) that takes
+    L_Gamma out of the float range, where theta_bar would be 0.
+    LearningTech.constants caches the result.
+    """
     with np.errstate(over="ignore"):  # rational (1+c)**2 at s=1 may overflow
         ell_bar, ell_under = tech.ell_bar, tech.ell_under
     try:
@@ -220,27 +228,11 @@ def lipschitz_gamma(tech: LearningTech) -> float:
             f"learning.param={tech.param:g} is too steep for the {tech.family} "
             f"family: L_Gamma is not finite (ell_under={ell_under:.3g})"
         )
-    return L
-
-
-def constants(tech: LearningTech) -> LearningConstants:
-    """Assemble the regularity constants by grid minimization.
-
-    The concavity-gap function phi(s) = (ell(s)-s)/(s(1-s)) is minimized
-    over CONCAVITY_GRID uniform interior points plus its analytic endpoint
-    limits phi(0) = ell'(0)-1 and phi(1) = 1-ell'(1). LearningTech.constants
-    caches the result.
-    """
-    L = lipschitz_gamma(tech)
-    ell_bar = tech.ell_bar
-    ell_under = tech.ell_under
-    s = np.linspace(0.0, 1.0, CONCAVITY_GRID + 1)[1:-1]
-    phi = (tech._ell_raw(s) - s) / (s * (1.0 - s))
-    c_ell = min(float(phi.min()), ell_bar - 1.0, 1.0 - ell_under)
-    if c_ell <= 0.0:
+    c_ell = min(ell_bar - 1.0, 1.0 - ell_under)
+    if not c_ell > 0.0:
         raise ConfigError(
-            "nonpositive concavity gap: the configured learning family is "
-            "not strictly concave on [0,1]"
+            f"learning.param={tech.param:g} leaves the {tech.family} cost no concavity "
+            "gap: ell'(0) - 1 and 1 - ell'(1) must both be positive"
         )
     theta_bar = min(c_ell / L, 1.0 / (2.0 * L))
     return LearningConstants(

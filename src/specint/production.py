@@ -56,6 +56,8 @@ class SpecialistDesign:
         dirs, w = self.directions, self.weights
         if not (isinstance(dirs, np.ndarray) and isinstance(w, np.ndarray)):
             raise DomainError("design directions and weights must be numpy arrays")
+        if dirs.ndim != 2:
+            raise DomainError("design directions must be a 2-d (n_atoms, K) array")
         if dirs.shape[0] != w.size:
             raise DomainError("one weight per direction atom required")
         if np.any(w < -SIMPLEX_TOL):

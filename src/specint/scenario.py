@@ -3,8 +3,9 @@
 Lists are comma-separated floats; grids may also be written lo:hi:n for
 n evenly spaced points. Profiles q and u must be strictly interior (every
 entry > 0) and are renormalized onto the simplex (with a warning beyond
-1e-9 drift); this is the one place a profile is normalized. theta sweep grids are given as fractions of the coordination
-cutoff so they stay valid across learning families.
+1e-9 drift); this is the one place a profile is normalized. theta sweep
+grids are given as fractions of the coordination cutoff so they stay
+valid across learning families.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .economy import Economy
 from .errors import ConfigError
 from .knowledge import as_simplex
-from .learning import LearningTech, lipschitz_gamma
+from .learning import LearningTech
 from .politics import GovernanceTech
 
 REQUIRED_KEYS = (
@@ -192,12 +193,7 @@ def scenario_from_entries(entries: dict[str, str]) -> Scenario:
     tech = LearningTech(
         family=merged["learning.family"], param=_float(merged, "learning.param")
     )
-    lipschitz_gamma(tech)  # reject a too-steep cost at load, whatever the command
-    if not min(tech.ell_bar - 1.0, 1.0 - tech.ell_under) > 0.0:
-        raise ConfigError(
-            f"learning.param={tech.param:g} leaves the {tech.family} cost no concavity "
-            "gap: ell'(0) - 1 and 1 - ell'(1) must both be positive"
-        )
+    tech.constants  # check learning.param at load, whatever the command
     gov = GovernanceTech(
         eta=_float(merged, "gov.eta"),
         c0=_float(merged, "gov.c0"),

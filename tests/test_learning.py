@@ -197,11 +197,23 @@ def test_constants_rational_unit():
     # ell'(s) = (1+c)/(1+cs)^2 at 0 and 1
     assert cs.ell_bar == pytest.approx(2.0, abs=1e-15)
     assert cs.ell_under == pytest.approx(0.5, abs=1e-15)
-    # phi(s) = 1/(1+s) for this family, minimized at s=1
-    assert cs.c_ell == pytest.approx(0.5, abs=1e-9)
+    # phi(s) = 1/(1+s) for this family, with infimum 1 - ell'(1) at s=1
+    assert cs.c_ell == 0.5
     # L = ell_bar + 2*ell_bar^3/ell_under = 2 + 2*8/0.5
     assert cs.L_Gamma == pytest.approx(34.0, abs=1e-12)
     assert cs.theta_bar == pytest.approx(1.0 / 68.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family, top", [("rational", 1e6), ("exponential", 600.0)])
+def test_concavity_gap_closed_form_is_sampled_infimum(family, top):
+    # c_ell is the infimum of phi(s) = (ell(s)-s)/(s(1-s)) over (0,1):
+    # no interior sample may fall below it beyond round-off in ell(s) - s
+    s = np.linspace(0.0, 1.0, 100_001)[1:-1]
+    for param in np.geomspace(1e-2, top, 50):
+        tech = LearningTech(family=family, param=float(param))
+        phi = (tech.ell(s) - s) / (s * (1.0 - s))
+        c_ell = constants(tech).c_ell
+        assert phi.min() >= c_ell * (1.0 - 1e-7), (param, phi.min(), c_ell)
 
 
 def test_constants_positive_for_both_families(exponential):

@@ -232,6 +232,11 @@ def test_design_validation():
         SpecialistDesign(directions=np.eye(3), weights=np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         SpecialistDesign(directions=np.eye(2), weights=np.array([0.7, 0.7]))
+    # directions must be 2-d: a 1-d vector, and a 3-d block whose rows sum to one
+    with pytest.raises(DomainError):
+        SpecialistDesign(directions=np.array([0.5, 0.5]), weights=np.array([0.5, 0.5]))
+    with pytest.raises(DomainError):
+        SpecialistDesign(directions=np.ones((2, 2, 2)) / 2, weights=np.array([0.5, 0.5]))
 
 
 def test_list_inputs_raise_documented_errors(econ):
