@@ -10,6 +10,7 @@ that are limited by round-off rather than by method error.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -450,7 +451,7 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
         located = reforms.bisect_broadening_cutoff(econ)
         worst = max(worst, abs(located - slope.cutoff) / 1e-6)
         note += f"; cutoff={slope.cutoff:.6g} located={located:.6g}"
-        if slope.cutoff_above_theta_bar:
+        if slope.cutoff > econ.theta_bar:
             note += " (above the primitive cutoff)"
     anchor0 = reforms.broadening_allocation(0.0, econ)
     _, opt_alloc = productive_optimum(econ)
@@ -578,6 +579,33 @@ def check_wage_support(scn: Scenario, rng, tol_scale) -> CheckResult:
     return _result("wage-support", worst, tol, note)
 
 
+def check_excess_specialization(scn: Scenario, rng, tol_scale) -> CheckResult:
+    # the closed-form W'(0) against the fd slope of welfare, to a bound set by
+    # the stencil's method error (so --strict leaves it alone), and the sign
+    # flip of the fd slope across eta*
+    econ = scn.econ
+    slope = reforms.broadening_derivative(econ)
+
+    def fd_slope(eta):
+        econ_eta = dataclasses.replace(econ, gov=dataclasses.replace(econ.gov, eta=eta))
+        return decompose_along(reforms.broadening_family(econ_eta), 0.0)
+
+    fd = fd_slope(econ.gov.eta)
+    scale = 1.0 + abs(fd.productive_term) + abs(fd.governance_term) + abs(fd.targeting_term)
+    worst = abs(fd.fd_total - slope.welfare) / (1e-8 * scale)
+    eta_star, where = slope.eta_star, "none"
+    if eta_star is not None and 0.0 < eta_star * (1.0 + 1e-3) < 1.0:
+        below, above = (fd_slope(eta_star * f).fd_total for f in (1.0 - 1e-3, 1.0 + 1e-3))
+        # the slope rises with eta when B_soc' > 0 and falls when B_soc' < 0
+        flips = below < 0.0 < above if slope.value > 0.0 else above < 0.0 < below
+        worst = max(worst, 0.0 if flips else 2.0)
+        where = f"{eta_star:.6g} ({'sign flip confirmed' if flips else 'no sign flip'})"
+    elif eta_star is not None:
+        where = f"{eta_star:.6g} (bracket outside (0,1))"
+    note = f"eta*={where}; regime={slope.regime}; W'(0)={slope.welfare:.6g}"
+    return _result("excess-specialization", worst, 1.0, note)
+
+
 CHECKS = (
     check_coverage_identity,
     check_coverage_properties,
@@ -600,6 +628,7 @@ CHECKS = (
     check_theta_statics,
     check_dispersion_order,
     check_wage_support,
+    check_excess_specialization,
 )
 
 

@@ -20,6 +20,17 @@ is positive exactly below the civic cutoff
 whenever q.u < H(q)**p*C(q,u) < B_M (always/never positive outside that
 band).
 
+The welfare slope at b=0 is closed too. With m' = -m(0)(1-m(0)),
+Y' = Y(0)*(H(q) - 1 + m(0)) at Y(0) = V(1-m(0)), B_S' = H(q)**p*C(q,u) - q.u
+at B_S(0) = q.u, and B_M constant, the dispersion penalty moves at
+
+    D' = B_soc'/B_soc - (1-m) B_S'/B_S + m' log(B_S/B_M).
+
+As W = (1-tau)*Y + log R - D and log R = log Y + (eta/2)*log B_soc + const,
+W'(0) = A + eta*B_soc'/(2*B_soc) with A = ((1-tau) + 1/Y(0))*Y' - D' free
+of eta: a marginal broadening reform raises welfare exactly on one side of
+eta* = -2*B_soc*A/B_soc' (above it when B_soc' > 0).
+
 Interface intensity: the civic profile is tilted from q toward the gap
 profile, u(alpha) = (1-alpha)*q + alpha*h*(q), at the fixed productive
 allocation. Specialist knowledge falls at rate
@@ -59,7 +70,7 @@ from .production import (
     productive_optimum,
     single_atom,
 )
-from .welfare import Decomposition, Family, decompose_along, stencil, total_welfare
+from .welfare import Family, decompose_along, stencil, total_welfare
 
 CUTOFF_FD_STEP = 1e-5  # b step of broadening_fd_slope
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
@@ -104,16 +115,18 @@ def broadening_fd_slope(econ: Economy) -> float:
 
 @dataclass(frozen=True)
 class BroadeningSlope:
-    """Closed-form civic-capacity slope at b=0 and its theta regime."""
+    """Closed-form slopes at b=0 (civic capacity and welfare), the theta
+    regime of the civic slope, and the eta* where the welfare slope flips."""
 
     value: float
+    welfare: float
+    eta_star: float | None  # None when the civic slope vanishes
     cutoff: float | None
     regime: str  # "cutoff", "always_positive", "never_positive"
-    cutoff_above_theta_bar: bool
 
 
 def broadening_derivative(econ: Economy) -> BroadeningSlope:
-    """dB_soc/db at b=0 with the civic cutoff, when one exists."""
+    """dB_soc/db and dW/db at b=0, with the civic cutoff when one exists."""
     q, u = econ.q, econ.u
     h_star = gap_profile_star(q)
     H_h = max_scale(econ.tech, h_star)
@@ -125,12 +138,20 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
     m0 = econ.theta * D / (H_h + econ.theta * D)
     B_soc0 = (1.0 - m0) * qu + m0 * B_M
     value = (1.0 - m0) * (B_broad - B_soc0)
+    Y0 = econ.V * (1.0 - m0)
+    dY = Y0 * (Hq - 1.0 + m0)
+    dm = -m0 * (1.0 - m0)
+    dD = value / B_soc0 - (1.0 - m0) * (B_broad - qu) / qu + dm * math.log(qu / B_M)
+    A = ((1.0 - econ.tau) + 1.0 / Y0) * dY - dD
+    welfare = A + econ.gov.eta * value / (2.0 * B_soc0)
+    eta_star = -2.0 * B_soc0 * A / value if value != 0.0 else None
     if B_broad >= B_M:
-        return BroadeningSlope(value, None, "always_positive", False)
-    if B_broad <= qu:
-        return BroadeningSlope(value, None, "never_positive", False)
-    cutoff = H_h * (B_broad - qu) / (D * (B_M - B_broad))
-    return BroadeningSlope(value, cutoff, "cutoff", cutoff > econ.theta_bar)
+        regime, cutoff = "always_positive", None
+    elif B_broad <= qu:
+        regime, cutoff = "never_positive", None
+    else:
+        regime, cutoff = "cutoff", H_h * (B_broad - qu) / (D * (B_M - B_broad))
+    return BroadeningSlope(value, welfare, eta_star, cutoff, regime)
 
 
 def bisect_broadening_cutoff(econ: Economy) -> float:
@@ -157,58 +178,6 @@ def bisect_broadening_cutoff(econ: Economy) -> float:
         if hi - lo < CUTOFF_TOL * 0.5:
             break
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class ExcessSpecializationReport:
-    """Does a marginal broadening reform raise welfare here?"""
-
-    p_bar: float
-    precondition_ok: bool
-    b_grid: np.ndarray
-    welfare: np.ndarray
-    best_b: float
-    slope_at_zero: Decomposition
-    w_prime_positive: bool
-    governance_ratio: float
-    governance_ratio_needed: float | None
-
-
-def excess_specialization_check(
-    econ: Economy, b_grid: np.ndarray | None = None
-) -> ExcessSpecializationReport:
-    """Welfare along the broadening path, its slope at zero, and the
-    governance sensitivity that would be needed to make the slope positive."""
-    q, u = econ.q, econ.u
-    Hq = max_scale(econ.tech, q)
-    qu = float(q @ u)
-    p_bar = math.log(coverage(q, u) / qu) / (-math.log(Hq))
-    precondition_ok = Hq**econ.p * coverage(q, u) > qu
-
-    if b_grid is None:
-        b_grid = np.linspace(0.0, 0.95, 20)
-    fam = broadening_family(econ)
-    W = np.array([total_welfare(*fam(b)).welfare for b in b_grid])
-    slope = decompose_along(fam, 0.0)
-
-    econ0, alloc0 = fam(0.0)
-    rep0 = total_welfare(econ0, alloc0)
-    R, R_Y, R_B = resource_sensitivities(econ.gov, rep0.Y, rep0.outcome.B_soc)
-    ratio = R_B / R
-    needed = None
-    if slope.dB_soc > 0.0:
-        needed = (slope.dD - ((1.0 - econ.tau) + R_Y / R) * slope.dY) / slope.dB_soc
-    return ExcessSpecializationReport(
-        p_bar=p_bar,
-        precondition_ok=precondition_ok,
-        b_grid=b_grid,
-        welfare=W,
-        best_b=float(b_grid[int(np.argmax(W))]),
-        slope_at_zero=slope,
-        w_prime_positive=slope.fd_total > 0.0,
-        governance_ratio=ratio,
-        governance_ratio_needed=needed,
-    )
 
 
 def interface_profile(q: np.ndarray, alpha: float) -> np.ndarray:

@@ -36,7 +36,7 @@ GOLDEN = {
         "127e968d1ba8cf3a3212c928b1e5605d6e1c33f148e73147150f2b3222eacdb4",
 }
 
-VERIFY_SMALL_BUDGETS = "665f58ab8e2167d9928acab22a584df3d7a228a01180765c85d2593f7ad5b364"
+VERIFY_SMALL_BUDGETS = "711937da9ea9bf733a41940157c31f7f12c9bfaaf29de10617205ff94fdabddb"
 
 
 def _digest(path) -> str:

@@ -1,10 +1,16 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from specint import learning, oracles, reforms, welfare
-from specint.scenario import DEFAULTS, scenario_from_entries
+from specint.scenario import DEFAULTS, load_scenario, scenario_from_entries
 
 from test_cli import SMALL_BUDGETS
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run_check(check, scn):
@@ -109,3 +115,22 @@ def test_interface_statics_check_runs_no_welfare(monkeypatch):
         monkeypatch.setattr(module, "total_welfare", counted)
     assert run_check(oracles.check_interface_statics, scn).status == "pass"
     assert calls == []
+
+
+def test_excess_specialization_check_bites(monkeypatch):
+    # governance_heavy puts eta* inside (0,1), so the check confirms both the
+    # closed-form W'(0) and the sign flip of the fd slope around eta*
+    scn = load_scenario(str(SCENARIOS / "governance_heavy.cfg"))
+    result = run_check(oracles.check_excess_specialization, scn)
+    assert result.status == "pass", result
+    eta_star = float(re.search(r"eta\*=(\S+)", result.note).group(1))
+    assert eta_star == pytest.approx(0.7406, abs=1e-4)
+    assert "sign flip confirmed" in result.note
+    derivative = reforms.broadening_derivative
+    for field, factor in (("eta_star", 1.01), ("eta_star", 0.99), ("welfare", 1.0 + 1e-6)):
+        def shifted(econ, field=field, factor=factor):
+            slope = derivative(econ)
+            return dataclasses.replace(slope, **{field: getattr(slope, field) * factor})
+
+        monkeypatch.setattr(reforms, "broadening_derivative", shifted)
+        assert run_check(oracles.check_excess_specialization, scn).status == "fail", field

@@ -1,8 +1,11 @@
+import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specint.cli import main
 from specint.errors import DomainError
 from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import max_scale
@@ -22,7 +25,6 @@ from specint.reforms import (
     broadening_family,
     broadening_fd_slope,
     dispersion_slope,
-    excess_specialization_check,
     interface_closed_slopes,
     interface_family,
     interface_profile,
@@ -137,29 +139,58 @@ def test_broadening_small_theta_limit(econ):
     assert lim > 0.0
 
 
-def test_excess_specialization_output_heavy(econ):
-    rep = excess_specialization_check(econ)
-    assert rep.precondition_ok
-    assert rep.p_bar == pytest.approx(1.909, abs=2e-3)
+def best_b(cfg, tmp_path):
+    """Argmax of the welfare column of `sweep --axis b` (the b = 1 row, with
+    no integrators, has no welfare)."""
+    out = tmp_path / "b.csv"
+    assert main(["sweep", "--axis", "b", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["welfare"]]
+    return float(max(rows, key=lambda r: float(r["welfare"]))["b"])
+
+
+def test_excess_specialization_output_heavy(econ, tmp_path):
+    slope = broadening_derivative(econ)
+    assert slope.regime != "never_positive"
+    # H(q)^p C(q,u) = q.u at p_bar ~ 1.909: the broad profile stops beating q.u
+    assert broadening_derivative(dataclasses.replace(econ, p=1.90)).regime == "cutoff"
+    assert broadening_derivative(dataclasses.replace(econ, p=1.92)).regime == "never_positive"
     # output-heavy default: broadening does not pay at the margin
-    assert not rep.w_prime_positive
-    assert rep.governance_ratio < rep.governance_ratio_needed
-    assert rep.best_b == rep.b_grid[0]
+    assert slope.welfare < 0.0
+    assert slope.value > 0.0 and econ.gov.eta < slope.eta_star
+    assert best_b(SCENARIOS / "default.cfg", tmp_path) == 0.0
 
 
-def test_excess_specialization_governance_heavy():
-    econ = make_economy(V=2.0, tau=0.9, eta=0.9, theta=0.001)
-    rep = excess_specialization_check(econ)
-    assert rep.precondition_ok
-    assert rep.w_prime_positive
-    assert rep.governance_ratio > rep.governance_ratio_needed
-    assert rep.best_b > 0.0
+def test_excess_specialization_governance_heavy(tmp_path):
+    cfg = SCENARIOS / "governance_heavy.cfg"
+    econ = load_scenario(str(cfg)).econ
+    slope = broadening_derivative(econ)
+    assert slope.regime != "never_positive"
+    assert slope.welfare > 0.0
+    assert slope.value > 0.0 and econ.gov.eta > slope.eta_star
+    assert best_b(cfg, tmp_path) > 0.0
 
 
 def test_excess_specialization_precondition_flag():
     econ = make_economy(p=2.5)
-    rep = excess_specialization_check(econ)
-    assert not rep.precondition_ok
+    assert broadening_derivative(econ).regime == "never_positive"
+
+
+def test_welfare_slope_vanishes_at_eta_star():
+    # A = W'(0) - eta*B_soc'/(2 B_soc) is free of eta, so W'(0) is affine in
+    # eta, eta* does not move with eta, and W'(0) vanishes there
+    econ = load_scenario(str(SCENARIOS / "governance_heavy.cfg")).econ
+    eta_star = broadening_derivative(econ).eta_star
+
+    def at(eta):
+        return broadening_derivative(
+            dataclasses.replace(econ, gov=dataclasses.replace(econ.gov, eta=eta))
+        )
+
+    for eta in (0.2, 0.8):
+        assert at(eta).eta_star == pytest.approx(eta_star, rel=1e-12)
+        assert (at(eta).welfare > 0.0) == (eta > eta_star)
+    assert abs(at(eta_star).welfare) < 1e-12
 
 
 def test_interface_family_anchors(econ):
