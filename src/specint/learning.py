@@ -86,12 +86,43 @@ class LearningTech:
             out = c * np.exp(-c * arr) / -math.expm1(-c)
         return float(out) if np.isscalar(s) or arr.ndim == 0 else out
 
+    def _frontier_terms(self, t: np.ndarray, P: np.ndarray):
+        """Row sums sum_k ell(S_k) - 1 and sum_k P_k*ell'(S_k) at S = t*P.
+
+        The same floating-point operations as _ell_raw and ell_prime (S is
+        already in [0,1], so no clip), on one (N,K) buffer, 1 + c*S or -c*S,
+        plus the cost array, which is summed and freed before the slope is
+        formed in the buffer.
+        """
+        c = self.param
+        S = t[:, None] * P
+        if self.family == "rational":
+            cost = (1.0 + c) * S
+            S *= c
+            S += 1.0
+            cost /= S
+            f = cost.sum(axis=1) - 1.0
+            del cost
+            np.square(S, out=S)
+            np.divide(1.0 + c, S, out=S)
+        else:
+            S *= -c
+            cost = np.expm1(S)
+            cost /= math.expm1(-c)
+            f = cost.sum(axis=1) - 1.0
+            del cost
+            np.exp(S, out=S)
+            S *= c
+            S /= -math.expm1(-c)
+        S *= P
+        return f, S.sum(axis=1)
+
     @cached_property
     def constants(self) -> LearningConstants:
         """Regularity constants, computed once per technology."""
         return constants(self)
 
-    @property
+    @cached_property
     def ell_bar(self) -> float:
         """Slope at zero, the steepest marginal learning cost."""
         return float(self.ell_prime(0.0))
@@ -156,10 +187,8 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray) -> np.ndarray:
     P = np.asarray(directions, dtype=float)
     t = np.full(P.shape[0], 1.0 / tech.ell_bar)
     for _ in range(NEWTON_MAX_ITER):
-        S = t[:, None] * P
-        f = tech._ell_raw(S).sum(axis=1) - 1.0
-        step = -f / (P * tech.ell_prime(S)).sum(axis=1)
-        del S  # free it before the next iteration builds its own
+        f, slope = tech._frontier_terms(t, P)
+        step = -f / slope
         moving = step > 4.0 * _EPS * t
         if not moving.any():
             break

@@ -21,8 +21,11 @@ the governance problem is solved in closed form:
 
 Two checks certify these without using the formulas: kkt_residuals
 evaluates the first-order condition B*eta/e - 4*Lambda0*c0*e at e*, and
-best_response_fixed_point reaches e* by golden-section best responses
-(the `political-equilibrium` oracle). The `decomposition-residual`
+best_response_fixed_point reaches e* by iterated best responses (the
+`political-equilibrium` oracle). Each best response maximizes the
+proposer's vote share numerically: Brent's parabolic search over e, a
+safeguarded Newton split of each service budget, and an Illinois polish
+of e on the envelope condition. The `decomposition-residual`
 oracle checks R_Y/R and R_B/R against finite differences of welfare.
 """
 
@@ -185,54 +188,185 @@ class Platform:
     t_M: float
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-BR_TOL = 1e-10  # golden-section bracket width on the governance level
+BR_TOL = 1e-10  # Brent bracket width on the governance level
 FIXED_POINT_TOL = 1e-9  # change in (e, z) that ends best-response iteration
 FIXED_POINT_MAX_ITER = 80
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+# The split searches z in [1e-14, 1 - 1e-14*(1-m)], where each group gets at
+# least 1e-14 of its full-budget services, as it always has. A Newton step
+# below 1e-9 in w = logit(z) leaves an error of order its square, under
+# float resolution.
+_SPLIT_Z_MIN = 1e-14
+_SPLIT_STEP_TOL = 1e-9
+_SPLIT_MAX_ITER = 100
+_FOC_MAX_ITER = 80
+
+
+def _log_slope(k, beta, u):
+    """log Psi'(t; t_bar) and its derivative in u = log(t/t_bar), given
+    k = log(beta/t_bar): k + (beta-1)*u - 2*log(1 + e**(beta*u)), with the
+    exponential taken of a nonpositive argument on either side of u = 0."""
+    x = beta * u
+    if x > 0.0:
+        a = math.exp(-x)
+        return k - (1.0 + beta) * u - 2.0 * math.log1p(a), 2.0 * beta * a / (1.0 + a) - 1.0 - beta
+    a = math.exp(x)
+    return k + (beta - 1.0) * u - 2.0 * math.log1p(a), beta - 1.0 - 2.0 * beta * a / (1.0 + a)
+
+
+def _log_shares(w):
+    """(log z, log(1-z)) at z = 1/(1 + e**-w), without cancellation."""
+    if w > 0.0:
+        lse = math.log1p(math.exp(-w))
+        return -lse, -w - lse
+    lse = math.log1p(math.exp(w))
+    return w - lse, -lse
 
 
 def _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M):
     """Allocate a service budget by equalizing marginal vote shares.
 
-    Bisection on t_S, along which the specialist-side multiplier
-    Psi'_S(t_S; tbar_S) falls monotonically while the integrator-side
-    multiplier rises, so the balance point is unique.
+    With z = m*t_M/R the integrator share of the budget, the log multiplier
+    gap g(w) = log Psi'_S(t_S; tbar_S) - log Psi'_M(t_M; tbar_M) rises
+    strictly in w = logit(z), at slope between min(1-beta) and 2 and
+    asymptotically linear in both tails, so its root is unique and Newton's
+    method converges fast from the symmetric split z = m*beta_M/(mean beta).
+    Safeguard (rtsafe): a step that leaves the bracket, or that does not
+    halve the step before last, is replaced by bisection. A root outside
+    the bracket returns its end.
 
-    The loop stops once the midpoint is no longer strictly inside
-    (lo, hi): it then equals an end, no later step can move it, and the
-    result is the one all 100 steps return. The slopes are
-    vote_share_slope written out with the same operations in the same
-    order; their loop-invariant factors are computed once.
+    Both services come from the stable logs of the shares,
+    t_S = R/(1-m) * exp(log(1-z)) and t_M = R/m * exp(log z), so neither is
+    the difference of two near-equal numbers (R - (1-m)*t_S loses every
+    digit of t_M when m is small). Folding log(R/m) into the exponent
+    instead would cost up to 8 ulps of t_M to the rounding of a log near 20.
     """
-    mass_S = 1.0 - m
-    lo = 1e-14 * R
-    hi = R / mass_S * (1.0 - 1e-14)
-    b_S = tbar_S**beta_S
-    b_M = tbar_M**beta_M
-    k_S, k_M = beta_S * b_S, beta_M * b_M
-    x_S, x_M = beta_S - 1.0, beta_M - 1.0
-    for _ in range(100):
-        t_S = 0.5 * (lo + hi)
-        if not lo < t_S < hi:
-            break
-        t_M = (R - mass_S * t_S) / m
-        slope_S = k_S * t_S**x_S / (t_S**beta_S + b_S) ** 2
-        slope_M = k_M * t_M**x_M / (t_M**beta_M + b_M) ** 2
-        if slope_S > slope_M:
-            lo = t_S
+    log_R = math.log(R)
+    c_S = log_R - math.log1p(-m) - math.log(tbar_S)  # log t_S/tbar_S at z = 0
+    c_M = log_R - math.log(m) - math.log(tbar_M)  # log t_M/tbar_M at z = 1
+    k_S, k_M = math.log(beta_S / tbar_S), math.log(beta_M / tbar_M)
+    lo = math.log(_SPLIT_Z_MIN) - math.log1p(-_SPLIT_Z_MIN)
+    hi = math.log1p(-_SPLIT_Z_MIN * (1.0 - m)) - math.log(_SPLIT_Z_MIN * (1.0 - m))
+    w = math.log(m * beta_M) - math.log((1.0 - m) * beta_S)
+    w = min(max(w, lo), hi)
+    step = step_old = hi - lo
+    for _ in range(_SPLIT_MAX_ITER):
+        log_z, log_1mz = _log_shares(w)
+        lp_S, d_S = _log_slope(k_S, beta_S, c_S + log_1mz)
+        lp_M, d_M = _log_slope(k_M, beta_M, c_M + log_z)
+        g = lp_S - lp_M
+        if g < 0.0:
+            lo = w
+        elif g > 0.0:
+            hi = w
         else:
-            hi = t_S
-    t_S = 0.5 * (lo + hi)
-    return t_S, (R - mass_S * t_S) / m
+            break
+        z = math.exp(log_z)
+        slope = -d_S * z - d_M * (1.0 - z)
+        newton = w - g / slope
+        if lo <= newton <= hi and abs(2.0 * g) <= abs(step_old * slope):
+            step_old, step = step, g / slope
+            w = newton
+        else:
+            step_old = step
+            step = 0.5 * (hi - lo)
+            w = lo + step
+            if not lo < w < hi:
+                break
+        if abs(step) <= _SPLIT_STEP_TOL:
+            break
+    else:
+        raise ConvergenceError("budget split did not converge")
+    log_z, log_1mz = _log_shares(w)
+    return R / (1.0 - m) * math.exp(log_1mz), R / m * math.exp(log_z)
+
+
+def _brent_max(f, lo, hi, tol):
+    """Maximizer of f on [lo, hi] by Brent's method (parabolic interpolation
+    through the three best points, golden section when a parabolic step is
+    not trusted), stopping once the bracket is at most tol wide."""
+    x = v = w = lo + _GOLDEN * (hi - lo)
+    fx = fv = fw = -f(x)
+    d = e = 0.0
+    tol1 = 0.25 * tol
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
+            return x
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+                e, d = d, p / q
+                u = x + d
+                if u - lo < 2.0 * tol1 or hi - u < 2.0 * tol1:
+                    d = tol1 if x < mid else -tol1
+                golden = False
+        if golden:
+            e = (hi if x < mid else lo) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = -f(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    raise ConvergenceError("Brent search budget exhausted in best_response")
+
+
+def _illinois_root(f, a, b, fa, fb):
+    """Root of f in [a, b] with f(a) > 0 > f(b), by regula falsi with the
+    Illinois rule (an end kept twice in a row has its value halved), and
+    bisection when the secant point is not strictly inside the bracket.
+    Stops once the bracket has no float strictly inside it."""
+    side = 0
+    for _ in range(_FOC_MAX_ITER):
+        x = (fa * b - fb * a) / (fa - fb)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        if fx > 0.0:
+            a, fa = x, fx
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        elif fx < 0.0:
+            b, fb = x, fx
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            return x
+    return 0.5 * (a + b)
 
 
 def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platform:
     """Exact best response to an opponent platform.
 
     Nested solver: for each governance level, the service budget is split
-    by equalizing the two marginal vote-share multipliers (bisection);
-    the governance level itself is then found by golden-section search
-    to bracket width BR_TOL.
+    by equalizing the two marginal vote-share multipliers (safeguarded
+    Newton on the log multiplier gap); the governance level itself is then
+    found by Brent's parabolic search to bracket width BR_TOL and polished
+    on the envelope first-order condition.
     """
     gov = econ.gov
     acc = accounts(alloc, econ)
@@ -264,30 +398,12 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     e_hi = 1.0
     while gov.cost(e_hi) < 1.5:
         e_hi *= 2.0
-    lo, hi = 0.0, e_hi
-    a = hi - _GOLDEN * (hi - lo)
-    b = lo + _GOLDEN * (hi - lo)
-    fa, fb = value(a), value(b)
-    for _ in range(300):
-        if hi - lo <= BR_TOL:
-            break
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + _GOLDEN * (hi - lo)
-            fb = value(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - _GOLDEN * (hi - lo)
-            fa = value(a)
-    else:
-        raise ConvergenceError("golden-section budget exhausted in best_response")
-    e = 0.5 * (lo + hi)
+    e = _brent_max(value, 0.0, e_hi, BR_TOL)
 
-    # Golden section resolves e only down to the comparison noise floor of
-    # the flat objective; polish on the envelope first-order condition
+    # The search resolves e only down to the comparison noise floor of the
+    # flat objective; polish on the envelope first-order condition
     # mu(e)*G_e(e,Y) = c'(e), i.e. mu(e)*eta*R/e = c0*e, where mu(e) is the
     # common multiplier of the inner split, computable to machine precision.
-    # Like the split, the bisection stops once its midpoint reaches an end.
     def foc(e_val):
         R_val = gov.resources(e_val, Y)
         t_s, _ = _split_budget(R_val, m, beta_S, beta_M, tbar_S, tbar_M)
@@ -296,16 +412,9 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
 
     pad = 1e-4 * (1.0 + e)
     a2, b2 = max(1e-12, e - pad), e + pad
-    if foc(a2) > 0.0 > foc(b2):
-        for _ in range(80):
-            mid = 0.5 * (a2 + b2)
-            if not a2 < mid < b2:
-                break
-            if foc(mid) > 0.0:
-                a2 = mid
-            else:
-                b2 = mid
-        e = 0.5 * (a2 + b2)
+    f_a, f_b = foc(a2), foc(b2)
+    if f_a > 0.0 > f_b:
+        e = _illinois_root(foc, a2, b2, f_a, f_b)
     R = gov.resources(e, Y)
     t_S, t_M = _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M)
     return Platform(e=e, z=m * t_M / R, t_S=t_S, t_M=t_M)

@@ -240,9 +240,14 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
 
 def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
     """Allocation with the smallest integrator layer that supports a design."""
+    scales = learning.max_scale_batch(econ.tech, design.directions)
+    return _minimal_allocation(design, econ, scales)
+
+
+def _minimal_allocation(design: SpecialistDesign, econ: Economy, scales: np.ndarray) -> Allocation:
+    """minimal_allocation given the atoms' frontier scales H(pi_j)."""
     x = design.mean()
     z = design.gap_bundle(x)
-    scales = learning.max_scale_batch(econ.tech, design.directions)
     e_lam = float((design.weights / scales).sum())
     mass = float(z.sum())
     if mass == 0.0:

@@ -59,11 +59,12 @@ import numpy as np
 from .economy import Economy
 from .errors import DomainError, OracleError
 from .knowledge import coverage, fragmentation, system_knowledge
-from .learning import max_scale
+from .learning import max_scale, max_scale_batch
 from .politics import group_knowledge, resource_sensitivities
 from .production import (
     Allocation,
     SpecialistDesign,
+    _minimal_allocation,
     corner_design,
     gap_profile_star,
     minimal_allocation,
@@ -83,15 +84,15 @@ def broadening_allocation(b: float, econ: Economy) -> Allocation:
         raise DomainError("broadening share must lie in [0,1]")
     q = econ.q
     if b == 0.0:
-        design = corner_design(q)
-    elif b == 1.0:
-        design = single_atom(q)
-    else:
-        Hq = max_scale(econ.tech, q)
-        raw = np.concatenate([(1.0 - b) * q, [b * Hq]])
-        dirs = np.vstack([np.eye(q.size), q])
-        design = SpecialistDesign(directions=dirs, weights=raw / raw.sum())
-    return minimal_allocation(design, econ)
+        return minimal_allocation(corner_design(q), econ)
+    if b == 1.0:
+        return minimal_allocation(single_atom(q), econ)
+    # one frontier batch gives the atoms' scales, H(q) among them
+    dirs = np.vstack([np.eye(q.size), q])
+    scales = max_scale_batch(econ.tech, dirs)
+    raw = np.concatenate([(1.0 - b) * q, [b * scales[-1]]])
+    design = SpecialistDesign(directions=dirs, weights=raw / raw.sum())
+    return _minimal_allocation(design, econ, scales)
 
 
 def broadening_family(econ: Economy) -> Family:

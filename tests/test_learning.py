@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,53 @@ def test_frontier_row_independent_of_batch(family, param, K):
     for i, row in enumerate(P):
         one = max_scale_batch(tech, row[None, :])[0]
         assert H[i] == shuffled[i] == one, (i, H[i], shuffled[i], one)
+
+
+def _frontier_two_pass(tech, P):
+    # the Newton loop written with the public cost formulas, one full
+    # (N,K) array per term: the reference the fused terms must reproduce
+    t = np.full(P.shape[0], 1.0 / float(tech.ell_prime(0.0)))
+    for _ in range(learning.NEWTON_MAX_ITER):
+        S = t[:, None] * P
+        f = tech._ell_raw(S).sum(axis=1) - 1.0
+        step = -f / (P * tech.ell_prime(S)).sum(axis=1)
+        moving = step > 4.0 * np.finfo(float).eps * t
+        if not moving.any():
+            break
+        t += np.where(moving, step, 0.0)
+    corner = P.max(axis=1) > 1.0 - 1e-12
+    return np.where(corner, 1.0, np.minimum(t, 1.0))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("param", [1e-6, 0.05, 1.0, 30.0, 500.0])
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_frontier_terms_match_two_pass_reference(family, param, K):
+    tech = LearningTech(family=family, param=param)
+    rng = np.random.default_rng(12)
+    P = np.vstack([
+        rng.dirichlet(np.full(K, 0.3), size=100),
+        rng.dirichlet(np.ones(K), size=100),
+        _near_corner_rows(K, [1e-3, 1e-6, 1e-9, 1e-11, 1e-13, 1e-15]),
+        np.eye(K),
+    ])
+    assert np.array_equal(max_scale_batch(tech, P), _frontier_two_pass(tech, P))
+
+
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_frontier_batch_peak_memory(family):
+    # the solve holds at most a few (N,K) arrays at once
+    tech = LearningTech(family=family, param=2.0)
+    P = np.random.default_rng(6).dirichlet(np.ones(4), size=200_000)
+    max_scale_batch(tech, P[:10])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        max_scale_batch(tech, P)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * P.nbytes
 
 
 def test_frontier_solver_raises_past_cap_or_certificate(rational, monkeypatch):

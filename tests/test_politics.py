@@ -204,7 +204,7 @@ def test_tilt_direction_both_ways():
 
 
 def _split_budget_fixed_steps(R, m, beta_S, beta_M, tbar_S, tbar_M):
-    # the split as it ran before its early stop: always 100 bisection steps
+    # the split as a plain bisection on t_S: always 100 steps
     lo = 1e-14 * R
     hi = R / (1.0 - m) * (1.0 - 1e-14)
     for _ in range(100):
@@ -218,7 +218,18 @@ def _split_budget_fixed_steps(R, m, beta_S, beta_M, tbar_S, tbar_M):
     return t_S, (R - (1.0 - m) * t_S) / m
 
 
+def _log_multiplier_gap(t_S, t_M, beta_S, beta_M, tbar_S, tbar_M):
+    return abs(
+        math.log(vote_share_slope(t_S, tbar_S, beta_S))
+        - math.log(vote_share_slope(t_M, tbar_M, beta_M))
+    )
+
+
 def test_split_budget_matches_fixed_step_reference():
+    # The reference forms t_M as (R - (1-m)*t_S)/m, which cancels when the
+    # integrator share is small: its own multiplier gap reaches about 7e-5
+    # on these draws. The Newton split agrees with it on the budget shares
+    # and balances the multipliers to float resolution.
     rng = np.random.default_rng(21)
     # (m, beta_S, beta_M) at both ends of the documented ranges
     ends = ((0.01, 0.05, 0.95), (0.99, 0.95, 0.05))
@@ -231,4 +242,30 @@ def test_split_budget_matches_fixed_step_reference():
             m = float(rng.uniform(0.01, 0.99))
             beta_S, beta_M = (float(b) for b in rng.uniform(0.05, 0.95, 2))
         args = (R, m, beta_S, beta_M, tbar_S, tbar_M)
-        assert _split_budget(*args) == _split_budget_fixed_steps(*args), args
+        t_S, t_M = _split_budget(*args)
+        ref_S, ref_M = _split_budget_fixed_steps(*args)
+        assert abs((1.0 - m) * (t_S - ref_S) / R) <= 1e-14, args
+        assert abs(m * (t_M - ref_M) / R) <= 1e-14, args
+        assert _log_multiplier_gap(t_S, t_M, beta_S, beta_M, tbar_S, tbar_M) <= 1e-13, args
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.floats(0.01, 0.99),
+    st.floats(0.01, 0.99),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+def test_split_budget_properties(m, beta_S, beta_M, R, tbar_S, tbar_M):
+    t_S, t_M = _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M)
+    assert math.isfinite(t_S) and math.isfinite(t_M)
+    assert t_S > 0.0 and t_M > 0.0
+    share_S, share_M = (1.0 - m) * t_S / R, m * t_M / R
+    assert abs((1.0 - m) * t_S + m * t_M - R) <= 8.0 * np.finfo(float).eps * R
+    # the split searches z = share_M in [1e-14, 1 - 1e-14*(1-m)]; a root
+    # beyond either end returns that end
+    if share_M > 2e-14 and share_S > 2e-14 * (1.0 - m):
+        gap = _log_multiplier_gap(t_S, t_M, beta_S, beta_M, tbar_S, tbar_M)
+        assert gap <= 1e-12

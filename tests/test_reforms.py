@@ -67,6 +67,25 @@ def test_broadening_share_formula(econ):
         assert broadening_allocation(b, econ).m == pytest.approx(want, abs=1e-14)
 
 
+def test_broadening_solves_each_frontier_once(econ, monkeypatch):
+    # an interior b solves the atoms [I; q] in one batch, read H(q) from it,
+    # and the integrator direction in one more call
+    from specint import learning, reforms
+
+    solve = learning.max_scale_batch
+    calls = []
+
+    def counted(tech, directions):
+        calls.append(np.shape(directions)[0])
+        return solve(tech, directions)
+
+    for module in (learning, reforms):
+        monkeypatch.setattr(module, "max_scale_batch", counted)
+    alloc = broadening_allocation(0.3, econ)
+    assert calls == [econ.q.size + 1, 1]
+    assert alloc.scales[-1] == learning.max_scale(econ.tech, econ.q)
+
+
 def test_broadening_domain(econ):
     with pytest.raises(DomainError):
         broadening_allocation(-0.1, econ)
