@@ -35,6 +35,7 @@ from .economy import Economy
 from .errors import (
     DeviationFoundError,
     DomainError,
+    OracleError,
     SupportConditionError,
     ZeroCoverageError,
 )
@@ -43,7 +44,7 @@ from .learning import gamma_index, max_scale_batch
 from .politics import group_knowledge
 from .production import SpecialistDesign, grid_designs, productive_optimum
 
-RESIDUAL_TOL = 1e-10
+RESIDUAL_TOL = 1e-10  # floor of the wage identities' residual bound
 MARGIN_TOL = 1e-9  # round-off allowance before a cheaper grid design counts
 
 
@@ -110,10 +111,13 @@ def support_wages(econ: Economy) -> WageSupport:
     beta = econ.theta * fragmentation(econ.q) / opt.H_hstar
     w_M = (V_tilde - delta) / (1.0 + beta)
     w_S = (V_tilde + beta * delta) / (1.0 + beta)
-    if abs((w_S - w_M) - delta) > RESIDUAL_TOL:
-        raise SupportConditionError("indifference residual too large (bug)")
-    if abs((w_S + beta * w_M) - V_tilde) > RESIDUAL_TOL:
-        raise SupportConditionError("zero-profit residual too large (bug)")
+    # both identities hold exactly; their round-off grows with the wages,
+    # which are of order V_tilde
+    tol = max(RESIDUAL_TOL, 16.0 * float(np.finfo(float).eps) * V_tilde)
+    if abs((w_S - w_M) - delta) > tol:
+        raise OracleError("indifference residual too large (bug)")
+    if abs((w_S + beta * w_M) - V_tilde) > tol:
+        raise OracleError("zero-profit residual too large (bug)")
     return WageSupport(
         w_S=w_S,
         w_M=w_M,

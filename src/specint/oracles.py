@@ -445,7 +445,8 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     slope = reforms.broadening_derivative(econ)
-    worst = abs(reforms.broadening_fd_slope(econ) - slope.value) / 1e-6
+    fd = decompose_along(reforms.broadening_family(econ), 0.0).dB_soc
+    worst = abs(fd - slope.value) / 1e-6
     note = f"regime={slope.regime}"
     if slope.regime == "cutoff":
         located = reforms.bisect_broadening_cutoff(econ)

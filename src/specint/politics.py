@@ -22,11 +22,12 @@ the governance problem is solved in closed form:
 Two checks certify these without using the formulas: kkt_residuals
 evaluates the first-order condition B*eta/e - 4*Lambda0*c0*e at e*, and
 best_response_fixed_point reaches e* by iterated best responses (the
-`political-equilibrium` oracle). Each best response maximizes the
-proposer's vote share numerically: Brent's parabolic search over e, a
-safeguarded Newton split of each service budget, and an Illinois polish
-of e on the envelope condition. The `decomposition-residual`
-oracle checks R_Y/R and R_B/R against finite differences of welfare.
+`political-equilibrium` oracle). Each best response works from the
+primitives: a safeguarded Newton split of the service budget at each
+governance level, and one Illinois root solve of the envelope condition
+for e, whose root is unique because the proposer's vote share net of
+cost is strictly concave in e. The `decomposition-residual` oracle checks
+R_Y/R and R_B/R against finite differences of welfare.
 """
 
 from __future__ import annotations
@@ -83,22 +84,6 @@ def resource_sensitivities(gov: GovernanceTech, Y: float, B: float):
     """(R, dR/dY, dR/dB) at the governed optimum: (R, R/Y, eta*R/(2B))."""
     R = gov.resources(governance_star(gov, Y, B), Y)
     return R, R / Y, gov.eta * R / (2.0 * B)
-
-
-def vote_share(t: float, t_bar: float, beta: float) -> float:
-    """Probability the proposing candidate wins a group-g voter."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError("responsiveness beta must lie in (0,1)")
-    if t < 0.0 or t_bar < 0.0:
-        raise DomainError("services must be nonnegative")
-    if t == 0.0 and t_bar == 0.0:
-        return 0.5
-    if t == 0.0:
-        return 0.0
-    if t_bar == 0.0:
-        return 1.0
-    a = t**beta
-    return a / (a + t_bar**beta)
 
 
 def vote_share_slope(t: float, t_bar: float, beta: float) -> float:
@@ -188,10 +173,8 @@ class Platform:
     t_M: float
 
 
-BR_TOL = 1e-10  # Brent bracket width on the governance level
 FIXED_POINT_TOL = 1e-9  # change in (e, z) that ends best-response iteration
 FIXED_POINT_MAX_ITER = 80
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 # The split searches z in [1e-14, 1 - 1e-14*(1-m)], where each group gets at
 # least 1e-14 of its full-budget services, as it always has. A Newton step
 # below 1e-9 in w = logit(z) leaves an error of order its square, under
@@ -199,7 +182,7 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SPLIT_Z_MIN = 1e-14
 _SPLIT_STEP_TOL = 1e-9
 _SPLIT_MAX_ITER = 100
-_FOC_MAX_ITER = 80
+_FOC_MAX_ITER = 80  # bracket halvings, and Illinois steps, on the envelope condition
 
 
 def _log_slope(k, beta, u):
@@ -281,68 +264,19 @@ def _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M):
     return R / (1.0 - m) * math.exp(log_1mz), R / m * math.exp(log_z)
 
 
-def _brent_max(f, lo, hi, tol):
-    """Maximizer of f on [lo, hi] by Brent's method (parabolic interpolation
-    through the three best points, golden section when a parabolic step is
-    not trusted), stopping once the bracket is at most tol wide."""
-    x = v = w = lo + _GOLDEN * (hi - lo)
-    fx = fv = fw = -f(x)
-    d = e = 0.0
-    tol1 = 0.25 * tol
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
-            return x
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
-                e, d = d, p / q
-                u = x + d
-                if u - lo < 2.0 * tol1 or hi - u < 2.0 * tol1:
-                    d = tol1 if x < mid else -tol1
-                golden = False
-        if golden:
-            e = (hi if x < mid else lo) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = -f(u)
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    raise ConvergenceError("Brent search budget exhausted in best_response")
-
-
 def _illinois_root(f, a, b, fa, fb):
     """Root of f in [a, b] with f(a) > 0 > f(b), by regula falsi with the
     Illinois rule (an end kept twice in a row has its value halved), and
     bisection when the secant point is not strictly inside the bracket.
-    Stops once the bracket has no float strictly inside it."""
+    Stops once the bracket has no float strictly inside it, and raises
+    ConvergenceError if _FOC_MAX_ITER steps do not get there."""
     side = 0
     for _ in range(_FOC_MAX_ITER):
         x = (fa * b - fb * a) / (fa - fb)
         if not a < x < b:
             x = 0.5 * (a + b)
             if not a < x < b:
-                break
+                return x
         fx = f(x)
         if fx > 0.0:
             a, fa = x, fx
@@ -356,17 +290,25 @@ def _illinois_root(f, a, b, fa, fb):
             side = -1
         else:
             return x
-    return 0.5 * (a + b)
+    raise ConvergenceError("envelope condition did not converge in best_response")
 
 
 def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platform:
     """Exact best response to an opponent platform.
 
-    Nested solver: for each governance level, the service budget is split
-    by equalizing the two marginal vote-share multipliers (safeguarded
-    Newton on the log multiplier gap); the governance level itself is then
-    found by Brent's parabolic search to bracket width BR_TOL and polished
-    on the envelope first-order condition.
+    For each governance level e the service budget R = G(e,Y) is split by
+    equalizing the two marginal vote shares (_split_budget), at the common
+    multiplier mu(e). The vote share net of cost, v(e), is strictly
+    concave: each Psi_g is concave in t because beta_g = B_g/Lambda0 < 1
+    (B_g < 1 <= Lambda0), the best split of the concave budget R(e) is
+    concave in e, and the cost is convex. So e is the unique root of the
+    envelope condition f(e) = mu(e)*eta*R/e - c0*e, found by one
+    _illinois_root solve on a bracket [a, b] with f(a) > 0 > f(b). First
+    a doubles from 1 until c(a) >= 1.5 exceeds any vote share, so that
+    v(a) < v(0) = 0 and f(a) < 0. Then a halves until f(a) > 0 (f grows
+    without bound as e -> 0), and b is the last point it halved past. The
+    halving and the root solve take at most _FOC_MAX_ITER steps each; a
+    spent budget or a missing sign change raises ConvergenceError.
     """
     gov = econ.gov
     acc = accounts(alloc, econ)
@@ -384,37 +326,24 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     if not (tbar_S > 0.0 and tbar_M > 0.0):
         raise DomainError("opponent services must be strictly positive")
 
-    def value(e):
-        if e <= 0.0:
-            return 0.0
+    def foc(e):
         R = gov.resources(e, Y)
-        t_S, t_M = _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M)
-        return (
-            (1.0 - m) * vote_share(t_S, tbar_S, beta_S)
-            + m * vote_share(t_M, tbar_M, beta_M)
-            - gov.cost(e)
-        )
+        t_S, _ = _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M)
+        return vote_share_slope(t_S, tbar_S, beta_S) * gov.eta * R / e - gov.c0 * e
 
-    e_hi = 1.0
-    while gov.cost(e_hi) < 1.5:
-        e_hi *= 2.0
-    e = _brent_max(value, 0.0, e_hi, BR_TOL)
-
-    # The search resolves e only down to the comparison noise floor of the
-    # flat objective; polish on the envelope first-order condition
-    # mu(e)*G_e(e,Y) = c'(e), i.e. mu(e)*eta*R/e = c0*e, where mu(e) is the
-    # common multiplier of the inner split, computable to machine precision.
-    def foc(e_val):
-        R_val = gov.resources(e_val, Y)
-        t_s, _ = _split_budget(R_val, m, beta_S, beta_M, tbar_S, tbar_M)
-        mu = vote_share_slope(t_s, tbar_S, beta_S)
-        return mu * gov.eta * R_val / e_val - gov.c0 * e_val
-
-    pad = 1e-4 * (1.0 + e)
-    a2, b2 = max(1e-12, e - pad), e + pad
-    f_a, f_b = foc(a2), foc(b2)
-    if f_a > 0.0 > f_b:
-        e = _illinois_root(foc, a2, b2, f_a, f_b)
+    a = 1.0
+    while gov.cost(a) < 1.5:
+        a *= 2.0
+    f_a = f_b = foc(a)
+    for _ in range(_FOC_MAX_ITER):
+        if not f_a < 0.0:
+            break
+        b, f_b = a, f_a
+        a *= 0.5
+        f_a = foc(a)
+    if not f_a > 0.0 > f_b:
+        raise ConvergenceError("no sign change of the envelope condition in best_response")
+    e = _illinois_root(foc, a, b, f_a, f_b)
     R = gov.resources(e, Y)
     t_S, t_M = _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M)
     return Platform(e=e, z=m * t_M / R, t_S=t_S, t_M=t_M)

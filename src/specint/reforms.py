@@ -60,7 +60,7 @@ from .economy import Economy
 from .errors import DomainError, OracleError
 from .knowledge import coverage, fragmentation, system_knowledge
 from .learning import max_scale, max_scale_batch
-from .politics import group_knowledge, resource_sensitivities
+from .politics import resource_sensitivities
 from .production import (
     Allocation,
     SpecialistDesign,
@@ -71,9 +71,8 @@ from .production import (
     productive_optimum,
     single_atom,
 )
-from .welfare import Family, decompose_along, stencil, total_welfare
+from .welfare import Family, decompose_along, total_welfare
 
-CUTOFF_FD_STEP = 1e-5  # b step of broadening_fd_slope
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 THETA_CAP_FACTOR = 1e6  # interface_threshold stops its search at this * theta_bar
 
@@ -98,20 +97,6 @@ def broadening_allocation(b: float, econ: Economy) -> Allocation:
 def broadening_family(econ: Economy) -> Family:
     """The broadening reform path of one economy."""
     return lambda b: (econ, broadening_allocation(b, econ))
-
-
-def broadening_b_soc(econ: Economy, b: float) -> float:
-    """Civic capacity B_soc at broadening share b, from the allocation."""
-    alloc = broadening_allocation(b, econ)
-    B_S, B_M = group_knowledge(alloc, econ)
-    return (1.0 - alloc.m) * B_S + alloc.m * B_M
-
-
-def broadening_fd_slope(econ: Economy) -> float:
-    """dB_soc/db at b=0 by the one-sided second-order stencil of step
-    CUTOFF_FD_STEP, independent of the closed form."""
-    h = CUTOFF_FD_STEP
-    return stencil(1, [broadening_b_soc(econ, b) for b in (0.0, h, 2.0 * h)], h)
 
 
 @dataclass(frozen=True)
@@ -156,11 +141,12 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
 
 
 def bisect_broadening_cutoff(econ: Economy) -> float:
-    """Locate the theta where broadening_fd_slope flips sign, bisected to
-    width CUTOFF_TOL in theta."""
+    """Locate the theta where the finite-difference slope dB_soc/db at b=0
+    (decompose_along, independent of the closed form) flips sign, bisected
+    to width CUTOFF_TOL in theta."""
 
     def slope(theta: float) -> float:
-        return broadening_fd_slope(econ.with_theta(theta))
+        return decompose_along(broadening_family(econ.with_theta(theta)), 0.0).dB_soc
 
     lo = 1e-9
     if slope(lo) <= 0.0:

@@ -244,12 +244,7 @@ def test_criterion_09_decomposition(econ):
 
 def test_criterion_10_broadening(econ):
     slope = reforms.broadening_derivative(econ)
-    h = 1e-5
-    fd = (
-        -3 * reforms.broadening_b_soc(econ, 0.0)
-        + 4 * reforms.broadening_b_soc(econ, h)
-        - reforms.broadening_b_soc(econ, 2 * h)
-    ) / (2 * h)
+    fd = decompose_along(reforms.broadening_family(econ), 0.0).dB_soc
     fd_gap = abs(fd - slope.value)
     located = reforms.bisect_broadening_cutoff(econ)
     flip_gap = abs(located - slope.cutoff)

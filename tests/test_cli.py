@@ -135,6 +135,18 @@ def test_solve_hot_theta_exits_two(tmp_path, capsys):
     assert "hypothesis" in capsys.readouterr().err
 
 
+def test_solve_large_output_keeps_wage_support(tmp_path, capsys):
+    # the wage identities' round-off grows with V_tilde (about 1.2e-10 at
+    # V = 1e6); it is not a failed support condition
+    cfg = write_cfg(tmp_path / "large.cfg", {"economy.v": "1e6"})
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    header, row = read_csv(out)
+    cells = dict(zip(header, row))
+    assert cells["w_S"] and cells["w_M"]
+    assert "not supported" not in capsys.readouterr().out
+
+
 def test_missing_key_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "missing.cfg", drop=("economy.q",))
     assert main(["solve", "--config", cfg]) == 1

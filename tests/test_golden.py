@@ -38,6 +38,12 @@ GOLDEN = {
 
 VERIFY_SMALL_BUDGETS = "711937da9ea9bf733a41940157c31f7f12c9bfaaf29de10617205ff94fdabddb"
 
+# `verify` at each shipped scenario's own (full) oracle budgets
+VERIFY_FULL_BUDGETS = {
+    "default": "9be2a8f6ad3cdfdd7f5a50e6879a6e0bc3cddb31212849e719ed59a314122739",
+    "governance_heavy": "29b3ae612a764d1d0143353a494581b14c74ba44c2ee6d82fbb62ac5c1d855a3",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -56,3 +62,11 @@ def test_verify_small_budgets_csv_digest(tmp_path):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert _digest(out) == VERIFY_SMALL_BUDGETS
+
+
+@pytest.mark.parametrize("scenario", sorted(VERIFY_FULL_BUDGETS))
+def test_verify_full_budgets_csv_digest(tmp_path, scenario):
+    out = tmp_path / "verify.csv"
+    cfg = str(SCENARIOS / f"{scenario}.cfg")
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert _digest(out) == VERIFY_FULL_BUDGETS[scenario]

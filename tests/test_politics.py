@@ -1,14 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specint.errors import ConfigError, DegenerateGroupError, DomainError
+from specint import politics
+from specint.errors import ConfigError, ConvergenceError, DegenerateGroupError, DomainError
 from specint.politics import (
     GovernanceTech,
     Platform,
+    _illinois_root,
     _split_budget,
     best_response,
     best_response_fixed_point,
@@ -18,12 +21,14 @@ from specint.politics import (
     kkt_residuals,
     political_equilibrium,
     resource_sensitivities,
-    vote_share,
     vote_share_slope,
 )
-from specint.production import productive_optimum
+from specint.production import accounts, productive_optimum
+from specint.scenario import load_scenario
 
 from conftest import interior_simplex, make_economy
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_governance_tech_validation():
@@ -74,9 +79,6 @@ def test_resource_sensitivities_positive_and_match_fd():
 
 
 def test_vote_share_examples():
-    assert vote_share(2.0, 2.0, 0.3) == 0.5
-    assert vote_share(0.0, 1.0, 0.3) == 0.0
-    assert vote_share(1.0, 0.0, 0.3) == 1.0
     # marginal response at a symmetric platform is beta/(4t)
     for beta, t in ((0.2, 0.5), (0.8, 3.0)):
         assert vote_share_slope(t, t, beta) == pytest.approx(beta / (4 * t), rel=1e-12)
@@ -177,6 +179,55 @@ def test_best_response_symmetric_betas_equal_services(econ):
     # via the closed form instead: equal B gives t_S = t_M exactly
     assert out.t_S == pytest.approx(out.t_M, rel=1e-12)
     assert br.t_S > 0.0 and br.t_M > 0.0
+
+
+def _net_vote_share(e, econ, alloc, opponent):
+    # the proposer's objective at governance level e, with the budget split
+    # as best_response splits it: sum_g mass_g * Psi_g(t_g; tbar_g) - c(e)
+    acc, gov, m = accounts(alloc, econ), econ.gov, alloc.m
+    beta_S, beta_M = acc.B_S / gov.lambda0, acc.B_M / gov.lambda0
+    R_bar = gov.resources(opponent.e, acc.Y)
+    tbar_S, tbar_M = (1.0 - opponent.z) * R_bar / (1.0 - m), opponent.z * R_bar / m
+    t_S, t_M = _split_budget(gov.resources(e, acc.Y), m, beta_S, beta_M, tbar_S, tbar_M)
+
+    def psi(t, t_bar, beta):
+        return t**beta / (t**beta + t_bar**beta)
+
+    return (1.0 - m) * psi(t_S, tbar_S, beta_S) + m * psi(t_M, tbar_M, beta_M) - gov.cost(e)
+
+
+@pytest.mark.parametrize("scenario", ["default", "governance_heavy"])
+def test_best_response_maximizes_vote_share(scenario):
+    # the envelope condition's root is the maximum of the net vote share,
+    # not just a stationary point of it
+    econ = load_scenario(str(SCENARIOS / f"{scenario}.cfg")).econ
+    _, alloc = productive_optimum(econ)
+    e_hi = 1.0
+    while econ.gov.cost(e_hi) < 1.5:
+        e_hi *= 2.0
+    grid = np.linspace(e_hi / 100, e_hi, 100)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        opponent = Platform(float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 0.95)), 0.0, 0.0)
+        e = best_response(opponent, econ, alloc).e
+        best = _net_vote_share(e, econ, alloc, opponent)
+        for other in (e * (1.0 - 1e-6), e * (1.0 + 1e-6), *grid):
+            assert best >= _net_vote_share(float(other), econ, alloc, opponent), (opponent, e, other)
+
+
+def test_best_response_solver_budgets_raise(econ, monkeypatch):
+    _, alloc = productive_optimum(econ)
+    opponent = Platform(0.5, 0.3, 0.0, 0.0)
+    monkeypatch.setattr(politics, "_FOC_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError):
+        best_response(opponent, econ, alloc)
+    with pytest.raises(ConvergenceError):
+        _illinois_root(lambda x: 1.0 - x**3, 0.0, 3.0, 1.0, -26.0)
+    monkeypatch.undo()
+    # a NaN envelope condition ends the bracket search instead of looping
+    monkeypatch.setattr(politics, "vote_share_slope", lambda t, t_bar, beta: math.nan)
+    with pytest.raises(ConvergenceError):
+        best_response(opponent, econ, alloc)
 
 
 def test_best_response_requires_positive_opponent_services(econ):

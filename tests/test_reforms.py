@@ -20,10 +20,8 @@ from specint.production import (
 from specint.reforms import (
     bisect_broadening_cutoff,
     broadening_allocation,
-    broadening_b_soc,
     broadening_derivative,
     broadening_family,
-    broadening_fd_slope,
     dispersion_slope,
     interface_closed_slopes,
     interface_family,
@@ -33,6 +31,7 @@ from specint.reforms import (
     theta_statics,
 )
 from specint.scenario import load_scenario
+from specint.welfare import decompose_along, total_welfare
 
 from conftest import make_economy
 
@@ -93,6 +92,10 @@ def test_broadening_domain(econ):
         broadening_allocation(1.2, econ)
 
 
+def _broadening_b_soc(econ, b):
+    return total_welfare(*broadening_family(econ)(b)).outcome.B_soc
+
+
 def test_broadening_closed_form_tracks_pipeline(econ):
     # B_soc(b) = (1-m(b)) * [(1-b)*(q.u) + b*H(q)**p*C(q,u)] + m(b)*B_M
     q = econ.q
@@ -104,19 +107,19 @@ def test_broadening_closed_form_tracks_pipeline(econ):
     for b in (0.0, 0.15, 0.5, 0.95):
         m = econ.theta * (1 - b) * D / (H + econ.theta * (1 - b) * D)
         closed = (1 - m) * ((1 - b) * float(q @ econ.u) + b * B_broad) + m * B_M
-        assert closed == pytest.approx(broadening_b_soc(econ, b), abs=1e-12)
+        assert closed == pytest.approx(_broadening_b_soc(econ, b), abs=1e-12)
 
 
 def test_broadening_derivative_matches_fd(econ):
     slope = broadening_derivative(econ)
     h = 1e-5
     fd = (
-        -3 * broadening_b_soc(econ, 0.0)
-        + 4 * broadening_b_soc(econ, h)
-        - broadening_b_soc(econ, 2 * h)
+        -3 * _broadening_b_soc(econ, 0.0)
+        + 4 * _broadening_b_soc(econ, h)
+        - _broadening_b_soc(econ, 2 * h)
     ) / (2 * h)
     assert abs(fd - slope.value) <= 1e-6
-    assert broadening_fd_slope(econ) == fd
+    assert decompose_along(broadening_family(econ), 0.0).dB_soc == fd
 
 
 def test_broadening_cutoff_regimes():
@@ -239,8 +242,6 @@ def test_interface_family_profile_is_exactly_the_affine_path():
 def test_broadening_governance_term_positive_at_zero(econ):
     # civic capacity rises at b=0 here, so the governance term of the
     # welfare slope is strictly positive
-    from specint.welfare import decompose_along
-
     d = decompose_along(broadening_family(econ), 0.0)
     assert d.dB_soc > 0.0
     assert d.governance_term > 0.0
