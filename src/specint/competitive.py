@@ -8,8 +8,8 @@ continuation value) and free entry, the optimum is supported by
 where delta = log(B_M/B_S) is the continuation-value gap at the optimum,
 beta = theta*D(q)/H(h*) is integrator labor per unit of specialist
 mastery, and V_tilde = (1-tau)*V. Both wages are positive when
-delta < V_tilde; the pair delivers zero profit (w_S + beta*w_M = V_tilde)
-and exact indifference (w_S - w_M = delta).
+-V_tilde/beta < delta < V_tilde; the pair delivers zero profit
+(w_S + beta*w_M = V_tilde) and exact indifference (w_S - w_M = delta).
 
 A firm running design (x, nu) at wage ratio r = w_M/w_S pays unit cost
 
@@ -42,7 +42,7 @@ from .errors import (
 from .knowledge import coverage, fragmentation
 from .learning import gamma_index, max_scale_batch
 from .politics import group_knowledge
-from .production import SpecialistDesign, grid_designs, productive_optimum
+from .production import SpecialistDesign, grid_designs, grid_gamma, productive_optimum
 
 RESIDUAL_TOL = 1e-10  # floor of the wage identities' residual bound
 MARGIN_TOL = 1e-9  # round-off allowance before a cheaper grid design counts
@@ -109,6 +109,11 @@ def support_wages(econ: Economy) -> WageSupport:
             f"{V_tilde:.6g}; positive wages cannot support the optimum"
         )
     beta = econ.theta * fragmentation(econ.q) / opt.H_hstar
+    if not V_tilde + beta * delta > 0.0:
+        raise SupportConditionError(
+            f"net productivity {V_tilde:.6g} not above beta*(-delta) = "
+            f"{-beta * delta:.6g}; the specialist wage would not be positive"
+        )
     w_M = (V_tilde - delta) / (1.0 + beta)
     w_S = (V_tilde + beta * delta) / (1.0 + beta)
     # both identities hold exactly; their round-off grows with the wages,
@@ -147,10 +152,13 @@ def unit_cost(x, design: SpecialistDesign, r: float, econ: Economy) -> float:
 
 @dataclass(frozen=True)
 class NoDeviationReport:
-    """Grid verification that the aligned corner design is cost-minimal."""
+    """Grid verification that the aligned corner design is cost-minimal;
+    n_designs counts the whole space, n_evaluated the designs whose Gamma
+    was solved."""
 
     worst_margin: float
     n_designs: int
+    n_evaluated: int
     passed: bool
     r: float
     cost_at_optimum: float
@@ -164,29 +172,40 @@ def no_deviation_check(
     max_atoms: int = 3,
     max_designs: int = 8_000_000,
 ) -> NoDeviationReport:
-    """Scan grid_designs for unit costs below the aligned corner design.
+    """Scan grid_designs for unit costs below the aligned corner design, by
+    exact branch-and-bound.
 
-    When the uniqueness cutoffs hold, any violation is raised as an
-    error; outside them violations are reported in the margin only.
+    Finds the first cheapest c = (E_lam + theta*r*Gamma)/C(X,q) over
+    designs with C(X,q) > 0. Gamma is solved only for designs whose bound
+    E_lam/C(X,q) is at most the cheapest cost so far; grid_designs says why
+    the result is the exhaustive scan's, bit for bit (the bound needs
+    theta*r >= 0). When the uniqueness cutoffs hold, any violation is
+    raised as an error; outside them violations are reported in the margin
+    only.
     """
     r = wages.w_M / wages.w_S
-    cost_q = (1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))) / 1.0
+    if not r >= 0.0:  # the pruning bound needs theta*r*Gamma >= 0
+        raise DomainError("wage ratio must be nonnegative")
+    cost_q = 1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))
     worst = np.inf
     worst_design = None
-    n_seen = 0
+    n_seen = n_evaluated = 0
     designs = grid_designs(econ, resolution, max_atoms, max_designs)
-    for atom_dirs, w, X, E_lam, gam, cov in designs:
-        n_seen += X.shape[0]
-        ok = cov > 0.0
-        cost = (E_lam[ok] + econ.theta * r * gam[ok]) / cov[ok]
-        del X, E_lam  # free this batch before grid_designs builds the next
-        if cost.size == 0:
+    for atom_dirs, w, X, E_lam, cov in designs:
+        n_seen += cov.size
+        keep = np.flatnonzero(cov > 0.0)
+        keep = keep[E_lam[keep] / cov[keep] <= worst]
+        # rebinding drops this batch before grid_designs builds the next
+        X, E_lam, cov = X[keep], E_lam[keep], cov[keep]
+        if keep.size == 0:
             continue
+        n_evaluated += keep.size
+        gam = grid_gamma(econ.tech, atom_dirs[keep], w, X)
+        cost = (E_lam + econ.theta * r * gam) / cov
         k = int(np.argmin(cost))
         if cost[k] < worst:
             worst = float(cost[k])
-            sel = np.flatnonzero(ok)[k]
-            worst_design = SpecialistDesign(directions=atom_dirs[sel], weights=w)
+            worst_design = SpecialistDesign(directions=atom_dirs[keep[k]], weights=w)
     worst_margin = worst - cost_q
     passed = worst_margin >= -MARGIN_TOL
     if not passed and ratio_bound(econ).unique_ok:
@@ -197,6 +216,7 @@ def no_deviation_check(
     return NoDeviationReport(
         worst_margin=worst_margin,
         n_designs=n_seen,
+        n_evaluated=n_evaluated,
         passed=passed,
         r=r,
         cost_at_optimum=cost_q,

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .knowledge import RENORM_WARN, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
 from .knowledge import system_knowledge
-from .learning import gamma_index_batch, max_scale
+from .learning import max_scale
 
 if TYPE_CHECKING:
     from .economy import Economy
@@ -289,14 +289,26 @@ def design_space_size(K: int, resolution: int, max_atoms: int) -> int:
 
 
 def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: int):
-    """Every minimal-integrator design on the 1/resolution simplex grid.
+    """Every minimal-integrator design on the 1/resolution simplex grid, as
+    the ingredients of its theta*Gamma = 0 bound.
 
     Atom directions and mastery weights both live on the grid; designs use
-    up to max_atoms atoms. Yields batches of at most ENUM_BATCH atom sets
-    sharing one weight split w, as (atom_dirs (C,a,K), w, X, E_lam, Gamma,
-    C(X,q)). Cost grows as sum_a C(P,a)*C(n-1,a-1); a space larger than
-    max_designs raises BudgetExceededError on the first batch request, and
-    an empty grid (resolution or max_atoms below 1) raises DomainError.
+    up to max_atoms atoms, single atoms first. Yields batches of at most
+    ENUM_BATCH atom sets sharing one weight split w, as (atom_dirs (C,a,K),
+    w, X, E_lam, C(X,q)). Cost grows as sum_a C(P,a)*C(n-1,a-1); a space
+    larger than max_designs raises BudgetExceededError on the first batch
+    request, and an empty grid (resolution or max_atoms below 1) raises
+    DomainError.
+
+    A search solves Gamma (grid_gamma) only for the designs whose bound can
+    still beat or tie its incumbent, and that pruning is exact. As
+    theta*Gamma >= 0, fl(E_lam + fl(theta*Gamma)) >= E_lam, and correctly
+    rounded division is monotone in its denominator, so a computed output
+    V*C/(E_lam + theta*Gamma) never exceeds its computed bound V*C/E_lam,
+    and a computed unit cost never falls below E_lam/C. A pruned design can
+    therefore neither win nor tie, and grid_gamma gives each kept design
+    the bits the exhaustive evaluation gives it. A ConvergenceError can
+    fire only on a kept design.
     """
     if resolution < 1 or max_atoms < 1:
         raise DomainError("grid designs need resolution >= 1 and max_atoms >= 1")
@@ -325,23 +337,36 @@ def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: in
             atom_lam = lam[idx]  # (C, a)
             for w in weight_rows:
                 X = np.tensordot(atom_dirs, w, axes=([1], [0]))
-                E_lam = atom_lam @ w
-                Z = np.zeros_like(X)
-                for j in range(a):
-                    Z += w[j] * np.clip(X - atom_dirs[:, j, :], 0.0, None)
-                gam = gamma_index_batch(econ.tech, Z)
                 cov = np.minimum(X, econ.q[None, :]).sum(axis=1)
-                yield atom_dirs, w, X, E_lam, gam, cov
+                yield atom_dirs, w, X, atom_lam @ w, cov
+
+
+def grid_gamma(
+    tech: learning.LearningTech, atom_dirs: np.ndarray, w: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Gamma of the gap bundles E_w[(X - pi)^+] of grid_designs rows.
+
+    Every step is row-wise, the frontier Newton solve of max_scale_batch
+    too (a row's iterate depends only on that row, and a row that has
+    stopped never moves again), so a row gets the same bits in any subset
+    of its batch.
+    """
+    Z = np.zeros_like(X)
+    for j in range(w.size):
+        Z += w[j] * np.clip(X - atom_dirs[:, j, :], 0.0, None)
+    return learning.gamma_index_batch(tech, Z)
 
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Winner of the exhaustive minimal-integrator design search."""
+    """Winner of the grid design search; n_designs counts the whole space,
+    n_evaluated the designs whose Gamma was solved."""
 
     design: SpecialistDesign
     x: np.ndarray
     Y: float
     n_designs: int
+    n_evaluated: int
 
 
 def brute_force_design(
@@ -350,17 +375,26 @@ def brute_force_design(
     max_atoms: int = 3,
     max_designs: int = 8_000_000,
 ) -> BruteForceResult:
-    """Exhaustively evaluate minimal-integrator designs on a simplex grid.
+    """Output-maximal grid design, by exact branch-and-bound.
 
-    Returns the argmax of output over grid_designs, breaking exact ties
-    toward the lexicographically smallest mix.
+    Returns the argmax of Y = V*C(X,q)/(E_lam + theta*Gamma) over
+    grid_designs, breaking exact ties toward the lexicographically smallest
+    mix. Gamma is solved only for designs whose bound V*C(X,q)/E_lam
+    reaches the best Y so far, which the single atoms seed; grid_designs
+    says why the result is the exhaustive search's, bit for bit.
     """
     best_key = (np.inf, ())  # (-Y, mix) of the incumbent
-    n_seen = 0
+    n_seen = n_evaluated = 0
     designs = grid_designs(econ, resolution, max_atoms, max_designs)
-    for atom_dirs, w, X, E_lam, gam, cov in designs:
-        Y = econ.V * cov / (E_lam + econ.theta * gam)
-        n_seen += Y.size
+    for atom_dirs, w, X, E_lam, cov in designs:
+        n_seen += cov.size
+        keep = np.flatnonzero(econ.V * cov / E_lam >= -best_key[0])
+        # rebinding drops this batch before grid_designs builds the next
+        X, E_lam, cov = X[keep], E_lam[keep], cov[keep]
+        if keep.size == 0:
+            continue
+        n_evaluated += keep.size
+        Y = econ.V * cov / (E_lam + econ.theta * grid_gamma(econ.tech, atom_dirs[keep], w, X))
         k = int(np.argmax(Y))
         ties = np.flatnonzero(Y == Y[k])
         if ties.size > 1:
@@ -369,11 +403,11 @@ def brute_force_design(
         if key < best_key:
             best_key = key
             best_Y, best_x = float(Y[k]), X[k].copy()
-            design = SpecialistDesign(directions=atom_dirs[k], weights=w)
-        del X, E_lam  # free this batch before grid_designs builds the next
+            design = SpecialistDesign(directions=atom_dirs[keep[k]], weights=w)
     return BruteForceResult(
         design=design,
         x=best_x,
         Y=best_Y,
         n_designs=n_seen,
+        n_evaluated=n_evaluated,
     )

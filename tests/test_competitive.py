@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from specint.competitive import (
     support_wages,
     unit_cost,
 )
-from specint.errors import SupportConditionError, ZeroCoverageError
+from specint.errors import DomainError, SupportConditionError, ZeroCoverageError
 from specint.learning import gamma_index, lambda_index
 from specint.production import SpecialistDesign, corner_design, single_atom
 
@@ -40,6 +42,22 @@ def test_support_wages_rejects_small_net_productivity():
     with pytest.raises(SupportConditionError) as err:
         support_wages(econ)
     assert "net productivity" in str(err.value)
+
+
+def test_support_wages_rejects_nonpositive_specialist_wage():
+    # a concentrated civic profile gives delta ~ -0.37; at V = 1e-3,
+    # beta*(-delta) exceeds V_tilde and w_S would be negative
+    econ = make_economy(q=(0.8, 0.1, 0.1), u=(0.9, 0.05, 0.05), V=1e-3, theta=0.01)
+    with pytest.raises(SupportConditionError) as err:
+        support_wages(econ)
+    assert "specialist wage" in str(err.value)
+
+
+def test_no_deviation_rejects_negative_wage_ratio(econ):
+    # the pruning bound E[lambda]/C(X,q) needs theta*r*Gamma >= 0
+    wages = replace(support_wages(econ), w_S=-1.0)
+    with pytest.raises(DomainError):
+        no_deviation_check(wages, econ, resolution=2, max_atoms=1)
 
 
 def test_wage_positivity_boundary():

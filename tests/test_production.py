@@ -1,15 +1,17 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specint import learning, production
+from specint import learning, oracles, production
 from specint.competitive import no_deviation_check, support_wages
 from specint.errors import (
     BudgetExceededError,
     ConfigError,
     CutoffError,
     DomainError,
+    HypothesisError,
     InfeasibleAllocationError,
 )
 from specint.knowledge import coverage, fragmentation
@@ -28,6 +30,7 @@ from specint.production import (
     simplex_grid,
     single_atom,
 )
+from specint.scenario import load_scenario
 from specint.welfare import total_welfare
 
 from conftest import interior_simplex, make_economy
@@ -326,6 +329,111 @@ def test_grid_designs_batching_keeps_results(monkeypatch):
     expected = design_space_size(3, 4, 3)
     counts = {found.n_designs, report.n_designs, small_found.n_designs, small_report.n_designs}
     assert counts == {expected}
+
+
+def _exhaustive(econ, resolution, atoms, r):
+    """Both grid searches with Gamma solved on every design of every batch:
+    the output argmax (lexicographic tie-break) and, at wage ratio r, the
+    first cheapest unit cost."""
+    best_key, best, n_seen = (np.inf, ()), None, 0
+    worst, worst_design = np.inf, None
+    for atom_dirs, w, X, E_lam, cov in production.grid_designs(econ, resolution, atoms, 10**8):
+        n_seen += cov.size
+        gam = production.grid_gamma(econ.tech, atom_dirs, w, X)
+        Y = econ.V * cov / (E_lam + econ.theta * gam)
+        k = int(np.argmax(Y))
+        ties = np.flatnonzero(Y == Y[k])
+        if ties.size > 1:
+            k = int(min(ties, key=lambda i: tuple(X[i])))
+        if (-Y[k], tuple(X[k])) < best_key:
+            best_key = (-Y[k], tuple(X[k]))
+            best = (float(Y[k]), X[k].copy(), atom_dirs[k], w)
+        ok = np.flatnonzero(cov > 0.0)
+        if r is None or ok.size == 0:
+            continue
+        cost = (E_lam[ok] + econ.theta * r * gam[ok]) / cov[ok]
+        k = int(np.argmin(cost))
+        if cost[k] < worst:
+            worst, worst_design = float(cost[k]), (atom_dirs[ok[k]], w)
+    return best, n_seen, worst, worst_design
+
+
+def _reference_cases():
+    """Both shipped scenarios, then random economies: K 2-5, both families,
+    uniform q (ties in output), theta at the bottom and top of (0, theta_bar)."""
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    for name in ("default", "governance_heavy"):
+        yield name, load_scenario(str(root / f"{name}.cfg")).econ, 5, 3
+    # theta*Gamma vanishes against E[lambda], so every output meets its
+    # bound and permuted mixes tie exactly, the smallest in a later batch
+    yield "tiny_theta_ties", make_economy(q=(1 / 3, 1 / 3, 1 / 3), theta=1e-300), 4, 3
+    rng = np.random.default_rng(20261018)
+    base = load_scenario().econ
+    for i in range(20):
+        K = 2 + i % 4
+        econ = oracles._random_economy(rng, base, K=K)
+        family = learning.FAMILIES[i // 4 % 2]
+        econ = replace(econ, tech=learning.LearningTech(family, econ.tech.param))
+        if i % 3 == 0:
+            econ = replace(econ, q=np.full(K, 1.0 / K))
+        econ = econ.with_theta((1e-12 if i % 2 else 0.999) * econ.theta_bar)
+        yield f"draw{i}", econ, {2: 6, 3: 5, 4: 4, 5: 3}[K], 1 + i % 3
+
+
+REFERENCE_CASES = list(_reference_cases())
+
+
+@pytest.mark.parametrize("batch", [production.ENUM_BATCH, 7])
+@pytest.mark.parametrize(
+    "name,econ,resolution,atoms", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES]
+)
+def test_pruned_searches_match_exhaustive_reference(
+    monkeypatch, batch, name, econ, resolution, atoms
+):
+    # pruning on the theta*Gamma = 0 bound is exact: every result carries
+    # the bits of the search that solves Gamma for every design
+    monkeypatch.setattr(production, "ENUM_BATCH", batch)
+    try:
+        wages = support_wages(econ)
+    except HypothesisError:
+        wages = None
+    r = None if wages is None else wages.w_M / wages.w_S
+    (Y, x, dirs, w), n_seen, worst, worst_design = _exhaustive(econ, resolution, atoms, r)
+    found = brute_force_design(econ, resolution=resolution, max_atoms=atoms)
+    assert (found.Y, found.x.tobytes(), found.n_designs) == (Y, x.tobytes(), n_seen)
+    assert found.design.directions.tobytes() == dirs.tobytes()
+    assert found.design.weights.tobytes() == w.tobytes()
+    assert found.n_evaluated <= found.n_designs
+    if wages is None:
+        return
+    report = no_deviation_check(wages, econ, resolution=resolution, max_atoms=atoms)
+    cost_q = 1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))
+    assert (report.worst_margin, report.n_designs) == (worst - cost_q, n_seen)
+    assert report.worst_design.directions.tobytes() == worst_design[0].tobytes()
+    assert report.worst_design.weights.tobytes() == worst_design[1].tobytes()
+    assert report.n_evaluated <= report.n_designs
+
+
+def test_pruning_solves_gamma_for_few_designs(monkeypatch, econ):
+    # n_evaluated counts the rows handed to gamma_index_batch; on the
+    # default scenario under 1% of the 304,965 designs survive the bound
+    wages = support_wages(econ)
+    rows = []
+    solve = learning.gamma_index_batch
+
+    def counted(tech, Z):
+        rows.append(Z.shape[0])
+        return solve(tech, Z)
+
+    monkeypatch.setattr(learning, "gamma_index_batch", counted)
+    found = brute_force_design(econ, resolution=8, max_atoms=3)
+    assert sum(rows) == found.n_evaluated
+    rows.clear()
+    report = no_deviation_check(wages, econ, resolution=8, max_atoms=3)
+    assert sum(rows) == report.n_evaluated
+    for result in (found, report):
+        assert result.n_designs == 304_965
+        assert 0 < result.n_evaluated < 0.01 * result.n_designs
 
 
 def test_brute_force_zero_theta_pure_coverage():
