@@ -5,7 +5,9 @@ specint sweep  --axis {b,alpha,theta} [--config F] [--out CSV]
 specint verify [--config F] [--out CSV] [--seed N] [--strict]
 
 Exit codes: 0 ok, 1 config or usage error, 2 hypothesis violation, 3 oracle
-failure or a non-finite result.
+failure or a non-finite result, 4 internal error (an exception outside the
+engine's error hierarchy: a bug). An error exit prints one stderr line and
+no traceback.
 CSV output is RFC-4180 style with a header row, '.' decimal, and
 deterministic shortest-round-trip floats, so identical scenarios and
 seeds produce byte-identical files.
@@ -293,6 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message} (bug)", file=sys.stderr)
+        return 4
 
 
 def console_main() -> None:

@@ -21,7 +21,9 @@ r_bar = 2*(V_tilde + ell_bar*Delta_cap) / (V_tilde*q_min), with
 Delta_cap = log(1/(ell_bar**-p * u_min)), turns that into the uniqueness
 condition theta < min(theta_bar/r_bar, V_tilde*q_min/(2*ell_bar*Delta_cap)).
 The engine verifies the constructed equilibrium (wages, no profitable
-deviation on a design grid) rather than searching for one.
+deviation on a design grid) rather than searching for one. As
+c(x, nu; r) = V/Y(x, nu) at integration cost theta*r, the no-deviation
+scan is production.brute_force_design run there: one grid search serves both.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
 from .knowledge import coverage, fragmentation
 from .learning import gamma_index, max_scale_batch
 from .politics import group_knowledge
-from .production import SpecialistDesign, grid_designs, grid_gamma, productive_optimum
+from .production import SpecialistDesign, brute_force_design, productive_optimum
 
 RESIDUAL_TOL = 1e-10  # floor of the wage identities' residual bound
 MARGIN_TOL = 1e-9  # round-off allowance before a cheaper grid design counts
@@ -172,53 +174,33 @@ def no_deviation_check(
     max_atoms: int = 3,
     max_designs: int = 8_000_000,
 ) -> NoDeviationReport:
-    """Scan grid_designs for unit costs below the aligned corner design, by
-    exact branch-and-bound.
+    """Search the design grid for unit costs below the aligned corner design.
 
-    Finds the first cheapest c = (E_lam + theta*r*Gamma)/C(X,q) over
-    designs with C(X,q) > 0. Gamma is solved only for designs whose bound
-    E_lam/C(X,q) is at most the cheapest cost so far; grid_designs says why
-    the result is the exhaustive scan's, bit for bit (the bound needs
-    theta*r >= 0). When the uniqueness cutoffs hold, any violation is
-    raised as an error; outside them violations are reported in the margin
-    only.
+    A firm's unit cost c(x, nu; r) at wage ratio r is V/Y for the output of
+    the same design at integration cost theta*r, so the cheapest design is
+    brute_force_design's winner in the economy with theta*r in place of
+    theta; exact ties go to the lexicographically smallest mix. When the
+    uniqueness cutoffs hold, any violation is raised as an error; outside
+    them violations are reported in the margin only.
     """
     r = wages.w_M / wages.w_S
-    if not r >= 0.0:  # the pruning bound needs theta*r*Gamma >= 0
-        raise DomainError("wage ratio must be nonnegative")
+    if not econ.theta * r > 0.0:
+        raise DomainError(f"wage ratio {r:.6g} must make the integration cost theta*r positive")
     cost_q = 1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))
-    worst = np.inf
-    worst_design = None
-    n_seen = n_evaluated = 0
-    designs = grid_designs(econ, resolution, max_atoms, max_designs)
-    for atom_dirs, w, X, E_lam, cov in designs:
-        n_seen += cov.size
-        keep = np.flatnonzero(cov > 0.0)
-        keep = keep[E_lam[keep] / cov[keep] <= worst]
-        # rebinding drops this batch before grid_designs builds the next
-        X, E_lam, cov = X[keep], E_lam[keep], cov[keep]
-        if keep.size == 0:
-            continue
-        n_evaluated += keep.size
-        gam = grid_gamma(econ.tech, atom_dirs[keep], w, X)
-        cost = (E_lam + econ.theta * r * gam) / cov
-        k = int(np.argmin(cost))
-        if cost[k] < worst:
-            worst = float(cost[k])
-            worst_design = SpecialistDesign(directions=atom_dirs[keep[k]], weights=w)
-    worst_margin = worst - cost_q
+    found = brute_force_design(econ.with_theta(econ.theta * r), resolution, max_atoms, max_designs)
+    worst_margin = found.unit_cost - cost_q
     passed = worst_margin >= -MARGIN_TOL
     if not passed and ratio_bound(econ).unique_ok:
         raise DeviationFoundError(
             f"profitable deviation with margin {worst_margin:.3e} found although "
-            f"the uniqueness cutoffs hold; deviating mix {worst_design.mean()!r}"
+            f"the uniqueness cutoffs hold; deviating mix {found.x!r}"
         )
     return NoDeviationReport(
         worst_margin=worst_margin,
-        n_designs=n_seen,
-        n_evaluated=n_evaluated,
+        n_designs=found.n_designs,
+        n_evaluated=found.n_evaluated,
         passed=passed,
         r=r,
         cost_at_optimum=cost_q,
-        worst_design=worst_design,
+        worst_design=found.design,
     )

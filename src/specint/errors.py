@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the engine.
 
 The CLI maps these onto exit codes: ConfigError -> 1, HypothesisError
-(and subclasses) -> 2, OracleError (and subclasses) -> 3.
+(and subclasses) -> 2, OracleError (and subclasses) -> 3, any other
+ModelError -> 2. An exception outside this hierarchy is a bug and exits 4.
 """
 
 

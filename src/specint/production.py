@@ -300,15 +300,14 @@ def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: in
     request, and an empty grid (resolution or max_atoms below 1) raises
     DomainError.
 
-    A search solves Gamma (grid_gamma) only for the designs whose bound can
-    still beat or tie its incumbent, and that pruning is exact. As
-    theta*Gamma >= 0, fl(E_lam + fl(theta*Gamma)) >= E_lam, and correctly
-    rounded division is monotone in its denominator, so a computed output
-    V*C/(E_lam + theta*Gamma) never exceeds its computed bound V*C/E_lam,
-    and a computed unit cost never falls below E_lam/C. A pruned design can
-    therefore neither win nor tie, and grid_gamma gives each kept design
-    the bits the exhaustive evaluation gives it. A ConvergenceError can
-    fire only on a kept design.
+    brute_force_design solves Gamma (grid_gamma) only for the designs whose
+    bound can still beat or tie its incumbent, and that pruning is exact.
+    As theta*Gamma >= 0, fl(E_lam + fl(theta*Gamma)) >= E_lam, and
+    correctly rounded division is monotone in its denominator, so a
+    computed output V*C/(E_lam + theta*Gamma) never exceeds its computed
+    bound V*C/E_lam. A pruned design can therefore neither win nor tie, and
+    grid_gamma gives each kept design the bits the exhaustive evaluation
+    gives it. A ConvergenceError can fire only on a kept design.
     """
     if resolution < 1 or max_atoms < 1:
         raise DomainError("grid designs need resolution >= 1 and max_atoms >= 1")
@@ -359,12 +358,14 @@ def grid_gamma(
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Winner of the grid design search; n_designs counts the whole space,
+    """Winner of the grid design search and its unit cost
+    (E_lam + theta*Gamma)/C(X,q) = V/Y; n_designs counts the whole space,
     n_evaluated the designs whose Gamma was solved."""
 
     design: SpecialistDesign
     x: np.ndarray
     Y: float
+    unit_cost: float
     n_designs: int
     n_evaluated: int
 
@@ -381,7 +382,9 @@ def brute_force_design(
     grid_designs, breaking exact ties toward the lexicographically smallest
     mix. Gamma is solved only for designs whose bound V*C(X,q)/E_lam
     reaches the best Y so far, which the single atoms seed; grid_designs
-    says why the result is the exhaustive search's, bit for bit.
+    says why the result is the exhaustive search's, bit for bit. The same
+    search is the competitive no-deviation scan: at integration cost
+    theta*r a firm's unit cost is V/Y, so the winner is the cheapest design.
     """
     best_key = (np.inf, ())  # (-Y, mix) of the incumbent
     n_seen = n_evaluated = 0
@@ -394,7 +397,8 @@ def brute_force_design(
         if keep.size == 0:
             continue
         n_evaluated += keep.size
-        Y = econ.V * cov / (E_lam + econ.theta * grid_gamma(econ.tech, atom_dirs[keep], w, X))
+        den = E_lam + econ.theta * grid_gamma(econ.tech, atom_dirs[keep], w, X)
+        Y = econ.V * cov / den
         k = int(np.argmax(Y))
         ties = np.flatnonzero(Y == Y[k])
         if ties.size > 1:
@@ -402,12 +406,13 @@ def brute_force_design(
         key = (-Y[k], tuple(X[k]))
         if key < best_key:
             best_key = key
-            best_Y, best_x = float(Y[k]), X[k].copy()
+            best_Y, best_x, best_cost = float(Y[k]), X[k].copy(), float(den[k] / cov[k])
             design = SpecialistDesign(directions=atom_dirs[keep[k]], weights=w)
     return BruteForceResult(
         design=design,
         x=best_x,
         Y=best_Y,
+        unit_cost=best_cost,
         n_designs=n_seen,
         n_evaluated=n_evaluated,
     )

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specint import learning, reforms
+from specint import cli, learning, reforms
 from specint.cli import main
 from specint.scenario import (
     DEFAULTS,
@@ -85,6 +91,56 @@ def test_usage_error_exits_one(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
+    # an exception outside the engine's hierarchy is a bug: its own code
+    # and one stderr line, never a traceback or the config-error code
+    def broken(econ):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "productive_optimum", broken)
+    assert main(["solve", "--config", write_cfg(tmp_path / "s.cfg")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: float division by zero (bug)\n"
+
+
+REQUIRED_KEYS = [k for k in DEFAULTS if k.split(".")[0] in ("learning", "economy", "gov")]
+HOSTILE_VALUES = [
+    "nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e-300", "abc", "",
+    "0.5", "0.5,0.5", "1,0,0", "0,0,1", "0.5,0.5,0", "nan,0.5,0.5", "1e300,1,1",
+]
+NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta"]),
+    hostile=st.dictionaries(
+        st.sampled_from(REQUIRED_KEYS), st.sampled_from(HOSTILE_VALUES), min_size=1, max_size=2
+    ),
+)
+def test_hostile_configs_keep_the_exit_code_contract(tmp_path_factory, command, hostile):
+    # a documented code, one stderr line, no traceback, and only finite
+    # numbers printed or written when the run succeeds; warnings are the
+    # engine's own diagnostics (renormalized profiles, decomposition
+    # residuals), recorded as in a plain run rather than raised
+    work = tmp_path_factory.mktemp("hostile")
+    cfg = write_cfg(work / "h.cfg", {**SMALL_BUDGETS, **hostile})
+    out = work / "out.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command.split(), "--config", cfg, "--out", str(out)])
+    assert all(w.category is UserWarning for w in caught), [str(w.message) for w in caught]
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err and err.count("\n") <= 1
+    if code == 0:
+        assert err == ""
+        assert not NONFINITE.search(stdout.getvalue())
+        assert not NONFINITE.search(out.read_text())
 
 
 def test_module_entry_point_exit_codes(tmp_path):

@@ -54,10 +54,12 @@ def test_support_wages_rejects_nonpositive_specialist_wage():
 
 
 def test_no_deviation_rejects_negative_wage_ratio(econ):
-    # the pruning bound E[lambda]/C(X,q) needs theta*r*Gamma >= 0
-    wages = replace(support_wages(econ), w_S=-1.0)
-    with pytest.raises(DomainError):
-        no_deviation_check(wages, econ, resolution=2, max_atoms=1)
+    # the scan runs the design oracle at integration cost theta*r, which
+    # must be positive: a zero wage ratio is a domain error, not a config one
+    wages = support_wages(econ)
+    for bad in (replace(wages, w_S=-1.0), replace(wages, w_M=0.0)):
+        with pytest.raises(DomainError):
+            no_deviation_check(bad, econ, resolution=2, max_atoms=1)
 
 
 def test_wage_positivity_boundary():

@@ -333,10 +333,10 @@ def test_grid_designs_batching_keeps_results(monkeypatch):
 
 def _exhaustive(econ, resolution, atoms, r):
     """Both grid searches with Gamma solved on every design of every batch:
-    the output argmax (lexicographic tie-break) and, at wage ratio r, the
-    first cheapest unit cost."""
+    the output argmax and, at wage ratio r, the unit-cost argmin, each
+    breaking exact ties toward the lexicographically smallest mix."""
     best_key, best, n_seen = (np.inf, ()), None, 0
-    worst, worst_design = np.inf, None
+    worst_key, worst_design = (np.inf, ()), None
     for atom_dirs, w, X, E_lam, cov in production.grid_designs(econ, resolution, atoms, 10**8):
         n_seen += cov.size
         gam = production.grid_gamma(econ.tech, atom_dirs, w, X)
@@ -352,10 +352,11 @@ def _exhaustive(econ, resolution, atoms, r):
         if r is None or ok.size == 0:
             continue
         cost = (E_lam[ok] + econ.theta * r * gam[ok]) / cov[ok]
-        k = int(np.argmin(cost))
-        if cost[k] < worst:
-            worst, worst_design = float(cost[k]), (atom_dirs[ok[k]], w)
-    return best, n_seen, worst, worst_design
+        for k in np.flatnonzero(cost == cost.min()):
+            if (cost[k], tuple(X[ok[k]])) < worst_key:
+                worst_key = (float(cost[k]), tuple(X[ok[k]]))
+                worst_design = (atom_dirs[ok[k]], w)
+    return best, n_seen, worst_key[0], worst_design
 
 
 def _reference_cases():
@@ -434,6 +435,22 @@ def test_pruning_solves_gamma_for_few_designs(monkeypatch, econ):
     for result in (found, report):
         assert result.n_designs == 304_965
         assert 0 < result.n_evaluated < 0.01 * result.n_designs
+
+
+def test_one_search_meets_the_aligned_design_with_q_on_the_grid():
+    # q = (0.5, 0.3, 0.2) is a grid point at resolution 10, so both uses of
+    # the one search land on the corner design at q, to round-off
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    econ = load_scenario(str(root / "default.cfg")).econ
+    eps = float(np.finfo(float).eps)
+    opt, _ = productive_optimum(econ)
+    found = brute_force_design(econ, resolution=10, max_atoms=3)
+    report = no_deviation_check(support_wages(econ), econ, resolution=10, max_atoms=3)
+    for design in (found.design, report.worst_design):
+        assert design.is_corner()
+        assert design.mean().tobytes() == econ.q.tobytes()
+    assert abs(found.Y - opt.Y_star) <= 4.0 * eps * opt.Y_star
+    assert abs(report.worst_margin) <= 4.0 * eps
 
 
 def test_brute_force_zero_theta_pure_coverage():
