@@ -83,19 +83,14 @@ def _random_economy(rng, base: Economy, K: int | None = None, diffuse_only=False
         else:
             u = _interior_simplex(rng, k)
         p = float(rng.uniform(0.05, 0.9))
-        econ = Economy(
-            tech=tech, q=q, u=u, p=p,
-            theta=1.0, V=base.V, gov=base.gov,
-        )
         theta_frac = float(rng.uniform(0.05, 0.9))
-        if diffuse_only:
-            # rejected draws never need the technology's constants
-            try:
-                if not check_diffuse(econ.u, econ.p, econ.tech).ok:
-                    continue
-            except HypothesisError:
-                continue
-        return econ.with_theta(theta_frac * econ.theta_bar)
+        # rejected draws never need the technology's constants
+        if diffuse_only and not check_diffuse(u, p, tech).ok:
+            continue
+        return Economy(
+            tech=tech, q=q, u=u, p=p,
+            theta=theta_frac * tech.constants.theta_bar, V=base.V, gov=base.gov,
+        )
     raise OracleError("random economy sampler exhausted its draw budget")
 
 
@@ -311,11 +306,6 @@ def check_shattering(scn: Scenario, rng, tol_scale) -> CheckResult:
 
 def check_design_oracle(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
-    if econ.theta >= econ.theta_bar:
-        return CheckResult(
-            "design-oracle", "skipped", None, None,
-            "hypothesis not met (theta at or above cutoff), skipped",
-        )
     res = brute_force_design(
         econ, resolution=scn.resolution, max_atoms=scn.atoms, max_designs=scn.max_designs
     )
@@ -482,10 +472,10 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
         )
     if B_S_slope > 0.0 or B_M_slope < 0.0:
         worst = max(worst, 2.0)
-    theta_small, capped = reforms.interface_threshold(econ, scn.alpha_grid)
+    theta_small = reforms.interface_threshold(econ, scn.alpha_grid)
     if not theta_small > 0.0:
         worst = max(worst, 2.0)
-    note = f"theta_small={theta_small:.6g}" + (" (capped)" if capped else "")
+    note = f"theta_small={theta_small:.6g}"
     return _result("interface-statics", worst, 1.0, note)
 
 
@@ -501,18 +491,17 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
         float((np.sign(B_M - B_S) * np.diff(report.B_soc)).min()),
     )
     worst = 0.0 if strictness > 1e-12 else 2.0
+    # the dm/dtheta column the engine emits, against central differences
     h = 1e-6 * econ.theta_bar
-    D = fragmentation(econ.q)
-    H = max_scale(econ.tech, production.gap_profile_star(econ.q))
-    for theta in report.theta_grid[1:-1:7]:
+    for i in range(1, report.theta_grid.size - 1, 7):
+        theta = report.theta_grid[i]
         if theta + h >= econ.theta_bar:
             continue  # the optimum, and so m_star, ends at the cutoff
         fd = (
             productive_optimum(econ.with_theta(theta + h))[0].m_star
             - productive_optimum(econ.with_theta(theta - h))[0].m_star
         ) / (2.0 * h)
-        closed = D * H / (H + theta * D) ** 2
-        worst = max(worst, abs(fd - closed) / 1e-8)
+        worst = max(worst, abs(fd - report.dm_dtheta[i]) / 1e-8)
     note = "welfare monotone on grid" if report.welfare_monotone else "welfare non-monotone on grid"
     return _result("theta-statics", worst, 1.0, note)
 

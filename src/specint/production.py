@@ -320,7 +320,8 @@ def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: in
         )
     dirs = simplex_grid(K, resolution)
     lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
-    for a in range(1, max_atoms + 1):
+    # a atoms need a weight split into a positive grid weights, so a <= resolution
+    for a in range(1, min(max_atoms, resolution) + 1):
         combos = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(dirs.shape[0]), a)),
             dtype=np.intp,

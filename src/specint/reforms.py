@@ -43,10 +43,12 @@ dB_soc/dtheta = m'(theta)*(B_M - B_S): civic capacity rises when
 integrators know more and falls when they know less. Welfare carries no
 sign assertion.
 
-Thresholds quoted "for small theta" are located by bisection per scenario
-over the (always well-defined) family constructions, and flagged when the
-located flip sits above the primitive cutoff where optimality of the
-underlying organization is certified.
+Thresholds quoted "for small theta" are closed forms over the (always
+well-defined) family constructions: theta_cut above, and theta_small of
+interface_threshold, the least root of one quadratic per grid alpha. Only
+bisect_broadening_cutoff still bisects, as the finite-difference oracle
+that `verify` holds theta_cut against, and `verify` flags a cutoff above
+the primitive cutoff where optimality of the organization is certified.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .economy import Economy
 from .errors import DomainError, OracleError
 from .knowledge import coverage, fragmentation, system_knowledge
 from .learning import max_scale, max_scale_batch
-from .politics import resource_sensitivities
 from .production import (
     Allocation,
     SpecialistDesign,
@@ -74,7 +75,6 @@ from .production import (
 from .welfare import Family, decompose_along, total_welfare
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
-THETA_CAP_FACTOR = 1e6  # interface_threshold stops its search at this * theta_bar
 
 
 def broadening_allocation(b: float, econ: Economy) -> Allocation:
@@ -248,61 +248,52 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
     )
 
 
-def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> tuple[float, bool]:
-    """(theta_small, capped): the bisected threshold below which both
-    dB_soc/dalpha and dW/dalpha are negative across the alpha grid, capped
-    when no flip is found within THETA_CAP_FACTOR times the primitive
-    cutoff."""
-    B_S_slope, B_M_slope = interface_closed_slopes(econ)
-    if B_S_slope > -1e-14:
-        # uniform requirement profile: the gap profile coincides with q,
-        # curves are flat, and no negative-slope region exists to bisect
-        return 0.0, False
-    # theta-free pieces of the corner organization at mix q
+def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> float:
+    """theta_small: the integration cost below which dB_soc/dalpha and
+    dW/dalpha are both negative at every alpha of the grid (0.0 when q is
+    uniform, where both curves are flat).
+
+    Closed form. theta enters only through the integrator share
+    m = theta*D/(H + theta*D) of the corner organization at mix q (D the
+    fragmentation of q, H the frontier at h*), which rises from 0 toward
+    1, so theta_small = m*H/((1-m)*D) at the threshold share m. Write
+    s_S = B_S' < 0 < s_M = B_M' for the constant group slopes, strict
+    unless q is uniform. Then dB_soc/dalpha = (1-m)s_S + m s_M is negative
+    exactly for m < m_b = -s_S/(s_M - s_S) < 1. Output is fixed along
+    alpha and R_B/R = eta/(2 B_soc) with B_soc > 0, so at each alpha
+    dW/dalpha has the sign of
+
+        Q(m) = (eta/2)((1-m)s_S + m s_M) - m(1-m)k
+             = k m^2 + b m + c,    k = (B_M - B_S)(s_M/B_M - s_S/B_S),
+
+    with c = Q(0) = eta*s_S/2 < 0 and Q(m_b) = -m_b(1-m_b)k. If k >= 0, Q
+    is convex (or affine) with Q(0) < 0 and Q(m_b) <= 0, so it is negative
+    on [0, m_b). If k < 0, Q(m_b) > 0: Q is concave with both roots
+    positive (so b > 0), and the smaller one lies in (0, m_b). It is
+    2c/(-b - sqrt(b^2 - 4kc)), the form free of cancellation (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 1.8). The
+    threshold share is the least of m_b and those roots; it is below 1, so
+    theta_small is finite.
+    """
+    s_S, s_M = interface_closed_slopes(econ)
+    if s_S > -1e-14:
+        return 0.0
     h_star = gap_profile_star(econ.q)
     H = max_scale(econ.tech, h_star)
-    D_q = fragmentation(econ.q)
+    D = fragmentation(econ.q)
     Hp = H**econ.p
-
-    def all_negative(theta: float) -> bool:
-        # Semi-analytic slopes: output is fixed along alpha, so
-        # dW = (R_B/R)*dB_soc - dD with everything in closed form except
-        # the governed resource level.
-        m_t = theta * D_q / (H + theta * D_q)
-        Y_t = econ.V * H / (H + theta * D_q)
-        d_bsoc = (1.0 - m_t) * B_S_slope + m_t * B_M_slope
-        if d_bsoc >= 0.0:
-            return False
-        for a in alpha_grid:
-            u_a = interface_profile(econ.q, float(a))
-            B_S_a = float(econ.q @ u_a)
-            B_M_a = Hp * coverage(h_star, u_a)
-            B_soc_a = (1.0 - m_t) * B_S_a + m_t * B_M_a
-            R, _, R_B = resource_sensitivities(econ.gov, Y_t, B_soc_a)
-            d_w = (R_B / R) * d_bsoc - dispersion_slope(
-                B_S_a, B_M_a, B_S_slope, B_M_slope, m_t
-            )
-            if d_w >= 0.0:
-                return False
-        return True
-
-    if not all_negative(1e-9 * econ.theta_bar + 1e-12):
-        raise OracleError("interface statics not negative at tiny theta")
-    lo = 1e-9 * econ.theta_bar
-    hi = econ.theta_bar
-    while all_negative(hi):
-        hi *= 4.0
-        if hi > THETA_CAP_FACTOR * econ.theta_bar:
-            return hi, True
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if all_negative(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6 * max(1.0, lo):
-            break
-    return lo, False
+    half_eta = 0.5 * econ.gov.eta
+    m_small = -s_S / (s_M - s_S)
+    for a in alpha_grid:
+        u_a = interface_profile(econ.q, float(a))
+        B_S = float(econ.q @ u_a)
+        B_M = Hp * coverage(h_star, u_a)
+        k = (B_M - B_S) * (s_M / B_M - s_S / B_S)
+        if k < 0.0:
+            b = half_eta * (s_M - s_S) - k
+            c = half_eta * s_S
+            m_small = min(m_small, 2.0 * c / (-b - math.sqrt(b * b - 4.0 * k * c)))
+    return m_small * H / ((1.0 - m_small) * D)
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,7 @@ def test_criterion_10_broadening(econ):
 
 def test_criterion_11_interface_statics(econ):
     rep = reforms.interface_statics(econ, np.linspace(0.0, 1.0, 11))
-    theta_small, _ = reforms.interface_threshold(econ, np.linspace(0.0, 1.0, 11))
+    theta_small = reforms.interface_threshold(econ, np.linspace(0.0, 1.0, 11))
     alloc = production.minimal_allocation(production.corner_design(econ.q), econ)
     h = 1e-6
     fd_gap = 0.0
@@ -270,7 +270,8 @@ def test_criterion_11_interface_statics(econ):
             abs((hi[1] - lo[1]) / (2 * h) - rep.B_M_slope),
         )
     signs_ok = rep.B_S_slope <= 0.0 <= rep.B_M_slope
-    below_ok = theta_small > 0.0 and np.all(rep.dW < 0.0) and rep.B_soc_slope < 0.0
+    finite_ok = 0.0 < theta_small and math.isfinite(theta_small)
+    below_ok = finite_ok and np.all(rep.dW < 0.0) and rep.B_soc_slope < 0.0
     ok = fd_gap <= 1e-8 and signs_ok and below_ok
     report(
         11, "interface-statics", ok,

@@ -160,6 +160,15 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert run("verify", "--help").returncode == 0
 
 
+def test_verify_above_cutoff_exits_two(tmp_path, capsys):
+    # theta = 0.02 lies above default.cfg's coordination cutoff: verify
+    # stops at the first check that needs the productive optimum
+    cfg = write_cfg(tmp_path / "hot.cfg", {**SMALL_BUDGETS, "economy.theta": "0.02"})
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hypothesis violation:") and captured.err.count("\n") == 1
+
+
 def test_default_scenario_file_matches_builtin(tmp_path):
     from_file = load_scenario("scenarios/default.cfg")
     builtin = load_scenario()

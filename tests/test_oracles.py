@@ -78,6 +78,23 @@ def test_theta_statics_grid_point_next_to_cutoff():
     assert result.status == "pass", result
 
 
+def test_theta_statics_check_reads_the_emitted_column(monkeypatch):
+    # the check certifies the dm_dtheta column that theta_statics returns
+    # (and sweep --axis theta writes) at every sampled grid index
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    assert run_check(oracles.check_theta_statics, scn).status == "pass"
+    statics = reforms.theta_statics
+    for index in range(1, scn.theta_grid().size - 1, 7):
+        def perturbed(econ, grid, index=index):
+            report = statics(econ, grid)
+            column = report.dm_dtheta.copy()
+            column[index] *= 1.0 + 1e-6
+            return dataclasses.replace(report, dm_dtheta=column)
+
+        monkeypatch.setattr(reforms, "theta_statics", perturbed)
+        assert run_check(oracles.check_theta_statics, scn).status == "fail", index
+
+
 @pytest.mark.parametrize("check", [
     oracles.check_frontier_lipschitz,
     oracles.check_concavity_gap,

@@ -331,6 +331,25 @@ def test_grid_designs_batching_keeps_results(monkeypatch):
     assert counts == {expected}
 
 
+def test_grid_designs_skip_atom_counts_without_a_weight_split(monkeypatch):
+    # a atoms need a positive grid weight each, so at resolution 2 the
+    # enumerator never builds the atom sets of a = 3
+    econ = make_economy()
+    expected = brute_force_design(econ, resolution=2, max_atoms=2)
+    sizes = []
+    combinations = production.itertools.combinations
+
+    def recorded(pool, a):
+        sizes.append(a)
+        return combinations(pool, a)
+
+    monkeypatch.setattr(production.itertools, "combinations", recorded)
+    found = brute_force_design(econ, resolution=2, max_atoms=3)
+    assert sizes == [1, 2]
+    assert found.n_designs == design_space_size(3, 2, 3) == expected.n_designs
+    assert (found.Y, found.x.tolist()) == (expected.Y, expected.x.tolist())
+
+
 def _exhaustive(econ, resolution, atoms, r):
     """Both grid searches with Gamma solved on every design of every batch:
     the output argmax and, at wage ratio r, the unit-cost argmin, each

@@ -1,15 +1,17 @@
 import csv
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specint import oracles
 from specint.cli import main
 from specint.errors import DomainError
 from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import max_scale
-from specint.politics import group_knowledge
+from specint.politics import group_knowledge, resource_sensitivities
 from specint.production import (
     accounts,
     corner_design,
@@ -279,14 +281,100 @@ def test_interface_statics_report(econ, scenario):
     rep = interface_statics(econ, np.linspace(0, 1, 9))
     assert rep.B_soc_slope < 0.0
     assert np.all(rep.dW < 0.0)
-    theta_small, capped = interface_threshold(econ, np.linspace(0, 1, 9))
+    theta_small = interface_threshold(econ, np.linspace(0, 1, 9))
     assert theta_small > 0.0
-    assert not capped
+    assert math.isfinite(theta_small)
     # below the threshold both slopes stay negative; above it one flips
     lo_econ = econ.with_theta(min(0.5 * theta_small, 0.9 * econ.theta_bar))
     bs, bm = interface_closed_slopes(lo_econ)
     m_lo = minimal_allocation(corner_design(lo_econ.q), lo_econ).m
     assert (1 - m_lo) * bs + m_lo * bm < 0.0
+
+
+def _bisected_threshold(econ, alpha_grid):
+    """Reference for interface_threshold: the final bracket [lo, hi] of a
+    bisection on the semi-analytic predicate "dB_soc/dalpha < 0 and
+    dW/dalpha < 0 at every grid alpha", with R_B/R from the governed
+    resource level and theta grown by doubling from theta_bar."""
+    B_S_slope, B_M_slope = interface_closed_slopes(econ)
+    h_star = gap_profile_star(econ.q)
+    H = max_scale(econ.tech, h_star)
+    D_q = fragmentation(econ.q)
+    Hp = H**econ.p
+
+    def all_negative(theta):
+        m_t = theta * D_q / (H + theta * D_q)
+        Y_t = econ.V * H / (H + theta * D_q)
+        d_bsoc = (1.0 - m_t) * B_S_slope + m_t * B_M_slope
+        if d_bsoc >= 0.0:
+            return False
+        for a in alpha_grid:
+            u_a = interface_profile(econ.q, float(a))
+            B_S_a = float(econ.q @ u_a)
+            B_M_a = Hp * coverage(h_star, u_a)
+            B_soc_a = (1.0 - m_t) * B_S_a + m_t * B_M_a
+            R, _, R_B = resource_sensitivities(econ.gov, Y_t, B_soc_a)
+            d_w = (R_B / R) * d_bsoc - dispersion_slope(B_S_a, B_M_a, B_S_slope, B_M_slope, m_t)
+            if d_w >= 0.0:
+                return False
+        return True
+
+    lo, hi = 1e-9 * econ.theta_bar, econ.theta_bar
+    assert all_negative(lo)
+    while all_negative(hi):
+        hi *= 4.0
+        assert hi <= 1e6 * econ.theta_bar
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if all_negative(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-6 * max(1.0, lo):
+            break
+    return lo, hi
+
+
+def _threshold_cases():
+    """Both shipped scenarios at their alpha grids, then 100 random draws."""
+    scenarios = [load_scenario(str(SCENARIOS / f"{n}.cfg")) for n in ("default", "governance_heavy")]
+    cases = [(scn.econ, scn.alpha_grid) for scn in scenarios]
+    rng = np.random.default_rng(20261018)
+    base = cases[0][0]
+    cases += [(oracles._random_economy(rng, base), np.linspace(0.0, 1.0, 9)) for _ in range(100)]
+    return cases
+
+
+def test_interface_threshold_lies_in_bisection_bracket():
+    # the closed form against a bisection of the slopes' predicate; both the
+    # civic-capacity bound m_b and a root of the welfare quadratic must occur
+    branches = set()
+    for econ, grid in _threshold_cases():
+        theta_small = interface_threshold(econ, grid)
+        lo, hi = _bisected_threshold(econ, grid)
+        assert hi - lo < 1e-6 * max(1.0, lo)
+        assert lo <= theta_small <= lo + 1e-6 * max(1.0, lo), (lo, theta_small)
+        bs, bm = interface_closed_slopes(econ)
+        m_b = -bs / (bm - bs)
+        H = max_scale(econ.tech, gap_profile_star(econ.q))
+        theta_b = m_b * H / ((1.0 - m_b) * fragmentation(econ.q))
+        branches.add("m_b" if theta_small == pytest.approx(theta_b, rel=1e-12) else "quadratic")
+    assert branches == {"m_b", "quadratic"}
+
+
+def test_interface_threshold_flips_finite_difference_slopes():
+    # the engine's own finite differences along alpha: both slopes negative
+    # at every grid alpha just below theta_small, not so just above it
+    def both_negative(econ, grid):
+        fam = interface_family(econ)
+        lo, hi = float(grid[0]), float(grid[-1])
+        slopes = [decompose_along(fam, float(a), lo=lo, hi=hi) for a in grid]
+        return all(d.dB_soc < 0.0 and d.fd_total < 0.0 for d in slopes)
+
+    for econ, grid in _threshold_cases():
+        theta_small = interface_threshold(econ, grid)
+        assert both_negative(econ.with_theta(theta_small * (1.0 - 1e-3)), grid)
+        assert not both_negative(econ.with_theta(theta_small * (1.0 + 1e-3)), grid)
 
 
 def test_interface_dispersion_slope_closed_form(econ):
