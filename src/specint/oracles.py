@@ -458,6 +458,11 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     B_S_slope, B_M_slope = reforms.interface_closed_slopes(econ)
+    if reforms.interface_flat(B_S_slope, B_M_slope):
+        return CheckResult(
+            "interface-statics", "skipped", None, None,
+            "hypothesis not met (q uniform, both interface curves flat), skipped",
+        )
     fam = reforms.interface_family(econ)
     h = 1e-6
     worst = 0.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -288,26 +288,64 @@ def design_space_size(K: int, resolution: int, max_atoms: int) -> int:
     )
 
 
-def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: int):
-    """Every minimal-integrator design on the 1/resolution simplex grid, as
-    the ingredients of its theta*Gamma = 0 bound.
+def grid_designs(
+    econ: Economy,
+    resolution: int,
+    max_atoms: int,
+    max_designs: int,
+    floor: Callable[[], float],
+    dropped: list[int],
+):
+    """The minimal-integrator designs on the 1/resolution simplex grid whose
+    theta*Gamma = 0 bound can still reach the incumbent output floor(), as
+    the ingredients of that bound. Per level it appends to `dropped` the
+    count of designs it drops with their atom sets, so the yielded and
+    dropped designs add up to the space.
 
     Atom directions and mastery weights both live on the grid; designs use
-    up to max_atoms atoms, single atoms first. Yields batches of at most
-    ENUM_BATCH atom sets sharing one weight split w, as (atom_dirs (C,a,K),
-    w, X, E_lam, C(X,q)). Cost grows as sum_a C(P,a)*C(n-1,a-1); a space
-    larger than max_designs raises BudgetExceededError on the first batch
-    request, and an empty grid (resolution or max_atoms below 1) raises
-    DomainError.
+    up to max_atoms atoms, single atoms first. Yields batches of atom sets
+    sharing one weight split w, as (atom_dirs (C,a,K), w, X, E_lam, C(X,q)).
+    The sets of a level come in lexicographic order, and a batch holds the
+    surviving sets of one ENUM_BATCH-long run of that order. The space
+    holds sum_a C(P,a)*C(n-1,a-1) designs; one larger than max_designs
+    raises BudgetExceededError on the first batch request, and an empty
+    grid (resolution or max_atoms below 1) raises DomainError.
 
-    brute_force_design solves Gamma (grid_gamma) only for the designs whose
-    bound can still beat or tie its incumbent, and that pruning is exact.
-    As theta*Gamma >= 0, fl(E_lam + fl(theta*Gamma)) >= E_lam, and
-    correctly rounded division is monotone in its denominator, so a
-    computed output V*C/(E_lam + theta*Gamma) never exceeds its computed
-    bound V*C/E_lam. A pruned design can therefore neither win nor tie, and
-    grid_gamma gives each kept design the bits the exhaustive evaluation
-    gives it. A ConvergenceError can fire only on a kept design.
+    The search is a two-level branch-and-bound (Land & Doig 1960), and
+    exact: no bound drops a design that could win or tie. Per design, brute_force_design solves Gamma (grid_gamma)
+    only when b = V*C(X,q)/E_lam reaches its incumbent Y. As theta*Gamma
+    >= 0, fl(E_lam + fl(theta*Gamma)) >= E_lam, and correctly rounded
+    division is monotone in its denominator, so a computed output never
+    exceeds its computed b: a design it skips can neither win nor tie, and
+    grid_gamma gives each kept design the bits it has in any batch. A
+    ConvergenceError can fire only on a kept design.
+
+    Per atom set, at the start of each level a with incumbent Y_a: with
+    atoms d_j, scales lam_j and any weight split, C(X,q) <= S =
+    sum_k max_j min(d_jk, q_k) <= sum_k q_k and E_lam >= l = min_j lam_j.
+    In floating point, with u = eps/2 and g_n = n*u/(1-n*u): the float grid
+    weights sum to within u of 1, so X_k, a sum of a products in any order,
+    is at most (1+u)(1+g_a) max_j d_jk, and E_lam at least
+    (1-u)(1-g_a) l; the K-term sums C(X,q), S and sum_k q_k are within a
+    factor 1 +- g_(K-1) of their exact values, and b takes two roundings.
+    So a computed b is at most F*V*S'/l for the computed S' (or sum_k q_k),
+    F = (1+u)^3 (1+g_a)(1+g_(K-1)) / ((1-u)(1-g_a)(1-g_(K-1))), where
+    F < 1 + (2a+2K+3)u as the rest is of order ((a+K)u)^2. The computed
+    set bound fl(fl(fl(V*S')/l)*s) with slack s = 1 + 4(a+K)*eps =
+    1 + 8(a+K)u is at least (1-u)^3 s V*S'/l > F*V*S'/l. A set whose bound
+    is below Y_a thus holds only designs with b < Y_a <= Y, as the
+    incumbent never falls, so dropping the set skips only designs the
+    per-design test skips. With sum_k q_k in place of S' the bound depends
+    on l alone: an atom is an anchor when V*sum_k q_k/lam_j (slackened)
+    reaches Y_a, and a set without one, whose l is a non-anchor's lam_j,
+    is dropped unbuilt. Each anchored set is built exactly once, from an
+    (a-1)-subset and the anchor below all of that subset's anchors. The
+    survivors are visited in the exhaustive order and batches, so the
+    search keeps its incumbents, winner and count of Gamma solves as long
+    as every design keeps its bits. That last step is an assumption, not
+    part of the proof: X and E_lam are BLAS products over the survivors of
+    a batch, and a row is taken to round alike whatever the matrix size
+    and its place in it. The exhaustive-reference tests check it.
     """
     if resolution < 1 or max_atoms < 1:
         raise DomainError("grid designs need resolution >= 1 and max_atoms >= 1")
@@ -319,26 +357,67 @@ def grid_designs(econ: Economy, resolution: int, max_atoms: int, max_designs: in
             "lower the resolution or atom count"
         )
     dirs = simplex_grid(K, resolution)
+    P = dirs.shape[0]
     lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
+    cap = np.minimum(dirs, econ.q)  # atom j's coverage terms min(d_jk, q_k)
     # a atoms need a weight split into a positive grid weights, so a <= resolution
     for a in range(1, min(max_atoms, resolution) + 1):
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(dirs.shape[0]), a)),
-            dtype=np.intp,
-            count=math.comb(dirs.shape[0], a) * a,
-        ).reshape(-1, a)
+        sets, n_dropped = _anchored_sets(econ, cap, lam, a, floor())
+        # lexicographic rank among all C(P, a) sets, for the exhaustive order and batches
+        binom = np.array([[math.comb(n, k) for k in range(a + 1)] for n in range(P)])
+        rank = math.comb(P, a) - 1 - binom[P - 1 - sets, np.arange(a, 0, -1)].sum(axis=1)
+        order = np.argsort(rank)
+        sets, batch = sets[order], rank[order] // ENUM_BATCH
         weight_rows = [
             np.array(c, dtype=float) / resolution
             for c in _compositions(resolution, a, minimum=1)
         ]
-        for start in range(0, combos.shape[0], ENUM_BATCH):
-            idx = combos[start : start + ENUM_BATCH]
+        dropped.append(n_dropped * len(weight_rows))
+        for idx in np.split(sets, np.flatnonzero(np.diff(batch)) + 1):
             atom_dirs = dirs[idx]  # (C, a, K)
             atom_lam = lam[idx]  # (C, a)
+            # np.tensordot(atom_dirs, w, axes=([1], [0])), its transpose made once
+            rows = atom_dirs.transpose(0, 2, 1).reshape(-1, a)
             for w in weight_rows:
-                X = np.tensordot(atom_dirs, w, axes=([1], [0]))
+                X = np.dot(rows, w.reshape(a, 1)).reshape(-1, K)
                 cov = np.minimum(X, econ.q[None, :]).sum(axis=1)
                 yield atom_dirs, w, X, atom_lam @ w, cov
+
+
+def _anchored_sets(econ: Economy, cap: np.ndarray, lam: np.ndarray, a: int, Y_a: float):
+    """Index rows, sorted within each row, of the a-atom grid sets whose
+    slackened bound reaches Y_a, and the count of the other sets: each
+    anchored set is built once, from an (a-1)-subset and the anchor below
+    all of that subset's anchors. grid_designs states the bound and proves
+    the slack."""
+    P, K = cap.shape
+    slack = 1.0 + 4 * (a + K) * float(np.finfo(float).eps)
+    anchor = econ.V * float(econ.q.sum()) / lam * slack >= Y_a
+    anchors = np.flatnonzero(anchor)
+    rest = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(P), a - 1)),
+        dtype=np.intp,
+        count=math.comb(P, a - 1) * (a - 1),
+    ).reshape(math.comb(P, a - 1), a - 1)
+    rest_cap = cap[rest].max(axis=1, initial=0.0)
+    rest_lam = lam[rest].min(axis=1, initial=np.inf)
+    below = np.searchsorted(anchors, np.where(anchor[rest], rest, P).min(axis=1, initial=P))
+    unbuilt = math.comb(P - anchors.size, a)  # the sets without an anchor
+    if int(below.sum()) != math.comb(P, a) - unbuilt:
+        raise AssertionError(f"anchored {a}-atom sets not each built once")
+    # at most ENUM_BATCH candidate sets a pass bounds memory as the batches do
+    step = max(1, ENUM_BATCH // max(1, anchors.size))
+    kept = [np.empty((0, a), dtype=np.intp)]
+    n_dropped = unbuilt
+    for lo in range(0, rest.shape[0], step):
+        n = below[lo : lo + step]
+        r = lo + np.repeat(np.arange(n.size), n)
+        t = anchors[np.arange(r.size) - np.repeat(np.cumsum(n) - n, n)]
+        S = np.maximum(rest_cap[r], cap[t]).sum(axis=1)
+        keep = econ.V * S / np.minimum(rest_lam[r], lam[t]) * slack >= Y_a
+        n_dropped += keep.size - int(np.count_nonzero(keep))
+        kept.append(np.column_stack([rest[r[keep]], t[keep]]))
+    return np.sort(np.concatenate(kept), axis=1), n_dropped
 
 
 def grid_gamma(
@@ -360,8 +439,9 @@ def grid_gamma(
 @dataclass(frozen=True)
 class BruteForceResult:
     """Winner of the grid design search and its unit cost
-    (E_lam + theta*Gamma)/C(X,q) = V/Y; n_designs counts the whole space,
-    n_evaluated the designs whose Gamma was solved."""
+    (E_lam + theta*Gamma)/C(X,q) = V/Y; n_designs counts the designs
+    bounded alone or dropped with their atom set, which make up the whole
+    space, and n_evaluated the designs whose Gamma was solved."""
 
     design: SpecialistDesign
     x: np.ndarray
@@ -382,14 +462,17 @@ def brute_force_design(
     Returns the argmax of Y = V*C(X,q)/(E_lam + theta*Gamma) over
     grid_designs, breaking exact ties toward the lexicographically smallest
     mix. Gamma is solved only for designs whose bound V*C(X,q)/E_lam
-    reaches the best Y so far, which the single atoms seed; grid_designs
-    says why the result is the exhaustive search's, bit for bit. The same
-    search is the competitive no-deviation scan: at integration cost
-    theta*r a firm's unit cost is V/Y, so the winner is the cheapest design.
+    reaches the best Y so far, which the single atoms seed, and atom sets
+    whose bound falls below it are never formed; grid_designs says why the
+    result is the exhaustive search's, bit for bit, and what that rests
+    on. The same search is the competitive no-deviation scan: at
+    integration cost theta*r a firm's unit cost is V/Y, so the winner is
+    the cheapest design.
     """
     best_key = (np.inf, ())  # (-Y, mix) of the incumbent
     n_seen = n_evaluated = 0
-    designs = grid_designs(econ, resolution, max_atoms, max_designs)
+    dropped = []
+    designs = grid_designs(econ, resolution, max_atoms, max_designs, lambda: -best_key[0], dropped)
     for atom_dirs, w, X, E_lam, cov in designs:
         n_seen += cov.size
         keep = np.flatnonzero(econ.V * cov / E_lam >= -best_key[0])
@@ -414,6 +497,6 @@ def brute_force_design(
         x=best_x,
         Y=best_Y,
         unit_cost=best_cost,
-        n_designs=n_seen,
+        n_designs=n_seen + sum(dropped),
         n_evaluated=n_evaluated,
     )

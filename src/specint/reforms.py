@@ -75,6 +75,7 @@ from .production import (
 from .welfare import Family, decompose_along, total_welfare
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
+FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
 
 
 def broadening_allocation(b: float, econ: Economy) -> Allocation:
@@ -248,6 +249,12 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
     )
 
 
+def interface_flat(s_S: float, s_M: float) -> bool:
+    """Whether both interface slopes (B_S', B_M') vanish, as they do
+    exactly when q is uniform; the results for small theta are then void."""
+    return abs(s_S) <= FLAT_SLOPE and abs(s_M) <= FLAT_SLOPE
+
+
 def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> float:
     """theta_small: the integration cost below which dB_soc/dalpha and
     dW/dalpha are both negative at every alpha of the grid (0.0 when q is
@@ -276,7 +283,7 @@ def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> float:
     theta_small is finite.
     """
     s_S, s_M = interface_closed_slopes(econ)
-    if s_S > -1e-14:
+    if interface_flat(s_S, s_M):
         return 0.0
     h_star = gap_profile_star(econ.q)
     H = max_scale(econ.tech, h_star)

@@ -406,6 +406,18 @@ def test_verify_gates_on_failed_diffuseness(tmp_path):
     assert "hypothesis not met" in gated[4]
 
 
+def test_verify_uniform_q_skips_interface_statics(tmp_path):
+    # with q uniform both interface curves are flat, so the result "for
+    # small theta" has no content: the check is skipped, not failed
+    cfg = write_cfg(tmp_path / "v.cfg", {"economy.q": ",".join([repr(1 / 3)] * 3)})
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    rows = {r[0]: r for r in read_csv(out)[1:]}
+    assert rows["interface-statics"][1] == "skipped"
+    assert "hypothesis not met" in rows["interface-statics"][4]
+    assert {r[1] for r in rows.values()} == {"pass", "skipped"}
+
+
 def test_verify_deterministic_bytes(tmp_path):
     cfg = write_cfg(tmp_path / "v.cfg", SMALL_BUDGETS)
     out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"

@@ -134,6 +134,20 @@ def test_interface_statics_check_runs_no_welfare(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("B_S_slope", [0.01, 1e-15])
+def test_interface_statics_check_fails_on_a_rising_B_S(monkeypatch, B_S_slope):
+    # only q uniform (both slopes 0) skips the check; a wrong-signed B_S'
+    # next to a rising B_M' is a failure, however small it is
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    slopes = reforms.interface_closed_slopes
+
+    def rising(econ):
+        return B_S_slope, slopes(econ)[1]
+
+    monkeypatch.setattr(reforms, "interface_closed_slopes", rising)
+    assert run_check(oracles.check_interface_statics, scn).status == "fail"
+
+
 def test_excess_specialization_check_bites(monkeypatch):
     # governance_heavy puts eta* inside (0,1), so the check confirms both the
     # closed-form W'(0) and the sign flip of the fd slope around eta*

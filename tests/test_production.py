@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -331,32 +332,80 @@ def test_grid_designs_batching_keeps_results(monkeypatch):
     assert counts == {expected}
 
 
-def test_grid_designs_skip_atom_counts_without_a_weight_split(monkeypatch):
+def test_grid_designs_skip_atom_counts_without_a_weight_split():
     # a atoms need a positive grid weight each, so at resolution 2 the
-    # enumerator never builds the atom sets of a = 3
+    # enumerator never starts the level a = 3: it reads the incumbent once
+    # per level, and with no incumbent it yields every set it builds
     econ = make_economy()
+    levels = []
+
+    def no_incumbent():
+        levels.append(len(levels) + 1)
+        return -np.inf
+
+    sizes, dropped = {}, []
+    designs = production.grid_designs(econ, 2, 3, 10**8, no_incumbent, dropped)
+    for atom_dirs, w, X, E_lam, cov in designs:
+        sizes[atom_dirs.shape[1]] = sizes.get(atom_dirs.shape[1], 0) + cov.size
+    assert levels == [1, 2]
+    assert sizes == {1: 6, 2: 15}
+    assert dropped == [0, 0]
+    assert sum(sizes.values()) == design_space_size(3, 2, 3)
     expected = brute_force_design(econ, resolution=2, max_atoms=2)
-    sizes = []
-    combinations = production.itertools.combinations
-
-    def recorded(pool, a):
-        sizes.append(a)
-        return combinations(pool, a)
-
-    monkeypatch.setattr(production.itertools, "combinations", recorded)
     found = brute_force_design(econ, resolution=2, max_atoms=3)
-    assert sizes == [1, 2]
     assert found.n_designs == design_space_size(3, 2, 3) == expected.n_designs
     assert (found.Y, found.x.tolist()) == (expected.Y, expected.x.tolist())
 
 
+@pytest.mark.parametrize("floor", [-np.inf, "winner", np.inf])
+def test_grid_designs_account_for_every_design(floor):
+    # each design is yielded once or dropped with its atom set, whatever
+    # the incumbent: the two counts add up to the space
+    econ = make_economy(q=(0.5, 0.3, 0.2))
+    if floor == "winner":
+        floor = brute_force_design(econ, resolution=5, max_atoms=3).Y
+    seen, dropped = 0, []
+    for batch in production.grid_designs(econ, 5, 3, 10**8, lambda: floor, dropped):
+        seen += batch[-1].size
+    assert len(dropped) == 3
+    assert seen + sum(dropped) == design_space_size(3, 5, 3)
+    assert (seen == 0) == (floor == np.inf) and (sum(dropped) == 0) == (floor == -np.inf)
+
+
+def _reference_designs(econ, resolution, atoms, batch):
+    """Every grid design as (atom_dirs, w, X, E_lam, C(X,q)), by an
+    enumeration of its own: grid points and weight splits as lexicographic
+    integer tuples, atom sets in lexicographic runs of `batch`, each run
+    once per weight split. Float steps are the ones the engine takes."""
+    K = econ.q.size
+    dirs = np.array(
+        [c for c in itertools.product(range(resolution + 1), repeat=K) if sum(c) == resolution],
+        dtype=float,
+    ) / resolution
+    lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
+    for a in range(1, atoms + 1):
+        splits = [
+            np.array(c, dtype=float) / resolution
+            for c in itertools.product(range(1, resolution + 1), repeat=a)
+            if sum(c) == resolution
+        ]
+        sets = np.array(list(itertools.combinations(range(len(dirs)), a)), dtype=np.intp)
+        sets = sets.reshape(-1, a)
+        for start in range(0, len(sets), batch):
+            idx = sets[start : start + batch]
+            atom_dirs, atom_lam = dirs[idx], lam[idx]
+            for w in splits:
+                X = np.tensordot(atom_dirs, w, axes=([1], [0]))
+                yield atom_dirs, w, X, atom_lam @ w, np.minimum(X, econ.q).sum(axis=1)
+
+
 def _exhaustive(econ, resolution, atoms, r):
-    """Both grid searches with Gamma solved on every design of every batch:
-    the output argmax and, at wage ratio r, the unit-cost argmin, each
-    breaking exact ties toward the lexicographically smallest mix."""
+    """Both grid searches with Gamma solved on every design: the output
+    argmax and, at wage ratio r, the unit-cost argmin, each breaking exact
+    ties toward the lexicographically smallest mix."""
     best_key, best, n_seen = (np.inf, ()), None, 0
     worst_key, worst_design = (np.inf, ()), None
-    for atom_dirs, w, X, E_lam, cov in production.grid_designs(econ, resolution, atoms, 10**8):
+    for atom_dirs, w, X, E_lam, cov in _reference_designs(econ, resolution, atoms, 10**9):
         n_seen += cov.size
         gam = production.grid_gamma(econ.tech, atom_dirs, w, X)
         Y = econ.V * cov / (E_lam + econ.theta * gam)
@@ -401,6 +450,7 @@ def _reference_cases():
 
 
 REFERENCE_CASES = list(_reference_cases())
+EXHAUSTIVE = {}  # case name -> _exhaustive result, shared by both batch sizes
 
 
 @pytest.mark.parametrize("batch", [production.ENUM_BATCH, 7])
@@ -411,18 +461,23 @@ def test_pruned_searches_match_exhaustive_reference(
     monkeypatch, batch, name, econ, resolution, atoms
 ):
     # pruning on the theta*Gamma = 0 bound is exact: every result carries
-    # the bits of the search that solves Gamma for every design
+    # the bits of the search that solves Gamma for every design, and
+    # bounding whole atom sets solves Gamma for exactly the designs that
+    # bounding each design alone does
     monkeypatch.setattr(production, "ENUM_BATCH", batch)
     try:
         wages = support_wages(econ)
     except HypothesisError:
         wages = None
     r = None if wages is None else wages.w_M / wages.w_S
-    (Y, x, dirs, w), n_seen, worst, worst_design = _exhaustive(econ, resolution, atoms, r)
+    if name not in EXHAUSTIVE:
+        EXHAUSTIVE[name] = _exhaustive(econ, resolution, atoms, r)
+    (Y, x, dirs, w), n_seen, worst, worst_design = EXHAUSTIVE[name]
     found = brute_force_design(econ, resolution=resolution, max_atoms=atoms)
     assert (found.Y, found.x.tobytes(), found.n_designs) == (Y, x.tobytes(), n_seen)
     assert found.design.directions.tobytes() == dirs.tobytes()
     assert found.design.weights.tobytes() == w.tobytes()
+    assert found.n_evaluated == _one_level_search(econ, resolution, atoms, batch)[1]
     assert found.n_evaluated <= found.n_designs
     if wages is None:
         return
@@ -431,7 +486,66 @@ def test_pruned_searches_match_exhaustive_reference(
     assert (report.worst_margin, report.n_designs) == (worst - cost_q, n_seen)
     assert report.worst_design.directions.tobytes() == worst_design[0].tobytes()
     assert report.worst_design.weights.tobytes() == worst_design[1].tobytes()
+    deviation = econ.with_theta(econ.theta * r)
+    assert report.n_evaluated == _one_level_search(deviation, resolution, atoms, batch)[1]
     assert report.n_evaluated <= report.n_designs
+
+
+def _one_level_search(econ, resolution, atoms, batch):
+    """The grid search that bounds designs one at a time: Gamma is solved
+    for each design of the reference enumeration whose V*C(X,q)/E_lam
+    reaches the running best output. Returns the winner's (Y, x,
+    directions, weights, unit cost) and the count of Gamma solves."""
+    best_key, best, n_evaluated = (np.inf, ()), None, 0
+    for atom_dirs, w, X, E_lam, cov in _reference_designs(econ, resolution, atoms, batch):
+        keep = np.flatnonzero(econ.V * cov / E_lam >= -best_key[0])
+        if keep.size == 0:
+            continue
+        n_evaluated += keep.size
+        gam = production.grid_gamma(econ.tech, atom_dirs[keep], w, X[keep])
+        den = E_lam[keep] + econ.theta * gam
+        Y = econ.V * cov[keep] / den
+        k = int(np.argmax(Y))
+        ties = np.flatnonzero(Y == Y[k])
+        if ties.size > 1:
+            k = int(min(ties, key=lambda i: tuple(X[keep[i]])))
+        i = keep[k]
+        if (-Y[k], tuple(X[i])) < best_key:
+            best_key = (-Y[k], tuple(X[i]))
+            best = (float(Y[k]), X[i].copy(), atom_dirs[i], w, float(den[k] / cov[i]))
+    return best, n_evaluated
+
+
+def test_set_bound_keeps_the_one_level_search_at_design_oracle_size(monkeypatch):
+    # K=4, resolution 6, 3 atoms: bounding whole atom sets forms under half
+    # of the 970,354 designs, yet both searches keep the winner bits
+    # and the count of Gamma solves of the search that bounds every design
+    econ = oracles._random_economy(np.random.default_rng(101), load_scenario().econ, K=4)
+    wages = support_wages(econ)
+    r = wages.w_M / wages.w_S
+    formed = []
+    enumerate_designs = production.grid_designs
+
+    def counted(*args):
+        for batch in enumerate_designs(*args):
+            formed.append(batch[-1].size)
+            yield batch
+
+    monkeypatch.setattr(production, "grid_designs", counted)
+    found = brute_force_design(econ, resolution=6, max_atoms=3)
+    report = no_deviation_check(wages, econ, resolution=6, max_atoms=3)
+    assert found.n_designs == report.n_designs == 970_354
+    assert 0 < sum(formed) < 0.5 * (found.n_designs + report.n_designs)
+    (Y, x, dirs, w, _), n_evaluated = _one_level_search(econ, 6, 3, production.ENUM_BATCH)
+    assert (found.Y, found.x.tobytes(), found.n_evaluated) == (Y, x.tobytes(), n_evaluated)
+    assert found.design.directions.tobytes() == dirs.tobytes()
+    assert found.design.weights.tobytes() == w.tobytes()
+    deviation = econ.with_theta(econ.theta * r)
+    (_, _, dirs, w, cost), n_evaluated = _one_level_search(deviation, 6, 3, production.ENUM_BATCH)
+    cost_q = 1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))
+    assert (report.worst_margin, report.n_evaluated) == (cost - cost_q, n_evaluated)
+    assert report.worst_design.directions.tobytes() == dirs.tobytes()
+    assert report.worst_design.weights.tobytes() == w.tobytes()
 
 
 def test_pruning_solves_gamma_for_few_designs(monkeypatch, econ):
