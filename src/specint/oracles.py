@@ -31,11 +31,11 @@ from .politics import (
 )
 from .production import (
     SpecialistDesign,
+    _minimal_allocation,
     accounts,
     brute_force_design,
     corner_design,
     cornerized,
-    minimal_allocation,
     productive_optimum,
     simplex_grid,
 )
@@ -71,27 +71,84 @@ def _random_tech(rng) -> learning.LearningTech:
     return learning.LearningTech(family=family, param=float(rng.uniform(0.6, 3.0)))
 
 
-def _random_economy(rng, base: Economy, K: int | None = None, diffuse_only=False) -> Economy:
-    for _ in range(500):
-        k = K if K is not None else int(rng.integers(3, 6))
-        tech = _random_tech(rng)
-        q = _interior_simplex(rng, k)
-        if rng.random() < 0.4:
-            # concentrated civic profile: exercises the B_M < B_S branch
-            u = rng.dirichlet(np.full(k, 0.4)) * 0.9 + 0.1 / k
-            u = u / u.sum()
-        else:
-            u = _interior_simplex(rng, k)
-        p = float(rng.uniform(0.05, 0.9))
-        theta_frac = float(rng.uniform(0.05, 0.9))
-        # rejected draws never need the technology's constants
-        if diffuse_only and not check_diffuse(u, p, tech).ok:
-            continue
-        return Economy(
-            tech=tech, q=q, u=u, p=p,
-            theta=theta_frac * tech.constants.theta_bar, V=base.V, gov=base.gov,
-        )
-    raise OracleError("random economy sampler exhausted its draw budget")
+def _random_economy(rng, base: Economy, K: int | None = None) -> Economy:
+    k = K if K is not None else int(rng.integers(3, 6))
+    tech = _random_tech(rng)
+    q = _interior_simplex(rng, k)
+    if rng.random() < 0.4:
+        # concentrated civic profile: exercises the B_M < B_S branch
+        u = rng.dirichlet(np.full(k, 0.4)) * 0.9 + 0.1 / k
+        u = u / u.sum()
+    else:
+        u = _interior_simplex(rng, k)
+    p = float(rng.uniform(0.05, 0.9))
+    theta_frac = float(rng.uniform(0.05, 0.9))
+    return Economy(
+        tech=tech, q=q, u=u, p=p,
+        theta=theta_frac * tech.constants.theta_bar, V=base.V, gov=base.gov,
+    )
+
+
+DIFFUSE_BLOCK = 512
+DIFFUSE_DRAW_BUDGET = 500
+
+
+def _diffuse_economies(rng, base: Economy, n: int) -> list[Economy]:
+    """n random economies (K 3..5) that pass check_diffuse, by rejection.
+
+    Candidates come in blocks of DIFFUSE_BLOCK: K, family, learning.param,
+    the concentrated-u flag and p as vectors, then u by one dirichlet call
+    per (K, flag) group, with the formulas of _random_economy. Each
+    candidate is tested in order with the engine's check_diffuse, and only
+    an accepted one draws its q and theta_frac and becomes an Economy.
+
+    The accepted law is that of _random_economy conditioned on the test.
+    Candidates are i.i.d., each (K, tech, u, p) with the law _random_economy
+    gives it, and the test sees all of these, so every accepted candidate
+    is one draw from that law conditioned on acceptance.
+    q and theta_frac do not enter the test and are independent of it, so
+    drawing them after acceptance leaves their law unchanged. Drawing p
+    from U(0.05, min(0.9, bound)) instead would not: it drops the weight
+    P(p < bound) that rejection puts on each (K, tech, u).
+
+    DIFFUSE_DRAW_BUDGET rejections in a row raise OracleError.
+    """
+    out: list[Economy] = []
+    misses = 0
+    while len(out) < n:
+        K = rng.integers(3, 6, size=DIFFUSE_BLOCK)
+        rational = rng.random(DIFFUSE_BLOCK) < 0.5
+        param = rng.uniform(0.6, 3.0, size=DIFFUSE_BLOCK)
+        concentrated = rng.random(DIFFUSE_BLOCK) < 0.4
+        p = rng.uniform(0.05, 0.9, size=DIFFUSE_BLOCK)
+        u = [None] * DIFFUSE_BLOCK
+        for k in (3, 4, 5):
+            for flag in (False, True):
+                index = np.flatnonzero((K == k) & (concentrated == flag))
+                if flag:
+                    raw = rng.dirichlet(np.full(k, 0.4), size=index.size) * 0.9 + 0.1 / k
+                else:
+                    raw = 0.85 * rng.dirichlet(np.ones(k), size=index.size) + 0.15 / k
+                for i, row in zip(index, raw / raw.sum(axis=1, keepdims=True)):
+                    u[i] = row
+        for i in range(DIFFUSE_BLOCK):
+            family = "rational" if rational[i] else "exponential"
+            tech = learning.LearningTech(family=family, param=float(param[i]))
+            if not check_diffuse(u[i], float(p[i]), tech).ok:
+                misses += 1
+                if misses >= DIFFUSE_DRAW_BUDGET:
+                    raise OracleError("diffuse economy sampler exhausted its draw budget")
+                continue
+            misses = 0
+            q = _interior_simplex(rng, int(K[i]))
+            theta_frac = float(rng.uniform(0.05, 0.9))
+            out.append(Economy(
+                tech=tech, q=q, u=u[i], p=float(p[i]),
+                theta=theta_frac * tech.constants.theta_bar, V=base.V, gov=base.gov,
+            ))
+            if len(out) == n:
+                break
+    return out
 
 
 def _by_size(batch, tech: learning.LearningTech, rows: list[np.ndarray]) -> list[float]:
@@ -272,6 +329,8 @@ def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
 
 def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
+    # a corner design's atoms are the rows of eye(K): one frontier solve per K
+    scales = {K: max_scale_batch(econ.tech, np.eye(K)) for K in range(2, 6)}
     worst = 0.0
     for _ in range(200):
         K = int(rng.integers(2, 6))
@@ -280,7 +339,7 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
             tech=econ.tech, q=x, u=np.full(K, 1.0 / K), p=econ.p,
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
-        alloc = minimal_allocation(corner_design(x), tmp)
+        alloc = _minimal_allocation(corner_design(x), tmp, scales[K])
         gaps = accounts(alloc, tmp).gaps
         worst = max(
             worst,
@@ -351,8 +410,7 @@ def check_civic_advantage(scn: Scenario, rng, tol_scale) -> CheckResult:
             "hypothesis not met (diffuseness check fails), skipped",
         )
     worst = -np.inf
-    for _ in range(scn.economies):
-        cand = _random_economy(rng, econ, diffuse_only=True)
+    for cand in _diffuse_economies(rng, econ, scn.economies):
         _, alloc = productive_optimum(cand)
         B_S, B_M = group_knowledge(alloc, cand)
         worst = max(worst, B_S - B_M)

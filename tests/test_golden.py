@@ -36,12 +36,12 @@ GOLDEN = {
         "127e968d1ba8cf3a3212c928b1e5605d6e1c33f148e73147150f2b3222eacdb4",
 }
 
-VERIFY_SMALL_BUDGETS = "711937da9ea9bf733a41940157c31f7f12c9bfaaf29de10617205ff94fdabddb"
+VERIFY_SMALL_BUDGETS = "72253521980e0a7b7fca3110a1e760a945c490f8d5ff86a12e670565515d52f3"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
 VERIFY_FULL_BUDGETS = {
-    "default": "9be2a8f6ad3cdfdd7f5a50e6879a6e0bc3cddb31212849e719ed59a314122739",
-    "governance_heavy": "29b3ae612a764d1d0143353a494581b14c74ba44c2ee6d82fbb62ac5c1d855a3",
+    "default": "eb4df8d009cf30264a1e328f08eecd6a112963d78961ed7810235600796a1a05",
+    "governance_heavy": "5eaa925eed7f7a947f458af3aabb1732321c6e01340c9fa2cca831487deb060e",
 }
 
 

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from specint import learning, oracles, reforms, welfare
+from specint.economy import Economy
+from specint.errors import OracleError
+from specint.knowledge import DiffuseCheck, check_diffuse, fragmentation
+from specint.production import accounts, corner_design, minimal_allocation
 from specint.scenario import DEFAULTS, load_scenario, scenario_from_entries
 
 from test_cli import SMALL_BUDGETS
@@ -28,6 +32,116 @@ def test_economy_copies_keep_profile_bits():
         copy = econ.with_theta(econ.theta)
         assert np.array_equal(copy.q, econ.q) and np.array_equal(copy.u, econ.u)
         assert np.array_equal(econ.with_u(econ.u).u, econ.u)
+
+
+def per_draw_diffuse_economy(rng, base):
+    """The civic-advantage sampler before block drawing: whole economies
+    drawn one at a time until one passes check_diffuse."""
+    for _ in range(500):
+        k = int(rng.integers(3, 6))
+        tech = oracles._random_tech(rng)
+        q = oracles._interior_simplex(rng, k)
+        if rng.random() < 0.4:
+            u = rng.dirichlet(np.full(k, 0.4)) * 0.9 + 0.1 / k
+            u = u / u.sum()
+        else:
+            u = oracles._interior_simplex(rng, k)
+        p = float(rng.uniform(0.05, 0.9))
+        theta_frac = float(rng.uniform(0.05, 0.9))
+        if check_diffuse(u, p, tech).ok:
+            return Economy(
+                tech=tech, q=q, u=u, p=p,
+                theta=theta_frac * tech.constants.theta_bar, V=base.V, gov=base.gov,
+            )
+    raise OracleError("per-draw sampler exhausted its draw budget")
+
+
+def test_diffuse_sampler_returns_n_diffuse_economies():
+    base = scenario_from_entries(dict(DEFAULTS)).econ
+    econs = oracles._diffuse_economies(np.random.default_rng(7), base, 40)
+    assert len(econs) == 40
+    for econ in econs:
+        assert 3 <= econ.K <= 5
+        assert check_diffuse(econ.u, econ.p, econ.tech).ok
+        assert 0.0 < econ.theta < econ.theta_bar
+
+
+def test_diffuse_sampler_budget_raises(monkeypatch):
+    # a hypothesis no candidate meets ends in OracleError, not an endless loop
+    calls = []
+
+    def never(u, p, tech):
+        calls.append(p)
+        return DiffuseCheck(ok=False, bound=0.0)
+
+    monkeypatch.setattr(oracles, "check_diffuse", never)
+    base = scenario_from_entries(dict(DEFAULTS)).econ
+    with pytest.raises(OracleError):
+        oracles._diffuse_economies(np.random.default_rng(7), base, 1)
+    assert len(calls) == oracles.DIFFUSE_DRAW_BUDGET
+
+
+def test_diffuse_sampler_keeps_the_accepted_law():
+    """600 accepted economies from the block sampler against 600 from the
+    per-draw sampler: mean diffuseness bound, mean p, K=3 share and
+    rational share agree within 4 standard errors of their difference.
+
+    Drawing p ~ U(0.05, min(0.9, bound)) after (K, tech, u) fails this test:
+    at these seeds its mean bound is 0.41 against 0.63, over 10 standard
+    errors apart, because it drops the weight P(p < bound) that rejection
+    puts on each (K, tech, u).
+    """
+    n = 600
+    base = scenario_from_entries(dict(DEFAULTS)).econ
+    rng = np.random.default_rng(20261019)
+    old = [per_draw_diffuse_economy(rng, base) for _ in range(n)]
+    new = oracles._diffuse_economies(np.random.default_rng(20261020), base, n)
+
+    def stats(econs):
+        return {
+            "bound": [check_diffuse(e.u, e.p, e.tech).bound for e in econs],
+            "p": [e.p for e in econs],
+            "K=3": [float(e.K == 3) for e in econs],
+            "rational": [float(e.tech.family == "rational") for e in econs],
+        }
+
+    a, b = stats(old), stats(new)
+    for key in a:
+        x, y = np.array(a[key]), np.array(b[key])
+        se = np.sqrt(x.var(ddof=1) / n + y.var(ddof=1) / n)
+        assert abs(x.mean() - y.mean()) <= 4.0 * se, (key, x.mean(), y.mean(), se)
+
+
+def per_draw_gap_accounting(scn, rng):
+    """check_gap_accounting with one minimal_allocation frontier solve per draw."""
+    econ = scn.econ
+    worst = 0.0
+    for _ in range(200):
+        K = int(rng.integers(2, 6))
+        x = oracles._interior_simplex(rng, K)
+        tmp = Economy(
+            tech=econ.tech, q=x, u=np.full(K, 1.0 / K), p=econ.p,
+            theta=econ.theta, V=econ.V, gov=econ.gov,
+        )
+        alloc = minimal_allocation(corner_design(x), tmp)
+        gaps = accounts(alloc, tmp).gaps
+        worst = max(
+            worst,
+            float(np.abs(gaps.G - (1.0 - alloc.m) * x * (1.0 - x)).max()),
+            abs(gaps.g - (1.0 - alloc.m) * fragmentation(x)),
+        )
+    return worst
+
+
+@pytest.mark.parametrize("scn", [
+    load_scenario(str(SCENARIOS / "default.cfg")),
+    scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS}),
+], ids=["default", "small-budgets"])
+def test_gap_accounting_matches_per_draw_solves(scn):
+    # corner scales solved once per K give the bits of a solve per draw
+    result = run_check(oracles.check_gap_accounting, scn)
+    rng = np.random.default_rng([scn.seed, oracles.CHECKS.index(oracles.check_gap_accounting)])
+    assert result.metric.hex() == per_draw_gap_accounting(scn, rng).hex()
 
 
 def test_welfare_representation_near_equal_groups():
