@@ -36,6 +36,23 @@ GOLDEN = {
         "127e968d1ba8cf3a3212c928b1e5605d6e1c33f148e73147150f2b3222eacdb4",
 }
 
+# K = 5 and the exponential family, which neither shipped scenario covers
+K5_EXPONENTIAL = {
+    "learning.family": "exponential",
+    "learning.param": "2.0",
+    "economy.q": "0.3,0.25,0.2,0.15,0.1",
+    "economy.u": "0.22,0.21,0.2,0.19,0.18",
+    "economy.p": "0.3",
+    "economy.theta": "0.003",
+}
+
+GOLDEN_K5_EXPONENTIAL = {
+    "solve": "01cf8037a0a9f89c463758c5b8ca1ae4a958f34c6d244faeeaa9bcc7f52c3416",
+    "sweep --axis b": "d1f0e0fc13e12117f529b2522cdc54af8461909b0863446701e09fbf67515b4f",
+    "sweep --axis alpha": "fd868db9bab12409bd32b83e0b83a3791787ef2df7c32a9188f01f4f0f8e2ae9",
+    "sweep --axis theta": "817bfbf6aa4f66fc46000a8f2108171bbf68e30dadc1da5b157e8f3e97c8880b",
+}
+
 VERIFY_SMALL_BUDGETS = "72253521980e0a7b7fca3110a1e760a945c490f8d5ff86a12e670565515d52f3"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
@@ -55,6 +72,14 @@ def test_shipped_scenario_csv_digest(tmp_path, scenario, command):
     cfg = str(SCENARIOS / f"{scenario}.cfg")
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 0
     assert _digest(out) == GOLDEN[scenario, command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_K5_EXPONENTIAL))
+def test_k5_exponential_csv_digest(tmp_path, command):
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path / "k5.cfg", K5_EXPONENTIAL)
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN_K5_EXPONENTIAL[command]
 
 
 def test_verify_small_budgets_csv_digest(tmp_path):
