@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -157,8 +158,7 @@ def _sweep_b(scn: Scenario) -> tuple[list[str], list[list]]:
     header = ["b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M",
               "R", "service_welfare", "dispersion", "welfare"]
     rows = []
-    for b in scn.b_grid:
-        alloc = reforms.broadening_allocation(float(b), econ)
+    for b, alloc in zip(scn.b_grid, reforms.broadening_allocation(scn.b_grid, econ)):
         if 0.0 < alloc.m < 1.0:
             rep = total_welfare(econ, alloc)
             o = rep.outcome
@@ -247,7 +247,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused."""
     parser = _Parser(
         prog="specint",
         description="Specialist/integrator economy engine: solve, sweep, verify.",

@@ -63,16 +63,28 @@ def feasible_bundle(s, tech: LearningTech) -> bool:
     return float(tech._ell_raw(np.clip(v, 0.0, 1.0)).sum()) <= 1.0 + BUDGET_SLACK
 
 
-def system_knowledge(s, u: np.ndarray, p: float) -> float:
-    """System knowledge ||s||_1**p * C(direction, u); 0 for the zero profile."""
+def system_knowledge(s, u: np.ndarray, p: float):
+    """System knowledge ||s||_1**p * C(direction, u); 0 for the zero profile.
+
+    s is one profile (a float comes back) or an (N,K) stack of profiles
+    (an (N,) array comes back, one value per row). Each row gets the bits
+    of its own 1-d call: its mass and coverage are row sums, and its power
+    is the Python float `**`, which np.power can miss by an ulp.
+    """
     v = np.asarray(s, dtype=float)
+    if v.ndim not in (1, 2):
+        raise DomainError("knowledge profile must be a vector or an (N,K) stack")
     if np.any(v < -SIMPLEX_TOL):
         raise DomainError("knowledge profile must be componentwise nonnegative")
-    v = np.clip(v, 0.0, None)
-    mass = float(v.sum())
-    if mass == 0.0:
-        return 0.0
-    return mass**p * coverage(v / mass, u)
+    rows = np.clip(np.atleast_2d(v), 0.0, None)
+    if rows.shape[1:] != np.shape(u):
+        raise DomainError(f"dimension mismatch: {v.shape} vs {np.shape(u)}")
+    mass = rows.sum(axis=1)
+    live = mass != 0.0
+    np.divide(rows, mass[:, None], out=rows, where=live[:, None])
+    cov = np.minimum(rows, u).sum(axis=1)
+    out = [m**p * c if m != 0.0 else 0.0 for m, c in zip(mass.tolist(), cov.tolist())]
+    return out[0] if v.ndim == 1 else np.array(out)
 
 
 @dataclass(frozen=True)

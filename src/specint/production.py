@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -116,6 +117,32 @@ class Allocation:
         if scales.shape != self.design.weights.shape:
             raise DomainError("one frontier scale per design atom required")
 
+    @cached_property
+    def layer(self) -> SpecialistLayer:
+        """The specialist layer at the atoms' frontier scales. It depends on
+        the allocation alone, so it is summarized once however many
+        economies evaluate the allocation.
+
+        Atom j holds head-count share proportional to w_j/H(pi_j) and
+        profile H(pi_j)*pi_j; gaps are taken against the realized mix.
+        """
+        design, H = self.design, self.scales
+        mu = design.weights / H
+        mu = mu / mu.sum()
+        profiles = H[:, None] * design.directions
+        S = (1.0 - self.m) * (mu @ profiles)
+        total = float(S.sum())
+        if total <= 0.0:
+            gaps = GapSummary(G=np.zeros(S.size), g=0.0, h=None)
+        else:
+            mix = S / total
+            shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[None, :] - profiles, 0.0, None)
+            G = (1.0 - self.m) * (mu @ shortfall)
+            g = float(G.sum())
+            gaps = GapSummary(G=G, g=0.0, h=None) if g <= 1e-15 else GapSummary(G=G, g=g, h=G / g)
+        J = None if gaps.g == 0.0 else self.m * integrator_capacity(self.integrator_profile, gaps.h)
+        return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, gaps=gaps, J=J)
+
 
 @dataclass(frozen=True)
 class GapSummary:
@@ -124,6 +151,20 @@ class GapSummary:
     G: np.ndarray
     g: float
     h: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class SpecialistLayer:
+    """Head-count shares mu_j, atom profiles H(pi_j)*pi_j, aggregate
+    specialist knowledge S and its mass, the gap summary, and the
+    integration capacity J (None when there is no gap)."""
+
+    mu: np.ndarray
+    profiles: np.ndarray
+    S: np.ndarray
+    total: float
+    gaps: GapSummary
+    J: float | None
 
 
 def integrator_capacity(s, h) -> float:
@@ -138,9 +179,9 @@ def integrator_capacity(s, h) -> float:
 
 @dataclass(frozen=True)
 class Accounts:
-    """What an allocation's specialist layer, at its frontier scales, adds up
-    to: gap summary, output Y, and the group system knowledge of
-    specialists (B_S) and integrators (B_M)."""
+    """What an allocation adds up to in one economy: gap summary, output Y,
+    and the group system knowledge of specialists (B_S) and integrators
+    (B_M)."""
 
     gaps: GapSummary
     Y: float
@@ -151,41 +192,27 @@ class Accounts:
 def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     """Evaluate a feasible allocation at its atoms' stored frontier scales.
 
-    Atom j holds head-count share proportional to w_j/H(pi_j) and profile
-    H(pi_j)*pi_j; gaps are taken against the realized aggregate mix.
-    Raises InfeasibleAllocationError unless the integrator profile fits the
-    learning budget and integrators cover theta times the gap mass.
+    The specialist layer comes from Allocation.layer; what depends on the
+    economy is evaluated on every call. Raises InfeasibleAllocationError
+    unless the integrator profile fits the learning budget and integrators
+    cover theta times the gap mass.
     """
     if not feasible_bundle(alloc.integrator_profile, econ.tech):
         raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
-    design = alloc.design
-    H = alloc.scales
-    mu = design.weights / H
-    mu = mu / mu.sum()
-    profiles = H[:, None] * design.directions
-    S = (1.0 - alloc.m) * (mu @ profiles)
-    total = float(S.sum())
-    if total <= 0.0:
-        gaps = GapSummary(G=np.zeros(S.size), g=0.0, h=None)
-    else:
-        mix = S / total
-        shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[None, :] - profiles, 0.0, None)
-        G = (1.0 - alloc.m) * (mu @ shortfall)
-        g = float(G.sum())
-        gaps = GapSummary(G=G, g=0.0, h=None) if g <= 1e-15 else GapSummary(G=G, g=g, h=G / g)
-    if gaps.g != 0.0:
-        J = alloc.m * integrator_capacity(alloc.integrator_profile, gaps.h)
-        if J < econ.theta * gaps.g - FEAS_TOL:
-            raise InfeasibleAllocationError(
-                f"integration capacity {J:.6e} below requirement "
-                f"{econ.theta * gaps.g:.6e}"
-            )
-    u, p = econ.u, econ.p
+    layer = alloc.layer
+    gaps = layer.gaps
+    if layer.J is not None and layer.J < econ.theta * gaps.g - FEAS_TOL:
+        raise InfeasibleAllocationError(
+            f"integration capacity {layer.J:.6e} below requirement "
+            f"{econ.theta * gaps.g:.6e}"
+        )
+    # the atoms' profiles and, in the last row, the integrator profile
+    knowledge = system_knowledge(np.vstack([layer.profiles, alloc.integrator_profile]), econ.u, econ.p)
     return Accounts(
         gaps=gaps,
-        Y=econ.V * coverage(S, total * econ.q),
-        B_S=float(sum(w * system_knowledge(row, u, p) for w, row in zip(mu, profiles))),
-        B_M=system_knowledge(alloc.integrator_profile, u, p),
+        Y=econ.V * coverage(layer.S, layer.total * econ.q),
+        B_S=float(sum(w * k for w, k in zip(layer.mu, knowledge[:-1]))),
+        B_M=float(knowledge[-1]),
     )
 
 
@@ -221,8 +248,13 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
             f"theta_bar={econ.theta_bar:.6g}; the corner organization is not "
             "certified optimal there"
         )
+    return _productive_optimum(econ, max_scale(econ.tech, gap_profile_star(econ.q)))
+
+
+def _productive_optimum(econ: Economy, H: float) -> tuple[ProductiveOptimum, Allocation]:
+    """productive_optimum given the frontier H = H(h*(q)), which theta does
+    not move; the caller has checked q and theta."""
     h_star = gap_profile_star(econ.q)
-    H = max_scale(econ.tech, h_star)
     D = fragmentation(econ.q)
     m_star = econ.theta * D / (H + econ.theta * D)
     Y_star = econ.V * H / (H + econ.theta * D)
@@ -246,17 +278,28 @@ def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
 
 def _minimal_allocation(design: SpecialistDesign, econ: Economy, scales: np.ndarray) -> Allocation:
     """minimal_allocation given the atoms' frontier scales H(pi_j)."""
-    x = design.mean()
-    z = design.gap_bundle(x)
-    e_lam = float((design.weights / scales).sum())
-    mass = float(z.sum())
-    if mass == 0.0:
-        return Allocation(m=0.0, design=design, integrator_profile=np.zeros(x.size), scales=scales)
-    h = z / mass
-    H_h = max_scale(econ.tech, h)
-    gam = mass * (1.0 / H_h)  # gamma_index(z), from the one frontier solve
-    m = econ.theta * gam / (e_lam + econ.theta * gam)
-    return Allocation(m=m, design=design, integrator_profile=H_h * h, scales=scales)
+    return _minimal_allocations([design], econ, [scales])[0]
+
+
+def _minimal_allocations(designs, econ: Economy, scales) -> list[Allocation]:
+    """_minimal_allocation of each design, given its atoms' scales, with
+    the integrator directions of all of them solved in one frontier batch;
+    a row of max_scale_batch gets the same bits in any batch."""
+    bundles = [design.gap_bundle(design.mean()) for design in designs]
+    masses = [float(z.sum()) for z in bundles]
+    h = [z / mass for z, mass in zip(bundles, masses) if mass != 0.0]
+    H_h = iter(learning.max_scale_batch(econ.tech, np.array(h)).tolist() if h else [])
+    allocs = []
+    for design, sc, z, mass in zip(designs, scales, bundles, masses):
+        if mass == 0.0:
+            allocs.append(Allocation(m=0.0, design=design, integrator_profile=np.zeros(z.size), scales=sc))
+            continue
+        H = next(H_h)
+        e_lam = float((design.weights / sc).sum())
+        gam = mass * (1.0 / H)  # gamma_index(z), from the one frontier solve
+        m = econ.theta * gam / (e_lam + econ.theta * gam)
+        allocs.append(Allocation(m=m, design=design, integrator_profile=H * (z / mass), scales=sc))
+    return allocs
 
 
 def simplex_grid(K: int, resolution: int) -> np.ndarray:

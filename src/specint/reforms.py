@@ -65,7 +65,8 @@ from .learning import max_scale, max_scale_batch
 from .production import (
     Allocation,
     SpecialistDesign,
-    _minimal_allocation,
+    _minimal_allocations,
+    _productive_optimum,
     corner_design,
     gap_profile_star,
     minimal_allocation,
@@ -78,21 +79,37 @@ CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
 
 
-def broadening_allocation(b: float, econ: Economy) -> Allocation:
-    """Mixed corner/broad specialist organization at broadening share b."""
-    if not 0.0 <= b <= 1.0:
+def broadening_allocation(b, econ: Economy):
+    """Mixed corner/broad specialist organization at broadening share b.
+
+    b is one share (an Allocation comes back) or a 1-d grid of shares (a
+    list comes back, one per share). The atoms [I; q] are solved in one
+    frontier batch, which gives H(q) too, and the integrator directions of
+    all shares in one more; each allocation has the bits of its own call.
+    """
+    grid = np.asarray(b, dtype=float)
+    if grid.ndim > 1:
+        raise DomainError("broadening shares must be a number or a 1-d grid")
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise DomainError("broadening share must lie in [0,1]")
     q = econ.q
-    if b == 0.0:
-        return minimal_allocation(corner_design(q), econ)
-    if b == 1.0:
-        return minimal_allocation(single_atom(q), econ)
-    # one frontier batch gives the atoms' scales, H(q) among them
-    dirs = np.vstack([np.eye(q.size), q])
+    K = q.size
+    dirs = np.vstack([np.eye(K), q])
     scales = max_scale_batch(econ.tech, dirs)
-    raw = np.concatenate([(1.0 - b) * q, [b * scales[-1]]])
-    design = SpecialistDesign(directions=dirs, weights=raw / raw.sum())
-    return _minimal_allocation(design, econ, scales)
+    designs, atom_scales = [], []
+    for share in grid.ravel().tolist():
+        if share == 0.0:
+            designs.append(corner_design(q))
+            atom_scales.append(scales[:K])
+        elif share == 1.0:
+            designs.append(single_atom(q))
+            atom_scales.append(scales[K:])
+        else:
+            raw = np.concatenate([(1.0 - share) * q, [share * scales[-1]]])
+            designs.append(SpecialistDesign(directions=dirs, weights=raw / raw.sum()))
+            atom_scales.append(scales)
+    allocs = _minimal_allocations(designs, econ, atom_scales)
+    return allocs[0] if grid.ndim == 0 else allocs
 
 
 def broadening_family(econ: Economy) -> Family:
@@ -330,9 +347,11 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
 
     m_vals, Y_vals, B_vals, W_vals, dm_vals = [], [], [], [], []
     D = fragmentation(econ.q)
+    # the first point checks the economy and solves H(h*), which theta does not move
+    H_hstar = productive_optimum(econ.with_theta(float(grid[0])))[0].H_hstar
     for theta in grid:
         econ_t = econ.with_theta(float(theta))
-        opt, alloc = productive_optimum(econ_t)
+        opt, alloc = _productive_optimum(econ_t, H_hstar)
         rep = total_welfare(econ_t, alloc)
         m_vals.append(opt.m_star)
         Y_vals.append(opt.Y_star)

@@ -13,6 +13,7 @@ import types
 from pathlib import Path
 
 import specint
+from specint import cli
 from specint.cli import main
 
 from test_cli import SMALL_BUDGETS, write_cfg
@@ -50,6 +51,7 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 
 def test_commands_reach_every_function(tmp_path):
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
+    cli.build_parser.cache_clear()  # so that main builds the parser under the hook
     commands = [["solve"], *(["sweep", "--axis", a] for a in ("b", "alpha", "theta")), ["verify"]]
     called = set()
 

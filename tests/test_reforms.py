@@ -68,9 +68,8 @@ def test_broadening_share_formula(econ):
         assert broadening_allocation(b, econ).m == pytest.approx(want, abs=1e-14)
 
 
-def test_broadening_solves_each_frontier_once(econ, monkeypatch):
-    # an interior b solves the atoms [I; q] in one batch, read H(q) from it,
-    # and the integrator direction in one more call
+def _count_frontier_rows(monkeypatch) -> list[int]:
+    """Rows of each max_scale_batch call, wherever it is made from."""
     from specint import learning, reforms
 
     solve = learning.max_scale_batch
@@ -82,9 +81,30 @@ def test_broadening_solves_each_frontier_once(econ, monkeypatch):
 
     for module in (learning, reforms):
         monkeypatch.setattr(module, "max_scale_batch", counted)
-    alloc = broadening_allocation(0.3, econ)
-    assert calls == [econ.q.size + 1, 1]
-    assert alloc.scales[-1] == learning.max_scale(econ.tech, econ.q)
+    return calls
+
+
+def test_broadening_grid_solves_each_frontier_once(econ, monkeypatch):
+    # a b grid solves the atoms [I; q] in one batch, reads H(q) from it, and
+    # solves the integrator directions of every share with a gap (all but
+    # b = 1, whose single broad atom leaves none) in one more call
+    from specint import learning
+
+    grid = np.linspace(0.0, 1.0, 21)
+    calls = _count_frontier_rows(monkeypatch)
+    allocs = broadening_allocation(grid, econ)
+    assert calls == [econ.q.size + 1, grid.size - 1]
+    assert len(allocs) == grid.size
+    assert allocs[-1].m == 0.0
+    H_q = learning.max_scale(econ.tech, econ.q)
+    assert all(a.scales[-1] == H_q for a in allocs[1:])
+
+
+def test_theta_statics_solves_frontier_once(econ, monkeypatch):
+    # H(h*) does not move with theta: one one-row solve for the whole grid
+    calls = _count_frontier_rows(monkeypatch)
+    theta_statics(econ, np.linspace(0.02, 0.98, 25) * econ.theta_bar)
+    assert calls == [1]
 
 
 def test_broadening_domain(econ):
