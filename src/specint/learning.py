@@ -203,32 +203,27 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray) -> np.ndarray:
     return np.where(corner, 1.0, np.minimum(t, 1.0))
 
 
-def lambda_index(tech: LearningTech, pi: np.ndarray) -> float:
-    """Relative inefficiency 1/H(pi), in [1, ell_bar]; 1 at corners."""
-    return 1.0 / max_scale(tech, pi)
-
-
 def gamma_index(tech: LearningTech, z: np.ndarray) -> float:
-    """Coordination index ||z||_1 * lambda(z/||z||_1), 0 at z = 0."""
+    """Coordination index Gamma(z) of one gap bundle: a one-row call of
+    gamma_index_batch, after checking that z is a nonnegative vector."""
     v = np.asarray(z, dtype=float)
+    if v.ndim != 1:
+        raise DomainError("gap bundle must be a 1-d vector")
     if np.any(v < -1e-12):
         raise DomainError("gap bundle must be componentwise nonnegative")
-    v = np.clip(v, 0.0, None)
-    mass = float(v.sum())
-    if mass == 0.0:
-        return 0.0
-    return mass * lambda_index(tech, v / mass)
+    return float(gamma_index_batch(tech, v[None, :])[0])
 
 
 def gamma_index_batch(tech: LearningTech, Z: np.ndarray) -> np.ndarray:
-    """Vectorized Gamma over rows of a (N,K) array of gap bundles."""
+    """Gamma(z) = ||z||_1 * (1/H(z/||z||_1)) of each row of a (N,K) array
+    of gap bundles, 0 at z = 0; entries below 0 count as 0."""
     Z = np.clip(np.asarray(Z, dtype=float), 0.0, None)
     mass = Z.sum(axis=1)
     zero = mass == 0.0
     # normalize in place; a zero bundle becomes a corner, whose H is 1
     np.divide(Z, mass[:, None], out=Z, where=~zero[:, None])
     Z[zero, 0] = 1.0
-    return mass / max_scale_batch(tech, Z)
+    return mass * (1.0 / max_scale_batch(tech, Z))
 
 
 def constants(tech: LearningTech) -> LearningConstants:

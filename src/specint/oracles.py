@@ -31,7 +31,7 @@ from .politics import (
 )
 from .production import (
     SpecialistDesign,
-    _minimal_allocation,
+    _minimal_allocations,
     accounts,
     brute_force_design,
     corner_design,
@@ -339,7 +339,7 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
             tech=econ.tech, q=x, u=np.full(K, 1.0 / K), p=econ.p,
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
-        alloc = _minimal_allocation(corner_design(x), tmp, scales[K])
+        alloc = _minimal_allocations([corner_design(x)], tmp, [scales[K]])[0]
         gaps = accounts(alloc, tmp).gaps
         worst = max(
             worst,
@@ -558,8 +558,8 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     h = 1e-6 * econ.theta_bar
     for i in range(1, report.theta_grid.size - 1, 7):
         theta = report.theta_grid[i]
-        if theta + h >= econ.theta_bar:
-            continue  # the optimum, and so m_star, ends at the cutoff
+        if theta - h <= 0.0 or theta + h >= econ.theta_bar:
+            continue  # the optimum, and so m_star, lives on (0, theta_bar)
         fd = (
             productive_optimum(econ.with_theta(theta + h))[0].m_star
             - productive_optimum(econ.with_theta(theta - h))[0].m_star

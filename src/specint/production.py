@@ -273,16 +273,11 @@ def _productive_optimum(econ: Economy, H: float) -> tuple[ProductiveOptimum, All
 def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
     """Allocation with the smallest integrator layer that supports a design."""
     scales = learning.max_scale_batch(econ.tech, design.directions)
-    return _minimal_allocation(design, econ, scales)
-
-
-def _minimal_allocation(design: SpecialistDesign, econ: Economy, scales: np.ndarray) -> Allocation:
-    """minimal_allocation given the atoms' frontier scales H(pi_j)."""
     return _minimal_allocations([design], econ, [scales])[0]
 
 
 def _minimal_allocations(designs, econ: Economy, scales) -> list[Allocation]:
-    """_minimal_allocation of each design, given its atoms' scales, with
+    """minimal_allocation of each design, given its atoms' scales H(pi_j), with
     the integrator directions of all of them solved in one frontier batch;
     a row of max_scale_batch gets the same bits in any batch."""
     bundles = [design.gap_bundle(design.mean()) for design in designs]

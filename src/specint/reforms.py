@@ -235,10 +235,14 @@ def dispersion_slope(B_S, B_M, dB_S, dB_M, m) -> float:
 
 
 def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStaticsReport:
-    """Evaluate the interface-intensity comparative statics."""
+    """Evaluate the interface-intensity comparative statics in one pass
+    over the grid: each point's curves are the report at the centre of its
+    welfare-slope stencil."""
     B_S_slope, B_M_slope = interface_closed_slopes(econ)
     fam = interface_family(econ)
-    reports = [total_welfare(*fam(a)) for a in alpha_grid]
+    lo, hi = float(alpha_grid[0]), float(alpha_grid[-1])
+    slopes = [decompose_along(fam, a, lo=lo, hi=hi) for a in alpha_grid]
+    reports = [d.at for d in slopes]
     B_S = np.array([r.outcome.B_S for r in reports])
     B_M = np.array([r.outcome.B_M for r in reports])
     B_soc = np.array([r.outcome.B_soc for r in reports])
@@ -246,12 +250,7 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
     D = np.array([r.dispersion for r in reports])
     m = reports[0].outcome.m
     dB_soc = (1.0 - m) * B_S_slope + m * B_M_slope
-    dW = np.array(
-        [
-            decompose_along(fam, a, lo=float(alpha_grid[0]), hi=float(alpha_grid[-1])).fd_total
-            for a in alpha_grid
-        ]
-    )
+    dW = np.array([d.fd_total for d in slopes])
     return InterfaceStaticsReport(
         alpha_grid=alpha_grid,
         B_S=B_S,

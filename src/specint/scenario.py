@@ -1,9 +1,10 @@
 """Scenario loading: flat key=value config files with dotted namespaces.
 
 Lists are comma-separated floats; grids may also be written lo:hi:n for
-n evenly spaced points. Profiles q and u must be strictly interior (every
-entry > 0) and are renormalized onto the simplex (with a warning beyond
-1e-9 drift); this is the one place a profile is normalized. theta sweep
+n evenly spaced points, and every grid must be strictly increasing.
+Profiles q and u must be strictly interior (every entry > 0) and are
+renormalized onto the simplex (with a warning beyond 1e-9 drift); this
+is the one place a profile is normalized. theta sweep
 grids are given as fractions of the coordination cutoff so they stay
 valid across learning families.
 """
@@ -172,8 +173,12 @@ def _grid(entries: dict[str, str], key: str) -> np.ndarray:
             raise ConfigError(f"{key}: bad grid spec {spec!r}") from exc
         if n < 2 or hi <= lo:
             raise ConfigError(f"{key}: grid needs hi > lo and count >= 2")
-        return np.linspace(lo, hi, n)
-    return _float_list(entries, key)
+        grid = np.linspace(lo, hi, n)
+    else:
+        grid = _float_list(entries, key)
+    if (grid[1:] <= grid[:-1]).any():
+        raise ConfigError(f"{key}: grid must be strictly increasing, got {spec!r}")
+    return grid
 
 
 def scenario_from_entries(entries: dict[str, str]) -> Scenario:

@@ -123,16 +123,16 @@ Family = Callable[[float], tuple[Economy, Allocation]]
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Welfare slope split into output, governance, and targeting terms."""
+    """Welfare slope split into output, governance, and targeting terms,
+    with the welfare report at the parameter itself."""
 
     productive_term: float
     governance_term: float
     targeting_term: float
-    dY: float
     dB_soc: float
-    dD: float
     fd_total: float
     residual: float
+    at: WelfareReport
 
 
 def stencil(kind: int, values, h: float) -> float:
@@ -155,7 +155,9 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
     Uses central differences of step DECOMPOSITION_STEP inside (lo, hi)
     and one-sided second-order stencils at the boundaries; warns when the
     recomposition residual exceeds DECOMPOSITION_RESIDUAL (step too large
-    for the family's curvature).
+    for the family's curvature). Every stencil holds b itself, so the
+    report there comes back as `at`, with the bits of
+    total_welfare(*family(b)).
     """
     step = DECOMPOSITION_STEP
     if b - step >= lo and b + step <= hi:
@@ -171,7 +173,6 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
         reports.append((total_welfare(econ_b, alloc_b), econ_b))
     dY = stencil(kind, [r.Y for r, _ in reports], step)
     dB = stencil(kind, [r.outcome.B_soc for r, _ in reports], step)
-    dD = stencil(kind, [r.dispersion for r, _ in reports], step)
     dW = stencil(kind, [r.welfare for r, _ in reports], step)
 
     center_report, center_econ = reports[1] if kind == 0 else reports[0]
@@ -180,7 +181,7 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
     )
     productive = ((1.0 - center_econ.tau) + R_Y / R) * dY
     governance = (R_B / R) * dB
-    targeting = -dD
+    targeting = -stencil(kind, [r.dispersion for r, _ in reports], step)
     residual = abs(productive + governance + targeting - dW)
     if residual > DECOMPOSITION_RESIDUAL:
         warnings.warn(
@@ -192,9 +193,8 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
         productive_term=productive,
         governance_term=governance,
         targeting_term=targeting,
-        dY=dY,
         dB_soc=dB,
-        dD=dD,
         fd_total=dW,
         residual=residual,
+        at=center_report,
     )

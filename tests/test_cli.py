@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specint import cli, learning, reforms
+from specint import cli, learning, reforms, welfare
 from specint.cli import main
 from specint.scenario import (
     DEFAULTS,
@@ -106,9 +106,15 @@ def test_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
 
 
 REQUIRED_KEYS = [k for k in DEFAULTS if k.split(".")[0] in ("learning", "economy", "gov")]
+SWEEP_KEYS = ["sweep.b", "sweep.alpha", "sweep.theta_frac"]
 HOSTILE_VALUES = [
     "nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e-300", "abc", "",
     "0.5", "0.5,0.5", "1,0,0", "0,0,1", "0.5,0.5,0", "nan,0.5,0.5", "1e300,1,1",
+]
+# grids out of order, with repeats, malformed, of one point, and tiny
+HOSTILE_GRIDS = [
+    "0.5,0.2,0.7", "0.2,0.2,0.7", "0.1:0.10000000000000002:5", "1:0:3",
+    "0:1:1", "0:1:x", "0:1", "1e-7:9e-7:5",
 ]
 NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -117,7 +123,10 @@ NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 @given(
     command=st.sampled_from(["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta"]),
     hostile=st.dictionaries(
-        st.sampled_from(REQUIRED_KEYS), st.sampled_from(HOSTILE_VALUES), min_size=1, max_size=2
+        st.sampled_from(REQUIRED_KEYS + SWEEP_KEYS),
+        st.sampled_from(HOSTILE_VALUES + HOSTILE_GRIDS),
+        min_size=1,
+        max_size=2,
     ),
 )
 def test_hostile_configs_keep_the_exit_code_contract(tmp_path_factory, command, hostile):
@@ -254,6 +263,25 @@ def test_hostile_config_value_exits_one(tmp_path, capsys, command, key, value):
     assert err.startswith(f"config error: {key}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", SWEEP_KEYS)
+@pytest.mark.parametrize("grid", ["0.5,0.2,0.7", "0.2,0.2,0.7", "0.1:0.10000000000000002:5"])
+def test_sweep_grid_must_increase_strictly(key, grid):
+    # the last spec has hi > lo, but its points round to repeats
+    with pytest.raises(ConfigError, match=f"^{key}: grid must be strictly increasing"):
+        scenario_from_entries({**DEFAULTS, key: grid})
+
+
+@pytest.mark.parametrize(
+    "axis, key", [("b", "sweep.b"), ("alpha", "sweep.alpha"), ("theta", "sweep.theta_frac")]
+)
+def test_sweep_on_an_unordered_grid_exits_one(tmp_path, capsys, axis, key):
+    cfg = write_cfg(tmp_path / "unordered.cfg", {key: "0.5,0.2,0.7"})
+    assert main(["sweep", "--axis", axis, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: grid must be strictly increasing")
+    assert err.count("\n") == 1
+
+
 def test_profile_length_mismatch_names_both_keys(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "k.cfg", {"economy.q": "0.5,0.5"})
     assert main(["solve", "--config", cfg]) == 1
@@ -316,6 +344,25 @@ def test_sweep_alpha_frontier_solves_do_not_grow_with_grid(tmp_path, monkeypatch
         assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_sweep_alpha_evaluates_welfare_three_times_per_grid_point(tmp_path, monkeypatch):
+    # each grid point's curves are the report at the centre of its slope
+    # stencil, so welfare is evaluated at the three stencil points alone
+    calls = []
+    evaluate = welfare.total_welfare
+
+    def counted(econ, alloc):
+        calls.append(alloc)
+        return evaluate(econ, alloc)
+
+    for module in (welfare, reforms, cli):
+        monkeypatch.setattr(module, "total_welfare", counted)
+    for n in (5, 21):
+        calls.clear()
+        cfg = write_cfg(tmp_path / "alpha.cfg", {"sweep.alpha": f"0.0:1.0:{n}"})
+        assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
+        assert len(calls) == 3 * n
 
 
 def test_near_linear_exponential_cost_runs(tmp_path):

@@ -10,7 +10,7 @@ from specint.competitive import (
     unit_cost,
 )
 from specint.errors import DomainError, SupportConditionError, ZeroCoverageError
-from specint.learning import gamma_index, lambda_index
+from specint.learning import gamma_index, max_scale
 from specint.production import SpecialistDesign, corner_design, single_atom
 
 from conftest import make_economy
@@ -96,10 +96,10 @@ def test_unit_cost_zero_ratio_prefers_alignment(econ):
 
 
 def test_unit_cost_single_atom_is_inefficiency(econ):
-    # a one-direction design has no gaps; cost is lambda/coverage
+    # a one-direction design has no gaps; cost is lambda/coverage, lambda = 1/H
     x = np.array([0.4, 0.35, 0.25])
     got = unit_cost(x, single_atom(x), 0.5, econ)
-    want = lambda_index(econ.tech, x) / np.minimum(x, econ.q).sum()
+    want = (1.0 / max_scale(econ.tech, x)) / np.minimum(x, econ.q).sum()
     assert got == pytest.approx(want, abs=1e-12)
 
 

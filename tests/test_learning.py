@@ -11,7 +11,7 @@ from specint.learning import (
     LearningTech,
     constants,
     gamma_index,
-    lambda_index,
+    gamma_index_batch,
     max_scale,
     max_scale_batch,
 )
@@ -208,8 +208,9 @@ def test_frontier_lipschitz_property(a, b):
 
 
 def test_lambda_examples(rational):
-    assert lambda_index(rational, np.eye(4)[2]) == 1.0
-    assert lambda_index(rational, np.array([0.5, 0.5])) == pytest.approx(1.5, abs=1e-11)
+    # the relative inefficiency lambda = 1/H: exactly 1 at a corner
+    assert 1.0 / max_scale(rational, np.eye(4)[2]) == 1.0
+    assert 1.0 / max_scale(rational, np.array([0.5, 0.5])) == pytest.approx(1.5, abs=1e-11)
 
 
 def test_lambda_concavity_gap(rational, exponential):
@@ -220,12 +221,27 @@ def test_lambda_concavity_gap(rational, exponential):
             K = int(rng.integers(2, 6))
             pi = rng.dirichlet(np.ones(K))
             D = 1.0 - float(pi @ pi)
-            assert lambda_index(tech, pi) - 1.0 >= c_ell * D - 1e-10
+            assert 1.0 / max_scale(tech, pi) - 1.0 >= c_ell * D - 1e-10
 
 
 def test_gamma_zero_and_ray(rational):
     assert gamma_index(rational, np.zeros(3)) == 0.0
     assert gamma_index(rational, 0.37 * np.eye(3)[1]) == pytest.approx(0.37, abs=1e-14)
+
+
+def test_gamma_index_is_a_row_of_the_batch(rational, exponential):
+    # one Gamma formula: the scalar index is its one-row batch call, bit for bit
+    rng = np.random.default_rng(11)
+    for tech in (rational, exponential):
+        Z = rng.uniform(0.0, 1.0, size=(40, 4))
+        Z[3] = 0.0
+        Z[5, :3] = 0.0
+        Z[7, 1] = -1e-13  # round-off below 0 counts as 0
+        for z, row in zip(Z, gamma_index_batch(tech, Z)):
+            assert gamma_index(tech, z) == row
+    for bad in (np.array([0.2, -1e-6, 0.3]), np.array([-0.5, 0.5])):
+        with pytest.raises(DomainError):
+            gamma_index(rational, bad)
 
 
 @settings(max_examples=200, deadline=None)

@@ -192,6 +192,14 @@ def test_theta_statics_grid_point_next_to_cutoff():
     assert result.status == "pass", result
 
 
+def test_theta_statics_grid_point_next_to_zero():
+    # the sampled grid points lie within the finite-difference step of 0,
+    # where productive_optimum is not defined on the lower side
+    scn = scenario_from_entries({**DEFAULTS, "sweep.theta_frac": "1e-7:9e-7:25"})
+    result = run_check(oracles.check_theta_statics, scn)
+    assert result.status == "pass", result
+
+
 def test_theta_statics_check_reads_the_emitted_column(monkeypatch):
     # the check certifies the dm_dtheta column that theta_statics returns
     # (and sweep --axis theta writes) at every sampled grid index

@@ -549,17 +549,18 @@ def test_set_bound_keeps_the_one_level_search_at_design_oracle_size(monkeypatch)
 
 
 def test_pruning_solves_gamma_for_few_designs(monkeypatch, econ):
-    # n_evaluated counts the rows handed to gamma_index_batch; on the
-    # default scenario under 1% of the 304,965 designs survive the bound
+    # n_evaluated counts the designs handed to grid_gamma (the no-deviation
+    # check's own Gamma at q is a further batch row); on the default
+    # scenario under 1% of the 304,965 designs survive the bound
     wages = support_wages(econ)
     rows = []
-    solve = learning.gamma_index_batch
+    solve = production.grid_gamma
 
-    def counted(tech, Z):
-        rows.append(Z.shape[0])
-        return solve(tech, Z)
+    def counted(tech, atom_dirs, w, X):
+        rows.append(X.shape[0])
+        return solve(tech, atom_dirs, w, X)
 
-    monkeypatch.setattr(learning, "gamma_index_batch", counted)
+    monkeypatch.setattr(production, "grid_gamma", counted)
     found = brute_force_design(econ, resolution=8, max_atoms=3)
     assert sum(rows) == found.n_evaluated
     rows.clear()

@@ -9,6 +9,7 @@ from specint.politics import equilibrium_from_groups
 from specint.production import productive_optimum
 from specint.reforms import broadening_family, interface_family
 from specint.welfare import (
+    DECOMPOSITION_STEP,
     WelfareReport,
     decompose_along,
     dispersion,
@@ -136,3 +137,22 @@ def test_decompose_boundary_uses_one_sided(econ):
     d0 = decompose_along(bfam, 0.0)
     d_in = decompose_along(bfam, 1e-5)
     assert d0.fd_total == pytest.approx(d_in.fd_total, rel=1e-3, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "b, offsets", [(0.4, (-1, 0, 1)), (0.0, (0, 1, 2)), (1.0, (0, -1, -2))]
+)
+def test_decompose_returns_the_report_at_its_parameter(econ, b, offsets):
+    # central inside (lo, hi), one-sided at either end: every stencil holds
+    # b itself, and the report there has the bits of a direct evaluation
+    fam = interface_family(econ)
+    points = []
+
+    def recorded(a):
+        points.append(a)
+        return fam(a)
+
+    d = decompose_along(recorded, b, lo=0.0, hi=1.0)
+    assert points == [b + k * DECOMPOSITION_STEP for k in offsets]
+    want = total_welfare(*fam(b))
+    assert np.array(d.at.csv_row()).tobytes() == np.array(want.csv_row()).tobytes()
