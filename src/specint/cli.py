@@ -90,7 +90,7 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     outcome = report.outcome
     bound = competitive.ratio_bound(econ)
     try:
-        wages = competitive.support_wages(econ)
+        wages = competitive._support_wages(econ, opt, alloc)
         wage_note = ""
     except HypothesisError as exc:
         wages = None

@@ -44,7 +44,13 @@ from .errors import (
 from .knowledge import coverage, fragmentation
 from .learning import gamma_index, max_scale_batch
 from .politics import group_knowledge
-from .production import SpecialistDesign, brute_force_design, productive_optimum
+from .production import (
+    Allocation,
+    ProductiveOptimum,
+    SpecialistDesign,
+    brute_force_design,
+    productive_optimum,
+)
 
 RESIDUAL_TOL = 1e-10  # floor of the wage identities' residual bound
 MARGIN_TOL = 1e-9  # round-off allowance before a cheaper grid design counts
@@ -101,7 +107,12 @@ def support_wages(econ: Economy) -> WageSupport:
             f"theta={econ.theta:.6g} not below the coordination cutoff "
             f"{econ.theta_bar:.6g}"
         )
-    opt, alloc = productive_optimum(econ)
+    return _support_wages(econ, *productive_optimum(econ))
+
+
+def _support_wages(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -> WageSupport:
+    """support_wages given the productive optimum (opt, alloc) of econ; the
+    caller has checked that theta is below the coordination cutoff."""
     B_S, B_M = group_knowledge(alloc, econ)
     delta = math.log(B_M / B_S)
     V_tilde = (1.0 - econ.tau) * econ.V

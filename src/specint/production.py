@@ -20,10 +20,10 @@ Corner designs give E_nu[lambda] = 1 and z = x*(1-x).
 
 from __future__ import annotations
 
-import math
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -346,17 +346,21 @@ def grid_designs(
     The sets of a level come in lexicographic order, and a batch holds the
     surviving sets of one ENUM_BATCH-long run of that order. The space
     holds sum_a C(P,a)*C(n-1,a-1) designs; one larger than max_designs
-    raises BudgetExceededError on the first batch request, and an empty
-    grid (resolution or max_atoms below 1) raises DomainError.
+    raises BudgetExceededError on the first batch request, before any
+    table is built, and an empty grid (resolution or max_atoms below 1)
+    raises DomainError. The tables that depend on K, resolution and a
+    alone (grid points, weight splits, (a-1)-subsets, rank binomials) are
+    built once per process and shared by every economy.
 
     The search is a two-level branch-and-bound (Land & Doig 1960), and
-    exact: no bound drops a design that could win or tie. Per design, brute_force_design solves Gamma (grid_gamma)
-    only when b = V*C(X,q)/E_lam reaches its incumbent Y. As theta*Gamma
-    >= 0, fl(E_lam + fl(theta*Gamma)) >= E_lam, and correctly rounded
-    division is monotone in its denominator, so a computed output never
-    exceeds its computed b: a design it skips can neither win nor tie, and
-    grid_gamma gives each kept design the bits it has in any batch. A
-    ConvergenceError can fire only on a kept design.
+    exact: no bound drops a design that could win or tie. Per design,
+    brute_force_design solves Gamma (grid_gamma) only when
+    b = V*C(X,q)/E_lam reaches its incumbent Y. As theta*Gamma >= 0,
+    fl(E_lam + fl(theta*Gamma)) >= E_lam, and correctly rounded division is
+    monotone in its denominator, so a computed output never exceeds its
+    computed b: a design it skips can neither win nor tie, and grid_gamma
+    gives each kept design the bits it has in any batch. A ConvergenceError
+    can fire only on a kept design.
 
     Per atom set, at the start of each level a with incumbent Y_a: with
     atoms d_j, scales lam_j and any weight split, C(X,q) <= S =
@@ -380,10 +384,18 @@ def grid_designs(
     (a-1)-subset and the anchor below all of that subset's anchors. The
     survivors are visited in the exhaustive order and batches, so the
     search keeps its incumbents, winner and count of Gamma solves as long
-    as every design keeps its bits. That last step is an assumption, not
-    part of the proof: X and E_lam are BLAS products over the survivors of
-    a batch, and a row is taken to round alike whatever the matrix size
-    and its place in it. The exhaustive-reference tests check it.
+    as every design keeps its bits.
+
+    That last step is an assumption, not part of the proof, and the
+    exhaustive-reference tests check it. The kernel works on domain-major
+    columns: a batch's atom rows are laid out domain by domain, so one BLAS
+    matrix-vector product per weight split gives X as K contiguous columns
+    X_k over the surviving sets, and a row is taken to round alike whatever
+    the matrix size and its place in it (one matrix product over all splits,
+    or the products written out elementwise, round differently). The K-term
+    sums C(X,q) and S are formed column by column in the order numpy's row
+    sum uses (_row_sum), so they keep the bits of the row-major reduction;
+    maxima and minima over a set's atoms are exact in any order.
     """
     if resolution < 1 or max_atoms < 1:
         raise DomainError("grid designs need resolution >= 1 and max_atoms >= 1")
@@ -394,68 +406,143 @@ def grid_designs(
             f"{total} candidate designs exceed the budget of {max_designs}; "
             "lower the resolution or atom count"
         )
-    dirs = simplex_grid(K, resolution)
+    dirs = _grid_points(K, resolution)
     P = dirs.shape[0]
     lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
-    cap = np.minimum(dirs, econ.q)  # atom j's coverage terms min(d_jk, q_k)
+    q = econ.q[:, None]
+    cap = np.minimum(dirs.T, q, order="C")  # atom j's coverage terms min(d_jk, q_k), by domain k
     # a atoms need a weight split into a positive grid weights, so a <= resolution
     for a in range(1, min(max_atoms, resolution) + 1):
         sets, n_dropped = _anchored_sets(econ, cap, lam, a, floor())
         # lexicographic rank among all C(P, a) sets, for the exhaustive order and batches
-        binom = np.array([[math.comb(n, k) for k in range(a + 1)] for n in range(P)])
-        rank = math.comb(P, a) - 1 - binom[P - 1 - sets, np.arange(a, 0, -1)].sum(axis=1)
+        rank = math.comb(P, a) - 1 - sum(
+            table[members] for table, members in zip(_rank_terms(P, a), sets)
+        )
         order = np.argsort(rank)
-        sets, batch = sets[order], rank[order] // ENUM_BATCH
-        weight_rows = [
-            np.array(c, dtype=float) / resolution
-            for c in _compositions(resolution, a, minimum=1)
-        ]
-        dropped.append(n_dropped * len(weight_rows))
+        sets, batch = sets.T[order], rank[order] // ENUM_BATCH  # (N, a), C order
+        splits = _weight_splits(resolution, a)
+        dropped.append(n_dropped * len(splits))
         for idx in np.split(sets, np.flatnonzero(np.diff(batch)) + 1):
             atom_dirs = dirs[idx]  # (C, a, K)
             atom_lam = lam[idx]  # (C, a)
-            # np.tensordot(atom_dirs, w, axes=([1], [0])), its transpose made once
-            rows = atom_dirs.transpose(0, 2, 1).reshape(-1, a)
-            for w in weight_rows:
-                X = np.dot(rows, w.reshape(a, 1)).reshape(-1, K)
-                cov = np.minimum(X, econ.q[None, :]).sum(axis=1)
-                yield atom_dirs, w, X, atom_lam @ w, cov
+            # row k*C + c holds domain k of set c's atoms
+            rows = atom_dirs.transpose(2, 0, 1).reshape(-1, a)
+            for w in splits:
+                cols = np.dot(rows, w.reshape(a, 1)).reshape(K, len(idx))
+                cov = _row_sum(np.minimum(cols, q))
+                yield atom_dirs, w, cols.T, atom_lam @ w, cov
 
 
 def _anchored_sets(econ: Economy, cap: np.ndarray, lam: np.ndarray, a: int, Y_a: float):
-    """Index rows, sorted within each row, of the a-atom grid sets whose
-    slackened bound reaches Y_a, and the count of the other sets: each
-    anchored set is built once, from an (a-1)-subset and the anchor below
-    all of that subset's anchors. grid_designs states the bound and proves
-    the slack."""
-    P, K = cap.shape
+    """Index columns (a, N), ascending down each column, of the a-atom grid
+    sets whose slackened bound reaches Y_a, and the count of the other sets:
+    each anchored set is built once, from an (a-1)-subset and the anchor
+    below all of that subset's anchors. cap holds the atoms' coverage terms
+    domain-major, (K, P). grid_designs states the bound and proves the
+    slack."""
+    K, P = cap.shape
     slack = 1.0 + 4 * (a + K) * float(np.finfo(float).eps)
     anchor = econ.V * float(econ.q.sum()) / lam * slack >= Y_a
     anchors = np.flatnonzero(anchor)
-    rest = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(P), a - 1)),
-        dtype=np.intp,
-        count=math.comb(P, a - 1) * (a - 1),
-    ).reshape(math.comb(P, a - 1), a - 1)
-    rest_cap = cap[rest].max(axis=1, initial=0.0)
-    rest_lam = lam[rest].min(axis=1, initial=np.inf)
-    below = np.searchsorted(anchors, np.where(anchor[rest], rest, P).min(axis=1, initial=P))
+    rest = _subsets(P, a - 1)  # (a-1, C(P, a-1)), one row per member
+    rest_cap = np.zeros((K, rest.shape[1]))
+    rest_lam = np.full(rest.shape[1], np.inf)
+    first_anchor = np.full(rest.shape[1], P)
+    for members in rest:
+        np.maximum(rest_cap, cap[:, members], out=rest_cap)
+        np.minimum(rest_lam, lam[members], out=rest_lam)
+        np.minimum(first_anchor, np.where(anchor[members], members, P), out=first_anchor)
+    below = np.searchsorted(anchors, first_anchor)
     unbuilt = math.comb(P - anchors.size, a)  # the sets without an anchor
     if int(below.sum()) != math.comb(P, a) - unbuilt:
         raise AssertionError(f"anchored {a}-atom sets not each built once")
     # at most ENUM_BATCH candidate sets a pass bounds memory as the batches do
     step = max(1, ENUM_BATCH // max(1, anchors.size))
-    kept = [np.empty((0, a), dtype=np.intp)]
+    kept = [np.empty((a, 0), dtype=np.intp)]
     n_dropped = unbuilt
-    for lo in range(0, rest.shape[0], step):
+    for lo in range(0, rest.shape[1], step):
         n = below[lo : lo + step]
         r = lo + np.repeat(np.arange(n.size), n)
         t = anchors[np.arange(r.size) - np.repeat(np.cumsum(n) - n, n)]
-        S = np.maximum(rest_cap[r], cap[t]).sum(axis=1)
+        terms = rest_cap[:, r]
+        S = _row_sum(np.maximum(terms, cap[:, t], out=terms))
         keep = econ.V * S / np.minimum(rest_lam[r], lam[t]) * slack >= Y_a
         n_dropped += keep.size - int(np.count_nonzero(keep))
-        kept.append(np.column_stack([rest[r[keep]], t[keep]]))
-    return np.sort(np.concatenate(kept), axis=1), n_dropped
+        members, t = rest[:, r[keep]], t[keep]
+        # insert t into the ascending members: member i stays in row i while
+        # it is below t, and every later row moves down by one
+        sets = np.empty((a, t.size), dtype=np.intp)
+        sets[0] = t
+        sets[1:] = np.maximum(members, t)
+        sets[:-1] = np.where(members < t, members, sets[:-1])
+        kept.append(sets)
+    return np.concatenate(kept, axis=1), n_dropped
+
+
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """terms.sum(axis=0) of a (K, n) array, with the bits of the row sum
+    terms.T.sum(axis=1) of its (n, K) transpose in C order. numpy sums a
+    row pairwise: fewer than 8 terms left to right, up to 128 in 8
+    interleaved partial sums combined as a tree and then the remainder, and
+    longer rows as two halves split at a multiple of 8."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    if n < 8:
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
+    r = list(terms[:8])
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r = [r[j] + terms[i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[tail:]:
+        total += term
+    return total
+
+
+# Tables that depend on the grid alone, built on first use and shared by
+# every economy and search; read-only, as every caller gets the same array.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=16)
+def _grid_points(K: int, resolution: int) -> np.ndarray:
+    """simplex_grid(K, resolution)."""
+    return _frozen(simplex_grid(K, resolution))
+
+
+@lru_cache(maxsize=16)
+def _weight_splits(resolution: int, a: int) -> np.ndarray:
+    """The splits of unit mass into a positive multiples of 1/resolution,
+    one per row, in lexicographic order."""
+    return _frozen(np.array(list(_compositions(resolution, a, minimum=1)), dtype=float) / resolution)
+
+
+@lru_cache(maxsize=16)
+def _subsets(P: int, m: int) -> np.ndarray:
+    """The m-subsets of range(P) in lexicographic order, one column each,
+    members ascending down the column: (m, C(P, m))."""
+    n = math.comb(P, m)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(P), m)),
+        dtype=np.intp,
+        count=n * m,
+    )
+    return _frozen(np.ascontiguousarray(flat.reshape(n, m).T))
+
+
+@lru_cache(maxsize=16)
+def _rank_terms(P: int, a: int) -> np.ndarray:
+    """(a, P) table with C(P-1-s, a-i) at (i, s): the lexicographic rank of
+    an ascending a-set s_0 < ... < s_(a-1) of range(P) is
+    C(P, a) - 1 - sum_i C(P-1-s_i, a-i)."""
+    return _frozen(np.array([[math.comb(P - 1 - s, a - i) for s in range(P)] for i in range(a)]))
 
 
 def grid_gamma(
@@ -529,7 +616,7 @@ def brute_force_design(
         if key < best_key:
             best_key = key
             best_Y, best_x, best_cost = float(Y[k]), X[k].copy(), float(den[k] / cov[k])
-            design = SpecialistDesign(directions=atom_dirs[keep[k]], weights=w)
+            design = SpecialistDesign(directions=atom_dirs[keep[k]], weights=w.copy())
     return BruteForceResult(
         design=design,
         x=best_x,

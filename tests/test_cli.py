@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specint import cli, learning, reforms, welfare
+from specint import cli, learning, production, reforms, welfare
 from specint.cli import main
 from specint.scenario import (
     DEFAULTS,
@@ -344,6 +344,23 @@ def test_sweep_alpha_frontier_solves_do_not_grow_with_grid(tmp_path, monkeypatch
         assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_solve_solves_the_optimum_once(tmp_path, monkeypatch):
+    # the wage support reads the optimum that solve has already built, so
+    # its frontier H(h*) is solved once, and it is the only frontier solve
+    calls = []
+    solve = learning.max_scale_batch
+
+    def counted(tech, directions):
+        calls.append(np.array(directions, copy=True))
+        return solve(tech, directions)
+
+    monkeypatch.setattr(learning, "max_scale_batch", counted)
+    cfg = write_cfg(tmp_path / "s.cfg")
+    assert main(["solve", "--config", cfg]) == 0
+    h_star = production.gap_profile_star(load_scenario(cfg).econ.q)
+    assert [c.tobytes() for c in calls] == [h_star[None, :].tobytes()]
 
 
 def test_sweep_alpha_evaluates_welfare_three_times_per_grid_point(tmp_path, monkeypatch):

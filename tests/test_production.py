@@ -284,14 +284,122 @@ def test_simplex_grid_counts():
     assert design_space_size(3, 8, 3) == 304965
 
 
+# the grid tables that depend on K, resolution and the atom count alone
+GRID_TABLES = (
+    production._grid_points,
+    production._weight_splits,
+    production._subsets,
+    production._rank_terms,
+)
+
+
 def test_brute_force_budget_guard(econ):
+    # oracle.max_designs caps the whole design space, and is checked before
+    # the search builds any table
     wages = support_wages(econ)
+    for table in GRID_TABLES:
+        table.cache_clear()
     for search in (
         lambda: brute_force_design(econ, resolution=12, max_atoms=3, max_designs=1000),
         lambda: no_deviation_check(wages, econ, resolution=12, max_atoms=3, max_designs=1000),
     ):
         with pytest.raises(BudgetExceededError):
             search()
+    assert [table.cache_info().misses for table in GRID_TABLES] == [0] * len(GRID_TABLES)
+
+
+def test_grid_tables_are_built_once_and_shared_read_only(econ):
+    # the design oracle and the no-deviation scan, at another theta and in
+    # another economy, read the same tables
+    for table in GRID_TABLES:
+        table.cache_clear()
+    brute_force_design(econ, resolution=5, max_atoms=3)
+    built = [table.cache_info().misses for table in GRID_TABLES]
+    assert all(built)
+    no_deviation_check(support_wages(econ), econ, resolution=5, max_atoms=3)
+    brute_force_design(make_economy(q=(0.2, 0.3, 0.5)), resolution=5, max_atoms=3)
+    assert [table.cache_info().misses for table in GRID_TABLES] == built
+    points = production._grid_points(3, 5)
+    assert not points.flags.writeable
+    fresh = simplex_grid(3, 5)
+    assert fresh.flags.writeable and fresh.tobytes() == points.tobytes()
+
+
+def _row_major_designs(econ, resolution, max_atoms, max_designs, floor, dropped):
+    """grid_designs with a row-major kernel of its own: every atom set in
+    lexicographic order, bounded by reductions along the rows of (sets, K)
+    and (sets, atoms) arrays, and each batch's X as a (C, K) matrix with
+    C(X,q) = np.minimum(X, q).sum(axis=1). No table is cached."""
+    K = econ.q.size
+    dirs = simplex_grid(K, resolution)
+    lam = 1.0 / learning.max_scale_batch(econ.tech, dirs)
+    cap = np.minimum(dirs, econ.q)
+    for a in range(1, min(max_atoms, resolution) + 1):
+        Y_a = floor()
+        slack = 1.0 + 4 * (a + K) * float(np.finfo(float).eps)
+        sets = np.array(list(itertools.combinations(range(len(dirs)), a)), dtype=np.intp)
+        anchored = (econ.V * float(econ.q.sum()) / lam * slack >= Y_a)[sets].any(axis=1)
+        S = cap[sets].max(axis=1).sum(axis=1)
+        kept = np.flatnonzero(anchored & (econ.V * S / lam[sets].min(axis=1) * slack >= Y_a))
+        splits = [
+            np.array(c, dtype=float) / resolution
+            for c in itertools.product(range(1, resolution + 1), repeat=a)
+            if sum(c) == resolution
+        ]
+        dropped.append((len(sets) - kept.size) * len(splits))
+        for run in np.split(kept, np.flatnonzero(np.diff(kept // production.ENUM_BATCH)) + 1):
+            atom_dirs, atom_lam = dirs[sets[run]], lam[sets[run]]
+            rows = atom_dirs.transpose(0, 2, 1).reshape(-1, a)
+            for w in splits:
+                X = np.dot(rows, w.reshape(a, 1)).reshape(-1, K)
+                yield atom_dirs, w, X, atom_lam @ w, np.minimum(X, econ.q).sum(axis=1)
+
+
+def _both_searches(econ, resolution, atoms, wages):
+    found = brute_force_design(econ, resolution=resolution, max_atoms=atoms)
+    out = [
+        found.Y, found.x.tobytes(), found.design.directions.tobytes(),
+        found.design.weights.tobytes(), found.n_designs, found.n_evaluated,
+    ]
+    if wages is not None:
+        report = no_deviation_check(wages, econ, resolution=resolution, max_atoms=atoms)
+        out += [
+            report.worst_margin, report.worst_design.directions.tobytes(),
+            report.worst_design.weights.tobytes(), report.n_designs, report.n_evaluated,
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "K,resolution,atoms",
+    [(2, 8, 3), (3, 6, 3), (4, 5, 3), (5, 4, 3), (6, 3, 3), (7, 3, 3), (8, 2, 3), (9, 2, 3)],
+)
+def test_domain_major_kernel_keeps_the_row_major_bits(monkeypatch, K, resolution, atoms):
+    # the search works on domain-major columns and sums them in numpy's row
+    # order, which is pairwise from 8 terms on: every batch, and both
+    # searches, keep the bits of the row-major kernel
+    econ = oracles._random_economy(np.random.default_rng(20261019 + K), load_scenario().econ, K=K)
+    try:
+        wages = support_wages(econ)
+    except HypothesisError:
+        wages = None
+    found = _both_searches(econ, resolution, atoms, wages)
+    for floor in (-np.inf, found[0]):
+        batches = []
+        for enumerate_designs in (production.grid_designs, _row_major_designs):
+            dropped = []
+            designs = enumerate_designs(econ, resolution, atoms, 10**9, lambda: floor, dropped)
+            batches.append([[part.tobytes() for part in batch] for batch in designs] + [dropped])
+        assert batches[0] == batches[1]
+    monkeypatch.setattr(production, "grid_designs", _row_major_designs)
+    assert found == _both_searches(econ, resolution, atoms, wages)
+
+
+@pytest.mark.parametrize("K", [*range(1, 20), 64, 127, 128, 129, 200, 257])
+def test_row_sum_keeps_the_bits_of_numpys_row_sum(K):
+    rng = np.random.default_rng(K)
+    rows = rng.random((500, K)) * rng.choice([1e-8, 1.0, 1e8], size=(500, K))
+    assert production._row_sum(np.ascontiguousarray(rows.T)).tobytes() == rows.sum(axis=1).tobytes()
 
 
 def test_empty_design_grid_raises_domain_error(econ):

@@ -13,7 +13,6 @@ import types
 from pathlib import Path
 
 import specint
-from specint import cli
 from specint.cli import main
 
 from test_cli import SMALL_BUDGETS, write_cfg
@@ -51,7 +50,13 @@ def defined_functions() -> dict[tuple[str, int, str], str]:
 
 def test_commands_reach_every_function(tmp_path):
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
-    cli.build_parser.cache_clear()  # so that main builds the parser under the hook
+    # so that main builds the parser, and the searches their grid tables,
+    # under the hook, whatever earlier tests have cached
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("specint."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
     commands = [["solve"], *(["sweep", "--axis", a] for a in ("b", "alpha", "theta")), ["verify"]]
     called = set()
 
