@@ -393,9 +393,10 @@ def grid_designs(
     X_k over the surviving sets, and a row is taken to round alike whatever
     the matrix size and its place in it (one matrix product over all splits,
     or the products written out elementwise, round differently). The K-term
-    sums C(X,q) and S are formed column by column in the order numpy's row
-    sum uses (_row_sum), so they keep the bits of the row-major reduction;
-    maxima and minima over a set's atoms are exact in any order.
+    sums C(X,q) and S keep the bits of the row-major reduction (_row_sum):
+    below 8 terms numpy adds a row left to right, as the column sum does,
+    and from 8 on the columns go back to rows for numpy's own row sum.
+    Maxima and minima over a set's atoms are exact in any order.
     """
     if resolution < 1 or max_atoms < 1:
         raise DomainError("grid designs need resolution >= 1 and max_atoms >= 1")
@@ -481,31 +482,20 @@ def _anchored_sets(econ: Economy, cap: np.ndarray, lam: np.ndarray, a: int, Y_a:
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
     """terms.sum(axis=0) of a (K, n) array, with the bits of the row sum
-    terms.T.sum(axis=1) of its (n, K) transpose in C order. numpy sums a
-    row pairwise: fewer than 8 terms left to right, up to 128 in 8
-    interleaved partial sums combined as a tree and then the remainder, and
-    longer rows as two halves split at a multiple of 8."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    if n < 8:
-        total = terms[0].copy()
-        for term in terms[1:]:
-            total += term
-        return total
-    r = list(terms[:8])
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        r = [r[j] + terms[i + j] for j in range(8)]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for term in terms[tail:]:
+    terms.T.sum(axis=1) of its (n, K) transpose in C order. numpy adds a
+    row of fewer than 8 terms left to right, which the columns do here;
+    longer rows are left to numpy's own row sum."""
+    if len(terms) >= 8:
+        return np.ascontiguousarray(terms.T).sum(axis=1)
+    total = terms[0].copy()
+    for term in terms[1:]:
         total += term
     return total
 
 
 # Tables that depend on the grid alone, built on first use and shared by
-# every economy and search; read-only, as every caller gets the same array.
+# every economy and search, for a process that searches many economies on
+# one grid; read-only, as every caller gets the same array.
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
