@@ -6,8 +6,9 @@ specint verify [--config F] [--out CSV] [--seed N] [--strict]
 
 Exit codes: 0 ok, 1 config or usage error, 2 hypothesis violation, 3 oracle
 failure or a non-finite result, 4 internal error (an exception outside the
-engine's error hierarchy: a bug). An error exit prints one stderr line and
-no traceback.
+engine's error hierarchy: a bug); a UserWarning promoted to an error exits
+1 while the scenario loads (a renormalized profile), 3 after it (a
+decomposition residual). An error exit prints one stderr line, no traceback.
 CSV output is RFC-4180 style with a header row, '.' decimal, and
 deterministic shortest-round-trip floats, so identical scenarios and
 seeds produce byte-identical files.
@@ -275,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    scn = None
     try:
         args = build_parser().parse_args(argv)
         scn = load_scenario(args.config)
@@ -297,6 +299,13 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UserWarning as exc:  # an engine diagnostic promoted to an error
+        message = " ".join(str(exc).split())
+        if scn is None:
+            print(f"config error: {message}", file=sys.stderr)
+            return 1
+        print(f"oracle failure: {message}", file=sys.stderr)
+        return 3
     except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message} (bug)", file=sys.stderr)

@@ -8,7 +8,6 @@ at s = 0.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,25 +18,6 @@ from .learning import LearningTech
 SIMPLEX_TOL = 1e-12
 RENORM_WARN = 1e-9
 BUDGET_SLACK = 1e-10  # learning-budget round-off allowance
-
-
-def as_simplex(values, *, what: str = "profile") -> np.ndarray:
-    """Coerce to a simplex vector; renormalize, warning beyond 1e-9 drift."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2:
-        raise DomainError(f"{what} needs at least two domains")
-    if np.any(v < -SIMPLEX_TOL):
-        raise DomainError(f"{what} has negative entries")
-    v = np.clip(v, 0.0, None)
-    total = float(v.sum())
-    if total <= 0.0:
-        raise DomainError(f"{what} has zero mass")
-    if abs(total - 1.0) > RENORM_WARN:
-        warnings.warn(
-            f"{what} off the simplex by {abs(total - 1.0):.3e}; renormalizing",
-            stacklevel=2,
-        )
-    return v / total
 
 
 def coverage(a, b) -> float:

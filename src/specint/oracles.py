@@ -40,7 +40,7 @@ from .production import (
     simplex_grid,
 )
 from .scenario import Scenario
-from .welfare import decompose_along, dispersion, service_welfare
+from .welfare import decompose_along, dispersion, service_welfare, total_welfare
 
 
 _EPS = float(np.finfo(float).eps)
@@ -545,15 +545,30 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     report = reforms.theta_statics(econ, scn.theta_grid())
+    # the closed-form rows against a fresh optimum and its full welfare
+    # accounts (budget and capacity checks included) at every theta
+    worst = 0.0
+    for i, theta in enumerate(report.theta_grid.tolist()):
+        econ_t = econ.with_theta(theta)
+        opt, alloc = productive_optimum(econ_t)
+        rep = total_welfare(econ_t, alloc)
+        same = (opt.m_star, opt.Y_star, rep.outcome.B_soc) == (
+            report.m[i], report.Y[i], report.B_soc[i]
+        )
+        worst = max(
+            worst,
+            0.0 if same else 2.0,
+            abs(rep.welfare - report.welfare[i]) / (1e-12 * (1.0 + abs(rep.welfare))),
+        )
     # B_S and B_M are constant in theta at the optimum, so B_soc moves with
     # m in the direction of B_M - B_S
-    B_S, B_M = group_knowledge(productive_optimum(econ)[1], econ)
     strictness = min(
         float(np.diff(report.m).min()),
         float(-np.diff(report.Y).max()),
-        float((np.sign(B_M - B_S) * np.diff(report.B_soc)).min()),
+        float((np.sign(rep.outcome.B_M - rep.outcome.B_S) * np.diff(report.B_soc)).min()),
     )
-    worst = 0.0 if strictness > 1e-12 else 2.0
+    if strictness <= 1e-12:
+        worst = max(worst, 2.0)
     # the dm/dtheta column the engine emits, against central differences
     h = 1e-6 * econ.theta_bar
     for i in range(1, report.theta_grid.size - 1, 7):

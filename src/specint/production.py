@@ -248,13 +248,8 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
             f"theta_bar={econ.theta_bar:.6g}; the corner organization is not "
             "certified optimal there"
         )
-    return _productive_optimum(econ, max_scale(econ.tech, gap_profile_star(econ.q)))
-
-
-def _productive_optimum(econ: Economy, H: float) -> tuple[ProductiveOptimum, Allocation]:
-    """productive_optimum given the frontier H = H(h*(q)), which theta does
-    not move; the caller has checked q and theta."""
     h_star = gap_profile_star(econ.q)
+    H = max_scale(econ.tech, h_star)
     D = fragmentation(econ.q)
     m_star = econ.theta * D / (H + econ.theta * D)
     Y_star = econ.V * H / (H + econ.theta * D)

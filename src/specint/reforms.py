@@ -37,11 +37,15 @@ allocation. Specialist knowledge falls at rate
 [ (sum q^2)^2 - sum q^3 ] / D(q) <= 0 and integrator knowledge rises at
 rate H(h*)**p * [1 - C(h*,q)] >= 0, both strict unless q is uniform.
 
-Integration-cost statics: along theta, the optimum has m rising and output
-falling. Group knowledge B_S and B_M does not depend on theta there, so
-dB_soc/dtheta = m'(theta)*(B_M - B_S): civic capacity rises when
-integrators know more and falls when they know less. Welfare carries no
-sign assertion.
+Integration-cost statics: along theta the optimum moves only the integrator
+share m = theta*D/(H + theta*D) and output Y = V*H/(H + theta*D), with
+D = D(q) and H = H(h*). The corner specialists and the integrator profile
+H*h* stay, and so do B_S and B_M, so dB_soc/dtheta = m'(theta)*(B_M - B_S):
+civic capacity rises when integrators know more and falls when they know
+less. theta_statics evaluates these closed forms from one optimum and one
+accounts call per grid, each row's welfare at the Y it reports; `verify`
+holds every row against the per-theta optimum and its welfare accounts.
+Welfare carries no sign assertion.
 
 Thresholds quoted "for small theta" are closed forms over the (always
 well-defined) family constructions: theta_cut above, and theta_small of
@@ -59,21 +63,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import Economy
-from .errors import DomainError, OracleError
+from .errors import DomainError, InfeasibleAllocationError, OracleError
 from .knowledge import coverage, fragmentation, system_knowledge
 from .learning import max_scale, max_scale_batch
+from .politics import equilibrium_from_groups
 from .production import (
-    Allocation,
     SpecialistDesign,
     _minimal_allocations,
-    _productive_optimum,
+    accounts,
     corner_design,
     gap_profile_star,
     minimal_allocation,
     productive_optimum,
     single_atom,
 )
-from .welfare import Family, decompose_along, total_welfare
+from .welfare import Family, decompose_along, service_welfare
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
@@ -333,51 +337,44 @@ class ThetaStaticsReport:
 
 
 def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
-    """Productive optimum and welfare across a theta grid in (0, theta_bar).
-
-    Verifies the monotonicity pattern (integrator share rising, output
-    falling, civic capacity moving strictly in the direction of B_M - B_S)
-    and raises if the pattern fails; welfare is reported without any sign
-    assertion.
+    """Productive optimum and welfare across a theta grid in (0, theta_bar),
+    from the closed forms of the module docstring. Verifies the monotonicity
+    pattern (integrator share rising, output falling, civic capacity moving
+    strictly in the direction of B_M - B_S) and raises if the pattern
+    fails; welfare is reported without any sign assertion.
     """
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(grid >= econ.theta_bar):
         raise DomainError("theta grid must lie strictly inside (0, theta_bar)")
 
-    m_vals, Y_vals, B_vals, W_vals, dm_vals = [], [], [], [], []
-    D = fragmentation(econ.q)
-    # the first point checks the economy and solves H(h*), which theta does not move
-    H_hstar = productive_optimum(econ.with_theta(float(grid[0])))[0].H_hstar
-    for theta in grid:
-        econ_t = econ.with_theta(float(theta))
-        opt, alloc = _productive_optimum(econ_t, H_hstar)
-        rep = total_welfare(econ_t, alloc)
-        m_vals.append(opt.m_star)
-        Y_vals.append(opt.Y_star)
-        B_vals.append(rep.outcome.B_soc)
-        W_vals.append(rep.welfare)
-        H = opt.H_hstar
-        dm_vals.append(D * H / (H + theta * D) ** 2)
-    m_arr = np.array(m_vals)
-    Y_arr = np.array(Y_vals)
-    B_arr = np.array(B_vals)
-    W_arr = np.array(W_vals)
-    if not (np.all(np.diff(m_arr) > 0.0) and np.all(np.diff(Y_arr) < 0.0)):
+    first = econ.with_theta(float(grid[0]))
+    opt, alloc = productive_optimum(first)
+    acc = accounts(alloc, first)
+    H, D = opt.H_hstar, fragmentation(econ.q)
+    m = grid * D / (H + grid * D)
+    Y = econ.V * H / (H + grid * D)
+    if not np.all(m < 1.0 / 3.0):
+        raise InfeasibleAllocationError("integrator share bound violated (bug)")
+    outcomes = [
+        equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M)
+        for y, share in zip(Y.tolist(), m.tolist())
+    ]
+    B_soc = np.array([o.B_soc for o in outcomes])
+    W = np.array([(1.0 - econ.tau) * o.Y + service_welfare(o, o.m) for o in outcomes])
+    if not (np.all(np.diff(m) > 0.0) and np.all(np.diff(Y) < 0.0)):
         raise OracleError("integration-cost monotonicity violated (bug)")
-    # B_S and B_M do not depend on theta, so any grid point gives the sign
-    direction = np.sign(rep.outcome.B_M - rep.outcome.B_S)
-    if not np.all(direction * np.diff(B_arr) > 0.0):
+    if not np.all(np.sign(acc.B_M - acc.B_S) * np.diff(B_soc) > 0.0):
         raise OracleError(
             "civic capacity not moving with sign(B_M - B_S) in integration cost (bug)"
         )
-    w_diff = np.diff(W_arr)
-    monotone = bool(np.all(w_diff > 0.0) or np.all(w_diff < 0.0))
+    w_diff = np.diff(W)
     return ThetaStaticsReport(
         theta_grid=grid,
-        m=m_arr,
-        Y=Y_arr,
-        B_soc=B_arr,
-        welfare=W_arr,
-        dm_dtheta=np.array(dm_vals),
-        welfare_monotone=monotone,
+        m=m,
+        Y=Y,
+        B_soc=B_soc,
+        welfare=W,
+        # the Python float `**`, which the array square can miss by an ulp
+        dm_dtheta=np.array([D * H / (H + t * D) ** 2 for t in grid.tolist()]),
+        welfare_monotone=bool(np.all(w_diff > 0.0) or np.all(w_diff < 0.0)),
     )

@@ -12,13 +12,14 @@ valid across learning families.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .economy import Economy
 from .errors import ConfigError
-from .knowledge import as_simplex
+from .knowledge import RENORM_WARN
 from .learning import LearningTech
 from .politics import GovernanceTech
 
@@ -157,7 +158,10 @@ def _interior_profile(entries: dict[str, str], key: str) -> np.ndarray:
         raise ConfigError(f"{key} needs at least two domains, got {entries[key]!r}")
     if not min(values) > 0.0:
         raise ConfigError(f"{key} must be strictly interior, got {entries[key]!r}")
-    return as_simplex(values, what=key)
+    total = float(values.sum())
+    if abs(total - 1.0) > RENORM_WARN:
+        warnings.warn(f"{key} off the simplex by {abs(total - 1.0):.3e}; renormalizing", stacklevel=2)
+    return values / total
 
 
 def _grid(entries: dict[str, str], key: str) -> np.ndarray:

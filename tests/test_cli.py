@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specint import cli, learning, production, reforms, welfare
@@ -64,6 +64,20 @@ def test_unknown_key_rejected():
     entries["economy.zeta"] = "1"
     with pytest.raises(ConfigError):
         scenario_from_entries(entries)
+
+
+def test_profile_renormalized_at_load_with_warning():
+    # q and u are put on the simplex where they enter, with a warning beyond
+    # 1e-9 of drift (any other warning fails the test: filterwarnings=error)
+    with pytest.warns(UserWarning, match="economy.q off the simplex"):
+        q = scenario_from_entries({**DEFAULTS, "economy.q": "0.5,0.4,0.2"}).econ.q
+    raw = np.array([0.5, 0.4, 0.2])
+    assert np.array_equal(q, raw / raw.sum())
+    q = scenario_from_entries({**DEFAULTS, "economy.q": "0.5,0.3,0.200000000001"}).econ.q
+    assert q.sum() == pytest.approx(1.0, abs=1e-15)
+    for bad in ("0.7,-0.2,0.5", "1.0"):
+        with pytest.raises(ConfigError):
+            scenario_from_entries({**DEFAULTS, "economy.q": bad})
 
 
 def test_unknown_oracle_key_exits_one_and_lists_known_keys(tmp_path, capsys):
@@ -120,6 +134,7 @@ NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
 @settings(max_examples=150, deadline=None)
+@example(command="solve", hostile={"economy.q": "1e300,1,1"})
 @given(
     command=st.sampled_from(["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta"]),
     hostile=st.dictionaries(
@@ -150,6 +165,45 @@ def test_hostile_configs_keep_the_exit_code_contract(tmp_path_factory, command, 
         assert err == ""
         assert not NONFINITE.search(stdout.getvalue())
         assert not NONFINITE.search(out.read_text())
+    # the same run with the warnings promoted to errors, as under
+    # PYTHONWARNINGS=error: a warning ends it with a documented code too
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            promoted = main([*command.split(), "--config", cfg, "--out", str(out)])
+    err = stderr.getvalue()
+    assert promoted in (0, 1, 2, 3), err
+    assert "Traceback" not in err and err.count("\n") <= 1
+    if not caught:
+        assert promoted == code
+
+
+def test_promoted_renormalization_warning_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "q.cfg", {"economy.q": "1e300,1,1"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: economy.q off the simplex by 1.000e+300; renormalizing\n"
+
+
+@pytest.mark.parametrize("category, code, prefix", [
+    (UserWarning, 3, "oracle failure: decomposition residual"),
+    (RuntimeWarning, 4, "internal error: RuntimeWarning: decomposition residual"),
+])
+def test_promoted_warning_after_load_exit_code(tmp_path, capsys, monkeypatch, category, code, prefix):
+    # an engine UserWarning after the scenario loaded is an oracle failure;
+    # any other warning category promoted to an error is still a bug
+    def warn(scn, out_path):
+        warnings.warn("decomposition residual 1.0e-03 exceeds 1.0e-04", category)
+
+    monkeypatch.setattr(cli, "cmd_solve", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", write_cfg(tmp_path / "s.cfg")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_module_entry_point_exit_codes(tmp_path):
@@ -373,7 +427,7 @@ def test_sweep_alpha_evaluates_welfare_three_times_per_grid_point(tmp_path, monk
         calls.append(alloc)
         return evaluate(econ, alloc)
 
-    for module in (welfare, reforms, cli):
+    for module in (welfare, cli):
         monkeypatch.setattr(module, "total_welfare", counted)
     for n in (5, 21):
         calls.clear()

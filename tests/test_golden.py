@@ -25,7 +25,7 @@ GOLDEN = {
     ("default", "sweep --axis alpha"):
         "8b7552a460bf911bf1afd0b695d0bc10b5aa0bf6197119c12806c589d3b3dfb9",
     ("default", "sweep --axis theta"):
-        "e25033f4b12ff83784737d232bdbfb95a45fcde5df4d8683e1412ec7a054866d",
+        "cd4dbc539f7ca590cb667ed0ffcd7cab34cf1b371aba9186b9701a7bec628ec9",
     ("governance_heavy", "solve"):
         "e9c503c0b9e834af4309baf17ad8dd39ed652da63d5da0637f08678195b767a1",
     ("governance_heavy", "sweep --axis b"):
@@ -33,7 +33,7 @@ GOLDEN = {
     ("governance_heavy", "sweep --axis alpha"):
         "59491622f687b70bdc75224579b85a9ba098b8b5b876e849cc988a74357340bc",
     ("governance_heavy", "sweep --axis theta"):
-        "127e968d1ba8cf3a3212c928b1e5605d6e1c33f148e73147150f2b3222eacdb4",
+        "c36909d79f89003c0a006e9d71e9d923b5638cc16f3f6484a01acddc870bdd61",
 }
 
 # K = 5 and the exponential family, which neither shipped scenario covers
@@ -50,7 +50,7 @@ GOLDEN_K5_EXPONENTIAL = {
     "solve": "01cf8037a0a9f89c463758c5b8ca1ae4a958f34c6d244faeeaa9bcc7f52c3416",
     "sweep --axis b": "d1f0e0fc13e12117f529b2522cdc54af8461909b0863446701e09fbf67515b4f",
     "sweep --axis alpha": "fd868db9bab12409bd32b83e0b83a3791787ef2df7c32a9188f01f4f0f8e2ae9",
-    "sweep --axis theta": "817bfbf6aa4f66fc46000a8f2108171bbf68e30dadc1da5b157e8f3e97c8880b",
+    "sweep --axis theta": "6689fea7872f08988910c2920be7047522740de8bf0272cc8292eccb229f51a5",
 }
 
 VERIFY_SMALL_BUDGETS = "72253521980e0a7b7fca3110a1e760a945c490f8d5ff86a12e670565515d52f3"

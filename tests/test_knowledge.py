@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from specint.errors import ConfigError, DomainError, TwoDomainError
 from specint.knowledge import (
-    as_simplex,
     check_diffuse,
     coverage,
     feasible_bundle,
@@ -77,19 +76,6 @@ def test_system_knowledge_scale_monotone(rational):
     scale = max_scale(rational, pi)
     vals = [system_knowledge(t * scale * pi, U, 0.6) for t in np.linspace(0.05, 1.0, 9)]
     assert np.all(np.diff(vals) > 0.0)
-
-
-def test_as_simplex_renormalizes_with_warning():
-    with pytest.warns(UserWarning):
-        v = as_simplex([0.5, 0.4, 0.2], what="test profile")
-    assert v.sum() == pytest.approx(1.0, abs=1e-15)
-    # small drift renormalized silently
-    v = as_simplex([0.5, 0.3, 0.2 + 1e-12])
-    assert v.sum() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        as_simplex([0.7, -0.2, 0.5])
-    with pytest.raises(DomainError):
-        as_simplex([1.0])
 
 
 def test_feasible_bundle(rational):

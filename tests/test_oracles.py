@@ -217,6 +217,23 @@ def test_theta_statics_check_reads_the_emitted_column(monkeypatch):
         assert run_check(oracles.check_theta_statics, scn).status == "fail", index
 
 
+@pytest.mark.parametrize("column", ["welfare", "B_soc"])
+def test_theta_statics_check_reads_the_welfare_columns(monkeypatch, column):
+    # the check holds every row's welfare and B_soc against the per-theta
+    # optimum and its full welfare accounts
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    statics = reforms.theta_statics
+    for index in (0, 12, scn.theta_grid().size - 1):
+        def perturbed(econ, grid, index=index):
+            report = statics(econ, grid)
+            values = getattr(report, column).copy()
+            values[index] *= 1.0 + 1e-9
+            return dataclasses.replace(report, **{column: values})
+
+        monkeypatch.setattr(reforms, "theta_statics", perturbed)
+        assert run_check(oracles.check_theta_statics, scn).status == "fail", index
+
+
 @pytest.mark.parametrize("check", [
     oracles.check_frontier_lipschitz,
     oracles.check_concavity_gap,
@@ -250,8 +267,7 @@ def test_interface_statics_check_runs_no_welfare(monkeypatch):
         calls.append(alloc)
         return evaluate(econ, alloc)
 
-    for module in (welfare, reforms):
-        monkeypatch.setattr(module, "total_welfare", counted)
+    monkeypatch.setattr(welfare, "total_welfare", counted)
     assert run_check(oracles.check_interface_statics, scn).status == "pass"
     assert calls == []
 

@@ -11,7 +11,7 @@ from specint.cli import main
 from specint.errors import DomainError
 from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import max_scale
-from specint.politics import group_knowledge, resource_sensitivities
+from specint.politics import equilibrium_from_groups, group_knowledge, resource_sensitivities
 from specint.production import (
     accounts,
     corner_design,
@@ -33,7 +33,7 @@ from specint.reforms import (
     theta_statics,
 )
 from specint.scenario import load_scenario
-from specint.welfare import decompose_along, total_welfare
+from specint.welfare import decompose_along, service_welfare, total_welfare
 
 from conftest import make_economy
 
@@ -101,10 +101,35 @@ def test_broadening_grid_solves_each_frontier_once(econ, monkeypatch):
 
 
 def test_theta_statics_solves_frontier_once(econ, monkeypatch):
-    # H(h*) does not move with theta: one one-row solve for the whole grid
+    # H(h*), B_S and B_M do not move with theta: one one-row frontier solve
+    # and one accounts call for the whole grid
+    from specint import politics, production, reforms
+
     calls = _count_frontier_rows(monkeypatch)
+    evaluate = production.accounts
+    evaluated = []
+
+    def counted(alloc, econ):
+        evaluated.append(alloc)
+        return evaluate(alloc, econ)
+
+    for module in (production, politics, reforms):
+        monkeypatch.setattr(module, "accounts", counted)
     theta_statics(econ, np.linspace(0.02, 0.98, 25) * econ.theta_bar)
     assert calls == [1]
+    assert len(evaluated) == 1
+
+
+def test_theta_statics_welfare_at_the_printed_output():
+    # each row's welfare is evaluated at the Y that row prints, with the
+    # group knowledge of the optimum, which theta does not move
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    econ = scn.econ
+    rep = theta_statics(econ, scn.theta_grid())
+    B_S, B_M = group_knowledge(productive_optimum(econ)[1], econ)
+    for Y, m, W in zip(rep.Y.tolist(), rep.m.tolist(), rep.welfare.tolist()):
+        out = equilibrium_from_groups(econ, Y, m, B_S, B_M)
+        assert W == (1.0 - econ.tau) * Y + service_welfare(out, m)
 
 
 def test_broadening_domain(econ):
