@@ -32,6 +32,8 @@ from .welfare import WelfareReport, total_welfare
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells; np.float64 and bool are not float
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):

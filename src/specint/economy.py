@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +28,11 @@ class Economy:
     gov: GovernanceTech
 
     def __post_init__(self):
-        for key, v in (("economy.q", self.q), ("economy.u", self.u)):
-            if not isinstance(v, np.ndarray):
-                raise ConfigError(f"{key} must be a numpy array")
-            if not (v.size >= 2 and v.min() >= -SIMPLEX_TOL and abs(v.sum() - 1.0) <= RENORM_WARN):
-                raise ConfigError(f"{key} needs two or more nonnegative entries summing to 1")
-        if not float(self.u.min()) > 0.0:
-            raise ConfigError("economy.u must be strictly interior")
-        if self.q.size != self.u.size:
-            raise ConfigError("productive and civic profiles must share K")
+        _check_simplex("economy.q", self.q)
+        _check_u(self.u, self.q)
         if not self.p > 0.0:
             raise ConfigError("economy.p must be positive")
-        if not self.theta > 0.0:
-            raise ConfigError("economy.theta must be positive")
+        _check_theta(self.theta)
         if not self.V > 0.0:
             raise ConfigError("economy.v must be positive")
 
@@ -60,8 +52,38 @@ class Economy:
     def theta_bar(self) -> float:
         return self.constants.theta_bar
 
+    # The copies check only the field they replace: the others were checked
+    # when self was built.
     def with_theta(self, theta: float) -> "Economy":
-        return replace(self, theta=theta)
+        _check_theta(theta)
+        return self._with(theta=theta)
 
     def with_u(self, u) -> "Economy":
-        return replace(self, u=np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        _check_u(u, self.q)
+        return self._with(u=u)
+
+    def _with(self, **fields) -> "Economy":
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **fields)
+        return new
+
+
+def _check_simplex(key: str, v) -> None:
+    if not isinstance(v, np.ndarray):
+        raise ConfigError(f"{key} must be a numpy array")
+    if not (v.size >= 2 and v.min() >= -SIMPLEX_TOL and abs(v.sum() - 1.0) <= RENORM_WARN):
+        raise ConfigError(f"{key} needs two or more nonnegative entries summing to 1")
+
+
+def _check_u(u, q: np.ndarray) -> None:
+    _check_simplex("economy.u", u)
+    if not float(u.min()) > 0.0:
+        raise ConfigError("economy.u must be strictly interior")
+    if q.size != u.size:
+        raise ConfigError("productive and civic profiles must share K")
+
+
+def _check_theta(theta) -> None:
+    if not theta > 0.0:
+        raise ConfigError("economy.theta must be positive")

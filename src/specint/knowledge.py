@@ -43,28 +43,46 @@ def feasible_bundle(s, tech: LearningTech) -> bool:
     return float(tech._ell_raw(np.clip(v, 0.0, 1.0)).sum()) <= 1.0 + BUDGET_SLACK
 
 
-def system_knowledge(s, u: np.ndarray, p: float):
-    """System knowledge ||s||_1**p * C(direction, u); 0 for the zero profile.
+@dataclass(frozen=True)
+class ProfileStack:
+    """The economy-free half of system_knowledge: a stack of validated
+    profiles as unit directions s/||s||_1 (zero rows stay zero) and their
+    masses ||s||_1. Build it once with profile_stack and pass it to
+    system_knowledge for every civic profile and p."""
 
-    s is one profile (a float comes back) or an (N,K) stack of profiles
-    (an (N,) array comes back, one value per row). Each row gets the bits
-    of its own 1-d call: its mass and coverage are row sums, and its power
-    is the Python float `**`, which np.power can miss by an ulp.
-    """
+    directions: np.ndarray  # (N,K)
+    mass: list[float]
+    shape: tuple[int, ...]  # shape of the profile or stack given
+
+
+def profile_stack(s) -> ProfileStack:
+    """Validate and normalize one profile or an (N,K) stack of profiles."""
     v = np.asarray(s, dtype=float)
     if v.ndim not in (1, 2):
         raise DomainError("knowledge profile must be a vector or an (N,K) stack")
     if np.any(v < -SIMPLEX_TOL):
         raise DomainError("knowledge profile must be componentwise nonnegative")
     rows = np.clip(np.atleast_2d(v), 0.0, None)
-    if rows.shape[1:] != np.shape(u):
-        raise DomainError(f"dimension mismatch: {v.shape} vs {np.shape(u)}")
     mass = rows.sum(axis=1)
-    live = mass != 0.0
-    np.divide(rows, mass[:, None], out=rows, where=live[:, None])
-    cov = np.minimum(rows, u).sum(axis=1)
-    out = [m**p * c if m != 0.0 else 0.0 for m, c in zip(mass.tolist(), cov.tolist())]
-    return out[0] if v.ndim == 1 else np.array(out)
+    np.divide(rows, mass[:, None], out=rows, where=(mass != 0.0)[:, None])
+    return ProfileStack(directions=rows, mass=mass.tolist(), shape=v.shape)
+
+
+def system_knowledge(s, u: np.ndarray, p: float):
+    """System knowledge ||s||_1**p * C(direction, u); 0 for the zero profile.
+
+    s is one profile (a float comes back), an (N,K) stack of profiles (an
+    (N,) array comes back, one value per row) or the ProfileStack of
+    either. Each row gets the bits of its own 1-d call: its mass and
+    coverage are row sums, and its power is the Python float `**`, which
+    np.power can miss by an ulp.
+    """
+    stack = s if isinstance(s, ProfileStack) else profile_stack(s)
+    if stack.directions.shape[1:] != np.shape(u):
+        raise DomainError(f"dimension mismatch: {stack.shape} vs {np.shape(u)}")
+    cov = np.minimum(stack.directions, u).sum(axis=1)
+    out = [m**p * c if m != 0.0 else 0.0 for m, c in zip(stack.mass, cov.tolist())]
+    return out[0] if len(stack.shape) == 1 else np.array(out)
 
 
 @dataclass(frozen=True)

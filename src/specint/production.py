@@ -36,7 +36,7 @@ from .errors import (
     InfeasibleAllocationError,
 )
 from .knowledge import RENORM_WARN, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
-from .knowledge import system_knowledge
+from .knowledge import ProfileStack, profile_stack, system_knowledge
 from .learning import max_scale
 
 if TYPE_CHECKING:
@@ -143,6 +143,20 @@ class Allocation:
         J = None if gaps.g == 0.0 else self.m * integrator_capacity(self.integrator_profile, gaps.h)
         return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, gaps=gaps, J=J)
 
+    @cached_property
+    def knowledge_stack(self) -> ProfileStack:
+        """The atoms' profiles and, in the last row, the integrator profile,
+        as system_knowledge's economy-free half."""
+        return profile_stack(np.vstack([self.layer.profiles, self.integrator_profile]))
+
+    def fits_budget(self, tech: learning.LearningTech) -> bool:
+        """Whether the integrator profile fits tech's learning budget,
+        checked once per technology."""
+        memo = self.__dict__.setdefault("_fits_budget", {})
+        if tech not in memo:
+            memo[tech] = feasible_bundle(self.integrator_profile, tech)
+        return memo[tech]
+
 
 @dataclass(frozen=True)
 class GapSummary:
@@ -192,12 +206,13 @@ class Accounts:
 def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     """Evaluate a feasible allocation at its atoms' stored frontier scales.
 
-    The specialist layer comes from Allocation.layer; what depends on the
-    economy is evaluated on every call. Raises InfeasibleAllocationError
-    unless the integrator profile fits the learning budget and integrators
-    cover theta times the gap mass.
+    The specialist layer, the normalized knowledge profiles and the budget
+    check (per learning technology) are computed once per allocation; what
+    depends on the rest of the economy is evaluated on every call. Raises
+    InfeasibleAllocationError unless the integrator profile fits the
+    learning budget and integrators cover theta times the gap mass.
     """
-    if not feasible_bundle(alloc.integrator_profile, econ.tech):
+    if not alloc.fits_budget(econ.tech):
         raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
     layer = alloc.layer
     gaps = layer.gaps
@@ -206,8 +221,7 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
             f"integration capacity {layer.J:.6e} below requirement "
             f"{econ.theta * gaps.g:.6e}"
         )
-    # the atoms' profiles and, in the last row, the integrator profile
-    knowledge = system_knowledge(np.vstack([layer.profiles, alloc.integrator_profile]), econ.u, econ.p)
+    knowledge = system_knowledge(alloc.knowledge_stack, econ.u, econ.p)
     return Accounts(
         gaps=gaps,
         Y=econ.V * coverage(layer.S, layer.total * econ.q),

@@ -189,9 +189,11 @@ def bisect_broadening_cutoff(econ: Economy) -> float:
     return 0.5 * (lo + hi)
 
 
-def interface_profile(q: np.ndarray, alpha: float) -> np.ndarray:
-    """Civic profile tilted from q toward the gap profile h*(q)."""
-    return (1.0 - alpha) * q + alpha * gap_profile_star(q)
+def interface_profile(q: np.ndarray, alpha: float, h_star: np.ndarray | None = None) -> np.ndarray:
+    """Civic profile tilted from q toward the gap profile h*(q), which a
+    caller tilting the same q many times passes in as h_star."""
+    h = gap_profile_star(q) if h_star is None else h_star
+    return (1.0 - alpha) * q + alpha * h
 
 
 def interface_family(econ: Economy) -> Family:
@@ -200,7 +202,8 @@ def interface_family(econ: Economy) -> Family:
     equals the certified optimum below the cutoff and stays a well-defined
     feasible construction above it."""
     alloc = minimal_allocation(corner_design(econ.q), econ)
-    return lambda alpha: (econ.with_u(interface_profile(econ.q, alpha)), alloc)
+    h_star = gap_profile_star(econ.q)
+    return lambda alpha: (econ.with_u(interface_profile(econ.q, alpha, h_star)), alloc)
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,7 @@ def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> float:
     half_eta = 0.5 * econ.gov.eta
     m_small = -s_S / (s_M - s_S)
     for a in alpha_grid:
-        u_a = interface_profile(econ.q, float(a))
+        u_a = interface_profile(econ.q, float(a), h_star)
         B_S = float(econ.q @ u_a)
         B_M = Hp * coverage(h_star, u_a)
         k = (B_M - B_S) * (s_M / B_M - s_S / B_S)

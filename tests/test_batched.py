@@ -2,11 +2,13 @@
 
 Each batched path (a stack of system_knowledge rows, a b grid of
 broadening allocations, a theta grid of optima, accounts on an allocation
-whose specialist layer is already summarized) must give every point the
-bits of the per-point loop it replaced, or stay within a stated ulp bound. The loops are copied here, so that
-a change to the engine cannot move both sides at once.
+whose specialist layer and normalized knowledge rows are already cached)
+must give every point the bits of the per-point loop it replaced, or stay
+within a stated ulp bound. The loops are copied here, so that a change to
+the engine cannot move both sides at once.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from specint.errors import InfeasibleAllocationError
 from specint.knowledge import fragmentation, system_knowledge
-from specint.learning import max_scale, max_scale_batch
+from specint.learning import LearningTech, max_scale, max_scale_batch
 from specint.production import (
     Allocation,
     SpecialistDesign,
@@ -23,8 +25,8 @@ from specint.production import (
     productive_optimum,
     single_atom,
 )
-from specint.reforms import broadening_allocation, theta_statics
-from specint.welfare import total_welfare
+from specint.reforms import broadening_allocation, interface_family, theta_statics
+from specint.welfare import DECOMPOSITION_STEP, total_welfare
 
 from conftest import interior_simplex, make_economy
 
@@ -50,6 +52,14 @@ def _economies(seed=20261019, per_cell=3):
 
 
 ECONOMIES = _economies()
+
+# from 8 terms on numpy does not sum a row left to right
+K8 = make_economy(
+    q=(0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08),
+    u=(0.13, 0.128, 0.126, 0.125, 0.124, 0.123, 0.122, 0.122),
+    p=0.4,
+    param=1.5,
+)
 
 
 def _knowledge_one(s, u, p):
@@ -197,3 +207,86 @@ def test_accounts_on_reused_allocation_still_checks_capacity():
     with pytest.raises(InfeasibleAllocationError, match="integration capacity"):
         accounts(alloc, dear)
     assert math.isfinite(accounts(alloc, econ).Y)
+
+
+def _knowledge_loop(alloc, econ):
+    """(B_S, B_M) of accounts, one _knowledge_one call per profile."""
+    layer = alloc.layer
+    atoms = [_knowledge_one(r, econ.u, econ.p) for r in layer.profiles]
+    B_S = float(sum(w * k for w, k in zip(layer.mu, atoms)))
+    return B_S, _knowledge_one(alloc.integrator_profile, econ.u, econ.p)
+
+
+def test_accounts_on_cached_rows_match_per_row_loop():
+    for econ in [*ECONOMIES, K8]:
+        for b in (0.0, 0.4, 1.0):
+            alloc = broadening_allocation(b, econ)
+            want = _knowledge_loop(alloc, econ)
+            # the first call builds the cached rows, the second reads them
+            for _ in range(2):
+                acc = accounts(alloc, econ)
+                assert (acc.B_S, acc.B_M) == want, (econ.K, econ.tech.family, b)
+            assert "knowledge_stack" in alloc.__dict__
+
+
+def _alpha_sweep_points(n=21):
+    """The 3n civic-profile parameters that sweep --axis alpha evaluates:
+    decompose_along's stencil at each grid point of [0, 1]."""
+    h = DECOMPOSITION_STEP
+    points = []
+    for a in np.linspace(0.0, 1.0, n).tolist():
+        if a - h >= 0.0 and a + h <= 1.0:
+            points += [a - h, a, a + h]
+        elif a - h < 0.0:
+            points += [a, a + h, a + 2.0 * h]
+        else:
+            points += [a, a - h, a - 2.0 * h]
+    return points
+
+
+def test_accounts_along_alpha_sweep_match_per_row_loop():
+    points = _alpha_sweep_points()
+    assert len(points) == 63
+    for econ in (ECONOMIES[0], ECONOMIES[-1], K8):
+        fam = interface_family(econ)
+        alloc = fam(0.0)[1]
+        for alpha in points:
+            econ_a, alloc_a = fam(alpha)
+            assert alloc_a is alloc
+            acc = accounts(alloc, econ_a)
+            assert (acc.B_S, acc.B_M) == _knowledge_loop(alloc, econ_a), alpha
+
+
+def test_accounts_under_two_powers_match_per_row_loop():
+    for econ in (ECONOMIES[1], K8):
+        alloc = broadening_allocation(0.4, econ)
+        for p in (0.15, 0.85, 0.15):
+            econ_p = dataclasses.replace(econ, p=p)
+            acc = accounts(alloc, econ_p)
+            assert (acc.B_S, acc.B_M) == _knowledge_loop(alloc, econ_p), p
+
+
+def test_cached_budget_check_raises_on_every_call():
+    econ = ECONOMIES[0]
+    greedy = dataclasses.replace(
+        productive_optimum(econ)[1], integrator_profile=np.full(econ.K, 0.9)
+    )
+    for _ in range(2):
+        with pytest.raises(InfeasibleAllocationError, match="learning budget"):
+            accounts(greedy, econ)
+
+
+def test_budget_check_is_cached_per_learning_technology():
+    # the optimum's integrators sit on the frontier of a mild rational
+    # cost; a steeper cost of the same family prices the profile above 1
+    econ = make_economy(param=0.6)
+    steep = dataclasses.replace(econ, tech=LearningTech("rational", 3.0))
+    alloc = productive_optimum(econ)[1]
+    for _ in range(2):
+        assert math.isfinite(accounts(alloc, econ).Y)
+        with pytest.raises(InfeasibleAllocationError, match="learning budget"):
+            accounts(alloc, steep)
+    fresh = productive_optimum(econ)[1]
+    with pytest.raises(InfeasibleAllocationError, match="learning budget"):
+        accounts(fresh, steep)
+    assert math.isfinite(accounts(fresh, econ).Y)

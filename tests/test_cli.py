@@ -51,6 +51,30 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (0.1, "0.1"),
+        (-0.0, "-0.0"),
+        (1e-300, "1e-300"),
+        (float("inf"), "inf"),
+        (np.float64(0.1), "0.1"),
+        (np.float64(2.5e-17), "2.5e-17"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (3, "3"),
+        (np.int64(-7), "-7"),
+        (True, "true"),
+        (False, "false"),
+        (np.bool_(True), "true"),
+        (None, ""),
+        ("rational", "rational"),
+    ],
+)
+def test_fmt_cells(value, cell):
+    # a Python float takes the fast path; every other type formats as before
+    assert cli._fmt(value) == cell
+
+
 def test_parse_config_text_errors():
     with pytest.raises(ConfigError):
         parse_config_text("just a line without equals")

@@ -108,6 +108,24 @@ def test_economy_checks_profiles_without_rewriting():
     assert make_economy(q=q).q.tobytes() == q.tobytes()
 
 
+def test_economy_copies_check_the_replaced_field():
+    econ = make_economy()
+    with pytest.raises(ConfigError, match="^economy.u must be strictly interior$"):
+        econ.with_u((0.6, 0.4, 0.0))
+    with pytest.raises(ConfigError, match="^productive and civic profiles must share K$"):
+        econ.with_u((0.25, 0.25, 0.25, 0.25))
+    with pytest.raises(ConfigError, match="^economy.u needs two or more nonnegative entries"):
+        econ.with_u((0.4, 0.35, 0.35))
+    for theta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="^economy.theta must be positive$"):
+            econ.with_theta(theta)
+    copy = econ.with_u((0.3, 0.3, 0.4)).with_theta(0.002)
+    assert copy.u.tolist() == [0.3, 0.3, 0.4] and copy.theta == 0.002
+    assert copy.tech is econ.tech and copy.q is econ.q and copy.gov is econ.gov
+    assert (copy.p, copy.V) == (econ.p, econ.V)
+    assert econ.u.tolist() == [0.4, 0.35, 0.25] and econ.theta == 0.001
+
+
 def test_check_diffuse_uniform(rational):
     K = 3
     res = check_diffuse(np.full(K, 1.0 / K), 0.1, rational)
