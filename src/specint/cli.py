@@ -26,7 +26,7 @@ import numpy as np
 
 from . import competitive, oracles, reforms
 from .errors import ConfigError, HypothesisError, ModelError, OracleError
-from .production import accounts, productive_optimum
+from .production import productive_optimum
 from .scenario import Scenario, load_scenario
 from .welfare import WelfareReport, total_welfare
 
@@ -157,47 +157,40 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
 
 
 def _sweep_b(scn: Scenario) -> tuple[list[str], list[list]]:
-    econ = scn.econ
+    report = reforms.broadening_statics(scn.econ, scn.b_grid)
     header = ["b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M",
               "R", "service_welfare", "dispersion", "welfare"]
     rows = []
-    for b, alloc in zip(scn.b_grid, reforms.broadening_allocation(scn.b_grid, econ)):
-        if 0.0 < alloc.m < 1.0:
-            rep = total_welfare(econ, alloc)
+    for i, rep in enumerate(report.welfare):
+        row = [report.b[i], report.m[i], report.Y[i], report.B_S[i], report.B_M[i],
+               report.B_soc[i]]
+        if rep is None:  # no integrators, so no voting game
+            row += [None] * 8
+        else:
             o = rep.outcome
-            rows.append([b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, o.e_pol, o.z_pol,
-                         o.t_S, o.t_M, o.R, rep.service_welfare, rep.dispersion, rep.welfare])
-        else:  # no integrators, so no voting game
-            acc = accounts(alloc, econ)
-            B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
-            rows.append([b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc] + [None] * 8)
+            row += [o.e_pol, o.z_pol, o.t_S, o.t_M, o.R, rep.service_welfare,
+                    rep.dispersion, rep.welfare]
+        rows.append(row)
     return header, rows
 
 
 def _sweep_alpha(scn: Scenario) -> tuple[list[str], list[list]]:
-    econ = scn.econ
-    report = reforms.interface_statics(econ, scn.alpha_grid)
+    report = reforms.interface_statics(scn.econ, scn.alpha_grid)
     header = ["alpha", "B_S", "B_M", "B_soc", "dispersion", "welfare",
               "B_S_slope", "B_M_slope", "B_soc_slope", "dW_dalpha"]
-    rows = []
-    for i, a in enumerate(report.alpha_grid):
-        rows.append([
-            a, report.B_S[i], report.B_M[i], report.B_soc[i],
-            report.dispersion[i], report.welfare[i],
-            report.B_S_slope, report.B_M_slope, report.B_soc_slope, report.dW[i],
-        ])
+    curves = zip(report.alpha_grid.tolist(), report.B_S.tolist(), report.B_M.tolist(),
+                 report.B_soc.tolist(), report.dispersion.tolist(), report.welfare.tolist())
+    slopes = [report.B_S_slope, report.B_M_slope, report.B_soc_slope]
+    rows = [[*curve, *slopes, dW] for curve, dW in zip(curves, report.dW.tolist())]
     return header, rows
 
 
 def _sweep_theta(scn: Scenario) -> tuple[list[str], list[list]]:
     report = reforms.theta_statics(scn.econ, scn.theta_grid())
     header = ["theta", "m", "Y", "B_soc", "welfare", "dm_dtheta"]
-    rows = [
-        [report.theta_grid[i], report.m[i], report.Y[i], report.B_soc[i],
-         report.welfare[i], report.dm_dtheta[i]]
-        for i in range(report.theta_grid.size)
-    ]
-    return header, rows
+    columns = (report.theta_grid, report.m, report.Y, report.B_soc, report.welfare,
+               report.dm_dtheta)
+    return header, [list(row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def cmd_sweep(scn: Scenario, axis: str, out_path: str | None) -> int:

@@ -35,12 +35,14 @@ def fragmentation(pi) -> float:
     return float(1.0 - p @ p)
 
 
-def feasible_bundle(s, tech: LearningTech) -> bool:
-    """Whether a knowledge bundle fits inside the unit learning budget."""
+def feasible_bundle(s, tech: LearningTech):
+    """Whether a knowledge bundle fits inside the unit learning budget: no
+    mastery above 1 and total learning cost at most 1. Given an (N,K) stack
+    it returns one verdict per row, as a bool array."""
     v = np.clip(np.asarray(s, dtype=float), 0.0, None)
-    if np.any(v > 1.0 + BUDGET_SLACK):
-        return False
-    return float(tech._ell_raw(np.clip(v, 0.0, 1.0)).sum()) <= 1.0 + BUDGET_SLACK
+    cost = tech._ell_raw(np.clip(v, 0.0, 1.0)).sum(axis=-1)
+    fits = ~np.any(v > 1.0 + BUDGET_SLACK, axis=-1) & (cost <= 1.0 + BUDGET_SLACK)
+    return fits if fits.ndim else bool(fits)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ from .politics import (
 )
 from .production import (
     SpecialistDesign,
-    _minimal_allocations,
     accounts,
     brute_force_design,
     corner_design,
     cornerized,
+    minimal_allocation,
     productive_optimum,
     simplex_grid,
 )
@@ -339,7 +339,7 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
             tech=econ.tech, q=x, u=np.full(K, 1.0 / K), p=econ.p,
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
-        alloc = _minimal_allocations([corner_design(x)], tmp, [scales[K]])[0]
+        alloc = minimal_allocation(corner_design(x), tmp, scales[K])
         gaps = accounts(alloc, tmp).gaps
         worst = max(
             worst,
@@ -510,6 +510,24 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     )
     worst = max(worst, anchor_gap / 1e-10)
     worst = max(worst, abs(reforms.broadening_allocation(1.0, econ).m) / 1e-12)
+    # the sweep's array pass against the per-share path (a fresh allocation
+    # and its full welfare accounts) at every share of the grid, cell by
+    # cell as the CSV writes them (repr), so that even -0.0 and 0.0 differ
+    want = []
+    for b in scn.b_grid.tolist():
+        alloc = reforms.broadening_allocation(b, econ)
+        if 0.0 < alloc.m < 1.0:
+            rep = total_welfare(econ, alloc)
+            o = rep.outcome
+            want.append((b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, rep))
+        else:
+            acc = accounts(alloc, econ)
+            B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
+            want.append((b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc, None))
+    report = reforms.broadening_statics(econ, scn.b_grid)
+    got = list(zip(report.b, report.m, report.Y, report.B_S, report.B_M, report.B_soc,
+                   report.welfare))
+    worst = max(worst, 0.0 if repr(got) == repr(want) else 2.0)
     return _result("broadening-slope-and-cutoff", worst, 1.0, note)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -43,6 +43,7 @@ if TYPE_CHECKING:
     from .economy import Economy
 
 FEAS_TOL = 1e-10
+GAP_TOL = 1e-15  # a gap mass at most this is taken as no gap
 ENUM_BATCH = 200_000  # atom sets per grid_designs batch
 
 
@@ -139,7 +140,7 @@ class Allocation:
             shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[None, :] - profiles, 0.0, None)
             G = (1.0 - self.m) * (mu @ shortfall)
             g = float(G.sum())
-            gaps = GapSummary(G=G, g=0.0, h=None) if g <= 1e-15 else GapSummary(G=G, g=g, h=G / g)
+            gaps = GapSummary(G=G, g=0.0, h=None) if g <= GAP_TOL else GapSummary(G=G, g=g, h=G / g)
         J = None if gaps.g == 0.0 else self.m * integrator_capacity(self.integrator_profile, gaps.h)
         return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, gaps=gaps, J=J)
 
@@ -212,21 +213,81 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     InfeasibleAllocationError unless the integrator profile fits the
     learning budget and integrators cover theta times the gap mass.
     """
-    if not alloc.fits_budget(econ.tech):
-        raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
+    fits = alloc.fits_budget(econ.tech)
     layer = alloc.layer
     gaps = layer.gaps
-    if layer.J is not None and layer.J < econ.theta * gaps.g - FEAS_TOL:
-        raise InfeasibleAllocationError(
-            f"integration capacity {layer.J:.6e} below requirement "
-            f"{econ.theta * gaps.g:.6e}"
-        )
+    check_feasible(fits, layer.J, gaps.g, econ.theta)
     knowledge = system_knowledge(alloc.knowledge_stack, econ.u, econ.p)
     return Accounts(
         gaps=gaps,
         Y=econ.V * coverage(layer.S, layer.total * econ.q),
         B_S=float(sum(w * k for w, k in zip(layer.mu, knowledge[:-1]))),
         B_M=float(knowledge[-1]),
+    )
+
+
+def check_feasible(fits: bool, J: float | None, g: float, theta: float) -> None:
+    """Raise InfeasibleAllocationError unless the integrator profile fits
+    the learning budget (fits) and the integration capacity J covers theta
+    times the gap mass g (J is None when there is no gap)."""
+    if not fits:
+        raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
+    if J is not None and J < theta * g - FEAS_TOL:
+        raise InfeasibleAllocationError(
+            f"integration capacity {J:.6e} below requirement {theta * g:.6e}"
+        )
+
+
+@dataclass(frozen=True)
+class AccountsRows:
+    """accounts of each row of a DesignRows, as lists: the budget verdict,
+    integration capacity J (None without a gap) and gap mass g that
+    check_feasible takes, then output and group knowledge."""
+
+    fits: list[bool]
+    J: list[float | None]
+    g: list[float]
+    Y: list[float]
+    B_S: list[float]
+    B_M: list[float]
+
+
+def accounts_rows(rows: DesignRows, econ: Economy) -> AccountsRows:
+    """accounts of every row of `rows` in one array pass, each value with
+    the bits of accounts(rows.allocation(i), econ): the specialist layer
+    as Allocation.layer builds it, one matrix-vector product per row
+    (row_products), the atoms' knowledge once, as every row shares them,
+    the integrators' as one system_knowledge stack, and B_S as accounts's
+    left-to-right sum. It raises nothing: the caller passes each row's
+    fits, J and g to check_feasible before it uses the row.
+    """
+    H, m = rows.scales, rows.m
+    mu = rows.weights / H
+    mu /= mu.sum(axis=1, keepdims=True)
+    profiles = H[:, None] * rows.directions
+    specialists = (1.0 - m)[:, None]
+    S = specialists * row_products(mu, profiles)
+    total = S.sum(axis=1)
+    mix = S / total[:, None]
+    shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[:, None, :] - profiles, 0.0, None)
+    G = specialists * row_products(mu, shortfall)
+    g = G.sum(axis=1)
+    gap = g > GAP_TOL
+    h = G[gap] / g[gap, None]
+    embedded = np.divide(
+        np.clip(rows.integrator[gap], 0.0, None), h, out=np.full_like(h, np.inf), where=h > 0.0
+    )
+    J = [None] * m.size
+    for i, value in zip(np.flatnonzero(gap).tolist(), (m[gap] * embedded.min(axis=1)).tolist()):
+        J[i] = value
+    atoms = system_knowledge(profiles, econ.u, econ.p).tolist()
+    return AccountsRows(
+        fits=feasible_bundle(rows.integrator, econ.tech).tolist(),
+        J=J,
+        g=np.where(gap, g, 0.0).tolist(),
+        Y=(econ.V * np.minimum(S, total[:, None] * econ.q).sum(axis=1)).tolist(),
+        B_S=[float(sum(w * k for w, k in zip(row, atoms))) for row in mu.tolist()],
+        B_M=system_knowledge(rows.integrator, econ.u, econ.p).tolist(),
     )
 
 
@@ -279,31 +340,92 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
     return opt, alloc
 
 
-def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
-    """Allocation with the smallest integrator layer that supports a design."""
-    scales = learning.max_scale_batch(econ.tech, design.directions)
-    return _minimal_allocations([design], econ, [scales])[0]
+def minimal_allocation(
+    design: SpecialistDesign, econ: Economy, scales: np.ndarray | None = None
+) -> Allocation:
+    """Allocation with the smallest integrator layer that supports a design,
+    at its atoms' frontier scales (solved here unless given)."""
+    if scales is None:
+        scales = learning.max_scale_batch(econ.tech, design.directions)
+    rows = minimal_rows([(design.directions, scales, design.weights[None, :])], econ)[0]
+    return Allocation(
+        m=float(rows.m[0]), design=design, integrator_profile=rows.integrator[0], scales=scales
+    )
 
 
-def _minimal_allocations(designs, econ: Economy, scales) -> list[Allocation]:
-    """minimal_allocation of each design, given its atoms' scales H(pi_j), with
-    the integrator directions of all of them solved in one frontier batch;
-    a row of max_scale_batch gets the same bits in any batch."""
-    bundles = [design.gap_bundle(design.mean()) for design in designs]
-    masses = [float(z.sum()) for z in bundles]
-    h = [z / mass for z, mass in zip(bundles, masses) if mass != 0.0]
-    H_h = iter(learning.max_scale_batch(econ.tech, np.array(h)).tolist() if h else [])
-    allocs = []
-    for design, sc, z, mass in zip(designs, scales, bundles, masses):
-        if mass == 0.0:
-            allocs.append(Allocation(m=0.0, design=design, integrator_profile=np.zeros(z.size), scales=sc))
-            continue
-        H = next(H_h)
-        e_lam = float((design.weights / sc).sum())
-        gam = mass * (1.0 / H)  # gamma_index(z), from the one frontier solve
-        m = econ.theta * gam / (e_lam + econ.theta * gam)
-        allocs.append(Allocation(m=m, design=design, integrator_profile=H * (z / mass), scales=sc))
-    return allocs
+@dataclass(frozen=True)
+class DesignRows:
+    """Minimal-integrator allocations on one set of atoms, one per row: the
+    atoms' directions and frontier scales H(pi_j), and per row the mastery
+    weights of its design, the coordination index Gamma of its gap bundle
+    (0 without a gap), its E_nu[lambda] and its integrator profile. None
+    of these depends on the integration cost theta, which sets only the
+    integrator share m."""
+
+    directions: np.ndarray  # (n_atoms, K)
+    scales: np.ndarray  # (n_atoms,)
+    weights: np.ndarray  # (N, n_atoms)
+    gamma: np.ndarray  # (N,)
+    e_lam: np.ndarray  # (N,)
+    integrator: np.ndarray  # (N, K)
+    theta: float
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Integrator shares theta*Gamma/(E_nu[lambda] + theta*Gamma)."""
+        return self.theta * self.gamma / (self.e_lam + self.theta * self.gamma)
+
+    def at_theta(self, theta: float) -> DesignRows:
+        """The same designs at integration cost theta."""
+        return replace(self, theta=theta)
+
+    def allocation(self, i: int) -> Allocation:
+        """Row i as an Allocation."""
+        design = SpecialistDesign(directions=self.directions, weights=self.weights[i])
+        return Allocation(
+            m=float(self.m[i]), design=design,
+            integrator_profile=self.integrator[i], scales=self.scales,
+        )
+
+
+def row_products(w: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """w[i] @ M for each row of w (N, n), or w[i] @ M[i] for a stack M
+    (N, n, K): one matrix-vector product per row, so that each row has the
+    bits of its own 1-d product (a contraction over the whole stack, such
+    as einsum, rounds differently)."""
+    return np.matmul(w[:, None, :], M)[:, 0, :]
+
+
+def minimal_rows(blocks, econ: Economy) -> list[DesignRows]:
+    """The minimal-integrator allocations of blocks of designs, each block
+    a triple (directions (n, K), their scales H(pi_j), weights (N, n)),
+    with the integrator directions of all rows solved in one frontier
+    batch; a row of max_scale_batch gets the same bits in any batch, so
+    each row has the bits of minimal_allocation of its design."""
+    bundles, e_lam = [], []
+    for dirs, sc, W in blocks:
+        X = row_products(W, dirs)  # each design's mean
+        bundles.append(row_products(W, np.clip(X[:, None, :] - dirs, 0.0, None)))
+        e_lam.append((W / sc).sum(axis=1))
+    Z = np.concatenate(bundles)
+    mass = Z.sum(axis=1)
+    gap = mass != 0.0
+    h = Z[gap] / mass[gap, None]
+    H = learning.max_scale_batch(econ.tech, h) if h.size else np.empty(0)
+    gamma = np.zeros(mass.size)
+    gamma[gap] = mass[gap] * (1.0 / H)  # gamma_index(z), from the one frontier solve
+    e_lam = np.concatenate(e_lam)
+    integrator = np.zeros(Z.shape)
+    integrator[gap] = H[:, None] * h
+    out, lo = [], 0
+    for dirs, sc, W in blocks:
+        hi = lo + W.shape[0]
+        out.append(DesignRows(
+            directions=dirs, scales=sc, weights=W, gamma=gamma[lo:hi], e_lam=e_lam[lo:hi],
+            integrator=integrator[lo:hi], theta=econ.theta,
+        ))
+        lo = hi
+    return out
 
 
 def simplex_grid(K: int, resolution: int) -> np.ndarray:

@@ -31,6 +31,14 @@ W'(0) = A + eta*B_soc'/(2*B_soc) with A = ((1-tau) + 1/Y(0))*Y' - D' free
 of eta: a marginal broadening reform raises welfare exactly on one side of
 eta* = -2*B_soc*A/B_soc' (above it when B_soc' > 0).
 
+The b sweep is one array pass: broadening_allocation's grid form gives the
+family as arrays (per atom set, the atom scales and each share's weights,
+Gamma, E_nu[lambda] and integrator profile, none of which moves with theta;
+theta sets m), and broadening_statics evaluates the gap bundles, the
+specialist layer, Y and the group knowledge of every share from them, each
+value with the bits of the per-share path. `verify` holds every cell it
+emits against that path (broadening_allocation(b) and total_welfare).
+
 Interface intensity: the civic profile is tilted from q toward the gap
 profile, u(alpha) = (1-alpha)*q + alpha*h*(q), at the fixed productive
 allocation. Specialist knowledge falls at rate
@@ -45,6 +53,7 @@ civic capacity rises when integrators know more and falls when they know
 less. theta_statics evaluates these closed forms from one optimum and one
 accounts call per grid, each row's welfare at the Y it reports; `verify`
 holds every row against the per-theta optimum and its welfare accounts.
+The curves may tie between neighbouring grid points but never reverse.
 Welfare carries no sign assertion.
 
 Thresholds quoted "for small theta" are closed forms over the (always
@@ -68,16 +77,17 @@ from .knowledge import coverage, fragmentation, system_knowledge
 from .learning import max_scale, max_scale_batch
 from .politics import equilibrium_from_groups
 from .production import (
-    SpecialistDesign,
-    _minimal_allocations,
     accounts,
+    accounts_rows,
+    check_feasible,
     corner_design,
     gap_profile_star,
     minimal_allocation,
+    minimal_rows,
     productive_optimum,
     single_atom,
 )
-from .welfare import Family, decompose_along, service_welfare
+from .welfare import Family, WelfareReport, decompose_along, dispersion, service_welfare
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
@@ -86,39 +96,99 @@ FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
 def broadening_allocation(b, econ: Economy):
     """Mixed corner/broad specialist organization at broadening share b.
 
-    b is one share (an Allocation comes back) or a 1-d grid of shares (a
-    list comes back, one per share). The atoms [I; q] are solved in one
-    frontier batch, which gives H(q) too, and the integrator directions of
-    all shares in one more; each allocation has the bits of its own call.
+    b is one share (an Allocation comes back) or a strictly increasing 1-d
+    grid of shares (the family's arrays come back: a DesignRows per atom
+    set, whose rows follow the grid; the corners at b = 0, the corners and
+    the broad atom H(q)q inside, the broad atom alone at b = 1). The atoms
+    [I; q] are solved in one frontier batch, which gives H(q) too, and the
+    integrator directions of all shares in one more; each row has the bits
+    of its own call.
     """
     grid = np.asarray(b, dtype=float)
-    if grid.ndim > 1:
-        raise DomainError("broadening shares must be a number or a 1-d grid")
-    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+    shares = grid.ravel()
+    if grid.ndim > 1 or shares.size == 0:
+        raise DomainError("broadening shares must be a number or a non-empty 1-d grid")
+    if not np.all((shares >= 0.0) & (shares <= 1.0)):
         raise DomainError("broadening share must lie in [0,1]")
+    if np.any(np.diff(shares) <= 0.0):
+        raise DomainError("a grid of broadening shares must be strictly increasing")
     q = econ.q
     K = q.size
     dirs = np.vstack([np.eye(K), q])
     scales = max_scale_batch(econ.tech, dirs)
-    designs, atom_scales = [], []
-    for share in grid.ravel().tolist():
-        if share == 0.0:
-            designs.append(corner_design(q))
-            atom_scales.append(scales[:K])
-        elif share == 1.0:
-            designs.append(single_atom(q))
-            atom_scales.append(scales[K:])
-        else:
-            raw = np.concatenate([(1.0 - share) * q, [share * scales[-1]]])
-            designs.append(SpecialistDesign(directions=dirs, weights=raw / raw.sum()))
-            atom_scales.append(scales)
-    allocs = _minimal_allocations(designs, econ, atom_scales)
-    return allocs[0] if grid.ndim == 0 else allocs
+    inner = shares[(shares > 0.0) & (shares < 1.0)]
+    blocks = []
+    if shares[0] == 0.0:
+        corners = corner_design(q)
+        blocks.append((corners.directions, scales[:K], corners.weights[None, :]))
+    if inner.size:
+        raw = np.concatenate([(1.0 - inner)[:, None] * q, (inner * scales[-1])[:, None]], axis=1)
+        blocks.append((dirs, scales, raw / raw.sum(axis=1, keepdims=True)))
+    if shares[-1] == 1.0:
+        broad = single_atom(q)
+        blocks.append((broad.directions, scales[K:], broad.weights[None, :]))
+    rows = minimal_rows(blocks, econ)
+    return rows[0].allocation(0) if grid.ndim == 0 else rows
 
 
 def broadening_family(econ: Economy) -> Family:
     """The broadening reform path of one economy."""
     return lambda b: (econ, broadening_allocation(b, econ))
+
+
+@dataclass(frozen=True)
+class BroadeningStaticsReport:
+    """The broadening family's curves across a grid of shares, one entry
+    per share; welfare holds each share's welfare accounts, or None where
+    the integrator share is 0 and so there is no voting game."""
+
+    b: list[float]
+    m: list[float]
+    Y: list[float]
+    B_S: list[float]
+    B_M: list[float]
+    B_soc: list[float]
+    welfare: list[WelfareReport | None]
+
+
+def broadening_statics(econ: Economy, b_grid) -> BroadeningStaticsReport:
+    """The broadening family and its welfare accounts across a strictly
+    increasing grid of shares, as one array pass over each atom set of
+    broadening_allocation's grid form (accounts_rows), then per share the
+    feasibility checks of accounts, the political equilibrium and the
+    welfare accounts. Each value has the bits of the per-share path,
+    total_welfare (or accounts where m = 0) of broadening_allocation(b),
+    which `verify` holds it against.
+    """
+    grid = np.asarray(b_grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("broadening statics need a 1-d grid of shares")
+    m, Y, B_S, B_M, B_soc, welfare = [], [], [], [], [], []
+    for rows in broadening_allocation(grid, econ):
+        acc = accounts_rows(rows, econ)
+        for i, share in enumerate(rows.m.tolist()):
+            check_feasible(acc.fits[i], acc.J[i], acc.g[i], econ.theta)
+            y, b_S, b_M = acc.Y[i], acc.B_S[i], acc.B_M[i]
+            m.append(share)
+            Y.append(y)
+            B_S.append(b_S)
+            B_M.append(b_M)
+            B_soc.append((1.0 - share) * b_S + share * b_M)
+            if not 0.0 < share < 1.0:  # no integrators, so no voting game
+                welfare.append(None)
+                continue
+            out = equilibrium_from_groups(econ, y, share, b_S, b_M)
+            V_serv = service_welfare(out, share)
+            welfare.append(WelfareReport(
+                Y=y,
+                service_welfare=V_serv,
+                dispersion=dispersion(b_S, b_M, share),
+                welfare=(1.0 - econ.tau) * y + V_serv,
+                outcome=out,
+            ))
+    return BroadeningStaticsReport(
+        b=grid.tolist(), m=m, Y=Y, B_S=B_S, B_M=B_M, B_soc=B_soc, welfare=welfare
+    )
 
 
 @dataclass(frozen=True)
@@ -165,10 +235,21 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
 def bisect_broadening_cutoff(econ: Economy) -> float:
     """Locate the theta where the finite-difference slope dB_soc/db at b=0
     (decompose_along, independent of the closed form) flips sign, bisected
-    to width CUTOFF_TOL in theta."""
+    to width CUTOFF_TOL in theta. The stencil's allocations are solved once
+    (broadening_allocation's grid form at one share) and only their
+    integrator share moves with theta, with the bits of a fresh
+    broadening_allocation(b) at each theta."""
+    solved = {}
 
     def slope(theta: float) -> float:
-        return decompose_along(broadening_family(econ.with_theta(theta)), 0.0).dB_soc
+        econ_t = econ.with_theta(theta)
+
+        def family(b: float):
+            if b not in solved:
+                solved[b] = broadening_allocation(np.array([b]), econ)[0]
+            return econ_t, solved[b].at_theta(theta).allocation(0)
+
+        return decompose_along(family, 0.0).dB_soc
 
     lo = 1e-9
     if slope(lo) <= 0.0:
@@ -341,10 +422,12 @@ class ThetaStaticsReport:
 
 def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
     """Productive optimum and welfare across a theta grid in (0, theta_bar),
-    from the closed forms of the module docstring. Verifies the monotonicity
-    pattern (integrator share rising, output falling, civic capacity moving
-    strictly in the direction of B_M - B_S) and raises if the pattern
-    fails; welfare is reported without any sign assertion.
+    from the closed forms of the module docstring. Along an increasing grid
+    the integrator share never falls, output never rises and civic capacity
+    never moves against the sign of B_M - B_S; it raises if a curve
+    reverses. Neighbouring points may round to one value, so strictness is
+    left to the theta-statics check on the scenario's own grid. Welfare is
+    reported without any sign assertion.
     """
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(grid >= econ.theta_bar):
@@ -364,9 +447,10 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
     ]
     B_soc = np.array([o.B_soc for o in outcomes])
     W = np.array([(1.0 - econ.tau) * o.Y + service_welfare(o, o.m) for o in outcomes])
-    if not (np.all(np.diff(m) > 0.0) and np.all(np.diff(Y) < 0.0)):
+    # correctly rounded monotone operations can tie but never reverse
+    if not (np.all(np.diff(m) >= 0.0) and np.all(np.diff(Y) <= 0.0)):
         raise OracleError("integration-cost monotonicity violated (bug)")
-    if not np.all(np.sign(acc.B_M - acc.B_S) * np.diff(B_soc) > 0.0):
+    if not np.all(np.sign(acc.B_M - acc.B_S) * np.diff(B_soc) >= 0.0):
         raise OracleError(
             "civic capacity not moving with sign(B_M - B_S) in integration cost (bug)"
         )

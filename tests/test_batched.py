@@ -1,8 +1,9 @@
 """Bit identity of the batched sweep paths.
 
 Each batched path (a stack of system_knowledge rows, a b grid of
-broadening allocations, a theta grid of optima, accounts on an allocation
-whose specialist layer and normalized knowledge rows are already cached)
+broadening allocations and its welfare accounts, a theta grid of optima,
+accounts on an allocation whose specialist layer and normalized knowledge
+rows are already cached)
 must give every point the bits of the per-point loop it replaced, or stay
 within a stated ulp bound. The loops are copied here, so that a change to
 the engine cannot move both sides at once.
@@ -10,6 +11,7 @@ the engine cannot move both sides at once.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +27,23 @@ from specint.production import (
     productive_optimum,
     single_atom,
 )
-from specint.reforms import broadening_allocation, interface_family, theta_statics
-from specint.welfare import DECOMPOSITION_STEP, total_welfare
+from specint.reforms import (
+    CUTOFF_TOL,
+    bisect_broadening_cutoff,
+    broadening_allocation,
+    broadening_derivative,
+    broadening_family,
+    broadening_statics,
+    interface_family,
+    theta_statics,
+)
+from specint.scenario import load_scenario
+from specint.welfare import DECOMPOSITION_STEP, decompose_along, total_welfare
 
 from conftest import interior_simplex, make_economy
 
 FAMILIES = ("rational", "exponential")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _economies(seed=20261019, per_cell=3):
@@ -148,12 +161,126 @@ def test_system_knowledge_stack_on_allocation_profiles():
 def test_broadening_grid_matches_per_share_loop():
     rng = np.random.default_rng(7)
     for econ in ECONOMIES:
-        grid = np.concatenate([np.linspace(0.0, 1.0, 21), rng.uniform(0.0, 1.0, 4)])
-        allocs = broadening_allocation(grid, econ)
+        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), rng.uniform(0.0, 1.0, 4)]))
+        allocs = [rows.allocation(i) for rows in broadening_allocation(grid, econ)
+                  for i in range(rows.m.size)]
+        assert len(allocs) == grid.size
         for b, alloc in zip(grid.tolist(), allocs):
             want = _broadening_one(b, econ)
             assert _same_allocation(alloc, want), (econ.K, econ.tech.family, b)
             assert _same_allocation(broadening_allocation(b, econ), want)
+
+
+def test_broadening_rows_at_another_theta_match_a_fresh_call():
+    # theta sets only the integrator share, so rows solved at one
+    # integration cost and moved to another have the bits of the per-share
+    # allocation solved there
+    for econ in ECONOMIES:
+        grid = np.array([0.0, DECOMPOSITION_STEP, 0.4, 1.0])
+        blocks = broadening_allocation(grid, econ)
+        for theta in (0.01 * econ.theta, 0.5 * econ.theta):
+            allocs = [rows.at_theta(theta).allocation(i) for rows in blocks
+                      for i in range(rows.m.size)]
+            for b, alloc in zip(grid.tolist(), allocs):
+                want = _broadening_one(b, econ.with_theta(theta))
+                assert _same_allocation(alloc, want), (econ.K, econ.tech.family, b, theta)
+
+
+def _bisect_fresh(econ):
+    """bisect_broadening_cutoff with a fresh broadening family at every theta."""
+
+    def slope(theta):
+        return decompose_along(broadening_family(econ.with_theta(theta)), 0.0).dB_soc
+
+    lo, hi = 1e-9, max(econ.theta_bar, 1.0)
+    while slope(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < CUTOFF_TOL * 0.5:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_bisected_cutoff_matches_fresh_families():
+    shipped = [load_scenario(str(SCENARIOS / name)).econ
+               for name in ("default.cfg", "governance_heavy.cfg")]
+    cutoff = [e for e in ECONOMIES if broadening_derivative(e).regime == "cutoff"][:3]
+    for econ in shipped + cutoff:
+        assert bisect_broadening_cutoff(econ) == _bisect_fresh(econ), (econ.K, econ.tech.family)
+
+
+def _broadening_statics_one(b, econ):
+    """One sweep --axis b row of the per-share path: the share's own
+    allocation and its full welfare accounts (accounts alone where m = 0)."""
+    alloc = _broadening_one(b, econ)
+    if 0.0 < alloc.m < 1.0:
+        rep = total_welfare(econ, alloc)
+        o = rep.outcome
+        return (b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, rep)
+    acc = accounts(alloc, econ)
+    B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
+    return (b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc, None)
+
+
+def _statics_rows(report):
+    return list(zip(report.b, report.m, report.Y, report.B_S, report.B_M, report.B_soc,
+                    report.welfare))
+
+
+def test_broadening_statics_matches_per_share_loop():
+    # grids with both end points, with neither, with the end points alone,
+    # and random interior shares
+    rng = np.random.default_rng(17)
+    for econ in [*ECONOMIES, K8]:
+        grids = (
+            np.linspace(0.0, 1.0, 21),
+            np.linspace(0.05, 0.95, 7),
+            np.array([0.0, 1.0]),
+            np.sort(rng.uniform(0.0, 1.0, 6)),
+        )
+        for grid in grids:
+            got = _statics_rows(broadening_statics(econ, grid))
+            want = [_broadening_statics_one(b, econ) for b in grid.tolist()]
+            assert len(got) == grid.size
+            for g, w in zip(got, want):
+                # floats compared by their bits, through repr
+                assert repr(g) == repr(w), (econ.K, econ.tech.family, w[0])
+                assert (g[6] is None) == (w[0] == 1.0)
+
+
+def test_sweep_b_makes_two_frontier_calls_and_no_per_share_accounts(tmp_path, monkeypatch):
+    # the b sweep makes its two frontier solves (the atoms [I; q] and the
+    # integrator directions) and never builds the per-share accounts
+    from specint import cli, learning, politics, production, reforms, welfare
+
+    solve = learning.max_scale_batch
+    frontier, evaluated = [], []
+
+    def counted_solve(tech, directions):
+        frontier.append(len(directions))
+        return solve(tech, directions)
+
+    def refuse(*args):
+        evaluated.append(args)
+        raise AssertionError("per-share evaluation in the b sweep")
+
+    for module in (learning, reforms):
+        monkeypatch.setattr(module, "max_scale_batch", counted_solve)
+    for module in (production, politics, reforms):
+        monkeypatch.setattr(module, "accounts", refuse)
+    for module in (welfare, cli):
+        monkeypatch.setattr(module, "total_welfare", refuse)
+    out = tmp_path / "b.csv"
+    assert cli.main(["sweep", "--axis", "b", "--config", str(SCENARIOS / "default.cfg"),
+                     "--out", str(out)]) == 0
+    assert frontier == [4, 20]
+    assert evaluated == []
+    assert len(out.read_text().splitlines()) == 22
 
 
 def test_theta_statics_matches_per_theta_loop():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -284,6 +285,37 @@ def test_interface_statics_check_fails_on_a_rising_B_S(monkeypatch, B_S_slope):
 
     monkeypatch.setattr(reforms, "interface_closed_slopes", rising)
     assert run_check(oracles.check_interface_statics, scn).status == "fail"
+
+
+def test_broadening_check_holds_every_sweep_row(monkeypatch):
+    # the check holds every cell of the b sweep's array pass against the
+    # per-share path: one value nudged by an ulp in one row fails it
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    result = run_check(oracles.check_broadening, scn)
+    assert result.status == "pass", result
+    statics = reforms.broadening_statics
+    columns = ("m", "Y", "B_S", "B_M", "B_soc")
+    assert scn.b_grid.size == len(columns)
+    for index, column in enumerate(columns):
+        def nudged(econ, grid, index=index, column=column):
+            report = statics(econ, grid)
+            values = list(getattr(report, column))
+            values[index] = math.nextafter(values[index], math.inf)
+            return dataclasses.replace(report, **{column: values})
+
+        monkeypatch.setattr(reforms, "broadening_statics", nudged)
+        assert run_check(oracles.check_broadening, scn).status == "fail", column
+
+    def nudged_welfare(econ, grid):
+        report = statics(econ, grid)
+        welfare = list(report.welfare)
+        welfare[1] = dataclasses.replace(
+            welfare[1], welfare=math.nextafter(welfare[1].welfare, math.inf)
+        )
+        return dataclasses.replace(report, welfare=welfare)
+
+    monkeypatch.setattr(reforms, "broadening_statics", nudged_welfare)
+    assert run_check(oracles.check_broadening, scn).status == "fail"
 
 
 def test_excess_specialization_check_bites(monkeypatch):

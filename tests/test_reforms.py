@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specint import oracles
+from specint import oracles, reforms
 from specint.cli import main
-from specint.errors import DomainError
+from specint.errors import DomainError, OracleError
 from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import max_scale
 from specint.politics import equilibrium_from_groups, group_knowledge, resource_sensitivities
@@ -24,6 +24,7 @@ from specint.reforms import (
     broadening_allocation,
     broadening_derivative,
     broadening_family,
+    broadening_statics,
     dispersion_slope,
     interface_closed_slopes,
     interface_family,
@@ -36,6 +37,7 @@ from specint.scenario import load_scenario
 from specint.welfare import decompose_along, service_welfare, total_welfare
 
 from conftest import make_economy
+from test_cli import write_cfg
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -92,12 +94,12 @@ def test_broadening_grid_solves_each_frontier_once(econ, monkeypatch):
 
     grid = np.linspace(0.0, 1.0, 21)
     calls = _count_frontier_rows(monkeypatch)
-    allocs = broadening_allocation(grid, econ)
+    blocks = broadening_allocation(grid, econ)
     assert calls == [econ.q.size + 1, grid.size - 1]
-    assert len(allocs) == grid.size
-    assert allocs[-1].m == 0.0
+    assert [rows.m.size for rows in blocks] == [1, grid.size - 2, 1]
+    assert blocks[-1].m.tolist() == [0.0]
     H_q = learning.max_scale(econ.tech, econ.q)
-    assert all(a.scales[-1] == H_q for a in allocs[1:])
+    assert all(rows.scales[-1] == H_q for rows in blocks[1:])
 
 
 def test_theta_statics_solves_frontier_once(econ, monkeypatch):
@@ -132,11 +134,43 @@ def test_theta_statics_welfare_at_the_printed_output():
         assert W == (1.0 - econ.tau) * Y + service_welfare(out, m)
 
 
+@pytest.mark.parametrize("grid", ["1e-15:2e-15:3", "0.1:0.1000000000000001:3"])
+def test_theta_sweep_on_a_grid_finer_than_its_curves(tmp_path, grid):
+    # neighbouring thetas round to one Y: a curve that ties is not reversed
+    cfg = write_cfg(tmp_path / "fine.cfg", {"sweep.theta_frac": grid})
+    scn = load_scenario(cfg)
+    report = theta_statics(scn.econ, scn.theta_grid())
+    assert np.all(np.diff(report.Y) == 0.0)
+    assert main(["sweep", "--axis", "theta", "--config", cfg]) == 0
+
+
+def test_theta_statics_raises_on_a_reversed_curve(monkeypatch):
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    grid = scn.theta_grid()
+    with pytest.raises(OracleError, match="monotonicity"):
+        theta_statics(scn.econ, grid[::-1])
+    solve = reforms.equilibrium_from_groups
+
+    def reversed_civic_capacity(*args):
+        out = solve(*args)
+        return dataclasses.replace(out, B_soc=-out.B_soc)
+
+    monkeypatch.setattr(reforms, "equilibrium_from_groups", reversed_civic_capacity)
+    with pytest.raises(OracleError, match="civic capacity"):
+        theta_statics(scn.econ, grid)
+
+
 def test_broadening_domain(econ):
     with pytest.raises(DomainError):
         broadening_allocation(-0.1, econ)
     with pytest.raises(DomainError):
         broadening_allocation(1.2, econ)
+    # the grid form's rows follow the grid, which must therefore increase
+    for grid in ([0.5, 0.2], [0.0, 0.0, 1.0], []):
+        with pytest.raises(DomainError):
+            broadening_allocation(np.array(grid), econ)
+    with pytest.raises(DomainError):
+        broadening_statics(econ, 0.4)
 
 
 def _broadening_b_soc(econ, b):
