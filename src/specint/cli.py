@@ -93,7 +93,7 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     outcome = report.outcome
     bound = competitive.ratio_bound(econ)
     try:
-        wages = competitive._support_wages(econ, opt, alloc)
+        wages = competitive.wages_at_optimum(econ, opt, alloc)
         wage_note = ""
     except HypothesisError as exc:
         wages = None

@@ -43,11 +43,11 @@ from .errors import (
 )
 from .knowledge import coverage, fragmentation
 from .learning import gamma_index, max_scale_batch
-from .politics import group_knowledge
 from .production import (
     Allocation,
     ProductiveOptimum,
     SpecialistDesign,
+    accounts,
     brute_force_design,
     productive_optimum,
 )
@@ -107,14 +107,14 @@ def support_wages(econ: Economy) -> WageSupport:
             f"theta={econ.theta:.6g} not below the coordination cutoff "
             f"{econ.theta_bar:.6g}"
         )
-    return _support_wages(econ, *productive_optimum(econ))
+    return wages_at_optimum(econ, *productive_optimum(econ))
 
 
-def _support_wages(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -> WageSupport:
+def wages_at_optimum(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -> WageSupport:
     """support_wages given the productive optimum (opt, alloc) of econ; the
     caller has checked that theta is below the coordination cutoff."""
-    B_S, B_M = group_knowledge(alloc, econ)
-    delta = math.log(B_M / B_S)
+    acc = accounts(alloc, econ)
+    delta = math.log(acc.B_M / acc.B_S)
     V_tilde = (1.0 - econ.tau) * econ.V
     if not delta < V_tilde:
         raise SupportConditionError(
@@ -143,8 +143,8 @@ def _support_wages(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -> 
         beta=beta,
         V_tilde=V_tilde,
         r_bar=ratio_bound(econ).r_bar,
-        B_S=B_S,
-        B_M=B_M,
+        B_S=acc.B_S,
+        B_M=acc.B_M,
     )
 
 

@@ -24,7 +24,6 @@ from .learning import gamma_index, max_scale, max_scale_batch
 from .politics import (
     best_response_fixed_point,
     equilibrium_from_groups,
-    group_knowledge,
     kkt_residuals,
     political_equilibrium,
     vote_share_slope,
@@ -33,9 +32,8 @@ from .production import (
     SpecialistDesign,
     accounts,
     brute_force_design,
-    corner_design,
     cornerized,
-    minimal_allocation,
+    minimal_rows,
     productive_optimum,
     simplex_grid,
 )
@@ -329,17 +327,22 @@ def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
 
 def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
-    # a corner design's atoms are the rows of eye(K): one frontier solve per K
-    scales = {K: max_scale_batch(econ.tech, np.eye(K)) for K in range(2, 6)}
+    mixes = [_interior_simplex(rng, int(rng.integers(2, 6))) for _ in range(200)]
+    # the corner designs of one K share their atoms, the rows of eye(K), and
+    # the economies below share tech and theta, all that minimal_rows reads
+    allocs = {}
+    for K in {x.size for x in mixes}:
+        W = np.array([x for x in mixes if x.size == K])
+        rows = minimal_rows([(np.eye(K), max_scale_batch(econ.tech, np.eye(K)), W)], econ)[0]
+        allocs[K] = map(rows.allocation, range(len(W)))
     worst = 0.0
-    for _ in range(200):
-        K = int(rng.integers(2, 6))
-        x = _interior_simplex(rng, K)
+    for x in mixes:
+        K = x.size
         tmp = Economy(
             tech=econ.tech, q=x, u=np.full(K, 1.0 / K), p=econ.p,
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
-        alloc = minimal_allocation(corner_design(x), tmp, scales[K])
+        alloc = next(allocs[K])
         gaps = accounts(alloc, tmp).gaps
         worst = max(
             worst,
@@ -411,9 +414,8 @@ def check_civic_advantage(scn: Scenario, rng, tol_scale) -> CheckResult:
         )
     worst = -np.inf
     for cand in _diffuse_economies(rng, econ, scn.economies):
-        _, alloc = productive_optimum(cand)
-        B_S, B_M = group_knowledge(alloc, cand)
-        worst = max(worst, B_S - B_M)
+        acc = accounts(productive_optimum(cand)[1], cand)
+        worst = max(worst, acc.B_S - acc.B_M)
     return _result("integrator-civic-advantage", worst, -1e-12)
 
 
@@ -543,13 +545,11 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     h = 1e-6
     worst = 0.0
     for a in (0.25, 0.75):
-        (bs0, bm0), (bs1, bm1) = [
-            group_knowledge(alloc, econ_a) for econ_a, alloc in (fam(a - h), fam(a + h))
-        ]
+        lo, hi = [accounts(alloc, econ_a) for econ_a, alloc in (fam(a - h), fam(a + h))]
         worst = max(
             worst,
-            abs((bs1 - bs0) / (2 * h) - B_S_slope) / 1e-8,
-            abs((bm1 - bm0) / (2 * h) - B_M_slope) / 1e-8,
+            abs((hi.B_S - lo.B_S) / (2 * h) - B_S_slope) / 1e-8,
+            abs((hi.B_M - lo.B_M) / (2 * h) - B_M_slope) / 1e-8,
         )
     if B_S_slope > 0.0 or B_M_slope < 0.0:
         worst = max(worst, 2.0)
@@ -613,10 +613,10 @@ def check_dispersion_order(scn: Scenario, rng, tol_scale) -> CheckResult:
         worst_d = 0.0
         for a in np.linspace(0.0, 1.0, 9):
             econ_a, alloc = fam(float(a))
-            B_S, B_M = group_knowledge(alloc, econ_a)
+            acc = accounts(alloc, econ_a)
             worst_d = max(
                 worst_d,
-                abs(reforms.dispersion_slope(B_S, B_M, bs_slope, bm_slope, alloc.m)),
+                abs(reforms.dispersion_slope(acc.B_S, acc.B_M, bs_slope, bm_slope, alloc.m)),
             )
         ratios.append(worst_d / alloc.m)
     ratios = np.array(ratios)

@@ -87,16 +87,13 @@ def resource_sensitivities(gov: GovernanceTech, Y: float, B: float):
 
 
 def vote_share_slope(t: float, t_bar: float, beta: float) -> float:
-    """d Psi / d t; at symmetry equals beta/(4t)."""
+    """d Psi / d t; at symmetry equals beta/(4t). The denominator
+    (a + b)**2 is divided out one factor at a time, so that it cannot
+    overflow where a + b is finite (t of order 1e200, say)."""
     a = t**beta
     b = t_bar**beta
-    return beta * b * t ** (beta - 1.0) / (a + b) ** 2
-
-
-def group_knowledge(alloc: Allocation, econ: Economy) -> tuple[float, float]:
-    """Average system knowledge of specialists and of integrators."""
-    acc = accounts(alloc, econ)
-    return acc.B_S, acc.B_M
+    s = a + b
+    return beta * b * t ** (beta - 1.0) / s / s
 
 
 @dataclass(frozen=True)

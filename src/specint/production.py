@@ -7,7 +7,10 @@ population share of an atom is proportional to weight * lambda(direction),
 since broader directions need more heads per unit of mastery. Specialists
 run at full scale H(pi)*pi, so an allocation stores its atoms' scales H(pi_j),
 solved once by the function that builds it; accounts() reads them to
-evaluate gaps, feasibility, output and group knowledge.
+evaluate gaps, feasibility, output and group knowledge. accounts_rows()
+does the same for each row of a block of designs on shared atoms
+(minimal_rows), with the bits, and the feasibility errors, of accounts()
+on that row.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -182,14 +185,16 @@ class SpecialistLayer:
     J: float | None
 
 
-def integrator_capacity(s, h) -> float:
-    """Bundles of gap profile h embedded in profile s: min s_k/h_k over h_k>0."""
+def integrator_capacity(s, h):
+    """Bundles of gap profile h embedded in profile s: min s_k/h_k over
+    h_k>0. Given (N,K) stacks it returns one value per row, as an array."""
     sv = np.clip(np.asarray(s, dtype=float), 0.0, None)
     hv = np.asarray(h, dtype=float)
     mask = hv > 0.0
-    if not np.any(mask):
+    if not np.all(np.any(mask, axis=-1)):
         raise DomainError("gap profile has no positive coordinate")
-    return float(np.min(sv[mask] / hv[mask]))
+    J = np.divide(sv, hv, out=np.full(hv.shape, np.inf), where=mask).min(axis=-1)
+    return J if J.ndim else float(J)
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,7 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     fits = alloc.fits_budget(econ.tech)
     layer = alloc.layer
     gaps = layer.gaps
-    check_feasible(fits, layer.J, gaps.g, econ.theta)
+    _check_feasible(fits, layer.J, gaps.g, econ.theta)
     knowledge = system_knowledge(alloc.knowledge_stack, econ.u, econ.p)
     return Accounts(
         gaps=gaps,
@@ -226,7 +231,7 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     )
 
 
-def check_feasible(fits: bool, J: float | None, g: float, theta: float) -> None:
+def _check_feasible(fits: bool, J: float | None, g: float, theta: float) -> None:
     """Raise InfeasibleAllocationError unless the integrator profile fits
     the learning budget (fits) and the integration capacity J covers theta
     times the gap mass g (J is None when there is no gap)."""
@@ -240,13 +245,9 @@ def check_feasible(fits: bool, J: float | None, g: float, theta: float) -> None:
 
 @dataclass(frozen=True)
 class AccountsRows:
-    """accounts of each row of a DesignRows, as lists: the budget verdict,
-    integration capacity J (None without a gap) and gap mass g that
-    check_feasible takes, then output and group knowledge."""
+    """accounts of each row of a DesignRows, as lists: output and group
+    knowledge."""
 
-    fits: list[bool]
-    J: list[float | None]
-    g: list[float]
     Y: list[float]
     B_S: list[float]
     B_M: list[float]
@@ -258,8 +259,9 @@ def accounts_rows(rows: DesignRows, econ: Economy) -> AccountsRows:
     as Allocation.layer builds it, one matrix-vector product per row
     (row_products), the atoms' knowledge once, as every row shares them,
     the integrators' as one system_knowledge stack, and B_S as accounts's
-    left-to-right sum. It raises nothing: the caller passes each row's
-    fits, J and g to check_feasible before it uses the row.
+    left-to-right sum. Like accounts it checks feasibility, row by row in
+    order, and raises the InfeasibleAllocationError of the first row that
+    fails.
     """
     H, m = rows.scales, rows.m
     mu = rows.weights / H
@@ -273,18 +275,12 @@ def accounts_rows(rows: DesignRows, econ: Economy) -> AccountsRows:
     G = specialists * row_products(mu, shortfall)
     g = G.sum(axis=1)
     gap = g > GAP_TOL
-    h = G[gap] / g[gap, None]
-    embedded = np.divide(
-        np.clip(rows.integrator[gap], 0.0, None), h, out=np.full_like(h, np.inf), where=h > 0.0
-    )
-    J = [None] * m.size
-    for i, value in zip(np.flatnonzero(gap).tolist(), (m[gap] * embedded.min(axis=1)).tolist()):
-        J[i] = value
+    J = iter((m[gap] * integrator_capacity(rows.integrator[gap], G[gap] / g[gap, None])).tolist())
+    fits = feasible_bundle(rows.integrator, econ.tech).tolist()
+    for ok, has_gap, mass in zip(fits, gap.tolist(), g.tolist()):
+        _check_feasible(ok, next(J) if has_gap else None, mass, econ.theta)
     atoms = system_knowledge(profiles, econ.u, econ.p).tolist()
     return AccountsRows(
-        fits=feasible_bundle(rows.integrator, econ.tech).tolist(),
-        J=J,
-        g=np.where(gap, g, 0.0).tolist(),
         Y=(econ.V * np.minimum(S, total[:, None] * econ.q).sum(axis=1)).tolist(),
         B_S=[float(sum(w * k for w, k in zip(row, atoms))) for row in mu.tolist()],
         B_M=system_knowledge(rows.integrator, econ.u, econ.p).tolist(),
@@ -340,17 +336,11 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
     return opt, alloc
 
 
-def minimal_allocation(
-    design: SpecialistDesign, econ: Economy, scales: np.ndarray | None = None
-) -> Allocation:
+def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
     """Allocation with the smallest integrator layer that supports a design,
-    at its atoms' frontier scales (solved here unless given)."""
-    if scales is None:
-        scales = learning.max_scale_batch(econ.tech, design.directions)
-    rows = minimal_rows([(design.directions, scales, design.weights[None, :])], econ)[0]
-    return Allocation(
-        m=float(rows.m[0]), design=design, integrator_profile=rows.integrator[0], scales=scales
-    )
+    at its atoms' frontier scales."""
+    scales = learning.max_scale_batch(econ.tech, design.directions)
+    return minimal_rows([(design.directions, scales, design.weights[None, :])], econ)[0].allocation(0)
 
 
 @dataclass(frozen=True)

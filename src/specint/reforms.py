@@ -35,9 +35,12 @@ The b sweep is one array pass: broadening_allocation's grid form gives the
 family as arrays (per atom set, the atom scales and each share's weights,
 Gamma, E_nu[lambda] and integrator profile, none of which moves with theta;
 theta sets m), and broadening_statics evaluates the gap bundles, the
-specialist layer, Y and the group knowledge of every share from them, each
-value with the bits of the per-share path. `verify` holds every cell it
-emits against that path (broadening_allocation(b) and total_welfare).
+specialist layer, the feasibility checks, Y and the group knowledge of
+every share from them (production.accounts_rows), then each share's
+political equilibrium and welfare_accounts, each value with the bits of
+the per-share path. `verify` holds every cell it emits against that path
+(broadening_allocation(b) and total_welfare). theta_statics composes its
+welfare through welfare_accounts too.
 
 Interface intensity: the civic profile is tilted from q toward the gap
 profile, u(alpha) = (1-alpha)*q + alpha*h*(q), at the fixed productive
@@ -79,7 +82,6 @@ from .politics import equilibrium_from_groups
 from .production import (
     accounts,
     accounts_rows,
-    check_feasible,
     corner_design,
     gap_profile_star,
     minimal_allocation,
@@ -87,7 +89,7 @@ from .production import (
     productive_optimum,
     single_atom,
 )
-from .welfare import Family, WelfareReport, decompose_along, dispersion, service_welfare
+from .welfare import Family, WelfareReport, decompose_along, welfare_accounts
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
@@ -154,11 +156,11 @@ class BroadeningStaticsReport:
 def broadening_statics(econ: Economy, b_grid) -> BroadeningStaticsReport:
     """The broadening family and its welfare accounts across a strictly
     increasing grid of shares, as one array pass over each atom set of
-    broadening_allocation's grid form (accounts_rows), then per share the
-    feasibility checks of accounts, the political equilibrium and the
-    welfare accounts. Each value has the bits of the per-share path,
-    total_welfare (or accounts where m = 0) of broadening_allocation(b),
-    which `verify` holds it against.
+    broadening_allocation's grid form (accounts_rows, which checks each
+    share's feasibility as accounts does), then per share the political
+    equilibrium and the welfare accounts. Each value has the bits of the
+    per-share path, total_welfare (or accounts where m = 0) of
+    broadening_allocation(b), which `verify` holds it against.
     """
     grid = np.asarray(b_grid, dtype=float)
     if grid.ndim != 1:
@@ -166,26 +168,17 @@ def broadening_statics(econ: Economy, b_grid) -> BroadeningStaticsReport:
     m, Y, B_S, B_M, B_soc, welfare = [], [], [], [], [], []
     for rows in broadening_allocation(grid, econ):
         acc = accounts_rows(rows, econ)
-        for i, share in enumerate(rows.m.tolist()):
-            check_feasible(acc.fits[i], acc.J[i], acc.g[i], econ.theta)
-            y, b_S, b_M = acc.Y[i], acc.B_S[i], acc.B_M[i]
+        for share, y, b_S, b_M in zip(rows.m.tolist(), acc.Y, acc.B_S, acc.B_M):
             m.append(share)
             Y.append(y)
             B_S.append(b_S)
             B_M.append(b_M)
             B_soc.append((1.0 - share) * b_S + share * b_M)
-            if not 0.0 < share < 1.0:  # no integrators, so no voting game
-                welfare.append(None)
-                continue
-            out = equilibrium_from_groups(econ, y, share, b_S, b_M)
-            V_serv = service_welfare(out, share)
-            welfare.append(WelfareReport(
-                Y=y,
-                service_welfare=V_serv,
-                dispersion=dispersion(b_S, b_M, share),
-                welfare=(1.0 - econ.tau) * y + V_serv,
-                outcome=out,
-            ))
+            # where m = 0 there are no integrators, so no voting game
+            welfare.append(
+                welfare_accounts(econ, equilibrium_from_groups(econ, y, share, b_S, b_M))
+                if 0.0 < share < 1.0 else None
+            )
     return BroadeningStaticsReport(
         b=grid.tolist(), m=m, Y=Y, B_S=B_S, B_M=B_M, B_soc=B_soc, welfare=welfare
     )
@@ -441,12 +434,12 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
     Y = econ.V * H / (H + grid * D)
     if not np.all(m < 1.0 / 3.0):
         raise InfeasibleAllocationError("integrator share bound violated (bug)")
-    outcomes = [
-        equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M)
+    reports = [
+        welfare_accounts(econ, equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M))
         for y, share in zip(Y.tolist(), m.tolist())
     ]
-    B_soc = np.array([o.B_soc for o in outcomes])
-    W = np.array([(1.0 - econ.tau) * o.Y + service_welfare(o, o.m) for o in outcomes])
+    B_soc = np.array([r.outcome.B_soc for r in reports])
+    W = np.array([r.welfare for r in reports])
     # correctly rounded monotone operations can tie but never reverse
     if not (np.all(np.diff(m) >= 0.0) and np.all(np.diff(Y) <= 0.0)):
         raise OracleError("integration-cost monotonicity violated (bug)")

@@ -103,17 +103,23 @@ class WelfareReport:
         ]
 
 
-def total_welfare(econ: Economy, alloc: Allocation) -> WelfareReport:
-    """Compose output, the political equilibrium, and the welfare accounts."""
-    outcome = political_equilibrium(econ, alloc)
-    V_serv = service_welfare(outcome, alloc.m)
+def welfare_accounts(econ: Economy, outcome: PoliticalOutcome) -> WelfareReport:
+    """The welfare accounts of a political outcome: service welfare, the
+    dispersion penalty and W = (1-tau)*Y + V_serv. Every welfare figure the
+    engine reports is composed here."""
+    V_serv = service_welfare(outcome, outcome.m)
     return WelfareReport(
         Y=outcome.Y,
         service_welfare=V_serv,
-        dispersion=dispersion(outcome.B_S, outcome.B_M, alloc.m),
+        dispersion=dispersion(outcome.B_S, outcome.B_M, outcome.m),
         welfare=(1.0 - econ.tau) * outcome.Y + V_serv,
         outcome=outcome,
     )
+
+
+def total_welfare(econ: Economy, alloc: Allocation) -> WelfareReport:
+    """Compose output, the political equilibrium, and the welfare accounts."""
+    return welfare_accounts(econ, political_equilibrium(econ, alloc))
 
 
 # A family maps a parameter to (economy, allocation); the economy slot lets

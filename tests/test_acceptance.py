@@ -15,7 +15,6 @@ from specint.learning import LearningTech, max_scale, max_scale_batch
 from specint.politics import (
     best_response_fixed_point,
     equilibrium_from_groups,
-    group_knowledge,
     kkt_residuals,
     political_equilibrium,
 )
@@ -166,9 +165,8 @@ def test_criterion_06_civic_advantage(econ):
         if not check_diffuse(cand.u, cand.p, cand.tech).ok:
             continue
         cand = cand.with_theta(float(rng.uniform(0.05, 0.95)) * cand.theta_bar)
-        _, alloc = productive_optimum(cand)
-        B_S, B_M = group_knowledge(alloc, cand)
-        worst = max(worst, B_S - B_M)
+        acc = accounts(productive_optimum(cand)[1], cand)
+        worst = max(worst, acc.B_S - acc.B_M)
         n += 1
     report(6, "integrator-civic-advantage", worst < 0.0, f"min B_M-B_S margin {-worst:.3e} > 0")
 
@@ -262,12 +260,12 @@ def test_criterion_11_interface_statics(econ):
     h = 1e-6
     fd_gap = 0.0
     for a in (0.3, 0.7):
-        lo = group_knowledge(alloc, econ.with_u(reforms.interface_profile(econ.q, a - h)))
-        hi = group_knowledge(alloc, econ.with_u(reforms.interface_profile(econ.q, a + h)))
+        lo = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a - h)))
+        hi = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a + h)))
         fd_gap = max(
             fd_gap,
-            abs((hi[0] - lo[0]) / (2 * h) - rep.B_S_slope),
-            abs((hi[1] - lo[1]) / (2 * h) - rep.B_M_slope),
+            abs((hi.B_S - lo.B_S) / (2 * h) - rep.B_S_slope),
+            abs((hi.B_M - lo.B_M) / (2 * h) - rep.B_M_slope),
         )
     signs_ok = rep.B_S_slope <= 0.0 <= rep.B_M_slope
     finite_ok = 0.0 < theta_small and math.isfinite(theta_small)

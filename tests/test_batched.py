@@ -23,6 +23,7 @@ from specint.production import (
     Allocation,
     SpecialistDesign,
     accounts,
+    accounts_rows,
     corner_design,
     productive_optimum,
     single_atom,
@@ -334,6 +335,27 @@ def test_accounts_on_reused_allocation_still_checks_capacity():
     with pytest.raises(InfeasibleAllocationError, match="integration capacity"):
         accounts(alloc, dear)
     assert math.isfinite(accounts(alloc, econ).Y)
+
+
+def test_accounts_rows_raise_what_accounts_raises_on_an_infeasible_row():
+    # halving a row's integrators halves its capacity; doubling them
+    # overruns the learning budget; the first such row in order is reported
+    for econ in (ECONOMIES[0], ECONOMIES[-1], K8):
+        rows = broadening_allocation(np.linspace(0.0, 1.0, 6), econ)[1]  # the mixed designs
+        accounts_rows(rows, econ)
+        n = rows.m.size
+        for i, j in [*((i, None) for i in range(n)), (1, n - 1), (n - 1, 1)]:
+            integrator = rows.integrator.copy()
+            integrator[i] *= 0.5
+            if j is not None:
+                integrator[j] *= 2.0
+            changed = dataclasses.replace(rows, integrator=integrator)
+            first = i if j is None else min(i, j)
+            with pytest.raises(InfeasibleAllocationError) as want:
+                accounts(changed.allocation(first), econ)
+            with pytest.raises(InfeasibleAllocationError) as got:
+                accounts_rows(changed, econ)
+            assert str(got.value) == str(want.value), (econ.K, i, j)
 
 
 def _knowledge_loop(alloc, econ):

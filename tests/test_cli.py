@@ -380,6 +380,14 @@ def test_non_finite_result_never_exits_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_at_huge_v_fails_its_oracles_without_a_bug(tmp_path, capsys):
+    # at V = 1e200 the services t_S, t_M are of order 1e199, and the square
+    # (a + b)**2 in vote_share_slope overflowed there: an internal error
+    cfg = write_cfg(tmp_path / "huge.cfg", {**SMALL_BUDGETS, "economy.v": "1e200"})
+    assert main(["verify", "--config", cfg]) == 3
+    assert "(bug)" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep --axis b", "verify"])
 @pytest.mark.parametrize("param", ["1000", "1e200"])
 def test_steep_exponential_cost_exits_one(tmp_path, capsys, param, command):

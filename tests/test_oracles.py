@@ -139,7 +139,7 @@ def per_draw_gap_accounting(scn, rng):
     scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS}),
 ], ids=["default", "small-budgets"])
 def test_gap_accounting_matches_per_draw_solves(scn):
-    # corner scales solved once per K give the bits of a solve per draw
+    # one minimal_rows block per K gives each draw the bits of its own solve
     result = run_check(oracles.check_gap_accounting, scn)
     rng = np.random.default_rng([scn.seed, oracles.CHECKS.index(oracles.check_gap_accounting)])
     assert result.metric.hex() == per_draw_gap_accounting(scn, rng).hex()

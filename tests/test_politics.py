@@ -17,7 +17,6 @@ from specint.politics import (
     best_response_fixed_point,
     equilibrium_from_groups,
     governance_star,
-    group_knowledge,
     kkt_residuals,
     political_equilibrium,
     resource_sensitivities,
@@ -126,12 +125,11 @@ def test_equilibrium_rejects_degenerate_groups(econ):
 
 
 def test_group_knowledge_closed_forms(econ):
-    _, alloc = productive_optimum(econ)
-    B_S, B_M = group_knowledge(alloc, econ)
-    assert B_S == pytest.approx(float(econ.q @ econ.u), abs=1e-12)
-    opt, _ = productive_optimum(econ)
+    opt, alloc = productive_optimum(econ)
+    acc = accounts(alloc, econ)
+    assert acc.B_S == pytest.approx(float(econ.q @ econ.u), abs=1e-12)
     expected_M = opt.H_hstar**econ.p * np.minimum(opt.h_star, econ.u).sum()
-    assert B_M == pytest.approx(expected_M, abs=1e-12)
+    assert acc.B_M == pytest.approx(expected_M, abs=1e-12)
 
 
 def test_equilibrium_kkt_residuals(econ):

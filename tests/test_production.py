@@ -97,6 +97,19 @@ def test_integrator_capacity_upper_bound(rational):
         assert integrator_capacity(s, h) <= max_scale(rational, h) + 1e-10
 
 
+def test_integrator_capacity_on_a_stack_matches_each_row():
+    rng = np.random.default_rng(12)
+    for K in (2, 3, 5, 8):
+        h = np.array([interior_simplex(rng, K) for _ in range(20)])
+        h[::3, 0] = 0.0  # rows where a coordinate takes no part
+        s = rng.uniform(-0.1, 1.0, size=(20, K))
+        got = integrator_capacity(s, h)
+        assert got.tolist() == [integrator_capacity(a, b) for a, b in zip(s, h)]
+        h[7] = 0.0
+        with pytest.raises(DomainError, match="no positive coordinate"):
+            integrator_capacity(s, h)
+
+
 def _corner_organization(x, econ):
     """Minimal-integrator corner organization at mix x: (allocation, accounts)."""
     alloc = minimal_allocation(corner_design(x), econ)

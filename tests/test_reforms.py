@@ -11,7 +11,7 @@ from specint.cli import main
 from specint.errors import DomainError, OracleError
 from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import max_scale
-from specint.politics import equilibrium_from_groups, group_knowledge, resource_sensitivities
+from specint.politics import equilibrium_from_groups, resource_sensitivities
 from specint.production import (
     accounts,
     corner_design,
@@ -128,9 +128,9 @@ def test_theta_statics_welfare_at_the_printed_output():
     scn = load_scenario(str(SCENARIOS / "default.cfg"))
     econ = scn.econ
     rep = theta_statics(econ, scn.theta_grid())
-    B_S, B_M = group_knowledge(productive_optimum(econ)[1], econ)
+    acc = accounts(productive_optimum(econ)[1], econ)
     for Y, m, W in zip(rep.Y.tolist(), rep.m.tolist(), rep.welfare.tolist()):
-        out = equilibrium_from_groups(econ, Y, m, B_S, B_M)
+        out = equilibrium_from_groups(econ, Y, m, acc.B_S, acc.B_M)
         assert W == (1.0 - econ.tau) * Y + service_welfare(out, m)
 
 
@@ -341,10 +341,10 @@ def test_interface_slopes_signs_and_fd(econ):
     alloc = minimal_allocation(corner_design(econ.q), econ)
     h = 1e-6
     for a in (0.3, 0.8):
-        lo = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a - h)))
-        hi = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a + h)))
-        assert abs((hi[0] - lo[0]) / (2 * h) - bs) <= 1e-8
-        assert abs((hi[1] - lo[1]) / (2 * h) - bm) <= 1e-8
+        lo = accounts(alloc, econ.with_u(interface_profile(econ.q, a - h)))
+        hi = accounts(alloc, econ.with_u(interface_profile(econ.q, a + h)))
+        assert abs((hi.B_S - lo.B_S) / (2 * h) - bs) <= 1e-8
+        assert abs((hi.B_M - lo.B_M) / (2 * h) - bm) <= 1e-8
 
 
 def test_interface_coverage_affine(econ):
@@ -464,13 +464,13 @@ def test_interface_dispersion_slope_closed_form(econ):
     for a in (0.25, 0.7):
         vals = []
         for s in (-h, h):
-            B_S, B_M = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a + s)))
+            acc = accounts(alloc, econ.with_u(interface_profile(econ.q, a + s)))
             from specint.welfare import dispersion
 
-            vals.append(dispersion(B_S, B_M, m))
+            vals.append(dispersion(acc.B_S, acc.B_M, m))
         fd = (vals[1] - vals[0]) / (2 * h)
-        B_S, B_M = group_knowledge(alloc, econ.with_u(interface_profile(econ.q, a)))
-        assert abs(dispersion_slope(B_S, B_M, bs, bm, m) - fd) <= 1e-8
+        acc = accounts(alloc, econ.with_u(interface_profile(econ.q, a)))
+        assert abs(dispersion_slope(acc.B_S, acc.B_M, bs, bm, m) - fd) <= 1e-8
 
 
 def test_interface_dispersion_slope_vanishes_with_theta(econ):
@@ -480,15 +480,10 @@ def test_interface_dispersion_slope_vanishes_with_theta(econ):
         econ_t = econ.with_theta(frac * econ.theta_bar)
         alloc = minimal_allocation(corner_design(econ_t.q), econ_t)
         bs, bm = interface_closed_slopes(econ_t)
-        worst = max(
-            abs(
-                dispersion_slope(
-                    *group_knowledge(alloc, econ_t.with_u(interface_profile(econ_t.q, a))),
-                    bs, bm, alloc.m,
-                )
-            )
-            for a in np.linspace(0, 1, 7)
-        )
+        worst = 0.0
+        for a in np.linspace(0, 1, 7):
+            acc = accounts(alloc, econ_t.with_u(interface_profile(econ_t.q, a)))
+            worst = max(worst, abs(dispersion_slope(acc.B_S, acc.B_M, bs, bm, alloc.m)))
         ratios.append(worst / alloc.m)
     assert max(ratios) <= 1.5 * min(ratios) + 1e-9
 
