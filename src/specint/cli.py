@@ -4,9 +4,11 @@ specint solve  [--config F] [--out CSV]
 specint sweep  --axis {b,alpha,theta} [--config F] [--out CSV]
 specint verify [--config F] [--out CSV] [--seed N] [--strict]
 
-Exit codes: 0 ok, 1 config or usage error, 2 hypothesis violation, 3 oracle
-failure or a non-finite result, 4 internal error (an exception outside the
-engine's error hierarchy: a bug); a UserWarning promoted to an error exits
+Exit codes, with the specint.errors class behind each: 0 ok, 1 config or
+usage error (ConfigError), 2 hypothesis violation (HypothesisError) or input
+outside an operation's domain (DomainError), 3 oracle failure, a solver
+that does not converge or a non-finite result (OracleError), 4 internal
+error (any other exception: a bug); a UserWarning promoted to an error exits
 1 while the scenario loads (a renormalized profile), 3 after it (a
 decomposition residual). An error exit prints one stderr line, no traceback.
 CSV output is RFC-4180 style with a header row, '.' decimal, and
@@ -25,7 +27,7 @@ import sys
 import numpy as np
 
 from . import competitive, oracles, reforms
-from .errors import ConfigError, HypothesisError, ModelError, OracleError
+from .errors import ConfigError, DomainError, HypothesisError, OracleError
 from .production import productive_optimum
 from .scenario import Scenario, load_scenario
 from .welfare import WelfareReport, total_welfare
@@ -291,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
-    except ModelError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UserWarning as exc:  # an engine diagnostic promoted to an error

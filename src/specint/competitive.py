@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import Economy
-from .errors import (
-    DeviationFoundError,
-    DomainError,
-    OracleError,
-    SupportConditionError,
-    ZeroCoverageError,
-)
+from .errors import DomainError, HypothesisError, OracleError
 from .knowledge import coverage, fragmentation
 from .learning import gamma_index, max_scale_batch
 from .production import (
@@ -103,7 +97,7 @@ def ratio_bound(econ: Economy) -> RatioBound:
 def support_wages(econ: Economy) -> WageSupport:
     """Construct and verify the supporting wage pair for the optimum."""
     if econ.theta >= econ.theta_bar:
-        raise SupportConditionError(
+        raise HypothesisError(
             f"theta={econ.theta:.6g} not below the coordination cutoff "
             f"{econ.theta_bar:.6g}"
         )
@@ -117,13 +111,13 @@ def wages_at_optimum(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -
     delta = math.log(acc.B_M / acc.B_S)
     V_tilde = (1.0 - econ.tau) * econ.V
     if not delta < V_tilde:
-        raise SupportConditionError(
+        raise HypothesisError(
             f"continuation gap {delta:.6g} not below net productivity "
             f"{V_tilde:.6g}; positive wages cannot support the optimum"
         )
     beta = econ.theta * fragmentation(econ.q) / opt.H_hstar
     if not V_tilde + beta * delta > 0.0:
-        raise SupportConditionError(
+        raise HypothesisError(
             f"net productivity {V_tilde:.6g} not above beta*(-delta) = "
             f"{-beta * delta:.6g}; the specialist wage would not be positive"
         )
@@ -157,7 +151,7 @@ def unit_cost(x, design: SpecialistDesign, r: float, econ: Economy) -> float:
         raise DomainError("design mean does not match the stated mix")
     cov = coverage(xv, econ.q)
     if cov <= 0.0:
-        raise ZeroCoverageError("zero productive coverage: unit cost undefined")
+        raise DomainError("zero productive coverage: unit cost undefined")
     e_lam = float((design.weights / max_scale_batch(econ.tech, design.directions)).sum())
     gam = gamma_index(econ.tech, design.gap_bundle(xv))
     return (e_lam + econ.theta * r * gam) / cov
@@ -202,7 +196,7 @@ def no_deviation_check(
     worst_margin = found.unit_cost - cost_q
     passed = worst_margin >= -MARGIN_TOL
     if not passed and ratio_bound(econ).unique_ok:
-        raise DeviationFoundError(
+        raise OracleError(
             f"profitable deviation with margin {worst_margin:.3e} found although "
             f"the uniqueness cutoffs hold; deviating mix {found.x!r}"
         )

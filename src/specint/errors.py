@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the engine.
 
-The CLI maps these onto exit codes: ConfigError -> 1, HypothesisError
-(and subclasses) -> 2, OracleError (and subclasses) -> 3, any other
-ModelError -> 2. An exception outside this hierarchy is a bug and exits 4.
+One class per outcome, and the CLI maps each onto its exit code:
+ConfigError -> 1, HypothesisError -> 2, DomainError -> 2, OracleError -> 3.
+The message says which condition failed. An exception outside this
+hierarchy is a bug and exits 4.
 """
 
 
@@ -15,52 +16,19 @@ class ConfigError(ModelError):
 
 
 class DomainError(ModelError):
-    """Numeric input outside an operation's stated domain."""
+    """Numeric input outside an operation's stated domain: an allocation
+    that breaks its learning or integration constraint, a nonpositive
+    service level, a design with zero productive coverage."""
 
 
 class HypothesisError(ModelError):
-    """A theorem hypothesis required by the requested computation fails."""
-
-
-class TwoDomainError(HypothesisError):
-    """The diffuseness check is only defined for three or more domains."""
-
-
-class CutoffError(HypothesisError):
-    """Integration cost at or above the primitive coordination cutoff."""
-
-
-class DegenerateGroupError(HypothesisError):
-    """Occupational group of zero mass; the voting game is degenerate."""
-
-
-class SupportConditionError(HypothesisError):
-    """A wage-support condition fails; the message names which one."""
-
-
-class InfeasibleAllocationError(ModelError):
-    """Allocation violates the learning or integration constraint."""
-
-
-class NonpositiveServiceError(ModelError):
-    """Log service utility undefined at a nonpositive service level."""
-
-
-class ZeroCoverageError(ModelError):
-    """Unit cost undefined for a design with zero productive coverage."""
+    """A theorem hypothesis required by the requested computation fails:
+    fewer than three domains, integration cost at or above the coordination
+    cutoff, an empty or knowledge-free occupational group, a wage-support
+    condition."""
 
 
 class OracleError(ModelError):
-    """A verification oracle failed or could not run to completion."""
-
-
-class BudgetExceededError(OracleError):
-    """Combinatorial budget exceeded; lower the resolution or atom count."""
-
-
-class ConvergenceError(OracleError):
-    """An iterative solver exhausted its iteration budget."""
-
-
-class DeviationFoundError(OracleError):
-    """A profitable deviation was found where theory rules one out."""
+    """A verification oracle failed or could not run to completion: a
+    solver that does not converge, a combinatorial budget exceeded, a
+    profitable deviation where theory rules one out."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TwoDomainError
+from .errors import DomainError, HypothesisError
 from .learning import LearningTech
 
 SIMPLEX_TOL = 1e-12
@@ -106,7 +106,7 @@ def check_diffuse(u: np.ndarray, p: float, tech: LearningTech) -> DiffuseCheck:
     """
     K = u.size
     if K == 2:
-        raise TwoDomainError("diffuseness bound is only defined for K >= 3")
+        raise HypothesisError("diffuseness bound is only defined for K >= 3")
     u_sorted = np.sort(u)
     ratio = (u_sorted[0] + u_sorted[1]) / u_sorted[-1]
     denom = -np.log(K * tech.ell_inverse(1.0 / K))

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, DomainError, OracleError
 
 DOMAIN_SLACK = 1e-12
 FRONTIER_RESIDUAL = 1e-12
@@ -181,7 +181,7 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray) -> np.ndarray:
     so every step stays below the root and t rises monotonically. A row
     stops once its step is at most 4*eps*t (a round-off step may be
     negative); more than NEWTON_MAX_ITER iterations, or a final residual
-    |f(H)| above 1e-12 on any non-corner row, raise ConvergenceError.
+    |f(H)| above 1e-12 on any non-corner row, raise OracleError.
     Rows with a coordinate above 1-1e-12 return exactly 1.0.
     """
     P = np.asarray(directions, dtype=float)
@@ -194,12 +194,12 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray) -> np.ndarray:
             break
         t += np.where(moving, step, 0.0)
     else:
-        raise ConvergenceError(
+        raise OracleError(
             f"frontier Newton solve did not converge in {NEWTON_MAX_ITER} iterations"
         )
     corner = P.max(axis=1) > 1.0 - _CORNER_SNAP
     if np.any(np.abs(f[~corner]) > FRONTIER_RESIDUAL):
-        raise ConvergenceError("frontier residual too large")
+        raise OracleError("frontier residual too large")
     return np.where(corner, 1.0, np.minimum(t, 1.0))
 
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, ConvergenceError, DegenerateGroupError, DomainError
+from .errors import ConfigError, DomainError, HypothesisError, OracleError
 from .production import Allocation, accounts
 
 if TYPE_CHECKING:
@@ -118,9 +118,9 @@ def equilibrium_from_groups(
 ) -> PoliticalOutcome:
     """Equilibrium objects given output and the two group knowledge levels."""
     if not 0.0 < m < 1.0:
-        raise DegenerateGroupError("voting game needs both groups populated")
+        raise HypothesisError("voting game needs both groups populated")
     if not (B_S > 0.0 and B_M > 0.0):
-        raise DegenerateGroupError("both groups need positive system knowledge")
+        raise HypothesisError("both groups need positive system knowledge")
     B_soc = (1.0 - m) * B_S + m * B_M
     e = governance_star(econ.gov, Y, B_soc)
     R = econ.gov.resources(e, Y)
@@ -256,7 +256,7 @@ def _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M):
         if abs(step) <= _SPLIT_STEP_TOL:
             break
     else:
-        raise ConvergenceError("budget split did not converge")
+        raise OracleError("budget split did not converge")
     log_z, log_1mz = _log_shares(w)
     return R / (1.0 - m) * math.exp(log_1mz), R / m * math.exp(log_z)
 
@@ -266,7 +266,7 @@ def _illinois_root(f, a, b, fa, fb):
     Illinois rule (an end kept twice in a row has its value halved), and
     bisection when the secant point is not strictly inside the bracket.
     Stops once the bracket has no float strictly inside it, and raises
-    ConvergenceError if _FOC_MAX_ITER steps do not get there."""
+    OracleError if _FOC_MAX_ITER steps do not get there."""
     side = 0
     for _ in range(_FOC_MAX_ITER):
         x = (fa * b - fb * a) / (fa - fb)
@@ -287,7 +287,7 @@ def _illinois_root(f, a, b, fa, fb):
             side = -1
         else:
             return x
-    raise ConvergenceError("envelope condition did not converge in best_response")
+    raise OracleError("envelope condition did not converge in best_response")
 
 
 def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platform:
@@ -305,14 +305,15 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     v(a) < v(0) = 0 and f(a) < 0. Then a halves until f(a) > 0 (f grows
     without bound as e -> 0), and b is the last point it halved past. The
     halving and the root solve take at most _FOC_MAX_ITER steps each; a
-    spent budget or a missing sign change raises ConvergenceError.
+    spent budget, a missing sign change or an opponent service that
+    overflows to inf raises OracleError.
     """
     gov = econ.gov
     acc = accounts(alloc, econ)
     B_S, B_M, Y = acc.B_S, acc.B_M, acc.Y
     m = alloc.m
     if not 0.0 < m < 1.0:
-        raise DegenerateGroupError("voting game needs both groups populated")
+        raise HypothesisError("voting game needs both groups populated")
     beta_S = B_S / gov.lambda0
     beta_M = B_M / gov.lambda0
 
@@ -322,6 +323,8 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     tbar_M = z_bar * R_bar / m
     if not (tbar_S > 0.0 and tbar_M > 0.0):
         raise DomainError("opponent services must be strictly positive")
+    if not (math.isfinite(tbar_S) and math.isfinite(tbar_M)):
+        raise OracleError("opponent services overflow; best_response cannot run at this scale")
 
     def foc(e):
         R = gov.resources(e, Y)
@@ -339,7 +342,7 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
         a *= 0.5
         f_a = foc(a)
     if not f_a > 0.0 > f_b:
-        raise ConvergenceError("no sign change of the envelope condition in best_response")
+        raise OracleError("no sign change of the envelope condition in best_response")
     e = _illinois_root(foc, a, b, f_a, f_b)
     R = gov.resources(e, Y)
     t_S, t_M = _split_budget(R, m, beta_S, beta_M, tbar_S, tbar_M)
@@ -358,4 +361,4 @@ def best_response_fixed_point(
         if max(abs(nxt.e - current.e), abs(nxt.z - current.z)) <= FIXED_POINT_TOL:
             return nxt
         current = nxt
-    raise ConvergenceError("best-response iteration did not converge")
+    raise OracleError("best-response iteration did not converge")

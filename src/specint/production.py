@@ -32,12 +32,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import learning
-from .errors import (
-    BudgetExceededError,
-    CutoffError,
-    DomainError,
-    InfeasibleAllocationError,
-)
+from .errors import DomainError, HypothesisError, OracleError
 from .knowledge import RENORM_WARN, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
 from .knowledge import ProfileStack, profile_stack, system_knowledge
 from .learning import max_scale
@@ -215,8 +210,8 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     The specialist layer, the normalized knowledge profiles and the budget
     check (per learning technology) are computed once per allocation; what
     depends on the rest of the economy is evaluated on every call. Raises
-    InfeasibleAllocationError unless the integrator profile fits the
-    learning budget and integrators cover theta times the gap mass.
+    DomainError unless the integrator profile fits the learning budget and
+    integrators cover theta times the gap mass.
     """
     fits = alloc.fits_budget(econ.tech)
     layer = alloc.layer
@@ -232,13 +227,13 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
 
 
 def _check_feasible(fits: bool, J: float | None, g: float, theta: float) -> None:
-    """Raise InfeasibleAllocationError unless the integrator profile fits
-    the learning budget (fits) and the integration capacity J covers theta
-    times the gap mass g (J is None when there is no gap)."""
+    """Raise DomainError unless the integrator profile fits the learning
+    budget (fits) and the integration capacity J covers theta times the gap
+    mass g (J is None when there is no gap)."""
     if not fits:
-        raise InfeasibleAllocationError("integrator profile exceeds the learning budget")
+        raise DomainError("integrator profile exceeds the learning budget")
     if J is not None and J < theta * g - FEAS_TOL:
-        raise InfeasibleAllocationError(
+        raise DomainError(
             f"integration capacity {J:.6e} below requirement {theta * g:.6e}"
         )
 
@@ -260,8 +255,7 @@ def accounts_rows(rows: DesignRows, econ: Economy) -> AccountsRows:
     (row_products), the atoms' knowledge once, as every row shares them,
     the integrators' as one system_knowledge stack, and B_S as accounts's
     left-to-right sum. Like accounts it checks feasibility, row by row in
-    order, and raises the InfeasibleAllocationError of the first row that
-    fails.
+    order, and raises the DomainError of the first row that fails.
     """
     H, m = rows.scales, rows.m
     mu = rows.weights / H
@@ -309,12 +303,12 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
     """Corner specialists aligned with q plus gap-matched integrators.
 
     Requires a strictly interior q and theta below the coordination
-    cutoff; raises CutoffError otherwise.
+    cutoff; raises HypothesisError otherwise.
     """
     if float(econ.q.min()) <= 0.0:
         raise DomainError("productive requirement must be strictly interior")
     if econ.theta >= econ.theta_bar:
-        raise CutoffError(
+        raise HypothesisError(
             f"theta={econ.theta:.6g} is not below the coordination cutoff "
             f"theta_bar={econ.theta_bar:.6g}; the corner organization is not "
             "certified optimal there"
@@ -325,7 +319,7 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
     m_star = econ.theta * D / (H + econ.theta * D)
     Y_star = econ.V * H / (H + econ.theta * D)
     if not m_star < 1.0 / 3.0:
-        raise InfeasibleAllocationError("integrator share bound violated (bug)")
+        raise DomainError("integrator share bound violated (bug)")
     opt = ProductiveOptimum(h_star=h_star, m_star=m_star, Y_star=Y_star, H_hstar=H)
     alloc = Allocation(
         m=m_star,
@@ -467,7 +461,7 @@ def grid_designs(
     The sets of a level come in lexicographic order, and a batch holds the
     surviving sets of one ENUM_BATCH-long run of that order. The space
     holds sum_a C(P,a)*C(n-1,a-1) designs; one larger than max_designs
-    raises BudgetExceededError on the first batch request, before any
+    raises OracleError on the first batch request, before any
     table is built, and an empty grid (resolution or max_atoms below 1)
     raises DomainError. The tables that depend on K, resolution and a
     alone (grid points, weight splits, (a-1)-subsets, rank binomials) are
@@ -480,8 +474,8 @@ def grid_designs(
     fl(E_lam + fl(theta*Gamma)) >= E_lam, and correctly rounded division is
     monotone in its denominator, so a computed output never exceeds its
     computed b: a design it skips can neither win nor tie, and grid_gamma
-    gives each kept design the bits it has in any batch. A ConvergenceError
-    can fire only on a kept design.
+    gives each kept design the bits it has in any batch. An OracleError
+    from the frontier solver can fire only on a kept design.
 
     Per atom set, at the start of each level a with incumbent Y_a: with
     atoms d_j, scales lam_j and any weight split, C(X,q) <= S =
@@ -524,7 +518,7 @@ def grid_designs(
     K = econ.q.size
     total = design_space_size(K, resolution, max_atoms)
     if total > max_designs:
-        raise BudgetExceededError(
+        raise OracleError(
             f"{total} candidate designs exceed the budget of {max_designs}; "
             "lower the resolution or atom count"
         )

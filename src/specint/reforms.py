@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import Economy
-from .errors import DomainError, InfeasibleAllocationError, OracleError
+from .errors import DomainError, OracleError
 from .knowledge import coverage, fragmentation, system_knowledge
 from .learning import max_scale, max_scale_batch
 from .politics import equilibrium_from_groups
@@ -433,7 +433,7 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
     m = grid * D / (H + grid * D)
     Y = econ.V * H / (H + grid * D)
     if not np.all(m < 1.0 / 3.0):
-        raise InfeasibleAllocationError("integrator share bound violated (bug)")
+        raise DomainError("integrator share bound violated (bug)")
     reports = [
         welfare_accounts(econ, equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M))
         for y, share in zip(Y.tolist(), m.tolist())

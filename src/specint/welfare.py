@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .economy import Economy
-from .errors import NonpositiveServiceError
+from .errors import DomainError
 from .politics import PoliticalOutcome, political_equilibrium, resource_sensitivities
 from .production import Allocation
 
@@ -35,7 +35,7 @@ DECOMPOSITION_RESIDUAL = 1e-4  # decompose_along warns above this residual
 def service_welfare(outcome: PoliticalOutcome, m: float) -> float:
     """Population-weighted log services (1-m)*log t_S + m*log t_M."""
     if outcome.t_S <= 0.0 or outcome.t_M <= 0.0:
-        raise NonpositiveServiceError("log service utility needs positive services")
+        raise DomainError("log service utility needs positive services")
     return (1.0 - m) * math.log(outcome.t_S) + m * math.log(outcome.t_M)
 
 
@@ -46,7 +46,7 @@ def dispersion(B_S: float, B_M: float, m: float) -> float:
     -1e-12) is clamped to zero.
     """
     if B_S <= 0.0 or B_M <= 0.0:
-        raise NonpositiveServiceError("dispersion needs positive group knowledge")
+        raise DomainError("dispersion needs positive group knowledge")
     B_soc = (1.0 - m) * B_S + m * B_M
     val = math.log(B_soc) - (1.0 - m) * math.log(B_S) - m * math.log(B_M)
     if -_DISPERSION_ROUNDOFF < val < 0.0:

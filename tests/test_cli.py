@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import importlib
 import io
 import os
 import re
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specint import cli, learning, production, reforms, welfare
+from specint import cli, errors, learning, production, reforms, welfare
 from specint.cli import main
 from specint.scenario import (
     DEFAULTS,
@@ -21,7 +23,7 @@ from specint.scenario import (
     parse_config_text,
     scenario_from_entries,
 )
-from specint.errors import ConfigError
+from specint.errors import ConfigError, DomainError, HypothesisError, OracleError
 
 
 def write_cfg(path, overrides=None, drop=()):
@@ -141,6 +143,44 @@ def test_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", write_cfg(tmp_path / "s.cfg")]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: ZeroDivisionError: float division by zero (bug)\n"
+
+
+EXIT_CODES = {ConfigError: 1, HypothesisError: 2, DomainError: 2, OracleError: 3}
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, cls):
+    def failing(econ):
+        raise cls("stated reason")
+
+    monkeypatch.setattr(cli, "productive_optimum", failing)
+    assert main(["solve", "--config", write_cfg(tmp_path / "s.cfg")]) == EXIT_CODES[cls]
+    err = capsys.readouterr().err
+    assert err.endswith(": stated reason\n") and err.count("\n") == 1
+
+
+def test_every_raise_names_a_class_with_an_exit_code():
+    # the class a site raises is its exit code: every raise in the engine
+    # names one of the four classes main maps, or AssertionError for an
+    # internal invariant (a bug, exit 4); specint.errors defines those four
+    # and their base, and no module binds an engine error under another name
+    allowed = {cls.__name__ for cls in EXIT_CODES} | {"AssertionError"}
+    classes = {"ModelError", *(cls.__name__ for cls in EXIT_CODES)}
+    src = Path(cli.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in allowed:
+                    stray.append(f"{path.name}:{node.lineno} {ast.unparse(exc)}")
+        module = importlib.import_module(f"specint.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, errors.ModelError):
+                if name not in classes or name != value.__name__:
+                    stray.append(f"{path.name} binds {name} to {value.__name__}")
+    assert not stray
+    assert {n for n, v in vars(errors).items() if isinstance(v, type)} == classes
 
 
 REQUIRED_KEYS = [k for k in DEFAULTS if k.split(".")[0] in ("learning", "economy", "gov")]
@@ -380,12 +420,16 @@ def test_non_finite_result_never_exits_zero(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_at_huge_v_fails_its_oracles_without_a_bug(tmp_path, capsys):
+@pytest.mark.parametrize("v", ["1e200", "1e308"])
+def test_verify_at_huge_v_fails_its_oracles_without_a_bug(tmp_path, capsys, v):
     # at V = 1e200 the services t_S, t_M are of order 1e199, and the square
-    # (a + b)**2 in vote_share_slope overflowed there: an internal error
-    cfg = write_cfg(tmp_path / "huge.cfg", {**SMALL_BUDGETS, "economy.v": "1e200"})
+    # (a + b)**2 in vote_share_slope overflowed there; at 1e308 the opponent
+    # service in best_response overflows to inf, and the log of it in the
+    # budget split failed: both were internal errors
+    cfg = write_cfg(tmp_path / "huge.cfg", {**SMALL_BUDGETS, "economy.v": v})
     assert main(["verify", "--config", cfg]) == 3
-    assert "(bug)" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "(bug)" not in err and err.count("\n") <= 1
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep --axis b", "verify"])

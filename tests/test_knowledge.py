@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specint.errors import ConfigError, DomainError, TwoDomainError
+from specint.errors import ConfigError, DomainError, HypothesisError
 from specint.knowledge import (
     check_diffuse,
     coverage,
@@ -26,7 +26,7 @@ def test_coverage_examples():
 
 
 def test_coverage_dimension_mismatch():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="dimension mismatch"):
         coverage([1, 2], [1, 2, 3])
 
 
@@ -148,5 +148,5 @@ def test_check_diffuse_p_above_bound(rational):
 
 
 def test_check_diffuse_rejects_two_domains(rational):
-    with pytest.raises(TwoDomainError):
+    with pytest.raises(HypothesisError, match="only defined for K >= 3"):
         check_diffuse(np.array([0.6, 0.4]), 0.2, rational)

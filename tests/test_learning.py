@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specint import learning
-from specint.errors import ConfigError, ConvergenceError, DomainError
+from specint.errors import ConfigError, DomainError, OracleError
 from specint.learning import (
     LearningTech,
     constants,
@@ -46,9 +46,9 @@ def test_cost_monotone_and_concave(rational, exponential):
 
 
 def test_cost_domain_error(rational):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"mastery outside \[0,1\]"):
         rational.ell(1.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"mastery outside \[0,1\]"):
         rational.ell(-0.2)
     # 1e-12 slack tolerated
     rational.ell(1.0 + 1e-13)
@@ -191,11 +191,11 @@ def test_frontier_batch_peak_memory(family):
 def test_frontier_solver_raises_past_cap_or_certificate(rational, monkeypatch):
     P = np.random.default_rng(4).dirichlet(np.ones(3), size=20)
     monkeypatch.setattr(learning, "NEWTON_MAX_ITER", 1)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(OracleError, match="frontier Newton solve did not converge"):
         max_scale_batch(rational, P)
     monkeypatch.undo()
     monkeypatch.setattr(learning, "FRONTIER_RESIDUAL", 0.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(OracleError, match="frontier residual too large"):
         max_scale_batch(rational, P)
 
 
@@ -240,7 +240,7 @@ def test_gamma_index_is_a_row_of_the_batch(rational, exponential):
         for z, row in zip(Z, gamma_index_batch(tech, Z)):
             assert gamma_index(tech, z) == row
     for bad in (np.array([0.2, -1e-6, 0.3]), np.array([-0.5, 0.5])):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="gap bundle must be componentwise nonnegative"):
             gamma_index(rational, bad)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specint import politics
-from specint.errors import ConfigError, ConvergenceError, DegenerateGroupError, DomainError
+from specint.errors import ConfigError, DomainError, HypothesisError, OracleError
 from specint.politics import (
     GovernanceTech,
     Platform,
@@ -118,9 +118,9 @@ def test_equilibrium_budget_identity(econ):
 
 
 def test_equilibrium_rejects_degenerate_groups(econ):
-    with pytest.raises(DegenerateGroupError):
+    with pytest.raises(HypothesisError, match="voting game needs both groups populated"):
         equilibrium_from_groups(econ, Y=5.0, m=0.0, B_S=0.3, B_M=0.4)
-    with pytest.raises(DegenerateGroupError):
+    with pytest.raises(HypothesisError, match="voting game needs both groups populated"):
         equilibrium_from_groups(econ, Y=5.0, m=1.0, B_S=0.3, B_M=0.4)
 
 
@@ -217,20 +217,20 @@ def test_best_response_solver_budgets_raise(econ, monkeypatch):
     _, alloc = productive_optimum(econ)
     opponent = Platform(0.5, 0.3, 0.0, 0.0)
     monkeypatch.setattr(politics, "_FOC_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(OracleError, match="no sign change of the envelope condition"):
         best_response(opponent, econ, alloc)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(OracleError, match="envelope condition did not converge"):
         _illinois_root(lambda x: 1.0 - x**3, 0.0, 3.0, 1.0, -26.0)
     monkeypatch.undo()
     # a NaN envelope condition ends the bracket search instead of looping
     monkeypatch.setattr(politics, "vote_share_slope", lambda t, t_bar, beta: math.nan)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(OracleError, match="no sign change of the envelope condition"):
         best_response(opponent, econ, alloc)
 
 
 def test_best_response_requires_positive_opponent_services(econ):
     _, alloc = productive_optimum(econ)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="opponent services must be strictly positive"):
         best_response(Platform(0.5, 0.0, 0.0, 0.0), econ, alloc)
 
 

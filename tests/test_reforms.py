@@ -161,15 +161,15 @@ def test_theta_statics_raises_on_a_reversed_curve(monkeypatch):
 
 
 def test_broadening_domain(econ):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"broadening share must lie in \[0,1\]"):
         broadening_allocation(-0.1, econ)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"broadening share must lie in \[0,1\]"):
         broadening_allocation(1.2, econ)
     # the grid form's rows follow the grid, which must therefore increase
     for grid in ([0.5, 0.2], [0.0, 0.0, 1.0], []):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="a number or a non-empty|strictly increasing"):
             broadening_allocation(np.array(grid), econ)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="broadening statics need a 1-d grid"):
         broadening_statics(econ, 0.4)
 
 
@@ -333,6 +333,7 @@ def test_interface_uniform_q_flat():
     bs, bm = interface_closed_slopes(econ)
     assert abs(bs) <= 1e-14
     assert abs(bm) <= 1e-14
+    assert interface_threshold(econ, np.linspace(0, 1, 9)) == 0.0
 
 
 def test_interface_slopes_signs_and_fd(econ):
@@ -509,5 +510,5 @@ def test_theta_statics_monotone_and_formula(econ):
 
 
 def test_theta_statics_rejects_out_of_range(econ):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="theta grid must lie strictly inside"):
         theta_statics(econ, np.array([0.5 * econ.theta_bar, 1.5 * econ.theta_bar]))
