@@ -8,9 +8,8 @@ Exit codes, with the specint.errors class behind each: 0 ok, 1 config or
 usage error (ConfigError), 2 hypothesis violation (HypothesisError) or input
 outside an operation's domain (DomainError), 3 oracle failure, a solver
 that does not converge or a non-finite result (OracleError), 4 internal
-error (any other exception: a bug); a UserWarning promoted to an error exits
-1 while the scenario loads (a renormalized profile), 3 after it (a
-decomposition residual). An error exit prints one stderr line, no traceback.
+error (any other exception: a bug, a warning promoted to an error included).
+The engine never warns. An error exit prints one stderr line, no traceback.
 CSV output is RFC-4180 style with a header row, '.' decimal, and
 deterministic shortest-round-trip floats, so identical scenarios and
 seeds produce byte-identical files.
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    scn = None
     try:
         args = build_parser().parse_args(argv)
         scn = load_scenario(args.config)
@@ -296,13 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UserWarning as exc:  # an engine diagnostic promoted to an error
-        message = " ".join(str(exc).split())
-        if scn is None:
-            print(f"config error: {message}", file=sys.stderr)
-            return 1
-        print(f"oracle failure: {message}", file=sys.stderr)
-        return 3
     except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message} (bug)", file=sys.stderr)

@@ -96,11 +96,6 @@ def ratio_bound(econ: Economy) -> RatioBound:
 
 def support_wages(econ: Economy) -> WageSupport:
     """Construct and verify the supporting wage pair for the optimum."""
-    if econ.theta >= econ.theta_bar:
-        raise HypothesisError(
-            f"theta={econ.theta:.6g} not below the coordination cutoff "
-            f"{econ.theta_bar:.6g}"
-        )
     return wages_at_optimum(econ, *productive_optimum(econ))
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .knowledge import RENORM_WARN, SIMPLEX_TOL
+from .knowledge import SIMPLEX_SUM_TOL, SIMPLEX_TOL
 from .learning import LearningConstants, LearningTech
 from .politics import GovernanceTech
 
@@ -72,7 +72,7 @@ class Economy:
 def _check_simplex(key: str, v) -> None:
     if not isinstance(v, np.ndarray):
         raise ConfigError(f"{key} must be a numpy array")
-    if not (v.size >= 2 and v.min() >= -SIMPLEX_TOL and abs(v.sum() - 1.0) <= RENORM_WARN):
+    if not (v.size >= 2 and v.min() >= -SIMPLEX_TOL and abs(v.sum() - 1.0) <= SIMPLEX_SUM_TOL):
         raise ConfigError(f"{key} needs two or more nonnegative entries summing to 1")
 
 

@@ -16,7 +16,7 @@ from .errors import DomainError, HypothesisError
 from .learning import LearningTech
 
 SIMPLEX_TOL = 1e-12
-RENORM_WARN = 1e-9
+SIMPLEX_SUM_TOL = 1e-9  # how far the sum of a simplex vector may drift from 1
 BUDGET_SLACK = 1e-10  # learning-budget round-off allowance
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import competitive, learning, production, reforms
+from . import competitive, learning, production, reforms, welfare
 from .economy import Economy
 from .errors import HypothesisError, OracleError
 from .knowledge import check_diffuse, coverage, fragmentation, system_knowledge
@@ -489,7 +489,7 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
     ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
         worst = max(worst, decompose_along(ifam, a).residual)
-    return _result("decomposition-residual", worst, 1e-4)
+    return _result("decomposition-residual", worst, welfare.DECOMPOSITION_RESIDUAL)
 
 
 def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:

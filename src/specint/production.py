@@ -33,7 +33,7 @@ import numpy as np
 
 from . import learning
 from .errors import DomainError, HypothesisError, OracleError
-from .knowledge import RENORM_WARN, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
+from .knowledge import SIMPLEX_SUM_TOL, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
 from .knowledge import ProfileStack, profile_stack, system_knowledge
 from .learning import max_scale
 
@@ -62,9 +62,9 @@ class SpecialistDesign:
             raise DomainError("one weight per direction atom required")
         if np.any(w < -SIMPLEX_TOL):
             raise DomainError("mastery weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > RENORM_WARN:
+        if abs(float(w.sum()) - 1.0) > SIMPLEX_SUM_TOL:
             raise DomainError("mastery weights must sum to one")
-        off = np.abs(dirs.sum(axis=1) - 1.0) > RENORM_WARN
+        off = np.abs(dirs.sum(axis=1) - 1.0) > SIMPLEX_SUM_TOL
         if dirs.shape[1] < 2 or np.any(dirs < -SIMPLEX_TOL) or np.any(off):
             raise DomainError("atom directions must lie on the simplex")
 
@@ -264,7 +264,8 @@ def accounts_rows(rows: DesignRows, econ: Economy) -> AccountsRows:
     specialists = (1.0 - m)[:, None]
     S = specialists * row_products(mu, profiles)
     total = S.sum(axis=1)
-    mix = S / total[:, None]
+    # a row with no specialists (m = 1) has no gap, as in Allocation.layer
+    mix = np.divide(S, total[:, None], out=np.zeros_like(S), where=total[:, None] > 0.0)
     shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[:, None, :] - profiles, 0.0, None)
     G = specialists * row_products(mu, shortfall)
     g = G.sum(axis=1)

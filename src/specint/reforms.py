@@ -89,7 +89,7 @@ from .production import (
     productive_optimum,
     single_atom,
 )
-from .welfare import Family, WelfareReport, decompose_along, welfare_accounts
+from .welfare import DECOMPOSITION_RESIDUAL, Family, WelfareReport, decompose_along, welfare_accounts
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
@@ -318,11 +318,21 @@ def dispersion_slope(B_S, B_M, dB_S, dB_M, m) -> float:
 def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStaticsReport:
     """Evaluate the interface-intensity comparative statics in one pass
     over the grid: each point's curves are the report at the centre of its
-    welfare-slope stencil."""
+    welfare-slope stencil. Raises OracleError at the first point whose
+    decomposition residual is not within DECOMPOSITION_RESIDUAL."""
     B_S_slope, B_M_slope = interface_closed_slopes(econ)
     fam = interface_family(econ)
     lo, hi = float(alpha_grid[0]), float(alpha_grid[-1])
-    slopes = [decompose_along(fam, a, lo=lo, hi=hi) for a in alpha_grid]
+    slopes = []
+    for a in alpha_grid:
+        d = decompose_along(fam, a, lo=lo, hi=hi)
+        if not d.residual <= DECOMPOSITION_RESIDUAL:  # a nan residual fails too
+            raise OracleError(
+                f"decomposition residual {d.residual:.3e} exceeds "
+                f"{DECOMPOSITION_RESIDUAL:.1e} at alpha={a:.6g}; "
+                "the step may be too large for this family"
+            )
+        slopes.append(d)
     reports = [d.at for d in slopes]
     B_S = np.array([r.outcome.B_S for r in reports])
     B_M = np.array([r.outcome.B_M for r in reports])

@@ -2,9 +2,9 @@
 
 Lists are comma-separated floats; grids may also be written lo:hi:n for
 n evenly spaced points, and every grid must be strictly increasing.
-Profiles q and u must be strictly interior (every entry > 0) and are
-renormalized onto the simplex (with a warning beyond 1e-9 drift); this
-is the one place a profile is normalized. theta sweep
+Profiles q and u must be strictly interior (every entry > 0) and sum to
+1 within 1e-9; that drift is divided out here, the one place a profile
+is normalized, and a larger one is a config error. theta sweep
 grids are given as fractions of the coordination cutoff so they stay
 valid across learning families.
 """
@@ -12,14 +12,13 @@ valid across learning families.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .economy import Economy
 from .errors import ConfigError
-from .knowledge import RENORM_WARN
+from .knowledge import SIMPLEX_SUM_TOL
 from .learning import LearningTech
 from .politics import GovernanceTech
 
@@ -159,8 +158,8 @@ def _interior_profile(entries: dict[str, str], key: str) -> np.ndarray:
     if not min(values) > 0.0:
         raise ConfigError(f"{key} must be strictly interior, got {entries[key]!r}")
     total = float(values.sum())
-    if abs(total - 1.0) > RENORM_WARN:
-        warnings.warn(f"{key} off the simplex by {abs(total - 1.0):.3e}; renormalizing", stacklevel=2)
+    if not abs(total - 1.0) <= SIMPLEX_SUM_TOL:
+        raise ConfigError(f"{key} off the simplex by {abs(total - 1.0):.3e}; entries must sum to 1")
     return values / total
 
 

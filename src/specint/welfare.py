@@ -18,7 +18,6 @@ the governance module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +28,7 @@ from .production import Allocation
 
 _DISPERSION_ROUNDOFF = 1e-12
 DECOMPOSITION_STEP = 1e-5  # finite-difference step of decompose_along
-DECOMPOSITION_RESIDUAL = 1e-4  # decompose_along warns above this residual
+DECOMPOSITION_RESIDUAL = 1e-4  # residual bound of the alpha sweep and of verify's check
 
 
 def service_welfare(outcome: PoliticalOutcome, m: float) -> float:
@@ -159,9 +158,10 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
     """Three-term welfare slope at parameter b of an allocation family.
 
     Uses central differences of step DECOMPOSITION_STEP inside (lo, hi)
-    and one-sided second-order stencils at the boundaries; warns when the
-    recomposition residual exceeds DECOMPOSITION_RESIDUAL (step too large
-    for the family's curvature). Every stencil holds b itself, so the
+    and one-sided second-order stencils at the boundaries. The report's
+    residual is |productive + governance + targeting - fd_total|; above
+    DECOMPOSITION_RESIDUAL the step is too large for the family's
+    curvature, and the caller decides. Every stencil holds b itself, so the
     report there comes back as `at`, with the bits of
     total_welfare(*family(b)).
     """
@@ -189,12 +189,6 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
     governance = (R_B / R) * dB
     targeting = -stencil(kind, [r.dispersion for r, _ in reports], step)
     residual = abs(productive + governance + targeting - dW)
-    if residual > DECOMPOSITION_RESIDUAL:
-        warnings.warn(
-            f"decomposition residual {residual:.3e} exceeds {DECOMPOSITION_RESIDUAL:.1e}; "
-            "the step may be too large for this family",
-            stacklevel=2,
-        )
     return Decomposition(
         productive_term=productive,
         governance_term=governance,

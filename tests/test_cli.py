@@ -92,15 +92,16 @@ def test_unknown_key_rejected():
         scenario_from_entries(entries)
 
 
-def test_profile_renormalized_at_load_with_warning():
-    # q and u are put on the simplex where they enter, with a warning beyond
-    # 1e-9 of drift (any other warning fails the test: filterwarnings=error)
-    with pytest.warns(UserWarning, match="economy.q off the simplex"):
-        q = scenario_from_entries({**DEFAULTS, "economy.q": "0.5,0.4,0.2"}).econ.q
-    raw = np.array([0.5, 0.4, 0.2])
-    assert np.array_equal(q, raw / raw.sum())
+def test_profile_off_the_simplex_is_a_config_error():
+    # q and u are put on the simplex where they enter: a drift of the sum
+    # within 1e-9 is divided out, a larger one is a config error, as in Economy
+    raw = np.array([0.5, 0.3, 0.200000000001])
     q = scenario_from_entries({**DEFAULTS, "economy.q": "0.5,0.3,0.200000000001"}).econ.q
-    assert q.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(q, raw / raw.sum())
+    for key, bad, drift in (("economy.q", "0.5,0.4,0.2", "1.000e-01"),
+                            ("economy.u", "0.4,0.4,0.4", "2.000e-01")):
+        with pytest.raises(ConfigError, match=f"^{key} off the simplex by {drift};"):
+            scenario_from_entries({**DEFAULTS, key: bad})
     for bad in ("0.7,-0.2,0.5", "1.0"):
         with pytest.raises(ConfigError):
             scenario_from_entries({**DEFAULTS, "economy.q": bad})
@@ -163,7 +164,8 @@ def test_every_raise_names_a_class_with_an_exit_code():
     # the class a site raises is its exit code: every raise in the engine
     # names one of the four classes main maps, or AssertionError for an
     # internal invariant (a bug, exit 4); specint.errors defines those four
-    # and their base, and no module binds an engine error under another name
+    # and their base, and no module binds an engine error under another name;
+    # no module imports warnings, so an outcome is a result or an exception
     allowed = {cls.__name__ for cls in EXIT_CODES} | {"AssertionError"}
     classes = {"ModelError", *(cls.__name__ for cls in EXIT_CODES)}
     src = Path(cli.__file__).parent
@@ -174,6 +176,12 @@ def test_every_raise_names_a_class_with_an_exit_code():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if ast.unparse(exc) not in allowed:
                     stray.append(f"{path.name}:{node.lineno} {ast.unparse(exc)}")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "warnings" in modules:
+                stray.append(f"{path.name}:{node.lineno} imports warnings")
         module = importlib.import_module(f"specint.{path.stem}")
         for name, value in vars(module).items():
             if isinstance(value, type) and issubclass(value, errors.ModelError):
@@ -199,6 +207,7 @@ NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 @settings(max_examples=150, deadline=None)
 @example(command="solve", hostile={"economy.q": "1e300,1,1"})
+@example(command="sweep --axis b", hostile={"economy.theta": "1e300"})
 @given(
     command=st.sampled_from(["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta"]),
     hostile=st.dictionaries(
@@ -210,18 +219,16 @@ NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 )
 def test_hostile_configs_keep_the_exit_code_contract(tmp_path_factory, command, hostile):
     # a documented code, one stderr line, no traceback, and only finite
-    # numbers printed or written when the run succeeds; warnings are the
-    # engine's own diagnostics (renormalized profiles, decomposition
-    # residuals), recorded as in a plain run rather than raised
+    # numbers printed or written when the run succeeds; the engine never
+    # warns, so any warning is raised, exits 4 and fails the test
     work = tmp_path_factory.mktemp("hostile")
     cfg = write_cfg(work / "h.cfg", {**SMALL_BUDGETS, **hostile})
     out = work / "out.csv"
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main([*command.split(), "--config", cfg, "--out", str(out)])
-    assert all(w.category is UserWarning for w in caught), [str(w.message) for w in caught]
     err = stderr.getvalue()
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err and err.count("\n") <= 1
@@ -229,36 +236,26 @@ def test_hostile_configs_keep_the_exit_code_contract(tmp_path_factory, command, 
         assert err == ""
         assert not NONFINITE.search(stdout.getvalue())
         assert not NONFINITE.search(out.read_text())
-    # the same run with the warnings promoted to errors, as under
-    # PYTHONWARNINGS=error: a warning ends it with a documented code too
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            promoted = main([*command.split(), "--config", cfg, "--out", str(out)])
-    err = stderr.getvalue()
-    assert promoted in (0, 1, 2, 3), err
-    assert "Traceback" not in err and err.count("\n") <= 1
-    if not caught:
-        assert promoted == code
 
 
-def test_promoted_renormalization_warning_exits_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "q.cfg", {"economy.q": "1e300,1,1"})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+@pytest.mark.parametrize("q, drift", [("0.5,0.4,0.2", "1.000e-01"), ("1e300,1,1", "1.000e+300")])
+def test_off_simplex_profile_exits_one_without_a_warning(tmp_path, capsys, q, drift):
+    cfg = write_cfg(tmp_path / "q.cfg", {"economy.q": q})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["solve", "--config", cfg]) == 1
+    assert caught == []
     err = capsys.readouterr().err
-    assert err == "config error: economy.q off the simplex by 1.000e+300; renormalizing\n"
+    assert err == f"config error: economy.q off the simplex by {drift}; entries must sum to 1\n"
 
 
 @pytest.mark.parametrize("category, code, prefix", [
-    (UserWarning, 3, "oracle failure: decomposition residual"),
+    (UserWarning, 4, "internal error: UserWarning: decomposition residual"),
     (RuntimeWarning, 4, "internal error: RuntimeWarning: decomposition residual"),
 ])
 def test_promoted_warning_after_load_exit_code(tmp_path, capsys, monkeypatch, category, code, prefix):
-    # an engine UserWarning after the scenario loaded is an oracle failure;
-    # any other warning category promoted to an error is still a bug
+    # the engine never warns, so a warning promoted to an error is a bug
+    # whatever its category
     def warn(scn, out_path):
         warnings.warn("decomposition residual 1.0e-03 exceeds 1.0e-04", category)
 
@@ -268,6 +265,20 @@ def test_promoted_warning_after_load_exit_code(tmp_path, capsys, monkeypatch, ca
         assert main(["solve", "--config", write_cfg(tmp_path / "s.cfg")]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_promoted_warning_during_load_exits_four(capsys, monkeypatch):
+    # the exit code of a promoted warning no longer depends on whether the
+    # scenario had loaded
+    def warn(path):
+        warnings.warn("economy.q off the simplex", UserWarning)
+
+    monkeypatch.setattr(cli, "load_scenario", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: UserWarning: economy.q") and err.count("\n") == 1
 
 
 def test_module_entry_point_exit_codes(tmp_path):
@@ -408,16 +419,38 @@ def test_profile_length_mismatch_names_both_keys(tmp_path, capsys):
 
 
 def test_non_finite_result_never_exits_zero(tmp_path, capsys):
-    # at V = 1e308 the welfare slope dW/dalpha overflows to nan on the
-    # end rows of the alpha sweep, and the decomposition step warns
+    # at V = 1e308 the welfare slope dW/dalpha overflows to nan on the end
+    # rows of the alpha sweep; its decomposition residual is nan too, and
+    # the sweep stops at the first point, alpha = 0
     cfg = write_cfg(tmp_path / "huge.cfg", {"economy.v": "1e308"})
     out = tmp_path / "alpha.csv"
-    with pytest.warns(UserWarning):
-        code = main(["sweep", "--axis", "alpha", "--config", cfg, "--out", str(out)])
-    assert code == 3
+    assert main(["sweep", "--axis", "alpha", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("oracle failure: column dW_dalpha") and err.count("\n") == 1
-    assert not out.exists()
+    assert err.startswith("oracle failure: decomposition residual nan exceeds 1.0e-04 at alpha=0;")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+def test_non_finite_cell_names_its_column(value):
+    # checked before any cell is printed or written
+    with pytest.raises(OracleError, match=r"^column dW_dalpha holds a non-finite result \("):
+        cli._format_rows(["alpha", "dW_dalpha"], [[0.0, 1.0], [0.5, value]])
+
+
+def test_alpha_sweep_stops_at_a_decomposition_residual(tmp_path, capsys):
+    # at V = 1e200 the welfare-slope stencil loses accuracy: the sweep ends
+    # in one oracle failure line, with no warning and no CSV
+    cfg = write_cfg(tmp_path / "huge.cfg", {"economy.v": "1e200"})
+    out = tmp_path / "alpha.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--axis", "alpha", "--config", cfg, "--out", str(out)])
+    assert code == 3 and caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "oracle failure: decomposition residual 1.665e-02 exceeds 1.0e-04 at alpha=0;"
+    )
+    assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("v", ["1e200", "1e308"])
