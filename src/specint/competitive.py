@@ -59,7 +59,6 @@ class WageSupport:
     delta_q: float
     beta: float
     V_tilde: float
-    r_bar: float
     B_S: float
     B_M: float
 
@@ -131,7 +130,6 @@ def wages_at_optimum(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -
         delta_q=delta,
         beta=beta,
         V_tilde=V_tilde,
-        r_bar=ratio_bound(econ).r_bar,
         B_S=acc.B_S,
         B_M=acc.B_M,
     )

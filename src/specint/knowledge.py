@@ -39,9 +39,9 @@ def feasible_bundle(s, tech: LearningTech):
     """Whether a knowledge bundle fits inside the unit learning budget: no
     mastery above 1 and total learning cost at most 1. Given an (N,K) stack
     it returns one verdict per row, as a bool array."""
-    v = np.clip(np.asarray(s, dtype=float), 0.0, None)
+    v = np.maximum(np.asarray(s, dtype=float), 0.0)
     cost = tech._ell_raw(np.clip(v, 0.0, 1.0)).sum(axis=-1)
-    fits = ~np.any(v > 1.0 + BUDGET_SLACK, axis=-1) & (cost <= 1.0 + BUDGET_SLACK)
+    fits = ~(v > 1.0 + BUDGET_SLACK).any(axis=-1) & (cost <= 1.0 + BUDGET_SLACK)
     return fits if fits.ndim else bool(fits)
 
 
@@ -62,9 +62,9 @@ def profile_stack(s) -> ProfileStack:
     v = np.asarray(s, dtype=float)
     if v.ndim not in (1, 2):
         raise DomainError("knowledge profile must be a vector or an (N,K) stack")
-    if np.any(v < -SIMPLEX_TOL):
+    if (v < -SIMPLEX_TOL).any():
         raise DomainError("knowledge profile must be componentwise nonnegative")
-    rows = np.clip(np.atleast_2d(v), 0.0, None)
+    rows = np.maximum(np.atleast_2d(v), 0.0)
     mass = rows.sum(axis=1)
     np.divide(rows, mass[:, None], out=rows, where=(mass != 0.0)[:, None])
     return ProfileStack(directions=rows, mass=mass.tolist(), shape=v.shape)

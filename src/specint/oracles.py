@@ -31,6 +31,7 @@ from .politics import (
 from .production import (
     SpecialistDesign,
     accounts,
+    accounts_rows,
     brute_force_design,
     cornerized,
     minimal_rows,
@@ -328,27 +329,24 @@ def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     mixes = [_interior_simplex(rng, int(rng.integers(2, 6))) for _ in range(200)]
-    # the corner designs of one K share their atoms, the rows of eye(K), and
-    # the economies below share tech and theta, all that minimal_rows reads
-    allocs = {}
-    for K in {x.size for x in mixes}:
-        W = np.array([x for x in mixes if x.size == K])
-        rows = minimal_rows([(np.eye(K), max_scale_batch(econ.tech, np.eye(K)), W)], econ)[0]
-        allocs[K] = map(rows.allocation, range(len(W)))
     worst = 0.0
-    for x in mixes:
-        K = x.size
-        tmp = Economy(
-            tech=econ.tech, q=x, u=np.full(K, 1.0 / K), p=econ.p,
+    for K in sorted({x.size for x in mixes}):
+        # the corner designs of one K share their atoms, the rows of eye(K);
+        # gaps read neither q nor u, and feasibility reads only tech and
+        # theta, so one economy per K with uniform q and u evaluates them all
+        X = np.array([x for x in mixes if x.size == K])
+        rows = minimal_rows([(np.eye(K), max_scale_batch(econ.tech, np.eye(K)), X)], econ)[0]
+        uniform = np.full(K, 1.0 / K)
+        econ_K = Economy(
+            tech=econ.tech, q=uniform, u=uniform, p=econ.p,
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
-        alloc = next(allocs[K])
-        gaps = accounts(alloc, tmp).gaps
-        worst = max(
-            worst,
-            float(np.abs(gaps.G - (1.0 - alloc.m) * x * (1.0 - x)).max()),
-            abs(gaps.g - (1.0 - alloc.m) * fragmentation(x)),
-        )
+        for x, m, acc in zip(X, rows.m.tolist(), accounts_rows(rows, econ_K)):
+            worst = max(
+                worst,
+                float(np.abs(acc.gaps.G - (1.0 - m) * x * (1.0 - x)).max()),
+                abs(acc.gaps.g - (1.0 - m) * fragmentation(x)),
+            )
     return _result("gap-accounting", worst, 1e-12 * tol_scale)
 
 
@@ -465,7 +463,7 @@ def check_welfare_representation(scn: Scenario, rng, tol_scale) -> CheckResult:
         B_M = B_S if i % 7 == 0 else float(rng.uniform(0.01, 0.95))
         Y = float(rng.uniform(0.5, 50.0))
         out = equilibrium_from_groups(econ, Y, m, B_S, B_M)
-        v = service_welfare(out, m)
+        v = service_welfare(out)
         d = dispersion(B_S, B_M, m)
         worst = max(worst, abs(v - (math.log(out.R) - d)) / (1e-10 * tol_scale))
         worst = max(worst, (-d) / (1e-10 * tol_scale))
@@ -649,8 +647,8 @@ def check_wage_support(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = max(worst, abs(zero_profit))
     r = wages.w_M / wages.w_S
     bound = competitive.ratio_bound(econ)
-    if bound.bound_valid and r > wages.r_bar:
-        worst = max(worst, r - wages.r_bar)
+    if bound.bound_valid and r > bound.r_bar:
+        worst = max(worst, r - bound.r_bar)
     if econ.theta * r >= econ.theta_bar:
         worst = max(worst, 1.0)
     nd = competitive.no_deviation_check(

@@ -6,11 +6,12 @@ the mastery-weighted direction distribution of the specialist layer. The
 population share of an atom is proportional to weight * lambda(direction),
 since broader directions need more heads per unit of mastery. Specialists
 run at full scale H(pi)*pi, so an allocation stores its atoms' scales H(pi_j),
-solved once by the function that builds it; accounts() reads them to
-evaluate gaps, feasibility, output and group knowledge. accounts_rows()
-does the same for each row of a block of designs on shared atoms
-(minimal_rows), with the bits, and the feasibility errors, of accounts()
-on that row.
+solved once by the function that builds it. layer_rows summarizes the
+specialist layer of each row of a block of designs on shared atoms
+(minimal_rows), and accounts_rows() adds up each row's feasibility, output
+and group knowledge in one economy; accounts() does the same on an
+allocation's cached one-row layer, with the bits and the feasibility
+errors that row has in any block.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import learning
 from .errors import DomainError, HypothesisError, OracleError
-from .knowledge import SIMPLEX_SUM_TOL, SIMPLEX_TOL, coverage, feasible_bundle, fragmentation
+from .knowledge import SIMPLEX_SUM_TOL, SIMPLEX_TOL, feasible_bundle, fragmentation
 from .knowledge import ProfileStack, profile_stack, system_knowledge
 from .learning import max_scale
 
@@ -118,43 +119,24 @@ class Allocation:
 
     @cached_property
     def layer(self) -> SpecialistLayer:
-        """The specialist layer at the atoms' frontier scales. It depends on
-        the allocation alone, so it is summarized once however many
-        economies evaluate the allocation.
-
-        Atom j holds head-count share proportional to w_j/H(pi_j) and
-        profile H(pi_j)*pi_j; gaps are taken against the realized mix.
-        """
-        design, H = self.design, self.scales
-        mu = design.weights / H
-        mu = mu / mu.sum()
-        profiles = H[:, None] * design.directions
-        S = (1.0 - self.m) * (mu @ profiles)
-        total = float(S.sum())
-        if total <= 0.0:
-            gaps = GapSummary(G=np.zeros(S.size), g=0.0, h=None)
-        else:
-            mix = S / total
-            shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[None, :] - profiles, 0.0, None)
-            G = (1.0 - self.m) * (mu @ shortfall)
-            g = float(G.sum())
-            gaps = GapSummary(G=G, g=0.0, h=None) if g <= GAP_TOL else GapSummary(G=G, g=g, h=G / g)
-        J = None if gaps.g == 0.0 else self.m * integrator_capacity(self.integrator_profile, gaps.h)
-        return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, gaps=gaps, J=J)
-
-    @cached_property
-    def knowledge_stack(self) -> ProfileStack:
-        """The atoms' profiles and, in the last row, the integrator profile,
-        as system_knowledge's economy-free half."""
-        return profile_stack(np.vstack([self.layer.profiles, self.integrator_profile]))
+        """The specialist layer at the atoms' frontier scales, as the one
+        row of a block (layer_rows). It depends on the allocation alone, so
+        it is summarized once however many economies evaluate the
+        allocation."""
+        design = self.design
+        return layer_rows(
+            design.directions, self.scales, design.weights[None, :],
+            np.array([self.m]), self.integrator_profile[None, :],
+        )
 
     def fits_budget(self, tech: learning.LearningTech) -> bool:
         """Whether the integrator profile fits tech's learning budget,
         checked once per technology."""
         memo = self.__dict__.setdefault("_fits_budget", {})
-        if tech not in memo:
-            memo[tech] = feasible_bundle(self.integrator_profile, tech)
-        return memo[tech]
+        fits = memo.get(tech)
+        if fits is None:
+            fits = memo[tech] = feasible_bundle(self.integrator_profile, tech)
+        return fits
 
 
 @dataclass(frozen=True)
@@ -168,25 +150,63 @@ class GapSummary:
 
 @dataclass(frozen=True)
 class SpecialistLayer:
-    """Head-count shares mu_j, atom profiles H(pi_j)*pi_j, aggregate
-    specialist knowledge S and its mass, the gap summary, and the
-    integration capacity J (None when there is no gap)."""
+    """The specialist layer of a block of designs on shared atoms, one row
+    per design: head-count shares mu_j (N, n_atoms), atom profiles
+    H(pi_j)*pi_j (n_atoms, K), aggregate specialist knowledge S (N, K) and
+    its mass (N, 1), and per row the gap summary and the integration
+    capacity J (None when there is no gap). stack holds the atoms'
+    profiles, then the rows' integrator profiles, as system_knowledge's
+    economy-free half."""
 
     mu: np.ndarray
     profiles: np.ndarray
     S: np.ndarray
-    total: float
-    gaps: GapSummary
-    J: float | None
+    total: np.ndarray
+    gaps: list[GapSummary]
+    J: list[float | None]
+    stack: ProfileStack
+
+
+def layer_rows(directions, scales, weights, m, integrator) -> SpecialistLayer:
+    """The specialist layer of each row of a block of designs on the atoms
+    `directions` at frontier scales H(pi_j): per row its mastery weights
+    (N, n_atoms), integrator share m (N,) and integrator profile (N, K).
+
+    Atom j holds head-count share proportional to w_j/H(pi_j) and profile
+    H(pi_j)*pi_j; gaps are taken against the realized mix. Every step is
+    row-wise (row_products, row sums), so a row has the same bits in any
+    block, the one-row block of Allocation.layer included.
+    """
+    mu = weights / scales
+    mu /= mu.sum(axis=1, keepdims=True)
+    profiles = scales[:, None] * directions
+    specialists = (1.0 - m)[:, None]
+    S = specialists * row_products(mu, profiles)
+    total = S.sum(axis=1, keepdims=True)
+    # a row with no specialists (m = 1) has no gap
+    mix = np.divide(S, total, out=np.zeros_like(S), where=total > 0.0)
+    shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[:, None, :] - profiles, 0.0, None)
+    G = specialists * row_products(mu, shortfall)
+    g = G.sum(axis=1)
+    gap = g > GAP_TOL
+    h = G[gap] / g[gap, None]
+    with_gap = zip(h, (m[gap] * integrator_capacity(integrator[gap], h)).tolist())
+    gaps, capacity = [], []
+    for row, mass, has_gap in zip(G, g.tolist(), gap.tolist()):
+        h_i, J_i = next(with_gap) if has_gap else (None, None)
+        gaps.append(GapSummary(G=row, g=mass if has_gap else 0.0, h=h_i))
+        capacity.append(J_i)
+    stack = profile_stack(np.vstack([profiles, integrator]))
+    return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, gaps=gaps, J=capacity, stack=stack)
 
 
 def integrator_capacity(s, h):
     """Bundles of gap profile h embedded in profile s: min s_k/h_k over
     h_k>0. Given (N,K) stacks it returns one value per row, as an array."""
-    sv = np.clip(np.asarray(s, dtype=float), 0.0, None)
+    sv = np.maximum(np.asarray(s, dtype=float), 0.0)
     hv = np.asarray(h, dtype=float)
     mask = hv > 0.0
-    if not np.all(np.any(mask, axis=-1)):
+    if not mask.any(axis=-1).all():
         raise DomainError("gap profile has no positive coordinate")
     J = np.divide(sv, hv, out=np.full(hv.shape, np.inf), where=mask).min(axis=-1)
     return J if J.ndim else float(J)
@@ -207,79 +227,45 @@ class Accounts:
 def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     """Evaluate a feasible allocation at its atoms' stored frontier scales.
 
-    The specialist layer, the normalized knowledge profiles and the budget
-    check (per learning technology) are computed once per allocation; what
-    depends on the rest of the economy is evaluated on every call. Raises
-    DomainError unless the integrator profile fits the learning budget and
-    integrators cover theta times the gap mass.
+    The specialist layer with its normalized knowledge profiles, and the
+    budget check (per learning technology), are computed once per
+    allocation; what depends on the rest of the economy is evaluated on
+    every call. Raises DomainError unless the integrator profile fits the
+    learning budget and integrators cover theta times the gap mass.
     """
-    fits = alloc.fits_budget(econ.tech)
-    layer = alloc.layer
-    gaps = layer.gaps
-    _check_feasible(fits, layer.J, gaps.g, econ.theta)
-    knowledge = system_knowledge(alloc.knowledge_stack, econ.u, econ.p)
-    return Accounts(
-        gaps=gaps,
-        Y=econ.V * coverage(layer.S, layer.total * econ.q),
-        B_S=float(sum(w * k for w, k in zip(layer.mu, knowledge[:-1]))),
-        B_M=float(knowledge[-1]),
-    )
+    return _economy_accounts(alloc.layer, [alloc.fits_budget(econ.tech)], econ)[0]
 
 
-def _check_feasible(fits: bool, J: float | None, g: float, theta: float) -> None:
-    """Raise DomainError unless the integrator profile fits the learning
-    budget (fits) and the integration capacity J covers theta times the gap
-    mass g (J is None when there is no gap)."""
-    if not fits:
-        raise DomainError("integrator profile exceeds the learning budget")
-    if J is not None and J < theta * g - FEAS_TOL:
-        raise DomainError(
-            f"integration capacity {J:.6e} below requirement {theta * g:.6e}"
-        )
+def accounts_rows(rows: DesignRows, econ: Economy) -> list[Accounts]:
+    """accounts of every row of `rows`, each with the bits of
+    accounts(rows.allocation(i), econ), from one layer_rows pass over the
+    block. Like accounts it checks feasibility, row by row in order, and
+    raises the DomainError of the first row that fails."""
+    layer = layer_rows(rows.directions, rows.scales, rows.weights, rows.m, rows.integrator)
+    return _economy_accounts(layer, feasible_bundle(rows.integrator, econ.tech).tolist(), econ)
 
 
-@dataclass(frozen=True)
-class AccountsRows:
-    """accounts of each row of a DesignRows, as lists: output and group
-    knowledge."""
-
-    Y: list[float]
-    B_S: list[float]
-    B_M: list[float]
-
-
-def accounts_rows(rows: DesignRows, econ: Economy) -> AccountsRows:
-    """accounts of every row of `rows` in one array pass, each value with
-    the bits of accounts(rows.allocation(i), econ): the specialist layer
-    as Allocation.layer builds it, one matrix-vector product per row
-    (row_products), the atoms' knowledge once, as every row shares them,
-    the integrators' as one system_knowledge stack, and B_S as accounts's
-    left-to-right sum. Like accounts it checks feasibility, row by row in
-    order, and raises the DomainError of the first row that fails.
-    """
-    H, m = rows.scales, rows.m
-    mu = rows.weights / H
-    mu /= mu.sum(axis=1, keepdims=True)
-    profiles = H[:, None] * rows.directions
-    specialists = (1.0 - m)[:, None]
-    S = specialists * row_products(mu, profiles)
-    total = S.sum(axis=1)
-    # a row with no specialists (m = 1) has no gap, as in Allocation.layer
-    mix = np.divide(S, total[:, None], out=np.zeros_like(S), where=total[:, None] > 0.0)
-    shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * mix[:, None, :] - profiles, 0.0, None)
-    G = specialists * row_products(mu, shortfall)
-    g = G.sum(axis=1)
-    gap = g > GAP_TOL
-    J = iter((m[gap] * integrator_capacity(rows.integrator[gap], G[gap] / g[gap, None])).tolist())
-    fits = feasible_bundle(rows.integrator, econ.tech).tolist()
-    for ok, has_gap, mass in zip(fits, gap.tolist(), g.tolist()):
-        _check_feasible(ok, next(J) if has_gap else None, mass, econ.theta)
-    atoms = system_knowledge(profiles, econ.u, econ.p).tolist()
-    return AccountsRows(
-        Y=(econ.V * np.minimum(S, total[:, None] * econ.q).sum(axis=1)).tolist(),
-        B_S=[float(sum(w * k for w, k in zip(row, atoms))) for row in mu.tolist()],
-        B_M=system_knowledge(rows.integrator, econ.u, econ.p).tolist(),
-    )
+def _economy_accounts(layer: SpecialistLayer, fits: list[bool], econ: Economy) -> list[Accounts]:
+    """The Accounts of each row of a specialist layer in one economy, given
+    whether each row's integrator profile fits its learning budget: each
+    row's feasibility in order, then output and the group knowledge from one
+    system_knowledge call on the layer's stack (the atoms' values shared by
+    every row, B_S as a left-to-right sum over them)."""
+    for ok, gaps, J in zip(fits, layer.gaps, layer.J):
+        if not ok:
+            raise DomainError("integrator profile exceeds the learning budget")
+        if J is not None and J < econ.theta * gaps.g - FEAS_TOL:
+            raise DomainError(
+                f"integration capacity {J:.6e} below requirement {econ.theta * gaps.g:.6e}"
+            )
+    knowledge = system_knowledge(layer.stack, econ.u, econ.p).tolist()
+    n_atoms = len(layer.profiles)
+    atoms = knowledge[:n_atoms]
+    cov = np.minimum(layer.S, layer.total * econ.q).sum(axis=1)
+    return [
+        Accounts(gaps=gaps, Y=econ.V * c, B_S=float(sum(w * k for w, k in zip(mu, atoms))), B_M=b_M)
+        for gaps, c, mu, b_M in zip(layer.gaps, cov.tolist(), layer.mu.tolist(), knowledge[n_atoms:])
+    ]
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,11 @@ eta* = -2*B_soc*A/B_soc' (above it when B_soc' > 0).
 The b sweep is one array pass: broadening_allocation's grid form gives the
 family as arrays (per atom set, the atom scales and each share's weights,
 Gamma, E_nu[lambda] and integrator profile, none of which moves with theta;
-theta sets m), and broadening_statics evaluates the gap bundles, the
-specialist layer, the feasibility checks, Y and the group knowledge of
-every share from them (production.accounts_rows), then each share's
-political equilibrium and welfare_accounts, each value with the bits of
-the per-share path. `verify` holds every cell it emits against that path
+theta sets m), and broadening_statics reads every share's Accounts (gaps,
+feasibility, Y and the group knowledge) from one production.accounts_rows
+call per atom set, then each share's political equilibrium and
+welfare_accounts, each value with the bits of the per-share path.
+`verify` holds every cell it emits against that path
 (broadening_allocation(b) and total_welfare). theta_statics composes its
 welfare through welfare_accounts too.
 
@@ -167,16 +167,15 @@ def broadening_statics(econ: Economy, b_grid) -> BroadeningStaticsReport:
         raise DomainError("broadening statics need a 1-d grid of shares")
     m, Y, B_S, B_M, B_soc, welfare = [], [], [], [], [], []
     for rows in broadening_allocation(grid, econ):
-        acc = accounts_rows(rows, econ)
-        for share, y, b_S, b_M in zip(rows.m.tolist(), acc.Y, acc.B_S, acc.B_M):
+        for share, acc in zip(rows.m.tolist(), accounts_rows(rows, econ)):
             m.append(share)
-            Y.append(y)
-            B_S.append(b_S)
-            B_M.append(b_M)
-            B_soc.append((1.0 - share) * b_S + share * b_M)
+            Y.append(acc.Y)
+            B_S.append(acc.B_S)
+            B_M.append(acc.B_M)
+            B_soc.append((1.0 - share) * acc.B_S + share * acc.B_M)
             # where m = 0 there are no integrators, so no voting game
             welfare.append(
-                welfare_accounts(econ, equilibrium_from_groups(econ, y, share, b_S, b_M))
+                welfare_accounts(econ, equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M))
                 if 0.0 < share < 1.0 else None
             )
     return BroadeningStaticsReport(

@@ -31,10 +31,12 @@ DECOMPOSITION_STEP = 1e-5  # finite-difference step of decompose_along
 DECOMPOSITION_RESIDUAL = 1e-4  # residual bound of the alpha sweep and of verify's check
 
 
-def service_welfare(outcome: PoliticalOutcome, m: float) -> float:
-    """Population-weighted log services (1-m)*log t_S + m*log t_M."""
+def service_welfare(outcome: PoliticalOutcome) -> float:
+    """Population-weighted log services (1-m)*log t_S + m*log t_M at the
+    outcome's integrator share m."""
     if outcome.t_S <= 0.0 or outcome.t_M <= 0.0:
         raise DomainError("log service utility needs positive services")
+    m = outcome.m
     return (1.0 - m) * math.log(outcome.t_S) + m * math.log(outcome.t_M)
 
 
@@ -106,7 +108,7 @@ def welfare_accounts(econ: Economy, outcome: PoliticalOutcome) -> WelfareReport:
     """The welfare accounts of a political outcome: service welfare, the
     dispersion penalty and W = (1-tau)*Y + V_serv. Every welfare figure the
     engine reports is composed here."""
-    V_serv = service_welfare(outcome, outcome.m)
+    V_serv = service_welfare(outcome)
     return WelfareReport(
         Y=outcome.Y,
         service_welfare=V_serv,

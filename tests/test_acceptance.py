@@ -217,7 +217,7 @@ def test_criterion_08_welfare_representation(econ):
         out = equilibrium_from_groups(
             econ, Y=float(rng.uniform(0.5, 40.0)), m=m, B_S=B_S, B_M=B_M
         )
-        v = service_welfare(out, m)
+        v = service_welfare(out)
         d = dispersion(B_S, B_M, m)
         worst = max(worst, abs(v - (math.log(out.R) - d)))
         sign_ok &= d >= 0.0
@@ -318,12 +318,12 @@ def test_criterion_13_competitive_support(econ):
         resid <= 1e-10
         and bound.unique_ok
         and nd.worst_margin >= -1e-9
-        and nd.r <= w.r_bar
+        and nd.r <= bound.r_bar
     )
     report(
         13, "competitive-support", ok,
         f"wage residuals {resid:.3e} <= 1e-10, worst margin {nd.worst_margin:.3e} >= -1e-9, "
-        f"r={nd.r:.4f} <= r_bar={w.r_bar:.4f}",
+        f"r={nd.r:.4f} <= r_bar={bound.r_bar:.4f}",
     )
 
 

@@ -1,10 +1,10 @@
 """Bit identity of the batched sweep paths.
 
-Each batched path (a stack of system_knowledge rows, a b grid of
-broadening allocations and its welfare accounts, a theta grid of optima,
-accounts on an allocation whose specialist layer and normalized knowledge
-rows are already cached)
-must give every point the bits of the per-point loop it replaced, or stay
+Each batched path (a stack of system_knowledge rows, a block of
+accounts_rows, a b grid of broadening allocations and its welfare
+accounts, a theta grid of optima, accounts on an allocation whose
+specialist layer and normalized knowledge rows are already cached) must
+give every point the bits of the per-point loop it replaced, or stay
 within a stated ulp bound. The loops are copied here, so that a change to
 the engine cannot move both sides at once.
 """
@@ -20,7 +20,10 @@ from specint.errors import DomainError
 from specint.knowledge import fragmentation, system_knowledge
 from specint.learning import LearningTech, max_scale, max_scale_batch
 from specint.production import (
+    GAP_TOL,
+    Accounts,
     Allocation,
+    GapSummary,
     SpecialistDesign,
     accounts,
     accounts_rows,
@@ -123,14 +126,14 @@ def _same_allocation(a, b):
     )
 
 
+def _bytes(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
 def _same_accounts(a, b):
-    return (
-        np.array_equal(a.gaps.G, b.gaps.G)
-        and a.gaps.g == b.gaps.g
-        and (a.gaps.h is None) == (b.gaps.h is None)
-        and (a.gaps.h is None or np.array_equal(a.gaps.h, b.gaps.h))
-        and (a.Y, a.B_S, a.B_M) == (b.Y, b.B_S, b.B_M)
-    )
+    """Whether two Accounts hold the same bytes, field by field."""
+    fields = lambda acc: (acc.gaps.G, acc.gaps.g, acc.gaps.h, acc.Y, acc.B_S, acc.B_M)
+    return [_bytes(x) for x in fields(a)] == [_bytes(x) for x in fields(b)]
 
 
 @pytest.mark.parametrize("K", range(2, 9))
@@ -337,6 +340,90 @@ def test_accounts_on_reused_allocation_still_checks_capacity():
     assert math.isfinite(accounts(alloc, econ).Y)
 
 
+def _accounts_one(alloc, econ):
+    """accounts of an allocation with specialists, in 1-d arithmetic: one
+    matrix-vector product and one sum per quantity, one profile at a time."""
+    design, H, m = alloc.design, alloc.scales, alloc.m
+    mu = design.weights / H
+    mu = mu / mu.sum()
+    profiles = H[:, None] * design.directions
+    S = (1.0 - m) * (mu @ profiles)
+    total = float(S.sum())
+    shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * (S / total)[None, :] - profiles, 0.0, None)
+    G = (1.0 - m) * (mu @ shortfall)
+    g = float(G.sum())
+    gaps = GapSummary(G=G, g=0.0, h=None) if g <= GAP_TOL else GapSummary(G=G, g=g, h=G / g)
+    atoms = [_knowledge_one(r, econ.u, econ.p) for r in profiles]
+    return Accounts(
+        gaps=gaps,
+        Y=econ.V * float(np.minimum(S, total * econ.q).sum()),
+        B_S=float(sum(w * k for w, k in zip(mu.tolist(), atoms))),
+        B_M=_knowledge_one(alloc.integrator_profile, econ.u, econ.p),
+    )
+
+
+def test_accounts_rows_match_accounts_of_each_row():
+    # every row of a block, the end points' one-row blocks included, gives
+    # the whole Accounts of its own allocation, and that has the bits of
+    # the 1-d arithmetic
+    rng = np.random.default_rng(23)
+    for econ in [*ECONOMIES, K8]:
+        grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), rng.uniform(0.0, 1.0, 4)]))
+        n = 0
+        for rows in broadening_allocation(grid, econ):
+            got = accounts_rows(rows, econ)
+            assert len(got) == rows.m.size
+            for i, acc in enumerate(got):
+                want = accounts(rows.allocation(i), econ)
+                assert _same_accounts(acc, want), (econ.K, econ.tech.family, i)
+                assert _same_accounts(want, _accounts_one(rows.allocation(i), econ))
+            n += len(got)
+        assert n == grid.size
+
+
+def test_layer_kernel_runs_once_per_allocation_along_the_alpha_sweep(monkeypatch):
+    from specint import production
+
+    kernel = production.layer_rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(production, "layer_rows", counted)
+    for econ in (ECONOMIES[0], K8):
+        calls.clear()
+        fam = interface_family(econ)
+        for alpha in _alpha_sweep_points():
+            econ_a, alloc = fam(alpha)
+            accounts(alloc, econ_a)
+        assert calls == [1]
+
+
+def test_gap_accounting_makes_one_row_evaluation_per_K(monkeypatch):
+    from specint import oracles
+
+    evaluate = oracles.accounts_rows
+    blocks = []
+
+    def counted(rows, econ):
+        blocks.append((econ.K, rows.m.size))
+        return evaluate(rows, econ)
+
+    def refuse(*args):
+        raise AssertionError("per-mix accounts in gap-accounting")
+
+    monkeypatch.setattr(oracles, "accounts_rows", counted)
+    monkeypatch.setattr(oracles, "accounts", refuse)
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    res = oracles.check_gap_accounting(scn, np.random.default_rng(scn.seed), 1.0)
+    assert res.status == "pass"
+    Ks = [K for K, _ in blocks]
+    assert sorted(set(Ks)) == Ks
+    assert sum(n for _, n in blocks) == 200
+
+
 def test_accounts_rows_raise_what_accounts_raises_on_an_infeasible_row():
     # halving a row's integrators halves its capacity; doubling them
     # overruns the learning budget; the first such row in order is reported
@@ -362,7 +449,7 @@ def _knowledge_loop(alloc, econ):
     """(B_S, B_M) of accounts, one _knowledge_one call per profile."""
     layer = alloc.layer
     atoms = [_knowledge_one(r, econ.u, econ.p) for r in layer.profiles]
-    B_S = float(sum(w * k for w, k in zip(layer.mu, atoms)))
+    B_S = float(sum(w * k for w, k in zip(layer.mu[0], atoms)))
     return B_S, _knowledge_one(alloc.integrator_profile, econ.u, econ.p)
 
 
@@ -375,7 +462,7 @@ def test_accounts_on_cached_rows_match_per_row_loop():
             for _ in range(2):
                 acc = accounts(alloc, econ)
                 assert (acc.B_S, acc.B_M) == want, (econ.K, econ.tech.family, b)
-            assert "knowledge_stack" in alloc.__dict__
+            assert "layer" in alloc.__dict__
 
 
 def _alpha_sweep_points(n=21):

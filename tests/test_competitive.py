@@ -155,7 +155,7 @@ def test_no_deviation_on_default(econ, scenario):
     rep = no_deviation_check(w, econ, resolution=6, max_atoms=2)
     assert rep.passed
     assert rep.worst_margin >= -1e-9
-    assert rep.r <= w.r_bar
+    assert rep.r <= ratio_bound(econ).r_bar
     assert rep.cost_at_optimum == pytest.approx(
         unit_cost(econ.q, corner_design(econ.q), rep.r, econ), abs=1e-14
     )

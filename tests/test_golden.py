@@ -53,6 +53,21 @@ GOLDEN_K5_EXPONENTIAL = {
     "sweep --axis theta": "6689fea7872f08988910c2920be7047522740de8bf0272cc8292eccb229f51a5",
 }
 
+# CI's K = 8 economy: from 8 terms on numpy sums a row pairwise, so the
+# specialist layer's row sums and the knowledge row sums take that path
+K8 = {
+    "oracle.resolution": "2",
+    "economy.q": "0.2,0.16,0.14,0.12,0.11,0.1,0.09,0.08",
+    "economy.u": "0.13,0.128,0.126,0.125,0.124,0.123,0.122,0.122",
+}
+
+GOLDEN_K8 = {
+    "solve": "030b35033cc5be1209be570f671b990c7ca5aee7ab24da4165ad0d9510a47a52",
+    "sweep --axis b": "b95cf4e90d5bca86828265b711ea97b2dd79ff1e30c6a91ce787b909bb1c2f71",
+    "sweep --axis alpha": "6f4a1c1c74546473c6b04b341deab56b89cf25035d0628707de8ef9c57943214",
+    "sweep --axis theta": "e386091865e1797a52df429b05dae930da262e0f22aae1e313b560c7d480b712",
+}
+
 VERIFY_SMALL_BUDGETS = "72253521980e0a7b7fca3110a1e760a945c490f8d5ff86a12e670565515d52f3"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
@@ -80,6 +95,14 @@ def test_k5_exponential_csv_digest(tmp_path, command):
     cfg = write_cfg(tmp_path / "k5.cfg", K5_EXPONENTIAL)
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 0
     assert _digest(out) == GOLDEN_K5_EXPONENTIAL[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_K8))
+def test_k8_csv_digest(tmp_path, command):
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path / "k8.cfg", K8)
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN_K8[command]
 
 
 def test_verify_small_budgets_csv_digest(tmp_path):

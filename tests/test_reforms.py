@@ -131,7 +131,7 @@ def test_theta_statics_welfare_at_the_printed_output():
     acc = accounts(productive_optimum(econ)[1], econ)
     for Y, m, W in zip(rep.Y.tolist(), rep.m.tolist(), rep.welfare.tolist()):
         out = equilibrium_from_groups(econ, Y, m, acc.B_S, acc.B_M)
-        assert W == (1.0 - econ.tau) * Y + service_welfare(out, m)
+        assert W == (1.0 - econ.tau) * Y + service_welfare(out)
 
 
 @pytest.mark.parametrize("grid", ["1e-15:2e-15:3", "0.1:0.1000000000000001:3"])

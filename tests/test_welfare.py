@@ -49,7 +49,7 @@ def test_service_welfare_representation(econ):
         B_S = float(rng.uniform(0.02, 0.9))
         B_M = B_S if i % 5 == 0 else float(rng.uniform(0.02, 0.9))
         out = equilibrium_from_groups(econ, Y=float(rng.uniform(1, 30)), m=m, B_S=B_S, B_M=B_M)
-        v = service_welfare(out, m)
+        v = service_welfare(out)
         d = dispersion(B_S, B_M, m)
         assert abs(v - (math.log(out.R) - d)) <= 1e-10
         assert d >= 0.0
@@ -63,8 +63,8 @@ def test_service_welfare_log_shift(econ):
         e_pol=out.e_pol, z_pol=out.z_pol, t_S=2.0 * out.t_S, t_M=2.0 * out.t_M,
         R=2.0 * out.R, B_S=out.B_S, B_M=out.B_M, B_soc=out.B_soc, m=out.m, Y=out.Y,
     )
-    assert service_welfare(scaled, 0.3) == pytest.approx(
-        service_welfare(out, 0.3) + math.log(2.0), abs=1e-12
+    assert service_welfare(scaled) == pytest.approx(
+        service_welfare(out) + math.log(2.0), abs=1e-12
     )
 
 
@@ -75,7 +75,7 @@ def test_service_welfare_rejects_zero_service(econ):
         R=out.R, B_S=out.B_S, B_M=out.B_M, B_soc=out.B_soc, m=out.m, Y=out.Y,
     )
     with pytest.raises(DomainError, match="log service utility needs positive services"):
-        service_welfare(broken, 0.3)
+        service_welfare(broken)
 
 
 def test_total_welfare_composition(econ):
