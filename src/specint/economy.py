@@ -63,6 +63,14 @@ class Economy:
         _check_u(u, self.q)
         return self._with(u=u)
 
+    def check_civic_stack(self, stack: np.ndarray) -> None:
+        """Check each row of an (M, K) stack of civic profiles as with_u
+        checks one profile, raising the error of the first row that fails."""
+        ok = (stack.min(axis=1) > 0.0) & (np.abs(stack.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL)
+        if stack.shape[1:] != self.q.shape or not ok.all():
+            for row in stack:
+                _check_u(row, self.q)
+
     def _with(self, **fields) -> "Economy":
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, **fields)

@@ -73,18 +73,25 @@ def profile_stack(s) -> ProfileStack:
 def system_knowledge(s, u: np.ndarray, p: float):
     """System knowledge ||s||_1**p * C(direction, u); 0 for the zero profile.
 
-    s is one profile (a float comes back), an (N,K) stack of profiles (an
-    (N,) array comes back, one value per row) or the ProfileStack of
-    either. Each row gets the bits of its own 1-d call: its mass and
-    coverage are row sums, and its power is the Python float `**`, which
-    np.power can miss by an ulp.
+    s is one profile, an (N,K) stack of profiles or the ProfileStack of
+    either; u is one civic profile or an (M,K) stack of them. One profile
+    under one civic profile gives a float; otherwise an array comes back,
+    one axis per stack, civic profiles first ((M,N) for two stacks). Each
+    value has the bits of its own 1-d call: its mass and coverage are row
+    sums, and its power is the Python float `**`, which np.power can miss
+    by an ulp.
     """
     stack = s if isinstance(s, ProfileStack) else profile_stack(s)
-    if stack.directions.shape[1:] != np.shape(u):
-        raise DomainError(f"dimension mismatch: {stack.shape} vs {np.shape(u)}")
-    cov = np.minimum(stack.directions, u).sum(axis=1)
-    out = [m**p * c if m != 0.0 else 0.0 for m, c in zip(stack.mass, cov.tolist())]
-    return out[0] if len(stack.shape) == 1 else np.array(out)
+    civic = np.asarray(u, dtype=float)
+    if civic.ndim not in (1, 2) or stack.directions.shape[1:] != civic.shape[-1:]:
+        raise DomainError(f"dimension mismatch: {stack.shape} vs {civic.shape}")
+    cov = np.minimum(stack.directions, civic[..., None, :]).sum(axis=-1)
+    # a product has the same bits in numpy as in Python; the power does not
+    out = np.array([m**p if m != 0.0 else 0.0 for m in stack.mass]) * cov
+    if 0.0 in stack.mass:
+        out[..., np.array(stack.mass) == 0.0] = 0.0
+    shape = civic.shape[:-1] + stack.shape[:-1]
+    return out.reshape(shape) if shape else float(out[0])
 
 
 @dataclass(frozen=True)

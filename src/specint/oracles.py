@@ -18,7 +18,7 @@ import numpy as np
 
 from . import competitive, learning, production, reforms, welfare
 from .economy import Economy
-from .errors import HypothesisError, OracleError
+from .errors import HypothesisError, ModelError, OracleError
 from .knowledge import check_diffuse, coverage, fragmentation, system_knowledge
 from .learning import gamma_index, max_scale, max_scale_batch
 from .politics import (
@@ -57,6 +57,15 @@ class CheckResult:
 def _result(name, metric, tolerance, note=""):
     status = "pass" if metric <= tolerance else "fail"
     return CheckResult(name, status, float(metric), float(tolerance), note)
+
+
+def _outcome(rows) -> str:
+    """repr of the rows, or the type and message of the engine error that
+    computing them raises."""
+    try:
+        return repr(rows())
+    except ModelError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _interior_simplex(rng, K):
@@ -483,17 +492,18 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = 0.0
     bfam = reforms.broadening_family(econ)
     for b in (0.0, 0.3, 0.7):
-        worst = max(worst, decompose_along(bfam, b).residual)
+        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*bfam(x)), b).residual)
     ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        worst = max(worst, decompose_along(ifam, a).residual)
+        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*ifam(x)), a).residual)
     return _result("decomposition-residual", worst, welfare.DECOMPOSITION_RESIDUAL)
 
 
 def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     slope = reforms.broadening_derivative(econ)
-    fd = decompose_along(reforms.broadening_family(econ), 0.0).dB_soc
+    bfam = reforms.broadening_family(econ)
+    fd = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
     worst = abs(fd - slope.value) / 1e-6
     note = f"regime={slope.regime}"
     if slope.regime == "cutoff":
@@ -554,6 +564,28 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     theta_small = reforms.interface_threshold(econ, scn.alpha_grid)
     if not theta_small > 0.0:
         worst = max(worst, 2.0)
+    # the sweep's array pass against the per-point path (the family's
+    # economy and the full welfare accounts at every stencil point, under
+    # the sweep's stop rule), cell by cell as the CSV writes them (repr);
+    # where both raise, the same error is the same outcome
+    grid = scn.alpha_grid.tolist()
+
+    def per_point():
+        rows = []
+        for a in grid:
+            d = decompose_along(econ, lambda x: total_welfare(*fam(x)), a, grid[0], grid[-1])
+            at = reforms.residual_checked(d, a).at
+            o = at.outcome
+            rows.append((a, o.B_S, o.B_M, o.B_soc, at.dispersion, at.welfare, d.fd_total))
+        return rows
+
+    def array_pass():
+        r = reforms.interface_statics(econ, scn.alpha_grid)
+        columns = (r.alpha_grid, r.B_S, r.B_M, r.B_soc, r.dispersion, r.welfare, r.dW)
+        return list(zip(*(c.tolist() for c in columns)))
+
+    same = _outcome(per_point) == _outcome(array_pass)
+    worst = max(worst, 0.0 if same else 2.0)
     note = f"theta_small={theta_small:.6g}"
     return _result("interface-statics", worst, 1.0, note)
 
@@ -672,7 +704,8 @@ def check_excess_specialization(scn: Scenario, rng, tol_scale) -> CheckResult:
 
     def fd_slope(eta):
         econ_eta = dataclasses.replace(econ, gov=dataclasses.replace(econ.gov, eta=eta))
-        return decompose_along(reforms.broadening_family(econ_eta), 0.0)
+        bfam = reforms.broadening_family(econ_eta)
+        return decompose_along(econ_eta, lambda x: total_welfare(*bfam(x)), 0.0)
 
     fd = fd_slope(econ.gov.eta)
     scale = 1.0 + abs(fd.productive_term) + abs(fd.governance_term) + abs(fd.targeting_term)

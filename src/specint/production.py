@@ -11,7 +11,8 @@ specialist layer of each row of a block of designs on shared atoms
 (minimal_rows), and accounts_rows() adds up each row's feasibility, output
 and group knowledge in one economy; accounts() does the same on an
 allocation's cached one-row layer, with the bits and the feasibility
-errors that row has in any block.
+errors that row has in any block, and civic_accounts() under each civic
+profile of a stack.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -233,7 +234,7 @@ def accounts(alloc: Allocation, econ: Economy) -> Accounts:
     every call. Raises DomainError unless the integrator profile fits the
     learning budget and integrators cover theta times the gap mass.
     """
-    return _economy_accounts(alloc.layer, [alloc.fits_budget(econ.tech)], econ)[0]
+    return _economy_accounts(alloc.layer, [alloc.fits_budget(econ.tech)], econ, econ.u[None, :])[0]
 
 
 def accounts_rows(rows: DesignRows, econ: Economy) -> list[Accounts]:
@@ -242,15 +243,29 @@ def accounts_rows(rows: DesignRows, econ: Economy) -> list[Accounts]:
     block. Like accounts it checks feasibility, row by row in order, and
     raises the DomainError of the first row that fails."""
     layer = layer_rows(rows.directions, rows.scales, rows.weights, rows.m, rows.integrator)
-    return _economy_accounts(layer, feasible_bundle(rows.integrator, econ.tech).tolist(), econ)
+    fits = feasible_bundle(rows.integrator, econ.tech).tolist()
+    return _economy_accounts(layer, fits, econ, econ.u[None, :])
 
 
-def _economy_accounts(layer: SpecialistLayer, fits: list[bool], econ: Economy) -> list[Accounts]:
-    """The Accounts of each row of a specialist layer in one economy, given
-    whether each row's integrator profile fits its learning budget: each
-    row's feasibility in order, then output and the group knowledge from one
-    system_knowledge call on the layer's stack (the atoms' values shared by
-    every row, B_S as a left-to-right sum over them)."""
+def civic_accounts(alloc: Allocation, econ: Economy, civic: np.ndarray) -> list[Accounts]:
+    """accounts of one allocation under each civic profile of an (M, K)
+    stack, each with the bits of accounts(alloc, econ.with_u(civic[i])).
+    The stack is checked row by row as with_u checks one profile, and
+    feasibility (which no civic profile moves) once; the group knowledge of
+    every row comes from one system_knowledge call."""
+    econ.check_civic_stack(civic)
+    return _economy_accounts(alloc.layer, [alloc.fits_budget(econ.tech)], econ, civic)
+
+
+def _economy_accounts(
+    layer: SpecialistLayer, fits: list[bool], econ: Economy, civic: np.ndarray
+) -> list[Accounts]:
+    """The Accounts of each row of a specialist layer in one economy under
+    each civic profile of an (M, K) stack, civic profile by civic profile,
+    given whether each row's integrator profile fits its learning budget:
+    each row's feasibility in order, then output, and the group knowledge
+    from one system_knowledge call of the layer's stack against the civic
+    stack (the atoms' values shared by every row)."""
     for ok, gaps, J in zip(fits, layer.gaps, layer.J):
         if not ok:
             raise DomainError("integrator profile exceeds the learning budget")
@@ -258,13 +273,19 @@ def _economy_accounts(layer: SpecialistLayer, fits: list[bool], econ: Economy) -
             raise DomainError(
                 f"integration capacity {J:.6e} below requirement {econ.theta * gaps.g:.6e}"
             )
-    knowledge = system_knowledge(layer.stack, econ.u, econ.p).tolist()
+    Y = [econ.V * c for c in np.minimum(layer.S, layer.total * econ.q).sum(axis=1).tolist()]
+    knowledge = system_knowledge(layer.stack, civic, econ.p)
     n_atoms = len(layer.profiles)
-    atoms = knowledge[:n_atoms]
-    cov = np.minimum(layer.S, layer.total * econ.q).sum(axis=1)
+    # B_S adds the atoms' terms left to right from 0, with the bits of a
+    # Python sum (np.sum adds 8 or more terms pairwise, and a contraction
+    # such as einsum rounds otherwise); + 0.0 gives the 0.0 that a sum from
+    # 0 has where every term is -0.0
+    terms = knowledge[:, None, :n_atoms] * layer.mu
+    B_S = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
     return [
-        Accounts(gaps=gaps, Y=econ.V * c, B_S=float(sum(w * k for w, k in zip(mu, atoms))), B_M=b_M)
-        for gaps, c, mu, b_M in zip(layer.gaps, cov.tolist(), layer.mu.tolist(), knowledge[n_atoms:])
+        Accounts(gaps=gaps, Y=y, B_S=b_S, B_M=b_M)
+        for S_row, M_row in zip(B_S.tolist(), knowledge[:, n_atoms:].tolist())
+        for gaps, y, b_S, b_M in zip(layer.gaps, Y, S_row, M_row)
     ]
 
 

@@ -47,6 +47,9 @@ profile, u(alpha) = (1-alpha)*q + alpha*h*(q), at the fixed productive
 allocation. Specialist knowledge falls at rate
 [ (sum q^2)^2 - sum q^3 ] / D(q) <= 0 and integrator knowledge rises at
 rate H(h*)**p * [1 - C(h*,q)] >= 0, both strict unless q is uniform.
+The alpha sweep is one array pass too (interface_statics), and `verify`
+holds every cell it emits against the per-point path
+(interface_family(alpha) and total_welfare at each stencil point).
 
 Integration-cost statics: along theta the optimum moves only the integrator
 share m = theta*D/(H + theta*D) and output Y = V*H/(H + theta*D), with
@@ -82,6 +85,7 @@ from .politics import equilibrium_from_groups
 from .production import (
     accounts,
     accounts_rows,
+    civic_accounts,
     corner_design,
     gap_profile_star,
     minimal_allocation,
@@ -89,7 +93,16 @@ from .production import (
     productive_optimum,
     single_atom,
 )
-from .welfare import DECOMPOSITION_RESIDUAL, Family, WelfareReport, decompose_along, welfare_accounts
+from .welfare import (
+    DECOMPOSITION_RESIDUAL,
+    Decomposition,
+    Family,
+    WelfareReport,
+    decompose_along,
+    stencil_points,
+    total_welfare,
+    welfare_accounts,
+)
 
 CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
@@ -241,7 +254,7 @@ def bisect_broadening_cutoff(econ: Economy) -> float:
                 solved[b] = broadening_allocation(np.array([b]), econ)[0]
             return econ_t, solved[b].at_theta(theta).allocation(0)
 
-        return decompose_along(family, 0.0).dB_soc
+        return decompose_along(econ_t, lambda b: total_welfare(*family(b)), 0.0).dB_soc
 
     lo = 1e-9
     if slope(lo) <= 0.0:
@@ -262,9 +275,11 @@ def bisect_broadening_cutoff(econ: Economy) -> float:
     return 0.5 * (lo + hi)
 
 
-def interface_profile(q: np.ndarray, alpha: float, h_star: np.ndarray | None = None) -> np.ndarray:
+def interface_profile(q: np.ndarray, alpha, h_star: np.ndarray | None = None) -> np.ndarray:
     """Civic profile tilted from q toward the gap profile h*(q), which a
-    caller tilting the same q many times passes in as h_star."""
+    caller tilting the same q many times passes in as h_star. An (M, 1)
+    column of alphas gives the (M, K) stack of their profiles, each row
+    with the bits of its own call."""
     h = gap_profile_star(q) if h_star is None else h_star
     return (1.0 - alpha) * q + alpha * h
 
@@ -297,12 +312,17 @@ class InterfaceStaticsReport:
 
 def interface_closed_slopes(econ: Economy) -> tuple[float, float]:
     """(B_S'(alpha), B_M'(alpha)): constants of the affine coverage path."""
+    h_star = gap_profile_star(econ.q)
+    return _closed_slopes(econ, h_star, max_scale(econ.tech, h_star))
+
+
+def _closed_slopes(econ: Economy, h_star: np.ndarray, H: float) -> tuple[float, float]:
+    """interface_closed_slopes given h*(q) and its frontier H = H(h*)."""
     q = econ.q
-    h = gap_profile_star(q)
     s2 = float((q**2).sum())
     s3 = float((q**3).sum())
     B_S_slope = (s2**2 - s3) / fragmentation(q)
-    B_M_slope = max_scale(econ.tech, h) ** econ.p * (1.0 - coverage(h, q))
+    B_M_slope = H**econ.p * (1.0 - coverage(h_star, q))
     return B_S_slope, B_M_slope
 
 
@@ -314,24 +334,53 @@ def dispersion_slope(B_S, B_M, dB_S, dB_M, m) -> float:
     )
 
 
+def residual_checked(d: Decomposition, alpha: float) -> Decomposition:
+    """The alpha sweep's stop rule: d, unless its decomposition residual is
+    not within DECOMPOSITION_RESIDUAL (a nan residual is not), which raises
+    OracleError naming alpha."""
+    if not d.residual <= DECOMPOSITION_RESIDUAL:
+        raise OracleError(
+            f"decomposition residual {d.residual:.3e} exceeds "
+            f"{DECOMPOSITION_RESIDUAL:.1e} at alpha={alpha:.6g}; "
+            "the step may be too large for this family"
+        )
+    return d
+
+
 def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStaticsReport:
-    """Evaluate the interface-intensity comparative statics in one pass
-    over the grid: each point's curves are the report at the centre of its
-    welfare-slope stencil. Raises OracleError at the first point whose
-    decomposition residual is not within DECOMPOSITION_RESIDUAL."""
-    B_S_slope, B_M_slope = interface_closed_slopes(econ)
-    fam = interface_family(econ)
-    lo, hi = float(alpha_grid[0]), float(alpha_grid[-1])
+    """The interface-intensity comparative statics in one array pass: the
+    fixed allocation's accounts under the civic profiles of all 3n
+    welfare-slope stencil points of an n-point grid come from one
+    civic_accounts call; then, grid point by grid point, each stencil
+    point's political equilibrium and welfare accounts feed
+    decompose_along, whose report at the stencil's centre gives the point's
+    curves. Each value has the bits of the per-point path, decompose_along
+    over total_welfare(*interface_family(econ)(x)), and the sweep stops
+    where that path would (residual_checked), before any later point is
+    evaluated."""
+    # interface_family's allocation, with the corners' frontier and H(h*)
+    # solved in one batch
+    h_star = gap_profile_star(econ.q)
+    corners = corner_design(econ.q)
+    scales = max_scale_batch(econ.tech, np.vstack([corners.directions, h_star]))
+    block = (corners.directions, scales[:-1], corners.weights[None, :])
+    alloc = minimal_rows([block], econ)[0].allocation(0)
+    B_S_slope, B_M_slope = _closed_slopes(econ, h_star, float(scales[-1]))
+    grid = np.asarray(alpha_grid, dtype=float).tolist()
+    lo, hi = grid[0], grid[-1]
+    stencils = [stencil_points(a, lo, hi)[0] for a in grid]
+    column = np.array(stencils).reshape(-1, 1)
+    accs = civic_accounts(alloc, econ, interface_profile(econ.q, column, h_star))
     slopes = []
-    for a in alpha_grid:
-        d = decompose_along(fam, a, lo=lo, hi=hi)
-        if not d.residual <= DECOMPOSITION_RESIDUAL:  # a nan residual fails too
-            raise OracleError(
-                f"decomposition residual {d.residual:.3e} exceeds "
-                f"{DECOMPOSITION_RESIDUAL:.1e} at alpha={a:.6g}; "
-                "the step may be too large for this family"
-            )
-        slopes.append(d)
+    for i, (a, points) in enumerate(zip(grid, stencils)):
+        at = dict(zip(points, accs[3 * i:3 * i + 3]))
+
+        def welfare_at(x):
+            acc = at[x]
+            outcome = equilibrium_from_groups(econ, acc.Y, alloc.m, acc.B_S, acc.B_M)
+            return welfare_accounts(econ, outcome)
+
+        slopes.append(residual_checked(decompose_along(econ, welfare_at, a, lo, hi), a))
     reports = [d.at for d in slopes]
     B_S = np.array([r.outcome.B_S for r in reports])
     B_M = np.array([r.outcome.B_M for r in reports])
@@ -388,11 +437,11 @@ def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> float:
     threshold share is the least of m_b and those roots; it is below 1, so
     theta_small is finite.
     """
-    s_S, s_M = interface_closed_slopes(econ)
-    if interface_flat(s_S, s_M):
-        return 0.0
     h_star = gap_profile_star(econ.q)
     H = max_scale(econ.tech, h_star)
+    s_S, s_M = _closed_slopes(econ, h_star, H)
+    if interface_flat(s_S, s_M):
+        return 0.0
     D = fragmentation(econ.q)
     Hp = H**econ.p
     half_eta = 0.5 * econ.gov.eta

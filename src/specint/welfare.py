@@ -11,8 +11,9 @@ Along a one-parameter family of allocations, the welfare slope splits as
     W' = [(1-tau) + R_Y/R] * Y'  +  (R_B/R) * B_soc'  -  D'
 
 (output channel, governance channel, targeting channel). Slopes are
-taken by second-order finite differences; the R sensitivities come from
-the governance module.
+taken by second-order finite differences on the points stencil_points
+chooses, from the family's welfare reports there; the R sensitivities
+come from the governance module.
 """
 
 from __future__ import annotations
@@ -124,7 +125,9 @@ def total_welfare(econ: Economy, alloc: Allocation) -> WelfareReport:
 
 
 # A family maps a parameter to (economy, allocation); the economy slot lets
-# families that move the civic profile reuse the same machinery.
+# families that move the civic profile reuse the same machinery. Its
+# per-point welfare, lambda x: total_welfare(*family(x)), is what
+# decompose_along reads.
 Family = Callable[[float], tuple[Economy, Allocation]]
 
 
@@ -156,40 +159,44 @@ def stencil(kind: int, values, h: float) -> float:
     return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
 
 
-def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) -> Decomposition:
-    """Three-term welfare slope at parameter b of an allocation family.
-
-    Uses central differences of step DECOMPOSITION_STEP inside (lo, hi)
-    and one-sided second-order stencils at the boundaries. The report's
-    residual is |productive + governance + targeting - fd_total|; above
-    DECOMPOSITION_RESIDUAL the step is too large for the family's
-    curvature, and the caller decides. Every stencil holds b itself, so the
-    report there comes back as `at`, with the bits of
-    total_welfare(*family(b)).
-    """
+def stencil_points(b: float, lo: float, hi: float) -> tuple[tuple[float, float, float], int]:
+    """The three points of decompose_along's stencil at b, in the order of
+    stencil's kind, and that kind: central (step DECOMPOSITION_STEP) inside
+    (lo, hi), one-sided at either end. Every stencil holds b itself."""
     step = DECOMPOSITION_STEP
     if b - step >= lo and b + step <= hi:
-        offsets, kind = (b - step, b, b + step), 0
-    elif b - step < lo:
-        offsets, kind = (b, b + step, b + 2.0 * step), 1
-    else:
-        offsets, kind = (b, b - step, b - 2.0 * step), -1
+        return (b - step, b, b + step), 0
+    if b - step < lo:
+        return (b, b + step, b + 2.0 * step), 1
+    return (b, b - step, b - 2.0 * step), -1
 
-    reports = []
-    for point in offsets:
-        econ_b, alloc_b = family(point)
-        reports.append((total_welfare(econ_b, alloc_b), econ_b))
-    dY = stencil(kind, [r.Y for r, _ in reports], step)
-    dB = stencil(kind, [r.outcome.B_soc for r, _ in reports], step)
-    dW = stencil(kind, [r.welfare for r, _ in reports], step)
 
-    center_report, center_econ = reports[1] if kind == 0 else reports[0]
-    R, R_Y, R_B = resource_sensitivities(
-        center_econ.gov, center_report.Y, center_report.outcome.B_soc
-    )
-    productive = ((1.0 - center_econ.tau) + R_Y / R) * dY
+def decompose_along(
+    econ: Economy, welfare_at: Callable[[float], WelfareReport], b: float,
+    lo: float = 0.0, hi: float = 1.0,
+) -> Decomposition:
+    """Three-term welfare slope at parameter b of an allocation family,
+    given its welfare report at each point of stencil_points(b, lo, hi)
+    (welfare_at, called once per point in stencil order) and the economy
+    whose governance technology and tax rate the family keeps.
+
+    The report's residual is |productive + governance + targeting -
+    fd_total|; above DECOMPOSITION_RESIDUAL the step is too large for the
+    family's curvature, and the caller decides. The report at b itself
+    comes back as `at`.
+    """
+    offsets, kind = stencil_points(b, lo, hi)
+    step = DECOMPOSITION_STEP
+    reports = [welfare_at(point) for point in offsets]
+    dY = stencil(kind, [r.Y for r in reports], step)
+    dB = stencil(kind, [r.outcome.B_soc for r in reports], step)
+    dW = stencil(kind, [r.welfare for r in reports], step)
+
+    center = reports[1] if kind == 0 else reports[0]
+    R, R_Y, R_B = resource_sensitivities(econ.gov, center.Y, center.outcome.B_soc)
+    productive = ((1.0 - econ.tau) + R_Y / R) * dY
     governance = (R_B / R) * dB
-    targeting = -stencil(kind, [r.dispersion for r, _ in reports], step)
+    targeting = -stencil(kind, [r.dispersion for r in reports], step)
     residual = abs(productive + governance + targeting - dW)
     return Decomposition(
         productive_term=productive,
@@ -198,5 +205,5 @@ def decompose_along(family: Family, b: float, lo: float = 0.0, hi: float = 1.0) 
         dB_soc=dB,
         fd_total=dW,
         residual=residual,
-        at=center_report,
+        at=center,
     )

@@ -26,7 +26,7 @@ from specint.production import (
     simplex_grid,
 )
 from specint.scenario import DEFAULTS
-from specint.welfare import decompose_along, dispersion, service_welfare
+from specint.welfare import decompose_along, dispersion, service_welfare, total_welfare
 
 from conftest import interior_simplex
 
@@ -233,16 +233,17 @@ def test_criterion_09_decomposition(econ):
     worst = 0.0
     bfam = reforms.broadening_family(econ)
     for b in (0.0, 0.25, 0.5, 0.75):
-        worst = max(worst, decompose_along(bfam, b).residual)
+        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*bfam(x)), b).residual)
     ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        worst = max(worst, decompose_along(ifam, a).residual)
+        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*ifam(x)), a).residual)
     report(9, "welfare-decomposition", worst <= 1e-4, f"max residual {worst:.3e} <= 1e-4")
 
 
 def test_criterion_10_broadening(econ):
     slope = reforms.broadening_derivative(econ)
-    fd = decompose_along(reforms.broadening_family(econ), 0.0).dB_soc
+    bfam = reforms.broadening_family(econ)
+    fd = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
     fd_gap = abs(fd - slope.value)
     located = reforms.bisect_broadening_cutoff(econ)
     flip_gap = abs(located - slope.cutoff)

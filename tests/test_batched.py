@@ -2,7 +2,8 @@
 
 Each batched path (a stack of system_knowledge rows, a block of
 accounts_rows, a b grid of broadening allocations and its welfare
-accounts, a theta grid of optima, accounts on an allocation whose
+accounts, an alpha grid's stack of civic profiles and its welfare slopes,
+a theta grid of optima, accounts on an allocation whose
 specialist layer and normalized knowledge rows are already cached) must
 give every point the bits of the per-point loop it replaced, or stay
 within a stated ulp bound. The loops are copied here, so that a change to
@@ -28,6 +29,8 @@ from specint.production import (
     accounts,
     accounts_rows,
     corner_design,
+    gap_profile_star,
+    minimal_allocation,
     productive_optimum,
     single_atom,
 )
@@ -39,6 +42,7 @@ from specint.reforms import (
     broadening_family,
     broadening_statics,
     interface_family,
+    interface_statics,
     theta_statics,
 )
 from specint.scenario import load_scenario
@@ -152,6 +156,11 @@ def test_system_knowledge_stack_matches_rows(K):
         assert got.shape == (25,)
         assert got.tolist() == want
         assert [system_knowledge(r, u, p) for r in rows] == want
+        # a stack of civic profiles adds a leading axis, one row per profile
+        civic = np.vstack([u, interior_simplex(rng, K), interior_simplex(rng, K)])
+        table = [[_knowledge_one(r, c, p) for r in rows] for c in civic]
+        assert system_knowledge(rows, civic, p).tolist() == table
+        assert system_knowledge(rows[5], civic, p).tolist() == [t[5] for t in table]
 
 
 def test_system_knowledge_stack_on_allocation_profiles():
@@ -194,7 +203,9 @@ def _bisect_fresh(econ):
     """bisect_broadening_cutoff with a fresh broadening family at every theta."""
 
     def slope(theta):
-        return decompose_along(broadening_family(econ.with_theta(theta)), 0.0).dB_soc
+        econ_t = econ.with_theta(theta)
+        bfam = broadening_family(econ_t)
+        return decompose_along(econ_t, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
 
     lo, hi = 1e-9, max(econ.theta_bar, 1.0)
     while slope(hi) > 0.0:
@@ -277,7 +288,7 @@ def test_sweep_b_makes_two_frontier_calls_and_no_per_share_accounts(tmp_path, mo
         monkeypatch.setattr(module, "max_scale_batch", counted_solve)
     for module in (production, politics, reforms):
         monkeypatch.setattr(module, "accounts", refuse)
-    for module in (welfare, cli):
+    for module in (welfare, cli, reforms):
         monkeypatch.setattr(module, "total_welfare", refuse)
     out = tmp_path / "b.csv"
     assert cli.main(["sweep", "--axis", "b", "--config", str(SCENARIOS / "default.cfg"),
@@ -491,6 +502,90 @@ def test_accounts_along_alpha_sweep_match_per_row_loop():
             assert alloc_a is alloc
             acc = accounts(alloc, econ_a)
             assert (acc.B_S, acc.B_M) == _knowledge_loop(alloc, econ_a), alpha
+
+
+def _interface_statics_one(econ, grid):
+    """The alpha sweep's emitted cells, one stencil point at a time: each
+    point's own economy (the tilted civic profile, checked by with_u), its
+    accounts in 1-d arithmetic and its full welfare accounts, and the
+    welfare slope from a second-order stencil of step DECOMPOSITION_STEP,
+    central inside the grid and one-sided at its ends."""
+    q, h = econ.q, DECOMPOSITION_STEP
+    alloc = minimal_allocation(corner_design(q), econ)
+    h_star = gap_profile_star(q)
+    lo, hi = grid[0], grid[-1]
+    rows = []
+    for a in grid:
+        if a - h >= lo and a + h <= hi:
+            points, kind = (a - h, a, a + h), 0
+        elif a - h < lo:
+            points, kind = (a, a + h, a + 2.0 * h), 1
+        else:
+            points, kind = (a, a - h, a - 2.0 * h), -1
+        reports = []
+        for x in points:
+            econ_x = econ.with_u((1.0 - x) * q + x * h_star)
+            acc = _accounts_one(alloc, econ_x)
+            rep = total_welfare(econ_x, alloc)
+            assert (rep.outcome.B_S, rep.outcome.B_M, rep.Y) == (acc.B_S, acc.B_M, acc.Y)
+            reports.append(rep)
+        f0, f1, f2 = (r.welfare for r in reports)
+        if kind == 0:
+            dW = (f2 - f0) / (2.0 * h)
+        elif kind == 1:
+            dW = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+        else:
+            dW = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+        at = reports[1] if kind == 0 else reports[0]
+        o = at.outcome
+        rows.append((a, o.B_S, o.B_M, o.B_soc, at.dispersion, at.welfare, dW))
+    return rows
+
+
+def test_interface_statics_matches_per_point_loop():
+    # full grids, an interior grid, the end points alone, and a grid whose
+    # neighbouring stencils share points and that uses all three stencils
+    grids = (
+        np.linspace(0.0, 1.0, 21),
+        np.linspace(0.2, 0.8, 7),
+        np.array([0.0, 1.0]),
+        np.array([0.0, 0.00001, 0.00002, 0.5, 1.0]),
+    )
+    for econ in [*ECONOMIES, K8]:
+        for grid in grids:
+            report = interface_statics(econ, grid)
+            columns = (report.alpha_grid, report.B_S, report.B_M, report.B_soc,
+                       report.dispersion, report.welfare, report.dW)
+            got = list(zip(*(c.tolist() for c in columns)))
+            want = _interface_statics_one(econ, grid.tolist())
+            # floats compared by their bits, through repr
+            assert repr(got) == repr(want), (econ.K, econ.tech.family, grid.tolist())
+
+
+def test_civic_accounts_raise_what_the_per_point_path_raises():
+    # a stack row that with_u rejects is reported as with_u reports it, the
+    # first such row in order; an allocation that a dearer economy cannot
+    # support fails as accounts fails
+    from specint.errors import ConfigError
+    from specint.production import civic_accounts
+
+    econ = ECONOMIES[0]
+    alloc = minimal_allocation(corner_design(econ.q), econ)
+    civic = np.vstack([econ.u, econ.q, econ.u])
+    assert len(civic_accounts(alloc, econ, civic)) == 3
+    for bad in (np.full(econ.K, 1.0), np.r_[0.0, econ.q[1:] / econ.q[1:].sum()]):
+        rows = np.vstack([econ.u, bad, 2.0 * econ.u])
+        with pytest.raises(ConfigError) as want:
+            econ.with_u(bad)
+        with pytest.raises(ConfigError) as got:
+            civic_accounts(alloc, econ, rows)
+        assert str(got.value) == str(want.value)
+    dear = econ.with_theta(4.0 * econ.theta)
+    with pytest.raises(DomainError, match="integration capacity") as want:
+        accounts(alloc, dear)
+    with pytest.raises(DomainError, match="integration capacity") as got:
+        civic_accounts(alloc, dear, civic)
+    assert str(got.value) == str(want.value)
 
 
 def test_accounts_under_two_powers_match_per_row_loop():

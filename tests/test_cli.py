@@ -491,7 +491,9 @@ def test_cost_without_concavity_gap_exits_one(tmp_path, capsys, family, command)
 
 def test_sweep_alpha_frontier_solves_do_not_grow_with_grid(tmp_path, monkeypatch):
     # the interface family holds its allocation fixed, so the atoms' frontier
-    # is solved when the allocation is built, not again at each alpha
+    # is solved when the allocation is built, not again at each alpha: one
+    # batch of the corners and h* (whose H(h*) the closed slopes read), and
+    # one of the integrator direction
     calls = []
     solve = learning.max_scale_batch
 
@@ -499,14 +501,15 @@ def test_sweep_alpha_frontier_solves_do_not_grow_with_grid(tmp_path, monkeypatch
         calls.append(directions.shape[0])
         return solve(tech, directions)
 
-    monkeypatch.setattr(learning, "max_scale_batch", counted)
+    for module in (learning, reforms):
+        monkeypatch.setattr(module, "max_scale_batch", counted)
     counts = []
     for grid in ("0.0:1.0:5", "0.0:1.0:21"):
         calls.clear()
         cfg = write_cfg(tmp_path / "alpha.cfg", {"sweep.alpha": grid})
         assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        counts.append(list(calls))
+    assert counts == [[4, 1], [4, 1]]
 
 
 def test_solve_solves_the_optimum_once(tmp_path, monkeypatch):
@@ -526,23 +529,44 @@ def test_solve_solves_the_optimum_once(tmp_path, monkeypatch):
     assert [c.tobytes() for c in calls] == [h_star[None, :].tobytes()]
 
 
-def test_sweep_alpha_evaluates_welfare_three_times_per_grid_point(tmp_path, monkeypatch):
-    # each grid point's curves are the report at the centre of its slope
-    # stencil, so welfare is evaluated at the three stencil points alone
-    calls = []
-    evaluate = welfare.total_welfare
+def test_sweep_alpha_is_one_array_pass(tmp_path, monkeypatch):
+    # the civic profiles of every stencil point meet the fixed allocation in
+    # one system_knowledge call on the (3n, K) stack; no per-point economy,
+    # accounts or welfare evaluation is left, and each grid point is still
+    # decomposed once
+    from specint import knowledge, oracles, politics
+    from specint.economy import Economy
 
-    def counted(econ, alloc):
-        calls.append(alloc)
-        return evaluate(econ, alloc)
+    knowledge_calls, decompositions = [], []
+    system_knowledge, decompose_along = knowledge.system_knowledge, welfare.decompose_along
 
-    for module in (welfare, cli):
-        monkeypatch.setattr(module, "total_welfare", counted)
+    def counted_knowledge(s, u, p):
+        knowledge_calls.append(np.shape(u))
+        return system_knowledge(s, u, p)
+
+    def counted_decompose(*args):
+        decompositions.append(args[2])
+        return decompose_along(*args)
+
+    def refuse(*args):
+        raise AssertionError("per-point evaluation in the alpha sweep")
+
+    for module in (knowledge, production, reforms, oracles):
+        monkeypatch.setattr(module, "system_knowledge", counted_knowledge)
+    for module in (welfare, reforms):
+        monkeypatch.setattr(module, "decompose_along", counted_decompose)
+    for module in (welfare, cli, reforms):
+        monkeypatch.setattr(module, "total_welfare", refuse)
+    for module in (politics, welfare):
+        monkeypatch.setattr(module, "political_equilibrium", refuse)
+    monkeypatch.setattr(Economy, "with_u", refuse)
     for n in (5, 21):
-        calls.clear()
+        knowledge_calls.clear()
+        decompositions.clear()
         cfg = write_cfg(tmp_path / "alpha.cfg", {"sweep.alpha": f"0.0:1.0:{n}"})
         assert main(["sweep", "--axis", "alpha", "--config", cfg]) == 0
-        assert len(calls) == 3 * n
+        assert knowledge_calls == [(3 * n, 3)]
+        assert decompositions == np.linspace(0.0, 1.0, n).tolist()
 
 
 def test_near_linear_exponential_cost_runs(tmp_path):

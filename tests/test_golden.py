@@ -68,6 +68,13 @@ GOLDEN_K8 = {
     "sweep --axis theta": "e386091865e1797a52df429b05dae930da262e0f22aae1e313b560c7d480b712",
 }
 
+# default.cfg with an alpha grid whose neighbouring stencils share points
+# (0 and 1e-5 both stencil on 0, 1e-5, 2e-5) and that takes all three
+# stencil kinds
+DENSE_ALPHA = {"sweep.alpha": "0.0,0.00001,0.00002,0.5,1.0"}
+
+GOLDEN_DENSE_ALPHA = "2d3369b100840e06a7c25ba397bada0445bf61e0f11983521c26ec4a074d6093"
+
 VERIFY_SMALL_BUDGETS = "72253521980e0a7b7fca3110a1e760a945c490f8d5ff86a12e670565515d52f3"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
@@ -103,6 +110,13 @@ def test_k8_csv_digest(tmp_path, command):
     cfg = write_cfg(tmp_path / "k8.cfg", K8)
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 0
     assert _digest(out) == GOLDEN_K8[command]
+
+
+def test_dense_alpha_grid_csv_digest(tmp_path):
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path / "dense.cfg", DENSE_ALPHA)
+    assert main(["sweep", "--axis", "alpha", "--config", cfg, "--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN_DENSE_ALPHA
 
 
 def test_verify_small_budgets_csv_digest(tmp_path):

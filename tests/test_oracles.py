@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specint import learning, oracles, reforms, welfare
+from specint import learning, oracles, reforms
 from specint.economy import Economy
 from specint.errors import OracleError
 from specint.knowledge import DiffuseCheck, check_diffuse, fragmentation
@@ -257,20 +257,39 @@ def test_batched_checks_solve_frontier_once_per_size(check, monkeypatch):
     assert all(sizes.count(K) <= 2 for K in set(sizes)), sizes
 
 
-def test_interface_statics_check_runs_no_welfare(monkeypatch):
-    # the check compares closed-form slopes and locates theta_small; it has
-    # no use for the welfare curves of the alpha sweep
+def test_interface_statics_check_holds_every_sweep_row(monkeypatch):
+    # the check holds every cell of the alpha sweep's array pass against the
+    # per-point path: one value nudged by an ulp in one row fails it
     scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
-    calls = []
-    evaluate = welfare.total_welfare
+    result = run_check(oracles.check_interface_statics, scn)
+    assert result.status == "pass", result
+    statics = reforms.interface_statics
+    columns = ("alpha_grid", "B_S", "B_M", "B_soc", "dispersion", "welfare", "dW")
+    for index, column in enumerate(columns):
+        def nudged(econ, grid, index=index % scn.alpha_grid.size, column=column):
+            report = statics(econ, grid)
+            values = getattr(report, column).copy()
+            values[index] = math.nextafter(values[index], math.inf)
+            return dataclasses.replace(report, **{column: values})
 
-    def counted(econ, alloc):
-        calls.append(alloc)
-        return evaluate(econ, alloc)
+        monkeypatch.setattr(reforms, "interface_statics", nudged)
+        assert run_check(oracles.check_interface_statics, scn).status == "fail", column
 
-    monkeypatch.setattr(welfare, "total_welfare", counted)
+
+def test_interface_statics_check_compares_the_stop_rule(monkeypatch):
+    # at V = 1e200 both paths stop at alpha = 0 on the same decomposition
+    # residual, which is the same outcome; an array pass that stops on
+    # another message is not
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS, "economy.v": "1e200"})
+    with pytest.raises(OracleError, match="at alpha=0;"):
+        reforms.interface_statics(scn.econ, scn.alpha_grid)
     assert run_check(oracles.check_interface_statics, scn).status == "pass"
-    assert calls == []
+
+    def stops_later(econ, grid):
+        raise OracleError("decomposition residual 1.665e-02 exceeds 1.0e-04 at alpha=0.25;")
+
+    monkeypatch.setattr(reforms, "interface_statics", stops_later)
+    assert run_check(oracles.check_interface_statics, scn).status == "fail"
 
 
 @pytest.mark.parametrize("B_S_slope", [0.01, 1e-15])

@@ -200,7 +200,8 @@ def test_broadening_derivative_matches_fd(econ):
         - _broadening_b_soc(econ, 2 * h)
     ) / (2 * h)
     assert abs(fd - slope.value) <= 1e-6
-    assert decompose_along(broadening_family(econ), 0.0).dB_soc == fd
+    bfam = broadening_family(econ)
+    assert decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc == fd
 
 
 def test_broadening_cutoff_regimes():
@@ -323,7 +324,8 @@ def test_interface_family_profile_is_exactly_the_affine_path():
 def test_broadening_governance_term_positive_at_zero(econ):
     # civic capacity rises at b=0 here, so the governance term of the
     # welfare slope is strictly positive
-    d = decompose_along(broadening_family(econ), 0.0)
+    bfam = broadening_family(econ)
+    d = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0)
     assert d.dB_soc > 0.0
     assert d.governance_term > 0.0
 
@@ -355,6 +357,26 @@ def test_interface_coverage_affine(econ):
     slopes = np.diff(covs) / np.diff(alphas)
     assert np.allclose(slopes, slopes[0], atol=1e-12)
     assert slopes[0] == pytest.approx(1.0 - coverage(h_star, econ.q), abs=1e-12)
+
+
+def test_interface_statics_stops_before_evaluating_later_points(econ, monkeypatch):
+    # at V = 1e200 the residual at alpha = 0 stops the sweep before any
+    # later stencil point's equilibrium is solved, so an evaluation error
+    # there cannot pre-empt it
+    huge = dataclasses.replace(econ, V=1e200)
+    solve = reforms.equilibrium_from_groups
+    solved = []
+
+    def failing_later(econ, Y, m, B_S, B_M):
+        solved.append(B_S)
+        if len(solved) > 3:
+            raise DomainError("a later stencil point")
+        return solve(econ, Y, m, B_S, B_M)
+
+    monkeypatch.setattr(reforms, "equilibrium_from_groups", failing_later)
+    with pytest.raises(OracleError, match="at alpha=0;"):
+        interface_statics(huge, np.linspace(0.0, 1.0, 5))
+    assert len(solved) == 3
 
 
 def test_interface_statics_report(econ, scenario):
@@ -448,7 +470,8 @@ def test_interface_threshold_flips_finite_difference_slopes():
     def both_negative(econ, grid):
         fam = interface_family(econ)
         lo, hi = float(grid[0]), float(grid[-1])
-        slopes = [decompose_along(fam, float(a), lo=lo, hi=hi) for a in grid]
+        slopes = [decompose_along(econ, lambda x: total_welfare(*fam(x)), float(a), lo, hi)
+                  for a in grid]
         return all(d.dB_soc < 0.0 and d.fd_total < 0.0 for d in slopes)
 
     for econ, grid in _threshold_cases():

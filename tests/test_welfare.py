@@ -114,8 +114,7 @@ def test_total_welfare_degenerate_group_raises(econ):
 
 def test_decompose_constant_family_is_zero(econ):
     _, alloc = productive_optimum(econ)
-    fam = lambda b: (econ, alloc)
-    d = decompose_along(fam, 0.4)
+    d = decompose_along(econ, lambda b: total_welfare(econ, alloc), 0.4)
     assert abs(d.productive_term) <= 1e-12
     assert abs(d.governance_term) <= 1e-12
     assert abs(d.targeting_term) <= 1e-12
@@ -125,16 +124,16 @@ def test_decompose_constant_family_is_zero(econ):
 def test_decompose_residual_small_on_both_families(econ):
     bfam = broadening_family(econ)
     for b in (0.0, 0.25, 0.6, 1.0 - 1e-3):
-        assert decompose_along(bfam, b).residual <= 1e-4
+        assert decompose_along(econ, lambda x: total_welfare(*bfam(x)), b).residual <= 1e-4
     ifam = interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        assert decompose_along(ifam, a, lo=0.0, hi=1.0).residual <= 1e-4
+        assert decompose_along(econ, lambda x: total_welfare(*ifam(x)), a, 0.0, 1.0).residual <= 1e-4
 
 
 def test_decompose_boundary_uses_one_sided(econ):
     bfam = broadening_family(econ)
-    d0 = decompose_along(bfam, 0.0)
-    d_in = decompose_along(bfam, 1e-5)
+    d0 = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0)
+    d_in = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 1e-5)
     assert d0.fd_total == pytest.approx(d_in.fd_total, rel=1e-3, abs=1e-4)
 
 
@@ -149,9 +148,9 @@ def test_decompose_returns_the_report_at_its_parameter(econ, b, offsets):
 
     def recorded(a):
         points.append(a)
-        return fam(a)
+        return total_welfare(*fam(a))
 
-    d = decompose_along(recorded, b, lo=0.0, hi=1.0)
+    d = decompose_along(econ, recorded, b, 0.0, 1.0)
     assert points == [b + k * DECOMPOSITION_STEP for k in offsets]
     want = total_welfare(*fam(b))
     assert np.array(d.at.csv_row()).tobytes() == np.array(want.csv_row()).tobytes()
