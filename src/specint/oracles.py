@@ -499,6 +499,87 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
     return _result("decomposition-residual", worst, welfare.DECOMPOSITION_RESIDUAL)
 
 
+def _fd_slopes(econ: Economy, family, x: float, lo: float = 0.0, hi: float = 1.0):
+    """decompose_along at x over fresh welfare reports of the family, then
+    the finite-difference slopes of civic capacity, welfare and service
+    welfare there as (slope, bound) pairs. Each bound is the stencil's
+    round-off when every value is within eps of its size: the sum of the
+    stencil's absolute coefficients (2 central, 8 one-sided, over 2h) times
+    eps times the largest value differenced."""
+    reports = []
+
+    def welfare_at(y):
+        reports.append(total_welfare(*family(y)))
+        return reports[-1]
+
+    d = decompose_along(econ, welfare_at, x, lo, hi)
+    kind = welfare.stencil_points(x, lo, hi)[1]
+    unit = (2.0 if kind == 0 else 8.0) * _EPS / (2.0 * welfare.DECOMPOSITION_STEP)
+    civic = [r.outcome.B_soc for r in reports]
+    total = [r.welfare for r in reports]
+    service = [r.service_welfare for r in reports]
+    return (
+        d,
+        (d.dB_soc, unit * max(map(abs, civic))),
+        (d.fd_total, unit * max(map(abs, total))),
+        (welfare.stencil(kind, service, welfare.DECOMPOSITION_STEP), unit * max(map(abs, service))),
+    )
+
+
+def sign_bracket(slope, x: float, w0: float, rising: bool) -> float | None:
+    """Certify x as the sign change of a slope: the half-width w at which
+    slope(x - w) and slope(x + w) are both resolved (each value's size
+    above the noise bound slope returns with it) and of opposite signs,
+    negative below x if rising and positive if not; None otherwise. While a
+    side is unresolved, w grows tenfold from w0 up to the cap 1e-3*|x|."""
+    cap = 1e-3 * abs(x)
+    w = min(w0, cap)
+    while True:
+        (below, below_noise), (above, above_noise) = slope(x - w), slope(x + w)
+        if abs(below) > below_noise and abs(above) > above_noise:
+            return w if (below < 0.0 < above if rising else above < 0.0 < below) else None
+        if w >= cap:
+            return None
+        w = min(10.0 * w, cap)
+
+
+def cutoff_bracket(econ: Economy, cutoff: float) -> float | None:
+    """sign_bracket of theta_cut from w0 = 1e-6, where the finite-difference
+    dB_soc/db at b = 0 over a fresh broadening family at each theta, free of
+    the closed form, falls through 0."""
+
+    def civic_slope(theta):
+        econ_t = econ.with_theta(theta)
+        return _fd_slopes(econ_t, reforms.broadening_family(econ_t), 0.0)[1]
+
+    return sign_bracket(civic_slope, cutoff, 1e-6, rising=False)
+
+
+def threshold_bracket(econ: Economy, alpha_grid, theta_small: float) -> float | None:
+    """sign_bracket of theta_small from w0 = 1e-6*theta_small, where the
+    largest finite-difference dB_soc/dalpha and dW/dalpha over the grid,
+    each over a fresh interface family at each theta, rises through 0.
+    Output is fixed along alpha, so dW/dalpha is the slope of service
+    welfare, whose round-off does not grow with V as that of W does."""
+    grid = np.asarray(alpha_grid, dtype=float).tolist()
+
+    def largest_slope(theta):
+        econ_t = econ.with_theta(theta)
+        fam = reforms.interface_family(econ_t)
+        value = noise = -math.inf
+        for a in grid:
+            _, civic, _, service = _fd_slopes(econ_t, fam, a, grid[0], grid[-1])
+            value = max(value, civic[0], service[0])
+            noise = max(noise, civic[1], service[1])
+        return value, noise
+
+    return sign_bracket(largest_slope, theta_small, 1e-6 * theta_small, rising=True)
+
+
+def _bracket_note(name: str, x: float, w: float | None) -> str:
+    return f"{name}={x:.6g} " + (f"bracketed within {w:.3g}" if w is not None else "not bracketed")
+
+
 def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     slope = reforms.broadening_derivative(econ)
@@ -507,9 +588,9 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = abs(fd - slope.value) / 1e-6
     note = f"regime={slope.regime}"
     if slope.regime == "cutoff":
-        located = reforms.bisect_broadening_cutoff(econ)
-        worst = max(worst, abs(located - slope.cutoff) / 1e-6)
-        note += f"; cutoff={slope.cutoff:.6g} located={located:.6g}"
+        w = cutoff_bracket(econ, slope.cutoff)
+        worst = max(worst, 0.0 if w is not None else 2.0)
+        note += "; " + _bracket_note("cutoff", slope.cutoff, w)
         if slope.cutoff > econ.theta_bar:
             note += " (above the primitive cutoff)"
     anchor0 = reforms.broadening_allocation(0.0, econ)
@@ -562,8 +643,8 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     if B_S_slope > 0.0 or B_M_slope < 0.0:
         worst = max(worst, 2.0)
     theta_small = reforms.interface_threshold(econ, scn.alpha_grid)
-    if not theta_small > 0.0:
-        worst = max(worst, 2.0)
+    w = threshold_bracket(econ, scn.alpha_grid, theta_small) if theta_small > 0.0 else None
+    worst = max(worst, 0.0 if w is not None else 2.0)
     # the sweep's array pass against the per-point path (the family's
     # economy and the full welfare accounts at every stencil point, under
     # the sweep's stop rule), cell by cell as the CSV writes them (repr);
@@ -586,8 +667,7 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
 
     same = _outcome(per_point) == _outcome(array_pass)
     worst = max(worst, 0.0 if same else 2.0)
-    note = f"theta_small={theta_small:.6g}"
-    return _result("interface-statics", worst, 1.0, note)
+    return _result("interface-statics", worst, 1.0, _bracket_note("theta_small", theta_small, w))
 
 
 def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
@@ -702,19 +782,18 @@ def check_excess_specialization(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     slope = reforms.broadening_derivative(econ)
 
-    def fd_slope(eta):
+    def fd_slopes(eta):
         econ_eta = dataclasses.replace(econ, gov=dataclasses.replace(econ.gov, eta=eta))
-        bfam = reforms.broadening_family(econ_eta)
-        return decompose_along(econ_eta, lambda x: total_welfare(*bfam(x)), 0.0)
+        return _fd_slopes(econ_eta, reforms.broadening_family(econ_eta), 0.0)
 
-    fd = fd_slope(econ.gov.eta)
+    fd = fd_slopes(econ.gov.eta)[0]
     scale = 1.0 + abs(fd.productive_term) + abs(fd.governance_term) + abs(fd.targeting_term)
     worst = abs(fd.fd_total - slope.welfare) / (1e-8 * scale)
     eta_star, where = slope.eta_star, "none"
     if eta_star is not None and 0.0 < eta_star * (1.0 + 1e-3) < 1.0:
-        below, above = (fd_slope(eta_star * f).fd_total for f in (1.0 - 1e-3, 1.0 + 1e-3))
         # the slope rises with eta when B_soc' > 0 and falls when B_soc' < 0
-        flips = below < 0.0 < above if slope.value > 0.0 else above < 0.0 < below
+        flips = sign_bracket(lambda eta: fd_slopes(eta)[2], eta_star, 1e-3 * eta_star,
+                             rising=slope.value > 0.0) is not None
         worst = max(worst, 0.0 if flips else 2.0)
         where = f"{eta_star:.6g} ({'sign flip confirmed' if flips else 'no sign flip'})"
     elif eta_star is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -366,10 +366,6 @@ class DesignRows:
     def m(self) -> np.ndarray:
         """Integrator shares theta*Gamma/(E_nu[lambda] + theta*Gamma)."""
         return self.theta * self.gamma / (self.e_lam + self.theta * self.gamma)
-
-    def at_theta(self, theta: float) -> DesignRows:
-        """The same designs at integration cost theta."""
-        return replace(self, theta=theta)
 
     def allocation(self, i: int) -> Allocation:
         """Row i as an Allocation."""

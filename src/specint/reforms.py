@@ -64,10 +64,10 @@ Welfare carries no sign assertion.
 
 Thresholds quoted "for small theta" are closed forms over the (always
 well-defined) family constructions: theta_cut above, and theta_small of
-interface_threshold, the least root of one quadratic per grid alpha. Only
-bisect_broadening_cutoff still bisects, as the finite-difference oracle
-that `verify` holds theta_cut against, and `verify` flags a cutoff above
-the primitive cutoff where optimality of the organization is certified.
+interface_threshold, the least root of one quadratic per grid alpha.
+`verify` certifies each by a sign bracket of its finite-difference slope
+(oracles.sign_bracket) and flags a cutoff above the primitive cutoff
+where optimality of the organization is certified.
 """
 
 from __future__ import annotations
@@ -100,11 +100,9 @@ from .welfare import (
     WelfareReport,
     decompose_along,
     stencil_points,
-    total_welfare,
     welfare_accounts,
 )
 
-CUTOFF_TOL = 1e-7  # theta bracket width of bisect_broadening_cutoff
 FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
 
 
@@ -235,44 +233,6 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
     else:
         regime, cutoff = "cutoff", H_h * (B_broad - qu) / (D * (B_M - B_broad))
     return BroadeningSlope(value, welfare, eta_star, cutoff, regime)
-
-
-def bisect_broadening_cutoff(econ: Economy) -> float:
-    """Locate the theta where the finite-difference slope dB_soc/db at b=0
-    (decompose_along, independent of the closed form) flips sign, bisected
-    to width CUTOFF_TOL in theta. The stencil's allocations are solved once
-    (broadening_allocation's grid form at one share) and only their
-    integrator share moves with theta, with the bits of a fresh
-    broadening_allocation(b) at each theta."""
-    solved = {}
-
-    def slope(theta: float) -> float:
-        econ_t = econ.with_theta(theta)
-
-        def family(b: float):
-            if b not in solved:
-                solved[b] = broadening_allocation(np.array([b]), econ)[0]
-            return econ_t, solved[b].at_theta(theta).allocation(0)
-
-        return decompose_along(econ_t, lambda b: total_welfare(*family(b)), 0.0).dB_soc
-
-    lo = 1e-9
-    if slope(lo) <= 0.0:
-        raise OracleError("civic-capacity slope not positive at tiny theta")
-    hi = max(econ.theta_bar, 1.0)
-    while slope(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise OracleError("civic-capacity slope never flips sign")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < CUTOFF_TOL * 0.5:
-            break
-    return 0.5 * (lo + hi)
 
 
 def interface_profile(q: np.ndarray, alpha, h_star: np.ndarray | None = None) -> np.ndarray:

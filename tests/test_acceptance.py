@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from specint import competitive, production, reforms
+from specint import competitive, oracles, production, reforms
 from specint.cli import main
 from specint.economy import Economy
 from specint.knowledge import check_diffuse, coverage, fragmentation
@@ -245,12 +245,11 @@ def test_criterion_10_broadening(econ):
     bfam = reforms.broadening_family(econ)
     fd = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
     fd_gap = abs(fd - slope.value)
-    located = reforms.bisect_broadening_cutoff(econ)
-    flip_gap = abs(located - slope.cutoff)
-    ok = fd_gap <= 1e-6 and slope.regime == "cutoff" and flip_gap <= 1e-6
+    width = oracles.cutoff_bracket(econ, slope.cutoff) if slope.regime == "cutoff" else None
+    ok = fd_gap <= 1e-6 and width is not None and width <= 1e-6
     report(
         10, "broadening-reform", ok,
-        f"slope FD gap {fd_gap:.3e} <= 1e-6, flip located within {flip_gap:.3e} of formula",
+        f"slope FD gap {fd_gap:.3e} <= 1e-6, sign flip bracketed within {width} <= 1e-6 of formula",
     )
 
 

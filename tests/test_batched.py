@@ -35,18 +35,14 @@ from specint.production import (
     single_atom,
 )
 from specint.reforms import (
-    CUTOFF_TOL,
-    bisect_broadening_cutoff,
     broadening_allocation,
-    broadening_derivative,
-    broadening_family,
     broadening_statics,
     interface_family,
     interface_statics,
     theta_statics,
 )
 from specint.scenario import load_scenario
-from specint.welfare import DECOMPOSITION_STEP, decompose_along, total_welfare
+from specint.welfare import DECOMPOSITION_STEP, total_welfare
 
 from conftest import interior_simplex, make_economy
 
@@ -184,51 +180,6 @@ def test_broadening_grid_matches_per_share_loop():
             assert _same_allocation(broadening_allocation(b, econ), want)
 
 
-def test_broadening_rows_at_another_theta_match_a_fresh_call():
-    # theta sets only the integrator share, so rows solved at one
-    # integration cost and moved to another have the bits of the per-share
-    # allocation solved there
-    for econ in ECONOMIES:
-        grid = np.array([0.0, DECOMPOSITION_STEP, 0.4, 1.0])
-        blocks = broadening_allocation(grid, econ)
-        for theta in (0.01 * econ.theta, 0.5 * econ.theta):
-            allocs = [rows.at_theta(theta).allocation(i) for rows in blocks
-                      for i in range(rows.m.size)]
-            for b, alloc in zip(grid.tolist(), allocs):
-                want = _broadening_one(b, econ.with_theta(theta))
-                assert _same_allocation(alloc, want), (econ.K, econ.tech.family, b, theta)
-
-
-def _bisect_fresh(econ):
-    """bisect_broadening_cutoff with a fresh broadening family at every theta."""
-
-    def slope(theta):
-        econ_t = econ.with_theta(theta)
-        bfam = broadening_family(econ_t)
-        return decompose_along(econ_t, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
-
-    lo, hi = 1e-9, max(econ.theta_bar, 1.0)
-    while slope(hi) > 0.0:
-        hi *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < CUTOFF_TOL * 0.5:
-            break
-    return 0.5 * (lo + hi)
-
-
-def test_bisected_cutoff_matches_fresh_families():
-    shipped = [load_scenario(str(SCENARIOS / name)).econ
-               for name in ("default.cfg", "governance_heavy.cfg")]
-    cutoff = [e for e in ECONOMIES if broadening_derivative(e).regime == "cutoff"][:3]
-    for econ in shipped + cutoff:
-        assert bisect_broadening_cutoff(econ) == _bisect_fresh(econ), (econ.K, econ.tech.family)
-
-
 def _broadening_statics_one(b, econ):
     """One sweep --axis b row of the per-share path: the share's own
     allocation and its full welfare accounts (accounts alone where m = 0)."""
@@ -288,7 +239,7 @@ def test_sweep_b_makes_two_frontier_calls_and_no_per_share_accounts(tmp_path, mo
         monkeypatch.setattr(module, "max_scale_batch", counted_solve)
     for module in (production, politics, reforms):
         monkeypatch.setattr(module, "accounts", refuse)
-    for module in (welfare, cli, reforms):
+    for module in (welfare, cli):
         monkeypatch.setattr(module, "total_welfare", refuse)
     out = tmp_path / "b.csv"
     assert cli.main(["sweep", "--axis", "b", "--config", str(SCENARIOS / "default.cfg"),

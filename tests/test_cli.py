@@ -116,7 +116,7 @@ def test_unknown_oracle_key_exits_one_and_lists_known_keys(tmp_path, capsys):
 
 
 def test_sweep_alpha_does_not_locate_theta_small(tmp_path, monkeypatch):
-    # the alpha sweep prints no theta_small column, so it never bisects for it
+    # the alpha sweep prints no theta_small column, so it never computes it
     calls = []
     monkeypatch.setattr(reforms, "interface_threshold", lambda *a: calls.append(a))
     cfg = write_cfg(tmp_path / "s.cfg", SMALL_BUDGETS)
@@ -555,7 +555,7 @@ def test_sweep_alpha_is_one_array_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "system_knowledge", counted_knowledge)
     for module in (welfare, reforms):
         monkeypatch.setattr(module, "decompose_along", counted_decompose)
-    for module in (welfare, cli, reforms):
+    for module in (welfare, cli):
         monkeypatch.setattr(module, "total_welfare", refuse)
     for module in (politics, welfare):
         monkeypatch.setattr(module, "political_equilibrium", refuse)

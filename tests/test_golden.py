@@ -75,12 +75,12 @@ DENSE_ALPHA = {"sweep.alpha": "0.0,0.00001,0.00002,0.5,1.0"}
 
 GOLDEN_DENSE_ALPHA = "2d3369b100840e06a7c25ba397bada0445bf61e0f11983521c26ec4a074d6093"
 
-VERIFY_SMALL_BUDGETS = "72253521980e0a7b7fca3110a1e760a945c490f8d5ff86a12e670565515d52f3"
+VERIFY_SMALL_BUDGETS = "7dc1415fdfb86220c9c4238cafb2209bb546655b725739b223b7297405025ae2"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
 VERIFY_FULL_BUDGETS = {
-    "default": "eb4df8d009cf30264a1e328f08eecd6a112963d78961ed7810235600796a1a05",
-    "governance_heavy": "5eaa925eed7f7a947f458af3aabb1732321c6e01340c9fa2cca831487deb060e",
+    "default": "128094dda64ec23adb4905becea134f2605efb5ec62c6fa467334f9b22b3fbcb",
+    "governance_heavy": "6cbe4b94e2b2be937b605955c71961af2ac99aa6b6e4e4e915606aaf080ef1fa",
 }
 
 

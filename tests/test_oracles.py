@@ -354,3 +354,114 @@ def test_excess_specialization_check_bites(monkeypatch):
 
         monkeypatch.setattr(reforms, "broadening_derivative", shifted)
         assert run_check(oracles.check_excess_specialization, scn).status == "fail", field
+
+
+# Economies whose broadening cutoff lies far above theta_bar, where the civic
+# slope is flat in theta: draws 7, 8, 9 and 17 of perfbench's draw_economy
+# under np.random.default_rng(2), written out. A cutoff located by bisecting
+# the finite-difference slope missed the closed form by more than 1e-6 on
+# each (by 1e-3 at the cutoff of 203).
+FLAT_CUTOFF_ECONOMIES = {
+    "draw7": {
+        "learning.family": "exponential",
+        "learning.param": "1.8087019701386604",
+        "economy.q": "0.039613426190372024,0.31058714278083255,0.2958584004675636,0.3539410305612317",
+        "economy.u": "0.2538997403525271,0.2785835341233938,0.23653536284453303,0.23098136267954608",
+        "economy.p": "0.6855638547623355",
+        "economy.theta": "0.0008479163060589776",
+        "economy.v": "12.317090170424269",
+        "gov.eta": "0.5815115916279538",
+        "gov.tau": "0.5623961376903877",
+    },
+    "draw8": {
+        "learning.family": "rational",
+        "learning.param": "0.660060578310953",
+        "economy.q": "0.10524876716076878,0.2512231340039778,0.2046869809017122,0.19078566684252066,0.24805545109102062",
+        "economy.u": "0.23903963456975216,0.18066846940909378,0.20904629641219524,0.18597997700694308,0.1852656226020157",
+        "economy.p": "0.30525664055192503",
+        "economy.theta": "0.013631550571678377",
+        "economy.v": "18.497404090927382",
+        "gov.eta": "0.5233017377452711",
+        "gov.tau": "0.5827510393592498",
+    },
+    "draw9": {
+        "learning.family": "exponential",
+        "learning.param": "2.5600774435369464",
+        "economy.q": "0.37043876834823436,0.3323304322232772,0.2972307994284884",
+        "economy.u": "0.36655551425124455,0.30529747914307026,0.3281470066056852",
+        "economy.p": "0.08779381574149862",
+        "economy.theta": "0.0019813776489159443",
+        "economy.v": "24.578201564070678",
+        "gov.eta": "0.6568195154793985",
+        "gov.tau": "0.215556985227412",
+    },
+    "draw17": {
+        "learning.family": "exponential",
+        "learning.param": "1.7317911996652553",
+        "economy.q": "0.04494369396146396,0.22152438490660353,0.18120833033141107,0.3455451508289714,0.20677843997155007",
+        "economy.u": "0.20444891780776656,0.19638580216778775,0.19263150856542224,0.20229432654931437,0.2042394449097092",
+        "economy.p": "0.22283064435702296",
+        "economy.theta": "0.002574662211800535",
+        "economy.v": "10.570297621473806",
+        "gov.eta": "0.3895670172348447",
+        "gov.tau": "0.284079314001052",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CUTOFF_ECONOMIES))
+def test_broadening_check_brackets_flat_cutoffs(name):
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS, **FLAT_CUTOFF_ECONOMIES[name]})
+    result = run_check(oracles.check_broadening, scn)
+    assert result.status == "pass", result
+    assert "bracketed within" in result.note
+    assert result.note.endswith("(above the primitive cutoff)")
+
+
+@pytest.mark.parametrize("name", ["default", "governance_heavy"])
+def test_broadening_check_makes_three_decompositions(monkeypatch, name):
+    # the slope at b = 0, then one on each side of theta_cut: the sign
+    # bracket resolves at its first half-width
+    from specint import welfare
+
+    calls = []
+    decompose_along = welfare.decompose_along
+
+    def counted_decompose(*args):
+        calls.append(args[2])
+        return decompose_along(*args)
+
+    for module in (welfare, reforms, oracles):
+        monkeypatch.setattr(module, "decompose_along", counted_decompose)
+    result = run_check(oracles.check_broadening, load_scenario(str(SCENARIOS / f"{name}.cfg")))
+    assert result.status == "pass", result
+    assert "bracketed within 1e-06" in result.note
+    assert calls == [0.0, 0.0, 0.0]
+
+
+def test_sign_bracket_widens_only_while_a_side_is_unresolved():
+    def line(root, noise):
+        return lambda t: (t - root, noise)
+
+    bracket = oracles.sign_bracket
+    assert bracket(line(2.0, 0.0), 2.0, 1e-6, rising=True) == 1e-6
+    # widened tenfold twice, then resolved; at the cap 2e-3 and resolved
+    assert bracket(line(2.0, 5e-5), 2.0, 1e-6, rising=True) == pytest.approx(1e-4)
+    assert bracket(line(2.0, 1.5e-3), 2.0, 1e-6, rising=True) == 2e-3
+    # the cap reached unresolved, equal signs, and the wrong order all fail
+    assert bracket(line(2.0, 1e-2), 2.0, 1e-6, rising=True) is None
+    assert bracket(line(2.0 + 1e-5, 0.0), 2.0, 1e-6, rising=True) is None
+    assert bracket(line(2.0, 0.0), 2.0, 1e-6, rising=False) is None
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_interface_statics_check_brackets_theta_small(monkeypatch, factor):
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    result = run_check(oracles.check_interface_statics, scn)
+    assert result.status == "pass", result
+    assert result.note.startswith("theta_small=0.287037 bracketed within")
+    threshold = reforms.interface_threshold
+    monkeypatch.setattr(reforms, "interface_threshold",
+                        lambda econ, grid: threshold(econ, grid) * factor)
+    result = run_check(oracles.check_interface_statics, scn)
+    assert result.status == "fail" and result.note.endswith("not bracketed"), result

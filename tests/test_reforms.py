@@ -20,7 +20,6 @@ from specint.production import (
     productive_optimum,
 )
 from specint.reforms import (
-    bisect_broadening_cutoff,
     broadening_allocation,
     broadening_derivative,
     broadening_family,
@@ -227,10 +226,13 @@ def test_broadening_derivative_sign_around_cutoff(econ):
     assert abs(at.value) <= 1e-12
 
 
-def test_broadening_cutoff_bisection_matches_formula(econ):
-    slope = broadening_derivative(econ)
-    located = bisect_broadening_cutoff(econ)
-    assert abs(located - slope.cutoff) <= 1e-6
+def test_broadening_cutoff_sign_bracket_at_formula(econ):
+    # the finite-difference civic slope changes sign within 1e-6 of the
+    # closed-form cutoff, and not around the cutoff moved by 1e-6 of itself
+    cutoff = broadening_derivative(econ).cutoff
+    assert oracles.cutoff_bracket(econ, cutoff) == 1e-6
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+        assert oracles.cutoff_bracket(econ, cutoff * factor) is None
 
 
 def test_broadening_small_theta_limit(econ):
