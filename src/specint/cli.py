@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import competitive, oracles, reforms
+from . import reforms
 from .errors import ConfigError, DomainError, HypothesisError, OracleError
 from .production import productive_optimum
 from .scenario import Scenario, load_scenario
@@ -46,11 +46,17 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _format_rows(header: list[str], rows: list[list]) -> list[list[str]]:
+def _format_rows(header: list[str], rows: list) -> list[list[str]]:
     """Format every cell; raise OracleError naming the column of the first
-    non-finite number, before anything is printed or written."""
+    non-finite number in row-major order, before anything is printed or
+    written. A row of finite Python floats (every sweep row but the b
+    sweep's blank ones) is checked and printed by C-level maps, any other
+    row cell by cell."""
     cells = []
     for row in rows:
+        if set(map(type, row)) == {float} and all(map(math.isfinite, row)):
+            cells.append(list(map(repr, row)))
+            continue
         for name, value in zip(header, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise OracleError(f"column {name} holds a non-finite result ({_fmt(value)})")
@@ -88,6 +94,8 @@ def _scenario_columns(scn: Scenario) -> tuple[list[str], list]:
 
 
 def cmd_solve(scn: Scenario, out_path: str | None) -> int:
+    from . import competitive
+
     econ = scn.econ
     opt, alloc = productive_optimum(econ)
     report = total_welfare(econ, alloc)
@@ -157,53 +165,15 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     return 0
 
 
-def _sweep_b(scn: Scenario) -> tuple[list[str], list[list]]:
-    report = reforms.broadening_statics(scn.econ, scn.b_grid)
-    header = ["b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M",
-              "R", "service_welfare", "dispersion", "welfare"]
-    rows = []
-    for i, rep in enumerate(report.welfare):
-        row = [report.b[i], report.m[i], report.Y[i], report.B_S[i], report.B_M[i],
-               report.B_soc[i]]
-        if rep is None:  # no integrators, so no voting game
-            row += [None] * 8
-        else:
-            o = rep.outcome
-            row += [o.e_pol, o.z_pol, o.t_S, o.t_M, o.R, rep.service_welfare,
-                    rep.dispersion, rep.welfare]
-        rows.append(row)
-    return header, rows
-
-
-def _sweep_alpha(scn: Scenario) -> tuple[list[str], list[list]]:
-    report = reforms.interface_statics(scn.econ, scn.alpha_grid)
-    header = ["alpha", "B_S", "B_M", "B_soc", "dispersion", "welfare",
-              "B_S_slope", "B_M_slope", "B_soc_slope", "dW_dalpha"]
-    curves = zip(report.alpha_grid.tolist(), report.B_S.tolist(), report.B_M.tolist(),
-                 report.B_soc.tolist(), report.dispersion.tolist(), report.welfare.tolist())
-    slopes = [report.B_S_slope, report.B_M_slope, report.B_soc_slope]
-    rows = [[*curve, *slopes, dW] for curve, dW in zip(curves, report.dW.tolist())]
-    return header, rows
-
-
-def _sweep_theta(scn: Scenario) -> tuple[list[str], list[list]]:
-    report = reforms.theta_statics(scn.econ, scn.theta_grid())
-    header = ["theta", "m", "Y", "B_soc", "welfare", "dm_dtheta"]
-    columns = (report.theta_grid, report.m, report.Y, report.B_soc, report.welfare,
-               report.dm_dtheta)
-    return header, [list(row) for row in zip(*(c.tolist() for c in columns))]
-
-
 def cmd_sweep(scn: Scenario, axis: str, out_path: str | None) -> int:
-    if axis == "b":
-        header, rows = _sweep_b(scn)
-    elif axis == "alpha":
-        header, rows = _sweep_alpha(scn)
-    elif axis == "theta":
-        header, rows = _sweep_theta(scn)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose b, alpha, or theta")
-    cells = _format_rows(header, rows)
+    statics, grid = {
+        "b": (reforms.broadening_statics, scn.b_grid),
+        "alpha": (reforms.interface_statics, scn.alpha_grid),
+        "theta": (reforms.theta_statics, scn.theta_grid()),
+    }[axis]
+    columns = statics(scn.econ, grid)
+    header = list(columns)
+    cells = _format_rows(header, list(zip(*columns.values())))
     if out_path:
         _write_csv(out_path, header, cells)
         print(f"wrote {out_path} ({len(cells)} rows)")
@@ -215,6 +185,8 @@ def cmd_sweep(scn: Scenario, axis: str, out_path: str | None) -> int:
 
 
 def cmd_verify(scn: Scenario, out_path: str | None) -> int:
+    from . import oracles
+
     results = oracles.run_all(scn)
     header = ["check", "status", "metric", "tolerance", "note"]
     rows = [[r.name, r.status, r.metric, r.tolerance, r.note] for r in results]

@@ -601,23 +601,25 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     )
     worst = max(worst, anchor_gap / 1e-10)
     worst = max(worst, abs(reforms.broadening_allocation(1.0, econ).m) / 1e-12)
-    # the sweep's array pass against the per-share path (a fresh allocation
-    # and its full welfare accounts) at every share of the grid, cell by
-    # cell as the CSV writes them (repr), so that even -0.0 and 0.0 differ
-    want = []
+    # the sweep's table against the per-share path (a fresh allocation and
+    # its full welfare accounts) at every share of the grid, column by
+    # column as the CSV writes them (repr), so that even -0.0 and 0.0
+    # differ; where m = 0 there is no voting game, and only b, m, Y and the
+    # group knowledge are filled in
+    got = reforms.broadening_statics(econ, scn.b_grid)
+    want = {name: [] for name in got}
     for b in scn.b_grid.tolist():
         alloc = reforms.broadening_allocation(b, econ)
         if 0.0 < alloc.m < 1.0:
             rep = total_welfare(econ, alloc)
-            o = rep.outcome
-            want.append((b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, rep))
+            cells = dict(zip(welfare.WelfareReport.CSV_COLUMNS, rep.csv_row()))
         else:
             acc = accounts(alloc, econ)
             B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
-            want.append((b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc, None))
-    report = reforms.broadening_statics(econ, scn.b_grid)
-    got = list(zip(report.b, report.m, report.Y, report.B_S, report.B_M, report.B_soc,
-                   report.welfare))
+            cells = {"Y": acc.Y, "B_S": acc.B_S, "B_M": acc.B_M, "B_soc": B_soc}
+        cells.update(b=b, m=alloc.m)
+        for name, column in want.items():
+            column.append(cells.get(name))
     worst = max(worst, 0.0 if repr(got) == repr(want) else 2.0)
     return _result("broadening-slope-and-cutoff", worst, 1.0, note)
 
@@ -645,10 +647,11 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     theta_small = reforms.interface_threshold(econ, scn.alpha_grid)
     w = threshold_bracket(econ, scn.alpha_grid, theta_small) if theta_small > 0.0 else None
     worst = max(worst, 0.0 if w is not None else 2.0)
-    # the sweep's array pass against the per-point path (the family's
-    # economy and the full welfare accounts at every stencil point, under
-    # the sweep's stop rule), cell by cell as the CSV writes them (repr);
-    # where both raise, the same error is the same outcome
+    # the sweep's table against the per-point path (the family's economy
+    # and the full welfare accounts at every stencil point, under the
+    # sweep's stop rule, and the closed-form slopes), column by column as
+    # the CSV writes them (repr); where both raise, the same error is the
+    # same outcome
     grid = scn.alpha_grid.tolist()
 
     def per_point():
@@ -657,15 +660,18 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
             d = decompose_along(econ, lambda x: total_welfare(*fam(x)), a, grid[0], grid[-1])
             at = reforms.residual_checked(d, a).at
             o = at.outcome
-            rows.append((a, o.B_S, o.B_M, o.B_soc, at.dispersion, at.welfare, d.fd_total))
-        return rows
+            rows.append({
+                "alpha": a, "B_S": o.B_S, "B_M": o.B_M, "B_soc": o.B_soc,
+                "dispersion": at.dispersion, "welfare": at.welfare,
+                "B_S_slope": B_S_slope, "B_M_slope": B_M_slope,
+                "B_soc_slope": (1.0 - o.m) * B_S_slope + o.m * B_M_slope,
+                "dW_dalpha": d.fd_total,
+            })
+        return {name: [row[name] for row in rows] for name in rows[0]}
 
-    def array_pass():
-        r = reforms.interface_statics(econ, scn.alpha_grid)
-        columns = (r.alpha_grid, r.B_S, r.B_M, r.B_soc, r.dispersion, r.welfare, r.dW)
-        return list(zip(*(c.tolist() for c in columns)))
-
-    same = _outcome(per_point) == _outcome(array_pass)
+    same = _outcome(per_point) == _outcome(
+        lambda: reforms.interface_statics(econ, scn.alpha_grid)
+    )
     worst = max(worst, 0.0 if same else 2.0)
     return _result("interface-statics", worst, 1.0, _bracket_note("theta_small", theta_small, w))
 
@@ -676,39 +682,42 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     # the closed-form rows against a fresh optimum and its full welfare
     # accounts (budget and capacity checks included) at every theta
     worst = 0.0
-    for i, theta in enumerate(report.theta_grid.tolist()):
+    for i, theta in enumerate(report["theta"]):
         econ_t = econ.with_theta(theta)
         opt, alloc = productive_optimum(econ_t)
         rep = total_welfare(econ_t, alloc)
         same = (opt.m_star, opt.Y_star, rep.outcome.B_soc) == (
-            report.m[i], report.Y[i], report.B_soc[i]
+            report["m"][i], report["Y"][i], report["B_soc"][i]
         )
         worst = max(
             worst,
             0.0 if same else 2.0,
-            abs(rep.welfare - report.welfare[i]) / (1e-12 * (1.0 + abs(rep.welfare))),
+            abs(rep.welfare - report["welfare"][i]) / (1e-12 * (1.0 + abs(rep.welfare))),
         )
     # B_S and B_M are constant in theta at the optimum, so B_soc moves with
     # m in the direction of B_M - B_S
     strictness = min(
-        float(np.diff(report.m).min()),
-        float(-np.diff(report.Y).max()),
-        float((np.sign(rep.outcome.B_M - rep.outcome.B_S) * np.diff(report.B_soc)).min()),
+        float(np.diff(report["m"]).min()),
+        float(-np.diff(report["Y"]).max()),
+        float((np.sign(rep.outcome.B_M - rep.outcome.B_S) * np.diff(report["B_soc"])).min()),
     )
     if strictness <= 1e-12:
         worst = max(worst, 2.0)
     # the dm/dtheta column the engine emits, against central differences
     h = 1e-6 * econ.theta_bar
-    for i in range(1, report.theta_grid.size - 1, 7):
-        theta = report.theta_grid[i]
+    thetas = report["theta"]
+    for i in range(1, len(thetas) - 1, 7):
+        theta = thetas[i]
         if theta - h <= 0.0 or theta + h >= econ.theta_bar:
             continue  # the optimum, and so m_star, lives on (0, theta_bar)
         fd = (
             productive_optimum(econ.with_theta(theta + h))[0].m_star
             - productive_optimum(econ.with_theta(theta - h))[0].m_star
         ) / (2.0 * h)
-        worst = max(worst, abs(fd - report.dm_dtheta[i]) / 1e-8)
-    note = "welfare monotone on grid" if report.welfare_monotone else "welfare non-monotone on grid"
+        worst = max(worst, abs(fd - report["dm_dtheta"][i]) / 1e-8)
+    w_diff = np.diff(report["welfare"])
+    monotone = np.all(w_diff > 0.0) or np.all(w_diff < 0.0)
+    note = "welfare monotone on grid" if monotone else "welfare non-monotone on grid"
     return _result("theta-statics", worst, 1.0, note)
 
 

@@ -62,6 +62,13 @@ holds every row against the per-theta optimum and its welfare accounts.
 The curves may tie between neighbouring grid points but never reverse.
 Welfare carries no sign assertion.
 
+Each of the three statics, broadening_statics, interface_statics and
+theta_statics, returns the table that `sweep --axis {b,alpha,theta}`
+writes: a plain dict from CSV column name to column (a list), in CSV
+order. A blank cell is None, and a constant column (the alpha sweep's
+closed-form slopes) repeats its value on every row. The CLI formats that
+table as it is, and `verify` reads its columns by name.
+
 Thresholds quoted "for small theta" are closed forms over the (always
 well-defined) family constructions: theta_cut above, and theta_small of
 interface_threshold, the least root of one quadratic per grid alpha.
@@ -97,7 +104,6 @@ from .welfare import (
     DECOMPOSITION_RESIDUAL,
     Decomposition,
     Family,
-    WelfareReport,
     decompose_along,
     stencil_points,
     welfare_accounts,
@@ -149,49 +155,38 @@ def broadening_family(econ: Economy) -> Family:
     return lambda b: (econ, broadening_allocation(b, econ))
 
 
-@dataclass(frozen=True)
-class BroadeningStaticsReport:
-    """The broadening family's curves across a grid of shares, one entry
-    per share; welfare holds each share's welfare accounts, or None where
-    the integrator share is 0 and so there is no voting game."""
-
-    b: list[float]
-    m: list[float]
-    Y: list[float]
-    B_S: list[float]
-    B_M: list[float]
-    B_soc: list[float]
-    welfare: list[WelfareReport | None]
-
-
-def broadening_statics(econ: Economy, b_grid) -> BroadeningStaticsReport:
-    """The broadening family and its welfare accounts across a strictly
-    increasing grid of shares, as one array pass over each atom set of
-    broadening_allocation's grid form (accounts_rows, which checks each
-    share's feasibility as accounts does), then per share the political
-    equilibrium and the welfare accounts. Each value has the bits of the
-    per-share path, total_welfare (or accounts where m = 0) of
-    broadening_allocation(b), which `verify` holds it against.
+def broadening_statics(econ: Economy, b_grid) -> dict[str, list]:
+    """The table `sweep --axis b` writes: CSV column name to column, in
+    CSV order, one row per share of a strictly increasing grid. One array
+    pass over each atom set of broadening_allocation's grid form
+    (accounts_rows, which checks each share's feasibility as accounts
+    does), then per share the political equilibrium and the welfare
+    accounts. Where the integrator share m is 0 (or 1) there is no voting
+    game, and the eight political and welfare cells are blank (None).
+    Each value has the bits of the per-share path, total_welfare (or
+    accounts where m = 0) of broadening_allocation(b), which `verify`
+    holds it against.
     """
     grid = np.asarray(b_grid, dtype=float)
     if grid.ndim != 1:
         raise DomainError("broadening statics need a 1-d grid of shares")
-    m, Y, B_S, B_M, B_soc, welfare = [], [], [], [], [], []
-    for rows in broadening_allocation(grid, econ):
-        for share, acc in zip(rows.m.tolist(), accounts_rows(rows, econ)):
-            m.append(share)
-            Y.append(acc.Y)
-            B_S.append(acc.B_S)
-            B_M.append(acc.B_M)
-            B_soc.append((1.0 - share) * acc.B_S + share * acc.B_M)
-            # where m = 0 there are no integrators, so no voting game
-            welfare.append(
-                welfare_accounts(econ, equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M))
-                if 0.0 < share < 1.0 else None
-            )
-    return BroadeningStaticsReport(
-        b=grid.tolist(), m=m, Y=Y, B_S=B_S, B_M=B_M, B_soc=B_soc, welfare=welfare
-    )
+    rows = []
+    for block in broadening_allocation(grid, econ):
+        for share, acc in zip(block.m.tolist(), accounts_rows(block, econ)):
+            row = [share, acc.Y, acc.B_S, acc.B_M, (1.0 - share) * acc.B_S + share * acc.B_M]
+            if 0.0 < share < 1.0:
+                rep = welfare_accounts(
+                    econ, equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M)
+                )
+                o = rep.outcome
+                row += [o.e_pol, o.z_pol, o.t_S, o.t_M, o.R, rep.service_welfare,
+                        rep.dispersion, rep.welfare]
+            else:
+                row += [None] * 8
+            rows.append(row)
+    names = ("m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M", "R",
+             "service_welfare", "dispersion", "welfare")
+    return {"b": grid.tolist(), **{name: list(col) for name, col in zip(names, zip(*rows))}}
 
 
 @dataclass(frozen=True)
@@ -254,22 +249,6 @@ def interface_family(econ: Economy) -> Family:
     return lambda alpha: (econ.with_u(interface_profile(econ.q, alpha, h_star)), alloc)
 
 
-@dataclass(frozen=True)
-class InterfaceStaticsReport:
-    """Curves and slopes along the interface-intensity family."""
-
-    alpha_grid: np.ndarray
-    B_S: np.ndarray
-    B_M: np.ndarray
-    B_soc: np.ndarray
-    welfare: np.ndarray
-    dispersion: np.ndarray
-    B_S_slope: float
-    B_M_slope: float
-    B_soc_slope: float
-    dW: np.ndarray
-
-
 def interface_closed_slopes(econ: Economy) -> tuple[float, float]:
     """(B_S'(alpha), B_M'(alpha)): constants of the affine coverage path."""
     h_star = gap_profile_star(econ.q)
@@ -307,16 +286,19 @@ def residual_checked(d: Decomposition, alpha: float) -> Decomposition:
     return d
 
 
-def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStaticsReport:
-    """The interface-intensity comparative statics in one array pass: the
-    fixed allocation's accounts under the civic profiles of all 3n
-    welfare-slope stencil points of an n-point grid come from one
+def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> dict[str, list]:
+    """The table `sweep --axis alpha` writes: CSV column name to column, in
+    CSV order, one row per grid point, the constant closed-form slopes
+    B_S_slope, B_M_slope and B_soc_slope repeated on every row. One array
+    pass: the fixed allocation's accounts under the civic profiles of all
+    3n welfare-slope stencil points of an n-point grid come from one
     civic_accounts call; then, grid point by grid point, each stencil
     point's political equilibrium and welfare accounts feed
     decompose_along, whose report at the stencil's centre gives the point's
-    curves. Each value has the bits of the per-point path, decompose_along
-    over total_welfare(*interface_family(econ)(x)), and the sweep stops
-    where that path would (residual_checked), before any later point is
+    curves and whose slope is dW_dalpha. Each value has the bits of the
+    per-point path, decompose_along over
+    total_welfare(*interface_family(econ)(x)), and the sweep stops where
+    that path would (residual_checked), before any later point is
     evaluated."""
     # interface_family's allocation, with the corners' frontier and H(h*)
     # solved in one batch
@@ -342,26 +324,20 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> InterfaceStatics
 
         slopes.append(residual_checked(decompose_along(econ, welfare_at, a, lo, hi), a))
     reports = [d.at for d in slopes]
-    B_S = np.array([r.outcome.B_S for r in reports])
-    B_M = np.array([r.outcome.B_M for r in reports])
-    B_soc = np.array([r.outcome.B_soc for r in reports])
-    W = np.array([r.welfare for r in reports])
-    D = np.array([r.dispersion for r in reports])
     m = reports[0].outcome.m
-    dB_soc = (1.0 - m) * B_S_slope + m * B_M_slope
-    dW = np.array([d.fd_total for d in slopes])
-    return InterfaceStaticsReport(
-        alpha_grid=alpha_grid,
-        B_S=B_S,
-        B_M=B_M,
-        B_soc=B_soc,
-        welfare=W,
-        dispersion=D,
-        B_S_slope=B_S_slope,
-        B_M_slope=B_M_slope,
-        B_soc_slope=dB_soc,
-        dW=dW,
-    )
+    n = len(grid)
+    return {
+        "alpha": grid,
+        "B_S": [r.outcome.B_S for r in reports],
+        "B_M": [r.outcome.B_M for r in reports],
+        "B_soc": [r.outcome.B_soc for r in reports],
+        "dispersion": [r.dispersion for r in reports],
+        "welfare": [r.welfare for r in reports],
+        "B_S_slope": [B_S_slope] * n,
+        "B_M_slope": [B_M_slope] * n,
+        "B_soc_slope": [(1.0 - m) * B_S_slope + m * B_M_slope] * n,
+        "dW_dalpha": [d.fd_total for d in slopes],
+    }
 
 
 def interface_flat(s_S: float, s_M: float) -> bool:
@@ -418,27 +394,15 @@ def interface_threshold(econ: Economy, alpha_grid: np.ndarray) -> float:
     return m_small * H / ((1.0 - m_small) * D)
 
 
-@dataclass(frozen=True)
-class ThetaStaticsReport:
-    """Curves of the productive optimum across integration costs."""
-
-    theta_grid: np.ndarray
-    m: np.ndarray
-    Y: np.ndarray
-    B_soc: np.ndarray
-    welfare: np.ndarray
-    dm_dtheta: np.ndarray
-    welfare_monotone: bool
-
-
-def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
-    """Productive optimum and welfare across a theta grid in (0, theta_bar),
-    from the closed forms of the module docstring. Along an increasing grid
-    the integrator share never falls, output never rises and civic capacity
-    never moves against the sign of B_M - B_S; it raises if a curve
-    reverses. Neighbouring points may round to one value, so strictness is
-    left to the theta-statics check on the scenario's own grid. Welfare is
-    reported without any sign assertion.
+def theta_statics(econ: Economy, theta_grid: np.ndarray) -> dict[str, list]:
+    """The table `sweep --axis theta` writes: CSV column name to column, in
+    CSV order, one row per theta of a grid in (0, theta_bar), from the
+    closed forms of the module docstring, each row's welfare at the Y it
+    reports. Along an increasing grid the integrator share never falls,
+    output never rises and civic capacity never moves against the sign of
+    B_M - B_S; it raises if a curve reverses. Neighbouring points may round
+    to one value, so strictness is left to the theta-statics check on the
+    scenario's own grid. Welfare is reported without any sign assertion.
     """
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(grid <= 0.0) or np.any(grid >= econ.theta_bar):
@@ -456,8 +420,7 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
         welfare_accounts(econ, equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M))
         for y, share in zip(Y.tolist(), m.tolist())
     ]
-    B_soc = np.array([r.outcome.B_soc for r in reports])
-    W = np.array([r.welfare for r in reports])
+    B_soc = [r.outcome.B_soc for r in reports]
     # correctly rounded monotone operations can tie but never reverse
     if not (np.all(np.diff(m) >= 0.0) and np.all(np.diff(Y) <= 0.0)):
         raise OracleError("integration-cost monotonicity violated (bug)")
@@ -465,14 +428,13 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> ThetaStaticsReport:
         raise OracleError(
             "civic capacity not moving with sign(B_M - B_S) in integration cost (bug)"
         )
-    w_diff = np.diff(W)
-    return ThetaStaticsReport(
-        theta_grid=grid,
-        m=m,
-        Y=Y,
-        B_soc=B_soc,
-        welfare=W,
+    thetas = grid.tolist()
+    return {
+        "theta": thetas,
+        "m": m.tolist(),
+        "Y": Y.tolist(),
+        "B_soc": B_soc,
+        "welfare": [r.welfare for r in reports],
         # the Python float `**`, which the array square can miss by an ulp
-        dm_dtheta=np.array([D * H / (H + t * D) ** 2 for t in grid.tolist()]),
-        welfare_monotone=bool(np.all(w_diff > 0.0) or np.all(w_diff < 0.0)),
-    )
+        "dm_dtheta": [D * H / (H + t * D) ** 2 for t in thetas],
+    }

@@ -264,12 +264,12 @@ def test_criterion_11_interface_statics(econ):
         hi = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a + h)))
         fd_gap = max(
             fd_gap,
-            abs((hi.B_S - lo.B_S) / (2 * h) - rep.B_S_slope),
-            abs((hi.B_M - lo.B_M) / (2 * h) - rep.B_M_slope),
+            abs((hi.B_S - lo.B_S) / (2 * h) - rep["B_S_slope"][0]),
+            abs((hi.B_M - lo.B_M) / (2 * h) - rep["B_M_slope"][0]),
         )
-    signs_ok = rep.B_S_slope <= 0.0 <= rep.B_M_slope
+    signs_ok = rep["B_S_slope"][0] <= 0.0 <= rep["B_M_slope"][0]
     finite_ok = 0.0 < theta_small and math.isfinite(theta_small)
-    below_ok = finite_ok and np.all(rep.dW < 0.0) and rep.B_soc_slope < 0.0
+    below_ok = finite_ok and max(rep["dW_dalpha"]) < 0.0 and rep["B_soc_slope"][0] < 0.0
     ok = fd_gap <= 1e-8 and signs_ok and below_ok
     report(
         11, "interface-statics", ok,
@@ -281,9 +281,9 @@ def test_criterion_12_theta_statics(econ):
     grid = np.linspace(0.02, 0.98, 50) * econ.theta_bar
     rep = reforms.theta_statics(econ, grid)
     margins = min(
-        float(np.diff(rep.m).min()),
-        float(-np.diff(rep.Y).max()),
-        float(np.diff(rep.B_soc).min()),
+        float(np.diff(rep["m"]).min()),
+        float(-np.diff(rep["Y"]).max()),
+        float(np.diff(rep["B_soc"]).min()),
     )
     D = fragmentation(econ.q)
     H = max_scale(econ.tech, production.gap_profile_star(econ.q))

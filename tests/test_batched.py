@@ -37,6 +37,7 @@ from specint.production import (
 from specint.reforms import (
     broadening_allocation,
     broadening_statics,
+    interface_closed_slopes,
     interface_family,
     interface_statics,
     theta_statics,
@@ -180,22 +181,23 @@ def test_broadening_grid_matches_per_share_loop():
             assert _same_allocation(broadening_allocation(b, econ), want)
 
 
+B_COLUMNS = ["b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M", "R",
+             "service_welfare", "dispersion", "welfare"]
+
+
 def _broadening_statics_one(b, econ):
     """One sweep --axis b row of the per-share path: the share's own
-    allocation and its full welfare accounts (accounts alone where m = 0)."""
+    allocation and its full welfare accounts (accounts alone where m = 0,
+    and the eight political and welfare cells blank)."""
     alloc = _broadening_one(b, econ)
     if 0.0 < alloc.m < 1.0:
         rep = total_welfare(econ, alloc)
         o = rep.outcome
-        return (b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, rep)
+        return (b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, o.e_pol, o.z_pol, o.t_S, o.t_M,
+                o.R, rep.service_welfare, rep.dispersion, rep.welfare)
     acc = accounts(alloc, econ)
     B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
-    return (b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc, None)
-
-
-def _statics_rows(report):
-    return list(zip(report.b, report.m, report.Y, report.B_S, report.B_M, report.B_soc,
-                    report.welfare))
+    return (b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc, *[None] * 8)
 
 
 def test_broadening_statics_matches_per_share_loop():
@@ -210,7 +212,9 @@ def test_broadening_statics_matches_per_share_loop():
             np.sort(rng.uniform(0.0, 1.0, 6)),
         )
         for grid in grids:
-            got = _statics_rows(broadening_statics(econ, grid))
+            table = broadening_statics(econ, grid)
+            assert list(table) == B_COLUMNS
+            got = list(zip(*table.values()))
             want = [_broadening_statics_one(b, econ) for b in grid.tolist()]
             assert len(got) == grid.size
             for g, w in zip(got, want):
@@ -265,13 +269,15 @@ def test_theta_statics_matches_per_theta_loop():
             B.append(rep.outcome.B_soc)
             W.append(rep.welfare)
             dm.append(D * H / (H + theta * D) ** 2)
-        assert report.m.tolist() == m
-        assert report.Y.tolist() == Y
-        assert report.B_soc.tolist() == B
+        assert list(report) == ["theta", "m", "Y", "B_soc", "welfare", "dm_dtheta"]
+        assert report["theta"] == grid.tolist()
+        assert report["m"] == m
+        assert report["Y"] == Y
+        assert report["B_soc"] == B
         # welfare is evaluated at the closed-form Y, which the accounts
         # output of the loop can miss by an ulp
-        assert np.all(np.abs(report.welfare - W) <= 4 * np.spacing(np.abs(W)))
-        assert report.dm_dtheta.tolist() == dm
+        assert np.all(np.abs(np.subtract(report["welfare"], W)) <= 4 * np.spacing(np.abs(W)))
+        assert report["dm_dtheta"] == dm
 
 
 def test_accounts_on_reused_allocation_match_fresh():
@@ -493,6 +499,9 @@ def _interface_statics_one(econ, grid):
     return rows
 
 
+ALPHA_PER_POINT = ["alpha", "B_S", "B_M", "B_soc", "dispersion", "welfare", "dW_dalpha"]
+
+
 def test_interface_statics_matches_per_point_loop():
     # full grids, an interior grid, the end points alone, and a grid whose
     # neighbouring stencils share points and that uses all three stencils
@@ -504,13 +513,17 @@ def test_interface_statics_matches_per_point_loop():
     )
     for econ in [*ECONOMIES, K8]:
         for grid in grids:
-            report = interface_statics(econ, grid)
-            columns = (report.alpha_grid, report.B_S, report.B_M, report.B_soc,
-                       report.dispersion, report.welfare, report.dW)
-            got = list(zip(*(c.tolist() for c in columns)))
+            table = interface_statics(econ, grid)
+            got = list(zip(*(table[name] for name in ALPHA_PER_POINT)))
             want = _interface_statics_one(econ, grid.tolist())
             # floats compared by their bits, through repr
             assert repr(got) == repr(want), (econ.K, econ.tech.family, grid.tolist())
+            # the closed-form slopes, one value repeated on every row
+            s_S, s_M = interface_closed_slopes(econ)
+            m = minimal_allocation(corner_design(econ.q), econ).m
+            slopes = (s_S, s_M, (1.0 - m) * s_S + m * s_M)
+            for name, value in zip(("B_S_slope", "B_M_slope", "B_soc_slope"), slopes):
+                assert repr(table[name]) == repr([value] * grid.size), name
 
 
 def test_civic_accounts_raise_what_the_per_point_path_raises():

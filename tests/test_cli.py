@@ -298,6 +298,26 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert run("verify", "--help").returncode == 0
 
 
+def test_solve_and_sweep_leave_the_oracle_layer_unloaded():
+    # only verify imports specint.oracles, and of these commands only solve
+    # imports specint.competitive; a fresh interpreter shows what each loads
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import sys",
+        "from specint.cli import main",
+        f"cfg = {str(root / 'scenarios' / 'default.cfg')!r}",
+        "codes = [main(['sweep', '--axis', a, '--config', cfg]) for a in ('b', 'alpha', 'theta')]",
+        "loaded = ['specint.competitive' in sys.modules]",
+        "codes.append(main(['solve', '--config', cfg]))",
+        "loaded.append('specint.oracles' in sys.modules)",
+        "print(codes, loaded, file=sys.stderr)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr == "[0, 0, 0, 0] [False, False]\n"
+
+
 def test_verify_above_cutoff_exits_two(tmp_path, capsys):
     # theta = 0.02 lies above default.cfg's coordination cutoff: verify
     # stops at the first check that needs the productive optimum
@@ -435,6 +455,17 @@ def test_non_finite_cell_names_its_column(value):
     # checked before any cell is printed or written
     with pytest.raises(OracleError, match=r"^column dW_dalpha holds a non-finite result \("):
         cli._format_rows(["alpha", "dW_dalpha"], [[0.0, 1.0], [0.5, value]])
+
+
+def test_first_non_finite_cell_in_row_order_is_named():
+    # two non-finite cells: the one in the earlier row is named, though a
+    # later column holds it
+    rows = [[0.0, 1.0, float("inf")], [float("nan"), 0.5, 2.0]]
+    with pytest.raises(OracleError, match=r"^column c holds a non-finite result \(inf\)$"):
+        cli._format_rows(["a", "b", "c"], rows)
+    rows[0][2] = 3.0
+    with pytest.raises(OracleError, match=r"^column a holds a non-finite result \(nan\)$"):
+        cli._format_rows(["a", "b", "c"], rows)
 
 
 def test_alpha_sweep_stops_at_a_decomposition_residual(tmp_path, capsys):

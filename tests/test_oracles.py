@@ -209,10 +209,9 @@ def test_theta_statics_check_reads_the_emitted_column(monkeypatch):
     statics = reforms.theta_statics
     for index in range(1, scn.theta_grid().size - 1, 7):
         def perturbed(econ, grid, index=index):
-            report = statics(econ, grid)
-            column = report.dm_dtheta.copy()
-            column[index] *= 1.0 + 1e-6
-            return dataclasses.replace(report, dm_dtheta=column)
+            table = statics(econ, grid)
+            table["dm_dtheta"][index] *= 1.0 + 1e-6
+            return table
 
         monkeypatch.setattr(reforms, "theta_statics", perturbed)
         assert run_check(oracles.check_theta_statics, scn).status == "fail", index
@@ -226,10 +225,9 @@ def test_theta_statics_check_reads_the_welfare_columns(monkeypatch, column):
     statics = reforms.theta_statics
     for index in (0, 12, scn.theta_grid().size - 1):
         def perturbed(econ, grid, index=index):
-            report = statics(econ, grid)
-            values = getattr(report, column).copy()
-            values[index] *= 1.0 + 1e-9
-            return dataclasses.replace(report, **{column: values})
+            table = statics(econ, grid)
+            table[column][index] *= 1.0 + 1e-9
+            return table
 
         monkeypatch.setattr(reforms, "theta_statics", perturbed)
         assert run_check(oracles.check_theta_statics, scn).status == "fail", index
@@ -264,13 +262,13 @@ def test_interface_statics_check_holds_every_sweep_row(monkeypatch):
     result = run_check(oracles.check_interface_statics, scn)
     assert result.status == "pass", result
     statics = reforms.interface_statics
-    columns = ("alpha_grid", "B_S", "B_M", "B_soc", "dispersion", "welfare", "dW")
+    columns = list(statics(scn.econ, scn.alpha_grid))
+    assert len(columns) == 10
     for index, column in enumerate(columns):
         def nudged(econ, grid, index=index % scn.alpha_grid.size, column=column):
-            report = statics(econ, grid)
-            values = getattr(report, column).copy()
-            values[index] = math.nextafter(values[index], math.inf)
-            return dataclasses.replace(report, **{column: values})
+            table = statics(econ, grid)
+            table[column][index] = math.nextafter(table[column][index], math.inf)
+            return table
 
         monkeypatch.setattr(reforms, "interface_statics", nudged)
         assert run_check(oracles.check_interface_statics, scn).status == "fail", column
@@ -313,27 +311,26 @@ def test_broadening_check_holds_every_sweep_row(monkeypatch):
     result = run_check(oracles.check_broadening, scn)
     assert result.status == "pass", result
     statics = reforms.broadening_statics
-    columns = ("m", "Y", "B_S", "B_M", "B_soc")
-    assert scn.b_grid.size == len(columns)
+    columns = list(statics(scn.econ, scn.b_grid))
+    assert len(columns) == 14
+    # every row but the last (b = 1, where m = 0 and the political and
+    # welfare cells are blank) holds a number in every column
     for index, column in enumerate(columns):
-        def nudged(econ, grid, index=index, column=column):
-            report = statics(econ, grid)
-            values = list(getattr(report, column))
-            values[index] = math.nextafter(values[index], math.inf)
-            return dataclasses.replace(report, **{column: values})
+        def nudged(econ, grid, index=index % (scn.b_grid.size - 1), column=column):
+            table = statics(econ, grid)
+            table[column][index] = math.nextafter(table[column][index], math.inf)
+            return table
 
         monkeypatch.setattr(reforms, "broadening_statics", nudged)
         assert run_check(oracles.check_broadening, scn).status == "fail", column
 
-    def nudged_welfare(econ, grid):
-        report = statics(econ, grid)
-        welfare = list(report.welfare)
-        welfare[1] = dataclasses.replace(
-            welfare[1], welfare=math.nextafter(welfare[1].welfare, math.inf)
-        )
-        return dataclasses.replace(report, welfare=welfare)
+    def filled(econ, grid):
+        table = statics(econ, grid)
+        assert table["welfare"][-1] is None
+        table["welfare"][-1] = 0.0
+        return table
 
-    monkeypatch.setattr(reforms, "broadening_statics", nudged_welfare)
+    monkeypatch.setattr(reforms, "broadening_statics", filled)
     assert run_check(oracles.check_broadening, scn).status == "fail"
 
 
@@ -465,3 +462,40 @@ def test_interface_statics_check_brackets_theta_small(monkeypatch, factor):
                         lambda econ, grid: threshold(econ, grid) * factor)
     result = run_check(oracles.check_interface_statics, scn)
     assert result.status == "fail" and result.note.endswith("not bracketed"), result
+
+
+def seeded_economy(index: int) -> dict[str, str]:
+    """Scenario entries of the index-th economy of a seeded distribution:
+    K from 3 to 5 and both learning families in turn; an interior q; a
+    diffuse u within 10% of uniform, with p a fraction of its diffuseness
+    bound; theta up to 0.95 of theta_bar; V from 5 to 40."""
+    rng = np.random.default_rng([20261020, index])
+    K, family = 3 + index % 3, ("rational", "exponential")[index % 2]
+    tech = learning.LearningTech(family, float(rng.uniform(0.5, 3.0)))
+    q = 0.85 * rng.dirichlet(np.ones(K)) + 0.15 / K
+    u = 0.1 * rng.dirichlet(np.ones(K)) + 0.9 / K
+    q, u = q / q.sum(), u / u.sum()
+    # the diffuseness bound on p does not depend on p
+    p_bound = check_diffuse(u, 1.0, tech).bound
+    return {
+        "learning.family": family,
+        "learning.param": repr(tech.param),
+        "economy.q": ",".join(map(repr, q.tolist())),
+        "economy.u": ",".join(map(repr, u.tolist())),
+        "economy.p": repr(float(rng.uniform(0.1, 0.9)) * p_bound),
+        "economy.theta": repr(float(rng.uniform(0.05, 0.95)) * tech.constants.theta_bar),
+        "economy.v": repr(float(rng.uniform(5.0, 40.0))),
+        "gov.eta": repr(float(rng.uniform(0.3, 0.8))),
+        "gov.tau": repr(float(rng.uniform(0.1, 0.7))),
+    }
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_verify_holds_across_seeded_economies(index):
+    # beyond the two shipped scenarios: every check passes, or skips with
+    # the hypothesis it names
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS, **seeded_economy(index)})
+    for r in oracles.run_all(scn):
+        assert r.status == "pass" or (
+            r.status == "skipped" and r.note.startswith("hypothesis not met")
+        ), (seeded_economy(index), r)

@@ -128,7 +128,7 @@ def test_theta_statics_welfare_at_the_printed_output():
     econ = scn.econ
     rep = theta_statics(econ, scn.theta_grid())
     acc = accounts(productive_optimum(econ)[1], econ)
-    for Y, m, W in zip(rep.Y.tolist(), rep.m.tolist(), rep.welfare.tolist()):
+    for Y, m, W in zip(rep["Y"], rep["m"], rep["welfare"]):
         out = equilibrium_from_groups(econ, Y, m, acc.B_S, acc.B_M)
         assert W == (1.0 - econ.tau) * Y + service_welfare(out)
 
@@ -139,7 +139,7 @@ def test_theta_sweep_on_a_grid_finer_than_its_curves(tmp_path, grid):
     cfg = write_cfg(tmp_path / "fine.cfg", {"sweep.theta_frac": grid})
     scn = load_scenario(cfg)
     report = theta_statics(scn.econ, scn.theta_grid())
-    assert np.all(np.diff(report.Y) == 0.0)
+    assert np.all(np.diff(report["Y"]) == 0.0)
     assert main(["sweep", "--axis", "theta", "--config", cfg]) == 0
 
 
@@ -383,8 +383,8 @@ def test_interface_statics_stops_before_evaluating_later_points(econ, monkeypatc
 
 def test_interface_statics_report(econ, scenario):
     rep = interface_statics(econ, np.linspace(0, 1, 9))
-    assert rep.B_soc_slope < 0.0
-    assert np.all(rep.dW < 0.0)
+    assert max(rep["B_soc_slope"]) < 0.0
+    assert max(rep["dW_dalpha"]) < 0.0
     theta_small = interface_threshold(econ, np.linspace(0, 1, 9))
     assert theta_small > 0.0
     assert math.isfinite(theta_small)
@@ -517,9 +517,9 @@ def test_interface_dispersion_slope_vanishes_with_theta(econ):
 def test_theta_statics_monotone_and_formula(econ):
     grid = np.linspace(0.02, 0.98, 50) * econ.theta_bar
     rep = theta_statics(econ, grid)
-    assert np.all(np.diff(rep.m) > 1e-12)
-    assert np.all(np.diff(rep.Y) < -1e-12)
-    assert np.all(np.diff(rep.B_soc) > 1e-12)
+    assert np.all(np.diff(rep["m"]) > 1e-12)
+    assert np.all(np.diff(rep["Y"]) < -1e-12)
+    assert np.all(np.diff(rep["B_soc"]) > 1e-12)
     # dm/dtheta against central differences of the share formula
     D = fragmentation(econ.q)
     H = max_scale(econ.tech, gap_profile_star(econ.q))
@@ -529,9 +529,9 @@ def test_theta_statics_monotone_and_formula(econ):
         fd = (
             (theta + h) * D / (H + (theta + h) * D) - (theta - h) * D / (H + (theta - h) * D)
         ) / (2 * h)
-        assert abs(rep.dm_dtheta[i] - fd) <= 1e-8
+        assert abs(rep["dm_dtheta"][i] - fd) <= 1e-8
     # welfare carries no sign assertion, only a report
-    assert rep.welfare.shape == grid.shape
+    assert len(rep["welfare"]) == grid.size
 
 
 def test_theta_statics_rejects_out_of_range(econ):
