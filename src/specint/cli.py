@@ -49,14 +49,9 @@ def _fmt(value) -> str:
 def _format_rows(header: list[str], rows: list) -> list[list[str]]:
     """Format every cell; raise OracleError naming the column of the first
     non-finite number in row-major order, before anything is printed or
-    written. A row of finite Python floats (every sweep row but the b
-    sweep's blank ones) is checked and printed by C-level maps, any other
-    row cell by cell."""
+    written."""
     cells = []
     for row in rows:
-        if set(map(type, row)) == {float} and all(map(math.isfinite, row)):
-            cells.append(list(map(repr, row)))
-            continue
         for name, value in zip(header, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise OracleError(f"column {name} holds a non-finite result ({_fmt(value)})")

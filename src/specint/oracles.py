@@ -604,10 +604,12 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     # the sweep's table against the per-share path (a fresh allocation and
     # its full welfare accounts) at every share of the grid, column by
     # column as the CSV writes them (repr), so that even -0.0 and 0.0
-    # differ; where m = 0 there is no voting game, and only b, m, Y and the
-    # group knowledge are filled in
+    # differ, and with the CSV's columns in order; where m = 0 there is no
+    # voting game, and only b, m, Y and the group knowledge are filled in
     got = reforms.broadening_statics(econ, scn.b_grid)
-    want = {name: [] for name in got}
+    want = {name: [] for name in ("b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol",
+                                  "t_S", "t_M", "R", "service_welfare", "dispersion",
+                                  "welfare")}
     for b in scn.b_grid.tolist():
         alloc = reforms.broadening_allocation(b, econ)
         if 0.0 < alloc.m < 1.0:

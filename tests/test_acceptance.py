@@ -269,7 +269,7 @@ def test_criterion_11_interface_statics(econ):
         )
     signs_ok = rep["B_S_slope"][0] <= 0.0 <= rep["B_M_slope"][0]
     finite_ok = 0.0 < theta_small and math.isfinite(theta_small)
-    below_ok = finite_ok and max(rep["dW_dalpha"]) < 0.0 and rep["B_soc_slope"][0] < 0.0
+    below_ok = finite_ok and all(d < 0.0 for d in rep["dW_dalpha"]) and rep["B_soc_slope"][0] < 0.0
     ok = fd_gap <= 1e-8 and signs_ok and below_ok
     report(
         11, "interface-statics", ok,

@@ -333,6 +333,21 @@ def test_broadening_check_holds_every_sweep_row(monkeypatch):
     monkeypatch.setattr(reforms, "broadening_statics", filled)
     assert run_check(oracles.check_broadening, scn).status == "fail"
 
+    # the check fixes the CSV's columns and their order: a table with one
+    # column dropped, or two swapped, fails it
+    def dropped(econ, grid):
+        table = statics(econ, grid)
+        del table["dispersion"]
+        return table
+
+    def swapped(econ, grid):
+        table = statics(econ, grid)
+        return {"m": table.pop("m"), **table}
+
+    for mutant in (dropped, swapped):
+        monkeypatch.setattr(reforms, "broadening_statics", mutant)
+        assert run_check(oracles.check_broadening, scn).status == "fail", mutant.__name__
+
 
 def test_excess_specialization_check_bites(monkeypatch):
     # governance_heavy puts eta* inside (0,1), so the check confirms both the

@@ -383,8 +383,8 @@ def test_interface_statics_stops_before_evaluating_later_points(econ, monkeypatc
 
 def test_interface_statics_report(econ, scenario):
     rep = interface_statics(econ, np.linspace(0, 1, 9))
-    assert max(rep["B_soc_slope"]) < 0.0
-    assert max(rep["dW_dalpha"]) < 0.0
+    assert all(s < 0.0 for s in rep["B_soc_slope"])
+    assert all(d < 0.0 for d in rep["dW_dalpha"])
     theta_small = interface_threshold(econ, np.linspace(0, 1, 9))
     assert theta_small > 0.0
     assert math.isfinite(theta_small)
