@@ -59,6 +59,14 @@ def _result(name, metric, tolerance, note=""):
     return CheckResult(name, status, float(metric), float(tolerance), note)
 
 
+def _per_scale(residual, scale):
+    """A round-off residual of a quantity of order `scale`, in the units of
+    an absolute 1e-10 bound: its own bound is max(1e-10, 16 eps scale), as
+    support_wages bounds the wage identities, so the factor is exactly 1
+    while that bound is 1e-10 (scale up to about 2.8e4)."""
+    return residual * (1e-10 / max(1e-10, 16.0 * _EPS * scale))
+
+
 def _outcome(rows) -> str:
     """repr of the rows, or the type and message of the engine error that
     computing them raises."""
@@ -326,8 +334,10 @@ def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
             worst,
             float(np.abs(opt.h_star - econ.q * (1.0 - econ.q) / D).max()),
             abs(opt.m_star - econ.theta * D / (opt.H_hstar + econ.theta * D)),
-            abs(opt.Y_star - econ.V * opt.H_hstar / (opt.H_hstar + econ.theta * D)),
-            abs(acc.Y - opt.Y_star),
+            _per_scale(
+                abs(opt.Y_star - econ.V * opt.H_hstar / (opt.H_hstar + econ.theta * D)), econ.V
+            ),
+            _per_scale(abs(acc.Y - opt.Y_star), econ.V),
             abs(alloc.m * opt.H_hstar - econ.theta * acc.gaps.g),
         )
         if opt.m_star >= 1.0 / 3.0:
@@ -760,14 +770,14 @@ def check_wage_support(scn: Scenario, rng, tol_scale) -> CheckResult:
         )
     tol = 1e-10 * tol_scale
     worst = max(
-        abs(wages.w_S - wages.w_M - wages.delta_q),
-        abs(wages.w_S + wages.beta * wages.w_M - wages.V_tilde),
+        _per_scale(abs(wages.w_S - wages.w_M - wages.delta_q), wages.V_tilde),
+        _per_scale(abs(wages.w_S + wages.beta * wages.w_M - wages.V_tilde), wages.V_tilde),
     )
     # zero profit recomputed through the coordination index route:
     # V_tilde*C - w_S*E - theta*w_M*A with C=1, E=1, A=Gamma(q*(1-q))
     A = gamma_index(econ.tech, econ.q * (1.0 - econ.q))
     zero_profit = wages.V_tilde - wages.w_S - econ.theta * wages.w_M * A
-    worst = max(worst, abs(zero_profit))
+    worst = max(worst, _per_scale(abs(zero_profit), wages.V_tilde))
     r = wages.w_M / wages.w_S
     bound = competitive.ratio_bound(econ)
     if bound.bound_valid and r > bound.r_bar:

@@ -482,28 +482,37 @@ def grid_designs(
     from the frontier solver can fire only on a kept design.
 
     Per atom set, at the start of each level a with incumbent Y_a: with
-    atoms d_j, scales lam_j and any weight split, C(X,q) <= S =
-    sum_k max_j min(d_jk, q_k) <= sum_k q_k and E_lam >= l = min_j lam_j.
-    In floating point, with u = eps/2 and g_n = n*u/(1-n*u): the float grid
-    weights sum to within u of 1, so X_k, a sum of a products in any order,
-    is at most (1+u)(1+g_a) max_j d_jk, and E_lam at least
-    (1-u)(1-g_a) l; the K-term sums C(X,q), S and sum_k q_k are within a
-    factor 1 +- g_(K-1) of their exact values, and b takes two roundings.
-    So a computed b is at most F*V*S'/l for the computed S' (or sum_k q_k),
-    F = (1+u)^3 (1+g_a)(1+g_(K-1)) / ((1-u)(1-g_a)(1-g_(K-1))), where
-    F < 1 + (2a+2K+3)u as the rest is of order ((a+K)u)^2. The computed
-    set bound fl(fl(fl(V*S')/l)*s) with slack s = 1 + 4(a+K)*eps =
-    1 + 8(a+K)u is at least (1-u)^3 s V*S'/l > F*V*S'/l. A set whose bound
-    is below Y_a thus holds only designs with b < Y_a <= Y, as the
-    incumbent never falls, so dropping the set skips only designs the
-    per-design test skips. With sum_k q_k in place of S' the bound depends
-    on l alone: an atom is an anchor when V*sum_k q_k/lam_j (slackened)
-    reaches Y_a, and a set without one, whose l is a non-anchor's lam_j,
-    is dropped unbuilt. Each anchored set is built exactly once, from an
-    (a-1)-subset and the anchor below all of that subset's anchors. The
-    survivors are visited in the exhaustive order and batches, so the
-    search keeps its incumbents, winner and count of Gamma solves as long
-    as every design keeps its bits.
+    atoms d_j, scales lam_j, l = min_j lam_j and any grid weight split,
+    C(X,q) <= S = sum_k max_j min(d_jk, q_k) <= sum_k q_k, and E_lam >=
+    E_min = (sum_j lam_j + (n-a)*l)/n >= l with n = resolution: every split
+    puts at least 1/n on each atom, so E_lam is least at the split with
+    (n-a+1)/n on a cheapest atom and 1/n on each other one. In floating
+    point, with u = eps/2 and g_m = m*u/(1-m*u): a float grid weight
+    fl(c_j/n) is within a factor 1 +- u of c_j/n, so X_k, a sum of a
+    products in any order, is at most (1+u)(1+g_a) max_j d_jk, and E_lam at
+    least (1-u)(1-g_a) E_min; the K-term sums C(X,q), S and sum_k q_k are
+    within a factor 1 +- g_(K-1) of their exact values, and b takes two
+    roundings. So a computed b is at most F*V*S'/E_min for the computed S'
+    (or sum_k q_k), F = (1+u)^3 (1+g_a)(1+g_(K-1)) / ((1-u)(1-g_a)(1-g_(K-1))).
+    The computed E_min' adds a scales and the product (n-a)*l (a sum of
+    a+1 nonnegative terms, one of them rounded once) and divides by n, so
+    E_min' <= (1+u)^2 (1+g_a) E_min, and a computed b is at most
+    G*V*S'/E_min' with G = F (1+u)^2 (1+g_a) < 1 + (3a+2K+5)u, as G's
+    first-order term is (3a+2K+4)u and the rest is of order ((a+K)u)^2.
+    The computed set bound fl(fl(fl(V*S')/E_min')*s) with slack
+    s = 1 + 4(a+K+1)*eps = 1 + 8(a+K+1)u, exact in floating point, is at
+    least (1-u)^3 s V*S'/E_min' > G*V*S'/E_min', as 8(a+K+1) - 3 exceeds
+    3a+2K+5 by 5a+6K. A set whose bound is below Y_a thus holds only
+    designs with b < Y_a <= Y, as the incumbent never falls, so dropping
+    the set skips only designs the per-design test skips. With sum_k q_k in
+    place of S' and the exact l <= E_min in place of E_min' (so F, not G)
+    the bound depends on l alone: an atom is an anchor when
+    V*sum_k q_k/lam_j (slackened) reaches Y_a, and a set without one, whose
+    l is a non-anchor's lam_j, is dropped unbuilt. Each anchored set is
+    built exactly once, from an (a-1)-subset and the anchor below all of
+    that subset's anchors. The survivors are visited in the exhaustive
+    order and batches, so the search keeps its incumbents, winner and count
+    of Gamma solves as long as every design keeps its bits.
 
     That last step is an assumption, not part of the proof, and the
     exhaustive-reference tests check it. The kernel works on domain-major
@@ -533,7 +542,7 @@ def grid_designs(
     cap = np.minimum(dirs.T, q, order="C")  # atom j's coverage terms min(d_jk, q_k), by domain k
     # a atoms need a weight split into a positive grid weights, so a <= resolution
     for a in range(1, min(max_atoms, resolution) + 1):
-        sets, n_dropped = _anchored_sets(econ, cap, lam, a, floor())
+        sets, n_dropped = _anchored_sets(econ, cap, lam, a, resolution, floor())
         # lexicographic rank among all C(P, a) sets, for the exhaustive order and batches
         rank = math.comb(P, a) - 1 - sum(
             table[members] for table, members in zip(_rank_terms(P, a), sets)
@@ -553,24 +562,30 @@ def grid_designs(
                 yield atom_dirs, w, cols.T, atom_lam @ w, cov
 
 
-def _anchored_sets(econ: Economy, cap: np.ndarray, lam: np.ndarray, a: int, Y_a: float):
+def _anchored_sets(
+    econ: Economy, cap: np.ndarray, lam: np.ndarray, a: int, resolution: int, Y_a: float
+):
     """Index columns (a, N), ascending down each column, of the a-atom grid
-    sets whose slackened bound reaches Y_a, and the count of the other sets:
-    each anchored set is built once, from an (a-1)-subset and the anchor
-    below all of that subset's anchors. cap holds the atoms' coverage terms
-    domain-major, (K, P). grid_designs states the bound and proves the
-    slack."""
+    sets whose slackened bound V*S/E_min reaches Y_a, and the count of the
+    other sets: each anchored set is built once, from an (a-1)-subset and
+    the anchor below all of that subset's anchors. cap holds the atoms'
+    coverage terms domain-major, (K, P). The (a-1)-subsets carry their
+    running coverage terms, least scale and sum of scales, so a set's S and
+    E_min = (sum_j lam_j + (n-a)*min_j lam_j)/n cost O(K) each. grid_designs
+    states the bound and proves the slack."""
     K, P = cap.shape
-    slack = 1.0 + 4 * (a + K) * float(np.finfo(float).eps)
+    slack = 1.0 + 4 * (a + K + 1) * float(np.finfo(float).eps)
     anchor = econ.V * float(econ.q.sum()) / lam * slack >= Y_a
     anchors = np.flatnonzero(anchor)
     rest = _subsets(P, a - 1)  # (a-1, C(P, a-1)), one row per member
     rest_cap = np.zeros((K, rest.shape[1]))
     rest_lam = np.full(rest.shape[1], np.inf)
+    rest_sum = np.zeros(rest.shape[1])
     first_anchor = np.full(rest.shape[1], P)
     for members in rest:
         np.maximum(rest_cap, cap[:, members], out=rest_cap)
         np.minimum(rest_lam, lam[members], out=rest_lam)
+        rest_sum += lam[members]
         np.minimum(first_anchor, np.where(anchor[members], members, P), out=first_anchor)
     below = np.searchsorted(anchors, first_anchor)
     unbuilt = math.comb(P - anchors.size, a)  # the sets without an anchor
@@ -586,7 +601,12 @@ def _anchored_sets(econ: Economy, cap: np.ndarray, lam: np.ndarray, a: int, Y_a:
         t = anchors[np.arange(r.size) - np.repeat(np.cumsum(n) - n, n)]
         terms = rest_cap[:, r]
         S = _row_sum(np.maximum(terms, cap[:, t], out=terms))
-        keep = econ.V * S / np.minimum(rest_lam[r], lam[t]) * slack >= Y_a
+        # E_lam at the grid split with weight (n-a+1)/n on a cheapest atom
+        # and 1/n on each other one
+        lam_t = lam[t]
+        least = np.minimum(rest_lam[r], lam_t)
+        e_min = (rest_sum[r] + lam_t + (resolution - a) * least) / resolution
+        keep = econ.V * S / e_min * slack >= Y_a
         n_dropped += keep.size - int(np.count_nonzero(keep))
         members, t = rest[:, r[keep]], t[keep]
         # insert t into the ascending members: member i stays in row i while

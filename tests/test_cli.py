@@ -370,6 +370,15 @@ def test_solve_large_output_keeps_wage_support(tmp_path, capsys):
     assert "not supported" not in capsys.readouterr().out
 
 
+def test_verify_at_large_v_bounds_output_and_wage_residuals_by_v(tmp_path, capsys):
+    # at V = 1e6 the residuals of Y and of the wage identities reach 3.5e-10
+    # and 1.2e-10, above an absolute 1e-10; bounded by max(1e-10, 16 eps V),
+    # as support_wages bounds them, every check passes
+    cfg = write_cfg(tmp_path / "large.cfg", {**SMALL_BUDGETS, "economy.v": "1e6"})
+    assert main(["verify", "--config", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_missing_key_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "missing.cfg", drop=("economy.q",))
     assert main(["solve", "--config", cfg]) == 1

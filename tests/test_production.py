@@ -331,6 +331,13 @@ def test_grid_tables_are_built_once_and_shared_read_only(econ):
     assert fresh.flags.writeable and fresh.tobytes() == points.tobytes()
 
 
+def _least_e_lam(total, least, a, resolution):
+    """E_lam at the grid split with weight (n-a+1)/n on a cheapest of a
+    atoms and 1/n on each other one, n = resolution, from the sum and the
+    least of their scales."""
+    return (total + (resolution - a) * least) / resolution
+
+
 def _row_major_designs(econ, resolution, max_atoms, max_designs, floor, dropped):
     """grid_designs with a row-major kernel of its own: every atom set in
     lexicographic order, bounded by reductions along the rows of (sets, K)
@@ -342,11 +349,20 @@ def _row_major_designs(econ, resolution, max_atoms, max_designs, floor, dropped)
     cap = np.minimum(dirs, econ.q)
     for a in range(1, min(max_atoms, resolution) + 1):
         Y_a = floor()
-        slack = 1.0 + 4 * (a + K) * float(np.finfo(float).eps)
+        slack = 1.0 + 4 * (a + K + 1) * float(np.finfo(float).eps)
         sets = np.array(list(itertools.combinations(range(len(dirs)), a)), dtype=np.intp)
-        anchored = (econ.V * float(econ.q.sum()) / lam * slack >= Y_a)[sets].any(axis=1)
+        anchor = (econ.V * float(econ.q.sum()) / lam * slack >= Y_a)[sets]
         S = cap[sets].max(axis=1).sum(axis=1)
-        kept = np.flatnonzero(anchored & (econ.V * S / lam[sets].min(axis=1) * slack >= Y_a))
+        # the scales summed as the search sums them: the members other than
+        # the first anchor left to right, then that anchor
+        first = anchor.argmax(axis=1)
+        lam_sets = lam[sets]
+        total = np.zeros(len(sets))
+        for i in range(a):
+            total += np.where(first == i, 0.0, lam_sets[:, i])
+        total += lam_sets[np.arange(len(sets)), first]
+        e_min = _least_e_lam(total, lam_sets.min(axis=1), a, resolution)
+        kept = np.flatnonzero(anchor.any(axis=1) & (econ.V * S / e_min * slack >= Y_a))
         splits = [
             np.array(c, dtype=float) / resolution
             for c in itertools.product(range(1, resolution + 1), repeat=a)
@@ -399,6 +415,35 @@ def test_domain_major_kernel_keeps_the_row_major_bits(monkeypatch, K, resolution
         assert batches[0] == batches[1]
     monkeypatch.setattr(production, "grid_designs", _row_major_designs)
     assert found == _both_searches(econ, resolution, atoms, wages)
+
+
+def test_least_grid_e_lam_of_an_atom_set_has_a_closed_form():
+    # every grid split puts at least 1/n on each atom, so E_lam = lam @ w is
+    # least with the other n-a shares on a cheapest atom; the splits come in
+    # every order, so that least depends on a set only through the multiset
+    # of its scales: each multiset the grid's scales can form meets the
+    # closed form within the search's slack
+    eps = float(np.finfo(float).eps)
+    for K in range(2, 6):
+        econ = oracles._random_economy(np.random.default_rng(K), load_scenario().econ, K=K)
+        for resolution in range(2, 9):
+            lam = 1.0 / learning.max_scale_batch(econ.tech, simplex_grid(K, resolution))
+            values, counts = np.unique(lam, return_counts=True)
+            for a in range(1, min(3, resolution) + 1):
+                shares = [
+                    c for c in itertools.product(range(1, resolution + 1), repeat=a)
+                    if sum(c) == resolution
+                ]
+                picks = [
+                    m for m in itertools.combinations_with_replacement(range(values.size), a)
+                    if all(m.count(v) <= counts[v] for v in m)
+                ]
+                scales = values[np.array(picks)]
+                splits = np.array(shares, dtype=float) / resolution
+                least = (scales @ splits.T).min(axis=1)
+                closed = _least_e_lam(scales.sum(axis=1), scales.min(axis=1), a, resolution)
+                slack = 1.0 + 4 * (a + K + 1) * eps
+                assert np.all(closed <= least * slack) and np.all(least <= closed * slack)
 
 
 @pytest.mark.parametrize("K", range(1, 10))
@@ -631,8 +676,9 @@ def _one_level_search(econ, resolution, atoms, batch):
 
 
 def test_set_bound_keeps_the_one_level_search_at_design_oracle_size(monkeypatch):
-    # K=4, resolution 6, 3 atoms: bounding whole atom sets forms under half
-    # of the 970,354 designs, yet both searches keep the winner bits
+    # K=4, resolution 6, 3 atoms: bounding whole atom sets, by their
+    # coverage cap over their grid-cheapest E_lam, forms under a quarter of
+    # the 970,354 designs, yet both searches keep the winner bits
     # and the count of Gamma solves of the search that bounds every design
     econ = oracles._random_economy(np.random.default_rng(101), load_scenario().econ, K=4)
     wages = support_wages(econ)
@@ -649,7 +695,7 @@ def test_set_bound_keeps_the_one_level_search_at_design_oracle_size(monkeypatch)
     found = brute_force_design(econ, resolution=6, max_atoms=3)
     report = no_deviation_check(wages, econ, resolution=6, max_atoms=3)
     assert found.n_designs == report.n_designs == 970_354
-    assert 0 < sum(formed) < 0.5 * (found.n_designs + report.n_designs)
+    assert 0 < sum(formed) < 0.25 * (found.n_designs + report.n_designs)
     (Y, x, dirs, w, _), n_evaluated = _one_level_search(econ, 6, 3, production.ENUM_BATCH)
     assert (found.Y, found.x.tobytes(), found.n_evaluated) == (Y, x.tobytes(), n_evaluated)
     assert found.design.directions.tobytes() == dirs.tobytes()
