@@ -5,8 +5,9 @@ specint sweep  --axis {b,alpha,theta} [--config F] [--out CSV]
 specint verify [--config F] [--out CSV] [--seed N] [--strict]
 
 Exit codes, with the specint.errors class behind each: 0 ok, 1 config or
-usage error (ConfigError), 2 hypothesis violation (HypothesisError) or input
-outside an operation's domain (DomainError), 3 oracle failure, a solver
+usage error or an --out file that cannot be written (ConfigError), 2
+hypothesis violation (HypothesisError) or input outside an operation's
+domain (DomainError), 3 oracle failure, a solver
 that does not converge or a non-finite result (OracleError), 4 internal
 error (any other exception: a bug, a warning promoted to an error included).
 The engine never warns. An error exit prints one stderr line, no traceback.
@@ -29,7 +30,7 @@ from . import reforms
 from .errors import ConfigError, DomainError, HypothesisError, OracleError
 from .production import productive_optimum
 from .scenario import Scenario, load_scenario
-from .welfare import WelfareReport, total_welfare
+from .welfare import total_welfare
 
 
 def _fmt(value) -> str:
@@ -46,46 +47,29 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _format_rows(header: list[str], rows: list) -> list[list[str]]:
-    """Format every cell; raise OracleError naming the column of the first
-    non-finite number in row-major order, before anything is printed or
-    written."""
+def _format_table(table: dict) -> tuple[list[str], list[list[str]]]:
+    """The header and formatted cells of a table: a dict from CSV column
+    name to column, in CSV order, with None for a blank cell. Raises
+    OracleError naming the column of the first non-finite number in
+    row-major order, before anything is printed or written."""
+    header = list(table)
     cells = []
-    for row in rows:
+    for row in zip(*table.values()):
         for name, value in zip(header, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise OracleError(f"column {name} holds a non-finite result ({_fmt(value)})")
         cells.append([_fmt(v) for v in row])
-    return cells
+    return header, cells
 
 
 def _write_csv(path: str, header: list[str], cells: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(cells)
-
-
-def _scenario_columns(scn: Scenario) -> tuple[list[str], list]:
-    econ = scn.econ
-    header = ["family", "param", "K", "theta", "theta_bar", "V", "tau", "p"]
-    row = [
-        econ.tech.family,
-        econ.tech.param,
-        econ.K,
-        econ.theta,
-        econ.theta_bar,
-        econ.V,
-        econ.tau,
-        econ.p,
-    ]
-    for i in range(econ.K):
-        header.append(f"q_{i + 1}")
-        row.append(econ.q[i])
-    for i in range(econ.K):
-        header.append(f"u_{i + 1}")
-        row.append(econ.u[i])
-    return header, row
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(header)
+            writer.writerows(cells)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out file {path!r}: {exc}") from exc
 
 
 def cmd_solve(scn: Scenario, out_path: str | None) -> int:
@@ -103,25 +87,23 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
         wages = None
         wage_note = str(exc)
 
-    header, row = _scenario_columns(scn)
-    for i in range(econ.K):
-        header.append(f"h_star_{i + 1}")
-        row.append(opt.h_star[i])
-    header += ["H_hstar", "m_star", "Y_star"]
-    row += [opt.H_hstar, opt.m_star, opt.Y_star]
-    header += list(WelfareReport.CSV_COLUMNS)
-    row += report.csv_row()
-    header += ["delta_q", "V_tilde", "beta", "r_bar", "uniqueness_cutoff", "w_S", "w_M"]
-    row += [
-        wages.delta_q if wages else None,
-        (1.0 - econ.tau) * econ.V,
-        wages.beta if wages else None,
-        bound.r_bar,
-        bound.uniqueness_cutoff,
-        wages.w_S if wages else None,
-        wages.w_M if wages else None,
-    ]
-    cells = _format_rows(header, [row])
+    V_tilde = (1.0 - econ.tau) * econ.V
+    row = {
+        "family": econ.tech.family, "param": econ.tech.param, "K": econ.K,
+        "theta": econ.theta, "theta_bar": econ.theta_bar, "V": econ.V, "tau": econ.tau,
+        "p": econ.p,
+        **{f"q_{i + 1}": v for i, v in enumerate(econ.q)},
+        **{f"u_{i + 1}": v for i, v in enumerate(econ.u)},
+        **{f"h_star_{i + 1}": v for i, v in enumerate(opt.h_star)},
+        "H_hstar": opt.H_hstar, "m_star": opt.m_star, "Y_star": opt.Y_star,
+        **report.columns(),
+        # the wage cells stay blank where wage support fails
+        "delta_q": None, "V_tilde": V_tilde, "beta": None, "r_bar": bound.r_bar,
+        "uniqueness_cutoff": bound.uniqueness_cutoff, "w_S": None, "w_M": None,
+    }
+    if wages is not None:
+        row.update(delta_q=wages.delta_q, beta=wages.beta, w_S=wages.w_S, w_M=wages.w_M)
+    header, cells = _format_table({name: [value] for name, value in row.items()})
 
     print("== productive optimum ==")
     print(f"  h_star        {np.array2string(opt.h_star, precision=10)}")
@@ -147,7 +129,7 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
         print(f"  beta          {wages.beta:.12g}")
     else:
         print(f"  not supported: {wage_note}")
-    print(f"  V_tilde       {(1.0 - econ.tau) * econ.V:.12g}")
+    print(f"  V_tilde       {V_tilde:.12g}")
     print(f"  r_bar         {bound.r_bar:.12g} (bound valid: {bound.bound_valid})")
     print(
         f"  uniqueness    theta < {bound.uniqueness_cutoff:.12g}: "
@@ -166,9 +148,7 @@ def cmd_sweep(scn: Scenario, axis: str, out_path: str | None) -> int:
         "alpha": (reforms.interface_statics, scn.alpha_grid),
         "theta": (reforms.theta_statics, scn.theta_grid()),
     }[axis]
-    columns = statics(scn.econ, grid)
-    header = list(columns)
-    cells = _format_rows(header, list(zip(*columns.values())))
+    header, cells = _format_table(statics(scn.econ, grid))
     if out_path:
         _write_csv(out_path, header, cells)
         print(f"wrote {out_path} ({len(cells)} rows)")
@@ -183,9 +163,13 @@ def cmd_verify(scn: Scenario, out_path: str | None) -> int:
     from . import oracles
 
     results = oracles.run_all(scn)
-    header = ["check", "status", "metric", "tolerance", "note"]
-    rows = [[r.name, r.status, r.metric, r.tolerance, r.note] for r in results]
-    cells = _format_rows(header, rows)
+    header, cells = _format_table({
+        "check": [r.name for r in results],
+        "status": [r.status for r in results],
+        "metric": [r.metric for r in results],
+        "tolerance": [r.tolerance for r in results],
+        "note": [r.note for r in results],
+    })
     width = max(len(r.name) for r in results) + 2
     failures = 0
     for r in results:

@@ -624,7 +624,7 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
         alloc = reforms.broadening_allocation(b, econ)
         if 0.0 < alloc.m < 1.0:
             rep = total_welfare(econ, alloc)
-            cells = dict(zip(welfare.WelfareReport.CSV_COLUMNS, rep.csv_row()))
+            cells = rep.columns()
         else:
             acc = accounts(alloc, econ)
             B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M

@@ -58,11 +58,7 @@ def dispersion(B_S: float, B_M: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class WelfareReport:
-    """One allocation's welfare accounts.
-
-    CSV row order: Y, service_welfare, dispersion, welfare, then the
-    political block e_pol, z_pol, t_S, t_M, R, B_S, B_M, B_soc, m.
-    """
+    """One allocation's welfare accounts."""
 
     Y: float
     service_welfare: float
@@ -70,39 +66,16 @@ class WelfareReport:
     welfare: float
     outcome: PoliticalOutcome
 
-    CSV_COLUMNS = (
-        "Y",
-        "service_welfare",
-        "dispersion",
-        "welfare",
-        "e_pol",
-        "z_pol",
-        "t_S",
-        "t_M",
-        "R",
-        "B_S",
-        "B_M",
-        "B_soc",
-        "m",
-    )
-
-    def csv_row(self) -> list[float]:
+    def columns(self) -> dict[str, float]:
+        """The report's CSV cells by column name, in CSV order: the welfare
+        figures, then the political block."""
         o = self.outcome
-        return [
-            self.Y,
-            self.service_welfare,
-            self.dispersion,
-            self.welfare,
-            o.e_pol,
-            o.z_pol,
-            o.t_S,
-            o.t_M,
-            o.R,
-            o.B_S,
-            o.B_M,
-            o.B_soc,
-            o.m,
-        ]
+        return {
+            "Y": self.Y, "service_welfare": self.service_welfare,
+            "dispersion": self.dispersion, "welfare": self.welfare,
+            "e_pol": o.e_pol, "z_pol": o.z_pol, "t_S": o.t_S, "t_M": o.t_M, "R": o.R,
+            "B_S": o.B_S, "B_M": o.B_M, "B_soc": o.B_soc, "m": o.m,
+        }
 
 
 def welfare_accounts(econ: Economy, outcome: PoliticalOutcome) -> WelfareReport:

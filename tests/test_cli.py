@@ -370,6 +370,22 @@ def test_solve_large_output_keeps_wage_support(tmp_path, capsys):
     assert "not supported" not in capsys.readouterr().out
 
 
+def test_solve_without_wage_support_leaves_the_wage_cells_blank(tmp_path, capsys):
+    # at V = 1 the continuation gap is above net productivity: solve still
+    # exits 0, says why, and leaves only the wage cells blank
+    cfg = write_cfg(tmp_path / "small_v.cfg", {"economy.v": "1.0"})
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (
+        "not supported: continuation gap 0.897914 not below net productivity 0.7; "
+        in capsys.readouterr().out
+    )
+    header, row = read_csv(out)
+    cells = dict(zip(header, row))
+    assert [cells[k] for k in ("delta_q", "beta", "w_S", "w_M")] == ["", "", "", ""]
+    assert cells["V_tilde"] == "0.7" and cells["r_bar"]
+
+
 def test_verify_at_large_v_bounds_output_and_wage_residuals_by_v(tmp_path, capsys):
     # at V = 1e6 the residuals of Y and of the wage identities reach 3.5e-10
     # and 1.2e-10, above an absolute 1e-10; bounded by max(1e-10, 16 eps V),
@@ -447,6 +463,19 @@ def test_profile_length_mismatch_names_both_keys(tmp_path, capsys):
     assert "economy.q has 2" in err and "economy.u has 3" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep --axis b", "verify"])
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_unwritable_out_exits_one(tmp_path, capsys, command, target):
+    # a path in a missing directory, or a directory, is a config error in
+    # one line, not an internal error
+    cfg = write_cfg(tmp_path / "small.cfg", SMALL_BUDGETS)
+    out = str(tmp_path / target)
+    assert main([*command.split(), "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write --out file {out!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_non_finite_result_never_exits_zero(tmp_path, capsys):
     # at V = 1e308 the welfare slope dW/dalpha overflows to nan on the end
     # rows of the alpha sweep; its decomposition residual is nan too, and
@@ -463,18 +492,18 @@ def test_non_finite_result_never_exits_zero(tmp_path, capsys):
 def test_non_finite_cell_names_its_column(value):
     # checked before any cell is printed or written
     with pytest.raises(OracleError, match=r"^column dW_dalpha holds a non-finite result \("):
-        cli._format_rows(["alpha", "dW_dalpha"], [[0.0, 1.0], [0.5, value]])
+        cli._format_table({"alpha": [0.0, 0.5], "dW_dalpha": [1.0, value]})
 
 
 def test_first_non_finite_cell_in_row_order_is_named():
     # two non-finite cells: the one in the earlier row is named, though a
     # later column holds it
-    rows = [[0.0, 1.0, float("inf")], [float("nan"), 0.5, 2.0]]
+    table = {"a": [0.0, float("nan")], "b": [1.0, 0.5], "c": [float("inf"), 2.0]}
     with pytest.raises(OracleError, match=r"^column c holds a non-finite result \(inf\)$"):
-        cli._format_rows(["a", "b", "c"], rows)
-    rows[0][2] = 3.0
+        cli._format_table(table)
+    table["c"][0] = 3.0
     with pytest.raises(OracleError, match=r"^column a holds a non-finite result \(nan\)$"):
-        cli._format_rows(["a", "b", "c"], rows)
+        cli._format_table(table)
 
 
 def test_alpha_sweep_stops_at_a_decomposition_residual(tmp_path, capsys):

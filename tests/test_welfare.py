@@ -10,7 +10,6 @@ from specint.production import productive_optimum
 from specint.reforms import broadening_family, interface_family
 from specint.welfare import (
     DECOMPOSITION_STEP,
-    WelfareReport,
     decompose_along,
     dispersion,
     service_welfare,
@@ -85,7 +84,10 @@ def test_total_welfare_composition(econ):
         (1 - econ.tau) * rep.Y + rep.service_welfare, abs=1e-12
     )
     assert rep.dispersion > 0.0  # integrator advantage holds here
-    assert len(rep.csv_row()) == len(WelfareReport.CSV_COLUMNS)
+    assert list(rep.columns()) == [
+        "Y", "service_welfare", "dispersion", "welfare", "e_pol", "z_pol",
+        "t_S", "t_M", "R", "B_S", "B_M", "B_soc", "m",
+    ]
 
 
 def test_one_tax_rate_drives_income_wedge_and_resources(econ):
@@ -153,4 +155,6 @@ def test_decompose_returns_the_report_at_its_parameter(econ, b, offsets):
     d = decompose_along(econ, recorded, b, 0.0, 1.0)
     assert points == [b + k * DECOMPOSITION_STEP for k in offsets]
     want = total_welfare(*fam(b))
-    assert np.array(d.at.csv_row()).tobytes() == np.array(want.csv_row()).tobytes()
+    assert np.array(list(d.at.columns().values())).tobytes() == np.array(
+        list(want.columns().values())
+    ).tobytes()
