@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -78,7 +79,6 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     econ = scn.econ
     opt, alloc = productive_optimum(econ)
     report = total_welfare(econ, alloc)
-    outcome = report.outcome
     bound = competitive.ratio_bound(econ)
     try:
         wages = competitive.wages_at_optimum(econ, opt, alloc)
@@ -111,12 +111,12 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     print(f"  Y_star        {opt.Y_star:.12g}")
     print(f"  H(h_star)     {opt.H_hstar:.12g}")
     print("== political equilibrium ==")
-    print(f"  e_pol         {outcome.e_pol:.12g}")
-    print(f"  z_pol         {outcome.z_pol:.12g}  (integrator mass {outcome.m:.12g})")
-    print(f"  t_S, t_M      {outcome.t_S:.12g}, {outcome.t_M:.12g}")
-    print(f"  R             {outcome.R:.12g}")
-    print(f"  B_S, B_M      {outcome.B_S:.12g}, {outcome.B_M:.12g}")
-    print(f"  B_soc         {outcome.B_soc:.12g}")
+    print(f"  e_pol         {report.e_pol:.12g}")
+    print(f"  z_pol         {report.z_pol:.12g}  (integrator mass {report.m:.12g})")
+    print(f"  t_S, t_M      {report.t_S:.12g}, {report.t_M:.12g}")
+    print(f"  R             {report.R:.12g}")
+    print(f"  B_S, B_M      {report.B_S:.12g}, {report.B_M:.12g}")
+    print(f"  B_soc         {report.B_soc:.12g}")
     print("== welfare ==")
     print(f"  Y             {report.Y:.12g}")
     print(f"  service       {report.service_welfare:.12g}")
@@ -226,6 +226,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         scn = load_scenario(args.config)
+        # an --out path that is a directory or lies in a missing one is
+        # refused before any work, without creating the file
+        out = args.out
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(f"cannot write --out file {out!r}: no such directory, or a directory")
         if args.command == "solve":
             return cmd_solve(scn, args.out)
         if args.command == "sweep":

@@ -502,10 +502,10 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = 0.0
     bfam = reforms.broadening_family(econ)
     for b in (0.0, 0.3, 0.7):
-        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*bfam(x)), b).residual)
+        worst = max(worst, decompose_along(econ, bfam, b).residual)
     ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*ifam(x)), a).residual)
+        worst = max(worst, decompose_along(econ, ifam, a).residual)
     return _result("decomposition-residual", worst, welfare.DECOMPOSITION_RESIDUAL)
 
 
@@ -516,16 +516,11 @@ def _fd_slopes(econ: Economy, family, x: float, lo: float = 0.0, hi: float = 1.0
     round-off when every value is within eps of its size: the sum of the
     stencil's absolute coefficients (2 central, 8 one-sided, over 2h) times
     eps times the largest value differenced."""
-    reports = []
-
-    def welfare_at(y):
-        reports.append(total_welfare(*family(y)))
-        return reports[-1]
-
-    d = decompose_along(econ, welfare_at, x, lo, hi)
-    kind = welfare.stencil_points(x, lo, hi)[1]
+    points, kind = welfare.stencil_points(x, lo, hi)
+    reports = [family(y) for y in points]
+    d = decompose_along(econ, dict(zip(points, reports)).__getitem__, x, lo, hi)
     unit = (2.0 if kind == 0 else 8.0) * _EPS / (2.0 * welfare.DECOMPOSITION_STEP)
-    civic = [r.outcome.B_soc for r in reports]
+    civic = [r.B_soc for r in reports]
     total = [r.welfare for r in reports]
     service = [r.service_welfare for r in reports]
     return (
@@ -593,8 +588,7 @@ def _bracket_note(name: str, x: float, w: float | None) -> str:
 def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     slope = reforms.broadening_derivative(econ)
-    bfam = reforms.broadening_family(econ)
-    fd = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
+    fd = decompose_along(econ, reforms.broadening_family(econ), 0.0).dB_soc
     worst = abs(fd - slope.value) / 1e-6
     note = f"regime={slope.regime}"
     if slope.regime == "cutoff":
@@ -623,8 +617,7 @@ def check_broadening(scn: Scenario, rng, tol_scale) -> CheckResult:
     for b in scn.b_grid.tolist():
         alloc = reforms.broadening_allocation(b, econ)
         if 0.0 < alloc.m < 1.0:
-            rep = total_welfare(econ, alloc)
-            cells = rep.columns()
+            cells = total_welfare(econ, alloc).columns()
         else:
             acc = accounts(alloc, econ)
             B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
@@ -648,7 +641,7 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     h = 1e-6
     worst = 0.0
     for a in (0.25, 0.75):
-        lo, hi = [accounts(alloc, econ_a) for econ_a, alloc in (fam(a - h), fam(a + h))]
+        lo, hi = fam(a - h), fam(a + h)
         worst = max(
             worst,
             abs((hi.B_S - lo.B_S) / (2 * h) - B_S_slope) / 1e-8,
@@ -669,14 +662,13 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     def per_point():
         rows = []
         for a in grid:
-            d = decompose_along(econ, lambda x: total_welfare(*fam(x)), a, grid[0], grid[-1])
+            d = decompose_along(econ, fam, a, grid[0], grid[-1])
             at = reforms.residual_checked(d, a).at
-            o = at.outcome
             rows.append({
-                "alpha": a, "B_S": o.B_S, "B_M": o.B_M, "B_soc": o.B_soc,
+                "alpha": a, "B_S": at.B_S, "B_M": at.B_M, "B_soc": at.B_soc,
                 "dispersion": at.dispersion, "welfare": at.welfare,
                 "B_S_slope": B_S_slope, "B_M_slope": B_M_slope,
-                "B_soc_slope": (1.0 - o.m) * B_S_slope + o.m * B_M_slope,
+                "B_soc_slope": (1.0 - at.m) * B_S_slope + at.m * B_M_slope,
                 "dW_dalpha": d.fd_total,
             })
         return {name: [row[name] for row in rows] for name in rows[0]}
@@ -698,7 +690,7 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
         econ_t = econ.with_theta(theta)
         opt, alloc = productive_optimum(econ_t)
         rep = total_welfare(econ_t, alloc)
-        same = (opt.m_star, opt.Y_star, rep.outcome.B_soc) == (
+        same = (opt.m_star, opt.Y_star, rep.B_soc) == (
             report["m"][i], report["Y"][i], report["B_soc"][i]
         )
         worst = max(
@@ -711,7 +703,7 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     strictness = min(
         float(np.diff(report["m"]).min()),
         float(-np.diff(report["Y"]).max()),
-        float((np.sign(rep.outcome.B_M - rep.outcome.B_S) * np.diff(report["B_soc"])).min()),
+        float((np.sign(rep.B_M - rep.B_S) * np.diff(report["B_soc"])).min()),
     )
     if strictness <= 1e-12:
         worst = max(worst, 2.0)
@@ -743,13 +735,12 @@ def check_dispersion_order(scn: Scenario, rng, tol_scale) -> CheckResult:
         fam = reforms.interface_family(econ_t)
         worst_d = 0.0
         for a in np.linspace(0.0, 1.0, 9):
-            econ_a, alloc = fam(float(a))
-            acc = accounts(alloc, econ_a)
+            rep = fam(float(a))
             worst_d = max(
                 worst_d,
-                abs(reforms.dispersion_slope(acc.B_S, acc.B_M, bs_slope, bm_slope, alloc.m)),
+                abs(reforms.dispersion_slope(rep.B_S, rep.B_M, bs_slope, bm_slope, rep.m)),
             )
-        ratios.append(worst_d / alloc.m)
+        ratios.append(worst_d / rep.m)
     ratios = np.array(ratios)
     fitted = 1.5 * float(ratios[5:].max())
     worst = float(ratios[:5].max()) - fitted

@@ -39,7 +39,7 @@ feasibility, Y and the group knowledge) from one production.accounts_rows
 call per atom set, then each share's political equilibrium and
 welfare_accounts, each value with the bits of the per-share path.
 `verify` holds every cell it emits against that path
-(broadening_allocation(b) and total_welfare). theta_statics composes its
+(broadening_family(econ) at each share). theta_statics composes its
 welfare through welfare_accounts too.
 
 Interface intensity: the civic profile is tilted from q toward the gap
@@ -49,7 +49,7 @@ allocation. Specialist knowledge falls at rate
 rate H(h*)**p * [1 - C(h*,q)] >= 0, both strict unless q is uniform.
 The alpha sweep is one array pass too (interface_statics), and `verify`
 holds every cell it emits against the per-point path
-(interface_family(alpha) and total_welfare at each stencil point).
+(interface_family(econ) at each stencil point).
 
 Integration-cost statics: along theta the optimum moves only the integrator
 share m = theta*D/(H + theta*D) and output Y = V*H/(H + theta*D), with
@@ -61,6 +61,9 @@ accounts call per grid, each row's welfare at the Y it reports; `verify`
 holds every row against the per-theta optimum and its welfare accounts.
 The curves may tie between neighbouring grid points but never reverse.
 Welfare carries no sign assertion.
+
+A reform family maps its parameter straight to the WelfareReport of the
+allocation (and economy) it describes: the per-point path `verify` reads.
 
 Each of the three statics, broadening_statics, interface_statics and
 theta_statics, returns the table that `sweep --axis {b,alpha,theta}`
@@ -106,6 +109,7 @@ from .welfare import (
     Family,
     decompose_along,
     stencil_points,
+    total_welfare,
     welfare_accounts,
 )
 
@@ -151,8 +155,9 @@ def broadening_allocation(b, econ: Economy):
 
 
 def broadening_family(econ: Economy) -> Family:
-    """The broadening reform path of one economy."""
-    return lambda b: (econ, broadening_allocation(b, econ))
+    """The broadening reform path of one economy: the welfare report of
+    broadening_allocation(b) at each share b."""
+    return lambda b: total_welfare(econ, broadening_allocation(b, econ))
 
 
 def broadening_statics(econ: Economy, b_grid) -> dict[str, list]:
@@ -162,10 +167,10 @@ def broadening_statics(econ: Economy, b_grid) -> dict[str, list]:
     (accounts_rows, which checks each share's feasibility as accounts
     does), then per share the political equilibrium and the welfare
     accounts. Where the integrator share m is 0 (or 1) there is no voting
-    game, and the eight political and welfare cells are blank (None).
-    Each value has the bits of the per-share path, total_welfare (or
-    accounts where m = 0) of broadening_allocation(b), which `verify`
-    holds it against.
+    game: the row holds only m, Y and the group knowledge, and its eight
+    political and welfare cells are blank (None). Each value has the bits
+    of the per-share path, broadening_family(econ)(b) (or accounts where
+    m = 0), which `verify` holds it against.
     """
     grid = np.asarray(b_grid, dtype=float)
     if grid.ndim != 1:
@@ -173,20 +178,15 @@ def broadening_statics(econ: Economy, b_grid) -> dict[str, list]:
     rows = []
     for block in broadening_allocation(grid, econ):
         for share, acc in zip(block.m.tolist(), accounts_rows(block, econ)):
-            row = [share, acc.Y, acc.B_S, acc.B_M, (1.0 - share) * acc.B_S + share * acc.B_M]
             if 0.0 < share < 1.0:
-                rep = welfare_accounts(
-                    econ, equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M)
-                )
-                o = rep.outcome
-                row += [o.e_pol, o.z_pol, o.t_S, o.t_M, o.R, rep.service_welfare,
-                        rep.dispersion, rep.welfare]
+                outcome = equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M)
+                rows.append(welfare_accounts(econ, outcome).columns())
             else:
-                row += [None] * 8
-            rows.append(row)
+                rows.append({"m": share, "Y": acc.Y, "B_S": acc.B_S, "B_M": acc.B_M,
+                             "B_soc": (1.0 - share) * acc.B_S + share * acc.B_M})
     names = ("m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M", "R",
              "service_welfare", "dispersion", "welfare")
-    return {"b": grid.tolist(), **{name: list(col) for name, col in zip(names, zip(*rows))}}
+    return {"b": grid.tolist(), **{name: [row.get(name) for row in rows] for name in names}}
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,11 @@ def interface_family(econ: Economy) -> Family:
     """The interface-intensity path: the civic profile moves, the allocation
     stays the corner organization at mix q with minimal integrators. That
     equals the certified optimum below the cutoff and stays a well-defined
-    feasible construction above it."""
+    feasible construction above it. Each alpha maps to the welfare report
+    of that allocation under the tilted economy."""
     alloc = minimal_allocation(corner_design(econ.q), econ)
     h_star = gap_profile_star(econ.q)
-    return lambda alpha: (econ.with_u(interface_profile(econ.q, alpha, h_star)), alloc)
+    return lambda a: total_welfare(econ.with_u(interface_profile(econ.q, a, h_star)), alloc)
 
 
 def interface_closed_slopes(econ: Economy) -> tuple[float, float]:
@@ -296,10 +297,9 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> dict[str, list]:
     point's political equilibrium and welfare accounts feed
     decompose_along, whose report at the stencil's centre gives the point's
     curves and whose slope is dW_dalpha. Each value has the bits of the
-    per-point path, decompose_along over
-    total_welfare(*interface_family(econ)(x)), and the sweep stops where
-    that path would (residual_checked), before any later point is
-    evaluated."""
+    per-point path, decompose_along over interface_family(econ), and the
+    sweep stops where that path would (residual_checked), before any later
+    point is evaluated."""
     # interface_family's allocation, with the corners' frontier and H(h*)
     # solved in one batch
     h_star = gap_profile_star(econ.q)
@@ -324,13 +324,13 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> dict[str, list]:
 
         slopes.append(residual_checked(decompose_along(econ, welfare_at, a, lo, hi), a))
     reports = [d.at for d in slopes]
-    m = reports[0].outcome.m
+    m = reports[0].m
     n = len(grid)
     return {
         "alpha": grid,
-        "B_S": [r.outcome.B_S for r in reports],
-        "B_M": [r.outcome.B_M for r in reports],
-        "B_soc": [r.outcome.B_soc for r in reports],
+        "B_S": [r.B_S for r in reports],
+        "B_M": [r.B_M for r in reports],
+        "B_soc": [r.B_soc for r in reports],
         "dispersion": [r.dispersion for r in reports],
         "welfare": [r.welfare for r in reports],
         "B_S_slope": [B_S_slope] * n,
@@ -420,7 +420,7 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> dict[str, list]:
         welfare_accounts(econ, equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M))
         for y, share in zip(Y.tolist(), m.tolist())
     ]
-    B_soc = [r.outcome.B_soc for r in reports]
+    B_soc = [r.B_soc for r in reports]
     # correctly rounded monotone operations can tie but never reverse
     if not (np.all(np.diff(m) >= 0.0) and np.all(np.diff(Y) <= 0.0)):
         raise OracleError("integration-cost monotonicity violated (bug)")

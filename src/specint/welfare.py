@@ -14,13 +14,16 @@ Along a one-parameter family of allocations, the welfare slope splits as
 taken by second-order finite differences on the points stencil_points
 chooses, from the family's welfare reports there; the R sensitivities
 come from the governance module.
+
+A WelfareReport is one flat row, the 13 CSV cells of an allocation's
+welfare and political outcome; a family maps its parameter to one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .economy import Economy
 from .errors import DomainError
@@ -32,13 +35,13 @@ DECOMPOSITION_STEP = 1e-5  # finite-difference step of decompose_along
 DECOMPOSITION_RESIDUAL = 1e-4  # residual bound of the alpha sweep and of verify's check
 
 
-def service_welfare(outcome: PoliticalOutcome) -> float:
+def service_welfare(out: PoliticalOutcome) -> float:
     """Population-weighted log services (1-m)*log t_S + m*log t_M at the
     outcome's integrator share m."""
-    if outcome.t_S <= 0.0 or outcome.t_M <= 0.0:
+    if out.t_S <= 0.0 or out.t_M <= 0.0:
         raise DomainError("log service utility needs positive services")
-    m = outcome.m
-    return (1.0 - m) * math.log(outcome.t_S) + m * math.log(outcome.t_M)
+    m = out.m
+    return (1.0 - m) * math.log(out.t_S) + m * math.log(out.t_M)
 
 
 def dispersion(B_S: float, B_M: float, m: float) -> float:
@@ -56,39 +59,38 @@ def dispersion(B_S: float, B_M: float, m: float) -> float:
     return val
 
 
-@dataclass(frozen=True)
-class WelfareReport:
-    """One allocation's welfare accounts."""
+class WelfareReport(NamedTuple):
+    """One allocation's welfare row: its 13 CSV cells in CSV order, the
+    welfare figures and then the political outcome they come from."""
 
     Y: float
     service_welfare: float
     dispersion: float
     welfare: float
-    outcome: PoliticalOutcome
+    e_pol: float
+    z_pol: float
+    t_S: float
+    t_M: float
+    R: float
+    B_S: float
+    B_M: float
+    B_soc: float
+    m: float
 
     def columns(self) -> dict[str, float]:
-        """The report's CSV cells by column name, in CSV order: the welfare
-        figures, then the political block."""
-        o = self.outcome
-        return {
-            "Y": self.Y, "service_welfare": self.service_welfare,
-            "dispersion": self.dispersion, "welfare": self.welfare,
-            "e_pol": o.e_pol, "z_pol": o.z_pol, "t_S": o.t_S, "t_M": o.t_M, "R": o.R,
-            "B_S": o.B_S, "B_M": o.B_M, "B_soc": o.B_soc, "m": o.m,
-        }
+        """The report's CSV cells by column name, in CSV order."""
+        return self._asdict()
 
 
-def welfare_accounts(econ: Economy, outcome: PoliticalOutcome) -> WelfareReport:
-    """The welfare accounts of a political outcome: service welfare, the
-    dispersion penalty and W = (1-tau)*Y + V_serv. Every welfare figure the
-    engine reports is composed here."""
-    V_serv = service_welfare(outcome)
+def welfare_accounts(econ: Economy, out: PoliticalOutcome) -> WelfareReport:
+    """The welfare row of a political outcome: service welfare, the
+    dispersion penalty and W = (1-tau)*Y + V_serv beside the outcome's
+    fields. Every welfare figure the engine reports is composed here."""
+    V_serv = service_welfare(out)
     return WelfareReport(
-        Y=outcome.Y,
-        service_welfare=V_serv,
-        dispersion=dispersion(outcome.B_S, outcome.B_M, outcome.m),
-        welfare=(1.0 - econ.tau) * outcome.Y + V_serv,
-        outcome=outcome,
+        out.Y, V_serv, dispersion(out.B_S, out.B_M, out.m),
+        (1.0 - econ.tau) * out.Y + V_serv,
+        out.e_pol, out.z_pol, out.t_S, out.t_M, out.R, out.B_S, out.B_M, out.B_soc, out.m,
     )
 
 
@@ -97,11 +99,10 @@ def total_welfare(econ: Economy, alloc: Allocation) -> WelfareReport:
     return welfare_accounts(econ, political_equilibrium(econ, alloc))
 
 
-# A family maps a parameter to (economy, allocation); the economy slot lets
-# families that move the civic profile reuse the same machinery. Its
-# per-point welfare, lambda x: total_welfare(*family(x)), is what
-# decompose_along reads.
-Family = Callable[[float], tuple[Economy, Allocation]]
+# A family maps a parameter to the welfare report of its allocation (under
+# its economy, for families that move the civic profile); decompose_along
+# reads it at each stencil point.
+Family = Callable[[float], WelfareReport]
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,12 @@ def stencil_points(b: float, lo: float, hi: float) -> tuple[tuple[float, float, 
 
 
 def decompose_along(
-    econ: Economy, welfare_at: Callable[[float], WelfareReport], b: float,
-    lo: float = 0.0, hi: float = 1.0,
+    econ: Economy, family: Family, b: float, lo: float = 0.0, hi: float = 1.0,
 ) -> Decomposition:
     """Three-term welfare slope at parameter b of an allocation family,
-    given its welfare report at each point of stencil_points(b, lo, hi)
-    (welfare_at, called once per point in stencil order) and the economy
-    whose governance technology and tax rate the family keeps.
+    called once at each point of stencil_points(b, lo, hi) in stencil
+    order, given the economy whose governance technology and tax rate the
+    family keeps.
 
     The report's residual is |productive + governance + targeting -
     fd_total|; above DECOMPOSITION_RESIDUAL the step is too large for the
@@ -160,13 +160,13 @@ def decompose_along(
     """
     offsets, kind = stencil_points(b, lo, hi)
     step = DECOMPOSITION_STEP
-    reports = [welfare_at(point) for point in offsets]
+    reports = [family(point) for point in offsets]
     dY = stencil(kind, [r.Y for r in reports], step)
-    dB = stencil(kind, [r.outcome.B_soc for r in reports], step)
+    dB = stencil(kind, [r.B_soc for r in reports], step)
     dW = stencil(kind, [r.welfare for r in reports], step)
 
     center = reports[1] if kind == 0 else reports[0]
-    R, R_Y, R_B = resource_sensitivities(econ.gov, center.Y, center.outcome.B_soc)
+    R, R_Y, R_B = resource_sensitivities(econ.gov, center.Y, center.B_soc)
     productive = ((1.0 - econ.tau) + R_Y / R) * dY
     governance = (R_B / R) * dB
     targeting = -stencil(kind, [r.dispersion for r in reports], step)

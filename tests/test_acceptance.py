@@ -233,17 +233,16 @@ def test_criterion_09_decomposition(econ):
     worst = 0.0
     bfam = reforms.broadening_family(econ)
     for b in (0.0, 0.25, 0.5, 0.75):
-        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*bfam(x)), b).residual)
+        worst = max(worst, decompose_along(econ, bfam, b).residual)
     ifam = reforms.interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        worst = max(worst, decompose_along(econ, lambda x: total_welfare(*ifam(x)), a).residual)
+        worst = max(worst, decompose_along(econ, ifam, a).residual)
     report(9, "welfare-decomposition", worst <= 1e-4, f"max residual {worst:.3e} <= 1e-4")
 
 
 def test_criterion_10_broadening(econ):
     slope = reforms.broadening_derivative(econ)
-    bfam = reforms.broadening_family(econ)
-    fd = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc
+    fd = decompose_along(econ, reforms.broadening_family(econ), 0.0).dB_soc
     fd_gap = abs(fd - slope.value)
     width = oracles.cutoff_bracket(econ, slope.cutoff) if slope.regime == "cutoff" else None
     ok = fd_gap <= 1e-6 and width is not None and width <= 1e-6

@@ -39,6 +39,7 @@ from specint.reforms import (
     broadening_statics,
     interface_closed_slopes,
     interface_family,
+    interface_profile,
     interface_statics,
     theta_statics,
 )
@@ -191,10 +192,9 @@ def _broadening_statics_one(b, econ):
     and the eight political and welfare cells blank)."""
     alloc = _broadening_one(b, econ)
     if 0.0 < alloc.m < 1.0:
-        rep = total_welfare(econ, alloc)
-        o = rep.outcome
-        return (b, alloc.m, rep.Y, o.B_S, o.B_M, o.B_soc, o.e_pol, o.z_pol, o.t_S, o.t_M,
-                o.R, rep.service_welfare, rep.dispersion, rep.welfare)
+        r = total_welfare(econ, alloc)
+        return (b, alloc.m, r.Y, r.B_S, r.B_M, r.B_soc, r.e_pol, r.z_pol, r.t_S, r.t_M,
+                r.R, r.service_welfare, r.dispersion, r.welfare)
     acc = accounts(alloc, econ)
     B_soc = (1.0 - alloc.m) * acc.B_S + alloc.m * acc.B_M
     return (b, alloc.m, acc.Y, acc.B_S, acc.B_M, B_soc, *[None] * 8)
@@ -266,7 +266,7 @@ def test_theta_statics_matches_per_theta_loop():
             D = fragmentation(econ.q)
             m.append(opt.m_star)
             Y.append(opt.Y_star)
-            B.append(rep.outcome.B_soc)
+            B.append(rep.B_soc)
             W.append(rep.welfare)
             dm.append(D * H / (H + theta * D) ** 2)
         assert list(report) == ["theta", "m", "Y", "B_soc", "welfare", "dm_dtheta"]
@@ -364,8 +364,7 @@ def test_layer_kernel_runs_once_per_allocation_along_the_alpha_sweep(monkeypatch
         calls.clear()
         fam = interface_family(econ)
         for alpha in _alpha_sweep_points():
-            econ_a, alloc = fam(alpha)
-            accounts(alloc, econ_a)
+            fam(alpha)
         assert calls == [1]
 
 
@@ -453,12 +452,14 @@ def test_accounts_along_alpha_sweep_match_per_row_loop():
     assert len(points) == 63
     for econ in (ECONOMIES[0], ECONOMIES[-1], K8):
         fam = interface_family(econ)
-        alloc = fam(0.0)[1]
+        alloc = minimal_allocation(corner_design(econ.q), econ)
+        at_zero = fam(0.0)
         for alpha in points:
-            econ_a, alloc_a = fam(alpha)
-            assert alloc_a is alloc
-            acc = accounts(alloc, econ_a)
-            assert (acc.B_S, acc.B_M) == _knowledge_loop(alloc, econ_a), alpha
+            rep = fam(alpha)
+            # one allocation along the family: output and integrator share keep their bits
+            assert (rep.Y, rep.m) == (at_zero.Y, at_zero.m), alpha
+            econ_a = econ.with_u(interface_profile(econ.q, alpha))
+            assert (rep.B_S, rep.B_M) == _knowledge_loop(alloc, econ_a), alpha
 
 
 def _interface_statics_one(econ, grid):
@@ -484,7 +485,7 @@ def _interface_statics_one(econ, grid):
             econ_x = econ.with_u((1.0 - x) * q + x * h_star)
             acc = _accounts_one(alloc, econ_x)
             rep = total_welfare(econ_x, alloc)
-            assert (rep.outcome.B_S, rep.outcome.B_M, rep.Y) == (acc.B_S, acc.B_M, acc.Y)
+            assert (rep.B_S, rep.B_M, rep.Y) == (acc.B_S, acc.B_M, acc.Y)
             reports.append(rep)
         f0, f1, f2 = (r.welfare for r in reports)
         if kind == 0:
@@ -494,8 +495,7 @@ def _interface_statics_one(econ, grid):
         else:
             dW = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
         at = reports[1] if kind == 0 else reports[0]
-        o = at.outcome
-        rows.append((a, o.B_S, o.B_M, o.B_soc, at.dispersion, at.welfare, dW))
+        rows.append((a, at.B_S, at.B_M, at.B_soc, at.dispersion, at.welfare, dW))
     return rows
 
 

@@ -318,6 +318,35 @@ def test_solve_and_sweep_leave_the_oracle_layer_unloaded():
     assert proc.stderr == "[0, 0, 0, 0] [False, False]\n"
 
 
+def _imported_modules(node):
+    """The modules an import statement reads: the module itself and, for
+    `from M import a`, each M.a (which may be a submodule); a relative
+    import is resolved inside specint."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    module = ".".join(filter(None, ["specint" if node.level else "", node.module]))
+    return [module, *(f"{module}.{alias.name}" for alias in node.names)]
+
+
+def test_only_cmd_verify_imports_the_oracle_layer():
+    # the engine never depends on the checks that certify it: no module of
+    # specint imports specint.oracles, except cli inside cmd_verify
+    src = Path(cli.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "oracles":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    name == "specint.oracles" or name.startswith("specint.oracles.")
+                    for name in _imported_modules(node)
+                ):
+                    scope = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+                    sites.append((path.stem, scope))
+    assert sites == [("cli", "cmd_verify")]
+
+
 def test_verify_above_cutoff_exits_two(tmp_path, capsys):
     # theta = 0.02 lies above default.cfg's coordination cutoff: verify
     # stops at the first check that needs the productive optimum
@@ -465,15 +494,26 @@ def test_profile_length_mismatch_names_both_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "sweep --axis b", "verify"])
 @pytest.mark.parametrize("target", ["missing/out.csv", "."])
-def test_unwritable_out_exits_one(tmp_path, capsys, command, target):
+def test_unwritable_out_exits_one(tmp_path, capsys, monkeypatch, command, target):
     # a path in a missing directory, or a directory, is a config error in
-    # one line, not an internal error
+    # one line, not an internal error, and it is found before any work:
+    # verify never runs its checks
+    from specint import oracles
+
+    runs = []
+
+    def refuse(scn):
+        runs.append(scn)
+        raise AssertionError("verify ran its checks before checking --out")
+
+    monkeypatch.setattr(oracles, "run_all", refuse)
     cfg = write_cfg(tmp_path / "small.cfg", SMALL_BUDGETS)
     out = str(tmp_path / target)
     assert main([*command.split(), "--config", cfg, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write --out file {out!r}: ")
     assert err.count("\n") == 1
+    assert runs == []
 
 
 def test_non_finite_result_never_exits_zero(tmp_path, capsys):

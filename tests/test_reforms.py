@@ -173,7 +173,7 @@ def test_broadening_domain(econ):
 
 
 def _broadening_b_soc(econ, b):
-    return total_welfare(*broadening_family(econ)(b)).outcome.B_soc
+    return broadening_family(econ)(b).B_soc
 
 
 def test_broadening_closed_form_tracks_pipeline(econ):
@@ -199,8 +199,7 @@ def test_broadening_derivative_matches_fd(econ):
         - _broadening_b_soc(econ, 2 * h)
     ) / (2 * h)
     assert abs(fd - slope.value) <= 1e-6
-    bfam = broadening_family(econ)
-    assert decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0).dB_soc == fd
+    assert decompose_along(econ, broadening_family(econ), 0.0).dB_soc == fd
 
 
 def test_broadening_cutoff_regimes():
@@ -305,29 +304,45 @@ def test_interface_family_anchors(econ):
 
 
 def test_interface_family_shares_one_allocation(econ):
-    # only the civic profile moves along the family; the allocation is built once
-    fam = interface_family(econ)
-    points = [fam(a) for a in (0.0, 0.5, 1.0)]
-    assert all(alloc is points[0][1] for _, alloc in points)
-    for a, (econ_a, _) in zip((0.0, 0.5, 1.0), points):
-        assert econ_a.u == pytest.approx(interface_profile(econ.q, a), abs=1e-15)
+    # only the civic profile moves along the family: output and the
+    # integrator share keep their bits, specialist knowledge falls and
+    # integrator knowledge rises
+    reports = [interface_family(econ)(a) for a in (0.0, 0.5, 1.0)]
+    assert len({(r.Y, r.m) for r in reports}) == 1
+    assert reports[0].B_S > reports[1].B_S > reports[2].B_S
+    assert reports[0].B_M < reports[1].B_M < reports[2].B_M
 
 
 def test_interface_family_profile_is_exactly_the_affine_path():
-    # the family's economy keeps the tilted profile's bits, so the path the
+    # the family's reports carry the tilted profile's bits, so the path the
     # finite-difference checks step along is exactly affine in alpha
     scn = load_scenario(str(SCENARIOS / "default.cfg"))
-    fam = interface_family(scn.econ)
+    econ = scn.econ
+    fam = interface_family(econ)
+    alloc = minimal_allocation(corner_design(econ.q), econ)
     assert scn.alpha_grid.size == 21
-    for a in scn.alpha_grid:
-        assert np.array_equal(fam(float(a))[0].u, interface_profile(scn.econ.q, float(a)))
+    for a in scn.alpha_grid.tolist():
+        want = total_welfare(econ.with_u(interface_profile(econ.q, a)), alloc)
+        assert repr(fam(a)) == repr(want), a
+
+
+def test_families_map_a_parameter_to_the_report_of_their_allocation(econ):
+    # a family's report is total_welfare of the allocation and economy it
+    # describes, to the bit
+    bfam = broadening_family(econ)
+    for b in (0.0, 0.4, 0.9):
+        assert repr(bfam(b)) == repr(total_welfare(econ, broadening_allocation(b, econ))), b
+    ifam = interface_family(econ)
+    alloc = minimal_allocation(corner_design(econ.q), econ)
+    for a in (0.0, 0.3, 1.0):
+        econ_a = econ.with_u(interface_profile(econ.q, a))
+        assert repr(ifam(a)) == repr(total_welfare(econ_a, alloc)), a
 
 
 def test_broadening_governance_term_positive_at_zero(econ):
     # civic capacity rises at b=0 here, so the governance term of the
     # welfare slope is strictly positive
-    bfam = broadening_family(econ)
-    d = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0)
+    d = decompose_along(econ, broadening_family(econ), 0.0)
     assert d.dB_soc > 0.0
     assert d.governance_term > 0.0
 
@@ -472,8 +487,7 @@ def test_interface_threshold_flips_finite_difference_slopes():
     def both_negative(econ, grid):
         fam = interface_family(econ)
         lo, hi = float(grid[0]), float(grid[-1])
-        slopes = [decompose_along(econ, lambda x: total_welfare(*fam(x)), float(a), lo, hi)
-                  for a in grid]
+        slopes = [decompose_along(econ, fam, float(a), lo, hi) for a in grid]
         return all(d.dB_soc < 0.0 and d.fd_total < 0.0 for d in slopes)
 
     for econ, grid in _threshold_cases():

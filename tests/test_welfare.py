@@ -97,7 +97,7 @@ def test_one_tax_rate_drives_income_wedge_and_resources(econ):
     shifted_econ = replace(econ, gov=replace(econ.gov, tau=0.5))
     assert shifted_econ.tau == 0.5
     shifted = total_welfare(shifted_econ, alloc)
-    assert shifted.outcome.R == pytest.approx(base.outcome.R * 0.5 / 0.3, rel=1e-12)
+    assert shifted.R == pytest.approx(base.R * 0.5 / 0.3, rel=1e-12)
     assert shifted.service_welfare - base.service_welfare == pytest.approx(
         math.log(0.5 / 0.3), abs=1e-12
     )
@@ -126,16 +126,16 @@ def test_decompose_constant_family_is_zero(econ):
 def test_decompose_residual_small_on_both_families(econ):
     bfam = broadening_family(econ)
     for b in (0.0, 0.25, 0.6, 1.0 - 1e-3):
-        assert decompose_along(econ, lambda x: total_welfare(*bfam(x)), b).residual <= 1e-4
+        assert decompose_along(econ, bfam, b).residual <= 1e-4
     ifam = interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        assert decompose_along(econ, lambda x: total_welfare(*ifam(x)), a, 0.0, 1.0).residual <= 1e-4
+        assert decompose_along(econ, ifam, a, 0.0, 1.0).residual <= 1e-4
 
 
 def test_decompose_boundary_uses_one_sided(econ):
     bfam = broadening_family(econ)
-    d0 = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 0.0)
-    d_in = decompose_along(econ, lambda x: total_welfare(*bfam(x)), 1e-5)
+    d0 = decompose_along(econ, bfam, 0.0)
+    d_in = decompose_along(econ, bfam, 1e-5)
     assert d0.fd_total == pytest.approx(d_in.fd_total, rel=1e-3, abs=1e-4)
 
 
@@ -150,11 +150,8 @@ def test_decompose_returns_the_report_at_its_parameter(econ, b, offsets):
 
     def recorded(a):
         points.append(a)
-        return total_welfare(*fam(a))
+        return fam(a)
 
     d = decompose_along(econ, recorded, b, 0.0, 1.0)
     assert points == [b + k * DECOMPOSITION_STEP for k in offsets]
-    want = total_welfare(*fam(b))
-    assert np.array(list(d.at.columns().values())).tobytes() == np.array(
-        list(want.columns().values())
-    ).tobytes()
+    assert np.array(d.at).tobytes() == np.array(fam(b)).tobytes()
