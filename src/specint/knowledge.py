@@ -8,6 +8,7 @@ at s = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,16 @@ SIMPLEX_SUM_TOL = 1e-9  # how far the sum of a simplex vector may drift from 1
 BUDGET_SLACK = 1e-10  # learning-budget round-off allowance
 
 
-def coverage(a, b) -> float:
-    """Coverage sum_k min(a_k, b_k) of bundle b by knowledge a."""
+def coverage(a, b):
+    """Coverage sum_k min(a_k, b_k) of bundle b by knowledge a. Given (N,K)
+    stacks it returns one value per row, as an array, each with the bits
+    of its own 1-d call."""
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape:
         raise DomainError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    return float(np.minimum(av, bv).sum())
+    C = np.minimum(av, bv)
+    return float(C.sum()) if C.ndim < 2 else C.sum(axis=-1)
 
 
 def fragmentation(pi) -> float:
@@ -114,8 +118,12 @@ def check_diffuse(u: np.ndarray, p: float, tech: LearningTech) -> DiffuseCheck:
     K = u.size
     if K == 2:
         raise HypothesisError("diffuseness bound is only defined for K >= 3")
-    u_sorted = np.sort(u)
+    u_sorted = sorted(u.tolist())
     ratio = (u_sorted[0] + u_sorted[1]) / u_sorted[-1]
-    denom = -np.log(K * tech.ell_inverse(1.0 / K))
-    bound = float(np.log(ratio) / denom)
+    # math.log, whose bits do not depend on numpy's SIMD dispatch. The
+    # denominator is positive (ell^{-1}(y) < y) but rounds to 0 for a cost
+    # within an ulp of linear; the least positive float in its place gives
+    # the limit of the bound there (+-inf, or 0 where log(ratio) is 0)
+    denom = max(-math.log(K * tech.ell_inverse(1.0 / K)), math.ulp(0.0))
+    bound = math.log(ratio) / denom
     return DiffuseCheck(ok=bool(0.0 < p < bound), bound=bound)

@@ -6,6 +6,13 @@ bounds) and reports a worst-case metric against its tolerance. Checks
 whose hypotheses fail on the loaded scenario report "skipped" with the
 failing hypothesis named. Strict mode tightens the tolerances of checks
 that are limited by round-off rather than by method error.
+
+Each check draws from its own generator, default_rng([seed, index]).
+The pure sampling checks (coverage, frontier and Gamma bounds, integrator
+capacity) draw the simplex size K of every draw first, then each size's
+rows as arrays, in ascending K, and certify each block in one call of the
+engine function they check. Checks that build an economy or a design
+per draw still draw and solve one draw at a time.
 """
 
 from __future__ import annotations
@@ -76,10 +83,12 @@ def _outcome(rows) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _interior_simplex(rng, K):
-    raw = rng.dirichlet(np.ones(K))
+def _interior_simplex(rng, K, size=None):
+    """A Dirichlet(1) direction pulled 15% toward the centre of the
+    simplex, or a (size,K) stack of them, one per row."""
+    raw = rng.dirichlet(np.ones(K), size=size)
     mixed = 0.85 * raw + 0.15 / K
-    return mixed / mixed.sum()
+    return mixed / mixed.sum(axis=-1, keepdims=True)
 
 
 def _random_tech(rng) -> learning.LearningTech:
@@ -167,22 +176,17 @@ def _diffuse_economies(rng, base: Economy, n: int) -> list[Economy]:
     return out
 
 
-def _by_size(batch, tech: learning.LearningTech, rows: list[np.ndarray]) -> list[float]:
-    """batch(tech, rows) for rows of mixed length K, in row order.
-
-    One batch call per K. A row's frontier Newton solve does not depend on
-    the other rows of its batch, so each value is the one a one-row call
-    returns.
-    """
-    out = [0.0] * len(rows)
-    by_size: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_size.setdefault(row.size, []).append(i)
-    for index in by_size.values():
-        values = batch(tech, np.vstack([rows[i] for i in index]))
-        for i, v in zip(index, values.tolist()):
-            out[i] = v
-    return out
+def _size_groups(rng, n: int, low: int, high: int):
+    """Draw the simplex sizes of n draws at once, K uniform on low..high-1,
+    then yield each size that occurs, ascending, with the indices of its
+    draws. A check draws each group's rows as (count,K) arrays when its
+    size comes up, so rows are i.i.d. given K, as when each draw drew its
+    own K and then its rows."""
+    K = rng.integers(low, high, size=n)
+    for k in range(low, high):
+        draws = np.flatnonzero(K == k)
+        if draws.size:
+            yield k, draws
 
 
 def _random_design(rng, K: int, n_atoms: int) -> SpecialistDesign:
@@ -197,43 +201,51 @@ def _random_design(rng, K: int, n_atoms: int) -> SpecialistDesign:
 
 def check_coverage_identity(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = 0.0
-    for _ in range(scn.pairs):
-        K = int(rng.integers(2, 7))
-        mass = float(rng.uniform(0.1, 2.0))
-        a = rng.dirichlet(np.ones(K)) * mass
-        b = rng.dirichlet(np.ones(K)) * mass
-        worst = max(worst, abs(coverage(a, b) - (mass - 0.5 * np.abs(a - b).sum())))
+    for K, draws in _size_groups(rng, scn.pairs, 2, 7):
+        mass = rng.uniform(0.1, 2.0, size=draws.size)
+        a = rng.dirichlet(np.ones(K), size=draws.size) * mass[:, None]
+        b = rng.dirichlet(np.ones(K), size=draws.size) * mass[:, None]
+        gap = coverage(a, b) - (mass - 0.5 * np.abs(a - b).sum(axis=1))
+        worst = max(worst, float(np.abs(gap).max()))
     return _result("coverage-distance-identity", worst, 1e-12 * tol_scale)
 
 
 def check_coverage_properties(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = 0.0
     econ = scn.econ
-    for _ in range(200):
-        K = int(rng.integers(2, 7))
-        a = rng.uniform(0.0, 1.0, K)
-        b = rng.uniform(0.0, 1.0, K)
-        worst = max(worst, abs(coverage(a, b) - coverage(b, a)))
-        cap = min(a.sum(), b.sum())
-        worst = max(worst, max(0.0, coverage(a, b) - cap))
-        worst = max(worst, max(0.0, coverage(a, b) - coverage(a + 0.1, b)))
-    # scale monotonicity of system knowledge along a fixed direction
-    directions = [_interior_simplex(rng, econ.K) for _ in range(100)]
-    for pi, scale in zip(directions, _by_size(learning.max_scale_batch, econ.tech, directions)):
-        ts = np.linspace(0.1, 1.0, 7)
-        vals = [system_knowledge(t * scale * pi, econ.u, econ.p) for t in ts]
-        worst = max(worst, max(0.0, -min(np.diff(vals))))
+    for K, draws in _size_groups(rng, 200, 2, 7):
+        a = rng.uniform(0.0, 1.0, (draws.size, K))
+        b = rng.uniform(0.0, 1.0, (draws.size, K))
+        C = coverage(a, b)
+        cap = np.minimum(a.sum(axis=1), b.sum(axis=1))
+        worst = max(
+            worst,
+            float(np.abs(C - coverage(b, a)).max()),
+            float((C - cap).max()),
+            float((C - coverage(a + 0.1, b)).max()),
+        )
+    # scale monotonicity of system knowledge along a fixed direction: row
+    # (t, i) of the stack is t * H(pi_i) * pi_i
+    directions = _interior_simplex(rng, econ.K, size=100)
+    scales = np.linspace(0.1, 1.0, 7)[:, None] * learning.max_scale_batch(econ.tech, directions)
+    profiles = scales[:, :, None] * directions
+    B = system_knowledge(profiles.reshape(-1, econ.K), econ.u, econ.p).reshape(scales.shape)
+    worst = max(worst, float(-np.diff(B, axis=0).min()))
     return _result("coverage-and-knowledge-properties", worst, 1e-12 * tol_scale)
 
 
 def frontier_bisection(tech: learning.LearningTech, P: np.ndarray) -> np.ndarray:
-    """Reference frontier H() of each row of P: 90 bisection steps on
-    [1/ell_bar - 1e-9, 1 + 1e-9], independent of the Newton solver."""
+    """Reference frontier H() of each row of P: bisection on
+    [1/ell_bar - 1e-9, 1 + 1e-9], independent of the Newton solver. A step
+    is a fixed map of (lo, hi), so once one moves neither end of any row
+    the brackets are final; it stops there, or after 90 steps."""
     lo = np.full(P.shape[0], 1.0 / tech.ell_bar - 1e-9)
     hi = np.full(P.shape[0], 1.0 + 1e-9)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         over = tech._ell_raw(mid[:, None] * P).sum(axis=1) > 1.0
+        if not np.where(over, mid != hi, mid != lo).any():
+            break
         hi = np.where(over, mid, hi)
         lo = np.where(over, lo, mid)
     h = np.minimum(0.5 * (lo + hi), 1.0)
@@ -260,66 +272,59 @@ def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_frontier_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     mod = tech.ell_bar / tech.ell_under
-    rows = []
-    for _ in range(scn.pairs):
-        K = int(rng.integers(2, 6))
-        rows += [rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))]
-    H = _by_size(learning.max_scale_batch, tech, rows)
     worst = 0.0
-    for i in range(0, len(rows), 2):
-        gap = abs(H[i] - H[i + 1])
-        worst = max(worst, gap - mod * np.abs(rows[i] - rows[i + 1]).sum())
+    for K, draws in _size_groups(rng, scn.pairs, 2, 6):
+        P = rng.dirichlet(np.ones(K), size=(draws.size, 2))
+        H = learning.max_scale_batch(tech, P.reshape(-1, K)).reshape(-1, 2)
+        gap = np.abs(H[:, 0] - H[:, 1]) - mod * np.abs(P[:, 0] - P[:, 1]).sum(axis=1)
+        worst = max(worst, float(gap.max()))
     return _result("frontier-lipschitz", worst, 1e-10 * tol_scale)
 
 
 def check_concavity_gap(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     c_ell = scn.econ.constants.c_ell
-    rows = [rng.dirichlet(np.ones(int(rng.integers(2, 6)))) for _ in range(1000)]
     worst = 0.0
-    for pi, H in zip(rows, _by_size(learning.max_scale_batch, tech, rows)):
-        worst = max(worst, c_ell * fragmentation(pi) - (1.0 / H - 1.0))
+    for K, draws in _size_groups(rng, 1000, 2, 6):
+        P = rng.dirichlet(np.ones(K), size=draws.size)
+        H = learning.max_scale_batch(tech, P)
+        D = 1.0 - (P * P).sum(axis=1)  # fragmentation of each row
+        worst = max(worst, float((c_ell * D - (1.0 / H - 1.0)).max()))
     return _result("concavity-gap", worst, 1e-10 * tol_scale)
 
 
 def check_gamma_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     L = scn.econ.constants.L_Gamma
-    rows = []
-    for _ in range(scn.pairs):
-        K = int(rng.integers(2, 6))
-        z1 = rng.uniform(0.0, 1.0, K)
-        z2 = rng.uniform(0.0, 1.0, K) if rng.random() < 0.9 else np.zeros(K)
-        rows += [z1, z2]
-    G = _by_size(learning.gamma_index_batch, tech, rows)
     worst = 0.0
-    for i in range(0, len(rows), 2):
-        gap = abs(G[i] - G[i + 1])
-        worst = max(worst, gap - L * np.abs(rows[i] - rows[i + 1]).sum())
+    for K, draws in _size_groups(rng, scn.pairs, 2, 6):
+        z1 = rng.uniform(0.0, 1.0, (draws.size, K))
+        # one second bundle in ten is the zero bundle
+        z2 = rng.uniform(0.0, 1.0, (draws.size, K)) * (rng.random((draws.size, 1)) < 0.9)
+        G = learning.gamma_index_batch(tech, np.vstack([z1, z2]))
+        gap = np.abs(G[: draws.size] - G[draws.size :]) - L * np.abs(z1 - z2).sum(axis=1)
+        worst = max(worst, float(gap.max()))
     return _result("gamma-lipschitz", worst, 1e-10 * tol_scale)
 
 
 def check_integrator_capacity(scn: Scenario, rng, tol_scale) -> CheckResult:
+    # every fifth draw embeds h in its own frontier profile H(h)*h; the
+    # others in frac*H(pi)*pi for an independent direction pi
     tech = scn.econ.tech
-    draws = []
-    for i in range(scn.pairs):
-        K = int(rng.integers(2, 6))
-        h = _interior_simplex(rng, K)
-        if i % 5 == 0:
-            draws.append((h, None, 0.0))
-        else:
-            pi = _interior_simplex(rng, K)
-            draws.append((h, pi, float(rng.uniform(0.2, 1.0))))
-    rows = [v for h, pi, _ in draws for v in (h, pi) if v is not None]
-    H = iter(_by_size(learning.max_scale_batch, tech, rows))
     worst = 0.0
-    for h, pi, frac in draws:
-        Hh = next(H)
-        s = Hh * h if pi is None else frac * next(H) * pi
+    for K, draws in _size_groups(rng, scn.pairs, 2, 6):
+        mixed = draws % 5 != 0
+        h = _interior_simplex(rng, K, size=draws.size)
+        pi = _interior_simplex(rng, K, size=int(mixed.sum()))
+        frac = rng.uniform(0.2, 1.0, size=pi.shape[0])
+        H = learning.max_scale_batch(tech, np.vstack([h, pi]))
+        Hh = H[: draws.size]
+        own = Hh[:, None] * h
+        s = own.copy()
+        s[mixed] = (frac * H[draws.size :])[:, None] * pi
         J = production.integrator_capacity(s, h)
-        worst = max(worst, J - Hh)
-        if abs(J - Hh) <= 1e-8 and np.abs(s - Hh * h).max() > 1e-6:
-            worst = max(worst, 1.0)
+        collapsed = (np.abs(J - Hh) <= 1e-8) & (np.abs(s - own).max(axis=1) > 1e-6)
+        worst = max(worst, float((J - Hh).max()), 1.0 if collapsed.any() else 0.0)
     return _result("integrator-capacity-bound", worst, 1e-10 * tol_scale)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from specint.errors import DomainError
-from specint.knowledge import fragmentation, system_knowledge
+from specint.knowledge import coverage, fragmentation, system_knowledge
 from specint.learning import LearningTech, max_scale, max_scale_batch
 from specint.production import (
     GAP_TOL,
@@ -159,6 +159,25 @@ def test_system_knowledge_stack_matches_rows(K):
         table = [[_knowledge_one(r, c, p) for r in rows] for c in civic]
         assert system_knowledge(rows, civic, p).tolist() == table
         assert system_knowledge(rows[5], civic, p).tolist() == [t[5] for t in table]
+
+
+@pytest.mark.parametrize("K", range(2, 10))
+def test_coverage_stack_matches_rows(K):
+    # from 8 terms on numpy sums pairwise; each row of a stack keeps the
+    # bits of its own 1-d call on both paths
+    rng = np.random.default_rng(2000 + K)
+    a = rng.uniform(0.0, 1.0, (50, K))
+    b = rng.dirichlet(np.ones(K), size=50) * rng.uniform(0.1, 2.0, (50, 1))
+    a[3] = 0.0  # no knowledge
+    a[5] = b[5]  # full coverage
+    want = [coverage(x, y) for x, y in zip(a, b)]
+    assert all(type(w) is float for w in want)
+    got = coverage(a, b)
+    assert got.shape == (50,)
+    assert got.tobytes() == np.array(want).tobytes()
+    for other in (b[:, :-1], b[0], b[None]):
+        with pytest.raises(DomainError):
+            coverage(a, other)
 
 
 def test_system_knowledge_stack_on_allocation_profiles():

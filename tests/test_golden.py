@@ -75,7 +75,7 @@ DENSE_ALPHA = {"sweep.alpha": "0.0,0.00001,0.00002,0.5,1.0"}
 
 GOLDEN_DENSE_ALPHA = "2d3369b100840e06a7c25ba397bada0445bf61e0f11983521c26ec4a074d6093"
 
-VERIFY_SMALL_BUDGETS = "7dc1415fdfb86220c9c4238cafb2209bb546655b725739b223b7297405025ae2"
+VERIFY_SMALL_BUDGETS = "83f80c6877dee1022d73cae74255a4ee8d2581519969f2bdc3f19d996c032948"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
 VERIFY_FULL_BUDGETS = {

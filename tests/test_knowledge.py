@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,14 @@ from hypothesis import strategies as st
 
 from specint.errors import ConfigError, DomainError, HypothesisError
 from specint.knowledge import (
+    DiffuseCheck,
     check_diffuse,
     coverage,
     feasible_bundle,
     fragmentation,
     system_knowledge,
 )
-from specint.learning import max_scale
+from specint.learning import LearningTech, max_scale
 
 from conftest import make_economy
 
@@ -150,3 +153,19 @@ def test_check_diffuse_p_above_bound(rational):
 def test_check_diffuse_rejects_two_domains(rational):
     with pytest.raises(HypothesisError, match="only defined for K >= 3"):
         check_diffuse(np.array([0.6, 0.4]), 0.2, rational)
+
+
+def test_check_diffuse_on_a_cost_within_an_ulp_of_linear():
+    # K * ell^{-1}(1/K) rounds to 1 here, so the denominator of the bound
+    # rounds to 0; the bound is its limit, +inf or -inf by the sign of
+    # log((u_(1)+u_(2))/u_(K)), and 0 where that log is 0
+    tech = LearningTech("rational", 1.2380318840613992e-16)
+    tech.constants  # a valid technology
+    assert 3 * tech.ell_inverse(1.0 / 3) == 1.0
+    assert check_diffuse(U, 0.25, tech) == DiffuseCheck(ok=True, bound=math.inf)
+    assert check_diffuse(np.array([0.7, 0.2, 0.1]), 0.25, tech) == DiffuseCheck(
+        ok=False, bound=-math.inf
+    )
+    assert check_diffuse(np.array([0.5, 0.25, 0.25]), 0.25, tech) == DiffuseCheck(
+        ok=False, bound=0.0
+    )

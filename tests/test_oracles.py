@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specint import learning, oracles, reforms
+from specint import knowledge, learning, oracles, production, reforms
 from specint.economy import Economy
 from specint.errors import OracleError
 from specint.knowledge import DiffuseCheck, check_diffuse, fragmentation
@@ -253,6 +254,28 @@ def test_batched_checks_solve_frontier_once_per_size(check, monkeypatch):
     monkeypatch.setattr(learning, "max_scale_batch", counted)
     assert run_check(check, scn).status == "pass"
     assert all(sizes.count(K) <= 2 for K in set(sizes)), sizes
+
+
+def test_coverage_identity_check_bites(monkeypatch):
+    # coverage one 1e-9 too large, in every module that binds it
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    assert run_check(oracles.check_coverage_identity, scn).status == "pass"
+    exact = knowledge.coverage
+    binders = [
+        module for name, module in sys.modules.items()
+        if name.startswith("specint") and getattr(module, "coverage", None) is exact
+    ]
+    assert oracles in binders
+    for module in binders:
+        monkeypatch.setattr(module, "coverage", lambda a, b: exact(a, b) + 1e-9)
+    assert run_check(oracles.check_coverage_identity, scn).status == "fail"
+
+
+def test_integrator_capacity_check_bites(monkeypatch):
+    scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
+    exact = production.integrator_capacity
+    monkeypatch.setattr(production, "integrator_capacity", lambda s, h: exact(s, h) * (1.0 + 1e-6))
+    assert run_check(oracles.check_integrator_capacity, scn).status == "fail"
 
 
 def test_interface_statics_check_holds_every_sweep_row(monkeypatch):
