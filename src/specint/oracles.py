@@ -343,7 +343,7 @@ def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
                 abs(opt.Y_star - econ.V * opt.H_hstar / (opt.H_hstar + econ.theta * D)), econ.V
             ),
             _per_scale(abs(acc.Y - opt.Y_star), econ.V),
-            abs(alloc.m * opt.H_hstar - econ.theta * acc.gaps.g),
+            abs(alloc.m * opt.H_hstar - econ.theta * acc.g),
         )
         if opt.m_star >= 1.0 / 3.0:
             worst = max(worst, 1.0)
@@ -368,8 +368,8 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
         for x, m, acc in zip(X, rows.m.tolist(), accounts_rows(rows, econ_K)):
             worst = max(
                 worst,
-                float(np.abs(acc.gaps.G - (1.0 - m) * x * (1.0 - x)).max()),
-                abs(acc.gaps.g - (1.0 - m) * fragmentation(x)),
+                float(np.abs(acc.G - (1.0 - m) * x * (1.0 - x)).max()),
+                abs(acc.g - (1.0 - m) * fragmentation(x)),
             )
     return _result("gap-accounting", worst, 1e-12 * tol_scale)
 

@@ -141,30 +141,23 @@ class Allocation:
 
 
 @dataclass(frozen=True)
-class GapSummary:
-    """Aggregate gap bundle G, its mass g, and profile h (None when g=0)."""
-
-    G: np.ndarray
-    g: float
-    h: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class SpecialistLayer:
     """The specialist layer of a block of designs on shared atoms, one row
     per design: head-count shares mu_j (N, n_atoms), atom profiles
     H(pi_j)*pi_j (n_atoms, K), aggregate specialist knowledge S (N, K) and
-    its mass (N, 1), and per row the gap summary and the integration
-    capacity J (None when there is no gap). stack holds the atoms'
-    profiles, then the rows' integrator profiles, as system_knowledge's
-    economy-free half."""
+    its mass (N, 1), the aggregate gap bundle G (N, K), its mass g (N,)
+    (0.0 where at most GAP_TOL) and the integration capacity J (N,) (inf
+    where there is no gap, so that no capacity test fails there). stack
+    holds the atoms' profiles, then the rows' integrator profiles, as
+    system_knowledge's economy-free half."""
 
     mu: np.ndarray
     profiles: np.ndarray
     S: np.ndarray
     total: np.ndarray
-    gaps: list[GapSummary]
-    J: list[float | None]
+    G: np.ndarray
+    g: np.ndarray
+    J: np.ndarray
     stack: ProfileStack
 
 
@@ -190,15 +183,11 @@ def layer_rows(directions, scales, weights, m, integrator) -> SpecialistLayer:
     G = specialists * row_products(mu, shortfall)
     g = G.sum(axis=1)
     gap = g > GAP_TOL
-    h = G[gap] / g[gap, None]
-    with_gap = zip(h, (m[gap] * integrator_capacity(integrator[gap], h)).tolist())
-    gaps, capacity = [], []
-    for row, mass, has_gap in zip(G, g.tolist(), gap.tolist()):
-        h_i, J_i = next(with_gap) if has_gap else (None, None)
-        gaps.append(GapSummary(G=row, g=mass if has_gap else 0.0, h=h_i))
-        capacity.append(J_i)
+    g[~gap] = 0.0
+    J = np.full(g.shape, np.inf)
+    J[gap] = m[gap] * integrator_capacity(integrator[gap], G[gap] / g[gap, None])
     stack = profile_stack(np.vstack([profiles, integrator]))
-    return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, gaps=gaps, J=capacity, stack=stack)
+    return SpecialistLayer(mu=mu, profiles=profiles, S=S, total=total, G=G, g=g, J=J, stack=stack)
 
 
 def integrator_capacity(s, h):
@@ -215,11 +204,12 @@ def integrator_capacity(s, h):
 
 @dataclass(frozen=True)
 class Accounts:
-    """What an allocation adds up to in one economy: gap summary, output Y,
-    and the group system knowledge of specialists (B_S) and integrators
-    (B_M)."""
+    """What an allocation adds up to in one economy: the aggregate gap
+    bundle G and its mass g (0.0 without a gap), output Y, and the group
+    system knowledge of specialists (B_S) and integrators (B_M)."""
 
-    gaps: GapSummary
+    G: np.ndarray
+    g: float
     Y: float
     B_S: float
     B_M: float
@@ -266,12 +256,13 @@ def _economy_accounts(
     each row's feasibility in order, then output, and the group knowledge
     from one system_knowledge call of the layer's stack against the civic
     stack (the atoms' values shared by every row)."""
-    for ok, gaps, J in zip(fits, layer.gaps, layer.J):
+    g = layer.g.tolist()
+    for ok, mass, J in zip(fits, g, layer.J.tolist()):
         if not ok:
             raise DomainError("integrator profile exceeds the learning budget")
-        if J is not None and J < econ.theta * gaps.g - FEAS_TOL:
+        if J < econ.theta * mass - FEAS_TOL:
             raise DomainError(
-                f"integration capacity {J:.6e} below requirement {econ.theta * gaps.g:.6e}"
+                f"integration capacity {J:.6e} below requirement {econ.theta * mass:.6e}"
             )
     Y = [econ.V * c for c in np.minimum(layer.S, layer.total * econ.q).sum(axis=1).tolist()]
     knowledge = system_knowledge(layer.stack, civic, econ.p)
@@ -283,9 +274,9 @@ def _economy_accounts(
     terms = knowledge[:, None, :n_atoms] * layer.mu
     B_S = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
     return [
-        Accounts(gaps=gaps, Y=y, B_S=b_S, B_M=b_M)
+        Accounts(G=G, g=mass, Y=y, B_S=b_S, B_M=b_M)
         for S_row, M_row in zip(B_S.tolist(), knowledge[:, n_atoms:].tolist())
-        for gaps, y, b_S, b_M in zip(layer.gaps, Y, S_row, M_row)
+        for G, mass, y, b_S, b_M in zip(layer.G, g, Y, S_row, M_row)
     ]
 
 
@@ -349,23 +340,14 @@ def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
 class DesignRows:
     """Minimal-integrator allocations on one set of atoms, one per row: the
     atoms' directions and frontier scales H(pi_j), and per row the mastery
-    weights of its design, the coordination index Gamma of its gap bundle
-    (0 without a gap), its E_nu[lambda] and its integrator profile. None
-    of these depends on the integration cost theta, which sets only the
-    integrator share m."""
+    weights of its design, its integrator share m and its integrator
+    profile."""
 
     directions: np.ndarray  # (n_atoms, K)
     scales: np.ndarray  # (n_atoms,)
     weights: np.ndarray  # (N, n_atoms)
-    gamma: np.ndarray  # (N,)
-    e_lam: np.ndarray  # (N,)
+    m: np.ndarray  # (N,)
     integrator: np.ndarray  # (N, K)
-    theta: float
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        """Integrator shares theta*Gamma/(E_nu[lambda] + theta*Gamma)."""
-        return self.theta * self.gamma / (self.e_lam + self.theta * self.gamma)
 
     def allocation(self, i: int) -> Allocation:
         """Row i as an Allocation."""
@@ -402,15 +384,15 @@ def minimal_rows(blocks, econ: Economy) -> list[DesignRows]:
     H = learning.max_scale_batch(econ.tech, h) if h.size else np.empty(0)
     gamma = np.zeros(mass.size)
     gamma[gap] = mass[gap] * (1.0 / H)  # gamma_index(z), from the one frontier solve
-    e_lam = np.concatenate(e_lam)
+    theta_gamma = econ.theta * gamma
+    m = theta_gamma / (np.concatenate(e_lam) + theta_gamma)
     integrator = np.zeros(Z.shape)
     integrator[gap] = H[:, None] * h
     out, lo = [], 0
     for dirs, sc, W in blocks:
         hi = lo + W.shape[0]
         out.append(DesignRows(
-            directions=dirs, scales=sc, weights=W, gamma=gamma[lo:hi], e_lam=e_lam[lo:hi],
-            integrator=integrator[lo:hi], theta=econ.theta,
+            directions=dirs, scales=sc, weights=W, m=m[lo:hi], integrator=integrator[lo:hi],
         ))
         lo = hi
     return out

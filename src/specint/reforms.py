@@ -33,9 +33,9 @@ eta* = -2*B_soc*A/B_soc' (above it when B_soc' > 0).
 
 The b sweep is one array pass: broadening_allocation's grid form gives the
 family as arrays (per atom set, the atom scales and each share's weights,
-Gamma, E_nu[lambda] and integrator profile, none of which moves with theta;
-theta sets m), and broadening_statics reads every share's Accounts (gaps,
-feasibility, Y and the group knowledge) from one production.accounts_rows
+integrator share m and integrator profile), and broadening_statics reads
+every share's flat Accounts (gap bundle G and mass g, Y and the group
+knowledge, once the share is feasible) from one production.accounts_rows
 call per atom set, then each share's political equilibrium and
 welfare_accounts, each value with the bits of the per-share path.
 `verify` holds every cell it emits against that path

@@ -116,7 +116,7 @@ def test_criterion_04_theorem_formulas(econ):
             abs(opt.m_star - cand.theta * D / (opt.H_hstar + cand.theta * D)),
             abs(opt.Y_star - cand.V * opt.H_hstar / (opt.H_hstar + cand.theta * D)),
             abs(acc.Y - opt.Y_star),
-            abs(alloc.m * opt.H_hstar - cand.theta * acc.gaps.g),
+            abs(alloc.m * opt.H_hstar - cand.theta * acc.g),
         )
         shares_ok &= opt.m_star < 1 / 3
     ok = worst <= 1e-10 and shares_ok

@@ -24,7 +24,6 @@ from specint.production import (
     GAP_TOL,
     Accounts,
     Allocation,
-    GapSummary,
     SpecialistDesign,
     accounts,
     accounts_rows,
@@ -129,12 +128,12 @@ def _same_allocation(a, b):
 
 
 def _bytes(x):
-    return None if x is None else np.asarray(x, dtype=float).tobytes()
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def _same_accounts(a, b):
     """Whether two Accounts hold the same bytes, field by field."""
-    fields = lambda acc: (acc.gaps.G, acc.gaps.g, acc.gaps.h, acc.Y, acc.B_S, acc.B_M)
+    fields = lambda acc: (acc.G, acc.g, acc.Y, acc.B_S, acc.B_M)
     return [_bytes(x) for x in fields(a)] == [_bytes(x) for x in fields(b)]
 
 
@@ -339,10 +338,10 @@ def _accounts_one(alloc, econ):
     shortfall = np.clip(profiles.sum(axis=1, keepdims=True) * (S / total)[None, :] - profiles, 0.0, None)
     G = (1.0 - m) * (mu @ shortfall)
     g = float(G.sum())
-    gaps = GapSummary(G=G, g=0.0, h=None) if g <= GAP_TOL else GapSummary(G=G, g=g, h=G / g)
     atoms = [_knowledge_one(r, econ.u, econ.p) for r in profiles]
     return Accounts(
-        gaps=gaps,
+        G=G,
+        g=0.0 if g <= GAP_TOL else g,
         Y=econ.V * float(np.minimum(S, total * econ.q).sum()),
         B_S=float(sum(w * k for w, k in zip(mu.tolist(), atoms))),
         B_M=_knowledge_one(alloc.integrator_profile, econ.u, econ.p),

@@ -126,11 +126,11 @@ def per_draw_gap_accounting(scn, rng):
             theta=econ.theta, V=econ.V, gov=econ.gov,
         )
         alloc = minimal_allocation(corner_design(x), tmp)
-        gaps = accounts(alloc, tmp).gaps
+        acc = accounts(alloc, tmp)
         worst = max(
             worst,
-            float(np.abs(gaps.G - (1.0 - alloc.m) * x * (1.0 - x)).max()),
-            abs(gaps.g - (1.0 - alloc.m) * fragmentation(x)),
+            float(np.abs(acc.G - (1.0 - alloc.m) * x * (1.0 - x)).max()),
+            abs(acc.g - (1.0 - alloc.m) * fragmentation(x)),
         )
     return worst
 

@@ -59,17 +59,15 @@ def test_gap_mass_identity():
 
 def test_aggregate_gaps_corner_design(econ):
     _, alloc = productive_optimum(econ)
-    gaps = accounts(alloc, econ).gaps
+    acc = accounts(alloc, econ)
     q, m = econ.q, alloc.m
-    assert gaps.G == pytest.approx((1 - m) * q * (1 - q), abs=1e-12)
-    assert gaps.g == pytest.approx((1 - m) * fragmentation(q), abs=1e-12)
+    assert acc.G == pytest.approx((1 - m) * q * (1 - q), abs=1e-12)
+    assert acc.g == pytest.approx((1 - m) * fragmentation(q), abs=1e-12)
 
 
 def test_aggregate_gaps_single_atom(econ):
     alloc = minimal_allocation(single_atom(econ.q), econ)
-    gaps = accounts(alloc, econ).gaps
-    assert gaps.g == 0.0
-    assert gaps.h is None
+    assert accounts(alloc, econ).g == 0.0
     assert alloc.m == 0.0
 
 
@@ -114,14 +112,14 @@ def test_reduced_form_at_q_matches_optimum(econ):
     alloc, acc = _corner_organization(econ.q, econ)
     assert acc.Y == pytest.approx(opt.Y_star, abs=1e-12)
     assert alloc.m == pytest.approx(opt.m_star, abs=1e-14)
-    assert acc.gaps.h == pytest.approx(opt.h_star, abs=1e-12)
+    assert acc.G / acc.g == pytest.approx(opt.h_star, abs=1e-12)
 
 
 def test_reduced_form_corner(econ):
     alloc, acc = _corner_organization(np.eye(3)[0], econ)
     assert alloc.m == 0.0
     assert acc.Y == pytest.approx(econ.V * econ.q[0], abs=1e-12)
-    assert acc.gaps.h is None
+    assert acc.g == 0.0
 
 
 def test_reduced_form_gamma_lipschitz(econ):
@@ -175,8 +173,7 @@ def test_optimum_share_below_third():
         econ = econ.with_theta(float(rng.uniform(0.05, 0.95)) * econ.theta_bar)
         opt, alloc = productive_optimum(econ)
         assert opt.m_star < 1 / 3
-        gaps = accounts(alloc, econ).gaps
-        assert abs(alloc.m * opt.H_hstar - econ.theta * gaps.g) <= 1e-10
+        assert abs(alloc.m * opt.H_hstar - econ.theta * accounts(alloc, econ).g) <= 1e-10
 
 
 def test_output_of_optimum_matches_closed_form(econ):

@@ -52,7 +52,7 @@ def test_broadening_anchor_at_zero(econ):
 def test_broadening_full_kills_gaps(econ):
     a1 = broadening_allocation(1.0, econ)
     assert a1.m == 0.0
-    assert accounts(a1, econ).gaps.g == 0.0
+    assert accounts(a1, econ).g == 0.0
 
 
 def test_broadening_mix_stays_q(econ):
