@@ -80,11 +80,15 @@ class LearningTech:
         """Analytic derivative of the cost function on [0,1]."""
         arr = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
         c = self.param
+        scalar = np.isscalar(s) or arr.ndim == 0
         if self.family == "rational":
             out = (1.0 + c) / (1.0 + c * arr) ** 2
         else:
-            out = c * np.exp(-c * arr) / -math.expm1(-c)
-        return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+            # math.exp on a scalar: np.exp's bits depend on numpy's SIMD
+            # dispatch, and ell_under feeds c_ell, L_Gamma and theta_bar
+            exp = math.exp(-c * float(arr)) if scalar else np.exp(-c * arr)
+            out = c * exp / -math.expm1(-c)
+        return float(out) if scalar else out
 
     def _frontier_terms(self, t: np.ndarray, P: np.ndarray):
         """Row sums sum_k ell(S_k) - 1 and sum_k P_k*ell'(S_k) at S = t*P.

@@ -7,6 +7,9 @@ and why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,11 @@ VERIFY_FULL_BUDGETS = {
 }
 
 
+# an exponential cost whose ell'(1), and so theta_bar, np.exp rounded one
+# way in its AVX-512 kernels and the other way in numpy's baseline code
+DISPATCH_EXPONENTIAL = {"learning.family": "exponential", "learning.param": "0.46219054763690925"}
+
+
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -132,3 +140,40 @@ def test_verify_full_budgets_csv_digest(tmp_path, scenario):
     cfg = str(SCENARIOS / f"{scenario}.cfg")
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert _digest(out) == VERIFY_FULL_BUDGETS[scenario]
+
+
+def _dispatch_targets() -> list[str]:
+    """The SIMD targets numpy dispatches to on this host, as
+    NPY_DISABLE_CPU_FEATURES names them (numpy rejects any other name)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_solve_and_theta_sweep_csvs_do_not_depend_on_numpy_dispatch(tmp_path):
+    # the same CSVs in-process and in an interpreter that runs numpy's
+    # baseline kernels alone
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline here")
+    cfg = write_cfg(tmp_path / "exp.cfg", DISPATCH_EXPONENTIAL)
+    runs = [(["solve"], "solve"), (["sweep", "--axis", "theta"], "theta")]
+    for argv, name in runs:
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    script = "\n".join([
+        "import sys",
+        "from specint.cli import main",
+        f"for argv, name in {runs!r}:",
+        f"    out = {str(tmp_path)!r} + '/baseline_' + name + '.csv'",
+        f"    assert main([*argv, '--config', {cfg!r}, '--out', out]) == 0",
+    ])
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for _, name in runs:
+        baseline = (tmp_path / f"baseline_{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == baseline, name
