@@ -272,7 +272,7 @@ def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_frontier_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     mod = tech.ell_bar / tech.ell_under
-    worst = 0.0
+    worst = -math.inf  # a signed margin, below 0 while the bound has room
     for K, draws in _size_groups(rng, scn.pairs, 2, 6):
         P = rng.dirichlet(np.ones(K), size=(draws.size, 2))
         H = learning.max_scale_batch(tech, P.reshape(-1, K)).reshape(-1, 2)
@@ -284,7 +284,7 @@ def check_frontier_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_concavity_gap(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     c_ell = scn.econ.constants.c_ell
-    worst = 0.0
+    worst = -math.inf  # a signed margin, below 0 while the bound has room
     for K, draws in _size_groups(rng, 1000, 2, 6):
         P = rng.dirichlet(np.ones(K), size=draws.size)
         H = learning.max_scale_batch(tech, P)
@@ -296,7 +296,7 @@ def check_concavity_gap(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_gamma_lipschitz(scn: Scenario, rng, tol_scale) -> CheckResult:
     tech = scn.econ.tech
     L = scn.econ.constants.L_Gamma
-    worst = 0.0
+    worst = -math.inf  # a signed margin, below 0 while the bound has room
     for K, draws in _size_groups(rng, scn.pairs, 2, 6):
         z1 = rng.uniform(0.0, 1.0, (draws.size, K))
         # one second bundle in ten is the zero bundle

@@ -78,12 +78,12 @@ DENSE_ALPHA = {"sweep.alpha": "0.0,0.00001,0.00002,0.5,1.0"}
 
 GOLDEN_DENSE_ALPHA = "2d3369b100840e06a7c25ba397bada0445bf61e0f11983521c26ec4a074d6093"
 
-VERIFY_SMALL_BUDGETS = "83f80c6877dee1022d73cae74255a4ee8d2581519969f2bdc3f19d996c032948"
+VERIFY_SMALL_BUDGETS = "827ca73e305c4f1798bfbabee3299bbc269acd99c01125ce781c1935ad3b6842"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
 VERIFY_FULL_BUDGETS = {
-    "default": "128094dda64ec23adb4905becea134f2605efb5ec62c6fa467334f9b22b3fbcb",
-    "governance_heavy": "6cbe4b94e2b2be937b605955c71961af2ac99aa6b6e4e4e915606aaf080ef1fa",
+    "default": "18e474c55ff5b9437b97701bbf94c3358979a68f90b6b00be57c6478bfcc4db9",
+    "governance_heavy": "90e3d66b5d73ed8c0902b05ba80377dd97e3e31d6a68e072ab257466334c9db1",
 }
 
 

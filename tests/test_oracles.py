@@ -256,6 +256,18 @@ def test_batched_checks_solve_frontier_once_per_size(check, monkeypatch):
     assert all(sizes.count(K) <= 2 for K in set(sizes)), sizes
 
 
+@pytest.mark.parametrize("check", [
+    oracles.check_frontier_lipschitz,
+    oracles.check_concavity_gap,
+    oracles.check_gamma_lipschitz,
+])
+def test_bound_checks_report_a_signed_margin(check):
+    # the metric is the worst value-minus-bound over the draws; on
+    # default.cfg every bound holds with room, so it reads below 0
+    result = run_check(check, load_scenario(str(SCENARIOS / "default.cfg")))
+    assert result.status == "pass" and result.metric < 0.0, result
+
+
 def test_coverage_identity_check_bites(monkeypatch):
     # coverage one 1e-9 too large, in every module that binds it
     scn = scenario_from_entries({**DEFAULTS, **SMALL_BUDGETS})
