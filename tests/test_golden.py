@@ -87,8 +87,8 @@ VERIFY_FULL_BUDGETS = {
 }
 
 
-# an exponential cost whose ell'(1), and so theta_bar, np.exp rounded one
-# way in its AVX-512 kernels and the other way in numpy's baseline code
+# an exponential cost whose ell'(1), and so theta_bar, np.exp rounds one way
+# in numpy's AVX-512 kernels and the other way in its baseline code
 DISPATCH_EXPONENTIAL = {"learning.family": "exponential", "learning.param": "0.46219054763690925"}
 
 
