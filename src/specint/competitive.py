@@ -35,8 +35,8 @@ import numpy as np
 
 from .economy import Economy
 from .errors import DomainError, HypothesisError, OracleError
-from .knowledge import coverage, fragmentation
-from .learning import gamma_index, max_scale_batch
+from .knowledge import fragmentation
+from .learning import gamma_index
 from .production import (
     Allocation,
     ProductiveOptimum,
@@ -59,8 +59,6 @@ class WageSupport:
     delta_q: float
     beta: float
     V_tilde: float
-    B_S: float
-    B_M: float
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class RatioBound:
 def ratio_bound(econ: Economy) -> RatioBound:
     """r_bar and the theta conditions under which it certifies uniqueness."""
     V_tilde = (1.0 - econ.tau) * econ.V
-    ell_bar = econ.constants.ell_bar
+    ell_bar = econ.tech.ell_bar
     q_min = float(econ.q.min())
     B_floor = ell_bar ** (-econ.p) * float(econ.u.min())
     delta_cap = math.log(1.0 / B_floor)
@@ -130,36 +128,18 @@ def wages_at_optimum(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -
         delta_q=delta,
         beta=beta,
         V_tilde=V_tilde,
-        B_S=acc.B_S,
-        B_M=acc.B_M,
     )
-
-
-def unit_cost(x, design: SpecialistDesign, r: float, econ: Economy) -> float:
-    """Unit cost of design (x, nu) at wage ratio r."""
-    xv = np.asarray(x, dtype=float)
-    if r < 0.0:
-        raise DomainError("wage ratio must be nonnegative")
-    if float(np.abs(design.mean() - xv).max()) > 1e-10:
-        raise DomainError("design mean does not match the stated mix")
-    cov = coverage(xv, econ.q)
-    if cov <= 0.0:
-        raise DomainError("zero productive coverage: unit cost undefined")
-    e_lam = float((design.weights / max_scale_batch(econ.tech, design.directions)).sum())
-    gam = gamma_index(econ.tech, design.gap_bundle(xv))
-    return (e_lam + econ.theta * r * gam) / cov
 
 
 @dataclass(frozen=True)
 class NoDeviationReport:
-    """Grid verification that the aligned corner design is cost-minimal;
-    n_designs counts the whole space, n_evaluated the designs whose Gamma
-    was solved."""
+    """Grid verification that the aligned corner design is cost-minimal,
+    which holds while worst_margin >= -MARGIN_TOL; n_designs counts the
+    whole space, n_evaluated the designs whose Gamma was solved."""
 
     worst_margin: float
     n_designs: int
     n_evaluated: int
-    passed: bool
     r: float
     cost_at_optimum: float
     worst_design: SpecialistDesign | None
@@ -187,8 +167,7 @@ def no_deviation_check(
     cost_q = 1.0 + econ.theta * r * gamma_index(econ.tech, econ.q * (1.0 - econ.q))
     found = brute_force_design(econ.with_theta(econ.theta * r), resolution, max_atoms, max_designs)
     worst_margin = found.unit_cost - cost_q
-    passed = worst_margin >= -MARGIN_TOL
-    if not passed and ratio_bound(econ).unique_ok:
+    if not worst_margin >= -MARGIN_TOL and ratio_bound(econ).unique_ok:
         raise OracleError(
             f"profitable deviation with margin {worst_margin:.3e} found although "
             f"the uniqueness cutoffs hold; deviating mix {found.x!r}"
@@ -197,7 +176,6 @@ def no_deviation_check(
         worst_margin=worst_margin,
         n_designs=found.n_designs,
         n_evaluated=found.n_evaluated,
-        passed=passed,
         r=r,
         cost_at_optimum=cost_q,
         worst_design=found.design,

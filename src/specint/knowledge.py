@@ -44,7 +44,7 @@ def feasible_bundle(s, tech: LearningTech):
     mastery above 1 and total learning cost at most 1. Given an (N,K) stack
     it returns one verdict per row, as a bool array."""
     v = np.maximum(np.asarray(s, dtype=float), 0.0)
-    cost = tech._ell_raw(np.clip(v, 0.0, 1.0)).sum(axis=-1)
+    cost = tech.ell(np.clip(v, 0.0, 1.0)).sum(axis=-1)
     fits = ~(v > 1.0 + BUDGET_SLACK).any(axis=-1) & (cost <= 1.0 + BUDGET_SLACK)
     return fits if fits.ndim else bool(fits)
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, OracleError
 
-DOMAIN_SLACK = 1e-12
 FRONTIER_RESIDUAL = 1e-12
 # Rows hugging a corner of a steep exponential cost take about ln(1/eps)
 # ~ 36 near-linear Newton steps; 38 was the most seen for params 1e-8..1e6.
@@ -60,43 +59,30 @@ class LearningTech:
         if not (self.param > 0.0 and math.isfinite(self.param)):
             raise ConfigError("learning.param must be a positive finite number")
 
-    def _ell_raw(self, s):
-        """Family formula without the domain guard (solver internal)."""
+    def ell(self, s):
+        """Learning cost of mastery s, elementwise (no domain check)."""
         c = self.param
         if self.family == "rational":
             return (1.0 + c) * s / (1.0 + c * np.asarray(s))
         return np.expm1(-c * np.asarray(s)) / math.expm1(-c)
 
-    def ell(self, s):
-        """Learning cost of mastery s, elementwise; domain [0, 1+1e-12]."""
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < -DOMAIN_SLACK) or np.any(arr > 1.0 + DOMAIN_SLACK):
-            raise DomainError(f"mastery outside [0,1]: {s!r}")
-        clipped = np.clip(arr, 0.0, 1.0)
-        out = self._ell_raw(clipped)
-        return float(out) if np.isscalar(s) or arr.ndim == 0 else out
-
-    def ell_prime(self, s):
-        """Analytic derivative of the cost function on [0,1]."""
-        arr = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    def ell_prime(self, s: float) -> float:
+        """Analytic derivative of the cost function at a mastery s in [0,1]."""
         c = self.param
-        scalar = np.isscalar(s) or arr.ndim == 0
         if self.family == "rational":
-            out = (1.0 + c) / (1.0 + c * arr) ** 2
-        else:
-            # math.exp on a scalar: np.exp's bits depend on numpy's SIMD
-            # dispatch, and ell_under feeds c_ell, L_Gamma and theta_bar
-            exp = math.exp(-c * float(arr)) if scalar else np.exp(-c * arr)
-            out = c * exp / -math.expm1(-c)
-        return float(out) if scalar else out
+            # in np.float64, whose square of a steep cost overflows to inf
+            # (under constants' errstate) where a Python float would raise
+            return float((1.0 + c) / (1.0 + c * np.float64(s)) ** 2)
+        # math.exp: np.exp's bits depend on numpy's SIMD dispatch, and
+        # ell_under feeds c_ell, L_Gamma and theta_bar
+        return c * math.exp(-c * s) / -math.expm1(-c)
 
     def _frontier_terms(self, t: np.ndarray, P: np.ndarray):
         """Row sums sum_k ell(S_k) - 1 and sum_k P_k*ell'(S_k) at S = t*P.
 
-        The same floating-point operations as _ell_raw and ell_prime (S is
-        already in [0,1], so no clip), on one (N,K) buffer, 1 + c*S or -c*S,
-        plus the cost array, which is summed and freed before the slope is
-        formed in the buffer.
+        The formulas of ell and ell_prime, in numpy's array kernels, on one
+        (N,K) buffer, 1 + c*S or -c*S, plus the cost array, which is summed
+        and freed before the slope is formed in the buffer.
         """
         c = self.param
         S = t[:, None] * P
@@ -129,12 +115,12 @@ class LearningTech:
     @cached_property
     def ell_bar(self) -> float:
         """Slope at zero, the steepest marginal learning cost."""
-        return float(self.ell_prime(0.0))
+        return self.ell_prime(0.0)
 
     @property
     def ell_under(self) -> float:
         """Slope at one, the flattest marginal learning cost."""
-        return float(self.ell_prime(1.0))
+        return self.ell_prime(1.0)
 
     def ell_inverse(self, y: float) -> float:
         """Mastery with cost y: y/(1+c(1-y)) or -log1p(y*expm1(-c))/c."""
@@ -156,8 +142,6 @@ class LearningConstants:
     (0,1), in closed form; theta_bar is built from it.
     """
 
-    ell_bar: float
-    ell_under: float
     c_ell: float
     L_Gamma: float
     theta_bar: float
@@ -263,10 +247,4 @@ def constants(tech: LearningTech) -> LearningConstants:
             "gap: ell'(0) - 1 and 1 - ell'(1) must both be positive"
         )
     theta_bar = min(c_ell / L, 1.0 / (2.0 * L))
-    return LearningConstants(
-        ell_bar=ell_bar,
-        ell_under=ell_under,
-        c_ell=c_ell,
-        L_Gamma=L,
-        theta_bar=theta_bar,
-    )
+    return LearningConstants(c_ell=c_ell, L_Gamma=L, theta_bar=theta_bar)

@@ -243,7 +243,7 @@ def frontier_bisection(tech: learning.LearningTech, P: np.ndarray) -> np.ndarray
     hi = np.full(P.shape[0], 1.0 + 1e-9)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        over = tech._ell_raw(mid[:, None] * P).sum(axis=1) > 1.0
+        over = tech.ell(mid[:, None] * P).sum(axis=1) > 1.0
         if not np.where(over, mid != hi, mid != lo).any():
             break
         hi = np.where(over, mid, hi)

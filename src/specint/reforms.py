@@ -230,13 +230,13 @@ def broadening_derivative(econ: Economy) -> BroadeningSlope:
     return BroadeningSlope(value, welfare, eta_star, cutoff, regime)
 
 
-def interface_profile(q: np.ndarray, alpha, h_star: np.ndarray | None = None) -> np.ndarray:
-    """Civic profile tilted from q toward the gap profile h*(q), which a
-    caller tilting the same q many times passes in as h_star. An (M, 1)
-    column of alphas gives the (M, K) stack of their profiles, each row
-    with the bits of its own call."""
-    h = gap_profile_star(q) if h_star is None else h_star
-    return (1.0 - alpha) * q + alpha * h
+def interface_profile(q: np.ndarray, alpha, h_star: np.ndarray) -> np.ndarray:
+    """Civic profile (1-alpha)*q + alpha*h_star, tilted from q toward its
+    gap profile h_star = gap_profile_star(q), which the caller computes
+    once for all the alphas it tilts q by. An (M, 1) column of alphas gives
+    the (M, K) stack of their profiles, each row with the bits of its own
+    call."""
+    return (1.0 - alpha) * q + alpha * h_star
 
 
 def interface_family(econ: Economy) -> Family:

@@ -256,11 +256,12 @@ def test_criterion_11_interface_statics(econ):
     rep = reforms.interface_statics(econ, np.linspace(0.0, 1.0, 11))
     theta_small = reforms.interface_threshold(econ, np.linspace(0.0, 1.0, 11))
     alloc = production.minimal_allocation(production.corner_design(econ.q), econ)
+    h_star = production.gap_profile_star(econ.q)
     h = 1e-6
     fd_gap = 0.0
     for a in (0.3, 0.7):
-        lo = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a - h)))
-        hi = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a + h)))
+        lo = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a - h, h_star)))
+        hi = accounts(alloc, econ.with_u(reforms.interface_profile(econ.q, a + h, h_star)))
         fd_gap = max(
             fd_gap,
             abs((hi.B_S - lo.B_S) / (2 * h) - rep["B_S_slope"][0]),

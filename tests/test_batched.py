@@ -472,11 +472,12 @@ def test_accounts_along_alpha_sweep_match_per_row_loop():
         fam = interface_family(econ)
         alloc = minimal_allocation(corner_design(econ.q), econ)
         at_zero = fam(0.0)
+        h_star = gap_profile_star(econ.q)
         for alpha in points:
             rep = fam(alpha)
             # one allocation along the family: output and integrator share keep their bits
             assert (rep.Y, rep.m) == (at_zero.Y, at_zero.m), alpha
-            econ_a = econ.with_u(interface_profile(econ.q, alpha))
+            econ_a = econ.with_u(interface_profile(econ.q, alpha, h_star))
             assert (rep.B_S, rep.B_M) == _knowledge_loop(alloc, econ_a), alpha
 
 

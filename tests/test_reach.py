@@ -21,8 +21,6 @@ SRC = Path(specint.__file__).resolve().parent
 
 # module.qualname -> why no command on the default scenario calls it
 UNREACHED = {
-    "competitive.unit_cost": "off-grid unit-cost reference used by the tests",
-    "learning.LearningTech.ell": "reference learning function used by the tests",
     "cli.console_main": "the installed entry point; test_cli runs it in a subprocess",
     "cli._Parser.error": "usage errors only",
     "scenario.Scenario.with_seed": "verify --seed only",

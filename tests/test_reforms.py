@@ -299,8 +299,9 @@ def test_welfare_slope_vanishes_at_eta_star():
 
 
 def test_interface_family_anchors(econ):
-    assert interface_profile(econ.q, 0.0) == pytest.approx(econ.q, abs=1e-15)
-    assert interface_profile(econ.q, 1.0) == pytest.approx(gap_profile_star(econ.q), abs=1e-15)
+    h_star = gap_profile_star(econ.q)
+    assert interface_profile(econ.q, 0.0, h_star) == pytest.approx(econ.q, abs=1e-15)
+    assert interface_profile(econ.q, 1.0, h_star) == pytest.approx(h_star, abs=1e-15)
 
 
 def test_interface_family_shares_one_allocation(econ):
@@ -320,9 +321,10 @@ def test_interface_family_profile_is_exactly_the_affine_path():
     econ = scn.econ
     fam = interface_family(econ)
     alloc = minimal_allocation(corner_design(econ.q), econ)
+    h_star = gap_profile_star(econ.q)
     assert scn.alpha_grid.size == 21
     for a in scn.alpha_grid.tolist():
-        want = total_welfare(econ.with_u(interface_profile(econ.q, a)), alloc)
+        want = total_welfare(econ.with_u(interface_profile(econ.q, a, h_star)), alloc)
         assert repr(fam(a)) == repr(want), a
 
 
@@ -334,8 +336,9 @@ def test_families_map_a_parameter_to_the_report_of_their_allocation(econ):
         assert repr(bfam(b)) == repr(total_welfare(econ, broadening_allocation(b, econ))), b
     ifam = interface_family(econ)
     alloc = minimal_allocation(corner_design(econ.q), econ)
+    h_star = gap_profile_star(econ.q)
     for a in (0.0, 0.3, 1.0):
-        econ_a = econ.with_u(interface_profile(econ.q, a))
+        econ_a = econ.with_u(interface_profile(econ.q, a, h_star))
         assert repr(ifam(a)) == repr(total_welfare(econ_a, alloc)), a
 
 
@@ -359,10 +362,11 @@ def test_interface_slopes_signs_and_fd(econ):
     bs, bm = interface_closed_slopes(econ)
     assert bs < 0.0 and bm > 0.0
     alloc = minimal_allocation(corner_design(econ.q), econ)
+    h_star = gap_profile_star(econ.q)
     h = 1e-6
     for a in (0.3, 0.8):
-        lo = accounts(alloc, econ.with_u(interface_profile(econ.q, a - h)))
-        hi = accounts(alloc, econ.with_u(interface_profile(econ.q, a + h)))
+        lo = accounts(alloc, econ.with_u(interface_profile(econ.q, a - h, h_star)))
+        hi = accounts(alloc, econ.with_u(interface_profile(econ.q, a + h, h_star)))
         assert abs((hi.B_S - lo.B_S) / (2 * h) - bs) <= 1e-8
         assert abs((hi.B_M - lo.B_M) / (2 * h) - bm) <= 1e-8
 
@@ -370,7 +374,7 @@ def test_interface_slopes_signs_and_fd(econ):
 def test_interface_coverage_affine(econ):
     h_star = gap_profile_star(econ.q)
     alphas = np.linspace(0.0, 1.0, 11)
-    covs = np.array([coverage(h_star, interface_profile(econ.q, a)) for a in alphas])
+    covs = np.array([coverage(h_star, interface_profile(econ.q, a, h_star)) for a in alphas])
     slopes = np.diff(covs) / np.diff(alphas)
     assert np.allclose(slopes, slopes[0], atol=1e-12)
     assert slopes[0] == pytest.approx(1.0 - coverage(h_star, econ.q), abs=1e-12)
@@ -428,7 +432,7 @@ def _bisected_threshold(econ, alpha_grid):
         if d_bsoc >= 0.0:
             return False
         for a in alpha_grid:
-            u_a = interface_profile(econ.q, float(a))
+            u_a = interface_profile(econ.q, float(a), h_star)
             B_S_a = float(econ.q @ u_a)
             B_M_a = Hp * coverage(h_star, u_a)
             B_soc_a = (1.0 - m_t) * B_S_a + m_t * B_M_a
@@ -499,30 +503,32 @@ def test_interface_threshold_flips_finite_difference_slopes():
 def test_interface_dispersion_slope_closed_form(econ):
     alloc = minimal_allocation(corner_design(econ.q), econ)
     bs, bm = interface_closed_slopes(econ)
+    h_star = gap_profile_star(econ.q)
     m = alloc.m
     h = 1e-6
     for a in (0.25, 0.7):
         vals = []
         for s in (-h, h):
-            acc = accounts(alloc, econ.with_u(interface_profile(econ.q, a + s)))
+            acc = accounts(alloc, econ.with_u(interface_profile(econ.q, a + s, h_star)))
             from specint.welfare import dispersion
 
             vals.append(dispersion(acc.B_S, acc.B_M, m))
         fd = (vals[1] - vals[0]) / (2 * h)
-        acc = accounts(alloc, econ.with_u(interface_profile(econ.q, a)))
+        acc = accounts(alloc, econ.with_u(interface_profile(econ.q, a, h_star)))
         assert abs(dispersion_slope(acc.B_S, acc.B_M, bs, bm, m) - fd) <= 1e-8
 
 
 def test_interface_dispersion_slope_vanishes_with_theta(econ):
     # |dD/dalpha| is of the order of the integrator share
     ratios = []
+    h_star = gap_profile_star(econ.q)
     for frac in (1e-3, 1e-2, 1e-1):
         econ_t = econ.with_theta(frac * econ.theta_bar)
         alloc = minimal_allocation(corner_design(econ_t.q), econ_t)
         bs, bm = interface_closed_slopes(econ_t)
         worst = 0.0
         for a in np.linspace(0, 1, 7):
-            acc = accounts(alloc, econ_t.with_u(interface_profile(econ_t.q, a)))
+            acc = accounts(alloc, econ_t.with_u(interface_profile(econ_t.q, a, h_star)))
             worst = max(worst, abs(dispersion_slope(acc.B_S, acc.B_M, bs, bm, alloc.m)))
         ratios.append(worst / alloc.m)
     assert max(ratios) <= 1.5 * min(ratios) + 1e-9
