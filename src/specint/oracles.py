@@ -514,16 +514,16 @@ def check_decomposition(scn: Scenario, rng, tol_scale) -> CheckResult:
     return _result("decomposition-residual", worst, welfare.DECOMPOSITION_RESIDUAL)
 
 
-def _fd_slopes(econ: Economy, family, x: float, lo: float = 0.0, hi: float = 1.0):
+def _fd_slopes(econ: Economy, family, x: float):
     """decompose_along at x over fresh welfare reports of the family, then
     the finite-difference slopes of civic capacity, welfare and service
     welfare there as (slope, bound) pairs. Each bound is the stencil's
     round-off when every value is within eps of its size: the sum of the
     stencil's absolute coefficients (2 central, 8 one-sided, over 2h) times
     eps times the largest value differenced."""
-    points, kind = welfare.stencil_points(x, lo, hi)
+    points, kind = welfare.stencil_points(x)
     reports = [family(y) for y in points]
-    d = decompose_along(econ, dict(zip(points, reports)).__getitem__, x, lo, hi)
+    d = decompose_along(econ, dict(zip(points, reports)).__getitem__, x)
     unit = (2.0 if kind == 0 else 8.0) * _EPS / (2.0 * welfare.DECOMPOSITION_STEP)
     civic = [r.B_soc for r in reports]
     total = [r.welfare for r in reports]
@@ -578,7 +578,7 @@ def threshold_bracket(econ: Economy, alpha_grid, theta_small: float) -> float | 
         fam = reforms.interface_family(econ_t)
         value = noise = -math.inf
         for a in grid:
-            _, civic, _, service = _fd_slopes(econ_t, fam, a, grid[0], grid[-1])
+            _, civic, _, service = _fd_slopes(econ_t, fam, a)
             value = max(value, civic[0], service[0])
             noise = max(noise, civic[1], service[1])
         return value, noise
@@ -667,7 +667,7 @@ def check_interface_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
     def per_point():
         rows = []
         for a in grid:
-            d = decompose_along(econ, fam, a, grid[0], grid[-1])
+            d = decompose_along(econ, fam, a)
             at = reforms.residual_checked(d, a).at
             rows.append({
                 "alpha": a, "B_S": at.B_S, "B_M": at.B_M, "B_soc": at.B_soc,
@@ -704,14 +704,15 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
             abs(rep.welfare - report["welfare"][i]) / (1e-12 * (1.0 + abs(rep.welfare))),
         )
     # B_S and B_M are constant in theta at the optimum, so B_soc moves with
-    # m in the direction of B_M - B_S
-    strictness = min(
-        float(np.diff(report["m"]).min()),
-        float(-np.diff(report["Y"]).max()),
-        float((np.sign(rep.B_M - rep.B_S) * np.diff(report["B_soc"])).min()),
-    )
-    if strictness <= 1e-12:
-        worst = max(worst, 2.0)
+    # m in the direction of B_M - B_S; a one-point grid has no step to test
+    if len(report["theta"]) > 1:
+        strictness = min(
+            float(np.diff(report["m"]).min()),
+            float(-np.diff(report["Y"]).max()),
+            float((np.sign(rep.B_M - rep.B_S) * np.diff(report["B_soc"])).min()),
+        )
+        if strictness <= 1e-12:
+            worst = max(worst, 2.0)
     # the dm/dtheta column the engine emits, against central differences
     h = 1e-6 * econ.theta_bar
     thetas = report["theta"]

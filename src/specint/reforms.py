@@ -309,8 +309,7 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> dict[str, list]:
     alloc = minimal_rows([block], econ)[0].allocation(0)
     B_S_slope, B_M_slope = _closed_slopes(econ, h_star, float(scales[-1]))
     grid = np.asarray(alpha_grid, dtype=float).tolist()
-    lo, hi = grid[0], grid[-1]
-    stencils = [stencil_points(a, lo, hi)[0] for a in grid]
+    stencils = [stencil_points(a)[0] for a in grid]
     column = np.array(stencils).reshape(-1, 1)
     accs = civic_accounts(alloc, econ, interface_profile(econ.q, column, h_star))
     slopes = []
@@ -322,7 +321,7 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> dict[str, list]:
             outcome = equilibrium_from_groups(econ, acc.Y, alloc.m, acc.B_S, acc.B_M)
             return welfare_accounts(econ, outcome)
 
-        slopes.append(residual_checked(decompose_along(econ, welfare_at, a, lo, hi), a))
+        slopes.append(residual_checked(decompose_along(econ, welfare_at, a), a))
     reports = [d.at for d in slopes]
     m = reports[0].m
     n = len(grid)

@@ -133,32 +133,31 @@ def stencil(kind: int, values, h: float) -> float:
     return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
 
 
-def stencil_points(b: float, lo: float, hi: float) -> tuple[tuple[float, float, float], int]:
+def stencil_points(b: float) -> tuple[tuple[float, float, float], int]:
     """The three points of decompose_along's stencil at b, in the order of
     stencil's kind, and that kind: central (step DECOMPOSITION_STEP) inside
-    (lo, hi), one-sided at either end. Every stencil holds b itself."""
+    (0, 1), one-sided within a step of 0 or 1. Both allocation families
+    live on [0, 1], so only their own ends make a stencil one-sided, not
+    the ends of a grid. Every stencil holds b itself."""
     step = DECOMPOSITION_STEP
-    if b - step >= lo and b + step <= hi:
+    if b - step >= 0.0 and b + step <= 1.0:
         return (b - step, b, b + step), 0
-    if b - step < lo:
+    if b - step < 0.0:
         return (b, b + step, b + 2.0 * step), 1
     return (b, b - step, b - 2.0 * step), -1
 
 
-def decompose_along(
-    econ: Economy, family: Family, b: float, lo: float = 0.0, hi: float = 1.0,
-) -> Decomposition:
+def decompose_along(econ: Economy, family: Family, b: float) -> Decomposition:
     """Three-term welfare slope at parameter b of an allocation family,
-    called once at each point of stencil_points(b, lo, hi) in stencil
-    order, given the economy whose governance technology and tax rate the
-    family keeps.
+    called once at each point of stencil_points(b) in stencil order, given
+    the economy whose governance technology and tax rate the family keeps.
 
     The report's residual is |productive + governance + targeting -
     fd_total|; above DECOMPOSITION_RESIDUAL the step is too large for the
     family's curvature, and the caller decides. The report at b itself
     comes back as `at`.
     """
-    offsets, kind = stencil_points(b, lo, hi)
+    offsets, kind = stencil_points(b)
     step = DECOMPOSITION_STEP
     reports = [family(point) for point in offsets]
     dY = stencil(kind, [r.Y for r in reports], step)

@@ -486,16 +486,15 @@ def _interface_statics_one(econ, grid):
     point's own economy (the tilted civic profile, checked by with_u), its
     accounts in 1-d arithmetic and its full welfare accounts, and the
     welfare slope from a second-order stencil of step DECOMPOSITION_STEP,
-    central inside the grid and one-sided at its ends."""
+    central inside [0, 1] and one-sided within a step of its ends."""
     q, h = econ.q, DECOMPOSITION_STEP
     alloc = minimal_allocation(corner_design(q), econ)
     h_star = gap_profile_star(q)
-    lo, hi = grid[0], grid[-1]
     rows = []
     for a in grid:
-        if a - h >= lo and a + h <= hi:
+        if a - h >= 0.0 and a + h <= 1.0:
             points, kind = (a - h, a, a + h), 0
-        elif a - h < lo:
+        elif a - h < 0.0:
             points, kind = (a, a + h, a + 2.0 * h), 1
         else:
             points, kind = (a, a - h, a - 2.0 * h), -1
@@ -522,12 +521,14 @@ ALPHA_PER_POINT = ["alpha", "B_S", "B_M", "B_soc", "dispersion", "welfare", "dW_
 
 
 def test_interface_statics_matches_per_point_loop():
-    # full grids, an interior grid, the end points alone, and a grid whose
-    # neighbouring stencils share points and that uses all three stencils
+    # full grids, an interior grid, the end points alone, one point within
+    # a step of 1, and a grid whose neighbouring stencils share points and
+    # that uses all three stencils
     grids = (
         np.linspace(0.0, 1.0, 21),
         np.linspace(0.2, 0.8, 7),
         np.array([0.0, 1.0]),
+        np.array([0.999995]),
         np.array([0.0, 0.00001, 0.00002, 0.5, 1.0]),
     )
     for econ in [*ECONOMIES, K8]:

@@ -208,8 +208,11 @@ NONFINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 @settings(max_examples=150, deadline=None)
 @example(command="solve", hostile={"economy.q": "1e300,1,1"})
 @example(command="sweep --axis b", hostile={"economy.theta": "1e300"})
+@example(command="verify", hostile={"sweep.theta_frac": "0.5"})
 @given(
-    command=st.sampled_from(["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta"]),
+    command=st.sampled_from(
+        ["solve", "sweep --axis b", "sweep --axis alpha", "sweep --axis theta", "verify"]
+    ),
     hostile=st.dictionaries(
         st.sampled_from(REQUIRED_KEYS + SWEEP_KEYS),
         st.sampled_from(HOSTILE_VALUES + HOSTILE_GRIDS),
@@ -752,6 +755,24 @@ def test_verify_small_budgets_all_pass(tmp_path):
     assert rows[0] == ["check", "status", "metric", "tolerance", "note"]
     statuses = {r[1] for r in rows[1:]}
     assert statuses <= {"pass", "skipped"}
+
+
+@pytest.mark.parametrize("key, grid", [
+    ("sweep.theta_frac", "0.5"),
+    ("sweep.theta_frac", "1e-300"),
+    ("sweep.theta_frac", "0.999999"),
+    ("sweep.alpha", "1.0"),
+    ("sweep.alpha", "0.99999,1.0"),
+])
+def test_verify_passes_on_a_grid_of_one_point_or_near_one_end(tmp_path, key, grid):
+    # a one-point theta grid has no step for the strictness test, and an
+    # alpha grid near 1 takes the stencils the default grid takes there
+    cfg = write_cfg(tmp_path / "v.cfg", {key: grid})
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert len(rows) == 22
+    assert {r[1] for r in rows} == {"pass"}
 
 
 def test_verify_gates_on_failed_diffuseness(tmp_path):

@@ -414,6 +414,18 @@ def test_interface_statics_report(econ, scenario):
     assert (1 - m_lo) * bs + m_lo * bm < 0.0
 
 
+@pytest.mark.parametrize("rows", [[20], [10], [19, 20], list(range(5, 16))])
+def test_interface_statics_rows_do_not_depend_on_the_grid_ends(rows):
+    # a welfare-slope stencil is one-sided only within a step of the
+    # family's own ends 0 and 1, so a grid that stops short of them, or a
+    # single point, writes the full grid's rows bit for bit
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    full = interface_statics(scn.econ, scn.alpha_grid)
+    part = interface_statics(scn.econ, scn.alpha_grid[rows])
+    for name, column in part.items():
+        assert repr(column) == repr([full[name][i] for i in rows]), name
+
+
 def _bisected_threshold(econ, alpha_grid):
     """Reference for interface_threshold: the final bracket [lo, hi] of a
     bisection on the semi-analytic predicate "dB_soc/dalpha < 0 and
@@ -490,8 +502,7 @@ def test_interface_threshold_flips_finite_difference_slopes():
     # at every grid alpha just below theta_small, not so just above it
     def both_negative(econ, grid):
         fam = interface_family(econ)
-        lo, hi = float(grid[0]), float(grid[-1])
-        slopes = [decompose_along(econ, fam, float(a), lo, hi) for a in grid]
+        slopes = [decompose_along(econ, fam, float(a)) for a in grid]
         return all(d.dB_soc < 0.0 and d.fd_total < 0.0 for d in slopes)
 
     for econ, grid in _threshold_cases():

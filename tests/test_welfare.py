@@ -129,7 +129,7 @@ def test_decompose_residual_small_on_both_families(econ):
         assert decompose_along(econ, bfam, b).residual <= 1e-4
     ifam = interface_family(econ)
     for a in (0.0, 0.5, 1.0):
-        assert decompose_along(econ, ifam, a, 0.0, 1.0).residual <= 1e-4
+        assert decompose_along(econ, ifam, a).residual <= 1e-4
 
 
 def test_decompose_boundary_uses_one_sided(econ):
@@ -143,7 +143,7 @@ def test_decompose_boundary_uses_one_sided(econ):
     "b, offsets", [(0.4, (-1, 0, 1)), (0.0, (0, 1, 2)), (1.0, (0, -1, -2))]
 )
 def test_decompose_returns_the_report_at_its_parameter(econ, b, offsets):
-    # central inside (lo, hi), one-sided at either end: every stencil holds
+    # central inside (0, 1), one-sided at either end: every stencil holds
     # b itself, and the report there has the bits of a direct evaluation
     fam = interface_family(econ)
     points = []
@@ -152,6 +152,6 @@ def test_decompose_returns_the_report_at_its_parameter(econ, b, offsets):
         points.append(a)
         return fam(a)
 
-    d = decompose_along(econ, recorded, b, 0.0, 1.0)
+    d = decompose_along(econ, recorded, b)
     assert points == [b + k * DECOMPOSITION_STEP for k in offsets]
     assert np.array(d.at).tobytes() == np.array(fam(b)).tobytes()
