@@ -177,3 +177,46 @@ def test_solve_and_theta_sweep_csvs_do_not_depend_on_numpy_dispatch(tmp_path):
     for _, name in runs:
         baseline = (tmp_path / f"baseline_{name}.csv").read_bytes()
         assert (tmp_path / f"{name}.csv").read_bytes() == baseline, name
+
+
+def _pinned_runs(tmp_path) -> list[tuple[list[str], str]]:
+    """(argv up to --out, pinned digest) of every digest this module pins."""
+    runs = [
+        ([*command.split(), "--config", str(SCENARIOS / f"{scenario}.cfg")], digest)
+        for (scenario, command), digest in sorted(GOLDEN.items())
+    ]
+    for name, overrides, pinned in (("k5", K5_EXPONENTIAL, GOLDEN_K5_EXPONENTIAL),
+                                    ("k8", K8, GOLDEN_K8)):
+        cfg = write_cfg(tmp_path / f"{name}.cfg", overrides)
+        runs += [([*command.split(), "--config", cfg], digest)
+                 for command, digest in sorted(pinned.items())]
+    dense = write_cfg(tmp_path / "dense.cfg", DENSE_ALPHA)
+    runs.append((["sweep", "--axis", "alpha", "--config", dense], GOLDEN_DENSE_ALPHA))
+    small = write_cfg(tmp_path / "small.cfg", SMALL_BUDGETS)
+    runs.append((["verify", "--config", small], VERIFY_SMALL_BUDGETS))
+    runs += [(["verify", "--config", str(SCENARIOS / f"{scenario}.cfg")], digest)
+             for scenario, digest in sorted(VERIFY_FULL_BUDGETS.items())]
+    return runs
+
+
+def test_pinned_digests_hold_on_numpy_baseline_kernels(tmp_path):
+    # every pinned CSV, recomputed in one interpreter that runs numpy's
+    # baseline kernels alone
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline here")
+    runs = _pinned_runs(tmp_path)
+    assert len(runs) == 20
+    outs = [str(tmp_path / f"{i}.csv") for i in range(len(runs))]
+    script = "\n".join([
+        "from specint.cli import main",
+        f"for argv, out in zip({[argv for argv, _ in runs]!r}, {outs!r}):",
+        "    assert main([*argv, '--out', out]) == 0, argv",
+    ])
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for (argv, digest), out in zip(runs, outs):
+        assert _digest(Path(out)) == digest, argv
