@@ -152,29 +152,33 @@ def _dispatch_targets() -> list[str]:
     return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
-def test_solve_and_theta_sweep_csvs_do_not_depend_on_numpy_dispatch(tmp_path):
-    # the same CSVs in-process and in an interpreter that runs numpy's
-    # baseline kernels alone
+def _on_baseline_kernels(argvs: list[list[str]]) -> None:
+    """Run main on each full argv in one interpreter that runs numpy's
+    baseline kernels alone, with NPY_DISABLE_CPU_FEATURES naming every
+    target numpy dispatches to here; skip the test where there is none."""
     targets = _dispatch_targets()
     if not targets:
         pytest.skip("numpy dispatches to no SIMD target above its baseline here")
-    cfg = write_cfg(tmp_path / "exp.cfg", DISPATCH_EXPONENTIAL)
-    runs = [(["solve"], "solve"), (["sweep", "--axis", "theta"], "theta")]
-    for argv, name in runs:
-        assert main([*argv, "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
     script = "\n".join([
-        "import sys",
         "from specint.cli import main",
-        f"for argv, name in {runs!r}:",
-        f"    out = {str(tmp_path)!r} + '/baseline_' + name + '.csv'",
-        f"    assert main([*argv, '--config', {cfg!r}, '--out', out]) == 0",
+        f"for argv in {argvs!r}:",
+        "    assert main(argv) == 0, argv",
     ])
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for _, name in runs:
+
+
+def test_solve_and_theta_sweep_csvs_do_not_depend_on_numpy_dispatch(tmp_path):
+    # the same CSVs in-process and on numpy's baseline kernels alone
+    cfg = write_cfg(tmp_path / "exp.cfg", DISPATCH_EXPONENTIAL)
+    runs = [(["solve"], "solve"), (["sweep", "--axis", "theta"], "theta")]
+    _on_baseline_kernels([[*argv, "--config", cfg, "--out", str(tmp_path / f"baseline_{name}.csv")]
+                          for argv, name in runs])
+    for argv, name in runs:
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
         baseline = (tmp_path / f"baseline_{name}.csv").read_bytes()
         assert (tmp_path / f"{name}.csv").read_bytes() == baseline, name
 
@@ -200,23 +204,10 @@ def _pinned_runs(tmp_path) -> list[tuple[list[str], str]]:
 
 
 def test_pinned_digests_hold_on_numpy_baseline_kernels(tmp_path):
-    # every pinned CSV, recomputed in one interpreter that runs numpy's
-    # baseline kernels alone
-    targets = _dispatch_targets()
-    if not targets:
-        pytest.skip("numpy dispatches to no SIMD target above its baseline here")
+    # every pinned CSV, recomputed on numpy's baseline kernels alone
     runs = _pinned_runs(tmp_path)
     assert len(runs) == 20
-    outs = [str(tmp_path / f"{i}.csv") for i in range(len(runs))]
-    script = "\n".join([
-        "from specint.cli import main",
-        f"for argv, out in zip({[argv for argv, _ in runs]!r}, {outs!r}):",
-        "    assert main([*argv, '--out', out]) == 0, argv",
-    ])
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    outs = [tmp_path / f"{i}.csv" for i in range(len(runs))]
+    _on_baseline_kernels([[*argv, "--out", str(out)] for (argv, _), out in zip(runs, outs)])
     for (argv, digest), out in zip(runs, outs):
-        assert _digest(Path(out)) == digest, argv
+        assert _digest(out) == digest, argv
