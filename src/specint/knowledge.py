@@ -39,12 +39,13 @@ def fragmentation(pi) -> float:
     return float(1.0 - p @ p)
 
 
-def feasible_bundle(s, tech: LearningTech):
+def feasible_bundle(s, tech: LearningTech, param=None):
     """Whether a knowledge bundle fits inside the unit learning budget: no
     mastery above 1 and total learning cost at most 1. Given an (N,K) stack
-    it returns one verdict per row, as a bool array."""
+    it returns one verdict per row, as a bool array, each row under its own
+    learning.param of tech's family where param gives an (N,) column."""
     v = np.maximum(np.asarray(s, dtype=float), 0.0)
-    cost = tech.ell(np.clip(v, 0.0, 1.0)).sum(axis=-1)
+    cost = tech.ell(np.clip(v, 0.0, 1.0), param).sum(axis=-1)
     fits = ~(v > 1.0 + BUDGET_SLACK).any(axis=-1) & (cost <= 1.0 + BUDGET_SLACK)
     return fits if fits.ndim else bool(fits)
 

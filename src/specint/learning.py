@@ -59,12 +59,14 @@ class LearningTech:
         if not (self.param > 0.0 and math.isfinite(self.param)):
             raise ConfigError("learning.param must be a positive finite number")
 
-    def ell(self, s):
-        """Learning cost of mastery s, elementwise (no domain check)."""
-        c = self.param
+    def ell(self, s, param=None):
+        """Learning cost of mastery s, elementwise (no domain check); with
+        param, an (N,) column of learning.param values of this family, the
+        cost of each row of an (N,K) stack s under its own param."""
+        c, em1 = _param_terms(self, param)
         if self.family == "rational":
             return (1.0 + c) * s / (1.0 + c * np.asarray(s))
-        return np.expm1(-c * np.asarray(s)) / math.expm1(-c)
+        return np.expm1(-c * np.asarray(s)) / em1
 
     def ell_prime(self, s: float) -> float:
         """Analytic derivative of the cost function at a mastery s in [0,1]."""
@@ -77,14 +79,14 @@ class LearningTech:
         # ell_under feeds c_ell, L_Gamma and theta_bar
         return c * math.exp(-c * s) / -math.expm1(-c)
 
-    def _frontier_terms(self, t: np.ndarray, P: np.ndarray):
-        """Row sums sum_k ell(S_k) - 1 and sum_k P_k*ell'(S_k) at S = t*P.
+    def _frontier_terms(self, t: np.ndarray, P: np.ndarray, c, em1):
+        """Row sums sum_k ell(S_k) - 1 and sum_k P_k*ell'(S_k) at S = t*P,
+        given _param_terms' c and expm1(-c) (floats, or per-row columns).
 
         The formulas of ell and ell_prime, in numpy's array kernels, on one
         (N,K) buffer, 1 + c*S or -c*S, plus the cost array, which is summed
         and freed before the slope is formed in the buffer.
         """
-        c = self.param
         S = t[:, None] * P
         if self.family == "rational":
             cost = (1.0 + c) * S
@@ -98,12 +100,12 @@ class LearningTech:
         else:
             S *= -c
             cost = np.expm1(S)
-            cost /= math.expm1(-c)
+            cost /= em1
             f = cost.sum(axis=1) - 1.0
             del cost
             np.exp(S, out=S)
             S *= c
-            S /= -math.expm1(-c)
+            S /= -em1
         S *= P
         return f, S.sum(axis=1)
 
@@ -122,11 +124,12 @@ class LearningTech:
         """Slope at one, the flattest marginal learning cost."""
         return self.ell_prime(1.0)
 
-    def ell_inverse(self, y: float) -> float:
-        """Mastery with cost y: y/(1+c(1-y)) or -log1p(y*expm1(-c))/c."""
+    def ell_inverse(self, y: float, param: float | None = None) -> float:
+        """Mastery with cost y: y/(1+c(1-y)) or -log1p(y*expm1(-c))/c, at
+        c = param (a learning.param of this family) or self.param."""
         if not (0.0 <= y <= 1.0):
             raise DomainError(f"cost outside [0,1]: {y!r}")
-        c = self.param
+        c = self.param if param is None else param
         if self.family == "rational":
             return y / (1.0 + c * (1.0 - y))
         if y == 1.0:
@@ -147,6 +150,17 @@ class LearningConstants:
     theta_bar: float
 
 
+def _param_terms(tech: LearningTech, param):
+    """tech's cost parameter c and expm1(-c) as floats, or, given param, an
+    (N,) column of learning.param values of tech's family, both as (N,1)
+    columns. Each expm1 is math.expm1: np.expm1's bits depend on numpy's
+    SIMD dispatch."""
+    if param is None:
+        return tech.param, math.expm1(-tech.param)
+    params = np.asarray(param, dtype=float).tolist()
+    return np.array(params)[:, None], np.array([math.expm1(-x) for x in params])[:, None]
+
+
 def max_scale(tech: LearningTech, pi: np.ndarray) -> float:
     """Feasible-scale frontier H(pi): solves sum_k ell(H*pi_k) = 1.
 
@@ -161,8 +175,11 @@ def max_scale(tech: LearningTech, pi: np.ndarray) -> float:
     return float(max_scale_batch(tech, p[None, :])[0])
 
 
-def max_scale_batch(tech: LearningTech, directions: np.ndarray) -> np.ndarray:
-    """Frontier H() of each row of a (N,K) array of simplex directions.
+def max_scale_batch(tech: LearningTech, directions: np.ndarray, param=None) -> np.ndarray:
+    """Frontier H() of each row of a (N,K) array of simplex directions,
+    under tech, or with param, an (N,) column of learning.param values of
+    tech's family, each row under its own param; a row has the bits of
+    its one-row call under LearningTech(tech.family, param[i]).
 
     Newton's method on f(t) = sum_k ell(t*pi_k) - 1 from t0 = 1/ell_bar.
     ell(s) <= ell_bar*s makes f(t0) <= 0, and f is concave and increasing,
@@ -173,9 +190,18 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray) -> np.ndarray:
     Rows with a coordinate above 1-1e-12 return exactly 1.0.
     """
     P = np.asarray(directions, dtype=float)
-    t = np.full(P.shape[0], 1.0 / tech.ell_bar)
+    c, em1 = _param_terms(tech, param)
+    if param is None:
+        t = np.full(P.shape[0], 1.0 / tech.ell_bar)
+    else:
+        # 1/ell'(0), with the bits of ell_prime's 1 + c and c/-expm1(-c)
+        rational = tech.family == "rational"
+        t = np.array([
+            1.0 / (1.0 + x if rational else x / -e)
+            for x, e in zip(c[:, 0].tolist(), em1[:, 0].tolist())
+        ])
     for _ in range(NEWTON_MAX_ITER):
-        f, slope = tech._frontier_terms(t, P)
+        f, slope = tech._frontier_terms(t, P, c, em1)
         step = -f / slope
         moving = step > 4.0 * _EPS * t
         if not moving.any():

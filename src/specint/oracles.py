@@ -11,8 +11,11 @@ Each check draws from its own generator, default_rng([seed, index]).
 The pure sampling checks (coverage, frontier and Gamma bounds, integrator
 capacity) draw the simplex size K of every draw first, then each size's
 rows as arrays, in ascending K, and certify each block in one call of the
-engine function they check. Checks that build an economy or a design
-per draw still draw and solve one draw at a time.
+engine function they check. The checks that solve the productive optimum
+of random economies (its identities, the civic advantage and the
+political tilt) draw all their economies first, as each draw did in turn,
+then solve and evaluate each K's economies in one optimum_accounts call.
+Checks that build a design per draw still draw and solve one at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .production import (
     brute_force_design,
     cornerized,
     minimal_rows,
+    optimum_accounts,
     productive_optimum,
     simplex_grid,
 )
@@ -189,6 +193,16 @@ def _size_groups(rng, n: int, low: int, high: int):
             yield k, draws
 
 
+def _optimum_blocks(econs):
+    """optimum_accounts of the economies of each K among econs, in
+    ascending K, as (economies, OptimumRows, accounts): one kernel call per
+    K. The checks that use it take a maximum over all rows, which the order
+    of the rows does not move."""
+    for K in sorted({e.K for e in econs}):
+        block = [e for e in econs if e.K == K]
+        yield block, *optimum_accounts(block)
+
+
 def _random_design(rng, K: int, n_atoms: int) -> SpecialistDesign:
     dirs = np.vstack([_interior_simplex(rng, K) for _ in range(n_atoms)])
     w = rng.dirichlet(np.ones(n_atoms))
@@ -330,23 +344,25 @@ def check_integrator_capacity(scn: Scenario, rng, tol_scale) -> CheckResult:
 
 def check_optimum_identities(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = 0.0
-    for _ in range(50):
-        econ = _random_economy(rng, scn.econ, K=int(rng.integers(2, 6)))
-        opt, alloc = productive_optimum(econ)
-        acc = accounts(alloc, econ)
-        D = fragmentation(econ.q)
-        worst = max(
-            worst,
-            float(np.abs(opt.h_star - econ.q * (1.0 - econ.q) / D).max()),
-            abs(opt.m_star - econ.theta * D / (opt.H_hstar + econ.theta * D)),
-            _per_scale(
-                abs(opt.Y_star - econ.V * opt.H_hstar / (opt.H_hstar + econ.theta * D)), econ.V
-            ),
-            _per_scale(abs(acc.Y - opt.Y_star), econ.V),
-            abs(alloc.m * opt.H_hstar - econ.theta * acc.g),
-        )
-        if opt.m_star >= 1.0 / 3.0:
-            worst = max(worst, 1.0)
+    econs = [_random_economy(rng, scn.econ, K=int(rng.integers(2, 6))) for _ in range(50)]
+    for block, rows, accs in _optimum_blocks(econs):
+        for i, (econ, acc) in enumerate(zip(block, accs)):
+            opt = rows.optimum(i)
+            D = fragmentation(econ.q)
+            worst = max(
+                worst,
+                float(np.abs(opt.h_star - econ.q * (1.0 - econ.q) / D).max()),
+                abs(opt.m_star - econ.theta * D / (opt.H_hstar + econ.theta * D)),
+                _per_scale(
+                    abs(opt.Y_star - econ.V * opt.H_hstar / (opt.H_hstar + econ.theta * D)),
+                    econ.V,
+                ),
+                _per_scale(abs(acc.Y - opt.Y_star), econ.V),
+                # m* is the integrator share of the allocation the accounts evaluate
+                abs(opt.m_star * opt.H_hstar - econ.theta * acc.g),
+            )
+            if opt.m_star >= 1.0 / 3.0:
+                worst = max(worst, 1.0)
     return _result("productive-optimum-identities", worst, 1e-10 * tol_scale)
 
 
@@ -435,9 +451,9 @@ def check_civic_advantage(scn: Scenario, rng, tol_scale) -> CheckResult:
             "hypothesis not met (diffuseness check fails), skipped",
         )
     worst = -np.inf
-    for cand in _diffuse_economies(rng, econ, scn.economies):
-        acc = accounts(productive_optimum(cand)[1], cand)
-        worst = max(worst, acc.B_S - acc.B_M)
+    for _, _, accs in _optimum_blocks(_diffuse_economies(rng, econ, scn.economies)):
+        for acc in accs:
+            worst = max(worst, acc.B_S - acc.B_M)
     return _result("integrator-civic-advantage", worst, -1e-12)
 
 
@@ -456,12 +472,12 @@ def check_political_equilibrium(scn: Scenario, rng, tol_scale) -> CheckResult:
             abs(fp.t_S - out.t_S), abs(fp.t_M - out.t_M),
         )
         worst = max(worst, gap / 1e-6)
-    for _ in range(scn.economies):
-        cand = _random_economy(rng, econ)
-        _, alloc_c = productive_optimum(cand)
-        o = political_equilibrium(cand, alloc_c)
-        tilt_ok = (o.z_pol > o.m) == (o.B_M > o.B_S)
-        worst = max(worst, 0.0 if tilt_ok else 2.0)
+    cands = [_random_economy(rng, econ) for _ in range(scn.economies)]
+    for block, rows, accs in _optimum_blocks(cands):
+        for cand, m, acc in zip(block, rows.m.tolist(), accs):
+            o = equilibrium_from_groups(cand, acc.Y, m, acc.B_S, acc.B_M)
+            tilt_ok = (o.z_pol > o.m) == (o.B_M > o.B_S)
+            worst = max(worst, 0.0 if tilt_ok else 2.0)
     return _result("political-equilibrium", worst, 1.0, "metric is worst ratio to its bound")
 
 

@@ -34,10 +34,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import learning
-from .errors import DomainError, HypothesisError, OracleError
+from .errors import DomainError, HypothesisError, ModelError, OracleError
 from .knowledge import SIMPLEX_SUM_TOL, SIMPLEX_TOL, feasible_bundle, fragmentation
 from .knowledge import ProfileStack, profile_stack, system_knowledge
-from .learning import max_scale
 
 if TYPE_CHECKING:
     from .economy import Economy
@@ -253,29 +252,42 @@ def _economy_accounts(
     """The Accounts of each row of a specialist layer in one economy under
     each civic profile of an (M, K) stack, civic profile by civic profile,
     given whether each row's integrator profile fits its learning budget:
-    each row's feasibility in order, then output, and the group knowledge
-    from one system_knowledge call of the layer's stack against the civic
-    stack (the atoms' values shared by every row)."""
-    g = layer.g.tolist()
-    for ok, mass, J in zip(fits, g, layer.J.tolist()):
-        if not ok:
-            raise DomainError("integrator profile exceeds the learning budget")
-        if J < econ.theta * mass - FEAS_TOL:
-            raise DomainError(
-                f"integration capacity {J:.6e} below requirement {econ.theta * mass:.6e}"
-            )
-    Y = [econ.V * c for c in np.minimum(layer.S, layer.total * econ.q).sum(axis=1).tolist()]
+    each row's feasibility in order, then the group knowledge from one
+    system_knowledge call of the layer's stack against the civic stack (the
+    atoms' values shared by every row)."""
+    rows = len(fits)
+    _check_feasible(layer, fits, [econ.theta] * rows)
     knowledge = system_knowledge(layer.stack, civic, econ.p)
     n_atoms = len(layer.profiles)
+    return _add_up(layer, [econ.V] * rows, econ.q, knowledge[:, None, :n_atoms], knowledge[:, n_atoms:])
+
+
+def _check_feasible(layer: SpecialistLayer, fits: list[bool], theta: list[float]) -> None:
+    """Raise the DomainError of the first row of a layer, in order, whose
+    integrator profile does not fit its learning budget or whose
+    integrators do not cover its theta times the gap mass."""
+    for ok, mass, J, t in zip(fits, layer.g.tolist(), layer.J.tolist(), theta):
+        if not ok:
+            raise DomainError("integrator profile exceeds the learning budget")
+        if J < t * mass - FEAS_TOL:
+            raise DomainError(f"integration capacity {J:.6e} below requirement {t * mass:.6e}")
+
+
+def _add_up(layer: SpecialistLayer, V: list[float], q: np.ndarray, atoms, integrators) -> list[Accounts]:
+    """The Accounts of each row of a feasible layer under each of M civic
+    profiles, given each row's V and q ((K,) or (N, K)) and the system
+    knowledge of the atoms ((M, N or 1, n_atoms)) and of the rows'
+    integrator profiles ((M, N))."""
+    g = layer.g.tolist()
+    Y = [v * c for v, c in zip(V, np.minimum(layer.S, layer.total * q).sum(axis=1).tolist())]
     # B_S adds the atoms' terms left to right from 0, with the bits of a
     # Python sum (np.sum adds 8 or more terms pairwise, and a contraction
     # such as einsum rounds otherwise); + 0.0 gives the 0.0 that a sum from
     # 0 has where every term is -0.0
-    terms = knowledge[:, None, :n_atoms] * layer.mu
-    B_S = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+    B_S = np.add.accumulate(atoms * layer.mu, axis=-1)[..., -1] + 0.0
     return [
         Accounts(G=G, g=mass, Y=y, B_S=b_S, B_M=b_M)
-        for S_row, M_row in zip(B_S.tolist(), knowledge[:, n_atoms:].tolist())
+        for S_row, M_row in zip(B_S.tolist(), integrators.tolist())
         for G, mass, y, b_S, b_M in zip(layer.G, g, Y, S_row, M_row)
     ]
 
@@ -299,11 +311,48 @@ def gap_profile_star(q: np.ndarray) -> np.ndarray:
 
 
 def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
-    """Corner specialists aligned with q plus gap-matched integrators.
+    """Corner specialists aligned with q plus gap-matched integrators: the
+    one-row case of optimum_rows.
 
-    Requires a strictly interior q and theta below the coordination
-    cutoff; raises HypothesisError otherwise.
+    Requires a strictly interior q (DomainError otherwise) and theta below
+    the coordination cutoff (HypothesisError otherwise).
     """
+    rows = optimum_rows([econ])
+    return rows.optimum(0), rows.allocation(0)
+
+
+@dataclass(frozen=True)
+class OptimumRows:
+    """The productive optimum of each economy of a block of one K, one row
+    per economy: q, D(q), h*, H(h*), m* and Y*."""
+
+    econs: tuple[Economy, ...]
+    q: np.ndarray  # (N, K)
+    D: np.ndarray  # (N,)
+    h_star: np.ndarray  # (N, K)
+    H: np.ndarray  # (N,)
+    m: np.ndarray  # (N,)
+    Y: np.ndarray  # (N,)
+
+    def optimum(self, i: int) -> ProductiveOptimum:
+        """Row i as a ProductiveOptimum."""
+        return ProductiveOptimum(
+            h_star=self.h_star[i], m_star=float(self.m[i]), Y_star=float(self.Y[i]),
+            H_hstar=float(self.H[i]),
+        )
+
+    def allocation(self, i: int) -> Allocation:
+        """Row i as an Allocation: corner atoms (H = 1 exactly) weighted by
+        q, and integrators at H(h*)*h*."""
+        q = self.econs[i].q
+        return Allocation(
+            m=float(self.m[i]), design=corner_design(q),
+            integrator_profile=self.H[i] * self.h_star[i], scales=np.ones(q.size),
+        )
+
+
+def _check_optimum_hypotheses(econ: Economy) -> None:
+    """Raise the error productive_optimum raises on econ's hypotheses."""
     if float(econ.q.min()) <= 0.0:
         raise DomainError("productive requirement must be strictly interior")
     if econ.theta >= econ.theta_bar:
@@ -312,21 +361,82 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
             f"theta_bar={econ.theta_bar:.6g}; the corner organization is not "
             "certified optimal there"
         )
-    h_star = gap_profile_star(econ.q)
-    H = max_scale(econ.tech, h_star)
-    D = fragmentation(econ.q)
-    m_star = econ.theta * D / (H + econ.theta * D)
-    Y_star = econ.V * H / (H + econ.theta * D)
-    if not m_star < 1.0 / 3.0:
+
+
+def _by_family(econs):
+    """Per learning family among econs: a technology of it, the indices of
+    its economies and their per-row params, or None where those economies
+    share one technology (the scalar-param path of the frontier kernels)."""
+    for family in learning.FAMILIES:
+        index = [i for i, e in enumerate(econs) if e.tech.family == family]
+        if index:
+            params = [econs[i].tech.param for i in index]
+            yield econs[index[0]].tech, index, None if len(set(params)) == 1 else params
+
+
+def optimum_rows(econs) -> OptimumRows:
+    """productive_optimum of each economy of a sequence of one K, mixed
+    learning families allowed, each row with the bits of its one-row call:
+    the hypotheses row by row, raising the error of the first economy that
+    fails them, then D(q) as the row's own q @ q, h*, H(h*) from one
+    frontier solve per family, m* and Y*."""
+    econs = tuple(econs)
+    for econ in econs:
+        _check_optimum_hypotheses(econ)
+    q = np.array([e.q for e in econs])
+    D = 1.0 - np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]  # fragmentation, row by row
+    h_star = q * (1.0 - q) / D[:, None]  # gap_profile_star
+    H = np.empty(len(econs))
+    for tech, index, params in _by_family(econs):
+        rows = h_star if len(index) == len(econs) else h_star[index]
+        if params is None:
+            H[index] = learning.max_scale_batch(tech, rows)
+        else:
+            H[index] = learning.max_scale_batch(tech, rows, params)
+    theta_D = np.array([e.theta for e in econs]) * D
+    m = theta_D / (H + theta_D)
+    Y = np.array([e.V for e in econs]) * H / (H + theta_D)
+    if not np.all(m < 1.0 / 3.0):
         raise DomainError("integrator share bound violated (bug)")
-    opt = ProductiveOptimum(h_star=h_star, m_star=m_star, Y_star=Y_star, H_hstar=H)
-    alloc = Allocation(
-        m=m_star,
-        design=corner_design(econ.q),
-        integrator_profile=H * h_star,
-        scales=np.ones(econ.K),  # corner atoms: H = 1 exactly
-    )
-    return opt, alloc
+    return OptimumRows(econs=econs, q=q, D=D, h_star=h_star, H=H, m=m, Y=Y)
+
+
+def optimum_accounts(econs) -> tuple[OptimumRows, list[Accounts]]:
+    """optimum_rows of a sequence of economies of one K and the accounts of
+    each row's allocation in its own economy, each with the bits of
+    accounts(productive_optimum(econ)[1], econ), from one layer_rows pass
+    over the corner atoms that every row shares. Raises what that loop
+    raises first: the hypothesis error of a row, or the budget or capacity
+    error of an earlier one."""
+    econs = tuple(econs)
+    for i, econ in enumerate(econs):
+        try:
+            _check_optimum_hypotheses(econ)
+        except ModelError:
+            if i:
+                optimum_accounts(econs[:i])  # an earlier row's error comes first
+            raise
+    rows = optimum_rows(econs)
+    K = rows.q.shape[1]
+    integrator = rows.H[:, None] * rows.h_star
+    layer = layer_rows(np.eye(K), np.ones(K), rows.q, rows.m, integrator)
+    fits = [False] * len(econs)
+    for tech, index, params in _by_family(econs):
+        for i, ok in zip(index, feasible_bundle(integrator[index], tech, params).tolist()):
+            fits[i] = ok
+    _check_feasible(layer, fits, [e.theta for e in econs])
+    # each row's system knowledge under its own u and p, with the bits
+    # system_knowledge gives it: coverage row sums, the float `**` of the
+    # mass and their product
+    u = np.array([e.u for e in econs])
+    p = [e.p for e in econs]
+    cov = np.minimum(layer.stack.directions[:K], u[:, None, :]).sum(axis=-1)
+    own = np.minimum(layer.stack.directions[K:], u).sum(axis=-1)
+    mass = layer.stack.mass
+    atoms = np.array([[x**pi if x != 0.0 else 0.0 for x in mass[:K]] for pi in p]) * cov
+    integrators = np.array([x**pi if x != 0.0 else 0.0 for x, pi in zip(mass[K:], p)]) * own
+    accounts = _add_up(layer, [e.V for e in econs], rows.q, atoms[None], integrators[None])
+    return rows, accounts
 
 
 def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:

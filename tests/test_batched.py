@@ -4,7 +4,9 @@ Each batched path (a stack of system_knowledge rows, a block of
 accounts_rows, a b grid of broadening allocations and its welfare
 accounts, an alpha grid's stack of civic profiles and its welfare slopes,
 a theta grid of optima, accounts on an allocation whose
-specialist layer and normalized knowledge rows are already cached) must
+specialist layer and normalized knowledge rows are already cached, a
+frontier batch with a learning.param per row, a block of economies' optima
+and their accounts) must
 give every point the bits of the per-point loop it replaced, or stay
 within a stated ulp bound. The loops are copied here, so that a change to
 the engine cannot move both sides at once.
@@ -17,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specint.errors import DomainError
-from specint.knowledge import coverage, fragmentation, system_knowledge
+from specint.errors import DomainError, HypothesisError, ModelError
+from specint.knowledge import coverage, feasible_bundle, fragmentation, system_knowledge
 from specint.learning import LearningTech, max_scale, max_scale_batch
 from specint.production import (
     GAP_TOL,
@@ -30,6 +32,8 @@ from specint.production import (
     corner_design,
     gap_profile_star,
     minimal_allocation,
+    optimum_accounts,
+    optimum_rows,
     productive_optimum,
     single_atom,
 )
@@ -605,3 +609,145 @@ def test_budget_check_is_cached_per_learning_technology():
     with pytest.raises(DomainError, match="learning budget"):
         accounts(fresh, steep)
     assert math.isfinite(accounts(fresh, econ).Y)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_frontier_rows_with_their_own_param_match_one_tech_calls(family):
+    # params over five decades, corner rows among the directions; each row
+    # has the bits of the one-row call under its own technology, and so
+    # has the budget verdict of each row
+    rng = np.random.default_rng(31)
+    carrier = LearningTech(family, 1.0)
+    for K in range(2, 9):
+        P = rng.dirichlet(np.full(K, 0.7), size=40)
+        P[3], P[11] = np.eye(K)[0], np.eye(K)[K - 1]
+        params = 10.0 ** rng.uniform(-2.0, 3.0, size=40)
+        techs = [LearningTech(family, float(c)) for c in params]
+        got = max_scale_batch(carrier, P, params)
+        want = [max_scale_batch(tech, row[None, :])[0] for tech, row in zip(techs, P)]
+        assert got.tobytes() == np.array(want).tobytes(), K
+        assert got[3] == got[11] == 1.0
+        S = got[:, None] * P * rng.uniform(0.98, 1.02, size=(40, 1))
+        fits = feasible_bundle(S, carrier, params).tolist()
+        assert fits == [feasible_bundle(s, tech) for tech, s in zip(techs, S)], K
+
+
+def _optimum_one(econ):
+    """The corner optimum of one economy in 1-d arithmetic: D(q), h*, the
+    frontier H(h*) of its own technology, m* and Y*."""
+    D = fragmentation(econ.q)
+    h = econ.q * (1.0 - econ.q) / D
+    H = max_scale(econ.tech, h)
+    return h, H, econ.theta * D / (H + econ.theta * D), econ.V * H / (H + econ.theta * D)
+
+
+def _optimum_blocks():
+    """ECONOMIES, two K = 2 economies and two K = 8 ones, by K, each block
+    with both learning families in shuffled order."""
+    rng = np.random.default_rng(37)
+    extra = [
+        make_economy(q=(0.7, 0.3), u=(0.45, 0.55), p=0.3, family="exponential", param=2.2),
+        make_economy(q=(0.4, 0.6), u=(0.5, 0.5), p=0.8, family="rational", param=0.7),
+        K8,
+        dataclasses.replace(K8, tech=LearningTech("exponential", 1.3), p=0.7),
+    ]
+    econs = [*ECONOMIES, *extra]
+    for K in sorted({e.K for e in econs}):
+        block = [e for e in econs if e.K == K]
+        yield [block[i] for i in rng.permutation(len(block))]
+
+
+def test_optimum_rows_match_each_economy_optimum_and_accounts():
+    for block in _optimum_blocks():
+        assert len({e.tech.family for e in block}) == 2
+        rows, accs = optimum_accounts(block)
+        assert optimum_rows(block).m.tobytes() == rows.m.tobytes()
+        assert len(accs) == len(block)
+        for i, econ in enumerate(block):
+            h, H, m, Y = _optimum_one(econ)
+            opt, alloc = productive_optimum(econ)
+            got = rows.optimum(i)
+            assert _bytes(got.h_star) == _bytes(h) == _bytes(opt.h_star), (econ.K, i)
+            assert (got.H_hstar, got.m_star, got.Y_star) == (H, m, Y) == (
+                opt.H_hstar, opt.m_star, opt.Y_star
+            )
+            assert _same_allocation(rows.allocation(i), alloc)
+            assert _same_accounts(accs[i], accounts(alloc, econ)), (econ.K, i)
+            assert _same_accounts(accs[i], _accounts_one(alloc, econ)), (econ.K, i)
+
+
+def _first_error(econs):
+    """What the per-economy loop of productive_optimum and accounts raises
+    first, as (type, message)."""
+    try:
+        for econ in econs:
+            accounts(productive_optimum(econ)[1], econ)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_optimum_block_raises_what_the_per_economy_loop_raises_first(monkeypatch):
+    from specint import production
+
+    good = ECONOMIES[0]
+    hot = good.with_theta(2.0 * good.theta_bar)
+    edge = make_economy(q=(0.6, 0.4, 0.0), u=(0.4, 0.35, 0.25))  # a zero domain in q
+    other = ECONOMIES[3]
+    blocks = ([good, hot, other], [hot, edge], [good, edge, hot], [other, good, edge])
+    for block in blocks:
+        want = _first_error(block)
+        assert want is not None and want[0] in (HypothesisError, DomainError)
+        for kernel in (optimum_accounts, optimum_rows):
+            with pytest.raises(ModelError) as got:
+                kernel(block)
+            assert (type(got.value), str(got.value)) == want, [e.theta for e in block]
+    # a capacity error of an earlier row comes before a later row's hypothesis error
+    monkeypatch.setattr(production, "FEAS_TOL", -1.0)
+    for block in ([good, hot], [good, other, edge]):
+        want = _first_error(block)
+        assert want[0] is DomainError and "integration capacity" in want[1]
+        with pytest.raises(DomainError) as got:
+            optimum_accounts(block)
+        assert str(got.value) == want[1]
+
+
+def test_economy_drawing_checks_solve_each_K_in_one_kernel_call(monkeypatch):
+    # the optimum identities, the civic advantage and the political tilt
+    # evaluate their random economies one K at a time, in ascending K;
+    # only the scenario's own economy meets productive_optimum and
+    # political_equilibrium (once, in the political-equilibrium check)
+    from specint import oracles
+
+    kernel = oracles.optimum_accounts
+    blocks, single = [], []
+
+    def counted(econs):
+        blocks.append([e.K for e in econs])
+        return kernel(econs)
+
+    def one(name, call):
+        def counted_one(econ, *args):
+            single.append((name, econ))
+            return call(econ, *args)
+        return counted_one
+
+    monkeypatch.setattr(oracles, "optimum_accounts", counted)
+    monkeypatch.setattr(oracles, "productive_optimum", one("optimum", oracles.productive_optimum))
+    monkeypatch.setattr(oracles, "political_equilibrium", one("politics", oracles.political_equilibrium))
+    monkeypatch.setattr(oracles, "accounts", one("accounts", oracles.accounts))
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    for check, n, own in (
+        (oracles.check_optimum_identities, 50, []),
+        (oracles.check_civic_advantage, scn.economies, []),
+        (oracles.check_political_equilibrium, scn.economies, ["optimum", "politics"]),
+    ):
+        blocks.clear()
+        single.clear()
+        assert check(scn, np.random.default_rng([scn.seed, 1]), 1.0).status == "pass"
+        Ks = [block[0] for block in blocks]
+        assert all(len(set(block)) == 1 for block in blocks)
+        assert sorted(set(Ks)) == Ks and len(Ks) > 1, check.__name__
+        assert sum(map(len, blocks)) == n
+        assert [name for name, _ in single] == own
+        assert all(econ is scn.econ for _, econ in single)
