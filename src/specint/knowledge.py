@@ -101,13 +101,14 @@ def system_knowledge(s, u: np.ndarray, p: float):
 
 @dataclass(frozen=True)
 class DiffuseCheck:
-    """Outcome of the diffuse-civic-relevance test."""
+    """Outcome of the diffuse-civic-relevance test: a bool and a float, or
+    arrays of them, one per row of a stack."""
 
-    ok: bool
-    bound: float
+    ok: bool | np.ndarray
+    bound: float | np.ndarray
 
 
-def check_diffuse(u: np.ndarray, p: float, tech: LearningTech) -> DiffuseCheck:
+def check_diffuse(u, p, tech: LearningTech, param=None) -> DiffuseCheck:
     """Test 0 < p < log((u_(1)+u_(2))/u_(K)) / (-log(K * ell^{-1}(1/K))).
 
     u_(1) <= ... <= u_(K) are the sorted civic weights. Holds the civic
@@ -115,16 +116,28 @@ def check_diffuse(u: np.ndarray, p: float, tech: LearningTech) -> DiffuseCheck:
     interface knowledge to dominate politically. K = 2 is rejected with a
     distinct error: the interface profile is degenerate there and the
     bound does not apply.
+
+    u may be an (N,K) stack of civic profiles, with p and param (values of
+    learning.param of tech's family; tech.param where None) columns of N;
+    ok and bound then come back as arrays, each row with the bits of its
+    own 1-d call.
     """
-    K = u.size
+    U = np.asarray(u, dtype=float)
+    K = U.shape[-1]
     if K == 2:
         raise HypothesisError("diffuseness bound is only defined for K >= 3")
-    u_sorted = sorted(u.tolist())
-    ratio = (u_sorted[0] + u_sorted[1]) / u_sorted[-1]
+    U = np.sort(np.atleast_2d(U), axis=1)
+    ratio = ((U[:, 0] + U[:, 1]) / U[:, -1]).tolist()
+    params = [None] * len(ratio) if param is None else np.asarray(param, dtype=float).tolist()
     # math.log, whose bits do not depend on numpy's SIMD dispatch. The
     # denominator is positive (ell^{-1}(y) < y) but rounds to 0 for a cost
     # within an ulp of linear; the least positive float in its place gives
     # the limit of the bound there (+-inf, or 0 where log(ratio) is 0)
-    denom = max(-math.log(K * tech.ell_inverse(1.0 / K)), math.ulp(0.0))
-    bound = math.log(ratio) / denom
-    return DiffuseCheck(ok=bool(0.0 < p < bound), bound=bound)
+    bound = [
+        math.log(r) / max(-math.log(K * tech.ell_inverse(1.0 / K, c)), math.ulp(0.0))
+        for r, c in zip(ratio, params)
+    ]
+    if np.ndim(u) == 1:
+        return DiffuseCheck(ok=bool(0.0 < p < bound[0]), bound=bound[0])
+    bound = np.array(bound)
+    return DiffuseCheck(ok=(0.0 < np.asarray(p)) & (np.asarray(p) < bound), bound=bound)

@@ -120,6 +120,9 @@ def _random_economy(rng, base: Economy, K: int | None = None) -> Economy:
 
 DIFFUSE_BLOCK = 512
 DIFFUSE_DRAW_BUDGET = 500
+# a technology of each family, whose param the stacked check_diffuse
+# replaces by each candidate's own
+DIFFUSE_TECHS = {family: learning.LearningTech(family, 1.0) for family in learning.FAMILIES}
 
 
 def _diffuse_economies(rng, base: Economy, n: int) -> list[Economy]:
@@ -127,9 +130,10 @@ def _diffuse_economies(rng, base: Economy, n: int) -> list[Economy]:
 
     Candidates come in blocks of DIFFUSE_BLOCK: K, family, learning.param,
     the concentrated-u flag and p as vectors, then u by one dirichlet call
-    per (K, flag) group, with the formulas of _random_economy. Each
-    candidate is tested in order with the engine's check_diffuse, and only
-    an accepted one draws its q and theta_frac and becomes an Economy.
+    per (K, flag) group, with the formulas of _random_economy. The engine's
+    check_diffuse decides the block's verdicts, one stacked call per (K,
+    family) group; then the candidates are taken in order, and only an
+    accepted one draws its q and theta_frac and becomes an Economy.
 
     The accepted law is that of _random_economy conditioned on the test.
     Candidates are i.i.d., each (K, tech, u, p) with the law _random_economy
@@ -151,6 +155,7 @@ def _diffuse_economies(rng, base: Economy, n: int) -> list[Economy]:
         concentrated = rng.random(DIFFUSE_BLOCK) < 0.4
         p = rng.uniform(0.05, 0.9, size=DIFFUSE_BLOCK)
         u = [None] * DIFFUSE_BLOCK
+        ok = np.zeros(DIFFUSE_BLOCK, dtype=bool)
         for k in (3, 4, 5):
             for flag in (False, True):
                 index = np.flatnonzero((K == k) & (concentrated == flag))
@@ -160,15 +165,20 @@ def _diffuse_economies(rng, base: Economy, n: int) -> list[Economy]:
                     raw = 0.85 * rng.dirichlet(np.ones(k), size=index.size) + 0.15 / k
                 for i, row in zip(index, raw / raw.sum(axis=1, keepdims=True)):
                     u[i] = row
+            for family, tech in DIFFUSE_TECHS.items():
+                index = np.flatnonzero((K == k) & (rational == (family == "rational")))
+                if index.size:
+                    U = np.array([u[i] for i in index])
+                    ok[index] = check_diffuse(U, p[index], tech, param[index]).ok
         for i in range(DIFFUSE_BLOCK):
-            family = "rational" if rational[i] else "exponential"
-            tech = learning.LearningTech(family=family, param=float(param[i]))
-            if not check_diffuse(u[i], float(p[i]), tech).ok:
+            if not ok[i]:
                 misses += 1
                 if misses >= DIFFUSE_DRAW_BUDGET:
                     raise OracleError("diffuse economy sampler exhausted its draw budget")
                 continue
             misses = 0
+            family = "rational" if rational[i] else "exponential"
+            tech = learning.LearningTech(family=family, param=float(param[i]))
             q = _interior_simplex(rng, int(K[i]))
             theta_frac = float(rng.uniform(0.05, 0.9))
             out.append(Economy(

@@ -169,3 +169,38 @@ def test_check_diffuse_on_a_cost_within_an_ulp_of_linear():
     assert check_diffuse(np.array([0.5, 0.25, 0.25]), 0.25, tech) == DiffuseCheck(
         ok=False, bound=0.0
     )
+
+
+def _diffuse_one(u, p, tech):
+    """The diffuseness bound and verdict of one civic profile, in Python
+    floats and math.log."""
+    s = sorted(u.tolist())
+    K = len(s)
+    denom = max(-math.log(K * tech.ell_inverse(1.0 / K)), math.ulp(0.0))
+    bound = math.log((s[0] + s[1]) / s[-1]) / denom
+    return 0.0 < p < bound, bound
+
+
+@pytest.mark.parametrize("family", ["rational", "exponential"])
+def test_stacked_check_diffuse_rows_match_their_one_row_calls(family):
+    # per-row p and param over one family; a near-linear cost, whose bound
+    # is infinite, and a uniform profile, whose bound is 0, among the rows
+    rng = np.random.default_rng(41)
+    carrier = LearningTech(family, 1.0)
+    for K in (3, 4, 5, 8):
+        U = rng.dirichlet(np.full(K, 0.8), size=30) * 0.9 + 0.1 / K
+        U /= U.sum(axis=1, keepdims=True)
+        U[4] = 1.0 / K
+        p = rng.uniform(0.0, 1.2, size=30)
+        param = rng.uniform(0.05, 5.0, size=30)
+        param[7] = 1.2380318840613992e-16
+        got = check_diffuse(U, p, carrier, param)
+        assert got.ok.dtype == bool and got.bound.shape == (30,)
+        want = [_diffuse_one(u, x, LearningTech(family, float(c))) for u, x, c in zip(U, p, param)]
+        assert got.ok.tolist() == [ok for ok, _ in want], K
+        assert got.bound.tobytes() == np.array([b for _, b in want]).tobytes(), K
+        for i in (0, 4, 7):
+            tech = LearningTech(family, float(param[i]))
+            assert check_diffuse(U[i], float(p[i]), tech) == DiffuseCheck(*want[i])
+    with pytest.raises(HypothesisError):
+        check_diffuse(np.full((3, 2), 0.5), np.full(3, 0.2), carrier, np.ones(3))

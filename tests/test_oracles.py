@@ -58,6 +58,60 @@ def per_draw_diffuse_economy(rng, base):
     raise OracleError("per-draw sampler exhausted its draw budget")
 
 
+def one_at_a_time_diffuse_economies(rng, base, n):
+    """The civic-advantage sampler with each candidate of a block tested by
+    its own check_diffuse call as it comes up: the same draws in the same
+    order as the block verdicts, so the same accepted economies."""
+    out, misses = [], 0
+    block = oracles.DIFFUSE_BLOCK
+    while len(out) < n:
+        K = rng.integers(3, 6, size=block)
+        rational = rng.random(block) < 0.5
+        param = rng.uniform(0.6, 3.0, size=block)
+        concentrated = rng.random(block) < 0.4
+        p = rng.uniform(0.05, 0.9, size=block)
+        u = [None] * block
+        for k in (3, 4, 5):
+            for flag in (False, True):
+                index = np.flatnonzero((K == k) & (concentrated == flag))
+                if flag:
+                    raw = rng.dirichlet(np.full(k, 0.4), size=index.size) * 0.9 + 0.1 / k
+                else:
+                    raw = 0.85 * rng.dirichlet(np.ones(k), size=index.size) + 0.15 / k
+                for i, row in zip(index, raw / raw.sum(axis=1, keepdims=True)):
+                    u[i] = row
+        for i in range(block):
+            family = "rational" if rational[i] else "exponential"
+            tech = learning.LearningTech(family=family, param=float(param[i]))
+            if not check_diffuse(u[i], float(p[i]), tech).ok:
+                misses += 1
+                if misses >= oracles.DIFFUSE_DRAW_BUDGET:
+                    raise OracleError("per-candidate sampler exhausted its draw budget")
+                continue
+            misses = 0
+            q = oracles._interior_simplex(rng, int(K[i]))
+            theta_frac = float(rng.uniform(0.05, 0.9))
+            out.append(Economy(
+                tech=tech, q=q, u=u[i], p=float(p[i]),
+                theta=theta_frac * tech.constants.theta_bar, V=base.V, gov=base.gov,
+            ))
+            if len(out) == n:
+                break
+    return out
+
+
+def test_diffuse_sampler_accepts_what_per_candidate_tests_accept():
+    # block verdicts leave the random stream and the accepted economies as
+    # they were, over more than one block
+    base = scenario_from_entries(dict(DEFAULTS)).econ
+    for seed in (7, 8):
+        got = oracles._diffuse_economies(np.random.default_rng(seed), base, 400)
+        want = one_at_a_time_diffuse_economies(np.random.default_rng(seed), base, 400)
+        for a, b in zip(got, want, strict=True):
+            assert a.tech == b.tech and (a.p, a.theta) == (b.p, b.theta)
+            assert a.q.tobytes() == b.q.tobytes() and a.u.tobytes() == b.u.tobytes()
+
+
 def test_diffuse_sampler_returns_n_diffuse_economies():
     base = scenario_from_entries(dict(DEFAULTS)).econ
     econs = oracles._diffuse_economies(np.random.default_rng(7), base, 40)
@@ -69,18 +123,21 @@ def test_diffuse_sampler_returns_n_diffuse_economies():
 
 
 def test_diffuse_sampler_budget_raises(monkeypatch):
-    # a hypothesis no candidate meets ends in OracleError, not an endless loop
+    # a hypothesis no candidate meets ends in OracleError, not an endless
+    # loop: the budget runs out inside the first block, whose verdicts come
+    # from one stacked call per (K, family) group
     calls = []
 
-    def never(u, p, tech):
-        calls.append(p)
-        return DiffuseCheck(ok=False, bound=0.0)
+    def never(u, p, tech, param):
+        calls.append(len(p))
+        return DiffuseCheck(ok=np.zeros(len(p), dtype=bool), bound=np.zeros(len(p)))
 
     monkeypatch.setattr(oracles, "check_diffuse", never)
     base = scenario_from_entries(dict(DEFAULTS)).econ
     with pytest.raises(OracleError):
         oracles._diffuse_economies(np.random.default_rng(7), base, 1)
-    assert len(calls) == oracles.DIFFUSE_DRAW_BUDGET
+    assert oracles.DIFFUSE_DRAW_BUDGET <= sum(calls) == oracles.DIFFUSE_BLOCK
+    assert len(calls) == 6
 
 
 def test_diffuse_sampler_keeps_the_accepted_law():
