@@ -46,6 +46,7 @@ from .production import (
     cornerized,
     minimal_rows,
     optimum_accounts,
+    optimum_rows,
     productive_optimum,
     simplex_grid,
 )
@@ -740,17 +741,17 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
         if strictness <= 1e-12:
             worst = max(worst, 2.0)
     # the dm/dtheta column the engine emits, against central differences
+    # of the optimum's m at every grid point whose stencil fits in
+    # (0, theta_bar), where the optimum lives; the 2n optima in one call
     h = 1e-6 * econ.theta_bar
-    thetas = report["theta"]
-    for i in range(1, len(thetas) - 1, 7):
-        theta = thetas[i]
-        if theta - h <= 0.0 or theta + h >= econ.theta_bar:
-            continue  # the optimum, and so m_star, lives on (0, theta_bar)
-        fd = (
-            productive_optimum(econ.with_theta(theta + h))[0].m_star
-            - productive_optimum(econ.with_theta(theta - h))[0].m_star
-        ) / (2.0 * h)
-        worst = max(worst, abs(fd - report["dm_dtheta"][i]) / 1e-8)
+    inside = [
+        (theta, dm) for theta, dm in zip(report["theta"], report["dm_dtheta"])
+        if theta - h > 0.0 and theta + h < econ.theta_bar
+    ]
+    stencil = [econ.with_theta(theta + s) for theta, _ in inside for s in (h, -h)]
+    m = optimum_rows(stencil).m.tolist() if stencil else []
+    for (_, dm), above, below in zip(inside, m[::2], m[1::2]):
+        worst = max(worst, abs((above - below) / (2.0 * h) - dm) / 1e-8)
     w_diff = np.diff(report["welfare"])
     monotone = np.all(w_diff > 0.0) or np.all(w_diff < 0.0)
     note = "welfare monotone on grid" if monotone else "welfare non-monotone on grid"

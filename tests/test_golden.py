@@ -78,12 +78,12 @@ DENSE_ALPHA = {"sweep.alpha": "0.0,0.00001,0.00002,0.5,1.0"}
 
 GOLDEN_DENSE_ALPHA = "2d3369b100840e06a7c25ba397bada0445bf61e0f11983521c26ec4a074d6093"
 
-VERIFY_SMALL_BUDGETS = "827ca73e305c4f1798bfbabee3299bbc269acd99c01125ce781c1935ad3b6842"
+VERIFY_SMALL_BUDGETS = "ff3b04456b1f78d339e1eb4f983ff54ad803a90525b3f9da19229dd0112eab5a"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
 VERIFY_FULL_BUDGETS = {
-    "default": "18e474c55ff5b9437b97701bbf94c3358979a68f90b6b00be57c6478bfcc4db9",
-    "governance_heavy": "90e3d66b5d73ed8c0902b05ba80377dd97e3e31d6a68e072ab257466334c9db1",
+    "default": "e1180ac7a40046af767e4521cb9dad18b3c038552c3308e1f7a857e2404c637d",
+    "governance_heavy": "03b9fb2d9b841345f1d8df25ef1073be58ba54ba7453a9c49473b892a76c21d8",
 }
 
 

@@ -261,11 +261,27 @@ def test_theta_statics_grid_point_next_to_zero():
 
 def test_theta_statics_check_reads_the_emitted_column(monkeypatch):
     # the check certifies the dm_dtheta column that theta_statics returns
-    # (and sweep --axis theta writes) at every sampled grid index
+    # (and sweep --axis theta writes) at every grid index
     scn = load_scenario(str(SCENARIOS / "default.cfg"))
     assert run_check(oracles.check_theta_statics, scn).status == "pass"
     statics = reforms.theta_statics
-    for index in range(1, scn.theta_grid().size - 1, 7):
+    for index in range(scn.theta_grid().size):
+        def perturbed(econ, grid, index=index):
+            table = statics(econ, grid)
+            table["dm_dtheta"][index] *= 1.0 + 1e-6
+            return table
+
+        monkeypatch.setattr(reforms, "theta_statics", perturbed)
+        assert run_check(oracles.check_theta_statics, scn).status == "fail", index
+
+
+@pytest.mark.parametrize("grid", ["0.5", "0.3,0.6"])
+def test_theta_statics_check_reads_dm_dtheta_on_a_short_grid(monkeypatch, grid):
+    # a grid of one or two points has its dm_dtheta cells checked too
+    scn = scenario_from_entries({**DEFAULTS, "sweep.theta_frac": grid})
+    assert run_check(oracles.check_theta_statics, scn).status == "pass"
+    statics = reforms.theta_statics
+    for index in range(scn.theta_grid().size):
         def perturbed(econ, grid, index=index):
             table = statics(econ, grid)
             table["dm_dtheta"][index] *= 1.0 + 1e-6
