@@ -12,7 +12,10 @@ specialist layer of each row of a block of designs on shared atoms
 and group knowledge in one economy; accounts() does the same on an
 allocation's cached one-row layer, with the bits and the feasibility
 errors that row has in any block, and civic_accounts() under each civic
-profile of a stack.
+profile of a stack. productive_optimum() is the one-row case of
+optimum_rows(), which solves the corner optimum of a block of economies
+of one K, and optimum_accounts() adds each row's accounts in its own
+economy.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -324,11 +327,9 @@ def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
 @dataclass(frozen=True)
 class OptimumRows:
     """The productive optimum of each economy of a block of one K, one row
-    per economy: q, D(q), h*, H(h*), m* and Y*."""
+    per economy: q, h*, H(h*), m* and Y*."""
 
-    econs: tuple[Economy, ...]
     q: np.ndarray  # (N, K)
-    D: np.ndarray  # (N,)
     h_star: np.ndarray  # (N, K)
     H: np.ndarray  # (N,)
     m: np.ndarray  # (N,)
@@ -344,10 +345,9 @@ class OptimumRows:
     def allocation(self, i: int) -> Allocation:
         """Row i as an Allocation: corner atoms (H = 1 exactly) weighted by
         q, and integrators at H(h*)*h*."""
-        q = self.econs[i].q
         return Allocation(
-            m=float(self.m[i]), design=corner_design(q),
-            integrator_profile=self.H[i] * self.h_star[i], scales=np.ones(q.size),
+            m=float(self.m[i]), design=corner_design(self.q[i]),
+            integrator_profile=self.H[i] * self.h_star[i], scales=np.ones(self.q.shape[1]),
         )
 
 
@@ -388,17 +388,16 @@ def optimum_rows(econs) -> OptimumRows:
     h_star = q * (1.0 - q) / D[:, None]  # gap_profile_star
     H = np.empty(len(econs))
     for tech, index, params in _by_family(econs):
-        rows = h_star if len(index) == len(econs) else h_star[index]
         if params is None:
-            H[index] = learning.max_scale_batch(tech, rows)
+            H[index] = learning.max_scale_batch(tech, h_star[index])
         else:
-            H[index] = learning.max_scale_batch(tech, rows, params)
+            H[index] = learning.max_scale_batch(tech, h_star[index], params)
     theta_D = np.array([e.theta for e in econs]) * D
     m = theta_D / (H + theta_D)
     Y = np.array([e.V for e in econs]) * H / (H + theta_D)
     if not np.all(m < 1.0 / 3.0):
         raise DomainError("integrator share bound violated (bug)")
-    return OptimumRows(econs=econs, q=q, D=D, h_star=h_star, H=H, m=m, Y=Y)
+    return OptimumRows(q=q, h_star=h_star, H=H, m=m, Y=Y)
 
 
 def optimum_accounts(econs) -> tuple[OptimumRows, list[Accounts]]:
