@@ -375,11 +375,11 @@ def _by_family(econs):
 
 
 def optimum_rows(econs) -> OptimumRows:
-    """productive_optimum of each economy of a sequence of one K, mixed
-    learning families allowed, each row with the bits of its one-row call:
-    the hypotheses row by row, raising the error of the first economy that
-    fails them, then D(q) as the row's own q @ q, h*, H(h*) from one
-    frontier solve per family, m* and Y*."""
+    """productive_optimum of each economy of a non-empty sequence of one
+    K, mixed learning families allowed, each row with the bits of its
+    one-row call: the hypotheses row by row, raising the error of the first
+    economy that fails them, then D(q) as the row's own q @ q, h*, H(h*)
+    from one frontier solve per family, m* and Y*."""
     econs = tuple(econs)
     for econ in econs:
         _check_optimum_hypotheses(econ)
