@@ -33,10 +33,13 @@ def coverage(a, b):
     return float(C.sum()) if C.ndim < 2 else C.sum(axis=-1)
 
 
-def fragmentation(pi) -> float:
-    """Breadth index 1 - sum pi_k**2, in [0, 1-1/K]; 0 at corners."""
+def fragmentation(pi):
+    """Breadth index 1 - sum pi_k**2, in [0, 1-1/K]; 0 at corners. Given an
+    (N,K) stack, one value per row, each with the bits of its 1-d call."""
     p = np.asarray(pi, dtype=float)
-    return float(1.0 - p @ p)
+    if p.ndim < 2:
+        return float(1.0 - p @ p)
+    return 1.0 - np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]
 
 
 def feasible_bundle(s, tech: LearningTech, param=None):

@@ -191,15 +191,8 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray, param=None) -> n
     """
     P = np.asarray(directions, dtype=float)
     c, em1 = _param_terms(tech, param)
-    if param is None:
-        t = np.full(P.shape[0], 1.0 / tech.ell_bar)
-    else:
-        # 1/ell'(0), with the bits of ell_prime's 1 + c and c/-expm1(-c)
-        rational = tech.family == "rational"
-        t = np.array([
-            1.0 / (1.0 + x if rational else x / -e)
-            for x, e in zip(c[:, 0].tolist(), em1[:, 0].tolist())
-        ])
+    # 1/ell'(0), with the bits of ell_prime's 1 + c and c/-expm1(-c)
+    t = np.full((P.shape[0], 1), 1.0 / (1.0 + c if tech.family == "rational" else c / -em1))[:, 0]
     for _ in range(NEWTON_MAX_ITER):
         f, slope = tech._frontier_terms(t, P, c, em1)
         step = -f / slope

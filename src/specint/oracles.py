@@ -477,7 +477,7 @@ def check_political_equilibrium(scn: Scenario, rng, tol_scale) -> CheckResult:
     worst = max(res / (1e-9 * tol_scale), budget / (1e-10 * tol_scale))
     for _ in range(scn.br_starts):
         start = (float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 0.95)))
-        fp = best_response_fixed_point(start, econ, alloc)
+        fp = best_response_fixed_point(start, econ, out)
         gap = max(
             abs(fp.e - out.e_pol), abs(fp.z - out.z_pol),
             abs(fp.t_S - out.t_S), abs(fp.t_M - out.t_M),
@@ -559,7 +559,7 @@ def _fd_slopes(econ: Economy, family, x: float):
         d,
         (d.dB_soc, unit * max(map(abs, civic))),
         (d.fd_total, unit * max(map(abs, total))),
-        (welfare.stencil(kind, service, welfare.DECOMPOSITION_STEP), unit * max(map(abs, service))),
+        (welfare.stencil(kind, service), unit * max(map(abs, service))),
     )
 
 

@@ -290,8 +290,8 @@ def _illinois_root(f, a, b, fa, fb):
     raise OracleError("envelope condition did not converge in best_response")
 
 
-def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platform:
-    """Exact best response to an opponent platform.
+def best_response(platform: Platform, econ: Economy, out: PoliticalOutcome) -> Platform:
+    """Exact best response to an opponent platform in out's voting game.
 
     For each governance level e the service budget R = G(e,Y) is split by
     equalizing the two marginal vote shares (_split_budget), at the common
@@ -309,11 +309,7 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
     overflows to inf raises OracleError.
     """
     gov = econ.gov
-    acc = accounts(alloc, econ)
-    B_S, B_M, Y = acc.B_S, acc.B_M, acc.Y
-    m = alloc.m
-    if not 0.0 < m < 1.0:
-        raise HypothesisError("voting game needs both groups populated")
+    B_S, B_M, Y, m = out.B_S, out.B_M, out.Y, out.m
     beta_S = B_S / gov.lambda0
     beta_M = B_M / gov.lambda0
 
@@ -352,12 +348,12 @@ def best_response(platform: Platform, econ: Economy, alloc: Allocation) -> Platf
 def best_response_fixed_point(
     start: tuple[float, float],
     econ: Economy,
-    alloc: Allocation,
+    out: PoliticalOutcome,
 ) -> Platform:
-    """Iterate best responses from a starting (e, z) to a fixed point."""
+    """Iterate best responses in out's voting game from (e, z) to a fixed point."""
     current = Platform(start[0], start[1], 0.0, 0.0)
     for _ in range(FIXED_POINT_MAX_ITER):
-        nxt = best_response(current, econ, alloc)
+        nxt = best_response(current, econ, out)
         if max(abs(nxt.e - current.e), abs(nxt.z - current.z)) <= FIXED_POINT_TOL:
             return nxt
         current = nxt

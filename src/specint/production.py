@@ -15,7 +15,8 @@ errors that row has in any block, and civic_accounts() under each civic
 profile of a stack. productive_optimum() is the one-row case of
 optimum_rows(), which solves the corner optimum of a block of economies
 of one K, and optimum_accounts() adds each row's accounts in its own
-economy.
+economy. h* (gap_profile_star) and m*, Y* (corner_shares, which
+theta_statics shares) each have one implementation, for a row or a stack.
 
 For an aggregate mix x, the minimal-integrator organization has
 
@@ -306,11 +307,23 @@ class ProductiveOptimum:
 
 
 def gap_profile_star(q: np.ndarray) -> np.ndarray:
-    """Optimal gap profile h*_k = q_k(1-q_k)/D(q)."""
-    D = fragmentation(q)
-    if D <= 0.0:
+    """Optimal gap profile h*_k = q_k(1-q_k)/D(q). Given an (N,K) stack it
+    returns one profile per row, each with the bits of its own 1-d call."""
+    D = np.asarray(fragmentation(q))[..., None]
+    if (D <= 0.0).any():
         raise DomainError("gap profile undefined for a corner requirement")
     return q * (1.0 - q) / D
+
+
+def corner_shares(theta_D, H, V):
+    """m* = theta*D/(H + theta*D) and Y* = V*H/(H + theta*D) of the corner
+    organization, elementwise over an array theta*D(q) and H = H(h*), V; an
+    m* of 1/3 or more raises DomainError (a bug: the cutoff keeps it below)."""
+    m = theta_D / (H + theta_D)
+    Y = V * H / (H + theta_D)
+    if not (m < 1.0 / 3.0).all():
+        raise DomainError("integrator share bound violated (bug)")
+    return m, Y
 
 
 def productive_optimum(econ: Economy) -> tuple[ProductiveOptimum, Allocation]:
@@ -365,38 +378,30 @@ def _check_optimum_hypotheses(econ: Economy) -> None:
 
 def _by_family(econs):
     """Per learning family among econs: a technology of it, the indices of
-    its economies and their per-row params, or None where those economies
-    share one technology (the scalar-param path of the frontier kernels)."""
+    its economies and their per-row params (the param column of the
+    frontier kernels)."""
     for family in learning.FAMILIES:
         index = [i for i, e in enumerate(econs) if e.tech.family == family]
         if index:
-            params = [econs[i].tech.param for i in index]
-            yield econs[index[0]].tech, index, None if len(set(params)) == 1 else params
+            yield econs[index[0]].tech, index, [econs[i].tech.param for i in index]
 
 
 def optimum_rows(econs) -> OptimumRows:
     """productive_optimum of each economy of a non-empty sequence of one
     K, mixed learning families allowed, each row with the bits of its
     one-row call: the hypotheses row by row, raising the error of the first
-    economy that fails them, then D(q) as the row's own q @ q, h*, H(h*)
-    from one frontier solve per family, m* and Y*."""
+    economy that fails them, then D(q) and h* of the stack, H(h*) from one
+    frontier solve per family, and corner_shares' m* and Y*."""
     econs = tuple(econs)
     for econ in econs:
         _check_optimum_hypotheses(econ)
     q = np.array([e.q for e in econs])
-    D = 1.0 - np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]  # fragmentation, row by row
-    h_star = q * (1.0 - q) / D[:, None]  # gap_profile_star
+    h_star = gap_profile_star(q)
     H = np.empty(len(econs))
     for tech, index, params in _by_family(econs):
-        if params is None:
-            H[index] = learning.max_scale_batch(tech, h_star[index])
-        else:
-            H[index] = learning.max_scale_batch(tech, h_star[index], params)
-    theta_D = np.array([e.theta for e in econs]) * D
-    m = theta_D / (H + theta_D)
-    Y = np.array([e.V for e in econs]) * H / (H + theta_D)
-    if not np.all(m < 1.0 / 3.0):
-        raise DomainError("integrator share bound violated (bug)")
+        H[index] = learning.max_scale_batch(tech, h_star[index], params)
+    theta_D = np.array([e.theta for e in econs]) * fragmentation(q)
+    m, Y = corner_shares(theta_D, H, np.array([e.V for e in econs]))
     return OptimumRows(q=q, h_star=h_star, H=H, m=m, Y=Y)
 
 
@@ -419,11 +424,10 @@ def optimum_accounts(econs) -> tuple[OptimumRows, list[Accounts]]:
     K = rows.q.shape[1]
     integrator = rows.H[:, None] * rows.h_star
     layer = layer_rows(np.eye(K), np.ones(K), rows.q, rows.m, integrator)
-    fits = [False] * len(econs)
+    fits = np.empty(len(econs), dtype=bool)
     for tech, index, params in _by_family(econs):
-        for i, ok in zip(index, feasible_bundle(integrator[index], tech, params).tolist()):
-            fits[i] = ok
-    _check_feasible(layer, fits, [e.theta for e in econs])
+        fits[index] = feasible_bundle(integrator[index], tech, params)
+    _check_feasible(layer, fits.tolist(), [e.theta for e in econs])
     # each row's system knowledge under its own u and p, with the bits
     # system_knowledge gives it: coverage row sums, the float `**` of the
     # mass and their product

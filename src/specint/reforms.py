@@ -56,11 +56,12 @@ share m = theta*D/(H + theta*D) and output Y = V*H/(H + theta*D), with
 D = D(q) and H = H(h*). The corner specialists and the integrator profile
 H*h* stay, and so do B_S and B_M, so dB_soc/dtheta = m'(theta)*(B_M - B_S):
 civic capacity rises when integrators know more and falls when they know
-less. theta_statics evaluates these closed forms from one optimum and one
-accounts call per grid, each row's welfare at the Y it reports; `verify`
-holds every row against the per-theta optimum and its welfare accounts.
-The curves may tie between neighbouring grid points but never reverse.
-Welfare carries no sign assertion.
+less. theta_statics evaluates these closed forms from one optimum, one
+accounts call and one corner_shares call (the optimum's own m and Y) per
+grid, each row's welfare at the Y it reports; `verify` holds every row
+against the per-theta optimum and its welfare accounts. The curves may
+tie between neighbouring grid points but never reverse. Welfare carries
+no sign assertion.
 
 A reform family maps its parameter straight to the WelfareReport of the
 allocation (and economy) it describes: the per-point path `verify` reads.
@@ -97,6 +98,7 @@ from .production import (
     accounts_rows,
     civic_accounts,
     corner_design,
+    corner_shares,
     gap_profile_star,
     minimal_allocation,
     minimal_rows,
@@ -411,10 +413,7 @@ def theta_statics(econ: Economy, theta_grid: np.ndarray) -> dict[str, list]:
     opt, alloc = productive_optimum(first)
     acc = accounts(alloc, first)
     H, D = opt.H_hstar, fragmentation(econ.q)
-    m = grid * D / (H + grid * D)
-    Y = econ.V * H / (H + grid * D)
-    if not np.all(m < 1.0 / 3.0):
-        raise DomainError("integrator share bound violated (bug)")
+    m, Y = corner_shares(grid * D, H, econ.V)
     reports = [
         welfare_accounts(econ, equilibrium_from_groups(econ, y, share, acc.B_S, acc.B_M))
         for y, share in zip(Y.tolist(), m.tolist())

@@ -119,13 +119,14 @@ class Decomposition:
     at: WelfareReport
 
 
-def stencil(kind: int, values, h: float) -> float:
-    """Second-order first derivative on a 3-point stencil.
+def stencil(kind: int, values) -> float:
+    """Second-order first derivative on a 3-point stencil, step h = DECOMPOSITION_STEP.
 
     kind 0: values at (b-h, b, b+h); kind +1: (b, b+h, b+2h);
     kind -1: (b, b-h, b-2h).
     """
     f0, f1, f2 = values
+    h = DECOMPOSITION_STEP
     if kind == 0:
         return (f2 - f0) / (2.0 * h)
     if kind == 1:
@@ -158,17 +159,16 @@ def decompose_along(econ: Economy, family: Family, b: float) -> Decomposition:
     comes back as `at`.
     """
     offsets, kind = stencil_points(b)
-    step = DECOMPOSITION_STEP
     reports = [family(point) for point in offsets]
-    dY = stencil(kind, [r.Y for r in reports], step)
-    dB = stencil(kind, [r.B_soc for r in reports], step)
-    dW = stencil(kind, [r.welfare for r in reports], step)
+    dY = stencil(kind, [r.Y for r in reports])
+    dB = stencil(kind, [r.B_soc for r in reports])
+    dW = stencil(kind, [r.welfare for r in reports])
 
     center = reports[1] if kind == 0 else reports[0]
     R, R_Y, R_B = resource_sensitivities(econ.gov, center.Y, center.B_soc)
     productive = ((1.0 - econ.tau) + R_Y / R) * dY
     governance = (R_B / R) * dB
-    targeting = -stencil(kind, [r.dispersion for r in reports], step)
+    targeting = -stencil(kind, [r.dispersion for r in reports])
     residual = abs(productive + governance + targeting - dW)
     return Decomposition(
         productive_term=productive,

@@ -179,7 +179,7 @@ def test_criterion_07_political_equilibrium(econ):
     gap = 0.0
     for _ in range(10):
         start = (float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 0.95)))
-        fp = best_response_fixed_point(start, econ, alloc)
+        fp = best_response_fixed_point(start, econ, out)
         gap = max(
             gap, abs(fp.e - out.e_pol), abs(fp.z - out.z_pol),
             abs(fp.t_S - out.t_S), abs(fp.t_M - out.t_M),

@@ -632,6 +632,17 @@ def test_frontier_rows_with_their_own_param_match_one_tech_calls(family):
         assert fits == [feasible_bundle(s, tech) for tech, s in zip(techs, S)], K
 
 
+@pytest.mark.parametrize("K", range(2, 13))
+def test_stacked_fragmentation_and_gap_profile_match_one_row_calls(K):
+    rng = np.random.default_rng(41 + K)
+    Q = rng.dirichlet(np.full(K, 0.6), size=60)
+    Q[7] = np.full(K, 1.0 / K)
+    D = fragmentation(Q)
+    assert D.tobytes() == np.array([fragmentation(q) for q in Q]).tobytes()
+    h = gap_profile_star(Q)
+    assert h.tobytes() == np.array([gap_profile_star(q) for q in Q]).tobytes()
+
+
 def _optimum_one(econ):
     """The corner optimum of one economy in 1-d arithmetic: D(q), h*, the
     frontier H(h*) of its own technology, m* and Y*."""
@@ -643,7 +654,8 @@ def _optimum_one(econ):
 
 def _optimum_blocks():
     """ECONOMIES, two K = 2 economies and two K = 8 ones, by K, each block
-    with both learning families in shuffled order."""
+    with both learning families in shuffled order; then a K = 6 block whose
+    economies share one technology per family."""
     rng = np.random.default_rng(37)
     extra = [
         make_economy(q=(0.7, 0.3), u=(0.45, 0.55), p=0.3, family="exponential", param=2.2),
@@ -655,10 +667,21 @@ def _optimum_blocks():
     for K in sorted({e.K for e in econs}):
         block = [e for e in econs if e.K == K]
         yield [block[i] for i in rng.permutation(len(block))]
+    shared = []
+    for family, param in (("rational", 0.9), ("exponential", 2.4), ("rational", 0.9)) * 3:
+        econ = make_economy(
+            q=interior_simplex(rng, 6), u=interior_simplex(rng, 6),
+            p=float(rng.uniform(0.05, 0.9)), V=float(rng.uniform(5.0, 50.0)),
+            family=family, param=param,
+        )
+        shared.append(econ.with_theta(float(rng.uniform(0.05, 0.9)) * econ.theta_bar))
+    yield shared
 
 
 def test_optimum_rows_match_each_economy_optimum_and_accounts():
-    for block in _optimum_blocks():
+    blocks = list(_optimum_blocks())
+    assert len({e.tech for e in blocks[-1]}) == 2
+    for block in blocks:
         assert len({e.tech.family for e in block}) == 2
         rows, accs = optimum_accounts(block)
         assert optimum_rows(block).m.tobytes() == rows.m.tobytes()

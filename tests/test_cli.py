@@ -630,9 +630,9 @@ def test_solve_solves_the_optimum_once(tmp_path, monkeypatch):
     calls = []
     solve = learning.max_scale_batch
 
-    def counted(tech, directions):
+    def counted(tech, directions, param=None):
         calls.append(np.array(directions, copy=True))
-        return solve(tech, directions)
+        return solve(tech, directions, param)
 
     monkeypatch.setattr(learning, "max_scale_batch", counted)
     cfg = write_cfg(tmp_path / "s.cfg")

@@ -149,7 +149,7 @@ def test_resources_increasing_in_knowledge(econ):
 def test_best_response_at_equilibrium_is_fixed(econ):
     _, alloc = productive_optimum(econ)
     out = political_equilibrium(econ, alloc)
-    br = best_response(Platform(out.e_pol, out.z_pol, out.t_S, out.t_M), econ, alloc)
+    br = best_response(Platform(out.e_pol, out.z_pol, out.t_S, out.t_M), econ, out)
     assert abs(br.e - out.e_pol) <= 1e-6
     assert abs(br.z - out.z_pol) <= 1e-6
     assert abs(br.t_S - out.t_S) <= 1e-6
@@ -162,31 +162,31 @@ def test_best_response_fixed_point_from_random_starts(econ):
     rng = np.random.default_rng(10)
     for _ in range(10):
         start = (float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 0.95)))
-        fp = best_response_fixed_point(start, econ, alloc)
+        fp = best_response_fixed_point(start, econ, out)
         assert abs(fp.e - out.e_pol) <= 1e-6
         assert abs(fp.z - out.z_pol) <= 1e-6
 
 
 def test_best_response_symmetric_betas_equal_services(econ):
-    # candidates facing identical group responsiveness split evenly
+    # candidates facing identical group responsiveness split evenly: in the
+    # voting game of equal group knowledge the best response to the
+    # equilibrium platform gives both groups the same service
     _, alloc = productive_optimum(econ)
-    m = alloc.m
-    out = equilibrium_from_groups(econ, Y=10.0, m=m, B_S=0.5, B_M=0.5)
-    br = best_response(Platform(out.e_pol, m, out.t_S, out.t_M), econ, alloc)
-    # the allocation's own groups differ, so rebuild with forced symmetry
-    # via the closed form instead: equal B gives t_S = t_M exactly
+    out = equilibrium_from_groups(econ, Y=10.0, m=alloc.m, B_S=0.5, B_M=0.5)
     assert out.t_S == pytest.approx(out.t_M, rel=1e-12)
-    assert br.t_S > 0.0 and br.t_M > 0.0
+    br = best_response(Platform(out.e_pol, out.z_pol, out.t_S, out.t_M), econ, out)
+    assert br.t_S > 0.0
+    assert br.t_S == pytest.approx(br.t_M)
 
 
-def _net_vote_share(e, econ, alloc, opponent):
+def _net_vote_share(e, econ, out, opponent):
     # the proposer's objective at governance level e, with the budget split
     # as best_response splits it: sum_g mass_g * Psi_g(t_g; tbar_g) - c(e)
-    acc, gov, m = accounts(alloc, econ), econ.gov, alloc.m
-    beta_S, beta_M = acc.B_S / gov.lambda0, acc.B_M / gov.lambda0
-    R_bar = gov.resources(opponent.e, acc.Y)
+    gov, m = econ.gov, out.m
+    beta_S, beta_M = out.B_S / gov.lambda0, out.B_M / gov.lambda0
+    R_bar = gov.resources(opponent.e, out.Y)
     tbar_S, tbar_M = (1.0 - opponent.z) * R_bar / (1.0 - m), opponent.z * R_bar / m
-    t_S, t_M = _split_budget(gov.resources(e, acc.Y), m, beta_S, beta_M, tbar_S, tbar_M)
+    t_S, t_M = _split_budget(gov.resources(e, out.Y), m, beta_S, beta_M, tbar_S, tbar_M)
 
     def psi(t, t_bar, beta):
         return t**beta / (t**beta + t_bar**beta)
@@ -199,7 +199,7 @@ def test_best_response_maximizes_vote_share(scenario):
     # the envelope condition's root is the maximum of the net vote share,
     # not just a stationary point of it
     econ = load_scenario(str(SCENARIOS / f"{scenario}.cfg")).econ
-    _, alloc = productive_optimum(econ)
+    out = political_equilibrium(econ, productive_optimum(econ)[1])
     e_hi = 1.0
     while econ.gov.cost(e_hi) < 1.5:
         e_hi *= 2.0
@@ -207,31 +207,31 @@ def test_best_response_maximizes_vote_share(scenario):
     rng = np.random.default_rng(23)
     for _ in range(20):
         opponent = Platform(float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.05, 0.95)), 0.0, 0.0)
-        e = best_response(opponent, econ, alloc).e
-        best = _net_vote_share(e, econ, alloc, opponent)
+        e = best_response(opponent, econ, out).e
+        best = _net_vote_share(e, econ, out, opponent)
         for other in (e * (1.0 - 1e-6), e * (1.0 + 1e-6), *grid):
-            assert best >= _net_vote_share(float(other), econ, alloc, opponent), (opponent, e, other)
+            assert best >= _net_vote_share(float(other), econ, out, opponent), (opponent, e, other)
 
 
 def test_best_response_solver_budgets_raise(econ, monkeypatch):
-    _, alloc = productive_optimum(econ)
+    out = political_equilibrium(econ, productive_optimum(econ)[1])
     opponent = Platform(0.5, 0.3, 0.0, 0.0)
     monkeypatch.setattr(politics, "_FOC_MAX_ITER", 2)
     with pytest.raises(OracleError, match="no sign change of the envelope condition"):
-        best_response(opponent, econ, alloc)
+        best_response(opponent, econ, out)
     with pytest.raises(OracleError, match="envelope condition did not converge"):
         _illinois_root(lambda x: 1.0 - x**3, 0.0, 3.0, 1.0, -26.0)
     monkeypatch.undo()
     # a NaN envelope condition ends the bracket search instead of looping
     monkeypatch.setattr(politics, "vote_share_slope", lambda t, t_bar, beta: math.nan)
     with pytest.raises(OracleError, match="no sign change of the envelope condition"):
-        best_response(opponent, econ, alloc)
+        best_response(opponent, econ, out)
 
 
 def test_best_response_requires_positive_opponent_services(econ):
-    _, alloc = productive_optimum(econ)
+    out = political_equilibrium(econ, productive_optimum(econ)[1])
     with pytest.raises(DomainError, match="opponent services must be strictly positive"):
-        best_response(Platform(0.5, 0.0, 0.0, 0.0), econ, alloc)
+        best_response(Platform(0.5, 0.0, 0.0, 0.0), econ, out)
 
 
 def test_tilt_direction_both_ways():

@@ -76,9 +76,9 @@ def _count_frontier_rows(monkeypatch) -> list[int]:
     solve = learning.max_scale_batch
     calls = []
 
-    def counted(tech, directions):
+    def counted(tech, directions, param=None):
         calls.append(np.shape(directions)[0])
-        return solve(tech, directions)
+        return solve(tech, directions, param)
 
     for module in (learning, reforms):
         monkeypatch.setattr(module, "max_scale_batch", counted)
