@@ -18,7 +18,7 @@ class ConfigError(ModelError):
 class DomainError(ModelError):
     """Numeric input outside an operation's stated domain: an allocation
     that breaks its learning or integration constraint, a nonpositive
-    service level, a design with zero productive coverage."""
+    service level."""
 
 
 class HypothesisError(ModelError):

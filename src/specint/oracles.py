@@ -761,10 +761,11 @@ def check_theta_statics(scn: Scenario, rng, tol_scale) -> CheckResult:
 def check_dispersion_order(scn: Scenario, rng, tol_scale) -> CheckResult:
     econ = scn.econ
     thetas = np.geomspace(1e-3, 0.9, 10) * econ.theta_bar
+    # the slopes read q, p and H(h*), which no theta moves
+    bs_slope, bm_slope = reforms.interface_closed_slopes(econ)
     ratios = []
     for theta in thetas:
         econ_t = econ.with_theta(float(theta))
-        bs_slope, bm_slope = reforms.interface_closed_slopes(econ_t)
         fam = reforms.interface_family(econ_t)
         worst_d = 0.0
         for a in np.linspace(0.0, 1.0, 9):

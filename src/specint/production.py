@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import learning
-from .errors import DomainError, HypothesisError, ModelError, OracleError
+from .errors import DomainError, HypothesisError, OracleError
 from .knowledge import SIMPLEX_SUM_TOL, SIMPLEX_TOL, feasible_bundle, fragmentation
 from .knowledge import ProfileStack, profile_stack, system_knowledge
 
@@ -364,18 +364,6 @@ class OptimumRows:
         )
 
 
-def _check_optimum_hypotheses(econ: Economy) -> None:
-    """Raise the error productive_optimum raises on econ's hypotheses."""
-    if float(econ.q.min()) <= 0.0:
-        raise DomainError("productive requirement must be strictly interior")
-    if econ.theta >= econ.theta_bar:
-        raise HypothesisError(
-            f"theta={econ.theta:.6g} is not below the coordination cutoff "
-            f"theta_bar={econ.theta_bar:.6g}; the corner organization is not "
-            "certified optimal there"
-        )
-
-
 def _by_family(econs):
     """Per learning family among econs: a technology of it, the indices of
     its economies and their per-row params (the param column of the
@@ -394,7 +382,14 @@ def optimum_rows(econs) -> OptimumRows:
     frontier solve per family, and corner_shares' m* and Y*."""
     econs = tuple(econs)
     for econ in econs:
-        _check_optimum_hypotheses(econ)
+        if float(econ.q.min()) <= 0.0:
+            raise DomainError("productive requirement must be strictly interior")
+        if econ.theta >= econ.theta_bar:
+            raise HypothesisError(
+                f"theta={econ.theta:.6g} is not below the coordination cutoff "
+                f"theta_bar={econ.theta_bar:.6g}; the corner organization is not "
+                "certified optimal there"
+            )
     q = np.array([e.q for e in econs])
     h_star = gap_profile_star(q)
     H = np.empty(len(econs))
@@ -409,17 +404,10 @@ def optimum_accounts(econs) -> tuple[OptimumRows, list[Accounts]]:
     """optimum_rows of a sequence of economies of one K and the accounts of
     each row's allocation in its own economy, each with the bits of
     accounts(productive_optimum(econ)[1], econ), from one layer_rows pass
-    over the corner atoms that every row shares. Raises what that loop
-    raises first: the hypothesis error of a row, or the budget or capacity
-    error of an earlier one."""
+    over the corner atoms that every row shares. Raises optimum_rows'
+    hypothesis error, otherwise the budget or capacity error of the first
+    row that fails."""
     econs = tuple(econs)
-    for i, econ in enumerate(econs):
-        try:
-            _check_optimum_hypotheses(econ)
-        except ModelError:
-            if i:
-                optimum_accounts(econs[:i])  # an earlier row's error comes first
-            raise
     rows = optimum_rows(econs)
     K = rows.q.shape[1]
     integrator = rows.H[:, None] * rows.h_star
@@ -429,16 +417,14 @@ def optimum_accounts(econs) -> tuple[OptimumRows, list[Accounts]]:
         fits[index] = feasible_bundle(integrator[index], tech, params)
     _check_feasible(layer, fits.tolist(), [e.theta for e in econs])
     # each row's system knowledge under its own u and p, with the bits
-    # system_knowledge gives it: coverage row sums, the float `**` of the
-    # mass and their product
+    # system_knowledge gives it. Corner atom k has unit mass and direction
+    # e_k, so 1.0**p = 1.0 and its coverage adds zeros to min(1, u_k); an
+    # integrator's is the float `**` of its mass H(h*) > 0 times its
+    # coverage row sum
     u = np.array([e.u for e in econs])
-    p = [e.p for e in econs]
-    cov = np.minimum(layer.stack.directions[:K], u[:, None, :]).sum(axis=-1)
     own = np.minimum(layer.stack.directions[K:], u).sum(axis=-1)
-    mass = layer.stack.mass
-    atoms = np.array([[x**pi if x != 0.0 else 0.0 for x in mass[:K]] for pi in p]) * cov
-    integrators = np.array([x**pi if x != 0.0 else 0.0 for x, pi in zip(mass[K:], p)]) * own
-    accounts = _add_up(layer, [e.V for e in econs], rows.q, atoms[None], integrators[None])
+    integrators = np.array([x**e.p for x, e in zip(layer.stack.mass[K:], econs)]) * own
+    accounts = _add_up(layer, [e.V for e in econs], rows.q, np.minimum(u, 1.0)[None], integrators[None])
     return rows, accounts
 
 

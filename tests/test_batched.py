@@ -710,29 +710,38 @@ def _first_error(econs):
     return None
 
 
-def test_optimum_block_raises_what_the_per_economy_loop_raises_first(monkeypatch):
+def _raised(kernel, econs):
+    """The ModelError kernel(econs) raises, as (type, message)."""
+    with pytest.raises(ModelError) as got:
+        kernel(econs)
+    return type(got.value), str(got.value)
+
+
+def test_optimum_block_raises_hypothesis_errors_before_feasibility_errors(monkeypatch):
     from specint import production
 
     good = ECONOMIES[0]
     hot = good.with_theta(2.0 * good.theta_bar)
     edge = make_economy(q=(0.6, 0.4, 0.0), u=(0.4, 0.35, 0.25))  # a zero domain in q
     other = ECONOMIES[3]
+    # a block with a hypothesis failure raises what the per-economy loop raises
     blocks = ([good, hot, other], [hot, edge], [good, edge, hot], [other, good, edge])
     for block in blocks:
         want = _first_error(block)
         assert want is not None and want[0] in (HypothesisError, DomainError)
         for kernel in (optimum_accounts, optimum_rows):
-            with pytest.raises(ModelError) as got:
-                kernel(block)
-            assert (type(got.value), str(got.value)) == want, [e.theta for e in block]
-    # a capacity error of an earlier row comes before a later row's hypothesis error
+            assert _raised(kernel, block) == want, [e.theta for e in block]
+    # with every row made infeasible, a later row's hypothesis error still
+    # comes before an earlier row's capacity error; without one, the first
+    # infeasible row's capacity error is raised
     monkeypatch.setattr(production, "FEAS_TOL", -1.0)
-    for block in ([good, hot], [good, other, edge]):
-        want = _first_error(block)
-        assert want[0] is DomainError and "integration capacity" in want[1]
-        with pytest.raises(DomainError) as got:
-            optimum_accounts(block)
-        assert str(got.value) == want[1]
+    for block, late in (([good, hot], hot), ([good, other, edge], edge)):
+        assert "integration capacity" in _first_error(block)[1]
+        assert _raised(optimum_accounts, block) == _raised(optimum_rows, [late])
+    want = _first_error([other, good])
+    assert want[0] is DomainError and "integration capacity" in want[1]
+    assert _raised(optimum_accounts, [other, good]) == want
+    assert _raised(optimum_accounts, [other, good]) != _raised(optimum_accounts, [good, other])
 
 
 def test_economy_drawing_checks_solve_each_K_in_one_kernel_call(monkeypatch):
