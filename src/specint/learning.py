@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +64,10 @@ class LearningTech:
         """Learning cost of mastery s, elementwise (no domain check); with
         param, an (N,) column of learning.param values of this family, the
         cost of each row of an (N,K) stack s under its own param."""
-        c, em1 = _param_terms(self, param)
+        terms = _param_terms(self, param)
         if self.family == "rational":
-            return (1.0 + c) * s / (1.0 + c * np.asarray(s))
-        return np.expm1(-c * np.asarray(s)) / em1
+            return terms.one_c * s / (1.0 + terms.c * np.asarray(s))
+        return np.expm1(terms.neg_c * np.asarray(s)) / terms.em1
 
     def ell_prime(self, s: float) -> float:
         """Analytic derivative of the cost function at a mastery s in [0,1]."""
@@ -79,9 +80,9 @@ class LearningTech:
         # ell_under feeds c_ell, L_Gamma and theta_bar
         return c * math.exp(-c * s) / -math.expm1(-c)
 
-    def _frontier_terms(self, t: np.ndarray, P: np.ndarray, c, em1):
+    def _frontier_terms(self, t: np.ndarray, P: np.ndarray, terms: _ParamTerms):
         """Row sums sum_k ell(S_k) - 1 and sum_k P_k*ell'(S_k) at S = t*P,
-        given _param_terms' c and expm1(-c) (floats, or per-row columns).
+        given _param_terms' constants (floats, or per-row columns).
 
         The formulas of ell and ell_prime, in numpy's array kernels, on one
         (N,K) buffer, 1 + c*S or -c*S, plus the cost array, which is summed
@@ -89,23 +90,23 @@ class LearningTech:
         """
         S = t[:, None] * P
         if self.family == "rational":
-            cost = (1.0 + c) * S
-            S *= c
+            cost = terms.one_c * S
+            S *= terms.c
             S += 1.0
             cost /= S
             f = cost.sum(axis=1) - 1.0
             del cost
             np.square(S, out=S)
-            np.divide(1.0 + c, S, out=S)
+            np.divide(terms.one_c, S, out=S)
         else:
-            S *= -c
+            S *= terms.neg_c
             cost = np.expm1(S)
-            cost /= em1
+            cost /= terms.em1
             f = cost.sum(axis=1) - 1.0
             del cost
             np.exp(S, out=S)
-            S *= c
-            S /= -em1
+            S *= terms.c
+            S /= terms.neg_em1
         S *= P
         return f, S.sum(axis=1)
 
@@ -150,15 +151,32 @@ class LearningConstants:
     theta_bar: float
 
 
-def _param_terms(tech: LearningTech, param):
-    """tech's cost parameter c and expm1(-c) as floats, or, given param, an
-    (N,) column of learning.param values of tech's family, both as (N,1)
+class _ParamTerms(NamedTuple):
+    """A cost parameter c and the constants its family's cost and slope
+    are formed from, each computed once per call rather than once per
+    Newton iteration: 1 + c (rational), or expm1(-c), -c and -expm1(-c)
+    (exponential); the other family's fields are None."""
+
+    c: float | np.ndarray
+    em1: float | np.ndarray | None = None
+    one_c: float | np.ndarray | None = None
+    neg_c: float | np.ndarray | None = None
+    neg_em1: float | np.ndarray | None = None
+
+
+def _param_terms(tech: LearningTech, param) -> _ParamTerms:
+    """_ParamTerms of tech's cost parameter, as floats, or, given param, an
+    (N,) column of learning.param values of tech's family, as (N,1)
     columns. Each expm1 is math.expm1: np.expm1's bits depend on numpy's
     SIMD dispatch."""
+    c = tech.param if param is None else np.asarray(param, dtype=float)[:, None]
+    if tech.family == "rational":
+        return _ParamTerms(c, one_c=1.0 + c)
     if param is None:
-        return tech.param, math.expm1(-tech.param)
-    params = np.asarray(param, dtype=float).tolist()
-    return np.array(params)[:, None], np.array([math.expm1(-x) for x in params])[:, None]
+        em1 = math.expm1(-c)
+    else:
+        em1 = np.array([math.expm1(-x) for x in c[:, 0].tolist()])[:, None]
+    return _ParamTerms(c, em1, neg_c=-c, neg_em1=-em1)
 
 
 def max_scale(tech: LearningTech, pi: np.ndarray) -> float:
@@ -190,11 +208,12 @@ def max_scale_batch(tech: LearningTech, directions: np.ndarray, param=None) -> n
     Rows with a coordinate above 1-1e-12 return exactly 1.0.
     """
     P = np.asarray(directions, dtype=float)
-    c, em1 = _param_terms(tech, param)
+    terms = _param_terms(tech, param)
     # 1/ell'(0), with the bits of ell_prime's 1 + c and c/-expm1(-c)
-    t = np.full((P.shape[0], 1), 1.0 / (1.0 + c if tech.family == "rational" else c / -em1))[:, 0]
+    slope0 = terms.one_c if tech.family == "rational" else terms.c / terms.neg_em1
+    t = np.full((P.shape[0], 1), 1.0 / slope0)[:, 0]
     for _ in range(NEWTON_MAX_ITER):
-        f, slope = tech._frontier_terms(t, P, c, em1)
+        f, slope = tech._frontier_terms(t, P, terms)
         step = -f / slope
         moving = step > 4.0 * _EPS * t
         if not moving.any():

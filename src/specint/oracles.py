@@ -11,11 +11,18 @@ Each check draws from its own generator, default_rng([seed, index]).
 The pure sampling checks (coverage, frontier and Gamma bounds, integrator
 capacity) draw the simplex size K of every draw first, then each size's
 rows as arrays, in ascending K, and certify each block in one call of the
-engine function they check. The checks that solve the productive optimum
-of random economies (its identities, the civic advantage and the
-political tilt) draw all their economies first, as each draw did in turn,
-then solve and evaluate each K's economies in one optimum_accounts call.
-Checks that build a design per draw still draw and solve one at a time.
+engine function they check. shattering-expansion draws the K and atom
+count of all its designs first, then each (K, atoms) group's designs as
+stacks, and evaluates each group in one call of production's stacked
+design forms. The checks that solve the productive optimum of random
+economies (its identities, the civic advantage and the political tilt)
+draw all their economies first, as each draw did in turn, then solve and
+evaluate each K's economies in one optimum_accounts call.
+
+frontier-bounds does not solve the frontier a second time: it certifies
+each H the engine returns by evaluating the cost on both sides of it
+(frontier_certificate), an a posteriori test that costs two cost
+evaluations per row and rung, where re-solving by bisection cost dozens.
 """
 
 from __future__ import annotations
@@ -39,11 +46,11 @@ from .politics import (
     vote_share_slope,
 )
 from .production import (
-    SpecialistDesign,
     accounts,
     accounts_rows,
     brute_force_design,
-    cornerized,
+    gap_bundle_rows,
+    mean_rows,
     minimal_rows,
     optimum_accounts,
     optimum_rows,
@@ -214,12 +221,6 @@ def _optimum_blocks(econs):
         yield block, *optimum_accounts(block)
 
 
-def _random_design(rng, K: int, n_atoms: int) -> SpecialistDesign:
-    dirs = np.vstack([_interior_simplex(rng, K) for _ in range(n_atoms)])
-    w = rng.dirichlet(np.ones(n_atoms))
-    return SpecialistDesign(directions=dirs, weights=w)
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -259,22 +260,38 @@ def check_coverage_properties(scn: Scenario, rng, tol_scale) -> CheckResult:
     return _result("coverage-and-knowledge-properties", worst, 1e-12 * tol_scale)
 
 
-def frontier_bisection(tech: learning.LearningTech, P: np.ndarray) -> np.ndarray:
-    """Reference frontier H() of each row of P: bisection on
-    [1/ell_bar - 1e-9, 1 + 1e-9], independent of the Newton solver. A step
-    is a fixed map of (lo, hi), so once one moves neither end of any row
-    the brackets are final; it stops there, or after 90 steps."""
-    lo = np.full(P.shape[0], 1.0 / tech.ell_bar - 1e-9)
-    hi = np.full(P.shape[0], 1.0 + 1e-9)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        over = tech.ell(mid[:, None] * P).sum(axis=1) > 1.0
-        if not np.where(over, mid != hi, mid != lo).any():
+# the half-widths frontier_certificate tries, doubling from 2**-50 to
+# 2**-34, then frontier-bounds' own bound, 1.7 times the last
+FRONTIER_RUNGS = (*(2.0**k for k in range(-50, -33)), 1e-10)
+
+
+def frontier_certificate(tech: learning.LearningTech, P: np.ndarray, H: np.ndarray) -> float:
+    """The largest half-width, over the rows of P, within which each row's
+    H is certified to lie from its true frontier; 1.0 if a row is not
+    certified within FRONTIER_RUNGS' last.
+
+    f(s) = sum_k ell(s*P_k) rises in s, so f(H - d) < 1 < f(H + d) puts the
+    root within d of H. Each row takes the smallest rung d at which its
+    computed sums clear 1 by a, f(H - d) <= 1 - a and f(H + d) > 1 + a.
+    The allowance a = 4*K*eps covers their round-off: each ell term takes
+    a few roundings, each within eps/2 of it relative to it; rounding
+    s*P_k moves the term by at most eps/2 relative, as a concave cost with
+    ell(0) = 0 has elasticity at most 1; and the K-term sum of values near
+    1 adds at most (K - 1)*eps. Only ell is evaluated: the check reads
+    nothing of the solver but H.
+    """
+    allowance = 4.0 * P.shape[1] * _EPS
+    pending = np.arange(P.shape[0])
+    certified = 0.0
+    for d in FRONTIER_RUNGS:
+        if not pending.size:
             break
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
-    h = np.minimum(0.5 * (lo + hi), 1.0)
-    return np.where(P.max(axis=1) > 1.0 - 1e-12, 1.0, h)
+        rows, h = P[pending], H[pending]
+        below = tech.ell((h - d)[:, None] * rows).sum(axis=1) <= 1.0 - allowance
+        above = tech.ell((h + d)[:, None] * rows).sum(axis=1) > 1.0 + allowance
+        pending = pending[~(below & above)]
+        certified = d
+    return 1.0 if pending.size else certified
 
 
 def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
@@ -286,9 +303,11 @@ def check_frontier_bounds(scn: Scenario, rng, tol_scale) -> CheckResult:
         P = rng.dirichlet(np.ones(K), size=n)
         H = max_scale_batch(tech, P)
         worst = max(worst, float((1.0 / bar - H).max()), float((H - 1.0).max()))
-        worst = max(worst, float(np.abs(H - frontier_bisection(tech, P)).max()))
+        # rows within 1e-12 of a corner are corners, whose frontier is 1
+        corner = P.max(axis=1) > 1.0 - 1e-12
+        worst = max(worst, frontier_certificate(tech, P[~corner], H[~corner]))
         interior = P.max(axis=1) <= 1.0 - 1e-9
-        if np.any(H[interior] >= 1.0):
+        if np.any(H[corner] != 1.0) or np.any(H[interior] >= 1.0):
             worst = max(worst, 1.0)
         worst = max(worst, abs(max_scale(tech, np.eye(K)[0]) - 1.0))
     return _result("frontier-bounds", worst, 1e-10 * tol_scale)
@@ -402,16 +421,27 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
 
 
 def check_shattering(scn: Scenario, rng, tol_scale) -> CheckResult:
+    # 300 random designs, K 2..5 and 1..4 atoms, each against its own
+    # all-corner shattering, the design of weights x on the atoms eye(K)
     worst = 0.0
-    for _ in range(300):
-        K = int(rng.integers(2, 6))
-        design = _random_design(rng, K, int(rng.integers(1, 5)))
-        x = design.mean()
-        z = design.gap_bundle(x)
-        zc = cornerized(design).gap_bundle(x)
-        worst = max(worst, float(np.abs(zc - x * (1.0 - x)).max()))
-        mean_frag = float(design.weights @ [fragmentation(d) for d in design.directions])
-        worst = max(worst, float(np.abs(zc - z).sum()) - mean_frag)
+    K = rng.integers(2, 6, size=300)
+    n_atoms = rng.integers(1, 5, size=300)
+    for k in range(2, 6):
+        for a in range(1, 5):
+            count = int(np.count_nonzero((K == k) & (n_atoms == a)))
+            if not count:
+                continue
+            dirs = _interior_simplex(rng, k, size=(count, a))
+            w = rng.dirichlet(np.ones(a), size=count)
+            x = mean_rows(w, dirs)
+            z = gap_bundle_rows(w, dirs, x)
+            zc = gap_bundle_rows(x, np.eye(k), x)
+            mean_frag = (w * fragmentation(dirs.reshape(-1, k)).reshape(count, a)).sum(axis=1)
+            worst = max(
+                worst,
+                float(np.abs(zc - x * (1.0 - x)).max()),
+                float((np.abs(zc - z).sum(axis=1) - mean_frag).max()),
+            )
     return _result("shattering-expansion", worst, 1e-12 * tol_scale)
 
 

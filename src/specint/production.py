@@ -6,7 +6,9 @@ the mastery-weighted direction distribution of the specialist layer. The
 population share of an atom is proportional to weight * lambda(direction),
 since broader directions need more heads per unit of mastery. Specialists
 run at full scale H(pi)*pi, so an allocation stores its atoms' scales H(pi_j),
-solved once by the function that builds it. layer_rows summarizes the
+solved once by the function that builds it. mean_rows and gap_bundle_rows
+give the aggregate mix and the gap bundle of each design of a stack, and
+SpecialistDesign.mean is a one-row call. layer_rows summarizes the
 specialist layer of each row of a block of designs on shared atoms
 (minimal_rows), and accounts_rows() adds up each row's feasibility, output
 and group knowledge in one economy; accounts() does the same on an
@@ -74,15 +76,12 @@ class SpecialistDesign:
             raise DomainError("atom directions must lie on the simplex")
 
     def mean(self) -> np.ndarray:
-        """Aggregate specialist mix implied by the atoms."""
-        return self.weights @ self.directions
+        """Aggregate specialist mix implied by the atoms: the one-row call
+        of mean_rows."""
+        return mean_rows(self.weights[None, :], self.directions)[0]
 
     def is_corner(self) -> bool:
         return bool(np.all(self.directions.max(axis=1) > 1.0 - 1e-12))
-
-    def gap_bundle(self, x: np.ndarray) -> np.ndarray:
-        """Gap per unit mastery against target mix x: E_nu[(x - pi)^+]."""
-        return self.weights @ np.clip(x[None, :] - self.directions, 0.0, None)
 
 
 def corner_design(mix: np.ndarray) -> SpecialistDesign:
@@ -93,11 +92,6 @@ def corner_design(mix: np.ndarray) -> SpecialistDesign:
 def single_atom(direction: np.ndarray) -> SpecialistDesign:
     """Design with every specialist on one shared direction."""
     return SpecialistDesign(directions=direction[None, :], weights=np.ones(1))
-
-
-def cornerized(design: SpecialistDesign) -> SpecialistDesign:
-    """Shatter each atom onto corners in proportion to its coordinates."""
-    return corner_design(design.mean())
 
 
 @dataclass(frozen=True)
@@ -465,6 +459,23 @@ def row_products(w: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], M)[:, 0, :]
 
 
+def mean_rows(weights: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The aggregate specialist mix of each design of a stack: mastery
+    weights (N, n_atoms) on atom directions (N, n_atoms, K), or on
+    (n_atoms, K) atoms that every row shares. A row has the bits of its
+    one-row call, SpecialistDesign.mean."""
+    return row_products(weights, directions)
+
+
+def gap_bundle_rows(weights: np.ndarray, directions: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The gap per unit mastery E_nu[(x - pi)^+] of each design of a
+    stack (mean_rows' weights and directions) against its target mix, a
+    row of x (N, K). A row has the bits of its one-row call. The all-corner
+    design of mix x has directions eye(K) and weights x, and its bundle
+    against x is x*(1-x) up to round-off."""
+    return row_products(weights, np.clip(x[:, None, :] - directions, 0.0, None))
+
+
 def minimal_rows(blocks, econ: Economy) -> list[DesignRows]:
     """The minimal-integrator allocations of blocks of designs, each block
     a triple (directions (n, K), their scales H(pi_j), weights (N, n)),
@@ -473,8 +484,7 @@ def minimal_rows(blocks, econ: Economy) -> list[DesignRows]:
     each row has the bits of minimal_allocation of its design."""
     bundles, e_lam = [], []
     for dirs, sc, W in blocks:
-        X = row_products(W, dirs)  # each design's mean
-        bundles.append(row_products(W, np.clip(X[:, None, :] - dirs, 0.0, None)))
+        bundles.append(gap_bundle_rows(W, dirs, mean_rows(W, dirs)))
         e_lam.append((W / sc).sum(axis=1))
     Z = np.concatenate(bundles)
     mass = Z.sum(axis=1)

@@ -6,7 +6,7 @@ accounts, an alpha grid's stack of civic profiles and its welfare slopes,
 a theta grid of optima, accounts on an allocation whose
 specialist layer and normalized knowledge rows are already cached, a
 frontier batch with a learning.param per row, a block of economies' optima
-and their accounts) must
+and their accounts, a stack of designs' means and gap bundles) must
 give every point the bits of the per-point loop it replaced, or stay
 within a stated ulp bound. The loops are copied here, so that a change to
 the engine cannot move both sides at once.
@@ -30,7 +30,9 @@ from specint.production import (
     accounts,
     accounts_rows,
     corner_design,
+    gap_bundle_rows,
     gap_profile_star,
+    mean_rows,
     minimal_allocation,
     optimum_accounts,
     optimum_rows,
@@ -95,8 +97,8 @@ def _knowledge_one(s, u, p):
 
 def _minimal_one(design, econ, scales):
     """minimal_allocation given scales, with its own frontier solve."""
-    x = design.mean()
-    z = design.gap_bundle(x)
+    x = design.weights @ design.directions
+    z = design.weights @ np.clip(x[None, :] - design.directions, 0.0, None)
     e_lam = float((design.weights / scales).sum())
     mass = float(z.sum())
     if mass == 0.0:
@@ -641,6 +643,32 @@ def test_stacked_fragmentation_and_gap_profile_match_one_row_calls(K):
     assert D.tobytes() == np.array([fragmentation(q) for q in Q]).tobytes()
     h = gap_profile_star(Q)
     assert h.tobytes() == np.array([gap_profile_star(q) for q in Q]).tobytes()
+
+
+@pytest.mark.parametrize("K", range(2, 6))
+def test_stacked_design_mean_and_gap_bundle_match_one_row_calls(K):
+    # the stacked forms against SpecialistDesign.mean and the 1-d products
+    # w @ D and w @ (x - D)^+, for 1 to 4 atoms, on atoms of each row's own
+    # and on atoms every row shares, and for the all-corner design
+    rng = np.random.default_rng(51 + K)
+    for a in range(1, 5):
+        dirs = rng.dirichlet(np.ones(K), size=(30, a))
+        dirs[0, 0] = np.eye(K)[0]  # a corner atom
+        w = rng.dirichlet(np.ones(a), size=30)
+        X = mean_rows(w, dirs)
+        Z = gap_bundle_rows(w, dirs, X)
+        designs = [SpecialistDesign(directions=d, weights=v) for d, v in zip(dirs, w)]
+        assert X.tobytes() == np.array([d.mean() for d in designs]).tobytes()
+        assert X.tobytes() == np.array([v @ d for d, v in zip(dirs, w)]).tobytes()
+        want = [v @ np.clip(x[None, :] - d, 0.0, None) for d, v, x in zip(dirs, w, X)]
+        assert Z.tobytes() == np.array(want).tobytes()
+        shared = dirs[0]
+        assert mean_rows(w, shared).tobytes() == np.array([v @ shared for v in w]).tobytes()
+        want = [v @ np.clip(x[None, :] - shared, 0.0, None) for v, x in zip(w, X)]
+        assert gap_bundle_rows(w, shared, X).tobytes() == np.array(want).tobytes()
+        corners = [corner_design(x) for x in X]
+        want = [c.weights @ np.clip(x[None, :] - c.directions, 0.0, None) for c, x in zip(corners, X)]
+        assert gap_bundle_rows(X, np.eye(K), X).tobytes() == np.array(want).tobytes()
 
 
 def _optimum_one(econ):

@@ -78,12 +78,12 @@ DENSE_ALPHA = {"sweep.alpha": "0.0,0.00001,0.00002,0.5,1.0"}
 
 GOLDEN_DENSE_ALPHA = "2d3369b100840e06a7c25ba397bada0445bf61e0f11983521c26ec4a074d6093"
 
-VERIFY_SMALL_BUDGETS = "ff3b04456b1f78d339e1eb4f983ff54ad803a90525b3f9da19229dd0112eab5a"
+VERIFY_SMALL_BUDGETS = "8a3d0d8e65ed5018d6381146155ac053668bdc57625f7c51e6568d9c70f28d2a"
 
 # `verify` at each shipped scenario's own (full) oracle budgets
 VERIFY_FULL_BUDGETS = {
-    "default": "e1180ac7a40046af767e4521cb9dad18b3c038552c3308e1f7a857e2404c637d",
-    "governance_heavy": "03b9fb2d9b841345f1d8df25ef1073be58ba54ba7453a9c49473b892a76c21d8",
+    "default": "0d88d72ee410df507c9e1c1245a2d79774a94a8d6cbdbc13bd4369692c9a37da",
+    "governance_heavy": "f38b5b37aea3df9b5d3c8fa6118d4c17d441ed11b5811e04209af7a92756ee05",
 }
 
 

@@ -16,8 +16,6 @@ from specint.learning import (
     max_scale,
     max_scale_batch,
 )
-from specint.oracles import frontier_bisection
-
 from conftest import make_economy
 
 simplex3 = st.lists(
@@ -94,6 +92,24 @@ def _near_corner_rows(K, deltas):
         row[:] = d / (K - 1)
         row[0] = 1.0 - d
     return rows
+
+
+def frontier_bisection(tech, P):
+    """Reference frontier H() of each row of P: bisection on
+    [1/ell_bar - 1e-9, 1 + 1e-9], independent of the Newton solver. A step
+    is a fixed map of (lo, hi), so once one moves neither end of any row
+    the brackets are final; it stops there, or after 90 steps."""
+    lo = np.full(P.shape[0], 1.0 / tech.ell_bar - 1e-9)
+    hi = np.full(P.shape[0], 1.0 + 1e-9)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        over = tech.ell(mid[:, None] * P).sum(axis=1) > 1.0
+        if not np.where(over, mid != hi, mid != lo).any():
+            break
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    h = np.minimum(0.5 * (lo + hi), 1.0)
+    return np.where(P.max(axis=1) > 1.0 - 1e-12, 1.0, h)
 
 
 @pytest.mark.parametrize("K", [2, 3, 6])

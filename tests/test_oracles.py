@@ -363,6 +363,33 @@ def test_integrator_capacity_check_bites(monkeypatch):
     assert run_check(oracles.check_integrator_capacity, scn).status == "fail"
 
 
+@pytest.mark.parametrize("shift", [2e-10, -2e-10])
+def test_frontier_bounds_check_bites(monkeypatch, shift):
+    # H 2e-10 off the frontier on every interior row: no rung of the
+    # certificate, up to the check's bound of 1e-10, brackets the root
+    scn = load_scenario(str(SCENARIOS / "default.cfg"))
+    assert run_check(oracles.check_frontier_bounds, scn).status == "pass"
+    exact = oracles.max_scale_batch
+
+    def shifted(tech, P):
+        H = exact(tech, P)
+        return np.where(P.max(axis=1) <= 1.0 - 1e-9, H + shift, H)
+
+    monkeypatch.setattr(oracles, "max_scale_batch", shifted)
+    result = run_check(oracles.check_frontier_bounds, scn)
+    assert result.status == "fail" and result.metric == 1.0, result
+
+
+def test_frontier_bounds_check_certifies_a_steep_exponential_cost():
+    # near a corner a steep cost's row sum is flat in the scale, so those
+    # rows need wider rungs; at default budgets every row is certified
+    # with ten times room under the strict bound of 1e-11
+    scn = scenario_from_entries({**DEFAULTS, "learning.family": "exponential",
+                                 "learning.param": "12"})
+    result = run_check(oracles.check_frontier_bounds, scn)
+    assert result.status == "pass" and result.metric <= 1e-11, result
+
+
 def test_interface_statics_check_holds_every_sweep_row(monkeypatch):
     # the check holds every cell of the alpha sweep's array pass against the
     # per-point path: one value nudged by an ulp in one row fails it

@@ -16,9 +16,10 @@ from specint.production import (
     accounts,
     brute_force_design,
     corner_design,
-    cornerized,
     design_space_size,
+    gap_bundle_rows,
     integrator_capacity,
+    mean_rows,
     minimal_allocation,
     productive_optimum,
     simplex_grid,
@@ -30,18 +31,23 @@ from specint.welfare import total_welfare
 from conftest import interior_simplex, make_economy
 
 
+def gap_bundle(design, x):
+    """The gap bundle of one design against mix x: a one-row stack."""
+    return gap_bundle_rows(design.weights[None, :], design.directions, x[None, :])[0]
+
+
 # The external coordination requirement of a profile s = scale*pi against a
-# mix is (||s||_1 * mix - s)^+ = scale * single_atom(pi).gap_bundle(mix).
+# mix is (||s||_1 * mix - s)^+ = scale * gap_bundle(single_atom(pi), mix).
 
 
 def test_gap_vector_proportional_is_zero():
     mix = np.array([0.5, 0.3, 0.2])
-    assert np.all(0.7 * single_atom(mix).gap_bundle(mix) == 0.0)
+    assert np.all(0.7 * gap_bundle(single_atom(mix), mix) == 0.0)
 
 
 def test_gap_vector_corner():
     x = np.array([0.5, 0.3, 0.2])
-    gamma = single_atom(np.eye(3)[0]).gap_bundle(x)
+    gamma = gap_bundle(single_atom(np.eye(3)[0]), x)
     assert gamma == pytest.approx([0.0, 0.3, 0.2], abs=1e-15)
 
 
@@ -53,7 +59,7 @@ def test_gap_mass_identity():
         pi = rng.dirichlet(np.ones(K))
         mix = rng.dirichlet(np.ones(K))
         scale = float(rng.uniform(0.1, 1.0))
-        gamma = scale * single_atom(pi).gap_bundle(mix)
+        gamma = scale * gap_bundle(single_atom(pi), mix)
         assert gamma.sum() == pytest.approx(scale * (1 - coverage(pi, mix)), abs=1e-12)
 
 
@@ -264,21 +270,21 @@ def test_allocation_scales_match_design(econ):
 
 
 def test_cornerized_mean_preserved():
+    # each design shattered onto corners, as a one-row stack: weights x on
+    # the atoms eye(K)
     rng = np.random.default_rng(23)
     for _ in range(100):
         K = int(rng.integers(2, 6))
-        design = SpecialistDesign(
-            directions=np.vstack([interior_simplex(rng, K) for _ in range(3)]),
-            weights=rng.dirichlet(np.ones(3)),
-        )
-        x = design.mean()
-        corners = cornerized(design)
-        assert corners.mean() == pytest.approx(x, abs=1e-12)
+        dirs = np.vstack([interior_simplex(rng, K) for _ in range(3)])
+        w = rng.dirichlet(np.ones(3))[None, :]
+        x = mean_rows(w, dirs)
+        assert mean_rows(x, np.eye(K)) == pytest.approx(x, abs=1e-12)
         # shattered gap bundle has the closed form x*(1-x)
-        assert corners.gap_bundle(x) == pytest.approx(x * (1 - x), abs=1e-12)
+        shattered = gap_bundle_rows(x, np.eye(K), x)
+        assert shattered == pytest.approx(x * (1 - x), abs=1e-12)
         # and expands the original bundle by at most the mean fragmentation
-        mean_D = float(design.weights @ [fragmentation(d) for d in design.directions])
-        growth = np.abs(corners.gap_bundle(x) - design.gap_bundle(x)).sum()
+        mean_D = float(w[0] @ [fragmentation(d) for d in dirs])
+        growth = np.abs(shattered - gap_bundle_rows(w, dirs, x)).sum()
         assert growth <= mean_D + 1e-12
 
 
