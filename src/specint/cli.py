@@ -81,7 +81,7 @@ def cmd_solve(scn: Scenario, out_path: str | None) -> int:
     report = total_welfare(econ, alloc)
     bound = competitive.ratio_bound(econ)
     try:
-        wages = competitive.wages_at_optimum(econ, opt, alloc)
+        wages = competitive.wages_at_optimum(econ, opt, report.B_S, report.B_M)
         wage_note = ""
     except HypothesisError as exc:
         wages = None

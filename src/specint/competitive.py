@@ -38,7 +38,6 @@ from .errors import DomainError, HypothesisError, OracleError
 from .knowledge import fragmentation
 from .learning import gamma_index
 from .production import (
-    Allocation,
     ProductiveOptimum,
     SpecialistDesign,
     accounts,
@@ -93,14 +92,16 @@ def ratio_bound(econ: Economy) -> RatioBound:
 
 def support_wages(econ: Economy) -> WageSupport:
     """Construct and verify the supporting wage pair for the optimum."""
-    return wages_at_optimum(econ, *productive_optimum(econ))
-
-
-def wages_at_optimum(econ: Economy, opt: ProductiveOptimum, alloc: Allocation) -> WageSupport:
-    """support_wages given the productive optimum (opt, alloc) of econ; the
-    caller has checked that theta is below the coordination cutoff."""
+    opt, alloc = productive_optimum(econ)
     acc = accounts(alloc, econ)
-    delta = math.log(acc.B_M / acc.B_S)
+    return wages_at_optimum(econ, opt, acc.B_S, acc.B_M)
+
+
+def wages_at_optimum(econ: Economy, opt: ProductiveOptimum, B_S: float, B_M: float) -> WageSupport:
+    """support_wages given the productive optimum opt of econ and its group
+    knowledge B_S, B_M; the caller has checked that theta is below the
+    coordination cutoff."""
+    delta = math.log(B_M / B_S)
     V_tilde = (1.0 - econ.tau) * econ.V
     if not delta < V_tilde:
         raise HypothesisError(

@@ -405,7 +405,7 @@ def check_gap_accounting(scn: Scenario, rng, tol_scale) -> CheckResult:
         # gaps read neither q nor u, and feasibility reads only tech and
         # theta, so one economy per K with uniform q and u evaluates them all
         X = np.array([x for x in mixes if x.size == K])
-        rows = minimal_rows([(np.eye(K), max_scale_batch(econ.tech, np.eye(K)), X)], econ)[0]
+        rows = minimal_rows(np.eye(K), max_scale_batch(econ.tech, np.eye(K)), X, econ)
         uniform = np.full(K, 1.0 / K)
         econ_K = Economy(
             tech=econ.tech, q=uniform, u=uniform, p=econ.p,

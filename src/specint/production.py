@@ -8,9 +8,10 @@ since broader directions need more heads per unit of mastery. Specialists
 run at full scale H(pi)*pi, so an allocation stores its atoms' scales H(pi_j),
 solved once by the function that builds it. mean_rows and gap_bundle_rows
 give the aggregate mix and the gap bundle of each design of a stack, and
-SpecialistDesign.mean is a one-row call. layer_rows summarizes the
-specialist layer of each row of a block of designs on shared atoms
-(minimal_rows), and accounts_rows() adds up each row's feasibility, output
+SpecialistDesign.mean is a one-row call. minimal_rows() builds the
+minimal-integrator allocations of a block of designs on one atom set, a
+DesignRows; layer_rows summarizes the specialist layer of each row of such
+a block, and accounts_rows() adds up each row's feasibility, output
 and group knowledge in one economy; accounts() does the same on an
 allocation's cached one-row layer, with the bits and the feasibility
 errors that row has in any block, and civic_accounts() under each civic
@@ -87,11 +88,6 @@ class SpecialistDesign:
 def corner_design(mix: np.ndarray) -> SpecialistDesign:
     """All-corner design whose mastery weights reproduce the given mix."""
     return SpecialistDesign(directions=np.eye(mix.size), weights=mix)
-
-
-def single_atom(direction: np.ndarray) -> SpecialistDesign:
-    """Design with every specialist on one shared direction."""
-    return SpecialistDesign(directions=direction[None, :], weights=np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -426,7 +422,7 @@ def minimal_allocation(design: SpecialistDesign, econ: Economy) -> Allocation:
     """Allocation with the smallest integrator layer that supports a design,
     at its atoms' frontier scales."""
     scales = learning.max_scale_batch(econ.tech, design.directions)
-    return minimal_rows([(design.directions, scales, design.weights[None, :])], econ)[0].allocation(0)
+    return minimal_rows(design.directions, scales, design.weights[None, :], econ).allocation(0)
 
 
 @dataclass(frozen=True)
@@ -476,17 +472,14 @@ def gap_bundle_rows(weights: np.ndarray, directions: np.ndarray, x: np.ndarray) 
     return row_products(weights, np.clip(x[:, None, :] - directions, 0.0, None))
 
 
-def minimal_rows(blocks, econ: Economy) -> list[DesignRows]:
-    """The minimal-integrator allocations of blocks of designs, each block
-    a triple (directions (n, K), their scales H(pi_j), weights (N, n)),
-    with the integrator directions of all rows solved in one frontier
-    batch; a row of max_scale_batch gets the same bits in any batch, so
-    each row has the bits of minimal_allocation of its design."""
-    bundles, e_lam = [], []
-    for dirs, sc, W in blocks:
-        bundles.append(gap_bundle_rows(W, dirs, mean_rows(W, dirs)))
-        e_lam.append((W / sc).sum(axis=1))
-    Z = np.concatenate(bundles)
+def minimal_rows(directions, scales, weights, econ: Economy) -> DesignRows:
+    """The minimal-integrator allocations of a block of designs on the
+    atoms `directions` (n, K) at their frontier scales H(pi_j), one per
+    row of weights (N, n), with the integrator directions of all rows
+    solved in one frontier batch; a row of max_scale_batch gets the same
+    bits in any batch, so each row has the bits of minimal_allocation of
+    its design."""
+    Z = gap_bundle_rows(weights, directions, mean_rows(weights, directions))
     mass = Z.sum(axis=1)
     gap = mass != 0.0
     h = Z[gap] / mass[gap, None]
@@ -494,17 +487,10 @@ def minimal_rows(blocks, econ: Economy) -> list[DesignRows]:
     gamma = np.zeros(mass.size)
     gamma[gap] = mass[gap] * (1.0 / H)  # gamma_index(z), from the one frontier solve
     theta_gamma = econ.theta * gamma
-    m = theta_gamma / (np.concatenate(e_lam) + theta_gamma)
+    m = theta_gamma / ((weights / scales).sum(axis=1) + theta_gamma)
     integrator = np.zeros(Z.shape)
     integrator[gap] = H[:, None] * h
-    out, lo = [], 0
-    for dirs, sc, W in blocks:
-        hi = lo + W.shape[0]
-        out.append(DesignRows(
-            directions=dirs, scales=sc, weights=W, m=m[lo:hi], integrator=integrator[lo:hi],
-        ))
-        lo = hi
-    return out
+    return DesignRows(directions=directions, scales=scales, weights=weights, m=m, integrator=integrator)
 
 
 def simplex_grid(K: int, resolution: int) -> np.ndarray:

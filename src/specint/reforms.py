@@ -3,7 +3,9 @@
 Broadening: a share 1-b of routine workers stay corner experts assigned
 in proportions q_k; a share b take the broad profile H(q)q, which sits
 proportional to the organizational mix and so creates no coordination
-gaps. Integrators stay at the minimal feasible mass
+gaps. Every share is one design on the atoms [I; q], with mastery
+weights proportional to ((1-b)q, b*H(q)). Integrators stay at the
+minimal feasible mass
 
     m(b) = theta*(1-b)*D(q) / (H(h*) + theta*(1-b)*D(q)),
 
@@ -32,12 +34,12 @@ of eta: a marginal broadening reform raises welfare exactly on one side of
 eta* = -2*B_soc*A/B_soc' (above it when B_soc' > 0).
 
 The b sweep is one array pass: broadening_allocation's grid form gives the
-family as arrays (per atom set, the atom scales and each share's weights,
-integrator share m and integrator profile), and broadening_statics reads
-every share's flat Accounts (gap bundle G and mass g, Y and the group
-knowledge, once the share is feasible) from one production.accounts_rows
-call per atom set, then each share's political equilibrium and
-welfare_accounts, each value with the bits of the per-share path.
+family as arrays on the one atom set [I; q] (the atoms' scales and each
+share's weights, integrator share m and integrator profile), and
+broadening_statics reads every share's flat Accounts (gap bundle G and
+mass g, Y and the group knowledge, once the share is feasible) from one
+production.accounts_rows call, then each share's political equilibrium
+and welfare_accounts, each value with the bits of the per-share path.
 `verify` holds every cell it emits against that path
 (broadening_family(econ) at each share). theta_statics composes its
 welfare through welfare_accounts too.
@@ -103,7 +105,6 @@ from .production import (
     minimal_allocation,
     minimal_rows,
     productive_optimum,
-    single_atom,
 )
 from .welfare import (
     DECOMPOSITION_RESIDUAL,
@@ -121,13 +122,14 @@ FLAT_SLOPE = 1e-14  # interface slope taken as 0 (q uniform) up to this size
 def broadening_allocation(b, econ: Economy):
     """Mixed corner/broad specialist organization at broadening share b.
 
-    b is one share (an Allocation comes back) or a strictly increasing 1-d
-    grid of shares (the family's arrays come back: a DesignRows per atom
-    set, whose rows follow the grid; the corners at b = 0, the corners and
-    the broad atom H(q)q inside, the broad atom alone at b = 1). The atoms
-    [I; q] are solved in one frontier batch, which gives H(q) too, and the
-    integrator directions of all shares in one more; each row has the bits
-    of its own call.
+    Every share is a design on the atoms [I; q], the corners and the broad
+    atom H(q)q, with mastery weights proportional to ((1-b)q, b*H(q)); at
+    b = 0 the broad atom, and at b = 1 the corners, have zero weight. b is
+    one share (an Allocation comes back) or a strictly increasing 1-d grid
+    of shares (the family's arrays come back, a DesignRows whose rows
+    follow the grid). The atoms are solved in one frontier batch, which
+    gives H(q) too, and the integrator directions of all shares in one
+    more; each row has the bits of its own call.
     """
     grid = np.asarray(b, dtype=float)
     shares = grid.ravel()
@@ -138,22 +140,11 @@ def broadening_allocation(b, econ: Economy):
     if np.any(np.diff(shares) <= 0.0):
         raise DomainError("a grid of broadening shares must be strictly increasing")
     q = econ.q
-    K = q.size
-    dirs = np.vstack([np.eye(K), q])
+    dirs = np.vstack([np.eye(q.size), q])
     scales = max_scale_batch(econ.tech, dirs)
-    inner = shares[(shares > 0.0) & (shares < 1.0)]
-    blocks = []
-    if shares[0] == 0.0:
-        corners = corner_design(q)
-        blocks.append((corners.directions, scales[:K], corners.weights[None, :]))
-    if inner.size:
-        raw = np.concatenate([(1.0 - inner)[:, None] * q, (inner * scales[-1])[:, None]], axis=1)
-        blocks.append((dirs, scales, raw / raw.sum(axis=1, keepdims=True)))
-    if shares[-1] == 1.0:
-        broad = single_atom(q)
-        blocks.append((broad.directions, scales[K:], broad.weights[None, :]))
-    rows = minimal_rows(blocks, econ)
-    return rows[0].allocation(0) if grid.ndim == 0 else rows
+    raw = np.concatenate([(1.0 - shares)[:, None] * q, (shares * scales[-1])[:, None]], axis=1)
+    rows = minimal_rows(dirs, scales, raw / raw.sum(axis=1, keepdims=True), econ)
+    return rows.allocation(0) if grid.ndim == 0 else rows
 
 
 def broadening_family(econ: Economy) -> Family:
@@ -165,7 +156,7 @@ def broadening_family(econ: Economy) -> Family:
 def broadening_statics(econ: Economy, b_grid) -> dict[str, list]:
     """The table `sweep --axis b` writes: CSV column name to column, in
     CSV order, one row per share of a strictly increasing grid. One array
-    pass over each atom set of broadening_allocation's grid form
+    pass over broadening_allocation's grid form
     (accounts_rows, which checks each share's feasibility as accounts
     does), then per share the political equilibrium and the welfare
     accounts. Where the integrator share m is 0 (or 1) there is no voting
@@ -178,14 +169,14 @@ def broadening_statics(econ: Economy, b_grid) -> dict[str, list]:
     if grid.ndim != 1:
         raise DomainError("broadening statics need a 1-d grid of shares")
     rows = []
-    for block in broadening_allocation(grid, econ):
-        for share, acc in zip(block.m.tolist(), accounts_rows(block, econ)):
-            if 0.0 < share < 1.0:
-                outcome = equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M)
-                rows.append(welfare_accounts(econ, outcome).columns())
-            else:
-                rows.append({"m": share, "Y": acc.Y, "B_S": acc.B_S, "B_M": acc.B_M,
-                             "B_soc": (1.0 - share) * acc.B_S + share * acc.B_M})
+    block = broadening_allocation(grid, econ)
+    for share, acc in zip(block.m.tolist(), accounts_rows(block, econ)):
+        if 0.0 < share < 1.0:
+            outcome = equilibrium_from_groups(econ, acc.Y, share, acc.B_S, acc.B_M)
+            rows.append(welfare_accounts(econ, outcome).columns())
+        else:
+            rows.append({"m": share, "Y": acc.Y, "B_S": acc.B_S, "B_M": acc.B_M,
+                         "B_soc": (1.0 - share) * acc.B_S + share * acc.B_M})
     names = ("m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M", "R",
              "service_welfare", "dispersion", "welfare")
     return {"b": grid.tolist(), **{name: [row.get(name) for row in rows] for name in names}}
@@ -307,8 +298,7 @@ def interface_statics(econ: Economy, alpha_grid: np.ndarray) -> dict[str, list]:
     h_star = gap_profile_star(econ.q)
     corners = corner_design(econ.q)
     scales = max_scale_batch(econ.tech, np.vstack([corners.directions, h_star]))
-    block = (corners.directions, scales[:-1], corners.weights[None, :])
-    alloc = minimal_rows([block], econ)[0].allocation(0)
+    alloc = minimal_rows(corners.directions, scales[:-1], corners.weights[None, :], econ).allocation(0)
     B_S_slope, B_M_slope = _closed_slopes(econ, h_star, float(scales[-1]))
     grid = np.asarray(alpha_grid, dtype=float).tolist()
     stencils = [stencil_points(a)[0] for a in grid]

@@ -37,7 +37,6 @@ from specint.production import (
     optimum_accounts,
     optimum_rows,
     productive_optimum,
-    single_atom,
 )
 from specint.reforms import (
     broadening_allocation,
@@ -86,6 +85,18 @@ K8 = make_economy(
 )
 
 
+def _off_sum(q, u, family):
+    econ = make_economy(q=q, u=u, p=0.3, family=family, param=1.4)
+    return econ.with_theta(0.6 * econ.theta_bar)
+
+
+# q sums to 1 - 2**-53, so the b = 0 weights q/sum(q) are not q
+OFF_SUM = [
+    _off_sum((0.6, 0.3, 0.1), (0.3, 0.3, 0.4), "rational"),
+    _off_sum((0.35, 0.3, 0.2, 0.1, 0.05), (0.15, 0.25, 0.2, 0.2, 0.2), "exponential"),
+]
+
+
 def _knowledge_one(s, u, p):
     """The 1-d system_knowledge, one profile at a time."""
     v = np.clip(np.asarray(s, dtype=float), 0.0, None)
@@ -111,12 +122,9 @@ def _minimal_one(design, econ, scales):
 
 
 def _broadening_one(b, econ):
-    """The per-share broadening allocation, solving its own frontiers."""
+    """The per-share broadening allocation on the atoms [I; q], solving
+    its own frontiers."""
     q = econ.q
-    if b == 0.0:
-        return _minimal_one(corner_design(q), econ, max_scale_batch(econ.tech, np.eye(q.size)))
-    if b == 1.0:
-        return _minimal_one(single_atom(q), econ, max_scale_batch(econ.tech, q[None, :]))
     dirs = np.vstack([np.eye(q.size), q])
     scales = max_scale_batch(econ.tech, dirs)
     raw = np.concatenate([(1.0 - b) * q, [b * scales[-1]]])
@@ -195,15 +203,26 @@ def test_system_knowledge_stack_on_allocation_profiles():
 
 def test_broadening_grid_matches_per_share_loop():
     rng = np.random.default_rng(7)
-    for econ in ECONOMIES:
+    for econ in [*ECONOMIES, *OFF_SUM]:
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), rng.uniform(0.0, 1.0, 4)]))
-        allocs = [rows.allocation(i) for rows in broadening_allocation(grid, econ)
-                  for i in range(rows.m.size)]
-        assert len(allocs) == grid.size
-        for b, alloc in zip(grid.tolist(), allocs):
+        rows = broadening_allocation(grid, econ)
+        assert rows.m.size == grid.size
+        for i, b in enumerate(grid.tolist()):
             want = _broadening_one(b, econ)
-            assert _same_allocation(alloc, want), (econ.K, econ.tech.family, b)
+            assert _same_allocation(rows.allocation(i), want), (econ.K, econ.tech.family, b)
             assert _same_allocation(broadening_allocation(b, econ), want)
+
+
+def test_broadening_end_points_normalize_q():
+    # at b = 0 the corners carry q/sum(q), and the broad atom nothing; at
+    # b = 1 the broad atom carries everything
+    for econ in [*ECONOMIES, *OFF_SUM]:
+        q = econ.q
+        rows = broadening_allocation(np.array([0.0, 1.0]), econ)
+        assert rows.weights[0].tobytes() == np.append(q / q.sum(), 0.0).tobytes()
+        assert rows.weights[1].tolist() == [0.0] * q.size + [1.0]
+    assert all(econ.q.sum() != 1.0 for econ in OFF_SUM)
+    assert all(np.any(econ.q / econ.q.sum() != econ.q) for econ in OFF_SUM)
 
 
 B_COLUMNS = ["b", "m", "Y", "B_S", "B_M", "B_soc", "e_pol", "z_pol", "t_S", "t_M", "R",
@@ -228,7 +247,7 @@ def test_broadening_statics_matches_per_share_loop():
     # grids with both end points, with neither, with the end points alone,
     # and random interior shares
     rng = np.random.default_rng(17)
-    for econ in [*ECONOMIES, K8]:
+    for econ in [*ECONOMIES, *OFF_SUM, K8]:
         grids = (
             np.linspace(0.0, 1.0, 21),
             np.linspace(0.05, 0.95, 7),
@@ -249,15 +268,26 @@ def test_broadening_statics_matches_per_share_loop():
 
 def test_sweep_b_makes_two_frontier_calls_and_no_per_share_accounts(tmp_path, monkeypatch):
     # the b sweep makes its two frontier solves (the atoms [I; q] and the
-    # integrator directions) and never builds the per-share accounts
+    # integrator directions), builds the family in one minimal_rows call,
+    # adds it up in one accounts_rows call, and never builds the per-share
+    # accounts
     from specint import cli, learning, politics, production, reforms, welfare
 
     solve = learning.max_scale_batch
-    frontier, evaluated = [], []
+    build, add_up = production.minimal_rows, production.accounts_rows
+    frontier, built, added, evaluated = [], [], [], []
 
     def counted_solve(tech, directions):
         frontier.append(len(directions))
         return solve(tech, directions)
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counted_add_up(*args):
+        added.append(args)
+        return add_up(*args)
 
     def refuse(*args):
         evaluated.append(args)
@@ -265,6 +295,9 @@ def test_sweep_b_makes_two_frontier_calls_and_no_per_share_accounts(tmp_path, mo
 
     for module in (learning, reforms):
         monkeypatch.setattr(module, "max_scale_batch", counted_solve)
+    for module in (production, reforms):
+        monkeypatch.setattr(module, "minimal_rows", counted_build)
+        monkeypatch.setattr(module, "accounts_rows", counted_add_up)
     for module in (production, politics, reforms):
         monkeypatch.setattr(module, "accounts", refuse)
     for module in (welfare, cli):
@@ -273,6 +306,7 @@ def test_sweep_b_makes_two_frontier_calls_and_no_per_share_accounts(tmp_path, mo
     assert cli.main(["sweep", "--axis", "b", "--config", str(SCENARIOS / "default.cfg"),
                      "--out", str(out)]) == 0
     assert frontier == [4, 20]
+    assert (len(built), len(added)) == (1, 1)
     assert evaluated == []
     assert len(out.read_text().splitlines()) == 22
 
@@ -355,22 +389,19 @@ def _accounts_one(alloc, econ):
 
 
 def test_accounts_rows_match_accounts_of_each_row():
-    # every row of a block, the end points' one-row blocks included, gives
-    # the whole Accounts of its own allocation, and that has the bits of
-    # the 1-d arithmetic
+    # every row of the block, the end points included, gives the whole
+    # Accounts of its own allocation, and that has the bits of the 1-d
+    # arithmetic
     rng = np.random.default_rng(23)
-    for econ in [*ECONOMIES, K8]:
+    for econ in [*ECONOMIES, *OFF_SUM, K8]:
         grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), rng.uniform(0.0, 1.0, 4)]))
-        n = 0
-        for rows in broadening_allocation(grid, econ):
-            got = accounts_rows(rows, econ)
-            assert len(got) == rows.m.size
-            for i, acc in enumerate(got):
-                want = accounts(rows.allocation(i), econ)
-                assert _same_accounts(acc, want), (econ.K, econ.tech.family, i)
-                assert _same_accounts(want, _accounts_one(rows.allocation(i), econ))
-            n += len(got)
-        assert n == grid.size
+        rows = broadening_allocation(grid, econ)
+        got = accounts_rows(rows, econ)
+        assert len(got) == grid.size
+        for i, acc in enumerate(got):
+            want = accounts(rows.allocation(i), econ)
+            assert _same_accounts(acc, want), (econ.K, econ.tech.family, i)
+            assert _same_accounts(want, _accounts_one(rows.allocation(i), econ))
 
 
 def test_layer_kernel_runs_once_per_allocation_along_the_alpha_sweep(monkeypatch):
@@ -419,7 +450,7 @@ def test_accounts_rows_raise_what_accounts_raises_on_an_infeasible_row():
     # halving a row's integrators halves its capacity; doubling them
     # overruns the learning budget; the first such row in order is reported
     for econ in (ECONOMIES[0], ECONOMIES[-1], K8):
-        rows = broadening_allocation(np.linspace(0.0, 1.0, 6), econ)[1]  # the mixed designs
+        rows = broadening_allocation(np.linspace(0.0, 0.8, 5), econ)  # every share with a gap
         accounts_rows(rows, econ)
         n = rows.m.size
         for i, j in [*((i, None) for i in range(n)), (1, n - 1), (n - 1, 1)]:

@@ -641,6 +641,54 @@ def test_solve_solves_the_optimum_once(tmp_path, monkeypatch):
     assert [c.tobytes() for c in calls] == [h_star[None, :].tobytes()]
 
 
+def test_solve_evaluates_the_optimum_accounts_once(tmp_path, monkeypatch):
+    # the wage support reads the group knowledge of solve's welfare report,
+    # so the optimum's accounts are added up once
+    from specint import competitive, oracles, politics
+
+    calls = []
+    evaluate = production.accounts
+
+    def counted(alloc, econ):
+        calls.append(alloc)
+        return evaluate(alloc, econ)
+
+    for module in (production, politics, reforms, competitive, oracles):
+        monkeypatch.setattr(module, "accounts", counted)
+    assert all(getattr(module, "accounts", counted) is counted
+               for name, module in sys.modules.items() if name.startswith("specint"))
+    assert main(["solve", "--config", write_cfg(tmp_path / "s.cfg")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("share, frontier_rows", [("0.0", [4, 1]), ("1.0", [4])])
+def test_sweep_b_on_one_end_point(tmp_path, monkeypatch, share, frontier_rows):
+    # a one-share grid at either end writes its one row; at b = 1 no share
+    # has a gap, so no integrator direction is solved, and the row holds no
+    # voting game
+    calls = []
+    solve = learning.max_scale_batch
+
+    def counted(tech, directions, param=None):
+        calls.append(len(directions))
+        return solve(tech, directions, param)
+
+    for module in (learning, reforms):
+        monkeypatch.setattr(module, "max_scale_batch", counted)
+    cfg = write_cfg(tmp_path / "b.cfg", {"sweep.b": share})
+    out = tmp_path / "b.csv"
+    assert main(["sweep", "--axis", "b", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == frontier_rows
+    header, *data = read_csv(out)
+    assert len(data) == 1
+    (row,) = data
+    assert row[header.index("b")] == share
+    political = ["e_pol", "z_pol", "t_S", "t_M", "R", "service_welfare", "dispersion", "welfare"]
+    blank = [name for name in political if row[header.index(name)] == ""]
+    assert blank == (political if share == "1.0" else [])
+    assert (float(row[header.index("m")]) > 0.0) == (share == "0.0")
+
+
 def test_sweep_alpha_is_one_array_pass(tmp_path, monkeypatch):
     # the civic profiles of every stencil point meet the fixed allocation in
     # one system_knowledge call on the (3n, K) stack; no per-point economy,

@@ -12,7 +12,6 @@ from specint.production import (
     accounts,
     corner_design,
     productive_optimum,
-    single_atom,
 )
 
 from conftest import make_economy
@@ -111,7 +110,7 @@ def test_unit_cost_zero_ratio_prefers_alignment(econ):
 def test_unit_cost_single_atom_is_inefficiency(econ):
     # a one-direction design has no gaps; cost is lambda/coverage, lambda = 1/H
     x = np.array([0.4, 0.35, 0.25])
-    got = unit_cost(x, single_atom(x), 0.5, econ)
+    got = unit_cost(x, SpecialistDesign(directions=x[None, :], weights=np.ones(1)), 0.5, econ)
     want = (1.0 / max_scale(econ.tech, x)) / np.minimum(x, econ.q).sum()
     assert got == pytest.approx(want, abs=1e-12)
 

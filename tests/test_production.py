@@ -23,7 +23,6 @@ from specint.production import (
     minimal_allocation,
     productive_optimum,
     simplex_grid,
-    single_atom,
 )
 from specint.scenario import load_scenario
 from specint.welfare import total_welfare
@@ -36,18 +35,23 @@ def gap_bundle(design, x):
     return gap_bundle_rows(design.weights[None, :], design.directions, x[None, :])[0]
 
 
+def one_atom(direction):
+    """The design with every specialist on one direction."""
+    return SpecialistDesign(directions=direction[None, :], weights=np.ones(1))
+
+
 # The external coordination requirement of a profile s = scale*pi against a
-# mix is (||s||_1 * mix - s)^+ = scale * gap_bundle(single_atom(pi), mix).
+# mix is (||s||_1 * mix - s)^+ = scale * gap_bundle(one_atom(pi), mix).
 
 
 def test_gap_vector_proportional_is_zero():
     mix = np.array([0.5, 0.3, 0.2])
-    assert np.all(0.7 * gap_bundle(single_atom(mix), mix) == 0.0)
+    assert np.all(0.7 * gap_bundle(one_atom(mix), mix) == 0.0)
 
 
 def test_gap_vector_corner():
     x = np.array([0.5, 0.3, 0.2])
-    gamma = gap_bundle(single_atom(np.eye(3)[0]), x)
+    gamma = gap_bundle(one_atom(np.eye(3)[0]), x)
     assert gamma == pytest.approx([0.0, 0.3, 0.2], abs=1e-15)
 
 
@@ -59,7 +63,7 @@ def test_gap_mass_identity():
         pi = rng.dirichlet(np.ones(K))
         mix = rng.dirichlet(np.ones(K))
         scale = float(rng.uniform(0.1, 1.0))
-        gamma = scale * gap_bundle(single_atom(pi), mix)
+        gamma = scale * gap_bundle(one_atom(pi), mix)
         assert gamma.sum() == pytest.approx(scale * (1 - coverage(pi, mix)), abs=1e-12)
 
 
@@ -72,7 +76,7 @@ def test_aggregate_gaps_corner_design(econ):
 
 
 def test_aggregate_gaps_single_atom(econ):
-    alloc = minimal_allocation(single_atom(econ.q), econ)
+    alloc = minimal_allocation(one_atom(econ.q), econ)
     assert accounts(alloc, econ).g == 0.0
     assert alloc.m == 0.0
 

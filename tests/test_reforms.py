@@ -88,17 +88,16 @@ def _count_frontier_rows(monkeypatch) -> list[int]:
 def test_broadening_grid_solves_each_frontier_once(econ, monkeypatch):
     # a b grid solves the atoms [I; q] in one batch, reads H(q) from it, and
     # solves the integrator directions of every share with a gap (all but
-    # b = 1, whose single broad atom leaves none) in one more call
+    # b = 1, whose broad atom alone leaves none) in one more call
     from specint import learning
 
     grid = np.linspace(0.0, 1.0, 21)
     calls = _count_frontier_rows(monkeypatch)
-    blocks = broadening_allocation(grid, econ)
+    rows = broadening_allocation(grid, econ)
     assert calls == [econ.q.size + 1, grid.size - 1]
-    assert [rows.m.size for rows in blocks] == [1, grid.size - 2, 1]
-    assert blocks[-1].m.tolist() == [0.0]
-    H_q = learning.max_scale(econ.tech, econ.q)
-    assert all(rows.scales[-1] == H_q for rows in blocks[1:])
+    assert rows.m.size == grid.size
+    assert np.all(rows.m[:-1] > 0.0) and rows.m[-1] == 0.0
+    assert rows.scales[-1] == learning.max_scale(econ.tech, econ.q)
 
 
 def test_theta_statics_solves_frontier_once(econ, monkeypatch):
